@@ -194,10 +194,8 @@ def warped_closed_forms(w: WarpedSpec, p) -> WarpedClosedForms:
     th_dot = float(thjet.gradient()[0])
     th_ddot = float(thjet.hessian()[0, 0])
 
-    gb = rm.metric_at(w.base, base_pt)[0].components
-    gamma_b = rm.christoffel_at(w.base, base_pt).components
-    riem_b = rm.riemann_at(w.base, base_pt).components
-    ric_b = rm.ricci_at(w.base, base_pt).components
+    gb, _, gamma_b, riem_b = rm.curvature_data_at(w.base, base_pt)
+    ric_b = np.einsum("lljk->jk", riem_b)
 
     g_sp = math.exp(2.0 * a_val) * gb
     accel = a_ddot + a_dot**2

@@ -1057,7 +1057,12 @@ def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
         memo[id(e)] = j
         return j
 
-    return [ev(x) for x in exprs]
+    # ev reaches itself through its closure, so without the clear the memo's
+    # jets would stay alive until the cycle collector happens to run
+    try:
+        return [ev(x) for x in exprs]
+    finally:
+        memo.clear()
 
 
 def eval_jet(f: ScalarField, p, order: int, *, max_order: int | None = None) -> Jet:

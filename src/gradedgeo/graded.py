@@ -12,8 +12,7 @@ with its first variation (closed form and finite difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .riemann import MetricSpec, TensorValue
 
 __all__ = [
     "FieldEquationReport",
+    "GeometryBatch",
     "GradedConnectionTriple",
     "GradedMetric",
     "GradedTensorValue",
@@ -35,6 +35,7 @@ __all__ = [
     "bump_variation",
     "conservation_residual_at",
     "field_residuals_at",
+    "geometry_batch",
     "graded_apply",
     "graded_apply_field",
     "graded_curvature_at",
@@ -62,6 +63,8 @@ class GradedMetric:
     metric: MetricSpec
     theta: ScalarField
     odd_norm_sign: int = 1
+    # symbolic pieces built on first use (triple, stress), kept with the metric
+    _cache: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.theta.chart != self.metric.chart:
@@ -169,9 +172,11 @@ class FieldEquationReport:
         }
 
 
-@lru_cache(maxsize=None)
 def levicivita_triple(gm: GradedMetric) -> GradedConnectionTriple:
     """The unique compatible torsion-free triple of the extended metric."""
+    got = gm._cache.get("triple")
+    if got is not None:
+        return got
     n = gm.chart.dim
     theta = gm.theta
     alpha = tuple(theta.d(i) for i in range(n))
@@ -186,7 +191,8 @@ def levicivita_triple(gm: GradedMetric) -> GradedConnectionTriple:
                 continue
             acc = acc + ginv[i][j] * alpha[j]
         x0.append(-(weight * acc) if not acc.is_zero else zero)
-    return GradedConnectionTriple(gm, alpha, tuple(x0))
+    got = gm._cache["triple"] = GradedConnectionTriple(gm, alpha, tuple(x0))
+    return got
 
 
 def graded_apply_field(
@@ -245,19 +251,6 @@ def graded_torsion(
     return _field_value(t, p)
 
 
-def tilde_T_at(gm: GradedMetric, p) -> TensorValue:
-    """Covariant second derivative of theta plus the squared slope form."""
-    hes = rm.hessian_at(gm.metric, gm.theta, p).components
-    dth = ef.eval_jet(gm.theta, p, 1).gradient()
-    return TensorValue(("d", "d"), hes + np.outer(dth, dth), tuple(float(x) for x in p))
-
-
-def tr_tilde_T_at(gm: GradedMetric, p) -> float:
-    dth = ef.eval_jet(gm.theta, p, 1).gradient()
-    ginv = rm.metric_at(gm.metric, p)[1].components
-    return rm.laplacian_at(gm.metric, gm.theta, p) + float(dth @ ginv @ dth)
-
-
 def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:
     """One curvature block, keyed by parity of (second argument, operand).
 
@@ -291,28 +284,39 @@ def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:
     raise ValueError(f"unknown curvature block {block!r}; use one of {CURVATURE_BLOCKS}")
 
 
+def _one(gm: GradedMetric, p) -> tuple[tuple[float, ...], "GeometryBatch"]:
+    pt = gm.chart.require_point(p)
+    return pt, geometry_batch(gm, [pt])
+
+
+def tilde_T_at(gm: GradedMetric, p) -> TensorValue:
+    """Covariant second derivative of theta plus the squared slope form."""
+    pt, b = _one(gm, p)
+    return TensorValue(("d", "d"), b.tilde_T[0], pt)
+
+
+def tr_tilde_T_at(gm: GradedMetric, p) -> float:
+    _, b = _one(gm, p)
+    return float(b.lap[0] + b.gradsq[0])
+
+
 def graded_ricci_at(gm: GradedMetric, p) -> GradedTensorValue:
     """Ricci form of the extended metric, split along the grading."""
-    pt = tuple(float(x) for x in p)
-    n = gm.chart.dim
-    ric = rm.ricci_at(gm.metric, p).components
-    even = TensorValue(("d", "d"), ric - tilde_T_at(gm, p).components, pt)
-    odd = -float(np.exp(2.0 * gm.theta(p))) * tr_tilde_T_at(gm, p)
-    return GradedTensorValue(even, np.zeros(n), odd, pt)
+    pt, b = _one(gm, p)
+    even = TensorValue(("d", "d"), b.gric_even[0], pt)
+    return GradedTensorValue(even, np.zeros(gm.chart.dim), float(b.gric_odd[0]), pt)
 
 
 def graded_scalar_at(gm: GradedMetric, p) -> float:
-    return rm.scalar_curvature_at(gm.metric, p) - 2.0 * tr_tilde_T_at(gm, p)
+    return float(_one(gm, p)[1].graded_scalar[0])
 
 
 def graded_hessian_at(gm: GradedMetric, f: ScalarField, p) -> GradedTensorValue:
     """Second covariant derivative of an ordinary function, graded blocks."""
-    pt = tuple(float(x) for x in p)
-    even = rm.hessian_at(gm.metric, f, p)
-    df = ef.eval_jet(f, p, 1).gradient()
-    dth = ef.eval_jet(gm.theta, p, 1).gradient()
-    ginv = rm.metric_at(gm.metric, p)[1].components
-    odd = float(np.exp(2.0 * gm.theta(p))) * float(df @ ginv @ dth)
+    pt, b = _one(gm, p)
+    jet = ef.eval_jet_batch(f, [pt], 2)
+    even = TensorValue(("d", "d"), rm.hessian_batch(b.gamma, jet)[0], pt)
+    odd = float(b.weight[0]) * float(jet.gradient()[:, 0] @ b.ginv[0] @ b.dth[0])
     return GradedTensorValue(even, np.zeros(gm.chart.dim), odd, pt)
 
 
@@ -324,9 +328,11 @@ def graded_trace(gm: GradedMetric, value: GradedTensorValue) -> float:
     return even + value.odd / float(np.exp(2.0 * gm.theta(p)))
 
 
-@lru_cache(maxsize=None)
 def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
     """Matter-sector stress tensor 2 dtheta x dtheta - |grad theta|^2 g."""
+    got = gm._cache.get("stress")
+    if got is not None:
+        return got
     n = gm.chart.dim
     theta = gm.theta
     dth = [theta.d(i) for i in range(n)]
@@ -347,7 +353,8 @@ def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
             entry = 2.0 * (dth[i] * dth[j]) - gradsq * gm.metric.component(i, j)
             row.append(entry)
         rows.append(tuple(row))
-    return tuple(rows)
+    got = gm._cache["stress"] = tuple(rows)
+    return got
 
 
 def stress_tensor_at(gm: GradedMetric, p) -> TensorValue:
@@ -361,84 +368,91 @@ def conservation_residual_at(gm: GradedMetric, p) -> TensorValue:
     return rm.divergence_sym2_at(gm.metric, stress_fields(gm), p)
 
 
-def field_residuals_at(gm: GradedMetric, p) -> FieldEquationReport:
-    """Residuals of the four equivalent field-equation forms at a point."""
-    pt = tuple(float(x) for x in p)
-    g, ginv_t = rm.metric_at(gm.metric, p)
-    gv, ginv = g.components, ginv_t.components
-    ric = rm.ricci_at(gm.metric, p).components
-    scalar = float(np.einsum("ij,ij->", ginv, ric))
-    dth = ef.eval_jet(gm.theta, p, 1).gradient()
-    gradsq = float(dth @ ginv @ dth)
-    lap = rm.laplacian_at(gm.metric, gm.theta, p)
-    outer2 = 2.0 * np.outer(dth, dth)
+@dataclass(frozen=True, eq=False)
+class GeometryBatch:
+    """Order-2 geometry of an extended metric over an array of points.
 
-    full = ric - 0.5 * scalar * gv - outer2 + gradsq * gv
-    ricci_form = ric - outer2
+    Every array has a leading point axis; a single point is a batch of one.
+    Index layouts follow the riemann module.  The graded Ricci form has an
+    even block ``gric_even`` and an odd block ``gric_odd``; its cross block
+    vanishes for the compatible triple.  ``e27``..``e44`` are the max-norm
+    residuals of the four field-equation forms.
+    """
 
-    gric = graded_ricci_at(gm, p)
-    ghes = graded_hessian_at(gm, gm.theta, p)
-    even_blk = gric.even.components - (np.outer(dth, dth) - ghes.even.components)
-    cross_blk = gric.cross - (0.0 - ghes.cross)
-    odd_blk = gric.odd - (0.0 - ghes.odd)
+    points: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    gamma: np.ndarray
+    riem: np.ndarray
+    ric: np.ndarray
+    scalar: np.ndarray
+    dth: np.ndarray  # d_i theta
+    hes: np.ndarray  # covariant Hessian of theta
+    lap: np.ndarray
+    gradsq: np.ndarray  # |grad theta|^2
+    tilde_T: np.ndarray
+    weight: np.ndarray  # exp(2 theta), squared norm of the odd direction
+    gric_even: np.ndarray
+    gric_odd: np.ndarray
+    graded_scalar: np.ndarray
+    density: np.ndarray  # sqrt|det g|
+    e27: np.ndarray
+    e28: np.ndarray
+    e29: np.ndarray
+    e44: np.ndarray
 
-    return FieldEquationReport(
-        point=pt,
-        e27=float(np.max(np.abs(full))),
-        e28=abs(lap),
-        e29=float(np.max(np.abs(ricci_form))),
-        e44=max(
-            float(np.max(np.abs(even_blk))),
-            float(np.max(np.abs(cross_blk))),
-            abs(odd_blk),
-        ),
-        scalar_curvature=scalar,
-        graded_scalar=scalar - 2.0 * (lap + gradsq),
+    def residual_records(self) -> list[FieldEquationReport]:
+        """One report per point, in point order."""
+        cols = zip(
+            self.points.tolist(), self.e27.tolist(), self.e28.tolist(), self.e29.tolist(),
+            self.e44.tolist(), self.scalar.tolist(), self.graded_scalar.tolist(),
+        )
+        return [FieldEquationReport(tuple(p), *vals) for p, *vals in cols]
+
+
+def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
+    """All of GeometryBatch from one metric and one theta jet sweep over points."""
+    pts = gm.chart.require_points(points)
+    g, ginv, gamma, riem = rm.curvature_data_batch(gm.metric, pts)
+    jet = ef.eval_jet_batch(gm.theta, pts, 2)
+    rm.check_finite([("theta", jet)], pts)
+    ric = np.einsum("plljk->pjk", riem)
+    scalar = np.einsum("pjk,pjk->p", ginv, ric)
+    dth = np.ascontiguousarray(jet.gradient().T)
+    hes = rm.hessian_batch(gamma, jet)
+    lap = np.einsum("pij,pij->p", ginv, hes)
+    gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
+    dd = np.einsum("pi,pj->pij", dth, dth)
+    weight = np.exp(2.0 * jet.coeffs[0])
+    tilde = hes + dd
+    gric_even = ric - tilde
+    gric_odd = -weight * (lap + gradsq)
+    full = ric - 0.5 * scalar[:, None, None] * g - 2.0 * dd + gradsq[:, None, None] * g
+    even_blk = gric_even - (dd - hes)
+    odd_blk = gric_odd + weight * gradsq
+    return GeometryBatch(
+        points=pts, g=g, ginv=ginv, gamma=gamma, riem=riem, ric=ric, scalar=scalar,
+        dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
+        gric_even=gric_even, gric_odd=gric_odd, graded_scalar=scalar - 2.0 * (lap + gradsq),
+        density=np.sqrt(np.abs(np.linalg.det(g))),
+        e27=np.max(np.abs(full), axis=(1, 2)),
+        e28=np.abs(lap),
+        e29=np.max(np.abs(ric - 2.0 * dd), axis=(1, 2)),
+        e44=np.maximum(np.max(np.abs(even_blk), axis=(1, 2)), np.abs(odd_blk)),
     )
 
 
-def _volume_density(gm: GradedMetric, p) -> float:
-    g = rm.metric_at(gm.metric, p)[0].components
-    return float(np.sqrt(abs(np.linalg.det(g))))
-
-
-@dataclass(frozen=True, eq=False)
-class _PointData:
-    """Curvature and slope data shared by the quadrature integrands.
-
-    Every array carries a leading quadrature-point axis.
-    """
-
-    g: np.ndarray
-    ginv: np.ndarray
-    ric: np.ndarray
-    scalar: np.ndarray
-    dth: np.ndarray
-    lap: np.ndarray
-    gradsq: np.ndarray
-    density: np.ndarray
-
-
-def _point_data(gm: GradedMetric, pts: np.ndarray) -> _PointData:
-    g, ginv, gamma, riem = rm.curvature_data_batch(gm.metric, pts)
-    ric = np.einsum("plljk->pjk", riem)
-    scalar = np.einsum("pjk,pjk->p", ginv, ric)
-    jet = ef.eval_jet_batch(gm.theta, pts, 2)
-    dth = jet.gradient().T
-    hes = np.moveaxis(jet.hessian(), -1, 0) - np.einsum("pkij,pk->pij", gamma, dth)
-    lap = np.einsum("pij,pij->p", ginv, hes)
-    gradsq = np.einsum("pi,pij,pj->p", dth, ginv, dth)
-    density = np.sqrt(np.abs(np.linalg.det(g)))
-    return _PointData(g, ginv, ric, scalar, dth, lap, gradsq, density)
+def field_residuals_at(gm: GradedMetric, p) -> FieldEquationReport:
+    """Residuals of the four equivalent field-equation forms at a point."""
+    return _one(gm, p)[1].residual_records()[0]
 
 
 def hilbert_action(gm: GradedMetric, quad: QuadSpec | None = None) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
     quad = quad or QuadSpec()
     points, weights = tensor_rule(gm.chart, quad)
-    d = _point_data(gm, np.asarray(points))
-    values = (d.scalar - 2.0 * (d.lap + d.gradsq)) * d.density
-    return float(values @ weights)
+    d = geometry_batch(gm, points)
+    return float((d.graded_scalar * d.density) @ weights)
 
 
 def action_magnitude(gm: GradedMetric, quad: QuadSpec | None = None) -> float:
@@ -446,7 +460,7 @@ def action_magnitude(gm: GradedMetric, quad: QuadSpec | None = None) -> float:
     absolute value, so it stays positive where the signed terms cancel."""
     quad = quad or QuadSpec()
     points, weights = tensor_rule(gm.chart, quad)
-    d = _point_data(gm, np.asarray(points))
+    d = geometry_batch(gm, points)
     values = (np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density
     return float(values @ weights)
 
@@ -482,7 +496,7 @@ class VariationSpec:
             if not (clo <= lo < hi <= chi):
                 raise ValueError("support box must sit inside the chart box")
         worst = self._boundary_max()
-        if worst > 1e-12:
+        if not worst <= 1e-12:
             raise ValueError(f"variation does not vanish on the support boundary ({worst:.3e})")
 
     def _boundary_max(self, inset: float = 1e-9) -> float:
@@ -501,11 +515,8 @@ class VariationSpec:
                     base.append((alo + apad, 0.5 * (alo + ahi), ahi - apad))
                 base[axis] = (edge,)
                 probes.extend(_product_points(base))
-        worst = 0.0
-        for p in probes:
-            for f in fields:
-                worst = max(worst, abs(f(p)))
-        return worst
+        jets = ef.eval_jets_batch(fields, probes, 0)
+        return float(np.max(np.abs([jet.coeffs[0] for jet in jets])))
 
 
 def _product_points(axes: list[tuple]) -> list[tuple]:
@@ -581,7 +592,7 @@ def action_first_variation(
     pts = np.asarray(points)
     n = gm.chart.dim
 
-    d = _point_data(gm, pts)
+    d = geometry_batch(gm, pts)
     flat = [var.s[i][j] for i in range(n) for j in range(n)]
     jets = ef.eval_jets_batch(flat + [var.h], pts, 0)
     s_vals = np.stack([j.coeffs[0] for j in jets[:-1]], axis=-1).reshape(len(pts), n, n)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError
 from .exprfield import ChartSpec
 
-__all__ = ["QuadSpec", "integrate", "tensor_rule"]
+__all__ = ["QuadSpec", "tensor_rule"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,3 @@ def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[list[tuple], np.ndarr
     weights = reduce(np.multiply.outer, axis_w).ravel()
     return points, weights
 
-
-def integrate(fn, chart: ChartSpec, quad: QuadSpec) -> float:
-    points, weights = tensor_rule(chart, quad)
-    values = np.fromiter((fn(p) for p in points), dtype=float, count=len(points))
-    return float(np.sum(values * weights))

@@ -1,7 +1,9 @@
-"""Semi-Riemannian calculus at a point: curvature, derivative operators, divergences.
+"""Semi-Riemannian calculus over point arrays: curvature, derivative operators, divergences.
 
 All derivative information flows through the jet engine, so quantities that
-need k metric derivatives request order-k jets of the component fields.
+need k metric derivatives request order-k jets of the component fields, in
+one sweep over an array of points.  The ``*_at`` functions are views of a
+batch of one point.
 Tensor fields passed to the divergence operators are arrays of ScalarField,
 which keeps their partials on the same exact path.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprfield as ef
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, DomainError
 from .exprfield import ChartSpec, ScalarField
 
 DEGENERACY_THRESHOLD = 1e-10
@@ -171,16 +173,6 @@ class MetricSpec:
             self._cache["gamma"] = got
         return got
 
-    def jets(self, p, order: int):
-        """Full symmetric matrix of component jets at p (upper entries shared)."""
-        n = self.chart.dim
-        out = [[None] * n for _ in range(n)]
-        for (i, j), fld in self._upper.items():
-            jet = ef.eval_jet(fld, p, order)
-            out[i][j] = jet
-            out[j][i] = jet
-        return out
-
     def jets_batch(self, points, order: int):
         """Component jets over an array of points, one shared evaluation pass."""
         n = self.chart.dim
@@ -211,41 +203,6 @@ def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> Scalar
 
 def _det_field(rows: list[list[ScalarField]]) -> ScalarField:
     return _det_field_matrix(rows, rows[0][0].chart)
-
-
-def _values_and_inverse(m: MetricSpec, jets) -> tuple[np.ndarray, np.ndarray]:
-    n = m.chart.dim
-    g = np.array([[jets[i][j].value for j in range(n)] for i in range(n)])
-    det = float(np.linalg.det(g))
-    if abs(det) < DEGENERACY_THRESHOLD:
-        raise DegenerateMetricError(
-            f"|det g| = {abs(det):.3e} below threshold {DEGENERACY_THRESHOLD:.0e}"
-        )
-    ginv = np.linalg.inv(g)
-    if np.max(np.abs(g @ ginv - np.eye(n))) > 1e-10:
-        raise DegenerateMetricError("metric inverse failed the identity check")
-    return g, ginv
-
-
-def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:
-    """Metric and inverse metric values at p."""
-    pt = m.chart.require_point(p)
-    g, ginv = _values_and_inverse(m, m.jets(pt, 0))
-    return (
-        TensorValue(("d", "d"), g, pt),
-        TensorValue(("u", "u"), ginv, pt),
-    )
-
-
-def _first_derivatives(m: MetricSpec, pt, jets) -> np.ndarray:
-    n = m.chart.dim
-    dg = np.empty((n, n, n))  # dg[i,j,k] = d_k g_ij
-    for i in range(n):
-        for j in range(i, n):
-            grad = jets[i][j].gradient()
-            dg[i, j, :] = grad
-            dg[j, i, :] = grad
-    return dg
 
 
 def _christoffel_core(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,58 +239,39 @@ def _riemann_core(
     )
 
 
-def _christoffel_arrays(m: MetricSpec, pt, jets):
-    g, ginv = _values_and_inverse(m, jets)
-    dg = _first_derivatives(m, pt, jets)
-    s, gamma = (x[0] for x in _christoffel_core(ginv[None], dg[None]))
-    return g, ginv, dg, s, gamma
+def check_finite(named_jets, pts: np.ndarray) -> None:
+    """Fail closed on a jet with a non-finite coefficient, naming field and point.
+
+    ``named_jets`` pairs a field name with its jet over ``pts``.
+    """
+    bad = np.stack([~np.isfinite(jet.coeffs).all(axis=0) for _, jet in named_jets])
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        name = named_jets[int(np.argmax(bad[:, k]))][0]
+        raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def christoffel_at(m: MetricSpec, p) -> TensorValue:
-    """Gamma^k_ij at p, from order-1 jets of the metric components."""
-    pt = m.chart.require_point(p)
-    *_, gamma = _christoffel_arrays(m, pt, m.jets(pt, 1))
-    return TensorValue(("u", "d", "d"), gamma, pt)
+def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
+    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points.
 
-
-def _second_derivatives(m: MetricSpec, jets) -> np.ndarray:
+    The one place where metric jets become tensors; one jet sweep of the
+    given order, and every array has a leading point axis.
+    """
+    pts = m.chart.require_points(points)
+    npts = len(pts)
     n = m.chart.dim
-    ddg = np.empty((n, n, n, n))  # ddg[i,j,k,m] = d_k d_m g_ij
-    for i in range(n):
-        for j in range(i, n):
-            h = jets[i][j].hessian()
-            ddg[i, j] = h
-            ddg[j, i] = h
-    return ddg
-
-
-def _riemann_array(m: MetricSpec, pt) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    jets = m.jets(pt, 2)
-    g, ginv, dg, s, gamma = _christoffel_arrays(m, pt, jets)
-    ddg = _second_derivatives(m, jets)
-    riem = _riemann_core(ginv[None], dg[None], s[None], gamma[None], ddg[None])[0]
-    return g, ginv, gamma, riem
-
-
-def riemann_at(m: MetricSpec, p) -> TensorValue:
-    """R^l_ijk at p with R(e_i, e_j) e_k = R^l_ijk e_l."""
-    pt = m.chart.require_point(p)
-    *_, riem = _riemann_array(m, pt)
-    return TensorValue(("u", "d", "d", "d"), riem, pt)
-
-
-def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-sweep bundle (g, ginv, Gamma, Riemann) for callers needing several pieces."""
-    pt = m.chart.require_point(p)
-    return _riemann_array(m, pt)
-
-
-def _batch_values_and_inverse(m: MetricSpec, jets, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    n = m.chart.dim
+    jets = m.jets_batch(pts, order)
+    check_finite([(f"g_{i}_{j}", jets[i][j]) for i in range(n) for j in range(i, n)], pts)
     g = np.empty((npts, n, n))
+    dg = np.empty((npts, n, n, n)) if order >= 1 else None  # dg[p,i,j,k] = d_k g_ij
+    ddg = np.empty((npts,) + (n,) * 4) if order >= 2 else None  # ddg[p,i,j,k,m] = d_k d_m g_ij
     for i in range(n):
         for j in range(n):
             g[:, i, j] = jets[i][j].coeffs[0]
+            if order >= 1:
+                dg[:, i, j] = jets[i][j].gradient().T
+            if order >= 2:
+                ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
     det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
     if worst < DEGENERACY_THRESHOLD:
@@ -343,105 +281,108 @@ def _batch_values_and_inverse(m: MetricSpec, jets, npts: int) -> tuple[np.ndarra
     ginv = np.linalg.inv(g)
     if np.max(np.abs(np.einsum("pij,pjk->pik", g, ginv) - np.eye(n))) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
-    return g, ginv
+    out = [g, ginv]
+    if order >= 1:
+        s, gamma = _christoffel_core(ginv, dg)
+        out.append(gamma)
+    if order >= 2:
+        out.append(_riemann_core(ginv, dg, s, gamma, ddg))
+    return out
 
 
 def curvature_data_batch(
     m: MetricSpec, points
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched (g, ginv, Gamma, Riemann), each with a leading point axis."""
-    pts = m.chart.require_points(points)
-    npts = len(pts)
-    n = m.chart.dim
-    jets = m.jets_batch(pts, 2)
-    g, ginv = _batch_values_and_inverse(m, jets, npts)
-    dg = np.empty((npts, n, n, n))  # dg[p,i,j,k] = d_k g_ij
-    ddg = np.empty((npts, n, n, n, n))  # ddg[p,i,j,k,m] = d_k d_m g_ij
-    for i in range(n):
-        for j in range(i, n):
-            grad = jets[i][j].gradient().T
-            hess = np.moveaxis(jets[i][j].hessian(), -1, 0)
-            dg[:, i, j] = grad
-            dg[:, j, i] = grad
-            ddg[:, i, j] = hess
-            ddg[:, j, i] = hess
-    s, gamma = _christoffel_core(ginv, dg)
-    riem = _riemann_core(ginv, dg, s, gamma, ddg)
-    return g, ginv, gamma, riem
+    return tuple(_metric_arrays(m, points, 2))
+
+
+def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
+    """Hes(f)[p,i,j] = d_i d_j f - Gamma^k_ij d_k f from an order-2 jet batch of f."""
+    return np.moveaxis(jet.hessian(), -1, 0) - np.einsum("pkij,pk->pij", gamma, jet.gradient().T)
+
+
+def _at(m: MetricSpec, p, order: int) -> tuple[tuple[float, ...], list[np.ndarray]]:
+    """The point as floats and the metric arrays of the batch of one it makes."""
+    pt = m.chart.require_point(p)
+    return pt, [a[0] for a in _metric_arrays(m, [pt], order)]
+
+
+def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:
+    """Metric and inverse metric values at p."""
+    pt, (g, ginv) = _at(m, p, 0)
+    return TensorValue(("d", "d"), g, pt), TensorValue(("u", "u"), ginv, pt)
+
+
+def christoffel_at(m: MetricSpec, p) -> TensorValue:
+    """Gamma^k_ij at p, from order-1 jets of the metric components."""
+    pt, (_, _, gamma) = _at(m, p, 1)
+    return TensorValue(("u", "d", "d"), gamma, pt)
+
+
+def riemann_at(m: MetricSpec, p) -> TensorValue:
+    """R^l_ijk at p with R(e_i, e_j) e_k = R^l_ijk e_l."""
+    pt, (*_, riem) = _at(m, p, 2)
+    return TensorValue(("u", "d", "d", "d"), riem, pt)
+
+
+def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One-sweep bundle (g, ginv, Gamma, Riemann) for callers needing several pieces."""
+    return tuple(_at(m, p, 2)[1])
 
 
 def ricci_at(m: MetricSpec, p) -> TensorValue:
     """Ric_jk = R^l_ljk."""
-    pt = m.chart.require_point(p)
-    *_, riem = _riemann_array(m, pt)
+    pt, (*_, riem) = _at(m, p, 2)
     return TensorValue(("d", "d"), np.einsum("lljk->jk", riem), pt)
 
 
 def scalar_curvature_at(m: MetricSpec, p) -> float:
-    pt = m.chart.require_point(p)
-    g, ginv, gamma, riem = _riemann_array(m, pt)
-    ric = np.einsum("lljk->jk", riem)
-    return float(np.einsum("jk,jk->", ginv, ric))
+    _, (_, ginv, _, riem) = _at(m, p, 2)
+    return float(np.einsum("jk,jk->", ginv, np.einsum("lljk->jk", riem)))
 
 
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     """(grad f)^i = g^ij d_j f."""
-    pt = m.chart.require_point(p)
-    _, ginv = _values_and_inverse(m, m.jets(pt, 0))
+    pt, (_, ginv) = _at(m, p, 0)
     df = ef.eval_jet(f, pt, 1).gradient()
     return TensorValue(("u",), ginv @ df, pt)
 
 
 def hessian_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     """Hes(f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    pt = m.chart.require_point(p)
-    *_, gamma = _christoffel_arrays(m, pt, m.jets(pt, 1))
-    jet = ef.eval_jet(f, pt, 2)
-    hes = jet.hessian() - np.einsum("kij,k->ij", gamma, jet.gradient())
+    pt, (_, _, gamma) = _at(m, p, 1)
+    hes = hessian_batch(gamma[None], ef.eval_jet_batch(f, [pt], 2))[0]
     return TensorValue(("d", "d"), hes, pt)
 
 
 def laplacian_at(m: MetricSpec, f: ScalarField, p) -> float:
     """Trace of the Hessian: div(grad f)."""
-    pt = m.chart.require_point(p)
-    jets = m.jets(pt, 1)
-    g, ginv, dg, s, gamma = _christoffel_arrays(m, pt, jets)
-    jet = ef.eval_jet(f, pt, 2)
-    hes = jet.hessian() - np.einsum("kij,k->ij", gamma, jet.gradient())
+    pt, (_, ginv, gamma) = _at(m, p, 1)
+    hes = hessian_batch(gamma[None], ef.eval_jet_batch(f, [pt], 2))[0]
     return float(np.einsum("ij,ij->", ginv, hes))
-
-
 def divergence_vec_at(m: MetricSpec, v, p) -> float:
     """div V = d_i V^i + Gamma^i_ik V^k for contravariant component fields V."""
-    pt = m.chart.require_point(p)
     n = m.chart.dim
     if len(v) != n:
         raise ValueError("vector field needs one component per coordinate")
-    *_, gamma = _christoffel_arrays(m, pt, m.jets(pt, 1))
-    vals = np.empty(n)
-    dv = np.empty((n, n))  # dv[i,j] = d_j V^i
-    for i in range(n):
-        jet = ef.eval_jet(v[i], pt, 1)
-        vals[i] = jet.value
-        dv[i] = jet.gradient()
+    pt, (_, _, gamma) = _at(m, p, 1)
+    jets = ef.eval_jets_batch(v, [pt], 1)
+    vals = np.array([jet.value[0] for jet in jets])
+    dv = np.array([jet.gradient()[:, 0] for jet in jets])  # dv[i,j] = d_j V^i
     return float(np.trace(dv) + np.einsum("iik,k->", gamma, vals))
 
 
 def divergence_sym2_at(m: MetricSpec, s_fields, p) -> TensorValue:
     """div(S)_k = g^ij (nabla_i S)_jk for a symmetric covariant 2-tensor field."""
-    pt = m.chart.require_point(p)
     n = m.chart.dim
     rows = [list(r) for r in s_fields]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"tensor field needs a {n}x{n} component matrix")
-    g, ginv, dg, sy, gamma = _christoffel_arrays(m, pt, m.jets(pt, 1))
-    vals = np.empty((n, n))
-    ds = np.empty((n, n, n))  # ds[j,k,i] = d_i S_jk
-    for i in range(n):
-        for j in range(n):
-            jet = ef.eval_jet(rows[i][j], pt, 1)
-            vals[i, j] = jet.value
-            ds[i, j] = jet.gradient()
+    pt, (_, ginv, gamma) = _at(m, p, 1)
+    jets = ef.eval_jets_batch([f for r in rows for f in r], [pt], 1)
+    vals = np.array([jet.value[0] for jet in jets]).reshape(n, n)
+    ds = np.array([jet.gradient()[:, 0] for jet in jets]).reshape(n, n, n)  # ds[j,k,i] = d_i S_jk
     if np.max(np.abs(vals - vals.T)) > 1e-12 * (1.0 + np.max(np.abs(vals))):
         raise ValueError("tensor field is not symmetric at the evaluation point")
     covd = (
@@ -454,7 +395,6 @@ def divergence_sym2_at(m: MetricSpec, s_fields, p) -> TensorValue:
 
 def signature_at(m: MetricSpec, p) -> tuple[int, ...]:
     """Signs of the metric eigenvalues at p, sorted ascending."""
-    pt = m.chart.require_point(p)
-    g, _ = _values_and_inverse(m, m.jets(pt, 0))
+    g = metric_at(m, p)[0].components
     eig = np.linalg.eigvalsh(g)
     return tuple(int(np.sign(e)) for e in np.sort(eig))

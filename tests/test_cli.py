@@ -319,3 +319,51 @@ def test_domain_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "numeric domain error" in err
+
+
+NONFINITE = """\
+[chart]
+coords = x, t
+box_x = -1.0, 1.0
+box_t = 1.0, 800.0
+
+[metric]
+g_0_0 = 1
+g_1_1 = 1
+
+[theta]
+expr = 1e-300*exp(exp(t))
+
+[grid]
+points = 0 1; 0 799
+"""
+
+
+def test_nonfinite_residuals_exit_3(tmp_path, capsys):
+    path = write(tmp_path, NONFINITE)
+    with np.errstate(all="ignore"):
+        code = run(["residuals", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "pass" not in err
+    assert "theta" in err
+
+
+def test_summary_fails_on_nan():
+    good = gd.FieldEquationReport((0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    bad = gd.FieldEquationReport((1.0,), 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)
+    summary = cli.RunReport("h", "v", 1e-9, (good, bad)).summary()
+    assert math.isnan(summary["max_e28"])
+    assert summary["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["residuals", "report"])
+def test_grid_is_one_jet_sweep_each(tmp_path, capsys, jet_calls, command):
+    path = write(tmp_path, FLAT_X)
+    counts = []
+    for grid in ("1,2", "2,4"):
+        jet_calls.clear()
+        run([command, "--config", path, "--grid", grid])
+        counts.append(len(jet_calls))
+    capsys.readouterr()
+    assert counts == [2, 2]

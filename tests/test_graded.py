@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from gradedgeo import algebroid as ag
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
+from gradedgeo.errors import DomainError
 from gradedgeo.quadrature import QuadSpec
 from gradedgeo.randgen import (
     default_chart,
@@ -549,3 +552,40 @@ def test_variation_routes_agree():
             assert abs(closed - fd) <= 1e-5 * (1 + abs(closed)), (i, closed, fd)
             done += 1
     assert done == 10
+
+
+def test_field_residuals_one_metric_and_one_theta_sweep(jet_calls):
+    gm = eds_graded(3)
+    gd.field_residuals_at(gm, (0.1, 0.2, -0.3, 2.0))
+    metric_fields = [gm.metric.component(i, j) for i in range(4) for j in range(i, 4)]
+    assert jet_calls == [metric_fields, [gm.theta]]
+
+
+def test_geometry_batch_rows_are_batches_of_one():
+    gm = random_graded_metric(np.random.default_rng(71), default_chart(3), signature=(-1, 1, 1))
+    rng = np.random.default_rng(72)
+    points = [random_interior_point(rng, gm.chart) for _ in range(4)]
+    batch = gd.geometry_batch(gm, points)
+    for k, p in enumerate(points):
+        assert batch.residual_records()[k] == gd.field_residuals_at(gm, p)
+        assert np.array_equal(batch.gric_even[k], gd.graded_ricci_at(gm, p).even.components)
+
+
+def test_nonfinite_theta_names_field_and_point():
+    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (1.0, 800.0)))
+    gm = gd.GradedMetric(
+        rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.parse_field("1e-300*exp(exp(t))", chart)
+    )
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"theta at point \(0.0, 799.0\)"):
+        gd.geometry_batch(gm, [(0.0, 1.0), (0.0, 799.0)])
+
+
+def test_symbolic_caches_live_on_the_metric():
+    gm = random_graded_metric(np.random.default_rng(73), default_chart(2))
+    triple, stress = gd.levicivita_triple(gm), gd.stress_fields(gm)
+    assert gd.levicivita_triple(gm) is triple
+    assert gd.stress_fields(gm) is stress
+    ref = weakref.ref(gm)
+    del gm, triple, stress
+    gc.collect()
+    assert ref() is None

@@ -5,7 +5,7 @@ import pytest
 
 from gradedgeo import exprfield as ef
 from gradedgeo import riemann as rm
-from gradedgeo.errors import DegenerateMetricError
+from gradedgeo.errors import DegenerateMetricError, JetOrderError
 from gradedgeo.randgen import default_chart, random_interior_point, random_metric, random_polynomial
 
 from fd_oracles import christoffel_fd, fd_gradient, metric_values, ricci_fd, riemann_fd
@@ -43,6 +43,14 @@ def test_metric_at_values_and_inverse(eds3):
     assert g.components[3, 3] == -1.0
     assert np.max(np.abs(g.components @ ginv.components - np.eye(4))) <= 1e-12
     assert g.valence == ("d", "d") and ginv.valence == ("u", "u")
+
+
+def test_metric_at_is_one_order_zero_sweep(eds3, monkeypatch):
+    monkeypatch.setenv(ef.MAX_ORDER_ENV, "0")
+    g, _ = rm.metric_at(eds3, (0.0, 0.0, 0.0, 8.0))
+    assert g.components[3, 3] == -1.0
+    with pytest.raises(JetOrderError):
+        rm.christoffel_at(eds3, (0.0, 0.0, 0.0, 8.0))
 
 
 def test_degenerate_metric_rejected():
@@ -276,14 +284,14 @@ def test_metric_compatibility_random():
         m = random_metric(rng, chart, signature=sig)
         for _ in range(25):
             p = random_interior_point(rng, chart)
-            jets = m.jets(p, 1)
             n = chart.dim
             dg = np.empty((n, n, n))
             g = np.empty((n, n))
             for i in range(n):
                 for j in range(n):
-                    g[i, j] = jets[i][j].value
-                    dg[i, j] = jets[i][j].gradient()
+                    jet = ef.eval_jet(m.component(i, j), p, 1)
+                    g[i, j] = jet.value
+                    dg[i, j] = jet.gradient()
             gamma = rm.christoffel_at(m, p).components
             rhs = np.einsum("mki,mj->ijk", gamma, g) + np.einsum("mkj,im->ijk", gamma, g)
             assert np.max(np.abs(dg - rhs)) <= 1e-10 * (1 + np.max(np.abs(dg)))
