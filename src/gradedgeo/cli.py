@@ -6,7 +6,7 @@ batch (one jet sweep of the metric and one of theta); a single point is a
 batch of one.
 
 Exit codes: 0 pass, 1 residual or check failure, 2 config error,
-3 numeric domain error.
+3 numeric domain error, 4 internal limit (recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -344,6 +344,9 @@ def main(argv=None) -> int:
     except (DomainError, DegenerateMetricError, JetOrderError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"internal limit exceeded: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -287,51 +287,69 @@ def call_expr(fn: str, arg: Expr) -> Expr:
 
 
 def diff_expr(e: Expr, axis: int) -> Expr:
+    """Partial derivative of e along axis, built once per (node, axis).
+
+    The result is memoized in the node's instance dict, outside the dataclass
+    fields: it is freed with the node and takes no part in equality, hashing
+    or repr.  Repeated derivatives of a long-lived subtree are therefore one
+    object, which the id-keyed memo of jet evaluation shares.
+    """
+    if isinstance(e, Const):
+        return _ZERO
+    if isinstance(e, Coord):
+        return _ONE if e.index == axis else _ZERO
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression node: {e!r}")
+    memo = vars(e).setdefault("_diff", {})
+    d = memo.get(axis)
+    if d is not None:
+        return d
     match e:
-        case Const():
-            return _ZERO
-        case Coord(index=i):
-            return _ONE if i == axis else _ZERO
         case Add(lhs=a, rhs=b):
-            return add_expr(diff_expr(a, axis), diff_expr(b, axis))
+            d = add_expr(diff_expr(a, axis), diff_expr(b, axis))
         case Sub(lhs=a, rhs=b):
-            return sub_expr(diff_expr(a, axis), diff_expr(b, axis))
+            d = sub_expr(diff_expr(a, axis), diff_expr(b, axis))
         case Neg(arg=a):
-            return neg_expr(diff_expr(a, axis))
+            d = neg_expr(diff_expr(a, axis))
         case Mul(lhs=a, rhs=b):
-            return add_expr(mul_expr(diff_expr(a, axis), b), mul_expr(a, diff_expr(b, axis)))
+            d = add_expr(mul_expr(diff_expr(a, axis), b), mul_expr(a, diff_expr(b, axis)))
         case Div(lhs=a, rhs=b):
             da, db = diff_expr(a, axis), diff_expr(b, axis)
             num = sub_expr(mul_expr(da, b), mul_expr(a, db))
-            if _is_const(num, 0.0):
-                return _ZERO
-            return div_expr(num, pow_expr(b, 2))
+            d = _ZERO if _is_const(num, 0.0) else div_expr(num, pow_expr(b, 2))
         case Pow(base=b, exponent=r):
             db = diff_expr(b, axis)
             if _is_const(db, 0.0):
-                return _ZERO
-            return mul_expr(mul_expr(const_expr(float(r)), pow_expr(b, r - 1)), db)
-        case Call(fn=fn, arg=a):
-            da = diff_expr(a, axis)
-            if _is_const(da, 0.0):
-                return _ZERO
-            match fn:
-                case "exp":
-                    outer = Call("exp", a)
-                case "ln":
-                    return div_expr(da, a)
-                case "sin":
-                    outer = Call("cos", a)
-                case "cos":
-                    outer = neg_expr(Call("sin", a))
-                case "tan":
-                    return div_expr(da, pow_expr(Call("cos", a), 2))
-                case "sqrt":
-                    return div_expr(da, mul_expr(Const(2.0), Call("sqrt", a)))
-                case _:
-                    raise ValueError(f"unknown function {fn!r}")
-            return mul_expr(outer, da)
-    raise TypeError(f"not an expression node: {e!r}")
+                d = _ZERO
+            else:
+                d = mul_expr(mul_expr(const_expr(float(r)), pow_expr(b, r - 1)), db)
+        case Call(arg=a):
+            d = _chain_rule(e, diff_expr(a, axis))
+    memo[axis] = d
+    return d
+
+
+def _chain_rule(e: Call, da: Expr) -> Expr:
+    """Derivative of e = fn(a) given the derivative da of its argument."""
+    if _is_const(da, 0.0):
+        return _ZERO
+    a = e.arg
+    match e.fn:
+        case "exp":
+            outer = e
+        case "ln":
+            return div_expr(da, a)
+        case "sin":
+            outer = Call("cos", a)
+        case "cos":
+            outer = neg_expr(Call("sin", a))
+        case "tan":
+            return div_expr(da, pow_expr(Call("cos", a), 2))
+        case "sqrt":
+            return div_expr(da, mul_expr(Const(2.0), e))
+        case fn:
+            raise ValueError(f"unknown function {fn!r}")
+    return mul_expr(outer, da)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ class GradedVectorValue:
     base_point: tuple
 
     def max_norm(self) -> float:
-        return max(float(np.max(np.abs(self.even))), abs(self.odd))
+        """Largest absolute component; NaN if any component is NaN."""
+        return float(np.max(np.abs(np.append(self.even, self.odd))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +135,6 @@ class GradedTensorValue:
     cross: np.ndarray
     odd: float
     base_point: tuple
-
-    def max_norm(self) -> float:
-        return max(
-            float(np.max(np.abs(self.even.components))),
-            float(np.max(np.abs(self.cross))) if self.cross.size else 0.0,
-            abs(self.odd),
-        )
 
 
 @dataclass(frozen=True)
@@ -415,7 +409,9 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     pts = gm.chart.require_points(points)
     g, ginv, gamma, riem = rm.curvature_data_batch(gm.metric, pts)
     jet = ef.eval_jet_batch(gm.theta, pts, 2)
-    rm.check_finite([("theta", jet)], pts)
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        weight = np.exp(2.0 * jet.coeffs[0])
+    rm.check_finite([("theta", jet.coeffs), ("exp(2*theta)", weight)], pts)
     ric = np.einsum("plljk->pjk", riem)
     scalar = np.einsum("pjk,pjk->p", ginv, ric)
     dth = np.ascontiguousarray(jet.gradient().T)
@@ -423,7 +419,6 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     lap = np.einsum("pij,pij->p", ginv, hes)
     gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
     dd = np.einsum("pi,pj->pij", dth, dth)
-    weight = np.exp(2.0 * jet.coeffs[0])
     tilde = hes + dd
     gric_even = ric - tilde
     gric_odd = -weight * (lap + gradsq)

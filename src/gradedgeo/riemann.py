@@ -239,15 +239,17 @@ def _riemann_core(
     )
 
 
-def check_finite(named_jets, pts: np.ndarray) -> None:
-    """Fail closed on a jet with a non-finite coefficient, naming field and point.
+def check_finite(named_values, pts: np.ndarray) -> None:
+    """Fail closed on a non-finite value, naming its field and the first bad point.
 
-    ``named_jets`` pairs a field name with its jet over ``pts``.
+    ``named_values`` pairs a field name with an array over ``pts`` whose last
+    axis is the point axis, such as a batched jet's coefficients.
     """
-    bad = np.stack([~np.isfinite(jet.coeffs).all(axis=0) for _, jet in named_jets])
+    npts = len(pts)
+    bad = np.stack([~np.isfinite(a).reshape(-1, npts).all(axis=0) for _, a in named_values])
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
-        name = named_jets[int(np.argmax(bad[:, k]))][0]
+        name = named_values[int(np.argmax(bad[:, k]))][0]
         raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
@@ -261,7 +263,7 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
     npts = len(pts)
     n = m.chart.dim
     jets = m.jets_batch(pts, order)
-    check_finite([(f"g_{i}_{j}", jets[i][j]) for i in range(n) for j in range(i, n)], pts)
+    check_finite([(f"g_{i}_{j}", jets[i][j].coeffs) for i in range(n) for j in range(i, n)], pts)
     g = np.empty((npts, n, n))
     dg = np.empty((npts, n, n, n)) if order >= 1 else None  # dg[p,i,j,k] = d_k g_ij
     ddg = np.empty((npts,) + (n,) * 4) if order >= 2 else None  # ddg[p,i,j,k,m] = d_k d_m g_ij

@@ -367,3 +367,22 @@ def test_grid_is_one_jet_sweep_each(tmp_path, capsys, jet_calls, command):
         counts.append(len(jet_calls))
     capsys.readouterr()
     assert counts == [2, 2]
+
+
+def test_theta_weight_overflow_exit_3(tmp_path, capsys):
+    # exp(2*theta) overflows although theta itself is finite
+    path = write(tmp_path, FLAT_X.replace("expr = x", "expr = 400").replace("counts = 3, 3", "points = 0 0"))
+    code = run(["residuals", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "theta" in err
+    assert "(0.0, 0.0)" in err
+
+
+def test_deep_expression_exit_4(tmp_path, capsys):
+    terms = " + ".join(["0.001*x"] * 1000)
+    path = write(tmp_path, FLAT_X.replace("expr = x", f"expr = {terms}"))
+    code = run(["residuals", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "RecursionError" in err

@@ -27,6 +27,25 @@ def test_parse_tree_shape(chart):
     )
 
 
+def test_derivative_built_once_per_node_and_axis(chart):
+    f = ef.parse_field("exp(x*y)/t + sqrt(t)*sin(x)^2", chart)
+    assert f.d(0).expr is f.d(0).expr
+    assert f.d("y").expr is f.d(1).expr
+    assert f.d(0).d(2).expr is f.d(0).d(2).expr
+    assert f.d(0).expr is not f.d(1).expr
+
+
+def test_derivative_memo_outside_node_identity(chart):
+    a = ef.parse_field("x*exp(y) + ln(t)", chart)
+    b = ef.parse_field("x*exp(y) + ln(t)", chart)
+    a.d(0).d(1)
+    a.d(2)
+    assert a.expr == b.expr
+    assert hash(a.expr) == hash(b.expr)
+    assert repr(a.expr) == repr(b.expr)
+    assert a.pretty() == b.pretty()
+
+
 def test_parse_precedence_and_unary(chart):
     f = ef.parse_field("-x^2", chart)
     assert f.expr == ef.Neg(ef.Pow(ef.Coord(0, "x"), Fraction(2)))

@@ -589,3 +589,15 @@ def test_symbolic_caches_live_on_the_metric():
     del gm, triple, stress
     gc.collect()
     assert ref() is None
+
+
+def test_derivative_memos_die_with_the_metric():
+    gm = random_graded_metric(np.random.default_rng(5), default_chart(2))
+    triple = gd.levicivita_triple(gm)
+    gm.metric.christoffel_fields()
+    derivs = [f.d(a).d(b) for f in triple.x0 + triple.alpha for a in range(2) for b in range(2)]
+    assert derivs[0].expr is triple.x0[0].d(0).d(0).expr
+    refs = [weakref.ref(gm), weakref.ref(gm.theta.expr), weakref.ref(derivs[0].expr)]
+    del gm, triple, derivs
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

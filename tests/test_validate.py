@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError
-from gradedgeo.randgen import default_chart, random_graded_metric, random_metric
+from gradedgeo.algebroid import anchor, pairing_field, vector_apply
+from gradedgeo.randgen import (
+    default_chart,
+    random_graded_field,
+    random_graded_metric,
+    random_interior_point,
+    random_metric,
+)
 
 from test_graded import eds_graded, flat_graded
 
@@ -140,3 +148,52 @@ def test_check_result_report_shape():
     d = res.to_json_dict()
     assert set(d) == {"name", "max_error", "tolerance", "passed"}
     assert vd.CheckResult("demo", 2.0, 1e-9).passed is False
+
+
+def test_nan_error_fails_the_check(monkeypatch):
+    # a NaN at the first point must not be forgotten by a finite error at the next
+    gm = random_graded_metric(np.random.default_rng(43), default_chart(2))
+    sample = [(0.1, -0.2), (0.2, 0.05)]
+    want = gd.graded_scalar_at(gm, sample[1])
+    monkeypatch.setattr(gd, "graded_scalar_at", lambda gm, p: math.nan if p == sample[0] else want)
+    res = vd.check_scalar_frame(gm, sample)
+    assert not res.passed
+    assert res.max_error == math.inf
+
+
+def test_nan_closed_form_block_fails(monkeypatch):
+    gm = random_graded_metric(np.random.default_rng(47), default_chart(2))
+    real = gd.graded_ricci_at
+    monkeypatch.setattr(gd, "graded_ricci_at", lambda gm, p: dataclasses.replace(real(gm, p), odd=math.nan))
+    res = vd.check_ricci_blocks_frame(gm, [(0.1, -0.2)])
+    assert not res.passed
+
+
+def test_metric_compatibility_one_batch_per_triple(jet_calls):
+    gm = random_graded_metric(np.random.default_rng(53), default_chart(2), signature=(-1, 1))
+    res = vd.check_metric_compatibility(gm, np.random.default_rng(59), points=50)
+    assert res.passed
+    # eval_jet records a single field, eval_jets_batch a list of them
+    assert all(isinstance(fields, list) for fields in jet_calls)
+    assert [len(fields) for fields in jet_calls] == [3] * 5
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_metric_compatibility_batch_matches_points(dim):
+    gm = random_graded_metric(np.random.default_rng(61 + dim), default_chart(dim))
+    got = vd.check_metric_compatibility(gm, np.random.default_rng(67)).max_error
+    # the same check one point at a time, from the same random stream
+    rng = np.random.default_rng(67)
+    conn = gd.levicivita_triple(gm)
+    want = 0.0
+    for _ in range(5):
+        x, y, z = (random_graded_field(rng, gm.chart) for _ in range(3))
+        lhs = vector_apply(anchor(x), pairing_field(gm, y, z))
+        rhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)
+        rhs2 = pairing_field(gm, y, gd.graded_apply_field(conn, x, z))
+        for _ in range(10):
+            p = random_interior_point(rng, gm.chart)
+            a = lhs(p)
+            want = max(want, abs(a - rhs(p) - rhs2(p)) / (1.0 + abs(a)))
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-14)
