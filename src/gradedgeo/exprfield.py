@@ -26,6 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
+from itertools import zip_longest as _zip_longest
 
 import numpy as np
 
@@ -739,7 +740,16 @@ def remap_coordinates(f: ScalarField, chart: ChartSpec, name_map: dict[str, str]
 
 
 class JetSpace:
-    """Index bookkeeping for jets of a fixed dimension and truncation order."""
+    """Index bookkeeping for jets of a fixed dimension and truncation order.
+
+    Product tables: term k of a product is coefficient ``_gather_a[k]`` of
+    the left jet times coefficient ``_gather_b[k]`` of the right, the terms in
+    pair order (i, j).  The last term is a spare that ``Jet.__mul__`` sets to
+    zero; ``_mul_a`` is the left table without it.  ``_scatter`` is the 0/1
+    scatter matrix from terms to coefficients in dense index form: entry
+    ``[t, out]`` is the t-th term landing on coefficient ``out``, or the spare
+    once ``out`` has no more.
+    """
 
     def __init__(self, dim: int, order: int):
         self.dim = dim
@@ -751,17 +761,19 @@ class JetSpace:
         self.indices = tuple(indices)
         self.pos = {m: i for i, m in enumerate(indices)}
         self.count = len(indices)
-        ia, ib, io = [], [], []
+        ia, ib, landing = [], [], [[] for _ in indices]
         for i, ma in enumerate(indices):
             da = sum(ma)
             for j, mb in enumerate(indices):
                 if da + sum(mb) <= order:
+                    landing[self.pos[tuple(x + y for x, y in zip(ma, mb))]].append(len(ia))
                     ia.append(i)
                     ib.append(j)
-                    io.append(self.pos[tuple(x + y for x, y in zip(ma, mb))])
-        self._mul_a = np.asarray(ia, dtype=np.intp)
-        self._mul_b = np.asarray(ib, dtype=np.intp)
-        self._mul_out = np.asarray(io, dtype=np.intp)
+        spare = len(ia)
+        self._gather_a = np.asarray(ia + [0], dtype=np.intp)
+        self._gather_b = np.asarray(ib + [0], dtype=np.intp)
+        self._mul_a = self._gather_a[:spare]
+        self._scatter = np.asarray(list(_zip_longest(*landing, fillvalue=spare)), dtype=np.intp)
         self.factorials = np.array(
             [math.prod(math.factorial(k) for k in m) for m in indices], dtype=float
         )
@@ -787,7 +799,9 @@ class Jet:
 
     Coefficients are indexed by graded-lexicographic multi-index; batched
     evaluation adds a trailing point axis, and every operation broadcasts
-    over it unchanged.
+    over it unchanged.  A product lays its terms out by the space's scatter
+    matrix and adds the rows in order, so every coefficient sums its terms in
+    pair order whatever the point count, and no point's terms reach another.
     """
 
     __slots__ = ("space", "coeffs")
@@ -867,10 +881,11 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             s = self.space
-            prod = self.coeffs[s._mul_a] * other.coeffs[s._mul_b]
-            out = np.zeros((s.count,) + prod.shape[1:])
-            np.add.at(out, s._mul_out, prod)
-            return self._wrap(out)
+            # take, not fancy indexing: it costs half as much on (count, npoints) arrays
+            terms = self.coeffs.take(s._gather_a, 0) * other.coeffs.take(s._gather_b, 0)
+            terms[-1] = 0.0
+            # reducing the leading axis adds whole rows one after another, from +0.0
+            return self._wrap(np.add.reduce(terms.take(s._scatter, 0), axis=0, initial=0.0))
         return self._wrap(self.coeffs * other)
 
     __rmul__ = __mul__

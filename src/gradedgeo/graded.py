@@ -584,13 +584,12 @@ def action_first_variation(
     quad = quad or QuadSpec()
     inner_quad = QuadSpec(quad.nodes_per_axis, var.support)
     points, weights = tensor_rule(gm.chart, inner_quad)
-    pts = np.asarray(points)
     n = gm.chart.dim
 
-    d = geometry_batch(gm, pts)
+    d = geometry_batch(gm, points)
     flat = [var.s[i][j] for i in range(n) for j in range(n)]
-    jets = ef.eval_jets_batch(flat + [var.h], pts, 0)
-    s_vals = np.stack([j.coeffs[0] for j in jets[:-1]], axis=-1).reshape(len(pts), n, n)
+    jets = ef.eval_jets_batch(flat + [var.h], points, 0)
+    s_vals = np.stack([j.coeffs[0] for j in jets[:-1]], axis=-1).reshape(len(points), n, n)
     h_vals = jets[-1].coeffs[0]
     target = (
         -d.ric

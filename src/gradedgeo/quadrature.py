@@ -46,8 +46,12 @@ class QuadSpec:
         return self.box
 
 
-def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[list[tuple], np.ndarray]:
-    """Nodes (strictly interior) and weights for the product rule."""
+def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (strictly interior) and weights for the product rule.
+
+    The nodes are an (npoints, dim) array in C order over the axes, the last
+    axis varying fastest; the weights are a matching (npoints,) array.
+    """
     box = quad.resolve_box(chart)
     base_x, base_w = np.polynomial.legendre.leggauss(quad.nodes_per_axis)
     axes, axis_w = [], []
@@ -56,7 +60,7 @@ def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[list[tuple], np.ndarr
         axes.append(0.5 * (lo + hi) + half * base_x)
         axis_w.append(half * base_w)
     grids = np.meshgrid(*axes, indexing="ij")
-    points = [tuple(float(g[idx]) for g in grids) for idx in np.ndindex(grids[0].shape)]
+    points = np.stack([g.ravel() for g in grids], axis=-1)
     weights = reduce(np.multiply.outer, axis_w).ravel()
     return points, weights
 

@@ -347,6 +347,7 @@ def test_nonfinite_residuals_exit_3(tmp_path, capsys):
     assert code == 3
     assert "pass" not in err
     assert "theta" in err
+    assert "(0.0, 799.0)" in err
 
 
 def test_summary_fails_on_nan():

@@ -239,6 +239,60 @@ def test_jet_product_truncation():
         assert np.allclose((jf * jg).coeffs, direct.coeffs, rtol=1e-10, atol=1e-12)
 
 
+def _leibniz_product(space, a, b):
+    # truncated Leibniz rule written out, none of the space's product tables:
+    # every pair (i, j) whose multi-indices add up to at most the order adds
+    # a[i]*b[j] to the coefficient of the sum, the pairs in order from +0.0
+    out = np.zeros(a.shape)
+    for i, ma in enumerate(space.indices):
+        for j, mb in enumerate(space.indices):
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= space.order:
+                k = space.indices.index(m)
+                out[k] = out[k] + a[i] * b[j]
+    return out
+
+
+def _random_coeffs(rng, shape):
+    # magnitudes over many decades make a reordered sum round differently;
+    # signed zeros check that a sum of zeros comes out as +0.0
+    c = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    c[rng.random(shape) < 0.15] = 0.0
+    c[rng.random(shape) < 0.15] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("points", [(), (1,), (7,)])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_jet_product_matches_leibniz_loop_bitwise(dim, order, points):
+    space = ef.jet_space(dim, order)
+    rng = np.random.default_rng([dim, order, *points])
+    for _ in range(3):
+        a = _random_coeffs(rng, (space.count,) + points)
+        b = _random_coeffs(rng, (space.count,) + points)
+        got = (ef.Jet(space, a) * ef.Jet(space, b)).coeffs
+        want = _leibniz_product(space, a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_jet_product_keeps_points_apart():
+    # an infinite coefficient at one point spoils only that point's product
+    space = ef.jet_space(3, 2)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((space.count, 6))
+    b = rng.standard_normal((space.count, 6))
+    a[space.pos[(0, 1, 0)], 4] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = (ef.Jet(space, a) * ef.Jet(space, b)).coeffs
+    assert not np.isfinite(got[:, 4]).all()
+    for p in (0, 1, 2, 3, 5):
+        alone = (ef.Jet(space, a[:, [p]]) * ef.Jet(space, b[:, [p]])).coeffs
+        assert np.isfinite(alone).all()
+        assert got[:, [p]].tobytes() == alone.tobytes()
+
+
 def test_symbolic_diff_matches_jet_gradient():
     chart = sample_chart()
     rng = np.random.default_rng(3)
