@@ -27,7 +27,6 @@ __all__ = [
     "bracket",
     "derive",
     "dual_mul",
-    "graded_field",
     "koszul_eval",
     "pairing_field",
     "vector_apply",
@@ -135,14 +134,6 @@ class GradedVectorField:
     def of(cls, chart: ChartSpec, even: Sequence, odd=0.0) -> "GradedVectorField":
         return cls(tuple(_coerce_field(chart, c) for c in even), _coerce_field(chart, odd))
 
-    @property
-    def is_even(self) -> bool:
-        return self.odd.is_zero
-
-    @property
-    def is_odd(self) -> bool:
-        return all(c.is_zero for c in self.even)
-
     def __add__(self, other: "GradedVectorField") -> "GradedVectorField":
         return GradedVectorField(
             tuple(a + b for a, b in zip(self.even, other.even)),
@@ -161,10 +152,6 @@ class GradedVectorField:
     def scaled(self, factor) -> "GradedVectorField":
         f = _coerce_field(self.chart, factor)
         return GradedVectorField(tuple(f * c for c in self.even), f * self.odd)
-
-
-def graded_field(chart: ChartSpec, even: Sequence, odd=0.0) -> GradedVectorField:
-    return GradedVectorField.of(chart, even, odd)
 
 
 def vector_apply(components: Sequence[ScalarField], f: ScalarField) -> ScalarField:

@@ -6,7 +6,8 @@ batch (one jet sweep of the metric and one of theta); a single point is a
 batch of one.
 
 Exit codes: 0 pass, 1 residual or check failure, 2 config error,
-3 numeric domain error, 4 internal limit (recursion depth or memory).
+3 numeric domain error, 4 internal limit (memory, or parentheses nested too
+deeply for the parser).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import config as cf
 from . import cosmo as co
 from . import graded as gd
 from . import validate as vd
+from .config import format_float as _fmt
 from .errors import (
     ConfigError,
     DegenerateMetricError,
@@ -38,10 +40,6 @@ from .quadrature import QuadSpec
 __all__ = ["RunReport", "main"]
 
 RESIDUAL_KEYS = ("e27", "e28", "e29", "e44")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)

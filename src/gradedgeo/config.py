@@ -75,6 +75,7 @@ __all__ = [
     "VariationParams",
     "build_graded_metric",
     "config_hash",
+    "format_float",
     "grid_points",
     "load_config",
     "parse_config",
@@ -99,7 +100,8 @@ _KNOWN_KEYS = {
 }
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """17 significant digits: every double reads back exactly."""
     return format(float(x), ".17g")
 
 
@@ -258,7 +260,7 @@ def parse_config(text: str) -> RunConfig:
             rows = [row for row in grid["points"].split(";") if row.strip()]
             parsed = []
             for row in rows:
-                vals = tuple(float(tok) for tok in row.split())
+                vals = tuple(_float("grid", "points", tok) for tok in row.split())
                 if len(vals) != chart.dim:
                     raise _cfg_error("grid", "points", f"point {row.strip()!r} has wrong arity")
                 try:
@@ -339,6 +341,9 @@ def parse_config(text: str) -> RunConfig:
             lo, hi = _floats("variation", key, sec[key], 2)
             if not lo < hi:
                 raise _cfg_error("variation", key, "empty interval")
+            box_lo, box_hi = chart.box[chart.axis(name)]
+            if not box_lo <= lo < hi <= box_hi:
+                raise _cfg_error("variation", key, f"interval must sit inside the chart box [{box_lo}, {box_hi}]")
             support.append((lo, hi))
         variation = VariationParams(
             kind=kind,
@@ -379,7 +384,7 @@ def serialize_config(cfg: RunConfig) -> str:
     w("[chart]\n")
     w(f"coords = {', '.join(cfg.chart.coord_names)}\n")
     for name, (lo, hi) in zip(cfg.chart.coord_names, cfg.chart.box):
-        w(f"box_{name} = {_fmt(lo)}, {_fmt(hi)}\n")
+        w(f"box_{name} = {format_float(lo)}, {format_float(hi)}\n")
     w("\n[metric]\n")
     for (i, j), expr in cfg.metric_exprs:
         w(f"g_{i}_{j} = {expr}\n")
@@ -390,11 +395,11 @@ def serialize_config(cfg: RunConfig) -> str:
         if cfg.grid_counts is not None:
             w(f"counts = {', '.join(str(c) for c in cfg.grid_counts)}\n")
         if cfg.grid_points is not None:
-            rows = "; ".join(" ".join(_fmt(x) for x in p) for p in cfg.grid_points)
+            rows = "; ".join(" ".join(format_float(x) for x in p) for p in cfg.grid_points)
             w(f"points = {rows}\n")
     w("\n[tolerances]\n")
-    w(f"residual_tol = {_fmt(cfg.residual_tol)}\n")
-    w(f"fd_tol = {_fmt(cfg.fd_tol)}\n")
+    w(f"residual_tol = {format_float(cfg.residual_tol)}\n")
+    w(f"fd_tol = {format_float(cfg.fd_tol)}\n")
     w("\n[quadrature]\n")
     w(f"nodes = {cfg.quad_nodes}\n")
     w("\n[output]\n")
@@ -402,26 +407,18 @@ def serialize_config(cfg: RunConfig) -> str:
         w(f"path = {cfg.out_path}\n")
     w(f"format = {cfg.out_format}\n")
     if cfg.cosmo is not None:
-        cs = cfg.cosmo
         w("\n[cosmo]\n")
-        w(f"n = {cs.n}\n")
-        w(f"c = {_fmt(cs.c)}\n")
-        w(f"t0 = {_fmt(cs.t0)}\n")
-        w(f"a0 = {_fmt(cs.a0)}\n")
-        w(f"a_dot0 = {_fmt(cs.a_dot0)}\n")
-        w(f"theta0 = {_fmt(cs.theta0)}\n")
-        w(f"t_end = {_fmt(cs.t_end)}\n")
-        w(f"step = {_fmt(cs.step)}\n")
-        w(f"einstein_lambda = {_fmt(cs.einstein_lambda)}\n")
-        w(f"theta_sign = {cs.theta_sign}\n")
+        for f in dataclasses.fields(CosmoParams):
+            v = getattr(cfg.cosmo, f.name)
+            w(f"{f.name} = {v if isinstance(v, int) else format_float(v)}\n")
     if cfg.variation is not None:
         vs = cfg.variation
         w("\n[variation]\n")
         w(f"kind = {vs.kind}\n")
         for name, (lo, hi) in zip(cfg.chart.coord_names, vs.support):
-            w(f"support_{name} = {_fmt(lo)}, {_fmt(hi)}\n")
+            w(f"support_{name} = {format_float(lo)}, {format_float(hi)}\n")
         w(f"seed = {vs.seed}\n")
-        w(f"scale = {_fmt(vs.scale)}\n")
+        w(f"scale = {format_float(vs.scale)}\n")
     return out.getvalue()
 
 

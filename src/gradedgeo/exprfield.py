@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -35,6 +36,10 @@ from .errors import DomainError, JetOrderError, ParseError
 FUNCTIONS = ("exp", "ln", "sin", "cos", "tan", "sqrt")
 CONSTANTS = {"pi": math.pi}
 RESERVED_NAMES = frozenset(FUNCTIONS) | frozenset(CONSTANTS)
+
+# Power exponents are exact rationals; the numerator and denominator of every
+# value met while parsing one must fit in this many bits.
+MAX_EXPONENT_BITS = 1000
 
 DEFAULT_MAX_JET_ORDER = 3
 MAX_ORDER_ENV = "GRADEDGEO_MAX_JET_ORDER"
@@ -129,59 +134,137 @@ class ChartSpec:
 
 
 class Expr:
-    __slots__ = ()
+    """Node of an expression DAG.
+
+    A node is its type, its operand nodes (``operands()``, in evaluation
+    order) and its labels (``_label()``: the other fields).  Each class lists
+    its operand fields in ``operands()`` and nowhere else.  Equality and
+    hashing are structural and walk the DAG through :func:`_walk`, so neither
+    depth nor sharing bounds them.
+    """
+
+    def operands(self) -> tuple:
+        return ()
+
+    def _label(self) -> tuple:
+        return tuple(v for v in map(self.__getattribute__, self.__match_args__) if not isinstance(v, Expr))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        # number the distinct structures of both DAGs; equal trees get one number
+        numbers: dict[tuple, int] = {}
+        a, b = _walk([self, other], lambda e, ks: numbers.setdefault((type(e), e._label(), *ks), len(numbers)))
+        return a == b
+
+    def __hash__(self):
+        return _walk([self], lambda e, hs: hash((type(e), e._label(), *hs)))[0]
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {pretty_print(self)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coord(Expr):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Add(Expr):
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binary(Expr):
     lhs: Expr
     rhs: Expr
 
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
+    def operands(self) -> tuple:
+        return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+class Add(_Binary):
+    """lhs + rhs"""
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    lhs: Expr
-    rhs: Expr
+class Sub(_Binary):
+    """lhs - rhs"""
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    """lhs * rhs"""
+
+
+class Div(_Binary):
+    """lhs / rhs"""
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
+    def operands(self) -> tuple:
+        return (self.arg,)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: Fraction
 
+    def operands(self) -> tuple:
+        return (self.base,)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     arg: Expr
+
+    def operands(self) -> tuple:
+        return (self.arg,)
+
+
+def _walk(roots, rule, known=None) -> list:
+    """Results of rule over the DAG under roots, operands before their node.
+
+    The one traversal of expressions: an explicit stack, so depth is bounded
+    by memory rather than the recursion limit, and a memo keyed by id, so a
+    shared node is visited once.  rule(e, args) gets the results of e's
+    operands in order and must not return None.  known(e), if given, may
+    return a result found earlier for a node with operands; the walk then
+    takes it and does not descend below e.
+    """
+    done: dict[int, object] = {}
+    get = done.get
+    todo: list = list(reversed(roots))
+    pop, push = todo.pop, todo.append
+    results: list = []
+    keep = results.append
+    while todo:
+        e = pop()
+        if type(e) is tuple:
+            # the results of this node's n operands are the last n results
+            e, n = e
+            args = results[-n:]
+            del results[-n:]
+            r = done[id(e)] = rule(e, args)
+        else:
+            r = get(id(e))
+            if r is None:
+                kids = e.operands()
+                if not kids:
+                    r = done[id(e)] = rule(e, [])
+                elif known is None or (r := known(e)) is None:
+                    push((e, len(kids)))
+                    for k in reversed(kids):
+                        push(k)
+                    continue
+        keep(r)
+    return results
 
 
 _ZERO = Const(0.0)
@@ -277,12 +360,6 @@ def pow_expr(base: Expr, exponent) -> Expr:
     return Pow(base, r)
 
 
-def call_expr(fn: str, arg: Expr) -> Expr:
-    if fn not in FUNCTIONS:
-        raise ValueError(f"unknown function {fn!r}")
-    return Call(fn, arg)
-
-
 # ---------------------------------------------------------------------------
 # symbolic partial derivative (tree construction only, no simplification)
 
@@ -293,48 +370,53 @@ def diff_expr(e: Expr, axis: int) -> Expr:
     The result is memoized in the node's instance dict, outside the dataclass
     fields: it is freed with the node and takes no part in equality, hashing
     or repr.  Repeated derivatives of a long-lived subtree are therefore one
-    object, which the id-keyed memo of jet evaluation shares.
+    object, which the id-keyed memo of jet evaluation shares; the walk stops
+    at any node whose derivative is already built.
     """
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Coord):
-        return _ONE if e.index == axis else _ZERO
-    if not isinstance(e, Expr):
-        raise TypeError(f"not an expression node: {e!r}")
-    memo = vars(e).setdefault("_diff", {})
-    d = memo.get(axis)
-    if d is not None:
-        return d
-    match e:
-        case Add(lhs=a, rhs=b):
-            d = add_expr(diff_expr(a, axis), diff_expr(b, axis))
-        case Sub(lhs=a, rhs=b):
-            d = sub_expr(diff_expr(a, axis), diff_expr(b, axis))
-        case Neg(arg=a):
-            d = neg_expr(diff_expr(a, axis))
-        case Mul(lhs=a, rhs=b):
-            d = add_expr(mul_expr(diff_expr(a, axis), b), mul_expr(a, diff_expr(b, axis)))
-        case Div(lhs=a, rhs=b):
-            da, db = diff_expr(a, axis), diff_expr(b, axis)
+
+    def known(n: Expr) -> Expr | None:
+        memo = vars(n).get("_diff")
+        return None if memo is None else memo.get(axis)
+
+    def rule(n: Expr, ds) -> Expr:
+        t = type(n)
+        if t is Const:
+            return _ZERO
+        if t is Coord:
+            return _ONE if n.index == axis else _ZERO
+        if t is Mul:
+            (a, b), (da, db) = n.operands(), ds
+            d = add_expr(mul_expr(da, b), mul_expr(a, db))
+        elif t is Add:
+            d = add_expr(*ds)
+        elif t is Sub:
+            d = sub_expr(*ds)
+        elif t is Pow:
+            (b,), (db,) = n.operands(), ds
+            r = n.exponent
+            d = _ZERO if _is_const(db, 0.0) else mul_expr(mul_expr(const_expr(float(r)), pow_expr(b, r - 1)), db)
+        elif t is Div:
+            (a, b), (da, db) = n.operands(), ds
             num = sub_expr(mul_expr(da, b), mul_expr(a, db))
             d = _ZERO if _is_const(num, 0.0) else div_expr(num, pow_expr(b, 2))
-        case Pow(base=b, exponent=r):
-            db = diff_expr(b, axis)
-            if _is_const(db, 0.0):
-                d = _ZERO
-            else:
-                d = mul_expr(mul_expr(const_expr(float(r)), pow_expr(b, r - 1)), db)
-        case Call(arg=a):
-            d = _chain_rule(e, diff_expr(a, axis))
-    memo[axis] = d
-    return d
+        elif t is Neg:
+            d = neg_expr(*ds)
+        else:
+            d = _chain_rule(n, *ds)
+        vars(n).setdefault("_diff", {})[axis] = d
+        return d
+
+    # most calls are on a leaf or on a node already differentiated
+    if not e.operands():
+        return rule(e, ())
+    return known(e) or _walk([e], rule, known)[0]
 
 
 def _chain_rule(e: Call, da: Expr) -> Expr:
     """Derivative of e = fn(a) given the derivative da of its argument."""
     if _is_const(da, 0.0):
         return _ZERO
-    a = e.arg
+    (a,) = e.operands()
     match e.fn:
         case "exp":
             outer = e
@@ -360,7 +442,7 @@ _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 0, 1, 2, 3, 4
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -371,36 +453,50 @@ def _fmt_exponent(r: Fraction) -> str:
     return f"({r.numerator}/{r.denominator})"
 
 
-def _fmt(e: Expr, level: int) -> str:
-    match e:
-        case Const(value=v):
-            mine, s = _LEVEL_ATOM, _fmt_number(v)
-        case Coord(name=name):
-            mine, s = _LEVEL_ATOM, name
-        case Call(fn=fn, arg=a):
-            mine, s = _LEVEL_ATOM, f"{fn}({_fmt(a, _LEVEL_ADD)})"
-        case Pow(base=b, exponent=r):
-            mine, s = _LEVEL_POW, f"{_fmt(b, _LEVEL_ATOM)}^{_fmt_exponent(r)}"
-        case Neg(arg=a):
-            mine, s = _LEVEL_NEG, f"-{_fmt(a, _LEVEL_NEG + 1)}"
-        case Mul(lhs=a, rhs=b):
-            mine, s = _LEVEL_MUL, f"{_fmt(a, _LEVEL_MUL)}*{_fmt(b, _LEVEL_MUL + 1)}"
-        case Div(lhs=a, rhs=b):
-            mine, s = _LEVEL_MUL, f"{_fmt(a, _LEVEL_MUL)}/{_fmt(b, _LEVEL_MUL + 1)}"
-        case Add(lhs=a, rhs=b):
-            mine, s = _LEVEL_ADD, f"{_fmt(a, _LEVEL_ADD)} + {_fmt(b, _LEVEL_ADD + 1)}"
-        case Sub(lhs=a, rhs=b):
-            mine, s = _LEVEL_ADD, f"{_fmt(a, _LEVEL_ADD)} - {_fmt(b, _LEVEL_ADD + 1)}"
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    if mine < level:
-        return f"({s})"
-    return s
+# operator nodes: their own level and a template of text and, as ints, the
+# lowest level at which each operand in turn prints without parentheses
+_TEMPLATES = {
+    Neg: (_LEVEL_NEG, ("-", _LEVEL_NEG + 1)),
+    Mul: (_LEVEL_MUL, (_LEVEL_MUL, "*", _LEVEL_MUL + 1)),
+    Div: (_LEVEL_MUL, (_LEVEL_MUL, "/", _LEVEL_MUL + 1)),
+    Add: (_LEVEL_ADD, (_LEVEL_ADD, " + ", _LEVEL_ADD + 1)),
+    Sub: (_LEVEL_ADD, (_LEVEL_ADD, " - ", _LEVEL_ADD + 1)),
+}
+
+
+def _fmt(root: Expr) -> str:
+    """Text of root, built from an explicit stack of pieces still to write."""
+    out: list[str] = []
+    stack: list = [(root, _LEVEL_ADD)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, level = item
+        match e:
+            case Const(value=v):
+                mine, template = _LEVEL_ATOM, [_fmt_number(v)]
+            case Coord(name=name):
+                mine, template = _LEVEL_ATOM, [name]
+            case Call(fn=fn):
+                mine, template = _LEVEL_ATOM, [f"{fn}(", _LEVEL_ADD, ")"]
+            case Pow(exponent=r):
+                mine, template = _LEVEL_POW, [_LEVEL_ATOM, f"^{_fmt_exponent(r)}"]
+            case _ if type(e) in _TEMPLATES:
+                mine, template = _TEMPLATES[type(e)]
+            case _:
+                raise TypeError(f"not an expression node: {type(e).__name__}")
+        operands = iter(e.operands())
+        pieces = [p if type(p) is str else (next(operands), p) for p in template]
+        if mine < level:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def pretty_print(f) -> str:
-    expr = f.expr if isinstance(f, ScalarField) else f
-    return _fmt(expr, _LEVEL_ADD)
+    return _fmt(f.expr if isinstance(f, ScalarField) else f)
 
 
 # ---------------------------------------------------------------------------
@@ -414,45 +510,29 @@ class _Token:
     pos: int
 
 
+# a number (an exponent marker without digits is caught below), an
+# identifier, an operator, or any other non-space character
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?(?:[eE][+-]?\d*)?)|([^\W\d_]\w*)|([-+*/^()])|(\S)")
+
+
 def _tokenize(src: str) -> list[_Token]:
     out = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and src[i].isdigit():
-                i += 1
-            if i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j >= n or not src[j].isdigit():
-                    raise ParseError("malformed number", src, start)
-                i = j
-                while i < n and src[i].isdigit():
-                    i += 1
-            out.append(_Token("num", src[start:i], start))
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            out.append(_Token("ident", src[start:i], start))
-            continue
-        if ch in "+-*/^()":
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", src, i)
-    out.append(_Token("eof", "", n))
+    for m in _TOKEN.finditer(src):
+        num, ident, op, other = m.groups()
+        pos = m.start()
+        if num is not None:
+            if num[-1] in "eE+-":
+                raise ParseError("malformed number", src, pos)
+            if not math.isfinite(float(num)):
+                raise ParseError("number out of range", src, pos)
+            out.append(_Token("num", num, pos))
+        elif ident is not None:
+            out.append(_Token("ident", ident, pos))
+        elif op is not None:
+            out.append(_Token("op", op, pos))
+        else:
+            raise ParseError(f"unexpected character {other!r}", src, pos)
+    out.append(_Token("eof", "", len(src)))
     return out
 
 
@@ -542,19 +622,28 @@ class _Parser:
     def fraction_atom(self) -> Fraction:
         tok = self.next()
         if tok.kind == "num":
-            return Fraction(Decimal(tok.text))
+            d = Decimal(tok.text)
+            # 10**k has more than k bits: decline before building it
+            if d and abs(d.adjusted()) > MAX_EXPONENT_BITS:
+                raise ParseError("exponent out of range", self.src, tok.pos)
+            return self.bounded(Fraction(d), tok.pos)
         if tok.kind == "op" and tok.text == "(":
             value = self.fraction_expr()
             self.expect_op(")")
             return value
         raise ParseError("power exponent must be a rational constant", self.src, tok.pos)
 
+    def bounded(self, value: Fraction, pos: int) -> Fraction:
+        if max(abs(value.numerator), value.denominator).bit_length() > MAX_EXPONENT_BITS:
+            raise ParseError("exponent out of range", self.src, pos)
+        return value
+
     def fraction_expr(self) -> Fraction:
         value = self.fraction_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
+            op = self.next()
             rhs = self.fraction_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.bounded(value + rhs if op.text == "+" else value - rhs, op.pos)
         return value
 
     def fraction_term(self) -> Fraction:
@@ -568,6 +657,7 @@ class _Parser:
                 value = value / rhs
             else:
                 value = value * rhs
+            value = self.bounded(value, op.pos)
         return value
 
     def fraction_factor(self) -> Fraction:
@@ -578,11 +668,17 @@ class _Parser:
         tok = self.peek()
         value = self.fraction_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
+            op = self.next()
             exponent = self.fraction_atom()
             if exponent.denominator != 1:
                 raise ParseError("nested exponent must be an integer", self.src, tok.pos)
-            value = value ** exponent.numerator
+            k = exponent.numerator
+            if value == 0 and k < 0:
+                raise ParseError("division by zero in exponent", self.src, op.pos)
+            # a base other than 0 and +-1 gains at least one bit per power
+            if abs(k) > MAX_EXPONENT_BITS and abs(value) != 1 and value != 0:
+                raise ParseError("exponent out of range", self.src, op.pos)
+            value = self.bounded(value**k, op.pos)
         return -value if negate else value
 
 
@@ -609,54 +705,39 @@ class ScalarField:
     def pretty(self) -> str:
         return pretty_print(self.expr)
 
-    def _coerce(self, other) -> Expr:
+    def _combine(self, other, build, reflected: bool = False):
+        """build(self, other), or build(other, self) when reflected."""
         if isinstance(other, ScalarField):
             if other.chart != self.chart:
                 raise ValueError("fields live on different charts")
-            return other.expr
-        if isinstance(other, (int, float)):
-            return const_expr(float(other))
-        return NotImplemented
+            e = other.expr
+        elif isinstance(other, (int, float)):
+            e = const_expr(float(other))
+        else:
+            return NotImplemented
+        return ScalarField(self.chart, build(e, self.expr) if reflected else build(self.expr, e))
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, add_expr(self.expr, rhs))
+        return self._combine(other, add_expr)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, sub_expr(self.expr, rhs))
+        return self._combine(other, sub_expr)
 
     def __rsub__(self, other):
-        lhs = self._coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, sub_expr(lhs, self.expr))
+        return self._combine(other, sub_expr, True)
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, mul_expr(self.expr, rhs))
+        return self._combine(other, mul_expr)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, div_expr(self.expr, rhs))
+        return self._combine(other, div_expr)
 
     def __rtruediv__(self, other):
-        lhs = self._coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.chart, div_expr(lhs, self.expr))
+        return self._combine(other, div_expr, True)
 
     def __pow__(self, exponent):
         return ScalarField(self.chart, pow_expr(self.expr, Fraction(exponent)))
@@ -682,57 +763,38 @@ def coordinate(chart: ChartSpec, name: str) -> ScalarField:
     return ScalarField(chart, Coord(chart.axis(name), name))
 
 
-def exp(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("exp", f.expr))
+def _elementary(fn: str):
+    def apply(f: ScalarField) -> ScalarField:
+        return ScalarField(f.chart, Call(fn, f.expr))
+
+    apply.__name__ = apply.__qualname__ = fn
+    return apply
 
 
-def ln(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("ln", f.expr))
-
-
-def sin(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("sin", f.expr))
-
-
-def cos(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("cos", f.expr))
-
-
-def tan(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("tan", f.expr))
-
-
-def sqrt(f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call("sqrt", f.expr))
+exp, ln, sin, cos, tan, sqrt = map(_elementary, FUNCTIONS)
 
 
 def remap_coordinates(f: ScalarField, chart: ChartSpec, name_map: dict[str, str] | None = None) -> ScalarField:
-    """Rebind a field to another chart, matching coordinates by (mapped) name."""
+    """Rebind a field to another chart, matching coordinates by (mapped) name.
 
-    def rebuild(e: Expr) -> Expr:
+    Subtrees shared in f are shared in the result.
+    """
+
+    def rebuild(e: Expr, args: list) -> Expr:
         match e:
             case Coord(name=name):
                 target = name_map.get(name, name) if name_map else name
                 return Coord(chart.axis(target), target)
             case Const():
                 return e
-            case Add(lhs=a, rhs=b):
-                return Add(rebuild(a), rebuild(b))
-            case Sub(lhs=a, rhs=b):
-                return Sub(rebuild(a), rebuild(b))
-            case Mul(lhs=a, rhs=b):
-                return Mul(rebuild(a), rebuild(b))
-            case Div(lhs=a, rhs=b):
-                return Div(rebuild(a), rebuild(b))
-            case Neg(arg=a):
-                return Neg(rebuild(a))
-            case Pow(base=b, exponent=r):
-                return Pow(rebuild(b), r)
-            case Call(fn=fn, arg=a):
-                return Call(fn, rebuild(a))
-        raise TypeError(f"not an expression node: {e!r}")
+            case Pow(exponent=r):
+                return Pow(*args, r)
+            case Call(fn=fn):
+                return Call(fn, *args)
+        # the binary nodes and Neg hold nothing but their operands
+        return type(e)(*args)
 
-    return ScalarField(chart, rebuild(f.expr))
+    return ScalarField(chart, _walk([f.expr], rebuild)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -810,20 +872,6 @@ class Jet:
         self.space = space
         self.coeffs = coeffs
 
-    @classmethod
-    def constant(cls, space: JetSpace, value: float) -> "Jet":
-        c = np.zeros(space.count)
-        c[0] = value
-        return cls(space, c)
-
-    @classmethod
-    def coordinate(cls, space: JetSpace, axis: int, value: float) -> "Jet":
-        c = np.zeros(space.count)
-        c[0] = value
-        if space.order >= 1:
-            c[space._grad_pos[axis]] = 1.0
-        return cls(space, c)
-
     @property
     def value(self):
         """Point value: a float, or an array of them for a batched jet."""
@@ -842,14 +890,6 @@ class Jet:
         idx = np.arange(h.shape[0])
         h[idx, idx] *= 2.0
         return h
-
-    def partial(self, multi) -> float:
-        """Partial derivative for a multi-index (coefficient times multi-factorial)."""
-        m = tuple(int(k) for k in multi)
-        i = self.space.pos.get(m)
-        if i is None:
-            raise JetOrderError(f"multi-index {m} exceeds jet order {self.space.order}")
-        return float(self.coeffs[i] * self.space.factorials[i])
 
     def _wrap(self, coeffs: np.ndarray) -> "Jet":
         return Jet(self.space, coeffs)
@@ -941,26 +981,22 @@ def _jln(u: Jet) -> Jet:
     return _compose(u, cs)
 
 
-def _jsin(u: Jet) -> Jet:
-    cycle = (np.sin(u.value), np.cos(u.value))
-    signs = (1.0, 1.0, -1.0, -1.0)
+def _jtrig(u: Jet, cycle: tuple, signs: tuple) -> Jet:
+    """sin or cos: their derivatives cycle through two values and four signs."""
     cs, fact = [], 1.0
     for j in range(u.space.order + 1):
         if j > 0:
             fact *= j
         cs.append(signs[j % 4] * cycle[j % 2] / fact)
     return _compose(u, cs)
+
+
+def _jsin(u: Jet) -> Jet:
+    return _jtrig(u, (np.sin(u.value), np.cos(u.value)), (1.0, 1.0, -1.0, -1.0))
 
 
 def _jcos(u: Jet) -> Jet:
-    cycle = (np.cos(u.value), np.sin(u.value))
-    signs = (1.0, -1.0, -1.0, 1.0)
-    cs, fact = [], 1.0
-    for j in range(u.space.order + 1):
-        if j > 0:
-            fact *= j
-        cs.append(signs[j % 4] * cycle[j % 2] / fact)
-    return _compose(u, cs)
+    return _jtrig(u, (np.cos(u.value), np.sin(u.value)), (1.0, -1.0, -1.0, 1.0))
 
 
 def _jtan(u: Jet) -> Jet:
@@ -975,20 +1011,18 @@ def _jpow_int(u: Jet, k: int) -> Jet:
         c = np.zeros_like(u.coeffs)
         c[0] = 1.0
         return u._wrap(c)
-    if k < 0:
-        if np.any(u.value == 0.0):
-            raise DomainError("zero base with negative integer exponent")
-        return _reciprocal(_jpow_int(u, -k))
+    if k < 0 and np.any(u.value == 0.0):
+        raise DomainError("zero base with negative integer exponent")
     out = None
     base = u
-    e = k
+    e = abs(k)
     while e:
         if e & 1:
             out = base if out is None else out * base
         e >>= 1
         if e:
             base = base * base
-    return out
+    return _reciprocal(out) if k < 0 else out
 
 
 def _jpow_frac(u: Jet, r: Fraction) -> Jet:
@@ -1012,17 +1046,13 @@ def _jpow(u: Jet, r: Fraction) -> Jet:
     return _jpow_frac(u, r)
 
 
-def _jsqrt(u: Jet) -> Jet:
-    return _jpow_frac(u, Fraction(1, 2))
-
-
 _CALL_TABLE = {
     "exp": _jexp,
     "ln": _jln,
     "sin": _jsin,
     "cos": _jcos,
     "tan": _jtan,
-    "sqrt": _jsqrt,
+    "sqrt": lambda u: _jpow_frac(u, Fraction(1, 2)),
 }
 
 
@@ -1050,52 +1080,38 @@ def _jet_seeds(space: JetSpace, pt: np.ndarray) -> list[Jet]:
 
 
 def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
-    """Evaluate expression trees over shared seeds with one subtree memo."""
+    """Evaluate expression DAGs over shared seeds, each shared node once."""
     shape = seeds[0].coeffs.shape
-    memo: dict[int, Jet] = {}
 
-    def const(v: float) -> Jet:
-        c = np.zeros(shape)
-        c[0] = v
-        return Jet(space, c)
+    def jet(e: Expr, args: list) -> Jet:
+        # type tests in order of frequency: a match statement's isinstance
+        # chain made whole evaluations about 20% slower
+        t = type(e)
+        if t is Mul:
+            return args[0] * args[1]
+        if t is Add:
+            return args[0] + args[1]
+        if t is Sub:
+            return args[0] - args[1]
+        if t is Const:
+            c = np.zeros(shape)
+            c[0] = e.value
+            return Jet(space, c)
+        if t is Coord:
+            return seeds[e.index]
+        if t is Pow:
+            return _jpow(args[0], e.exponent)
+        if t is Div:
+            if np.any(args[1].value == 0.0):
+                raise DomainError("division by a field vanishing here")
+            return args[0] * _reciprocal(args[1])
+        if t is Neg:
+            return -args[0]
+        if t is Call:
+            return _CALL_TABLE[e.fn](args[0])
+        raise TypeError(f"not an expression node: {type(e).__name__}")
 
-    def ev(e: Expr) -> Jet:
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        match e:
-            case Const(value=v):
-                j = const(v)
-            case Coord(index=a):
-                j = seeds[a]
-            case Add(lhs=a, rhs=b):
-                j = ev(a) + ev(b)
-            case Sub(lhs=a, rhs=b):
-                j = ev(a) - ev(b)
-            case Mul(lhs=a, rhs=b):
-                j = ev(a) * ev(b)
-            case Div(lhs=a, rhs=b):
-                denom = ev(b)
-                if np.any(denom.value == 0.0):
-                    raise DomainError("division by a field vanishing here")
-                j = ev(a) * _reciprocal(denom)
-            case Neg(arg=a):
-                j = -ev(a)
-            case Pow(base=b, exponent=r):
-                j = _jpow(ev(b), r)
-            case Call(fn=fn, arg=a):
-                j = _CALL_TABLE[fn](ev(a))
-            case _:
-                raise TypeError(f"not an expression node: {e!r}")
-        memo[id(e)] = j
-        return j
-
-    # ev reaches itself through its closure, so without the clear the memo's
-    # jets would stay alive until the cycle collector happens to run
-    try:
-        return [ev(x) for x in exprs]
-    finally:
-        memo.clear()
+    return _walk(exprs, jet)
 
 
 def eval_jet(f: ScalarField, p, order: int, *, max_order: int | None = None) -> Jet:

@@ -12,6 +12,7 @@ with its first variation (closed form and finite difference).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -509,16 +510,9 @@ class VariationSpec:
                     apad = 1e-6 * (ahi - alo)
                     base.append((alo + apad, 0.5 * (alo + ahi), ahi - apad))
                 base[axis] = (edge,)
-                probes.extend(_product_points(base))
+                probes.extend(itertools.product(*base))
         jets = ef.eval_jets_batch(fields, probes, 0)
         return float(np.max(np.abs([jet.coeffs[0] for jet in jets])))
-
-
-def _product_points(axes: list[tuple]) -> list[tuple]:
-    pts = [()]
-    for choices in axes:
-        pts = [p + (c,) for p in pts for c in choices]
-    return pts
 
 
 def bump_variation(

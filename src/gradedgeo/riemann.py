@@ -363,6 +363,8 @@ def laplacian_at(m: MetricSpec, f: ScalarField, p) -> float:
     pt, (_, ginv, gamma) = _at(m, p, 1)
     hes = hessian_batch(gamma[None], ef.eval_jet_batch(f, [pt], 2))[0]
     return float(np.einsum("ij,ij->", ginv, hes))
+
+
 def divergence_vec_at(m: MetricSpec, v, p) -> float:
     """div V = d_i V^i + Gamma^i_ik V^k for contravariant component fields V."""
     n = m.chart.dim

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,9 +382,43 @@ def test_theta_weight_overflow_exit_3(tmp_path, capsys):
 
 
 def test_deep_expression_exit_4(tmp_path, capsys):
-    terms = " + ".join(["0.001*x"] * 1000)
-    path = write(tmp_path, FLAT_X.replace("expr = x", f"expr = {terms}"))
+    # the parser descends recursively into parentheses
+    nested = "(" * 3000 + "x" + ")" * 3000
+    path = write(tmp_path, FLAT_X.replace("expr = x", f"expr = {nested}"))
     code = run(["residuals", "--config", path])
     err = capsys.readouterr().err
     assert code == 4
     assert "RecursionError" in err
+
+
+@pytest.mark.parametrize("command", ["residuals", "report"])
+def test_long_theta_passes(tmp_path, capsys, command):
+    # 10,000 terms of 0.00005*ln(t) add up to the solution's 0.5*ln(t)
+    golden = (Path(__file__).resolve().parent / "golden" / "eds2_solution.ini").read_text()
+    assert "expr = 0.5*ln(t)" in golden
+    terms = " + ".join(["0.00005*ln(t)"] * 10_000)
+    path = write(tmp_path, golden.replace("expr = 0.5*ln(t)", f"expr = {terms}"))
+    code = run([command, "--config", path])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_grid_point_not_a_number_exit_2(tmp_path, capsys):
+    path = write(tmp_path, FLAT_X.replace("counts = 3, 3", "points = 0.1 abc"))
+    code = run(["residuals", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "[grid] points" in err
+
+
+def test_variation_support_outside_box_exit_2(tmp_path, capsys):
+    text = FLAT_X + """
+[variation]
+kind = bump
+support_x = -5, 5
+support_y = -0.3, 0.3
+"""
+    code = run(["action", "--config", write(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "[variation] support_x" in err

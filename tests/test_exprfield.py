@@ -1,5 +1,11 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +202,82 @@ def test_pretty_roundtrip_handwritten(chart):
         assert again.expr == f.expr, f"{src!r} -> {printed!r} changed the tree"
 
 
+# number literals: small and large integers, every finite double's repr, and
+# decimal exponents past the double range both ways
+_LITERALS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 10**40).map(str),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}e{}".format, st.integers(1, 99), st.integers(-999, 999)),
+)
+
+
+def _grouped(template):
+    return lambda pair: template.format(*pair)
+
+
+# exponent text, including nested powers such as (9)^((9)^(9))
+_EXPONENT_TEXT = st.recursive(
+    _LITERALS,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(_grouped("({})^({})")),
+        st.tuples(inner, inner).map(_grouped("({})*({})")),
+        st.tuples(inner, inner).map(_grouped("({})/({})")),
+        st.tuples(inner, inner).map(_grouped("({}) - ({})")),
+        inner.map("-({})".format),
+    ),
+    max_leaves=6,
+)
+
+_FIELD_TEXT = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "pi"]), _LITERALS),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(_grouped("({}) + ({})")),
+        st.tuples(inner, inner).map(_grouped("({}) - ({})")),
+        st.tuples(inner, inner).map(_grouped("({})*({})")),
+        st.tuples(inner, inner).map(_grouped("({})/({})")),
+        inner.map("-({})".format),
+        st.tuples(st.sampled_from(ef.FUNCTIONS), inner).map(_grouped("{}({})")),
+        st.tuples(inner, _LITERALS).map(_grouped("({})^{}")),
+        st.tuples(inner, _EXPONENT_TEXT).map(_grouped("({})^({})")),
+    ),
+    max_leaves=10,
+)
+
+
+@given(src=_FIELD_TEXT)
+def test_parse_print_round_trip_property(src):
+    chart = sample_chart()
+    try:
+        f = ef.parse_field(src, chart)
+    except ParseError:
+        return
+    printed = ef.pretty_print(f)
+    assert ef.parse_field(printed, chart).expr == f.expr, printed
+
+
+def test_parse_rejects_literal_beyond_double_range(chart):
+    with pytest.raises(ParseError) as err:
+        ef.parse_field("1e999*x", chart)
+    assert "column 1)" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        ef.parse_field("x^2e400", chart)
+    assert "column 3)" in str(err.value)
+
+
+def test_parse_rejects_exponent_too_large_at_once(chart):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        ef.parse_field("x^(9^(9^9))", chart)
+    assert time.perf_counter() - start < 1.0
+    assert "column 5)" in str(err.value)
+    for src in ("t^(2^1000)", "t^1e-999999999", "t^(1e300*1e300)", "t^(0^(-1))"):
+        with pytest.raises(ParseError):
+            ef.parse_field(src, chart)
+    assert ef.parse_field("t^(1^(9^9))", chart).expr.exponent == 1
+    assert ef.parse_field("t^(2^999)", chart).expr.exponent == 2**999
+
+
 def test_pretty_roundtrip_random_trees():
     chart = sample_chart()
     rng = np.random.default_rng(7)
@@ -351,3 +433,78 @@ def test_scalar_field_arithmetic_folding():
     assert isinstance((x / 0.0).expr, ef.Div)  # never folded; fails at evaluation
     with pytest.raises(DomainError):
         (x / 0.0)((0.1, 0.1))
+
+
+_DEEP_SCRIPT = """
+import sys
+from gradedgeo import exprfield as ef
+
+chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
+swapped = ef.ChartSpec(("t", "x"), ((0.5, 2.0), (-1.0, 1.0)))
+src = " + ".join(["0.00005*ln(t)*x"] * 10_000)
+f = ef.parse_field(src, chart)
+sys.setrecursionlimit(200)
+d = f.d("t").d("x")
+assert abs(d((0.3, 1.5)) - 0.5 / 1.5) < 1e-12
+jet = ef.eval_jet(f, (0.3, 1.5), 2)
+assert abs(jet.value - 0.15 * ef.math.log(1.5)) < 1e-12
+again = ef.parse_field(ef.pretty_print(f), chart)
+assert again.expr == f.expr and hash(again.expr) == hash(f.expr)
+assert ef.remap_coordinates(f, swapped)((1.5, 0.3)) == f((0.3, 1.5))
+assert f.expr != d.expr
+assert repr(f.expr).startswith("<Add ")
+print("ok")
+"""
+
+
+def test_long_expression_within_small_recursion_limit():
+    # every walk of a 10,000-term field runs with the recursion limit at 200
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def _squares(chart, levels):
+    f = ef.coordinate(chart, "x") + 1.0
+    for _ in range(levels):
+        f = f * f
+    return f
+
+
+def test_shared_dag_walked_once_per_node():
+    # 20 levels of f = f*f: 22 nodes, but a tree of about two million
+    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
+    swapped = ef.ChartSpec(("t", "x"), ((0.5, 2.0), (-1.0, 1.0)))
+    a, b = _squares(chart, 20), _squares(chart, 20)
+    for walk in (
+        lambda: ef.remap_coordinates(a, swapped),
+        lambda: hash(a.expr),
+        lambda: a.expr == b.expr,
+    ):
+        start = time.perf_counter()
+        walk()
+        assert time.perf_counter() - start < 0.1
+    moved = ef.remap_coordinates(a, swapped).expr
+    assert moved.lhs is moved.rhs
+    assert a.expr == b.expr and hash(a.expr) == hash(b.expr)
+    assert a.expr != _squares(chart, 19).expr
+
+
+def test_only_the_parser_recurses():
+    # expression length must not be capped by the recursion limit
+    module = ast.parse(Path(ef.__file__).read_text())
+    parser = next(n for n in module.body if isinstance(n, ast.ClassDef) and n.name == "_Parser")
+    recursive = []
+    for fn in ast.walk(module):
+        if not isinstance(fn, ast.FunctionDef) or fn in parser.body:
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if callee == fn.name:
+                    recursive.append(fn.name)
+    assert recursive == []
