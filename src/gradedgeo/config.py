@@ -44,7 +44,7 @@ Grammar (sections in any order, keys as shown):
 
     [variation]              ; action-variation parameters
     kind = bump              ; bump | zero
-    support_x = -0.3, 0.3
+    support_x = -0.3, 0.3    ; one interval per coordinate, inside the box
     support_y = -0.3, 0.3
     seed = 7
     scale = 1.0
