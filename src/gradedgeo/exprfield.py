@@ -20,12 +20,13 @@ arithmetic over literals, e.g. ``t^(2/3)``).  ``pi`` is a built-in constant.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as _cartesian
 from itertools import zip_longest as _zip_longest
 
@@ -119,7 +120,8 @@ class ChartSpec:
         for a, (name, (lo, hi)) in enumerate(zip(self.coord_names, self.box)):
             slack = 1e-9 * (hi - lo) + 1e-12
             col = arr[:, a]
-            bad = (col < lo - slack) | (col > hi + slack)
+            # written so that a NaN is outside, as in require_point
+            bad = ~((col >= lo - slack) & (col <= hi + slack))
             if bad.any():
                 x = float(col[int(np.argmax(bad))])
                 raise DomainError(f"coordinate {name}={x} outside box [{lo}, {hi}]")
@@ -951,109 +953,141 @@ def _compose(u: Jet, coeffs_by_order: list) -> Jet:
     return out
 
 
-def _reciprocal(u: Jet) -> Jet:
-    u0 = u.value
+# Each elementary function's domain check and Taylor coefficients at the
+# point value u0 (a float, or an array over a batch), up to the given order.
+# The jet path composes the whole list; the value path of order 0 takes its
+# first entry, so both raise the same DomainError at the same values.
+
+
+def _reciprocal_coeffs(u0, order: int) -> list:
     if np.any(u0 == 0.0):
         raise DomainError("division by zero")
     cs = [1.0 / u0]
-    for _ in range(u.space.order):
+    for _ in range(order):
         cs.append(-cs[-1] / u0)
-    return _compose(u, cs)
+    return cs
 
 
-def _jexp(u: Jet) -> Jet:
-    e0 = np.exp(u.value)
-    cs = [e0]
-    for j in range(1, u.space.order + 1):
+def _exp_coeffs(u0, order: int) -> list:
+    cs = [np.exp(u0)]
+    for j in range(1, order + 1):
         cs.append(cs[-1] / j)
-    return _compose(u, cs)
+    return cs
 
 
-def _jln(u: Jet) -> Jet:
-    u0 = u.value
+def _ln_coeffs(u0, order: int) -> list:
     if np.any(u0 <= 0.0):
         raise DomainError(f"ln of nonpositive value {np.min(u0)}")
     cs = [np.log(u0)]
-    if u.space.order >= 1:
+    if order >= 1:
         cs.append(1.0 / u0)
-        for j in range(2, u.space.order + 1):
+        for j in range(2, order + 1):
             cs.append(-cs[-1] * (j - 1) / (j * u0))
-    return _compose(u, cs)
+    return cs
 
 
-def _jtrig(u: Jet, cycle: tuple, signs: tuple) -> Jet:
+def _trig_coeffs(u0, order: int, fns: tuple, signs: tuple) -> list:
     """sin or cos: their derivatives cycle through two values and four signs."""
+    cycle = [fn(u0) for fn in fns[: order + 1]]
     cs, fact = [], 1.0
-    for j in range(u.space.order + 1):
+    for j in range(order + 1):
         if j > 0:
             fact *= j
         cs.append(signs[j % 4] * cycle[j % 2] / fact)
-    return _compose(u, cs)
+    return cs
 
 
-def _jsin(u: Jet) -> Jet:
-    return _jtrig(u, (np.sin(u.value), np.cos(u.value)), (1.0, 1.0, -1.0, -1.0))
+def _sin_coeffs(u0, order: int) -> list:
+    return _trig_coeffs(u0, order, (np.sin, np.cos), (1.0, 1.0, -1.0, -1.0))
 
 
-def _jcos(u: Jet) -> Jet:
-    return _jtrig(u, (np.cos(u.value), np.sin(u.value)), (1.0, -1.0, -1.0, 1.0))
+def _cos_coeffs(u0, order: int) -> list:
+    return _trig_coeffs(u0, order, (np.cos, np.sin), (1.0, -1.0, -1.0, 1.0))
 
 
-def _jtan(u: Jet) -> Jet:
-    c = _jcos(u)
-    if np.any(c.value == 0.0):
+def _tan_coeffs(u0, order: int) -> tuple[list, list]:
+    """Coefficients of sin and of cos, whose quotient is tan."""
+    cos_cs = _cos_coeffs(u0, order)
+    if np.any(cos_cs[0] == 0.0):
         raise DomainError("tan at a pole of cos")
-    return _jsin(u) / c
+    return _sin_coeffs(u0, order), cos_cs
 
 
-def _jpow_int(u: Jet, k: int) -> Jet:
-    if k == 0:
-        c = np.zeros_like(u.coeffs)
-        c[0] = 1.0
-        return u._wrap(c)
-    if k < 0 and np.any(u.value == 0.0):
+def _pow_frac_coeffs(u0, r: Fraction, order: int) -> list:
+    fr = float(r)
+    if np.any(u0 < 0.0) or (np.any(u0 == 0.0) and (r < 0 or order >= 1)):
+        raise DomainError(f"base {np.min(u0)} outside the domain of exponent {r}")
+    if np.any(u0 == 0.0):
+        if np.all(u0 == 0.0):
+            # only at order 0; every base is +-0.0, and abs gives +0.0
+            return [abs(u0)]
+        raise DomainError(f"mixed zero and nonzero bases for exponent {r}")
+    cs = [u0**fr]
+    for j in range(1, order + 1):
+        cs.append(cs[-1] * (fr - (j - 1)) / (j * u0))
+    return cs
+
+
+_TAYLOR = {
+    "exp": _exp_coeffs,
+    "ln": _ln_coeffs,
+    "sin": _sin_coeffs,
+    "cos": _cos_coeffs,
+    "sqrt": lambda u0, order: _pow_frac_coeffs(u0, Fraction(1, 2), order),
+}
+
+
+def _check_divisor(v) -> None:
+    if np.any(v == 0.0):
+        raise DomainError("division by a field vanishing here")
+
+
+def _int_power(u, u0, k: int, mul):
+    """u**abs(k) by repeated squaring, multiplying with mul; u0 is u's value."""
+    if k < 0 and np.any(u0 == 0.0):
         raise DomainError("zero base with negative integer exponent")
     out = None
     base = u
     e = abs(k)
     while e:
         if e & 1:
-            out = base if out is None else out * base
+            out = base if out is None else mul(out, base)
         e >>= 1
         if e:
-            base = base * base
-    return _reciprocal(out) if k < 0 else out
+            base = mul(base, base)
+    return out
 
 
-def _jpow_frac(u: Jet, r: Fraction) -> Jet:
-    u0 = u.value
-    fr = float(r)
-    if np.any(u0 < 0.0) or (np.any(u0 == 0.0) and (r < 0 or u.space.order >= 1)):
-        raise DomainError(f"base {np.min(u0)} outside the domain of exponent {r}")
-    if np.any(u0 == 0.0):
-        if np.all(u0 == 0.0):
-            return u._wrap(np.zeros_like(u.coeffs))
-        raise DomainError(f"mixed zero and nonzero bases for exponent {r}")
-    cs = [u0**fr]
-    for j in range(1, u.space.order + 1):
-        cs.append(cs[-1] * (fr - (j - 1)) / (j * u0))
-    return _compose(u, cs)
+def _reciprocal(u: Jet) -> Jet:
+    return _compose(u, _reciprocal_coeffs(u.value, u.space.order))
 
 
 def _jpow(u: Jet, r: Fraction) -> Jet:
-    if r.denominator == 1:
-        return _jpow_int(u, r.numerator)
-    return _jpow_frac(u, r)
+    if r.denominator != 1:
+        return _compose(u, _pow_frac_coeffs(u.value, r, u.space.order))
+    k = r.numerator
+    if k == 0:
+        c = np.zeros_like(u.coeffs)
+        c[0] = 1.0
+        return u._wrap(c)
+    out = _int_power(u, u.value, k, operator.mul)
+    return _reciprocal(out) if k < 0 else out
 
 
-_CALL_TABLE = {
-    "exp": _jexp,
-    "ln": _jln,
-    "sin": _jsin,
-    "cos": _jcos,
-    "tan": _jtan,
-    "sqrt": lambda u: _jpow_frac(u, Fraction(1, 2)),
-}
+def _product(a, b):
+    """A jet product of order 0: its sum of terms starts from +0.0, so -0.0 comes out +0.0."""
+    return 0.0 + a * b
+
+
+def _vpow(u0, r: Fraction, const):
+    """Value of u0**r, as _jpow computes it at order 0; const(1.0) is the value one."""
+    if r.denominator != 1:
+        return _pow_frac_coeffs(u0, r, 0)[0]
+    k = r.numerator
+    if k == 0:
+        return const(1.0)
+    out = _int_power(u0, u0, k, _product)
+    return _reciprocal_coeffs(out, 0)[0] if k < 0 else out
 
 
 def _check_order(dim: int, order: int, max_order: int | None) -> JetSpace:
@@ -1079,8 +1113,8 @@ def _jet_seeds(space: JetSpace, pt: np.ndarray) -> list[Jet]:
     return seeds
 
 
-def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
-    """Evaluate expression DAGs over shared seeds, each shared node once."""
+def _jet_rule(space: JetSpace, seeds: list[Jet]):
+    """Rule of _walk evaluating each node as a jet over the seeds' points."""
     shape = seeds[0].coeffs.shape
 
     def jet(e: Expr, args: list) -> Jet:
@@ -1102,16 +1136,77 @@ def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
         if t is Pow:
             return _jpow(args[0], e.exponent)
         if t is Div:
-            if np.any(args[1].value == 0.0):
-                raise DomainError("division by a field vanishing here")
+            _check_divisor(args[1].value)
             return args[0] * _reciprocal(args[1])
         if t is Neg:
             return -args[0]
         if t is Call:
-            return _CALL_TABLE[e.fn](args[0])
+            u = args[0]
+            if e.fn == "tan":
+                sin_cs, cos_cs = _tan_coeffs(u.value, space.order)
+                return _compose(u, sin_cs) / _compose(u, cos_cs)
+            return _compose(u, _TAYLOR[e.fn](u.value, space.order))
         raise TypeError(f"not an expression node: {type(e).__name__}")
 
-    return _walk(exprs, jet)
+    return jet
+
+
+def _value_rule(seeds: list[Jet]):
+    """Rule of _walk evaluating each node's value alone, as _jet_rule does at order 0.
+
+    At one point a value is a float, over a batch an (npoints,) array; each
+    step is the one the order-0 jet applies to its single coefficient.
+    """
+    single = seeds[0].coeffs.ndim == 1
+    values = [s.value for s in seeds]
+    const = float if single else partial(np.full, seeds[0].coeffs.shape[1], dtype=float)
+
+    def value(e: Expr, args: list):
+        t = type(e)
+        if t is Mul:
+            return 0.0 + args[0] * args[1]  # _product, inline on the commonest node
+        if t is Add:
+            return args[0] + args[1]
+        if t is Sub:
+            return args[0] - args[1]
+        if t is Const:
+            return const(e.value)
+        if t is Coord:
+            return values[e.index]
+        if t is Pow:
+            return _vpow(args[0], e.exponent, const)
+        if t is Div:
+            _check_divisor(args[1])
+            return _product(args[0], _reciprocal_coeffs(args[1], 0)[0])
+        if t is Neg:
+            return -args[0]
+        if t is Call:
+            u0 = args[0]
+            if e.fn == "tan":
+                sin_cs, cos_cs = _tan_coeffs(u0, 0)
+                v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
+            else:
+                v = _TAYLOR[e.fn](u0, 0)[0]
+            # np.exp and the like hand back numpy scalars
+            return float(v) if single else v
+        raise TypeError(f"not an expression node: {type(e).__name__}")
+
+    return value
+
+
+def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
+    """Evaluate expression DAGs over shared seeds, each shared node once.
+
+    Order 0 asks for no derivative, so the walk computes plain values and
+    wraps each root's value as a one-coefficient jet, bitwise equal to
+    what the jet rule gives.
+    """
+    if space.order:
+        return _walk(exprs, _jet_rule(space, seeds))
+    values = _walk(exprs, _value_rule(seeds))
+    if seeds[0].coeffs.ndim == 1:
+        return [Jet(space, np.array([v])) for v in values]
+    return [Jet(space, v.reshape(1, -1)) for v in values]
 
 
 def eval_jet(f: ScalarField, p, order: int, *, max_order: int | None = None) -> Jet:

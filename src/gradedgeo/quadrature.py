@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class QuadSpec:
         return self.box
 
 
+@lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (strictly interior) and weights for the product rule.
 
@@ -53,7 +62,7 @@ def tensor_rule(chart: ChartSpec, quad: QuadSpec) -> tuple[np.ndarray, np.ndarra
     axis varying fastest; the weights are a matching (npoints,) array.
     """
     box = quad.resolve_box(chart)
-    base_x, base_w = np.polynomial.legendre.leggauss(quad.nodes_per_axis)
+    base_x, base_w = _leggauss(quad.nodes_per_axis)
     axes, axis_w = [], []
     for lo, hi in box:
         half = 0.5 * (hi - lo)

@@ -107,6 +107,14 @@ def test_point_outside_box_rejected(chart):
         f((0.0, 0.0))
 
 
+def test_nan_coordinate_outside_box_for_point_and_batch(chart):
+    # a NaN fails the box test of a single point and of a batch alike
+    f = ef.parse_field("x", chart)
+    for evaluate in (lambda p: f(p), lambda p: ef.eval_jet_batch(f, [p], 1)):
+        with pytest.raises(DomainError, match=r"coordinate x=nan outside box"):
+            evaluate((float("nan"), 0.0, 1.0))
+
+
 # frozen expected values: ln at t=2 has derivatives (1/2, -1/4, 1/4),
 # confirmed against the central-difference oracle below
 def test_ln_jet_frozen_values(chart):
@@ -276,6 +284,93 @@ def test_parse_rejects_exponent_too_large_at_once(chart):
             ef.parse_field(src, chart)
     assert ef.parse_field("t^(1^(9^9))", chart).expr.exponent == 1
     assert ef.parse_field("t^(2^999)", chart).expr.exponent == 2**999
+
+
+# points of sample_chart, signed zeros among them
+_VALUE_POINTS = [(0.0, -0.0), (-0.0, 0.5), (0.3, -0.2), (-0.6, 0.6), (0.45, 0.0), (-0.25, -0.35), (0.6, 0.1)]
+
+
+def _order0_outcome(run):
+    """Coefficient bytes and shape of run()'s jets, or the type and text of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            jets = run()
+    except (DomainError, ArithmeticError) as err:
+        return type(err), str(err)
+    return [(j.coeffs.shape, j.coeffs.tobytes()) for j in jets]
+
+
+def _assert_value_path_bitwise(fields, points):
+    """The order-0 value path against the jet rule, at each point, in a batch of one and in one batch."""
+    space = ef.jet_space(fields[0].chart.dim, 0)
+    exprs = [f.expr for f in fields]
+    arrays = [np.asarray(p, dtype=float) for p in points]
+    arrays += [a[None, :] for a in arrays] + [np.asarray(points, dtype=float)]
+    for pts in arrays:
+        seeds = ef._jet_seeds(space, pts)
+        got = _order0_outcome(lambda: ef._run_jets(exprs, space, seeds))
+        want = _order0_outcome(lambda: ef._walk(exprs, ef._jet_rule(space, seeds)))
+        assert got == want, ([ef.pretty_print(f) for f in fields], pts)
+
+
+def test_value_path_matches_jet_rule_on_samples():
+    chart = sample_chart()
+    rng = np.random.default_rng(29)
+    for cls in FUNCTION_CLASSES:
+        fields = [sample_expression(rng, chart, cls) for _ in range(3)]
+        _assert_value_path_bitwise(fields, sample_points(rng, chart, 7))
+    powers = ef.parse_field("(x + 0.7)^7 - (y - 0.9)^(-5) + (x*y + 1)^(5/3) + tan(x - y)^2", chart)
+    _assert_value_path_bitwise([powers], _VALUE_POINTS)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["-(x)*0", "x*y", "0*(-(y))", "-(x)*y + 0*x", "(-(x))^3*0", "-(x)/(y + 1)", "exp(x*y)*(-(0))", "-(x)*0 - 0"],
+)
+def test_value_path_signed_zero_products(src):
+    # the jet product sums from +0.0, so a -0.0 product comes out +0.0
+    _assert_value_path_bitwise([ef.parse_field(src, sample_chart())], _VALUE_POINTS)
+
+
+@pytest.mark.parametrize(
+    "src, points, message",
+    [
+        ("ln(x)", [(0.3, 0.0), (-0.2, 0.0)], "ln of nonpositive value -0.2"),
+        ("ln(x)", [(0.0, 0.0)], "ln of nonpositive value 0.0"),
+        ("y/x", [(0.1, 0.2), (0.0, 0.2)], "division by a field vanishing here"),
+        ("sqrt(x)", [(0.5, 0.0), (-0.1, 0.0)], "base -0.1 outside the domain of exponent 1/2"),
+        ("x^(-2)", [(0.2, 0.0), (0.0, 0.0)], "zero base with negative integer exponent"),
+        ("x^(-2)", [(1e-200, 0.0)], "division by zero"),
+        ("x^(1/3)", [(0.0, 0.1), (0.5, 0.1)], "mixed zero and nonzero bases for exponent 1/3"),
+    ],
+)
+def test_value_path_domain_errors_match_jet_rule(src, points, message):
+    f = ef.parse_field(src, sample_chart())
+    _assert_value_path_bitwise([f], points)
+    space = ef.jet_space(2, 0)
+    seeds = ef._jet_seeds(space, np.asarray(points))
+    with pytest.raises(DomainError) as err:
+        ef._run_jets([f.expr], space, seeds)
+    assert str(err.value) == message
+
+
+def test_value_path_tan_pole_matches_jet_rule(monkeypatch):
+    # no double is a pole of cos, so make cos vanish everywhere
+    monkeypatch.setattr(ef, "_cos_coeffs", lambda u0, order: [0.0 * u0] * (order + 1))
+    f = ef.parse_field("tan(x)", sample_chart())
+    _assert_value_path_bitwise([f], _VALUE_POINTS[:2])
+    with pytest.raises(DomainError, match="tan at a pole of cos"):
+        f((0.1, 0.2))
+
+
+@settings(deadline=None)
+@given(src=_FIELD_TEXT)
+def test_value_path_matches_jet_rule_property(src):
+    try:
+        f = ef.parse_field(src, sample_chart())
+    except ParseError:
+        return
+    _assert_value_path_bitwise([f], _VALUE_POINTS)
 
 
 def test_pretty_roundtrip_random_trees():

@@ -8,6 +8,7 @@ import pytest
 from gradedgeo import algebroid as ag
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
+from gradedgeo import quadrature as qd
 from gradedgeo import riemann as rm
 from gradedgeo.errors import DomainError
 from gradedgeo.quadrature import QuadSpec
@@ -601,3 +602,18 @@ def test_derivative_memos_die_with_the_metric():
     del gm, triple, derivs
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_gauss_legendre_rule_cached_and_read_only():
+    # the cached rule is bitwise a fresh leggauss, shared between calls and not writable
+    chart = ef.ChartSpec(("x", "y"), ((-1.0, 1.0), (0.0, 2.0)))
+    for n in (1, 6, 56):
+        nodes, weights = qd._leggauss(n)
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
+        qd.tensor_rule(chart, QuadSpec(n))
+        assert qd._leggauss(n)[0] is nodes
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
