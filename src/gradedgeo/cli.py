@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -285,8 +286,8 @@ def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
         changes["grid_counts"] = counts
         changes["grid_points"] = None
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         changes["residual_tol"] = args.tol
     if args.out is not None:
         changes["out_path"] = args.out

@@ -263,13 +263,13 @@ def parse_config(text: str) -> RunConfig:
                 vals = tuple(_float("grid", "points", tok) for tok in row.split())
                 if len(vals) != chart.dim:
                     raise _cfg_error("grid", "points", f"point {row.strip()!r} has wrong arity")
-                try:
-                    chart.require_point(vals)
-                except GradedGeoError as exc:
-                    raise _cfg_error("grid", "points", str(exc)) from None
                 parsed.append(vals)
             if not parsed:
                 raise _cfg_error("grid", "points", "empty point list")
+            try:
+                chart.require_points(parsed)
+            except GradedGeoError as exc:
+                raise _cfg_error("grid", "points", str(exc)) from None
             points = tuple(parsed)
 
     residual_tol = 1e-9

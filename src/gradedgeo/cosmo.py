@@ -186,13 +186,12 @@ def warped_closed_forms(w: WarpedSpec, p) -> WarpedClosedForms:
     base_pt = pt[:-1]
     n = w.n
 
-    ajet = ef.eval_jet(w.a, (t,), 2)
-    thjet = ef.eval_jet(w.theta, (t,), 2)
-    a_val = ajet.value
-    a_dot = float(ajet.gradient()[0])
-    a_ddot = float(ajet.hessian()[0, 0])
-    th_dot = float(thjet.gradient()[0])
-    th_ddot = float(thjet.hessian()[0, 0])
+    ajet, thjet = ef.eval_jets_batch([w.a, w.theta], [(t,)], 2)
+    a_val = float(ajet.coeffs[0, 0])
+    a_dot = float(ajet.gradient()[0, 0])
+    a_ddot = float(ajet.hessian()[0, 0, 0])
+    th_dot = float(thjet.gradient()[0, 0])
+    th_ddot = float(thjet.hessian()[0, 0, 0])
 
     gb, _, gamma_b, riem_b = rm.curvature_data_at(w.base, base_pt)
     ric_b = np.einsum("lljk->jk", riem_b)

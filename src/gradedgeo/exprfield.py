@@ -102,29 +102,23 @@ class ChartSpec:
             raise KeyError(f"no coordinate {name!r} in chart {self.coord_names}") from None
 
     def require_point(self, p) -> tuple[float, ...]:
-        """Validate p against the box (tiny slack for roundoff) and return it as floats."""
-        pt = tuple(float(x) for x in p)
-        if len(pt) != self.dim:
-            raise ValueError(f"point has {len(pt)} coordinates, chart has {self.dim}")
-        for x, name, (lo, hi) in zip(pt, self.coord_names, self.box):
-            slack = 1e-9 * (hi - lo) + 1e-12
-            if not (lo - slack <= x <= hi + slack):
-                raise DomainError(f"coordinate {name}={x} outside box [{lo}, {hi}]")
-        return pt
+        """Validate p as a batch of one and return it as floats."""
+        return tuple(self.require_points([p])[0].tolist())
 
     def require_points(self, pts) -> np.ndarray:
-        """Validate an array of point rows against the box, as require_point does."""
+        """Validate an array of point rows against the box (tiny slack for roundoff)."""
         arr = np.asarray(pts, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError(f"expected an array of shape (npoints, {self.dim})")
-        for a, (name, (lo, hi)) in enumerate(zip(self.coord_names, self.box)):
-            slack = 1e-9 * (hi - lo) + 1e-12
-            col = arr[:, a]
-            # written so that a NaN is outside, as in require_point
-            bad = ~((col >= lo - slack) & (col <= hi + slack))
-            if bad.any():
-                x = float(col[int(np.argmax(bad))])
-                raise DomainError(f"coordinate {name}={x} outside box [{lo}, {hi}]")
+            raise ValueError(f"expected rows of {self.dim} coordinates, got an array of shape {arr.shape}")
+        lo, hi = np.array(self.box).T
+        slack = 1e-9 * (hi - lo) + 1e-12
+        # written so that a NaN is outside
+        inside = (arr >= lo - slack) & (arr <= hi + slack)
+        if not inside.all():
+            a = int(np.argmin(inside.all(axis=0)))
+            x = float(arr[int(np.argmin(inside[:, a])), a])
+            (blo, bhi), name = self.box[a], self.coord_names[a]
+            raise DomainError(f"coordinate {name}={x} outside box [{blo}, {bhi}]")
         return arr
 
     def midpoint(self) -> tuple[float, ...]:
@@ -861,11 +855,13 @@ def jet_space(dim: int, order: int) -> JetSpace:
 class Jet:
     """Taylor coefficients of a scalar, truncated at space.order.
 
-    Coefficients are indexed by graded-lexicographic multi-index; batched
-    evaluation adds a trailing point axis, and every operation broadcasts
-    over it unchanged.  A product lays its terms out by the space's scatter
-    matrix and adds the rows in order, so every coefficient sums its terms in
-    pair order whatever the point count, and no point's terms reach another.
+    Coefficients are indexed by graded-lexicographic multi-index along the
+    first axis.  Evaluation always carries a trailing point axis, and every
+    operation broadcasts over it unchanged; only :func:`eval_jet` hands out
+    a 1-D jet, the column of its batch of one.  A product lays its terms out
+    by the space's scatter matrix and adds the rows in order, so every
+    coefficient sums its terms in pair order whatever the point count, and
+    no point's terms reach another.
     """
 
     __slots__ = ("space", "coeffs")
@@ -876,7 +872,7 @@ class Jet:
 
     @property
     def value(self):
-        """Point value: a float, or an array of them for a batched jet."""
+        """Point value: a float for a 1-D jet, an array over the points of a batch."""
         v = self.coeffs[0]
         return float(v) if np.ndim(v) == 0 else v
 
@@ -954,7 +950,8 @@ def _compose(u: Jet, coeffs_by_order: list) -> Jet:
 
 
 # Each elementary function's domain check and Taylor coefficients at the
-# point value u0 (a float, or an array over a batch), up to the given order.
+# point value u0 (a float for the value path at one point, else an array over
+# the batch), up to the given order.
 # The jet path composes the whole list; the value path of order 0 takes its
 # first entry, so both raise the same DomainError at the same values.
 
@@ -1014,6 +1011,9 @@ def _tan_coeffs(u0, order: int) -> tuple[list, list]:
 
 
 def _pow_frac_coeffs(u0, r: Fraction, order: int) -> list:
+    """u0**r for a non-integer r.  The leading power is np.power's, one ufunc
+    loop for a float and for a row: a float's ** (libm pow) differs from it
+    in the last place at some bases."""
     fr = float(r)
     if np.any(u0 < 0.0) or (np.any(u0 == 0.0) and (r < 0 or order >= 1)):
         raise DomainError(f"base {np.min(u0)} outside the domain of exponent {r}")
@@ -1022,7 +1022,7 @@ def _pow_frac_coeffs(u0, r: Fraction, order: int) -> list:
             # only at order 0; every base is +-0.0, and abs gives +0.0
             return [abs(u0)]
         raise DomainError(f"mixed zero and nonzero bases for exponent {r}")
-    cs = [u0**fr]
+    cs = [np.power(u0, fr)]
     for j in range(1, order + 1):
         cs.append(cs[-1] * (fr - (j - 1)) / (j * u0))
     return cs
@@ -1099,14 +1099,12 @@ def _check_order(dim: int, order: int, max_order: int | None) -> JetSpace:
     return jet_space(dim, order)
 
 
-def _jet_seeds(space: JetSpace, pt: np.ndarray) -> list[Jet]:
-    """Coordinate jets at one point (shape (dim,)) or a batch (shape (npoints, dim))."""
-    batched = pt.ndim == 2
-    shape = (space.count, pt.shape[0]) if batched else (space.count,)
+def _jet_seeds(space: JetSpace, pts: np.ndarray) -> list[Jet]:
+    """Coordinate jets over a batch of points, shape (npoints, dim)."""
     seeds = []
     for a in range(space.dim):
-        c = np.zeros(shape)
-        c[0] = pt[:, a] if batched else pt[a]
+        c = np.zeros((space.count, len(pts)))
+        c[0] = pts[:, a]
         if space.order >= 1:
             c[space._grad_pos[a]] = 1.0
         seeds.append(Jet(space, c))
@@ -1154,12 +1152,14 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
 def _value_rule(seeds: list[Jet]):
     """Rule of _walk evaluating each node's value alone, as _jet_rule does at order 0.
 
-    At one point a value is a float, over a batch an (npoints,) array; each
-    step is the one the order-0 jet applies to its single coefficient.
+    Over a batch of one point a value is a float, over a larger batch an
+    (npoints,) array; each step is the one the order-0 jet applies to its
+    single coefficient, so a point's value does not depend on its batch.
     """
-    single = seeds[0].coeffs.ndim == 1
-    values = [s.value for s in seeds]
-    const = float if single else partial(np.full, seeds[0].coeffs.shape[1], dtype=float)
+    npoints = seeds[0].coeffs.shape[1]
+    single = npoints == 1
+    values = [float(s.coeffs[0, 0]) if single else s.coeffs[0] for s in seeds]
+    const = float if single else partial(np.full, npoints, dtype=float)
 
     def value(e: Expr, args: list):
         t = type(e)
@@ -1173,23 +1173,22 @@ def _value_rule(seeds: list[Jet]):
             return const(e.value)
         if t is Coord:
             return values[e.index]
-        if t is Pow:
-            return _vpow(args[0], e.exponent, const)
         if t is Div:
             _check_divisor(args[1])
             return _product(args[0], _reciprocal_coeffs(args[1], 0)[0])
         if t is Neg:
             return -args[0]
-        if t is Call:
-            u0 = args[0]
-            if e.fn == "tan":
-                sin_cs, cos_cs = _tan_coeffs(u0, 0)
-                v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
-            else:
-                v = _TAYLOR[e.fn](u0, 0)[0]
-            # np.exp and the like hand back numpy scalars
-            return float(v) if single else v
-        raise TypeError(f"not an expression node: {type(e).__name__}")
+        if t is Pow:
+            v = _vpow(args[0], e.exponent, const)
+        elif t is Call and e.fn == "tan":
+            sin_cs, cos_cs = _tan_coeffs(args[0], 0)
+            v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
+        elif t is Call:
+            v = _TAYLOR[e.fn](args[0], 0)[0]
+        else:
+            raise TypeError(f"not an expression node: {type(e).__name__}")
+        # np.power, np.exp and the like hand back numpy scalars
+        return float(v) if single else v
 
     return value
 
@@ -1197,34 +1196,30 @@ def _value_rule(seeds: list[Jet]):
 def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
     """Evaluate expression DAGs over shared seeds, each shared node once.
 
-    Order 0 asks for no derivative, so the walk computes plain values and
-    wraps each root's value as a one-coefficient jet, bitwise equal to
-    what the jet rule gives.
+    Every jet has shape (count, npoints).  Order 0 asks for no derivative,
+    so the walk computes plain values and wraps each root's value as a
+    one-coefficient jet, bitwise equal to what the jet rule gives.
     """
     if space.order:
         return _walk(exprs, _jet_rule(space, seeds))
-    values = _walk(exprs, _value_rule(seeds))
-    if seeds[0].coeffs.ndim == 1:
-        return [Jet(space, np.array([v])) for v in values]
-    return [Jet(space, v.reshape(1, -1)) for v in values]
+    return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds))]
 
 
 def eval_jet(f: ScalarField, p, order: int, *, max_order: int | None = None) -> Jet:
-    """Jet of f at p.  Shared subtrees are evaluated once (id-based memo)."""
-    space = _check_order(f.chart.dim, order, max_order)
-    pt = f.chart.require_point(p)
-    seeds = _jet_seeds(space, np.asarray(pt))
-    try:
-        return _run_jets([f.expr], space, seeds)[0]
-    except DomainError as err:
-        raise DomainError(f"{err} at point {pt}") from None
+    """Jet of f at p: the batch of one of eval_jets_batch, as a 1-D jet.
+
+    A point's coefficients are the same bits alone and in any batch.
+    """
+    jet = eval_jets_batch([f], [p], order, max_order=max_order)[0]
+    return Jet(jet.space, jet.coeffs[:, 0])
 
 
 def eval_jets_batch(fields, points, order: int, *, max_order: int | None = None) -> list[Jet]:
     """Jets of several fields over an array of points, one shared pass.
 
     Coefficient arrays gain a trailing point axis; subtrees shared within
-    or across the fields are evaluated once for the whole batch.
+    or across the fields are evaluated once for the whole batch.  A
+    DomainError raised while evaluating a batch of one names its point.
     """
     fields = list(fields)
     if not fields:
@@ -1235,8 +1230,12 @@ def eval_jets_batch(fields, points, order: int, *, max_order: int | None = None)
             raise ValueError("fields live on different charts")
     space = _check_order(chart.dim, order, max_order)
     pts = chart.require_points(points)
-    seeds = _jet_seeds(space, pts)
-    return _run_jets([f.expr for f in fields], space, seeds)
+    try:
+        return _run_jets([f.expr for f in fields], space, _jet_seeds(space, pts))
+    except DomainError as err:
+        if len(pts) != 1:
+            raise
+        raise DomainError(f"{err} at point {tuple(pts[0].tolist())}") from None
 
 
 def eval_jet_batch(f: ScalarField, points, order: int, *, max_order: int | None = None) -> Jet:

@@ -224,9 +224,8 @@ def graded_apply_field(
 
 
 def _field_value(v: GradedVectorField, p) -> GradedVectorValue:
-    return GradedVectorValue(
-        np.array([c(p) for c in v.even]), v.odd(p), tuple(float(x) for x in p)
-    )
+    *even, odd = (float(j.coeffs[0, 0]) for j in ef.eval_jets_batch([*v.even, v.odd], [p], 0))
+    return GradedVectorValue(np.array(even), odd, tuple(float(x) for x in p))
 
 
 def graded_apply(
@@ -256,27 +255,27 @@ def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:
     odd_odd:   even components for odd second argument and operand,
                [arg1, output].
     """
-    conn = levicivita_triple(gm)
-    n = gm.chart.dim
+    if block not in CURVATURE_BLOCKS:
+        raise ValueError(f"unknown curvature block {block!r}; use one of {CURVATURE_BLOCKS}")
     if block == "even_even":
         return rm.riemann_at(gm.metric, p).components
+    conn = levicivita_triple(gm)
+    n = gm.chart.dim
+    # values and gradients of alpha (and of x0) from one batch-of-one pass
+    fields = conn.alpha + conn.x0 if block == "odd_odd" else conn.alpha
+    jets = ef.eval_jets_batch(fields, [p], 1)
+    vals = np.array([j.coeffs[0, 0] for j in jets])
+    grads = np.array([j.gradient()[:, 0] for j in jets])
+    aval, da = vals[:n], grads[:n]
     if block == "even_odd":
-        da = np.array([ef.eval_jet(a, p, 1).gradient() for a in conn.alpha])
         # da[j, i] = d_i alpha_j; output is d_i alpha_j - d_j alpha_i
         return da.T - da
+    gamma = rm.christoffel_at(gm.metric, p).components
     if block == "odd_even":
-        da = np.array([ef.eval_jet(a, p, 1).gradient() for a in conn.alpha])
-        aval = np.array([a(p) for a in conn.alpha])
-        gamma = rm.christoffel_at(gm.metric, p).components
         return da.T - np.einsum("mik,m->ik", gamma, aval) + np.outer(aval, aval)
-    if block == "odd_odd":
-        dx0 = np.array([ef.eval_jet(c, p, 1).gradient() for c in conn.x0])
-        x0val = np.array([c(p) for c in conn.x0])
-        aval = np.array([a(p) for a in conn.alpha])
-        gamma = rm.christoffel_at(gm.metric, p).components
-        nabla = dx0.T + np.einsum("kim,m->ik", gamma, x0val)
-        return nabla - np.outer(aval, x0val)
-    raise ValueError(f"unknown curvature block {block!r}; use one of {CURVATURE_BLOCKS}")
+    x0val, dx0 = vals[n:], grads[n:]
+    nabla = dx0.T + np.einsum("kim,m->ik", gamma, x0val)
+    return nabla - np.outer(aval, x0val)
 
 
 def _one(gm: GradedMetric, p) -> tuple[tuple[float, ...], "GeometryBatch"]:

@@ -229,8 +229,7 @@ def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
         tr = gd.graded_trace(gm, gd.graded_ricci_at(gm, p))
         worst = _worse(worst, abs(scalar - tr) / (1.0 + abs(scalar)))
         lhs = gd.graded_trace(gm, gd.graded_hessian_at(gm, f, p))
-        df = ef.eval_jet(f, p, 1).gradient()
-        dth = ef.eval_jet(gm.theta, p, 1).gradient()
+        df, dth = (j.gradient()[:, 0] for j in ef.eval_jets_batch([f, gm.theta], [p], 1))
         ginv = rm.metric_at(gm.metric, p)[1].components
         direct = rm.laplacian_at(gm.metric, f, p) + float(df @ ginv @ dth)
         worst = _worse(worst, abs(lhs - direct) / (1.0 + abs(direct)))

@@ -296,6 +296,16 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
+def test_tol_override_must_be_positive_and_finite(tmp_path, capsys, tol):
+    # exit 2 like the same value under [tolerances] residual_tol, never a pass
+    path = write(tmp_path, FLAT_X)
+    code = run(["residuals", "--config", path, f"--tol={tol}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--tol" in err
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     path = write(tmp_path, EDS3)
     out_a = tmp_path / "a.csv"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedgeo import exprfield as ef
+from gradedgeo import riemann as rm
 from gradedgeo.errors import DomainError, JetOrderError, ParseError
 
 from expr_samples import FUNCTION_CLASSES, sample_chart, sample_expression, sample_points
@@ -301,11 +302,10 @@ def _order0_outcome(run):
 
 
 def _assert_value_path_bitwise(fields, points):
-    """The order-0 value path against the jet rule, at each point, in a batch of one and in one batch."""
+    """The order-0 value path against the jet rule, each point as a batch of one (floats) and all as one batch."""
     space = ef.jet_space(fields[0].chart.dim, 0)
     exprs = [f.expr for f in fields]
-    arrays = [np.asarray(p, dtype=float) for p in points]
-    arrays += [a[None, :] for a in arrays] + [np.asarray(points, dtype=float)]
+    arrays = [np.asarray([p], dtype=float) for p in points] + [np.asarray(points, dtype=float)]
     for pts in arrays:
         seeds = ef._jet_seeds(space, pts)
         got = _order0_outcome(lambda: ef._run_jets(exprs, space, seeds))
@@ -371,6 +371,49 @@ def test_value_path_matches_jet_rule_property(src):
     except ParseError:
         return
     _assert_value_path_bitwise([f], _VALUE_POINTS)
+
+
+def test_point_jet_is_its_batch_column():
+    # one point shape: a point's jet has the same bits alone and in a batch
+    chart = sample_chart()
+    rng = np.random.default_rng(11)
+    for cls in FUNCTION_CLASSES:
+        for _ in range(6):
+            f = sample_expression(rng, chart, cls)
+            pts = sample_points(rng, chart, 9)
+            for order in range(4):
+                batch = ef.eval_jet_batch(f, pts, order).coeffs
+                for k, p in enumerate(pts):
+                    alone = ef.eval_jet(f, p, order).coeffs
+                    assert alone.shape == batch[:, k].shape
+                    assert alone.tobytes() == batch[:, k].tobytes(), (cls, ef.pretty_print(f), p, order)
+                    if order == 0:
+                        assert np.float64(f(p)).tobytes() == batch[0, k].tobytes(), (cls, p)
+
+
+def test_domain_error_names_point_of_a_batch_of_one(chart):
+    f = ef.parse_field("ln(x)", chart)
+    p = (-0.5, 0.25, 1.0)
+    one = ef.constant(chart, 1.0)
+    m = rm.MetricSpec.diagonal(chart, [f + 2.0, one, one])
+    for evaluate in (
+        lambda: f(p),
+        lambda: ef.eval_jet(f, p, 2),
+        lambda: ef.eval_jets_batch([ef.parse_field("x + 3", chart), f], [p], 1),
+        lambda: rm.metric_at(m, p),
+        lambda: rm.christoffel_at(m, p),
+    ):
+        with pytest.raises(DomainError) as err:
+            evaluate()
+        assert str(err.value) == "ln of nonpositive value -0.5 at point (-0.5, 0.25, 1.0)"
+    # a larger batch names no point, and neither does a box error
+    with pytest.raises(DomainError) as err:
+        ef.eval_jet_batch(f, [p, (0.5, 0.25, 1.0)], 0)
+    assert str(err.value) == "ln of nonpositive value -0.5"
+    for evaluate in (lambda q: f(q), lambda q: ef.eval_jet_batch(f, [q], 0)):
+        with pytest.raises(DomainError) as err:
+            evaluate((0.5, 0.25, 50.0))
+        assert str(err.value) == "coordinate t=50.0 outside box [0.1, 10.0]"
 
 
 def test_pretty_roundtrip_random_trees():

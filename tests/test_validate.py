@@ -9,7 +9,7 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError
-from gradedgeo.algebroid import anchor, pairing_field, vector_apply
+from gradedgeo.algebroid import anchor, koszul_eval, pairing_field, vector_apply
 from gradedgeo.randgen import (
     default_chart,
     random_graded_field,
@@ -197,3 +197,30 @@ def test_metric_compatibility_batch_matches_points(dim):
             want = max(want, abs(a - rhs(p) - rhs2(p)) / (1.0 + abs(a)))
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
+    # the frame sums and the Koszul formula check the batched curvature
+    # engine, so they must run with it switched off; the metric itself is
+    # still read through metric_at at order 0, which builds no connection
+    def engine(*args, **kwargs):
+        raise AssertionError("an oracle route reached the curvature engine")
+
+    for module, name in (
+        (gd, "geometry_batch"),
+        (rm, "curvature_data_batch"),
+        (rm, "_christoffel_core"),
+        (rm, "_riemann_core"),
+    ):
+        monkeypatch.setattr(module, name, engine)
+    rng = np.random.default_rng(71)
+    for dim in (2, 3):
+        gm = random_graded_metric(rng, default_chart(dim))
+        p = random_interior_point(rng, gm.chart)
+        x, y, z = (random_graded_field(rng, gm.chart) for _ in range(3))
+        values = [
+            vd.frame_graded_ricci(gm, x, y, p),
+            vd.frame_graded_scalar(gm, p),
+            koszul_eval(gm, x, y, z, p),
+        ]
+        assert all(math.isfinite(v) for v in values), (dim, values)
