@@ -279,8 +279,8 @@ def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:
 
 
 def _one(gm: GradedMetric, p) -> tuple[tuple[float, ...], "GeometryBatch"]:
-    pt = gm.chart.require_point(p)
-    return pt, geometry_batch(gm, [pt])
+    b = geometry_batch(gm, [p])
+    return tuple(b.points[0].tolist()), b
 
 
 def tilde_T_at(gm: GradedMetric, p) -> TensorValue:
@@ -352,8 +352,9 @@ def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
 
 
 def stress_tensor_at(gm: GradedMetric, p) -> TensorValue:
-    rows = stress_fields(gm)
-    comps = np.array([[f(p) for f in row] for row in rows])
+    n = gm.chart.dim
+    jets = ef.eval_jets_batch([f for row in stress_fields(gm) for f in row], [p], 0)
+    comps = np.array([j.coeffs[0, 0] for j in jets]).reshape(n, n)
     return TensorValue(("d", "d"), comps, tuple(float(x) for x in p))
 
 
@@ -411,11 +412,11 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     jet = ef.eval_jet_batch(gm.theta, pts, 2)
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
-    rm.check_finite([("theta", jet.coeffs), ("exp(2*theta)", weight)], pts)
+        hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
+    rm.check_finite([("theta", jet.coeffs), ("theta", np.moveaxis(hes, 0, -1)), ("exp(2*theta)", weight)], pts)
     ric = np.einsum("plljk->pjk", riem)
     scalar = np.einsum("pjk,pjk->p", ginv, ric)
     dth = np.ascontiguousarray(jet.gradient().T)
-    hes = rm.hessian_batch(gamma, jet)
     lap = np.einsum("pij,pij->p", ginv, hes)
     gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
     dd = np.einsum("pi,pj->pij", dth, dth)

@@ -263,17 +263,22 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
     npts = len(pts)
     n = m.chart.dim
     jets = m.jets_batch(pts, order)
-    check_finite([(f"g_{i}_{j}", jets[i][j].coeffs) for i in range(n) for j in range(i, n)], pts)
     g = np.empty((npts, n, n))
     dg = np.empty((npts, n, n, n)) if order >= 1 else None  # dg[p,i,j,k] = d_k g_ij
     ddg = np.empty((npts,) + (n,) * 4) if order >= 2 else None  # ddg[p,i,j,k,m] = d_k d_m g_ij
-    for i in range(n):
-        for j in range(n):
-            g[:, i, j] = jets[i][j].coeffs[0]
-            if order >= 1:
-                dg[:, i, j] = jets[i][j].gradient().T
-            if order >= 2:
-                ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
+    with np.errstate(over="ignore"):  # hessian() doubles the diagonal; checked below
+        for i in range(n):
+            for j in range(n):
+                g[:, i, j] = jets[i][j].coeffs[0]
+                if order >= 1:
+                    dg[:, i, j] = jets[i][j].gradient().T
+                if order >= 2:
+                    ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    named = [(f"g_{i}_{j}", jets[i][j].coeffs) for i, j in upper]
+    if order >= 2:
+        named += [(f"g_{i}_{j}", np.moveaxis(ddg[:, i, j], 0, -1)) for i, j in upper]
+    check_finite(named, pts)
     det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
     if worst < DEGENERACY_THRESHOLD:
@@ -377,24 +382,30 @@ def divergence_vec_at(m: MetricSpec, v, p) -> float:
     return float(np.trace(dv) + np.einsum("iik,k->", gamma, vals))
 
 
-def divergence_sym2_at(m: MetricSpec, s_fields, p) -> TensorValue:
-    """div(S)_k = g^ij (nabla_i S)_jk for a symmetric covariant 2-tensor field."""
-    n = m.chart.dim
+def divergence_sym2_batch(ginv: np.ndarray, gamma: np.ndarray, s_fields, points) -> np.ndarray:
+    """div(S)[p,k] = g^ij (nabla_i S)_jk over points for a symmetric covariant 2-tensor field."""
+    n = gamma.shape[-1]
     rows = [list(r) for r in s_fields]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"tensor field needs a {n}x{n} component matrix")
-    pt, (_, ginv, gamma) = _at(m, p, 1)
-    jets = ef.eval_jets_batch([f for r in rows for f in r], [pt], 1)
-    vals = np.array([jet.value[0] for jet in jets]).reshape(n, n)
-    ds = np.array([jet.gradient()[:, 0] for jet in jets]).reshape(n, n, n)  # ds[j,k,i] = d_i S_jk
-    if np.max(np.abs(vals - vals.T)) > 1e-12 * (1.0 + np.max(np.abs(vals))):
+    jets = ef.eval_jets_batch([f for r in rows for f in r], points, 1)
+    vals = np.stack([jet.coeffs[0] for jet in jets], axis=-1).reshape(-1, n, n)
+    ds = np.stack([jet.gradient().T for jet in jets], axis=1).reshape(-1, n, n, n)  # ds[p,j,k,i] = d_i S_jk
+    asym = np.max(np.abs(vals - vals.transpose(0, 2, 1)), axis=(1, 2))
+    if np.any(asym > 1e-12 * (1.0 + np.max(np.abs(vals), axis=(1, 2)))):
         raise ValueError("tensor field is not symmetric at the evaluation point")
     covd = (
-        np.einsum("jki->ijk", ds)
-        - np.einsum("mij,mk->ijk", gamma, vals)
-        - np.einsum("mik,jm->ijk", gamma, vals)
+        np.einsum("pjki->pijk", ds)
+        - np.einsum("pmij,pmk->pijk", gamma, vals)
+        - np.einsum("pmik,pjm->pijk", gamma, vals)
     )
-    return TensorValue(("d",), np.einsum("ij,ijk->k", ginv, covd), pt)
+    return np.einsum("pij,pijk->pk", ginv, covd)
+
+
+def divergence_sym2_at(m: MetricSpec, s_fields, p) -> TensorValue:
+    """div(S)_k = g^ij (nabla_i S)_jk for a symmetric covariant 2-tensor field."""
+    pt, (_, ginv, gamma) = _at(m, p, 1)
+    return TensorValue(("d",), divergence_sym2_batch(ginv[None], gamma[None], s_fields, [pt])[0], pt)
 
 
 def signature_at(m: MetricSpec, p) -> tuple[int, ...]:

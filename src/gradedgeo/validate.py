@@ -2,10 +2,10 @@
 
 Each check recomputes a quantity a second way (generic Koszul pairing,
 frame-summed curvature, direct divergence identities) and reports the
-worst deviation over a sample, so one run exercises the derivation chain
-end to end on a configured geometry.  The frame route never touches the
-closed-form curvature blocks: it nests covariant derivatives of vector
-fields and pairs the result against a pseudo-orthonormal frame.
+worst deviation over a sample.  A check's closed-form side is one
+``graded.geometry_batch`` over its sample.  The frame route never touches
+it: at each point it builds one pseudo-orthonormal frame, nests covariant
+derivatives of vector fields and pairs them against the frame in one pass.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ class CheckResult:
         }
 
 
-def _worse(worst: float, err: float) -> float:
-    """The larger of two errors, where a NaN error counts as infinitely bad."""
-    return math.inf if math.isnan(err) else max(worst, err)
+def _worst(*errors) -> float:
+    """The largest entry of arrays of errors, where a NaN counts as infinitely bad."""
+    worst = float(np.max([np.max(e) for e in errors]))
+    return math.inf if math.isnan(worst) else worst
 
 
 def orthonormal_frame(m: rm.MetricSpec, p) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -113,29 +114,32 @@ def _odd_unit_frame(gm: GradedMetric) -> GradedVectorField:
     return GradedVectorField((zero,) * gm.chart.dim, ef.exp(-gm.theta))
 
 
-def frame_graded_ricci(gm: GradedMetric, x: GradedVectorField, y: GradedVectorField, p) -> float:
-    """Ricci pairing at p by summing the generic curvature over a frame."""
+def _frame_ricci(gm: GradedMetric, p, pairs) -> tuple[list[float], tuple[int, ...]]:
+    """Ricci pairings at p of the pairs ``pairs(frame)``, each summed over one frame.
+
+    The frame is built once: its even vectors, then the odd unit.  All pairing
+    fields go through one jet pass.  Returns the sums and the frame's signs.
+    """
     conn = gd.levicivita_triple(gm)
     rows, signs = orthonormal_frame(gm.metric, p)
-    chart = gm.chart
-    frame = [GradedVectorField.of(chart, [float(c) for c in row], 0.0) for row in rows]
+    frame = [GradedVectorField.of(gm.chart, [float(c) for c in row], 0.0) for row in rows]
     frame.append(_odd_unit_frame(gm))
-    pairs = [pairing_field(gm, curvature_field(conn, e, x, y), e) for e in frame]
-    jets = ef.eval_jets_batch(pairs, [p], 0)
-    return sum(sign * float(jet.value[0]) for sign, jet in zip(signs + (1,), jets))
+    signs += (1,)
+    fields = [pairing_field(gm, curvature_field(conn, e, x, y), e) for x, y in pairs(frame) for e in frame]
+    values = [float(jet.value[0]) for jet in ef.eval_jets_batch(fields, [p], 0)]
+    sums = [sum(sign * v for sign, v in zip(signs, values[k:])) for k in range(0, len(values), len(frame))]
+    return sums, signs
+
+
+def frame_graded_ricci(gm: GradedMetric, x: GradedVectorField, y: GradedVectorField, p) -> float:
+    """Ricci pairing at p by summing the generic curvature over a frame."""
+    return _frame_ricci(gm, p, lambda frame: [(x, y)])[0][0]
 
 
 def frame_graded_scalar(gm: GradedMetric, p) -> float:
     """Scalar curvature at p as the frame trace of the frame-summed Ricci."""
-    rows, signs = orthonormal_frame(gm.metric, p)
-    chart = gm.chart
-    total = 0.0
-    for j in range(chart.dim):
-        e = GradedVectorField.of(chart, [float(c) for c in rows[j]], 0.0)
-        total += signs[j] * frame_graded_ricci(gm, e, e, p)
-    xi = _odd_unit_frame(gm)
-    total += frame_graded_ricci(gm, xi, xi, p)
-    return total
+    sums, signs = _frame_ricci(gm, p, lambda frame: [(e, e) for e in frame])
+    return sum(sign * ricci for sign, ricci in zip(signs, sums))
 
 
 def _coordinate_field(gm: GradedMetric, axis: int) -> GradedVectorField:
@@ -152,7 +156,7 @@ def _odd_basis(gm: GradedMetric) -> GradedVectorField:
 
 def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
     conn = gd.levicivita_triple(gm)
-    worst = 0.0
+    errors = []
     for _ in range(trials):
         x = random_graded_field(rng, gm.chart)
         y = random_graded_field(rng, gm.chart)
@@ -160,14 +164,14 @@ def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResu
         p = random_interior_point(rng, gm.chart)
         lhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)(p)
         rhs = koszul_eval(gm, x, y, z, p)
-        worst = _worse(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return CheckResult("koszul_vs_triple", worst, 1e-9)
+        errors.append(abs(lhs - rhs) / (1.0 + abs(rhs)))
+    return CheckResult("koszul_vs_triple", _worst(errors), 1e-9)
 
 
 def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> CheckResult:
     conn = gd.levicivita_triple(gm)
     triples = max(1, points // 10)
-    worst = 0.0
+    errors = []
     for _ in range(triples):
         x = random_graded_field(rng, gm.chart)
         y = random_graded_field(rng, gm.chart)
@@ -177,89 +181,71 @@ def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> Check
         rhs2 = pairing_field(gm, y, gd.graded_apply_field(conn, x, z))
         pts = [random_interior_point(rng, gm.chart) for _ in range(points // triples)]
         a, b, c = (jet.value for jet in ef.eval_jets_batch([lhs, rhs, rhs2], pts, 0))
-        worst = _worse(worst, float(np.max(np.abs(a - b - c) / (1.0 + np.abs(a)))))
-    return CheckResult("metric_compatibility", worst, 1e-9)
+        errors.append(np.abs(a - b - c) / (1.0 + np.abs(a)))
+    return CheckResult("metric_compatibility", _worst(*errors), 1e-9)
 
 
 def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
     conn = gd.levicivita_triple(gm)
-    worst = 0.0
+    errors = []
     for _ in range(trials):
         x = random_graded_field(rng, gm.chart)
         y = random_graded_field(rng, gm.chart)
         p = random_interior_point(rng, gm.chart)
-        worst = _worse(worst, gd.graded_torsion(conn, x, y, p).max_norm())
-    return CheckResult("torsion_free", worst, 1e-10)
+        errors.append(gd.graded_torsion(conn, x, y, p).max_norm())
+    return CheckResult("torsion_free", _worst(errors), 1e-10)
 
 
 def check_ricci_blocks_frame(gm: GradedMetric, sample) -> CheckResult:
     n = gm.chart.dim
     coords = [_coordinate_field(gm, a) for a in range(n)]
     odd = _odd_basis(gm)
-    worst = 0.0
-    for p in sample:
-        closed = gd.graded_ricci_at(gm, p)
-        for a in range(n):
-            for b in range(a, n):
-                got = frame_graded_ricci(gm, coords[a], coords[b], p)
-                want = closed.even.components[a, b]
-                worst = _worse(worst, abs(got - want) / (1.0 + abs(want)))
-            got = frame_graded_ricci(gm, coords[a], odd, p)
-            worst = _worse(worst, abs(got - closed.cross[a]))
-        got = frame_graded_ricci(gm, odd, odd, p)
-        worst = _worse(worst, abs(got - closed.odd) / (1.0 + abs(closed.odd)))
-    return CheckResult("ricci_blocks_frame_sum", worst, 1e-9)
+    # even block (upper triangle), cross block, odd block
+    pairs = [(coords[i], coords[j]) for i in range(n) for j in range(i, n)]
+    pairs += [(x, odd) for x in coords] + [(odd, odd)]
+    b = gd.geometry_batch(gm, sample)
+    rows, cols = np.triu_indices(n)
+    want = np.column_stack([b.gric_even[:, rows, cols], np.zeros((len(b.points), n)), b.gric_odd])
+    got = np.array([_frame_ricci(gm, p, lambda frame: pairs)[0] for p in sample])
+    return CheckResult("ricci_blocks_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_scalar_frame(gm: GradedMetric, sample) -> CheckResult:
-    worst = 0.0
-    for p in sample:
-        want = gd.graded_scalar_at(gm, p)
-        got = frame_graded_scalar(gm, p)
-        worst = _worse(worst, abs(got - want) / (1.0 + abs(want)))
-    return CheckResult("scalar_frame_sum", worst, 1e-9)
+    want = gd.geometry_batch(gm, sample).graded_scalar
+    got = np.array([frame_graded_scalar(gm, p) for p in sample])
+    return CheckResult("scalar_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
     """Same-engine: scalar equals the trace of Ricci, Hessian traces close."""
     f = random_polynomial(rng, gm.chart, degree=3)
-    worst = 0.0
-    for p in sample:
-        scalar = gd.graded_scalar_at(gm, p)
-        tr = gd.graded_trace(gm, gd.graded_ricci_at(gm, p))
-        worst = _worse(worst, abs(scalar - tr) / (1.0 + abs(scalar)))
-        lhs = gd.graded_trace(gm, gd.graded_hessian_at(gm, f, p))
-        df, dth = (j.gradient()[:, 0] for j in ef.eval_jets_batch([f, gm.theta], [p], 1))
-        ginv = rm.metric_at(gm.metric, p)[1].components
-        direct = rm.laplacian_at(gm.metric, f, p) + float(df @ ginv @ dth)
-        worst = _worse(worst, abs(lhs - direct) / (1.0 + abs(direct)))
-    return CheckResult("trace_identities", worst, 1e-12)
+    b = gd.geometry_batch(gm, sample)
+    tr = np.einsum("pij,pij->p", b.ginv, b.gric_even) + b.gric_odd / b.weight
+    jet = ef.eval_jet_batch(f, b.points, 2)
+    lap = np.einsum("pij,pij->p", b.ginv, rm.hessian_batch(b.gamma, jet))
+    slope = (jet.gradient().T[:, None, :] @ b.ginv @ b.dth[:, :, None])[:, 0, 0]
+    # graded Hessian trace: odd block weight * slope, traced against 1/weight
+    lhs, direct = lap + b.weight * slope / b.weight, lap + slope
+    scalar = b.graded_scalar
+    errors = np.abs(scalar - tr) / (1.0 + np.abs(scalar)), np.abs(lhs - direct) / (1.0 + np.abs(direct))
+    return CheckResult("trace_identities", _worst(*errors), 1e-12)
 
 
 def check_conservation_identity(gm: GradedMetric, sample) -> CheckResult:
     """Stress divergence equals twice the log-weight Laplacian times its slope."""
-    worst = 0.0
-    for p in sample:
-        res = gd.conservation_residual_at(gm, p).components
-        dth = ef.eval_jet(gm.theta, p, 1).gradient()
-        expect = 2.0 * rm.laplacian_at(gm.metric, gm.theta, p) * dth
-        scale = 1.0 + float(np.max(np.abs(expect)))
-        worst = _worse(worst, float(np.max(np.abs(res - expect))) / scale)
-    return CheckResult("conservation_identity", worst, 1e-9)
+    b = gd.geometry_batch(gm, sample)
+    res = rm.divergence_sym2_batch(b.ginv, b.gamma, gd.stress_fields(gm), b.points)
+    expect = 2.0 * b.lap[:, None] * b.dth
+    scale = 1.0 + np.max(np.abs(expect), axis=1)
+    return CheckResult("conservation_identity", _worst(np.max(np.abs(res - expect), axis=1) / scale), 1e-9)
 
 
 def check_equivalence_joint(gm: GradedMetric, sample, residual_tol: float = 1e-9) -> CheckResult:
     """The reduced, Ricci-form and blockwise residuals pass or fail together."""
-    mismatches = 0
-    for p in sample:
-        rep = gd.field_residuals_at(gm, p)
-        votes = {
-            max(rep.e27, rep.e28) <= residual_tol,
-            max(rep.e29, rep.e30) <= residual_tol,
-            rep.e44 <= residual_tol,
-        }
-        if len(votes) != 1:
-            mismatches += 1
+    b = gd.geometry_batch(gm, sample)
+    reduced, ricci_form = np.maximum(b.e27, b.e28), np.maximum(b.e29, b.e28)  # e30 is e28
+    votes = np.stack([reduced, ricci_form, b.e44]) <= residual_tol
+    mismatches = np.count_nonzero(votes.any(axis=0) & ~votes.all(axis=0))
     return CheckResult("equivalence_joint", float(mismatches), 0.0)
 
 

@@ -391,6 +391,26 @@ def test_theta_weight_overflow_exit_3(tmp_path, capsys):
     assert "(0.0, 0.0)" in err
 
 
+@pytest.mark.parametrize("command", ["residuals", "report"])
+@pytest.mark.parametrize(
+    "field, metric, theta",
+    [
+        ("theta", "g_0_0 = 1\ng_1_1 = -1", "1.5e308*x*x + 1.5e308*y*y"),
+        ("g_0_0", "g_0_0 = 1 + 1.5e308*x*x\ng_1_1 = -1", "0"),
+    ],
+)
+def test_hessian_overflow_exit_3(tmp_path, capsys, command, field, metric, theta):
+    # the x*x coefficient is finite, but the Hessian doubles it past the double range
+    text = FLAT_X.replace("g_0_0 = 1\ng_1_1 = 1", metric).replace("expr = x", f"expr = {theta}")
+    path = write(tmp_path, text.replace("counts = 3, 3", "points = 0 0"))
+    with np.errstate(all="ignore"):
+        code = run([command, "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"non-finite value of {field}" in err
+    assert "(0.0, 0.0)" in err
+
+
 def test_deep_expression_exit_4(tmp_path, capsys):
     # the parser descends recursively into parentheses
     nested = "(" * 3000 + "x" + ")" * 3000

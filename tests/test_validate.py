@@ -16,6 +16,7 @@ from gradedgeo.randgen import (
     random_graded_metric,
     random_interior_point,
     random_metric,
+    random_polynomial,
 )
 
 from test_graded import eds_graded, flat_graded
@@ -150,12 +151,22 @@ def test_check_result_report_shape():
     assert vd.CheckResult("demo", 2.0, 1e-9).passed is False
 
 
+def _patch_batch(monkeypatch, **fields):
+    # replace GeometryBatch arrays by fields[name](the real array)
+    real = gd.geometry_batch
+
+    def patched(gm, points):
+        b = real(gm, points)
+        return dataclasses.replace(b, **{k: f(getattr(b, k)) for k, f in fields.items()})
+
+    monkeypatch.setattr(gd, "geometry_batch", patched)
+
+
 def test_nan_error_fails_the_check(monkeypatch):
     # a NaN at the first point must not be forgotten by a finite error at the next
     gm = random_graded_metric(np.random.default_rng(43), default_chart(2))
     sample = [(0.1, -0.2), (0.2, 0.05)]
-    want = gd.graded_scalar_at(gm, sample[1])
-    monkeypatch.setattr(gd, "graded_scalar_at", lambda gm, p: math.nan if p == sample[0] else want)
+    _patch_batch(monkeypatch, graded_scalar=lambda a: np.where(np.arange(len(a)) == 0, math.nan, a))
     res = vd.check_scalar_frame(gm, sample)
     assert not res.passed
     assert res.max_error == math.inf
@@ -163,8 +174,7 @@ def test_nan_error_fails_the_check(monkeypatch):
 
 def test_nan_closed_form_block_fails(monkeypatch):
     gm = random_graded_metric(np.random.default_rng(47), default_chart(2))
-    real = gd.graded_ricci_at
-    monkeypatch.setattr(gd, "graded_ricci_at", lambda gm, p: dataclasses.replace(real(gm, p), odd=math.nan))
+    _patch_batch(monkeypatch, gric_odd=lambda a: np.full_like(a, math.nan))
     res = vd.check_ricci_blocks_frame(gm, [(0.1, -0.2)])
     assert not res.passed
 
@@ -224,3 +234,63 @@ def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
             koszul_eval(gm, x, y, z, p),
         ]
         assert all(math.isfinite(v) for v in values), (dim, values)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_suite_reads_one_batch_per_check(monkeypatch, dim):
+    # one geometry batch per closed-form check and one metric read per frame,
+    # not one metric sweep per point and quantity
+    calls = []
+    real = rm._metric_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rm, "_metric_arrays", counted)
+    gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
+    results = vd.run_geometry_checks(gm, seed=5)
+    assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
+    assert len(calls) <= 10
+
+
+def _sample(gm, seed):
+    rng = np.random.default_rng(seed)
+    return [random_interior_point(rng, gm.chart) for _ in range(4)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trace_identities_batch_matches_points(dim):
+    gm = random_graded_metric(np.random.default_rng(80 + dim), default_chart(dim))
+    sample = _sample(gm, 83)
+    got = vd.check_trace_identities(gm, np.random.default_rng(89), sample).max_error
+    # the same check one point at a time through the batch-of-one views
+    f = random_polynomial(np.random.default_rng(89), gm.chart, degree=3)
+    want = 0.0
+    for p in sample:
+        scalar = gd.graded_scalar_at(gm, p)
+        tr = gd.graded_trace(gm, gd.graded_ricci_at(gm, p))
+        want = max(want, abs(scalar - tr) / (1.0 + abs(scalar)))
+        lhs = gd.graded_trace(gm, gd.graded_hessian_at(gm, f, p))
+        df, dth = (j.gradient()[:, 0] for j in ef.eval_jets_batch([f, gm.theta], [p], 1))
+        ginv = rm.metric_at(gm.metric, p)[1].components
+        direct = rm.laplacian_at(gm.metric, f, p) + float(df @ ginv @ dth)
+        want = max(want, abs(lhs - direct) / (1.0 + abs(direct)))
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_conservation_identity_batch_matches_points(dim):
+    gm = random_graded_metric(np.random.default_rng(97 + dim), default_chart(dim))
+    sample = _sample(gm, 101)
+    got = vd.check_conservation_identity(gm, sample).max_error
+    # the same check one point at a time through the batch-of-one views
+    want = 0.0
+    for p in sample:
+        res = gd.conservation_residual_at(gm, p).components
+        dth = ef.eval_jet(gm.theta, p, 1).gradient()
+        expect = 2.0 * rm.laplacian_at(gm.metric, gm.theta, p) * dth
+        want = max(want, float(np.max(np.abs(res - expect))) / (1.0 + float(np.max(np.abs(expect)))))
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-14)
