@@ -309,9 +309,11 @@ def graded_hessian_at(gm: GradedMetric, f: ScalarField, p) -> GradedTensorValue:
     """Second covariant derivative of an ordinary function, graded blocks."""
     pt, b = _one(gm, p)
     jet = ef.eval_jet_batch(f, [pt], 2)
-    even = TensorValue(("d", "d"), rm.hessian_batch(b.gamma, jet)[0], pt)
-    odd = float(b.weight[0]) * float(jet.gradient()[:, 0] @ b.ginv[0] @ b.dth[0])
-    return GradedTensorValue(even, np.zeros(gm.chart.dim), odd, pt)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        hes = rm.hessian_batch(b.gamma, jet)[0]
+        odd = float(b.weight[0]) * float(jet.gradient()[:, 0] @ b.ginv[0] @ b.dth[0])
+    rm.check_finite([("the Hessian of f", np.append(hes, odd))], b.points)
+    return GradedTensorValue(TensorValue(("d", "d"), hes, pt), np.zeros(gm.chart.dim), odd, pt)
 
 
 def graded_trace(gm: GradedMetric, value: GradedTensorValue) -> float:

@@ -19,6 +19,7 @@ from .errors import DegenerateMetricError, DomainError
 from .exprfield import ChartSpec, ScalarField
 
 DEGENERACY_THRESHOLD = 1e-10
+CHUNK_DOUBLES = 2**16  # per n**4 point-last array in one assembly chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,37 +206,42 @@ def _det_field(rows: list[list[ScalarField]]) -> ScalarField:
     return _det_field_matrix(rows, rows[0][0].chart)
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a*b over the leading axis, added in index order from +0.0 as einsum adds."""
+    return np.add.reduce(a * b, axis=0, initial=0.0)
+
+
 def _christoffel_core(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (leading point axis) Christoffel assembly from metric derivatives."""
+    """Christoffel assembly over point-last arrays: ginv[k,l,p], dg[i,j,k,p] = d_k g_ij."""
     # S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
-    s = (
-        np.einsum("pilj->plij", dg)
-        + np.einsum("pjli->plij", dg)
-        - np.einsum("pijl->plij", dg)
-    )
-    gamma = 0.5 * np.einsum("pkl,plij->pkij", ginv, s)
+    s = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg.transpose(2, 0, 1, 3)
+    gamma = 0.5 * _contract(ginv.transpose(1, 0, 2)[:, :, None, None], s[:, None])
     return s, gamma
 
 
 def _riemann_core(
     ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
 ) -> np.ndarray:
-    """Batched curvature R^l_ijk from the Christoffel pieces and d_k d_m g_ij."""
+    """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
+    n = ginv.shape[0]
+    glk = ginv.transpose(1, 0, 2)  # glk[l,k] = g^kl
     # ds[l,i,j,m] = d_m S[l,i,j]
-    ds = (
-        np.einsum("piljm->plijm", ddg)
-        + np.einsum("pjlim->plijm", ddg)
-        - np.einsum("pijlm->plijm", ddg)
-    )
-    dginv = -np.einsum("pia,pabm,pbj->pijm", ginv, dg, ginv)
+    ds = ddg.transpose(1, 0, 2, 3, 4) + ddg.transpose(1, 2, 0, 3, 4) - ddg.transpose(2, 0, 1, 3, 4)
+    # dginv[i,j,m] = -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
+    terms = (glk[:, None, :, None, None] * dg[:, :, None, None]) * ginv[None, :, None, :, None]
+    dginv = -np.add.reduce(terms.reshape((n * n,) + terms.shape[2:]), axis=0, initial=0.0)
+    # dgamma[m,k,i,j] = d_m Gamma^k_ij
     dgamma = 0.5 * (
-        np.einsum("pklm,plij->pmkij", dginv, s) + np.einsum("pkl,plijm->pmkij", ginv, ds)
+        _contract(dginv.transpose(1, 2, 0, 3)[:, :, :, None, None], s[:, None, None])
+        + _contract(glk[:, None, :, None, None], ds.transpose(0, 3, 1, 2, 4)[:, :, None])
     )
+    # gg[l,i,j,k] = Gamma^l_im Gamma^m_jk; the second product is its (i, j) transpose
+    gg = _contract(gamma.transpose(2, 0, 1, 3)[:, :, :, None, None], gamma[:, None, None])
     return (
-        np.einsum("piljk->plijk", dgamma)
-        - np.einsum("pjlik->plijk", dgamma)
-        + np.einsum("plim,pmjk->plijk", gamma, gamma)
-        - np.einsum("pljm,pmik->plijk", gamma, gamma)
+        dgamma.transpose(1, 0, 2, 3, 4)
+        - dgamma.transpose(1, 2, 0, 3, 4)
+        + gg
+        - gg.transpose(0, 2, 1, 3, 4)
     )
 
 
@@ -257,27 +263,30 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
     """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points.
 
     The one place where metric jets become tensors; one jet sweep of the
-    given order, and every array has a leading point axis.
+    given order, and every array it returns has a leading point axis.  The
+    derivatives are held point-last, as the jets hold them, and Gamma and
+    Riemann are assembled over CHUNK_DOUBLES // n**4 points at a time, which
+    keeps the cores' n**5-per-point temporaries to a few MB at any point count.
     """
     pts = m.chart.require_points(points)
     npts = len(pts)
     n = m.chart.dim
     jets = m.jets_batch(pts, order)
     g = np.empty((npts, n, n))
-    dg = np.empty((npts, n, n, n)) if order >= 1 else None  # dg[p,i,j,k] = d_k g_ij
-    ddg = np.empty((npts,) + (n,) * 4) if order >= 2 else None  # ddg[p,i,j,k,m] = d_k d_m g_ij
+    dg = np.empty((n, n, n, npts)) if order >= 1 else None  # dg[i,j,k,p] = d_k g_ij
+    ddg = np.empty((n,) * 4 + (npts,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
     with np.errstate(over="ignore"):  # hessian() doubles the diagonal; checked below
         for i in range(n):
             for j in range(n):
                 g[:, i, j] = jets[i][j].coeffs[0]
                 if order >= 1:
-                    dg[:, i, j] = jets[i][j].gradient().T
+                    dg[i, j] = jets[i][j].gradient()
                 if order >= 2:
-                    ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
+                    ddg[i, j] = jets[i][j].hessian()
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     named = [(f"g_{i}_{j}", jets[i][j].coeffs) for i, j in upper]
     if order >= 2:
-        named += [(f"g_{i}_{j}", np.moveaxis(ddg[:, i, j], 0, -1)) for i, j in upper]
+        named += [(f"g_{i}_{j}", ddg[i, j]) for i, j in upper]
     check_finite(named, pts)
     det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
@@ -288,12 +297,15 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
     ginv = np.linalg.inv(g)
     if np.max(np.abs(np.einsum("pij,pjk->pik", g, ginv) - np.eye(n))) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
-    out = [g, ginv]
-    if order >= 1:
-        s, gamma = _christoffel_core(ginv, dg)
-        out.append(gamma)
-    if order >= 2:
-        out.append(_riemann_core(ginv, dg, s, gamma, ddg))
+    out = [g, ginv] + [np.empty((npts,) + (n,) * (k + 3)) for k in range(order)]
+    gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
+    step = max(1, CHUNK_DOUBLES // n**4)
+    for c in range(0, npts if order >= 1 else 0, step):
+        sl = slice(c, c + step)
+        s, gamma = _christoffel_core(gi[..., sl], dg[..., sl])
+        out[2][sl] = np.moveaxis(gamma, -1, 0)
+        if order >= 2:
+            out[3][sl] = np.moveaxis(_riemann_core(gi[..., sl], dg[..., sl], s, gamma, ddg[..., sl]), -1, 0)
     return out
 
 
@@ -359,15 +371,22 @@ def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
 def hessian_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     """Hes(f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     pt, (_, _, gamma) = _at(m, p, 1)
-    hes = hessian_batch(gamma[None], ef.eval_jet_batch(f, [pt], 2))[0]
+    jet = ef.eval_jet_batch(f, [pt], 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        hes = hessian_batch(gamma[None], jet)[0]
+    check_finite([("the Hessian of f", hes)], np.array([pt]))
     return TensorValue(("d", "d"), hes, pt)
 
 
 def laplacian_at(m: MetricSpec, f: ScalarField, p) -> float:
     """Trace of the Hessian: div(grad f)."""
     pt, (_, ginv, gamma) = _at(m, p, 1)
-    hes = hessian_batch(gamma[None], ef.eval_jet_batch(f, [pt], 2))[0]
-    return float(np.einsum("ij,ij->", ginv, hes))
+    jet = ef.eval_jet_batch(f, [pt], 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        hes = hessian_batch(gamma[None], jet)[0]
+        lap = np.einsum("ij,ij->", ginv, hes)
+    check_finite([("the Hessian of f", hes), ("the Laplacian of f", lap)], np.array([pt]))
+    return float(lap)
 
 
 def divergence_vec_at(m: MetricSpec, v, p) -> float:

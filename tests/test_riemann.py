@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradedgeo import exprfield as ef
+from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
-from gradedgeo.errors import DegenerateMetricError, JetOrderError
+from gradedgeo.errors import DegenerateMetricError, DomainError, JetOrderError
+from gradedgeo.quadrature import QuadSpec, tensor_rule
 from gradedgeo.randgen import default_chart, random_interior_point, random_metric, random_polynomial
 
 from fd_oracles import christoffel_fd, fd_gradient, metric_values, ricci_fd, riemann_fd
@@ -145,6 +148,100 @@ def test_riemann_symmetries_random():
             assert np.max(np.abs(bianchi)) <= tol
 
 
+def _einsum_christoffel(ginv, dg):
+    """The einsum assembly the point-last cores replaced, leading point axis."""
+    s = np.einsum("pilj->plij", dg) + np.einsum("pjli->plij", dg) - np.einsum("pijl->plij", dg)
+    return s, 0.5 * np.einsum("pkl,plij->pkij", ginv, s)
+
+
+def _einsum_riemann(ginv, dg, s, gamma, ddg):
+    ds = np.einsum("piljm->plijm", ddg) + np.einsum("pjlim->plijm", ddg) - np.einsum("pijlm->plijm", ddg)
+    dginv = -np.einsum("pia,pabm,pbj->pijm", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("pklm,plij->pmkij", dginv, s) + np.einsum("pkl,plijm->pmkij", ginv, ds))
+    return (
+        np.einsum("piljk->plijk", dgamma)
+        - np.einsum("pjlik->plijk", dgamma)
+        + np.einsum("plim,pmjk->plijk", gamma, gamma)
+        - np.einsum("pljm,pmik->plijk", gamma, gamma)
+    )
+
+
+def _chunk(n):
+    return rm.CHUNK_DOUBLES // n**4
+
+
+def _box_points(rng, chart, npts):
+    lo, hi = np.array(chart.box).T
+    return lo + (hi - lo) * rng.uniform(0.15, 0.85, (npts, chart.dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cores_match_einsum_reference_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    c = _chunk(n)
+    for npts in (1, 2, 7, c - 1, c, c + 1, 3 * c + 5):
+        ginv, dg, ddg = (
+            rng.standard_normal((npts,) + (n,) * k) * 10.0 ** rng.integers(-3, 4, (npts,) + (n,) * k)
+            for k in (2, 3, 4)
+        )
+        for a in (ginv, dg, ddg):  # signed zeros in every operand
+            zero = rng.random(a.shape) < 0.2
+            a[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        s, gamma = _einsum_christoffel(ginv, dg)
+        want = _einsum_riemann(ginv, dg, s, gamma, ddg)
+        gi, d1, d2 = (np.moveaxis(a, 0, -1) for a in (ginv, dg, ddg))
+        s_new, gamma_new = rm._christoffel_core(gi, d1)
+        got = rm._riemann_core(gi, d1, s_new, gamma_new, d2)
+        assert np.moveaxis(gamma_new, -1, 0).tobytes() == gamma.tobytes(), (n, npts)
+        assert np.moveaxis(got, -1, 0).tobytes() == want.tobytes(), (n, npts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chunked_assembly_matches_einsum_reference_bitwise(n):
+    rng = np.random.default_rng(50 + n)
+    chart = default_chart(n)
+    m = random_metric(rng, chart)
+    c = _chunk(n)
+    pts = _box_points(rng, chart, 3 * c + 5)
+    _, ginv, gamma, riem = rm.curvature_data_batch(m, pts)
+    # C-contiguous, as the einsum path held them: einsum's summation order follows the strides
+    dg, ddg = np.empty((len(pts), n, n, n)), np.empty((len(pts), n, n, n, n))
+    jets = m.jets_batch(pts, 2)
+    for i in range(n):
+        for j in range(n):
+            dg[:, i, j] = jets[i][j].gradient().T
+            ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
+    s, want_gamma = _einsum_christoffel(ginv, dg)
+    assert gamma.tobytes() == want_gamma.tobytes()
+    assert riem.tobytes() == _einsum_riemann(ginv, dg, s, want_gamma, ddg).tobytes()
+
+
+def test_riemann_at_matches_its_batch_row_bitwise():
+    rng = np.random.default_rng(61)
+    chart = default_chart(4)
+    m = random_metric(rng, chart, signature=(-1, 1, 1, 1))
+    c = _chunk(4)
+    pts = _box_points(rng, chart, 3 * c + 5)
+    *_, gamma, riem = rm.curvature_data_batch(m, pts)
+    for k in (0, c - 1, c, c + 1, 2 * c + 7, 3 * c + 4):
+        assert rm.riemann_at(m, pts[k]).components.tobytes() == riem[k].tobytes(), k
+        assert rm.christoffel_at(m, pts[k]).components.tobytes() == gamma[k].tobytes(), k
+
+
+def test_curvature_batch_memory_bound(eds3):
+    # the action_magnitude rule of the n = 3 power-law solution: 4096 points at dim 4
+    pts, _ = tensor_rule(eds3.chart, QuadSpec(8, ((-0.5, 0.5),) * 3 + ((0.9, 1.9),)))
+    rm.curvature_data_batch(eds3, pts[:8])  # symbolic caches built outside the trace
+    tracemalloc.start()
+    try:
+        rm.curvature_data_batch(eds3, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 4096
+    assert peak <= 40e6, peak
+
+
 def test_sphere_ricci_and_scalar(sphere):
     p = (math.pi / 3, 2.0)
     g = rm.metric_at(sphere, p)[0].components
@@ -197,6 +294,21 @@ def test_hessian_laplacian_flat(flat2):
     hes = rm.hessian_at(flat2, f, p).components
     assert np.allclose(hes, [[2 * p[1], 2 * p[0]], [2 * p[0], 6 * p[1]]], atol=1e-12)
     assert rm.laplacian_at(flat2, f, p) == pytest.approx(2 * p[1] + 6 * p[1], abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hessian_views_fail_closed_on_overflow(flat2):
+    gm = gd.GradedMetric(flat2, ef.parse_field("0.1*x", flat2.chart))
+    p = (0.0, 0.0)
+    # the Hessian doubles the x^2 coefficient: 1.5e308 overflows, 5e307 does not
+    f = ef.parse_field("1.5e308*x*x", flat2.chart)
+    for view in (rm.hessian_at, rm.laplacian_at, gd.graded_hessian_at):
+        with pytest.raises(DomainError, match=r"Hessian of f at point \(0\.0, 0\.0\)"):
+            view(gm if view is gd.graded_hessian_at else flat2, f, p)
+    f = ef.parse_field("5e307*x*x", flat2.chart)
+    assert rm.hessian_at(flat2, f, p).components.tolist() == [[1e308, 0.0], [0.0, 0.0]]
+    assert rm.laplacian_at(flat2, f, p) == 1e308
+    assert gd.graded_hessian_at(gm, f, p).even.components[0, 0] == 1e308
 
 
 def test_sphere_laplacian_frozen(sphere):
