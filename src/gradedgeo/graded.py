@@ -64,7 +64,8 @@ class GradedMetric:
     metric: MetricSpec
     theta: ScalarField
     odd_norm_sign: int = 1
-    # symbolic pieces built on first use (triple, stress), kept with the metric
+    # symbolic pieces built on first use (triple, stress, validate's basis
+    # pairings), kept with the metric
     _cache: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
@@ -308,8 +309,8 @@ def graded_scalar_at(gm: GradedMetric, p) -> float:
 def graded_hessian_at(gm: GradedMetric, f: ScalarField, p) -> GradedTensorValue:
     """Second covariant derivative of an ordinary function, graded blocks."""
     pt, b = _one(gm, p)
-    jet = ef.eval_jet_batch(f, [pt], 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jet = ef.eval_jet_batch(f, [pt], 2)
         hes = rm.hessian_batch(b.gamma, jet)[0]
         odd = float(b.weight[0]) * float(jet.gradient()[:, 0] @ b.ginv[0] @ b.dth[0])
     rm.check_finite([("the Hessian of f", np.append(hes, odd))], b.points)

@@ -364,15 +364,18 @@ def scalar_curvature_at(m: MetricSpec, p) -> float:
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     """(grad f)^i = g^ij d_j f."""
     pt, (_, ginv) = _at(m, p, 0)
-    df = ef.eval_jet(f, pt, 1).gradient()
-    return TensorValue(("u",), ginv @ df, pt)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jet = ef.eval_jet_batch(f, [pt], 1)
+        grad = ginv @ jet.gradient()[:, 0]
+    check_finite([("f", jet.coeffs), ("the gradient of f", grad)], np.array([pt]))
+    return TensorValue(("u",), grad, pt)
 
 
 def hessian_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     """Hes(f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     pt, (_, _, gamma) = _at(m, p, 1)
-    jet = ef.eval_jet_batch(f, [pt], 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jet = ef.eval_jet_batch(f, [pt], 2)
         hes = hessian_batch(gamma[None], jet)[0]
     check_finite([("the Hessian of f", hes)], np.array([pt]))
     return TensorValue(("d", "d"), hes, pt)
@@ -381,8 +384,8 @@ def hessian_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
 def laplacian_at(m: MetricSpec, f: ScalarField, p) -> float:
     """Trace of the Hessian: div(grad f)."""
     pt, (_, ginv, gamma) = _at(m, p, 1)
-    jet = ef.eval_jet_batch(f, [pt], 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jet = ef.eval_jet_batch(f, [pt], 2)
         hes = hessian_batch(gamma[None], jet)[0]
         lap = np.einsum("ij,ij->", ginv, hes)
     check_finite([("the Hessian of f", hes), ("the Laplacian of f", lap)], np.array([pt]))
@@ -395,10 +398,14 @@ def divergence_vec_at(m: MetricSpec, v, p) -> float:
     if len(v) != n:
         raise ValueError("vector field needs one component per coordinate")
     pt, (_, _, gamma) = _at(m, p, 1)
-    jets = ef.eval_jets_batch(v, [pt], 1)
-    vals = np.array([jet.value[0] for jet in jets])
-    dv = np.array([jet.gradient()[:, 0] for jet in jets])  # dv[i,j] = d_j V^i
-    return float(np.trace(dv) + np.einsum("iik,k->", gamma, vals))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jets = ef.eval_jets_batch(v, [pt], 1)
+        vals = np.array([jet.value[0] for jet in jets])
+        dv = np.array([jet.gradient()[:, 0] for jet in jets])  # dv[i,j] = d_j V^i
+        div = np.trace(dv) + np.einsum("iik,k->", gamma, vals)
+    named = [(f"V^{i}", jet.coeffs) for i, jet in enumerate(jets)]
+    check_finite([*named, ("the divergence of V", div)], np.array([pt]))
+    return float(div)
 
 
 def divergence_sym2_batch(ginv: np.ndarray, gamma: np.ndarray, s_fields, points) -> np.ndarray:

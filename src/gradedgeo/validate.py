@@ -3,9 +3,11 @@
 Each check recomputes a quantity a second way (generic Koszul pairing,
 frame-summed curvature, direct divergence identities) and reports the
 worst deviation over a sample.  A check's closed-form side is one
-``graded.geometry_batch`` over its sample.  The frame route never touches
-it: at each point it builds one pseudo-orthonormal frame, nests covariant
-derivatives of vector fields and pairs them against the frame in one pass.
+``graded.geometry_batch`` over its sample, shared by the checks of a suite.
+The frame route never touches it: it nests covariant derivatives of the
+graded coordinate basis into the pairings <R(E_a, E_b)E_c, E_d> once per
+metric, evaluates them at all of a check's points in one pass, and sums
+them over a pseudo-orthonormal frame at each point numerically.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .algebroid import (
     vector_apply,
 )
 from .errors import DegenerateMetricError
+from .exprfield import ScalarField
 from .graded import GradedConnectionTriple, GradedMetric
 from .randgen import random_graded_field, random_interior_point, random_polynomial
 
@@ -108,40 +111,6 @@ def curvature_field(
     return a - b - c
 
 
-def _odd_unit_frame(gm: GradedMetric) -> GradedVectorField:
-    """Odd frame element normalized to unit squared norm."""
-    zero = ef.constant(gm.chart, 0.0)
-    return GradedVectorField((zero,) * gm.chart.dim, ef.exp(-gm.theta))
-
-
-def _frame_ricci(gm: GradedMetric, p, pairs) -> tuple[list[float], tuple[int, ...]]:
-    """Ricci pairings at p of the pairs ``pairs(frame)``, each summed over one frame.
-
-    The frame is built once: its even vectors, then the odd unit.  All pairing
-    fields go through one jet pass.  Returns the sums and the frame's signs.
-    """
-    conn = gd.levicivita_triple(gm)
-    rows, signs = orthonormal_frame(gm.metric, p)
-    frame = [GradedVectorField.of(gm.chart, [float(c) for c in row], 0.0) for row in rows]
-    frame.append(_odd_unit_frame(gm))
-    signs += (1,)
-    fields = [pairing_field(gm, curvature_field(conn, e, x, y), e) for x, y in pairs(frame) for e in frame]
-    values = [float(jet.value[0]) for jet in ef.eval_jets_batch(fields, [p], 0)]
-    sums = [sum(sign * v for sign, v in zip(signs, values[k:])) for k in range(0, len(values), len(frame))]
-    return sums, signs
-
-
-def frame_graded_ricci(gm: GradedMetric, x: GradedVectorField, y: GradedVectorField, p) -> float:
-    """Ricci pairing at p by summing the generic curvature over a frame."""
-    return _frame_ricci(gm, p, lambda frame: [(x, y)])[0][0]
-
-
-def frame_graded_scalar(gm: GradedMetric, p) -> float:
-    """Scalar curvature at p as the frame trace of the frame-summed Ricci."""
-    sums, signs = _frame_ricci(gm, p, lambda frame: [(e, e) for e in frame])
-    return sum(sign * ricci for sign, ricci in zip(signs, sums))
-
-
 def _coordinate_field(gm: GradedMetric, axis: int) -> GradedVectorField:
     zero = ef.constant(gm.chart, 0.0)
     one = ef.constant(gm.chart, 1.0)
@@ -152,6 +121,73 @@ def _coordinate_field(gm: GradedMetric, axis: int) -> GradedVectorField:
 def _odd_basis(gm: GradedMetric) -> GradedVectorField:
     zero = ef.constant(gm.chart, 0.0)
     return GradedVectorField((zero,) * gm.chart.dim, ef.constant(gm.chart, 1.0))
+
+
+def _basis_pairings(gm: GradedMetric) -> list[ScalarField]:
+    """Pairings <R(E_a, E_b)E_c, E_d> on the graded coordinate basis, built once per metric.
+
+    E is the n coordinate fields, then the odd basis.  Only a < b is built,
+    since R(E_b, E_a) = -R(E_a, E_b); the list runs over (a, b) in
+    ``np.triu_indices(n + 1, 1)`` order, then c, then d.
+    """
+    got = gm._cache.get("basis_pairings")
+    if got is not None:
+        return got
+    conn = gd.levicivita_triple(gm)
+    basis = [*(_coordinate_field(gm, a) for a in range(gm.chart.dim)), _odd_basis(gm)]
+    got = []
+    for a, b in zip(*np.triu_indices(len(basis), 1)):
+        for c in basis:
+            r = curvature_field(conn, basis[a], basis[b], c)
+            got.extend(pairing_field(gm, r, d) for d in basis)
+    gm._cache["basis_pairings"] = got
+    return got
+
+
+def _frame_sums(gm: GradedMetric, points, fields=()):
+    """Frame-summed Ricci on the graded coordinate basis at each point.
+
+    Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
+    Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>.  The basis
+    pairings, theta and ``fields`` go through one order-0 pass and the frame
+    sum is numeric.  The frame is ``orthonormal_frame``'s rows, then the odd
+    unit exp(-theta) times the odd basis.  Returns ric[p, b, c], the frames
+    F[p, e, a], their signs s[p, e], and the values of ``fields`` [field, p].
+    """
+    pts = gm.chart.require_points(points)
+    n = gm.chart.dim
+    pairings = _basis_pairings(gm)
+    jets = ef.eval_jets_batch([*pairings, gm.theta, *fields], pts, 0)
+    values = np.array([jet.coeffs[0] for jet in jets])
+    upper = np.triu_indices(n + 1, 1)
+    k = values[: len(pairings)].reshape(len(upper[0]), n + 1, n + 1, len(pts))
+    kab = np.zeros((n + 1, n + 1, n + 1, n + 1, len(pts)))
+    kab[upper] = k
+    kab[upper[::-1]] = -k
+    frames = np.zeros((len(pts), n + 1, n + 1))
+    signs = np.ones((len(pts), n + 1))
+    for i, p in enumerate(pts):
+        frames[i, :n, :n], signs[i, :n] = orthonormal_frame(gm.metric, p)
+    frames[:, n, n] = np.exp(-values[len(pairings)])
+    ric = np.einsum("pe,pea,ped,abcdp->pbc", signs, frames, frames, kab)
+    return ric, frames, signs, values[len(pairings) + 1 :]
+
+
+def _frame_scalar(ric: np.ndarray, frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Frame trace sum_e s_e Ric(e, e) at each point."""
+    return np.einsum("pe,peb,pbc,pec->p", signs, frames, ric, frames)
+
+
+def frame_graded_ricci(gm: GradedMetric, x: GradedVectorField, y: GradedVectorField, p) -> float:
+    """Ricci pairing at p by summing the generic curvature over a frame."""
+    ric, _, _, values = _frame_sums(gm, [p], [*x.even, x.odd, *y.even, y.odd])
+    xv, yv = values[:, 0].reshape(2, -1)
+    return float(xv @ ric[0] @ yv)
+
+
+def frame_graded_scalar(gm: GradedMetric, p) -> float:
+    """Scalar curvature at p as the frame trace of the frame-summed Ricci."""
+    return float(_frame_scalar(*_frame_sums(gm, [p])[:3])[0])
 
 
 def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
@@ -197,29 +233,37 @@ def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
 
 
 def check_ricci_blocks_frame(gm: GradedMetric, sample) -> CheckResult:
+    return _ricci_blocks_frame(gm, sample, gd.geometry_batch(gm, sample))
+
+
+def _ricci_blocks_frame(gm: GradedMetric, sample, b: gd.GeometryBatch) -> CheckResult:
+    # even block (upper triangle), cross block, odd block, against b's first rows
     n = gm.chart.dim
-    coords = [_coordinate_field(gm, a) for a in range(n)]
-    odd = _odd_basis(gm)
-    # even block (upper triangle), cross block, odd block
-    pairs = [(coords[i], coords[j]) for i in range(n) for j in range(i, n)]
-    pairs += [(x, odd) for x in coords] + [(odd, odd)]
-    b = gd.geometry_batch(gm, sample)
+    k = len(sample)
     rows, cols = np.triu_indices(n)
-    want = np.column_stack([b.gric_even[:, rows, cols], np.zeros((len(b.points), n)), b.gric_odd])
-    got = np.array([_frame_ricci(gm, p, lambda frame: pairs)[0] for p in sample])
+    want = np.column_stack([b.gric_even[:k, rows, cols], np.zeros((k, n)), b.gric_odd[:k]])
+    ric = _frame_sums(gm, sample)[0]
+    got = np.column_stack([ric[:, rows, cols], ric[:, :n, n], ric[:, n, n]])
     return CheckResult("ricci_blocks_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_scalar_frame(gm: GradedMetric, sample) -> CheckResult:
-    want = gd.geometry_batch(gm, sample).graded_scalar
-    got = np.array([frame_graded_scalar(gm, p) for p in sample])
+    return _scalar_frame(gm, sample, gd.geometry_batch(gm, sample))
+
+
+def _scalar_frame(gm: GradedMetric, sample, b: gd.GeometryBatch) -> CheckResult:
+    want = b.graded_scalar[: len(sample)]
+    got = _frame_scalar(*_frame_sums(gm, sample)[:3])
     return CheckResult("scalar_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
     """Same-engine: scalar equals the trace of Ricci, Hessian traces close."""
+    return _trace_identities(gm, rng, gd.geometry_batch(gm, sample))
+
+
+def _trace_identities(gm: GradedMetric, rng, b: gd.GeometryBatch) -> CheckResult:
     f = random_polynomial(rng, gm.chart, degree=3)
-    b = gd.geometry_batch(gm, sample)
     tr = np.einsum("pij,pij->p", b.ginv, b.gric_even) + b.gric_odd / b.weight
     jet = ef.eval_jet_batch(f, b.points, 2)
     lap = np.einsum("pij,pij->p", b.ginv, rm.hessian_batch(b.gamma, jet))
@@ -233,7 +277,10 @@ def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
 
 def check_conservation_identity(gm: GradedMetric, sample) -> CheckResult:
     """Stress divergence equals twice the log-weight Laplacian times its slope."""
-    b = gd.geometry_batch(gm, sample)
+    return _conservation_identity(gm, gd.geometry_batch(gm, sample))
+
+
+def _conservation_identity(gm: GradedMetric, b: gd.GeometryBatch) -> CheckResult:
     res = rm.divergence_sym2_batch(b.ginv, b.gamma, gd.stress_fields(gm), b.points)
     expect = 2.0 * b.lap[:, None] * b.dth
     scale = 1.0 + np.max(np.abs(expect), axis=1)
@@ -242,7 +289,10 @@ def check_conservation_identity(gm: GradedMetric, sample) -> CheckResult:
 
 def check_equivalence_joint(gm: GradedMetric, sample, residual_tol: float = 1e-9) -> CheckResult:
     """The reduced, Ricci-form and blockwise residuals pass or fail together."""
-    b = gd.geometry_batch(gm, sample)
+    return _equivalence_joint(gd.geometry_batch(gm, sample), residual_tol)
+
+
+def _equivalence_joint(b: gd.GeometryBatch, residual_tol: float) -> CheckResult:
     reduced, ricci_form = np.maximum(b.e27, b.e28), np.maximum(b.e29, b.e28)  # e30 is e28
     votes = np.stack([reduced, ricci_form, b.e44]) <= residual_tol
     mismatches = np.count_nonzero(votes.any(axis=0) & ~votes.all(axis=0))
@@ -256,7 +306,11 @@ def run_geometry_checks(
     residual_tol: float = 1e-9,
     frame_points: int = 2,
 ) -> list[CheckResult]:
-    """All invariant checks on one geometry; frame checks use a sub-sample."""
+    """All invariant checks on one geometry; frame checks use a sub-sample.
+
+    The closed-form sides share one geometry batch over the sample; the
+    frame checks read its first rows.
+    """
     rng = np.random.default_rng(seed)
     if sample is None:
         sample = [random_interior_point(rng, gm.chart) for _ in range(5)]
@@ -266,11 +320,14 @@ def run_geometry_checks(
         check_koszul_vs_triple(gm, rng),
         check_metric_compatibility(gm, rng),
         check_torsion_free(gm, rng),
-        check_ricci_blocks_frame(gm, frame_sample),
-        check_scalar_frame(gm, frame_sample),
-        check_trace_identities(gm, rng, sample),
-        check_conservation_identity(gm, sample),
+    ]
+    b = gd.geometry_batch(gm, sample)
+    results += [
+        _ricci_blocks_frame(gm, frame_sample, b),
+        _scalar_frame(gm, frame_sample, b),
+        _trace_identities(gm, rng, b),
+        _conservation_identity(gm, b),
     ]
     if gm.chart.dim >= 3:
-        results.append(check_equivalence_joint(gm, sample, residual_tol))
+        results.append(_equivalence_joint(b, residual_tol))
     return results

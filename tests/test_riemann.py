@@ -311,6 +311,22 @@ def test_hessian_views_fail_closed_on_overflow(flat2):
     assert gd.graded_hessian_at(gm, f, p).even.components[0, 0] == 1e308
 
 
+@pytest.mark.filterwarnings("error")
+def test_first_order_views_fail_closed_on_overflow(flat2):
+    # exp(720) overflows inside the jet engine, before any view's own arithmetic
+    f = ef.parse_field("exp(800*x)", flat2.chart)
+    p = (0.9, 0.9)
+    with pytest.raises(DomainError, match=r"value of f at point \(0\.9, 0\.9\)"):
+        rm.gradient_at(flat2, f, p)
+    one = ef.constant(flat2.chart, 1.0)
+    with pytest.raises(DomainError, match=r"value of V\^1 at point \(0\.9, 0\.9\)"):
+        rm.divergence_vec_at(flat2, [one, f], p)
+    gm = gd.GradedMetric(flat2, ef.parse_field("0.1*x", flat2.chart))
+    for view in (rm.hessian_at, rm.laplacian_at, gd.graded_hessian_at):
+        with pytest.raises(DomainError, match=r"Hessian of f at point \(0\.9, 0\.9\)"):
+            view(gm if view is gd.graded_hessian_at else flat2, f, p)
+
+
 def test_sphere_laplacian_frozen(sphere):
     # Delta cos(th) = -2 cos(th) (eigenfunction, eigenvalue -l(l+1) with l=1)
     f = ef.parse_field("cos(th)", sphere.chart)

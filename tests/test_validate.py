@@ -9,7 +9,7 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError
-from gradedgeo.algebroid import anchor, koszul_eval, pairing_field, vector_apply
+from gradedgeo.algebroid import GradedVectorField, anchor, koszul_eval, pairing_field, vector_apply
 from gradedgeo.randgen import (
     default_chart,
     random_graded_field,
@@ -251,7 +251,18 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
     results = vd.run_geometry_checks(gm, seed=5)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    assert len(calls) <= 10
+    # one batch over the whole sample, then one frame per point in each of
+    # the two frame checks at the default two frame points
+    assert len(calls) == 1 + 2 * 2
+    # the checks read the shared batch's rows as if each had built its own
+    sample = [tuple(p) for p in calls[0][1]]  # the batch's points
+    alone = [
+        vd.check_ricci_blocks_frame(gm, sample[:2]),
+        vd.check_scalar_frame(gm, sample[:2]),
+        vd.check_conservation_identity(gm, sample),
+    ]
+    shared = {r.name: r.max_error for r in results}
+    assert [r.max_error for r in alone] == [shared[r.name] for r in alone]
 
 
 def _sample(gm, seed):
@@ -294,3 +305,51 @@ def test_conservation_identity_batch_matches_points(dim):
         want = max(want, float(np.max(np.abs(res - expect))) / (1.0 + float(np.max(np.abs(expect)))))
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-14)
+
+
+def _frame_ricci_reference(gm, pairs, p):
+    # the frame sum built the direct way: one curvature field per frame
+    # vector and pair, each paired with that vector and evaluated at p
+    conn = gd.levicivita_triple(gm)
+    rows, signs = vd.orthonormal_frame(gm.metric, p)
+    frame = [GradedVectorField.of(gm.chart, list(row), 0.0) for row in rows]
+    frame.append(GradedVectorField((ef.constant(gm.chart, 0.0),) * gm.chart.dim, ef.exp(-gm.theta)))
+    signs += (1,)
+    sums = [
+        sum(s * pairing_field(gm, vd.curvature_field(conn, e, x, y), e)(p) for s, e in zip(signs, frame))
+        for x, y in pairs(frame)
+    ]
+    return sums, signs
+
+
+@pytest.mark.parametrize("sig", [(1, 1), (-1, 1), (1, 1, 1), (-1, 1, 1)])
+def test_frame_sums_match_direct_curvature(sig):
+    # curvature is tensorial, so the basis pairings summed over the frame
+    # agree with the curvature of the frame vectors themselves
+    rng = np.random.default_rng(103 + len(sig) + sig[0])
+    gm = random_graded_metric(rng, default_chart(len(sig)), signature=sig)
+    p = random_interior_point(rng, gm.chart)
+    x, y = random_graded_field(rng, gm.chart), random_graded_field(rng, gm.chart)
+    (want,), _ = _frame_ricci_reference(gm, lambda frame: [(x, y)], p)
+    sums, signs = _frame_ricci_reference(gm, lambda frame: [(e, e) for e in frame], p)
+    want_scalar = sum(s * r for s, r in zip(signs, sums))
+    got, got_scalar = vd.frame_graded_ricci(gm, x, y, p), vd.frame_graded_scalar(gm, p)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+    assert abs(got_scalar - want_scalar) <= 1e-12 * max(1.0, abs(want_scalar)), (got_scalar, want_scalar)
+
+
+def test_basis_pairings_built_once_per_metric(monkeypatch):
+    calls = []
+    real = vd.curvature_field
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vd, "curvature_field", counted)
+    gm = random_graded_metric(np.random.default_rng(109), default_chart(2))
+    for seed in (5, 6):
+        results = vd.run_geometry_checks(gm, seed=seed)
+        assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
+    # (3 choose 2) pairs of basis fields times 3 operands, all in the first suite
+    assert len(calls) == 3 * 3
