@@ -6,7 +6,9 @@ pairs ``X + h*xi`` where ``X`` is an ordinary vector field and ``xi`` is
 the odd derivation killing ordinary functions and sending ``tau`` to 1.
 The module also carries the super bracket, the projection back onto
 ordinary vector fields, and a generic Koszul-formula evaluator for
-extended metric pairings.  Everything is symbolic down to evaluation.
+extended metric pairings.  Everything is symbolic down to evaluation,
+except the Koszul evaluator: it reads the derivatives its formula needs off
+order-1 jets, so it takes no symbolic derivative of what it checks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from . import exprfield as ef
+from . import riemann as rm
 from .exprfield import ChartSpec, ScalarField
 
 if TYPE_CHECKING:
@@ -28,6 +33,7 @@ __all__ = [
     "derive",
     "dual_mul",
     "koszul_eval",
+    "koszul_values",
     "pairing_field",
     "vector_apply",
 ]
@@ -213,6 +219,68 @@ def pairing_field(gm: "GradedMetric", v: GradedVectorField, w: GradedVectorField
     return out
 
 
+def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
+    """Koszul pairing <nabla_x y, z> of each triple (x, y, z) at its own point.
+
+    The components of every x, y and z, the g_ij and the weight exp(2*theta)
+    go through one order-1 jet pass over all the points.  Pairings and their
+    gradients are products of values and gradients; the anchor actions
+    x<y, z> and the super brackets are read off the gradients, and the
+    six-term sum is halved.  No symbolic derivative is taken, so the route
+    shares no derivative with the connection it checks.  A non-finite g_ij
+    or weight raises DomainError naming it and the first bad point.
+    """
+    pts = gm.metric.chart.require_points(points)
+    if len(triples) != len(pts):
+        raise ValueError(f"{len(triples)} triples for {len(pts)} points")
+    n, t = gm.metric.chart.dim, len(pts)
+    fields = [c for triple in triples for v in triple for c in (*v.even, v.odd)]
+    metric = [gm.metric.component(i, j) for i in range(n) for j in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        jets = ef.eval_jets_batch([*fields, *metric, ef.exp(gm.theta + gm.theta)], pts, 1)
+    rm.check_finite(
+        [*((f"g_{k // n}_{k % n}", jet.coeffs) for k, jet in enumerate(jets[len(fields):-1])),
+         ("exp(2*theta)", jets[-1].coeffs)],
+        pts,
+    )
+    val = np.array([jet.value for jet in jets])
+    grad = np.array([jet.gradient() for jet in jets])
+    # each triple's components at its own point: [x/y/z, component, (axis,) point]
+    vx, vy, vz = np.diagonal(val[: len(fields)].reshape(t, 3, n + 1, t), axis1=0, axis2=3)
+    dx, dy, dz = np.diagonal(grad[: len(fields)].reshape(t, 3, n + 1, n, t), axis1=0, axis2=4)
+    # the extended metric: g on the even block, the weight on the odd one
+    g = np.zeros((n + 1, n + 1, t))
+    dg = np.zeros((n + 1, n + 1, n, t))
+    g[:n, :n] = val[len(fields):-1].reshape(n, n, t)
+    dg[:n, :n] = grad[len(fields):-1].reshape(n, n, n, t)
+    g[n, n], dg[n, n] = val[-1], grad[-1]
+
+    def pair(u, w):
+        return np.einsum("abt,at,bt->t", g, u, w)
+
+    def act(v, u, du, w, dw):
+        # anchor of v applied to <u, w>: v^m d_m <u, w>
+        d = (
+            np.einsum("abmt,at,bt->mt", dg, u, w)
+            + np.einsum("abt,amt,bt->mt", g, du, w)
+            + np.einsum("abt,at,bmt->mt", g, u, dw)
+        )
+        return np.einsum("mt,mt->t", v[:n], d)
+
+    def bracket_of(u, du, w, dw):
+        return np.einsum("mt,amt->at", u[:n], dw) - np.einsum("mt,amt->at", w[:n], du)
+
+    total = (
+        act(vx, vy, dy, vz, dz)
+        + act(vy, vz, dz, vx, dx)
+        - act(vz, vx, dx, vy, dy)
+        + pair(bracket_of(vx, dx, vy, dy), vz)
+        - pair(bracket_of(vy, dy, vz, dz), vx)
+        + pair(bracket_of(vz, dz, vx, dx), vy)
+    )
+    return 0.5 * total
+
+
 def koszul_eval(
     gm: "GradedMetric",
     x: GradedVectorField,
@@ -222,16 +290,8 @@ def koszul_eval(
 ) -> float:
     """Pairing of the metric connection's output with a third field.
 
-    Expands the six-term Koszul formula symbolically (vector actions go
-    through the anchor, brackets are super brackets) and evaluates at the
-    point, then halves.  Independent of any closed-form connection.
+    The batch of one of :func:`koszul_values`: the six-term Koszul formula
+    on order-1 jets of the fields, the metric and the weight at the point.
+    Independent of any closed-form connection.
     """
-    pair = pairing_field
-    term_x = vector_apply(anchor(x), pair(gm, y, z))
-    term_y = vector_apply(anchor(y), pair(gm, z, x))
-    term_z = vector_apply(anchor(z), pair(gm, x, y))
-    b_xy = pair(gm, bracket(x, y), z)
-    b_yz = pair(gm, bracket(y, z), x)
-    b_zx = pair(gm, bracket(z, x), y)
-    total = term_x + term_y - term_z + b_xy - b_yz + b_zx
-    return 0.5 * total(point)
+    return float(koszul_values(gm, [(x, y, z)], [point])[0])

@@ -4,10 +4,14 @@ Each check recomputes a quantity a second way (generic Koszul pairing,
 frame-summed curvature, direct divergence identities) and reports the
 worst deviation over a sample.  A check's closed-form side is one
 ``graded.geometry_batch`` over its sample, shared by the checks of a suite.
-The frame route never touches it: it nests covariant derivatives of the
-graded coordinate basis into the pairings <R(E_a, E_b)E_c, E_d> once per
-metric, evaluates them at all of a check's points in one pass, and sums
-them over a pseudo-orthonormal frame at each point numerically.
+The Koszul check evaluates its symbolic connection side for all trials in
+one pass, each field at its own point, and the Koszul formula on order-1
+jets of the fields and the metric in a second pass; that route takes no
+symbolic derivative.  The frame route never touches the batch either: it
+nests covariant derivatives of the graded coordinate basis into the
+pairings <R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all of a
+check's points in one pass, and sums them over a pseudo-orthonormal frame
+at each point numerically; a suite's two frame checks share that sum.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .algebroid import (
     GradedVectorField,
     anchor,
     bracket,
-    koszul_eval,
+    koszul_values,
     pairing_field,
     vector_apply,
 )
@@ -192,16 +196,15 @@ def frame_graded_scalar(gm: GradedMetric, p) -> float:
 
 def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
     conn = gd.levicivita_triple(gm)
-    errors = []
+    triples, pts = [], []
     for _ in range(trials):
-        x = random_graded_field(rng, gm.chart)
-        y = random_graded_field(rng, gm.chart)
-        z = random_graded_field(rng, gm.chart)
-        p = random_interior_point(rng, gm.chart)
-        lhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)(p)
-        rhs = koszul_eval(gm, x, y, z, p)
-        errors.append(abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return CheckResult("koszul_vs_triple", _worst(errors), 1e-9)
+        triples.append(tuple(random_graded_field(rng, gm.chart) for _ in range(3)))
+        pts.append(random_interior_point(rng, gm.chart))
+    # the connection side stays symbolic, one order-0 pass with each field read at its own point
+    lhs_fields = [pairing_field(gm, gd.graded_apply_field(conn, x, y), z) for x, y, z in triples]
+    lhs = np.diagonal(np.array([jet.value for jet in ef.eval_jets_batch(lhs_fields, pts, 0)]))
+    rhs = koszul_values(gm, triples, pts)
+    return CheckResult("koszul_vs_triple", _worst(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))), 1e-9)
 
 
 def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> CheckResult:
@@ -233,27 +236,25 @@ def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
 
 
 def check_ricci_blocks_frame(gm: GradedMetric, sample) -> CheckResult:
-    return _ricci_blocks_frame(gm, sample, gd.geometry_batch(gm, sample))
+    return _ricci_blocks_frame(_frame_sums(gm, sample)[0], gd.geometry_batch(gm, sample))
 
 
-def _ricci_blocks_frame(gm: GradedMetric, sample, b: gd.GeometryBatch) -> CheckResult:
+def _ricci_blocks_frame(ric: np.ndarray, b: gd.GeometryBatch) -> CheckResult:
     # even block (upper triangle), cross block, odd block, against b's first rows
-    n = gm.chart.dim
-    k = len(sample)
+    k, n = len(ric), b.g.shape[1]
     rows, cols = np.triu_indices(n)
     want = np.column_stack([b.gric_even[:k, rows, cols], np.zeros((k, n)), b.gric_odd[:k]])
-    ric = _frame_sums(gm, sample)[0]
     got = np.column_stack([ric[:, rows, cols], ric[:, :n, n], ric[:, n, n]])
     return CheckResult("ricci_blocks_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_scalar_frame(gm: GradedMetric, sample) -> CheckResult:
-    return _scalar_frame(gm, sample, gd.geometry_batch(gm, sample))
+    return _scalar_frame(_frame_sums(gm, sample)[:3], gd.geometry_batch(gm, sample))
 
 
-def _scalar_frame(gm: GradedMetric, sample, b: gd.GeometryBatch) -> CheckResult:
-    want = b.graded_scalar[: len(sample)]
-    got = _frame_scalar(*_frame_sums(gm, sample)[:3])
+def _scalar_frame(sums, b: gd.GeometryBatch) -> CheckResult:
+    got = _frame_scalar(*sums)
+    want = b.graded_scalar[: len(got)]
     return CheckResult("scalar_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
@@ -309,7 +310,8 @@ def run_geometry_checks(
     """All invariant checks on one geometry; frame checks use a sub-sample.
 
     The closed-form sides share one geometry batch over the sample; the
-    frame checks read its first rows.
+    two frame checks share one frame sum over the sub-sample and read the
+    batch's first rows.
     """
     rng = np.random.default_rng(seed)
     if sample is None:
@@ -322,9 +324,10 @@ def run_geometry_checks(
         check_torsion_free(gm, rng),
     ]
     b = gd.geometry_batch(gm, sample)
+    sums = _frame_sums(gm, frame_sample)[:3]
     results += [
-        _ricci_blocks_frame(gm, frame_sample, b),
-        _scalar_frame(gm, frame_sample, b),
+        _ricci_blocks_frame(sums[0], b),
+        _scalar_frame(sums, b),
         _trace_identities(gm, rng, b),
         _conservation_identity(gm, b),
     ]

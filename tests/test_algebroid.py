@@ -10,6 +10,7 @@ from gradedgeo.randgen import (
     default_chart,
     random_dual_function,
     random_graded_field,
+    random_graded_metric,
     random_interior_point,
     random_polynomial,
 )
@@ -303,6 +304,35 @@ def test_koszul_constant_even_fields_flat():
             for c in (dx, dy):
                 p = random_interior_point(rng, chart)
                 assert abs(ag.koszul_eval(gm, a, b, c, p)) <= 1e-13
+
+
+def _koszul_reference(gm, x, y, z, p):
+    # the six-term Koszul formula expanded symbolically: anchor actions by
+    # symbolic directional derivatives, super brackets, then one evaluation
+    pair = ag.pairing_field
+    total = (
+        ag.vector_apply(ag.anchor(x), pair(gm, y, z))
+        + ag.vector_apply(ag.anchor(y), pair(gm, z, x))
+        - ag.vector_apply(ag.anchor(z), pair(gm, x, y))
+        + pair(gm, ag.bracket(x, y), z)
+        - pair(gm, ag.bracket(y, z), x)
+        + pair(gm, ag.bracket(z, x), y)
+    )
+    return 0.5 * total(p)
+
+
+@pytest.mark.parametrize("sig", [(1, 1), (-1, 1), (1, 1, 1), (-1, 1, 1)])
+def test_koszul_jets_match_symbolic_expansion(sig):
+    rng = np.random.default_rng(131 + len(sig) + sig[0])
+    gm = random_graded_metric(rng, default_chart(len(sig)), signature=sig)
+    triples = [tuple(random_graded_field(rng, gm.chart) for _ in range(3)) for _ in range(6)]
+    points = [random_interior_point(rng, gm.chart) for _ in triples]
+    want = [_koszul_reference(gm, *t, p) for t, p in zip(triples, points)]
+    alone = [ag.koszul_eval(gm, *t, p) for t, p in zip(triples, points)]
+    batch = ag.koszul_values(gm, triples, points)
+    for got in (alone, batch):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
 
 
 def test_pairing_field_blocks():

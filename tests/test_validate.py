@@ -8,8 +8,15 @@ from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
-from gradedgeo.errors import DegenerateMetricError
-from gradedgeo.algebroid import GradedVectorField, anchor, koszul_eval, pairing_field, vector_apply
+from gradedgeo.errors import DegenerateMetricError, DomainError
+from gradedgeo.algebroid import (
+    GradedVectorField,
+    anchor,
+    koszul_eval,
+    koszul_values,
+    pairing_field,
+    vector_apply,
+)
 from gradedgeo.randgen import (
     default_chart,
     random_graded_field,
@@ -236,6 +243,73 @@ def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
         assert all(math.isfinite(v) for v in values), (dim, values)
 
 
+def test_koszul_route_takes_no_symbolic_derivative(monkeypatch):
+    # the Koszul formula checks the symbolic connection, so it must run with
+    # symbolic differentiation, Christoffel fields and the triple switched off
+    def engine(*args, **kwargs):
+        raise AssertionError("the Koszul route reached what it checks")
+
+    for module, name in (
+        (ef, "diff_expr"),
+        (rm.MetricSpec, "christoffel_fields"),
+        (gd, "levicivita_triple"),
+        (gd, "geometry_batch"),
+    ):
+        monkeypatch.setattr(module, name, engine)
+    rng = np.random.default_rng(137)
+    for dim in (2, 3):
+        gm = random_graded_metric(rng, default_chart(dim))
+        triples = [tuple(random_graded_field(rng, gm.chart) for _ in range(3)) for _ in range(3)]
+        points = [random_interior_point(rng, gm.chart) for _ in triples]
+        values = [koszul_eval(gm, *triples[0], points[0]), *koszul_values(gm, triples, points)]
+        assert all(math.isfinite(v) for v in values), (dim, values)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_koszul_batch_matches_trials(dim):
+    gm = random_graded_metric(np.random.default_rng(139 + dim), default_chart(dim))
+    rng = np.random.default_rng(149)
+    got = vd.check_koszul_vs_triple(gm, rng).max_error
+    # the same check one trial at a time, from the same random stream
+    ref = np.random.default_rng(149)
+    conn = gd.levicivita_triple(gm)
+    want = 0.0
+    for _ in range(10):
+        x, y, z = (random_graded_field(ref, gm.chart) for _ in range(3))
+        p = random_interior_point(ref, gm.chart)
+        lhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)(p)
+        rhs = koszul_eval(gm, x, y, z, p)
+        want = max(want, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-14)
+    # the suite's later checks draw from where the trials left the stream
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_koszul_check_runs_one_pass_per_side(jet_calls):
+    gm = random_graded_metric(np.random.default_rng(151), default_chart(2), signature=(-1, 1))
+    res = vd.check_koszul_vs_triple(gm, np.random.default_rng(157), trials=10)
+    assert res.passed
+    # the connection side's 10 fields, then x, y, z (3 components each) of
+    # the 10 trials, the 4 metric components and the weight on jets
+    assert all(isinstance(fields, list) for fields in jet_calls)
+    assert [len(fields) for fields in jet_calls] == [10, 10 * 3 * 3 + 4 + 1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_koszul_check_fails_closed_on_weight_overflow():
+    # exp(2 * 400) overflows: the check must stop or fail, never pass
+    chart = default_chart(2)
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.constant(chart, 400.0))
+    try:
+        res = vd.check_koszul_vs_triple(gm, np.random.default_rng(163))
+    except DomainError as err:
+        assert "theta" in str(err)
+    else:
+        assert res.max_error == math.inf
+        assert not res.passed
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     # one geometry batch per closed-form check and one metric read per frame,
@@ -251,9 +325,9 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
     results = vd.run_geometry_checks(gm, seed=5)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    # one batch over the whole sample, then one frame per point in each of
-    # the two frame checks at the default two frame points
-    assert len(calls) == 1 + 2 * 2
+    # one batch over the whole sample, then one frame per point at the
+    # default two frame points, shared by the two frame checks
+    assert len(calls) == 1 + 2
     # the checks read the shared batch's rows as if each had built its own
     sample = [tuple(p) for p in calls[0][1]]  # the batch's points
     alone = [
