@@ -862,13 +862,21 @@ class Jet:
     by the space's scatter matrix and adds the rows in order, so every
     coefficient sums its terms in pair order whatever the point count, and
     no point's terms reach another.
+
+    ``constant`` marks the jet of a constant: every coefficient past the
+    value is a signed zero.  Sums, differences and negations of constants
+    stay constant, and so does a constant times a plain number.  A product
+    with a plain number c is the product with the constant jet of c:
+    ``coeffs * c + 0.0``, the bits of the full product wherever that is
+    finite, in ``count`` products per point instead of the full table.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "constant")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, constant: bool = False):
         self.space = space
         self.coeffs = coeffs
+        self.constant = constant
 
     @property
     def value(self):
@@ -889,32 +897,29 @@ class Jet:
         h[idx, idx] *= 2.0
         return h
 
-    def _wrap(self, coeffs: np.ndarray) -> "Jet":
-        return Jet(self.space, coeffs)
-
     def __add__(self, other):
         if isinstance(other, Jet):
-            return self._wrap(self.coeffs + other.coeffs)
+            return Jet(self.space, self.coeffs + other.coeffs, self.constant and other.constant)
         c = self.coeffs.copy()
         c[0] += other
-        return self._wrap(c)
+        return Jet(self.space, c, self.constant)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return self._wrap(self.coeffs - other.coeffs)
+            return Jet(self.space, self.coeffs - other.coeffs, self.constant and other.constant)
         c = self.coeffs.copy()
         c[0] -= other
-        return self._wrap(c)
+        return Jet(self.space, c, self.constant)
 
     def __rsub__(self, other):
         c = -self.coeffs
         c[0] += other
-        return self._wrap(c)
+        return Jet(self.space, c, self.constant)
 
     def __neg__(self):
-        return self._wrap(-self.coeffs)
+        return Jet(self.space, -self.coeffs, self.constant)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -923,28 +928,31 @@ class Jet:
             terms = self.coeffs.take(s._gather_a, 0) * other.coeffs.take(s._gather_b, 0)
             terms[-1] = 0.0
             # reducing the leading axis adds whole rows one after another, from +0.0
-            return self._wrap(np.add.reduce(terms.take(s._scatter, 0), axis=0, initial=0.0))
-        return self._wrap(self.coeffs * other)
+            return Jet(s, np.add.reduce(terms.take(s._scatter, 0), axis=0, initial=0.0))
+        return Jet(self.space, self.coeffs * other + 0.0, self.constant)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * _reciprocal(other)
-        return self._wrap(self.coeffs / other)
+        return Jet(self.space, self.coeffs / other, self.constant)
 
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
 
 
 def _compose(u: Jet, coeffs_by_order: list) -> Jet:
-    """Truncated composition f(u) from Taylor coefficients of f at u.value."""
-    w = u._wrap(u.coeffs.copy())
+    """Truncated composition f(u) from Taylor coefficients of f at u.value (order >= 1).
+
+    Horner's rule in w = u - u.value.  It starts from the constant jet of
+    the last coefficient, so its first step is a scaling of w.
+    """
+    w = Jet(u.space, u.coeffs.copy())
     w.coeffs[0] = 0.0
-    out_c = np.zeros_like(u.coeffs)
-    out_c[0] = coeffs_by_order[-1]
-    out = u._wrap(out_c)
-    for c in reversed(coeffs_by_order[:-1]):
+    *rest, last = coeffs_by_order
+    out = w * last + rest.pop()
+    for c in reversed(rest):
         out = out * w + c
     return out
 
@@ -1069,9 +1077,31 @@ def _jpow(u: Jet, r: Fraction) -> Jet:
     if k == 0:
         c = np.zeros_like(u.coeffs)
         c[0] = 1.0
-        return u._wrap(c)
+        return Jet(u.space, c, True)
     out = _int_power(u, u.value, k, operator.mul)
     return _reciprocal(out) if k < 0 else out
+
+
+def _constant_call(e: Expr, u: Jet) -> Jet:
+    """Jet of a Pow (exponent other than 1) or Call node of the constant jet u.
+
+    The full jet arithmetic gives such a node the value 0.0 plus its order-0
+    value, then +0.0s, wherever the Taylor coefficients are finite; here the
+    value alone is computed.  The domain helper still runs at the jet's
+    order, so it raises the same DomainErrors.
+    """
+    order, u0 = u.space.order, u.value
+    if type(e) is Pow:
+        r = e.exponent
+        v = _pow_frac_coeffs(u0, r, order)[0] if r.denominator != 1 else _vpow(u0, r, float)
+    elif e.fn == "tan":
+        sin_cs, cos_cs = _tan_coeffs(u0, order)
+        v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
+    else:
+        v = _TAYLOR[e.fn](u0, order)[0]
+    c = np.zeros_like(u.coeffs)
+    c[0] = 0.0 + v
+    return Jet(u.space, c, True)
 
 
 def _product(a, b):
@@ -1112,7 +1142,17 @@ def _jet_seeds(space: JetSpace, pts: np.ndarray) -> list[Jet]:
 
 
 def _jet_rule(space: JetSpace, seeds: list[Jet]):
-    """Rule of _walk evaluating each node as a jet over the seeds' points."""
+    """Rule of _walk evaluating each node as a jet over the seeds' points, at order >= 1.
+
+    A Const, and a node whose operands are all constant, gives a constant
+    jet (``Jet.constant``).  A product with a constant scales the other
+    operand by the constant's value, and a quotient by one scales by
+    ``0.0 + 1/c``; a power or function of a constant computes its value
+    alone (:func:`_constant_call`).  Wherever the full jet arithmetic gives
+    finite coefficients these are its bits.  Where a constant's higher
+    Taylor coefficient overflows (``x/1e-200`` at order 1) the full
+    arithmetic turns the value NaN; here it stays finite.
+    """
     shape = seeds[0].coeffs.shape
 
     def jet(e: Expr, args: list) -> Jet:
@@ -1120,7 +1160,12 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
         # chain made whole evaluations about 20% slower
         t = type(e)
         if t is Mul:
-            return args[0] * args[1]
+            a, b = args
+            if b.constant:
+                return a * b.coeffs[0]
+            if a.constant:
+                return b * a.coeffs[0]
+            return a * b
         if t is Add:
             return args[0] + args[1]
         if t is Sub:
@@ -1128,18 +1173,27 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
         if t is Const:
             c = np.zeros(shape)
             c[0] = e.value
-            return Jet(space, c)
+            return Jet(space, c, True)
         if t is Coord:
             return seeds[e.index]
         if t is Pow:
-            return _jpow(args[0], e.exponent)
+            u = args[0]
+            if u.constant and e.exponent != 1:
+                return _constant_call(e, u)
+            return _jpow(u, e.exponent)
         if t is Div:
-            _check_divisor(args[1].value)
-            return args[0] * _reciprocal(args[1])
+            a, b = args
+            _check_divisor(b.value)
+            if b.constant:
+                return a * (0.0 + 1.0 / b.coeffs[0])
+            r = _reciprocal(b)
+            return r * a.coeffs[0] if a.constant else a * r
         if t is Neg:
             return -args[0]
         if t is Call:
             u = args[0]
+            if u.constant:
+                return _constant_call(e, u)
             if e.fn == "tan":
                 sin_cs, cos_cs = _tan_coeffs(u.value, space.order)
                 return _compose(u, sin_cs) / _compose(u, cos_cs)
@@ -1150,7 +1204,7 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
 
 
 def _value_rule(seeds: list[Jet]):
-    """Rule of _walk evaluating each node's value alone, as _jet_rule does at order 0.
+    """Rule of _walk evaluating each node's value alone, as the jet arithmetic does at order 0.
 
     Over a batch of one point a value is a float, over a larger batch an
     (npoints,) array; each step is the one the order-0 jet applies to its
@@ -1198,7 +1252,7 @@ def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
 
     Every jet has shape (count, npoints).  Order 0 asks for no derivative,
     so the walk computes plain values and wraps each root's value as a
-    one-coefficient jet, bitwise equal to what the jet rule gives.
+    one-coefficient jet, bitwise equal to what full jet arithmetic gives.
     """
     if space.order:
         return _walk(exprs, _jet_rule(space, seeds))

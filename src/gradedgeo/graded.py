@@ -371,7 +371,8 @@ class GeometryBatch:
     """Order-2 geometry of an extended metric over an array of points.
 
     Every array has a leading point axis; a single point is a batch of one.
-    Index layouts follow the riemann module.  The graded Ricci form has an
+    Index layouts follow the riemann module.  Curvature comes as Ricci only:
+    the full Riemann tensor has no reader here.  The graded Ricci form has an
     even block ``gric_even`` and an odd block ``gric_odd``; its cross block
     vanishes for the compatible triple.  ``e27``..``e44`` are the max-norm
     residuals of the four field-equation forms.
@@ -381,7 +382,6 @@ class GeometryBatch:
     g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray
-    riem: np.ndarray
     ric: np.ndarray
     scalar: np.ndarray
     dth: np.ndarray  # d_i theta
@@ -409,15 +409,13 @@ class GeometryBatch:
 
 
 def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
-    """All of GeometryBatch from one metric and one theta jet sweep over points."""
+    """All of GeometryBatch from one jet sweep of the metric components and theta over points."""
     pts = gm.chart.require_points(points)
-    g, ginv, gamma, riem = rm.curvature_data_batch(gm.metric, pts)
-    jet = ef.eval_jet_batch(gm.theta, pts, 2)
+    g, ginv, gamma, ric, det, (jet,) = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
         hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
     rm.check_finite([("theta", jet.coeffs), ("theta", np.moveaxis(hes, 0, -1)), ("exp(2*theta)", weight)], pts)
-    ric = np.einsum("plljk->pjk", riem)
     scalar = np.einsum("pjk,pjk->p", ginv, ric)
     dth = np.ascontiguousarray(jet.gradient().T)
     lap = np.einsum("pij,pij->p", ginv, hes)
@@ -430,10 +428,10 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     even_blk = gric_even - (dd - hes)
     odd_blk = gric_odd + weight * gradsq
     return GeometryBatch(
-        points=pts, g=g, ginv=ginv, gamma=gamma, riem=riem, ric=ric, scalar=scalar,
+        points=pts, g=g, ginv=ginv, gamma=gamma, ric=ric, scalar=scalar,
         dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
         gric_even=gric_even, gric_odd=gric_odd, graded_scalar=scalar - 2.0 * (lap + gradsq),
-        density=np.sqrt(np.abs(np.linalg.det(g))),
+        density=np.sqrt(np.abs(det)),
         e27=np.max(np.abs(full), axis=(1, 2)),
         e28=np.abs(lap),
         e29=np.max(np.abs(ric - 2.0 * dd), axis=(1, 2)),

@@ -174,17 +174,6 @@ class MetricSpec:
             self._cache["gamma"] = got
         return got
 
-    def jets_batch(self, points, order: int):
-        """Component jets over an array of points, one shared evaluation pass."""
-        n = self.chart.dim
-        keys = list(self._upper)
-        jets = ef.eval_jets_batch([self._upper[k] for k in keys], points, order)
-        out = [[None] * n for _ in range(n)]
-        for (i, j), jet in zip(keys, jets):
-            out[i][j] = jet
-            out[j][i] = jet
-        return out
-
 
 def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> ScalarField:
     n = len(rows)
@@ -219,17 +208,28 @@ def _christoffel_core(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.
     return s, gamma
 
 
-def _riemann_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
-) -> np.ndarray:
-    """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
+def _derivative_pieces(
+    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """glk[l,k] = g^kl, ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last.
+
+    ddg[i,j,k,m,p] = d_k d_m g_ij.  Both curvature cores differentiate the
+    Christoffel symbols from these.
+    """
     n = ginv.shape[0]
-    glk = ginv.transpose(1, 0, 2)  # glk[l,k] = g^kl
-    # ds[l,i,j,m] = d_m S[l,i,j]
+    glk = ginv.transpose(1, 0, 2)
     ds = ddg.transpose(1, 0, 2, 3, 4) + ddg.transpose(1, 2, 0, 3, 4) - ddg.transpose(2, 0, 1, 3, 4)
     # dginv[i,j,m] = -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
     terms = (glk[:, None, :, None, None] * dg[:, :, None, None]) * ginv[None, :, None, :, None]
     dginv = -np.add.reduce(terms.reshape((n * n,) + terms.shape[2:]), axis=0, initial=0.0)
+    return glk, ds, dginv
+
+
+def _riemann_core(
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
+) -> np.ndarray:
+    """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
+    glk, ds, dginv = _derivative_pieces(ginv, dg, ddg)
     # dgamma[m,k,i,j] = d_m Gamma^k_ij
     dgamma = 0.5 * (
         _contract(dginv.transpose(1, 2, 0, 3)[:, :, :, None, None], s[:, None, None])
@@ -243,6 +243,34 @@ def _riemann_core(
         + gg
         - gg.transpose(0, 2, 1, 3, 4)
     )
+
+
+def _ricci_core(
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
+) -> np.ndarray:
+    """Point-last Ricci R^l_ljk, taking _riemann_core's arguments and no n**4 curvature.
+
+    Each R^l_ljk is formed as _riemann_core forms it, from the same products
+    summed in the same order, but only the entries of d Gamma and Gamma Gamma
+    on that trace are built; the sum over l then runs from +0.0, as
+    ``einsum("lljk->jk")`` adds.
+    """
+    glk, ds, dginv = _derivative_pieces(ginv, dg, ddg)
+    d = np.arange(ginv.shape[0])
+    gl = glk[:, :, None, None]
+    # [l,j,k] = d_l Gamma^l_jk, then d_j Gamma^l_lk
+    dgamma_l = 0.5 * (
+        _contract(dginv[d, :, d].transpose(1, 0, 2)[:, :, None, None], s[:, None])
+        + _contract(gl, ds.transpose(0, 3, 1, 2, 4))
+    )
+    dgamma_j = 0.5 * (
+        _contract(dginv.transpose(1, 0, 2, 3)[:, :, :, None], s[:, :, None])
+        + _contract(gl, ds.transpose(0, 1, 3, 2, 4))
+    )
+    # [l,j,k] = Gamma^l_lm Gamma^m_jk, then Gamma^l_jm Gamma^m_lk
+    gg_l = _contract(gamma[d, d].transpose(1, 0, 2)[:, :, None, None], gamma[:, None])
+    gg_j = _contract(gamma.transpose(2, 0, 1, 3)[:, :, :, None], gamma[:, :, None])
+    return np.add.reduce(dgamma_l - dgamma_j + gg_l - gg_j, axis=0, initial=0.0)
 
 
 def check_finite(named_values, pts: np.ndarray) -> None:
@@ -259,19 +287,35 @@ def check_finite(named_values, pts: np.ndarray) -> None:
         raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
-    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points.
+def _metric_arrays(
+    m: MetricSpec, points, order: int, extra=(), ricci: bool = False
+) -> tuple[list[np.ndarray], np.ndarray, list]:
+    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points;
+    then det g and the jets of the extra fields.
 
     The one place where metric jets become tensors; one jet sweep of the
     given order, and every array it returns has a leading point axis.  The
     derivatives are held point-last, as the jets hold them, and Gamma and
     Riemann are assembled over CHUNK_DOUBLES // n**4 points at a time, which
     keeps the cores' n**5-per-point temporaries to a few MB at any point count.
+    With ``ricci``, the Ricci-only core builds R^l_ljk in Riemann's place.
+    The extra fields join the metric components' sweep, so a subtree they
+    share is evaluated once; their errors still come after the metric's.
     """
     pts = m.chart.require_points(points)
     npts = len(pts)
     n = m.chart.dim
-    jets = m.jets_batch(pts, order)
+    keys = list(m._upper)
+    try:
+        swept = ef.eval_jets_batch([m._upper[k] for k in keys] + list(extra), pts, order)
+    except DomainError:
+        if extra:
+            # raise what the metric raises alone, as when the extra fields had a sweep of their own
+            _metric_arrays(m, pts, order)
+        raise
+    jets = [[None] * n for _ in range(n)]
+    for (i, j), jet in zip(keys, swept):
+        jets[i][j] = jets[j][i] = jet
     g = np.empty((npts, n, n))
     dg = np.empty((n, n, n, npts)) if order >= 1 else None  # dg[i,j,k,p] = d_k g_ij
     ddg = np.empty((n,) * 4 + (npts,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
@@ -297,7 +341,8 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
     ginv = np.linalg.inv(g)
     if np.max(np.abs(np.einsum("pij,pjk->pik", g, ginv) - np.eye(n))) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
-    out = [g, ginv] + [np.empty((npts,) + (n,) * (k + 3)) for k in range(order)]
+    out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
+    core = _ricci_core if ricci else _riemann_core
     gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
     step = max(1, CHUNK_DOUBLES // n**4)
     for c in range(0, npts if order >= 1 else 0, step):
@@ -305,15 +350,22 @@ def _metric_arrays(m: MetricSpec, points, order: int) -> list[np.ndarray]:
         s, gamma = _christoffel_core(gi[..., sl], dg[..., sl])
         out[2][sl] = np.moveaxis(gamma, -1, 0)
         if order >= 2:
-            out[3][sl] = np.moveaxis(_riemann_core(gi[..., sl], dg[..., sl], s, gamma, ddg[..., sl]), -1, 0)
-    return out
+            out[3][sl] = np.moveaxis(core(gi[..., sl], dg[..., sl], s, gamma, ddg[..., sl]), -1, 0)
+    return out, det, swept[len(keys):]
 
 
-def curvature_data_batch(
-    m: MetricSpec, points
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched (g, ginv, Gamma, Riemann), each with a leading point axis."""
-    return tuple(_metric_arrays(m, points, 2))
+def curvature_data_batch(m: MetricSpec, points, extra=None) -> tuple:
+    """Batched (g, ginv, Gamma, Riemann), each with a leading point axis.
+
+    Given a list of extra fields of the chart, it returns what geometry_batch
+    reads instead: (g, ginv, Gamma, Ricci, det g, the extra fields' order-2
+    jets), from one jet sweep of the metric components and the extra fields,
+    with Ricci from the Ricci-only core.
+    """
+    if extra is None:
+        return tuple(_metric_arrays(m, points, 2)[0])
+    arrays, det, jets = _metric_arrays(m, points, 2, extra, ricci=True)
+    return (*arrays, det, jets)
 
 
 def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
@@ -321,10 +373,10 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
     return np.moveaxis(jet.hessian(), -1, 0) - np.einsum("pkij,pk->pij", gamma, jet.gradient().T)
 
 
-def _at(m: MetricSpec, p, order: int) -> tuple[tuple[float, ...], list[np.ndarray]]:
+def _at(m: MetricSpec, p, order: int, ricci: bool = False) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """The point as floats and the metric arrays of the batch of one it makes."""
     pt = m.chart.require_point(p)
-    return pt, [a[0] for a in _metric_arrays(m, [pt], order)]
+    return pt, [a[0] for a in _metric_arrays(m, [pt], order, ricci=ricci)[0]]
 
 
 def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:
@@ -352,13 +404,13 @@ def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def ricci_at(m: MetricSpec, p) -> TensorValue:
     """Ric_jk = R^l_ljk."""
-    pt, (*_, riem) = _at(m, p, 2)
-    return TensorValue(("d", "d"), np.einsum("lljk->jk", riem), pt)
+    pt, (*_, ric) = _at(m, p, 2, ricci=True)
+    return TensorValue(("d", "d"), ric, pt)
 
 
 def scalar_curvature_at(m: MetricSpec, p) -> float:
-    _, (_, ginv, _, riem) = _at(m, p, 2)
-    return float(np.einsum("jk,jk->", ginv, np.einsum("lljk->jk", riem)))
+    _, (_, ginv, _, ric) = _at(m, p, 2, ricci=True)
+    return float(np.einsum("jk,jk->", ginv, ric))
 
 
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:

@@ -378,7 +378,7 @@ def test_grid_is_one_jet_sweep_each(tmp_path, capsys, jet_calls, command):
         run([command, "--config", path, "--grid", grid])
         counts.append(len(jet_calls))
     capsys.readouterr()
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 def test_theta_weight_overflow_exit_3(tmp_path, capsys):
@@ -409,6 +409,15 @@ def test_hessian_overflow_exit_3(tmp_path, capsys, command, field, metric, theta
     assert code == 3
     assert f"non-finite value of {field}" in err
     assert "(0.0, 0.0)" in err
+
+
+def test_constant_divisor_in_metric_exit_0(tmp_path, capsys):
+    # 1/c**2 overflows at c = 1e-200, which once turned the finite g_0_0 NaN
+    path = write(tmp_path, MINKOWSKI.replace("g_0_0 = 1", "g_0_0 = 1 + 1e-200*x/1e-200 + 1"))
+    code = run(["residuals", "--config", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "nan" not in out
 
 
 def test_deep_expression_exit_4(tmp_path, capsys):

@@ -16,6 +16,7 @@ from gradedgeo import exprfield as ef
 from gradedgeo import riemann as rm
 from gradedgeo.errors import DomainError, JetOrderError, ParseError
 
+from dense_jets import dense_jet_rule
 from expr_samples import FUNCTION_CLASSES, sample_chart, sample_expression, sample_points
 from fd_oracles import fd_partial, fd_second
 
@@ -291,26 +292,64 @@ def test_parse_rejects_exponent_too_large_at_once(chart):
 _VALUE_POINTS = [(0.0, -0.0), (-0.0, 0.5), (0.3, -0.2), (-0.6, 0.6), (0.45, 0.0), (-0.25, -0.35), (0.6, 0.1)]
 
 
-def _order0_outcome(run):
-    """Coefficient bytes and shape of run()'s jets, or the type and text of its error."""
+def _outcome(run):
+    """The coefficient arrays of run()'s jets, or the type and text of its error."""
     try:
         with np.errstate(all="ignore"):
             jets = run()
     except (DomainError, ArithmeticError) as err:
         return type(err), str(err)
-    return [(j.coeffs.shape, j.coeffs.tobytes()) for j in jets]
+    return [j.coeffs for j in jets]
+
+
+def _point_batches(points):
+    """Each point as a batch of one, then all of them as one batch."""
+    return [np.asarray([p], dtype=float) for p in points] + [np.asarray(points, dtype=float)]
+
+
+def _order0_outcome(run):
+    got = _outcome(run)
+    return got if isinstance(got, tuple) else [(c.shape, c.tobytes()) for c in got]
 
 
 def _assert_value_path_bitwise(fields, points):
-    """The order-0 value path against the jet rule, each point as a batch of one (floats) and all as one batch."""
+    """The order-0 value path against full jet arithmetic, each point as a batch of one (floats) and all as one batch."""
     space = ef.jet_space(fields[0].chart.dim, 0)
     exprs = [f.expr for f in fields]
-    arrays = [np.asarray([p], dtype=float) for p in points] + [np.asarray(points, dtype=float)]
-    for pts in arrays:
+    for pts in _point_batches(points):
         seeds = ef._jet_seeds(space, pts)
         got = _order0_outcome(lambda: ef._run_jets(exprs, space, seeds))
-        want = _order0_outcome(lambda: ef._walk(exprs, ef._jet_rule(space, seeds)))
+        want = _order0_outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
         assert got == want, ([ef.pretty_print(f) for f in fields], pts)
+
+
+def _assert_jets_match_dense(fields, points, order):
+    """The constant-aware jet rule against full jet arithmetic, as _assert_value_path_bitwise batches the points.
+
+    Where the full jet is finite at a point the bits are equal, and where it
+    raises the error is the same.  Its value turns NaN when a constant's
+    higher Taylor coefficient overflows (x/1e-200 at order 1), so the engine
+    may be finite, or raise a DomainError on the value it kept, where the full
+    jet is not finite; never the reverse.
+    """
+    space = ef.jet_space(fields[0].chart.dim, order)
+    exprs = [f.expr for f in fields]
+    for pts in _point_batches(points):
+        seeds = ef._jet_seeds(space, pts)
+        got = _outcome(lambda: ef._run_jets(exprs, space, seeds))
+        want = _outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
+        where = ([ef.pretty_print(f) for f in fields], order, pts)
+        if isinstance(want, tuple):
+            assert got == want, where
+            continue
+        if isinstance(got, tuple):
+            # a DomainError on a value the full arithmetic lost to an overflow
+            assert got[0] is DomainError and not all(np.isfinite(w).all() for w in want), where
+            continue
+        for w, g in zip(want, got):
+            finite = np.isfinite(w).all(axis=0)
+            assert (np.isfinite(g).all(axis=0) >= finite).all(), where
+            assert g[:, finite].tobytes() == w[:, finite].tobytes(), where
 
 
 def test_value_path_matches_jet_rule_on_samples():
@@ -371,6 +410,43 @@ def test_value_path_matches_jet_rule_property(src):
     except ParseError:
         return
     _assert_value_path_bitwise([f], _VALUE_POINTS)
+
+
+@settings(deadline=None)
+@given(src=_FIELD_TEXT, order=st.sampled_from([1, 2]))
+def test_constant_aware_jets_match_dense_rule_property(src, order):
+    try:
+        f = ef.parse_field(src, sample_chart())
+    except ParseError:
+        return
+    _assert_jets_match_dense([f], _VALUE_POINTS, order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_constant_aware_jets_match_dense_rule_on_samples(order):
+    chart = sample_chart()
+    rng = np.random.default_rng(31)
+    for cls in FUNCTION_CLASSES:
+        fields = [sample_expression(rng, chart, cls) for _ in range(3)]
+        _assert_jets_match_dense(fields, sample_points(rng, chart, 7), order)
+    # constants under every node kind, signed zeros among them
+    for src in (
+        "(2 - 3)^3*x + (-(0))*y + exp(0.5)*sin(x) + x/(3*4) + (2/(-(0) + 5))/(y + 1)",
+        "sin(-(0)) - 0",
+        "tan(-(0)) + (-(0))^3",
+        "(-(0))^(-2)",
+        "(-(0))^1 + (-(0))^0",
+        "(-(0))^(1/3)",
+    ):
+        _assert_jets_match_dense([ef.parse_field(src, chart)], _VALUE_POINTS, order)
+
+
+def test_constant_divisor_keeps_its_value():
+    # 1/c**2 overflows at c = 1e-200; the quotient's value must not turn NaN
+    f = ef.parse_field("x/1e-200", sample_chart())
+    jets = [ef.eval_jet(f, (0.1, 0.2), order).coeffs for order in (0, 1, 2)]
+    assert all(np.isfinite(c).all() for c in jets)
+    assert len({c[0].tobytes() for c in jets}) == 1
 
 
 def test_point_jet_is_its_batch_column():

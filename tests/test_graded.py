@@ -10,7 +10,7 @@ from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import quadrature as qd
 from gradedgeo import riemann as rm
-from gradedgeo.errors import DomainError
+from gradedgeo.errors import DegenerateMetricError, DomainError
 from gradedgeo.quadrature import QuadSpec
 from gradedgeo.randgen import (
     default_chart,
@@ -559,7 +559,25 @@ def test_field_residuals_one_metric_and_one_theta_sweep(jet_calls):
     gm = eds_graded(3)
     gd.field_residuals_at(gm, (0.1, 0.2, -0.3, 2.0))
     metric_fields = [gm.metric.component(i, j) for i in range(4) for j in range(i, 4)]
-    assert jet_calls == [metric_fields, [gm.theta]]
+    assert jet_calls == [metric_fields + [gm.theta]]
+
+
+@pytest.mark.parametrize(
+    "g00, message",
+    [
+        ("0.5*x", r"\|det g\| = 0.000e\+00 below threshold"),
+        ("1 + 1.5e308*x*x", r"non-finite value of g_0_0 at point \(0.0, 0.1\)"),
+    ],
+    ids=["degenerate", "hessian-overflow"],
+)
+def test_metric_errors_come_before_theta_errors(g00, message):
+    # theta joins the metric's jet sweep, but a domain error of its own is
+    # raised only after the metric's checks pass, as with a sweep of its own
+    chart = default_chart(2)
+    metric = rm.MetricSpec.diagonal(chart, [ef.parse_field(g00, chart), 1.0])
+    gm = gd.GradedMetric(metric, ef.parse_field("ln(x)", chart))
+    with np.errstate(all="ignore"), pytest.raises((DomainError, DegenerateMetricError), match=message):
+        gd.geometry_batch(gm, [(0.0, 0.1)])
 
 
 def test_geometry_batch_rows_are_batches_of_one():

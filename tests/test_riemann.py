@@ -197,6 +197,36 @@ def test_cores_match_einsum_reference_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ricci_core_matches_riemann_trace_bitwise(n):
+    rng = np.random.default_rng(70 + n)
+    for npts in (1, 2, 7, 37, 256):
+        ginv, dg, ddg = (
+            rng.standard_normal((n,) * k + (npts,)) * 10.0 ** rng.integers(-3, 4, (n,) * k + (npts,))
+            for k in (2, 3, 4)
+        )
+        for a in (ginv, dg, ddg):  # signed zeros in every operand
+            zero = rng.random(a.shape) < 0.2
+            a[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        s, gamma = rm._christoffel_core(ginv, dg)
+        riem = np.moveaxis(rm._riemann_core(ginv, dg, s, gamma, ddg), -1, 0).copy()
+        got = np.moveaxis(rm._ricci_core(ginv, dg, s, gamma, ddg), -1, 0)
+        assert got.tobytes() == np.einsum("plljk->pjk", riem).tobytes(), (n, npts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ricci_views_match_riemann_trace_bitwise(n):
+    rng = np.random.default_rng(80 + n)
+    chart = default_chart(n)
+    for _ in range(3):
+        m = random_metric(rng, chart)
+        p = random_interior_point(rng, chart)
+        ginv = rm.metric_at(m, p)[1].components
+        ric = np.einsum("lljk->jk", rm.riemann_at(m, p).components)
+        assert rm.ricci_at(m, p).components.tobytes() == ric.tobytes()
+        assert np.float64(rm.scalar_curvature_at(m, p)).tobytes() == np.einsum("jk,jk->", ginv, ric).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     rng = np.random.default_rng(50 + n)
     chart = default_chart(n)
@@ -206,11 +236,12 @@ def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     _, ginv, gamma, riem = rm.curvature_data_batch(m, pts)
     # C-contiguous, as the einsum path held them: einsum's summation order follows the strides
     dg, ddg = np.empty((len(pts), n, n, n)), np.empty((len(pts), n, n, n, n))
-    jets = m.jets_batch(pts, 2)
+    jets = iter(ef.eval_jets_batch([m.component(i, j) for i in range(n) for j in range(n)], pts, 2))
     for i in range(n):
         for j in range(n):
-            dg[:, i, j] = jets[i][j].gradient().T
-            ddg[:, i, j] = np.moveaxis(jets[i][j].hessian(), -1, 0)
+            jet = next(jets)
+            dg[:, i, j] = jet.gradient().T
+            ddg[:, i, j] = np.moveaxis(jet.hessian(), -1, 0)
     s, want_gamma = _einsum_christoffel(ginv, dg)
     assert gamma.tobytes() == want_gamma.tobytes()
     assert riem.tobytes() == _einsum_riemann(ginv, dg, s, want_gamma, ddg).tobytes()

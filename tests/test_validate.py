@@ -228,6 +228,7 @@ def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
         (rm, "curvature_data_batch"),
         (rm, "_christoffel_core"),
         (rm, "_riemann_core"),
+        (rm, "_ricci_core"),
     ):
         monkeypatch.setattr(module, name, engine)
     rng = np.random.default_rng(71)
