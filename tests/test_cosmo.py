@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -280,23 +279,6 @@ def test_big_bang_limits():
     assert cell[0] < 1e-1
     assert np.all(np.diff(density) < 0)
     assert density[0] > 1e5
-
-
-def test_trajectory_csv_format():
-    c = math.sqrt(1.0 / 3.0)
-    traj = co.integrate_scale_factor(co.OdeState(1.0, 0.0, 1.0 / 3.0, 0.0), c, 0.0, 1.5, 0.1, n=3)
-    buf = io.StringIO()
-    co.write_trajectory_csv(traj, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,a,a_dot,theta,eq41_residual,eq42_residual"
-    assert len(lines) == len(traj) + 1
-    cells = lines[1].split(",")
-    assert float(cells[0]) == traj[0].t
-    assert float(cells[2]) == traj[0].a_dot
-    # byte-identical on repeat
-    buf2 = io.StringIO()
-    co.write_trajectory_csv(traj, buf2)
-    assert buf2.getvalue() == buf.getvalue()
 
 
 def test_single_state_trajectory():
