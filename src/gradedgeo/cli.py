@@ -2,8 +2,10 @@
 cosmology integrations and action-variation checks from a config file.
 
 ``report`` and ``residuals`` evaluate the whole grid as one single-threaded
-batch (one jet sweep of the metric and one of theta); a single point is a
-batch of one.
+batch (one jet sweep of the metric components and theta together); a
+single point is a batch of one.  Every report carries its provenance
+(``config_hash`` and the engine version) and prints floats with 17
+significant digits, so reruns are byte-identical.
 
 Exit codes: 0 pass, 1 residual or check failure, 2 config error,
 3 numeric domain error, 4 internal limit (memory, or parentheses nested too
@@ -14,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,66 +28,78 @@ from . import cosmo as co
 from . import graded as gd
 from . import validate as vd
 from .config import format_float as _fmt
-from .errors import (
-    ConfigError,
-    DegenerateMetricError,
-    DomainError,
-    JetOrderError,
-    ParseError,
-)
-from .graded import FieldEquationReport
+from .errors import ConfigError, DegenerateMetricError, DomainError, JetOrderError, ParseError
 from .quadrature import QuadSpec
 
-__all__ = ["RunReport", "main"]
+__all__ = ["main"]
 
 RESIDUAL_KEYS = ("e27", "e28", "e29", "e44")
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Residual records over a grid plus the provenance that produced them."""
-
-    config_hash: str
-    engine_version: str
-    residual_tol: float
-    records: tuple[FieldEquationReport, ...]
-
-    def summary(self) -> dict:
-        # np.max propagates NaN, and a NaN maximum fails the tolerance test
-        out = {f"max_{k}": float(np.max([getattr(r, k) for r in self.records])) for k in RESIDUAL_KEYS}
-        out["passed"] = all(out[f"max_{k}"] <= self.residual_tol for k in RESIDUAL_KEYS)
-        return out
-
 
 def _grid_map(cfg: cf.RunConfig) -> gd.GeometryBatch:
     """Geometry over every grid point, in grid order, as one batch."""
     return gd.geometry_batch(cf.build_graded_metric(cfg), cf.grid_points(cfg))
 
 
-def _provenance(cfg: cf.RunConfig) -> tuple[str, str]:
-    return cf.config_hash(cfg), __version__
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return _fmt(x)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _write(cfg: cf.RunConfig, body, columns, rows) -> None:
+    """Emit one report, with its provenance, to cfg's output path or stdout.
+
+    JSON puts ``config_hash`` and ``engine_version`` ahead of the keys of
+    ``body()``; CSV puts them on a ``#`` line above the ``columns`` header
+    and one line per row, floats in 17 significant digits.  Only the chosen
+    format is built.
+    """
+    chash = cf.config_hash(cfg)
+    if cfg.out_format == "json":
+        text = json.dumps({"config_hash": chash, "engine_version": __version__, **body()}, indent=2) + "\n"
+    else:
+        lines = [f"# config_hash={chash} engine_version={__version__}", ",".join(columns)]
+        lines += [",".join(map(_cell, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if cfg.out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _sym_indices(n: int):
-    return [(i, j) for i in range(n) for j in range(n)]
+def _summary(batch, tol: float) -> dict:
+    """Maximum of each residual column, and whether all are within tol."""
+    # np.max propagates NaN, and a NaN maximum fails the tolerance test
+    out = {f"max_{k}": float(np.max(getattr(batch, k))) for k in RESIDUAL_KEYS}
+    out["passed"] = all(out[f"max_{k}"] <= tol for k in RESIDUAL_KEYS)
+    return out
 
 
 def cmd_report(cfg: cf.RunConfig) -> int:
     n = cfg.chart.dim
     b = _grid_map(cfg)
-    chash, version = _provenance(cfg)
     cross = np.zeros((len(b.points), n))  # the graded Ricci cross block vanishes
+    pairs = [f"{i}_{j}" for i in range(n) for j in range(n)]
+    columns = [
+        *cfg.chart.coord_names,
+        *(f"g_{ij}" for ij in pairs),
+        *(f"gamma_{k}_{ij}" for k in range(n) for ij in pairs),
+        *(f"ric_{ij}" for ij in pairs),
+        "scalar_curvature",
+        *(f"tilde_T_{ij}" for ij in pairs),
+        *(f"gric_even_{ij}" for ij in pairs),
+        *(f"gric_cross_{i}" for i in range(n)),
+        "gric_odd",
+        "graded_scalar",
+    ]
+    cols = (b.points, b.g, b.gamma, b.ric, b.scalar, b.tilde_T, b.gric_even, cross, b.gric_odd, b.graded_scalar)
+    table = np.hstack([c.reshape(len(b.points), -1) for c in cols])
 
-    if cfg.out_format == "json":
-        records = [
+    def body():
+        return {"records": [
             {
                 "point": b.points[k].tolist(),
                 "metric": b.g[k].tolist(),
@@ -103,69 +115,27 @@ def cmd_report(cfg: cf.RunConfig) -> int:
                 "graded_scalar": float(b.graded_scalar[k]),
             }
             for k in range(len(b.points))
-        ]
-        payload = {"config_hash": chash, "engine_version": version, "records": records}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
-        return 0
+        ]}
 
-    header = list(cfg.chart.coord_names)
-    header += [f"g_{i}_{j}" for i, j in _sym_indices(n)]
-    header += [f"gamma_{k}_{i}_{j}" for k in range(n) for i, j in _sym_indices(n)]
-    header += [f"ric_{i}_{j}" for i, j in _sym_indices(n)]
-    header += ["scalar_curvature"]
-    header += [f"tilde_T_{i}_{j}" for i, j in _sym_indices(n)]
-    header += [f"gric_even_{i}_{j}" for i, j in _sym_indices(n)]
-    header += [f"gric_cross_{i}" for i in range(n)]
-    header += ["gric_odd", "graded_scalar"]
-    cols = (b.points, b.g, b.gamma, b.ric, b.scalar, b.tilde_T, b.gric_even, cross, b.gric_odd, b.graded_scalar)
-    table = np.hstack([c.reshape(len(b.points), -1) for c in cols])
-
-    buf = io.StringIO()
-    buf.write(f"# config_hash={chash} engine_version={version}\n")
-    buf.write(",".join(header) + "\n")
-    for row in table:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    _emit(buf.getvalue(), cfg.out_path)
+    _write(cfg, body, columns, table)
     return 0
 
 
-def residual_report(cfg: cf.RunConfig) -> RunReport:
-    records = _grid_map(cfg).residual_records()
-    chash, version = _provenance(cfg)
-    return RunReport(chash, version, cfg.residual_tol, tuple(records))
-
-
 def cmd_residuals(cfg: cf.RunConfig) -> int:
-    report = residual_report(cfg)
-    summary = report.summary()
+    n = cfg.chart.dim
+    b = _grid_map(cfg)
+    summary = _summary(b, cfg.residual_tol)
+    keys = [*RESIDUAL_KEYS, "scalar_curvature", "graded_scalar"]
+    table = np.column_stack([b.points, b.e27, b.e28, b.e29, b.e44, b.scalar, b.graded_scalar])
 
-    if cfg.out_format == "json":
-        payload = {
-            "config_hash": report.config_hash,
-            "engine_version": report.engine_version,
-            "summary": summary,
-            "records": [r.to_json_dict() for r in report.records],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
-    else:
-        buf = io.StringIO()
-        buf.write(f"# config_hash={report.config_hash} engine_version={report.engine_version}\n")
-        cols = list(cfg.chart.coord_names) + list(RESIDUAL_KEYS) + [
-            "scalar_curvature",
-            "graded_scalar",
-        ]
-        buf.write(",".join(cols) + "\n")
-        for rec in report.records:
-            row = [_fmt(x) for x in rec.point]
-            row += [_fmt(getattr(rec, k)) for k in RESIDUAL_KEYS]
-            row += [_fmt(rec.scalar_curvature), _fmt(rec.graded_scalar)]
-            buf.write(",".join(row) + "\n")
-        _emit(buf.getvalue(), cfg.out_path)
+    def body():
+        records = [{"point": row[:n], **dict(zip(keys, row[n:]))} for row in table.tolist()]
+        return {"summary": summary, "records": records}
 
+    _write(cfg, body, [*cfg.chart.coord_names, *keys], table)
     worst = float(np.max([summary[f"max_{k}"] for k in RESIDUAL_KEYS]))
     print(
-        f"residuals: max={worst:.3e} tol={report.residual_tol:.1e} "
-        f"{'pass' if summary['passed'] else 'FAIL'}",
+        f"residuals: max={worst:.3e} tol={cfg.residual_tol:.1e} {'pass' if summary['passed'] else 'FAIL'}",
         file=sys.stderr,
     )
     return 0 if summary["passed"] else 1
@@ -175,25 +145,14 @@ def cmd_validate(cfg: cf.RunConfig, seed: int = 0) -> int:
     gm = cf.build_graded_metric(cfg)
     sample = list(cfg.grid_points) if cfg.grid_points is not None else None
     results = vd.run_geometry_checks(gm, sample=sample, seed=seed, residual_tol=cfg.residual_tol)
-    chash, version = _provenance(cfg)
-
-    if cfg.out_format == "json":
-        payload = {
-            "config_hash": chash,
-            "engine_version": version,
-            "checks": [r.to_json_dict() for r in results],
-            "passed": all(r.passed for r in results),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
-    else:
-        buf = io.StringIO()
-        buf.write(f"# config_hash={chash} engine_version={version}\n")
-        buf.write("check,max_error,tolerance,passed\n")
-        for r in results:
-            buf.write(f"{r.name},{_fmt(r.max_error)},{_fmt(r.tolerance)},{str(r.passed).lower()}\n")
-        _emit(buf.getvalue(), cfg.out_path)
-
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    _write(
+        cfg,
+        lambda: {"checks": [r.to_json_dict() for r in results], "passed": passed},
+        ["check", "max_error", "tolerance", "passed"],
+        [(r.name, r.max_error, r.tolerance, r.passed) for r in results],
+    )
+    return 0 if passed else 1
 
 
 def cmd_cosmo(cfg: cf.RunConfig) -> int:
@@ -204,32 +163,10 @@ def cmd_cosmo(cfg: cf.RunConfig) -> int:
     traj = co.integrate_scale_factor(
         start, cs.c, cs.einstein_lambda, cs.t_end, cs.step, n=cs.n, theta_sign=cs.theta_sign
     )
-    chash, version = _provenance(cfg)
-
-    if cfg.out_format == "json":
-        eq41, eq42 = co.trajectory_residuals(traj)
-        payload = {
-            "config_hash": chash,
-            "engine_version": version,
-            "states": [
-                {
-                    "t": s.t,
-                    "a": s.a,
-                    "a_dot": s.a_dot,
-                    "theta": s.theta,
-                    "eq41_residual": float(r41),
-                    "eq42_residual": float(r42),
-                }
-                for s, r41, r42 in zip(traj.states, eq41, eq42)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
-        return 0
-
-    buf = io.StringIO()
-    buf.write(f"# config_hash={chash} engine_version={version}\n")
-    co.write_trajectory_csv(traj, buf)
-    _emit(buf.getvalue(), cfg.out_path)
+    eq41, eq42 = co.trajectory_residuals(traj)
+    columns = ["t", "a", "a_dot", "theta", "eq41_residual", "eq42_residual"]
+    rows = [(s.t, s.a, s.a_dot, s.theta, float(r41), float(r42)) for s, r41, r42 in zip(traj.states, eq41, eq42)]
+    _write(cfg, lambda: {"states": [dict(zip(columns, row)) for row in rows]}, columns, rows)
     return 0
 
 
@@ -259,18 +196,7 @@ def cmd_action(cfg: cf.RunConfig) -> int:
         "fd_step": gd.VARIATION_STEP,
         "passed": passed,
     }
-    chash, version = _provenance(cfg)
-
-    if cfg.out_format == "json":
-        payload = {"config_hash": chash, "engine_version": version, **record}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
-    else:
-        buf = io.StringIO()
-        buf.write(f"# config_hash={chash} engine_version={version}\n")
-        keys = [k for k in record if k != "passed"]
-        buf.write(",".join(keys + ["passed"]) + "\n")
-        buf.write(",".join([_fmt(record[k]) for k in keys] + [str(passed).lower()]) + "\n")
-        _emit(buf.getvalue(), cfg.out_path)
+    _write(cfg, lambda: record, list(record), [record.values()])
     return 0 if passed else 1
 
 
@@ -297,14 +223,6 @@ def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gradedgeo",
-        description="Curvature reports, field-equation residuals, invariant "
-        "validation, cosmology trajectories and action variations over a "
-        "configured geometry.",
-        epilog="Environment: GRADEDGEO_MAX_JET_ORDER caps the differentiation order.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "report": "tensor tables (metric, connection, curvature blocks) at grid points",
         "residuals": "field-equation residual grid; exits 1 when above tolerance",
@@ -312,22 +230,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "cosmo": "integrate the scale-factor system and emit the trajectory",
         "action": "first variation of the action, closed form vs finite difference",
     }
-    for name, text in helps.items():
-        s = sub.add_parser(name, help=text)
-        s.add_argument("--config", required=True, help="path to the run configuration")
-        s.add_argument("--out", help="output path (default: stdout)")
-        s.add_argument("--grid", help="override grid counts, e.g. 5,5")
-        s.add_argument("--tol", type=float, help="override residual tolerance")
-        s.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        s.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser = argparse.ArgumentParser(
+        prog="gradedgeo",
+        description="Curvature reports, field-equation residuals, invariant validation,\n"
+        "cosmology trajectories and action variations over a configured geometry.",
+        epilog="commands:\n" + "".join(f"  {name:11s} {text}\n" for name, text in helps.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=helps, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the run configuration")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--grid", help="override grid counts, e.g. 5,5")
+    parser.add_argument("--tol", type=float, help="override residual tolerance")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = cf.load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(cf.load_config(args.config), args)
         if args.command == "report":
             return cmd_report(cfg)
         if args.command == "residuals":

@@ -10,7 +10,6 @@ consistency residuals it monitors but does not enforce.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ __all__ = [
     "unit_sphere_base",
     "warped_closed_forms",
     "warped_graded_metric",
-    "write_trajectory_csv",
 ]
 
 RICCI_FLAT = "ricci-flat"
@@ -404,14 +402,3 @@ def trajectory_residuals(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     eq41 = traj.einstein_lambda + (a_ddot + n * v**2) * np.exp(2.0 * a)
     eq42 = -n * (a_ddot + v**2) - 2.0 * c * c * np.exp(-2.0 * n * a)
     return eq41, eq42
-
-
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Emit the trajectory with its residual monitors, 17 significant digits."""
-    eq41, eq42 = trajectory_residuals(traj)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "a", "a_dot", "theta", "eq41_residual", "eq42_residual"])
-    for s, r41, r42 in zip(traj.states, eq41, eq42):
-        writer.writerow(
-            [format(x, ".17g") for x in (s.t, s.a, s.a_dot, s.theta, r41, r42)]
-        )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -42,22 +41,9 @@ RESERVED_NAMES = frozenset(FUNCTIONS) | frozenset(CONSTANTS)
 # value met while parsing one must fit in this many bits.
 MAX_EXPONENT_BITS = 1000
 
-DEFAULT_MAX_JET_ORDER = 3
-MAX_ORDER_ENV = "GRADEDGEO_MAX_JET_ORDER"
-
-
-def configured_max_order() -> int:
-    """Maximum jet order honored by eval_jet, from the environment or the default."""
-    raw = os.environ.get(MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_JET_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{MAX_ORDER_ENV} must be nonnegative, got {value}")
-    return value
+# Highest order eval_jet and its batches accept: enough for every operation
+# in the package, and a bound on the coefficient count of every jet.
+MAX_JET_ORDER = 3
 
 
 # ---------------------------------------------------------------------------
@@ -1120,12 +1106,11 @@ def _vpow(u0, r: Fraction, const):
     return _reciprocal_coeffs(out, 0)[0] if k < 0 else out
 
 
-def _check_order(dim: int, order: int, max_order: int | None) -> JetSpace:
+def _check_order(dim: int, order: int) -> JetSpace:
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    cap = configured_max_order() if max_order is None else max_order
-    if order > cap:
-        raise JetOrderError(f"jet order {order} exceeds configured maximum {cap}")
+    if order > MAX_JET_ORDER:
+        raise JetOrderError(f"jet order {order} exceeds the maximum {MAX_JET_ORDER}")
     return jet_space(dim, order)
 
 
@@ -1259,16 +1244,16 @@ def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
     return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds))]
 
 
-def eval_jet(f: ScalarField, p, order: int, *, max_order: int | None = None) -> Jet:
+def eval_jet(f: ScalarField, p, order: int) -> Jet:
     """Jet of f at p: the batch of one of eval_jets_batch, as a 1-D jet.
 
     A point's coefficients are the same bits alone and in any batch.
     """
-    jet = eval_jets_batch([f], [p], order, max_order=max_order)[0]
+    jet = eval_jets_batch([f], [p], order)[0]
     return Jet(jet.space, jet.coeffs[:, 0])
 
 
-def eval_jets_batch(fields, points, order: int, *, max_order: int | None = None) -> list[Jet]:
+def eval_jets_batch(fields, points, order: int) -> list[Jet]:
     """Jets of several fields over an array of points, one shared pass.
 
     Coefficient arrays gain a trailing point axis; subtrees shared within
@@ -1282,7 +1267,7 @@ def eval_jets_batch(fields, points, order: int, *, max_order: int | None = None)
     for f in fields[1:]:
         if f.chart != chart:
             raise ValueError("fields live on different charts")
-    space = _check_order(chart.dim, order, max_order)
+    space = _check_order(chart.dim, order)
     pts = chart.require_points(points)
     try:
         return _run_jets([f.expr for f in fields], space, _jet_seeds(space, pts))
@@ -1292,9 +1277,9 @@ def eval_jets_batch(fields, points, order: int, *, max_order: int | None = None)
         raise DomainError(f"{err} at point {tuple(pts[0].tolist())}") from None
 
 
-def eval_jet_batch(f: ScalarField, points, order: int, *, max_order: int | None = None) -> Jet:
+def eval_jet_batch(f: ScalarField, points, order: int) -> Jet:
     """Jet of one field over an array of points (trailing point axis)."""
-    return eval_jets_batch([f], points, order, max_order=max_order)[0]
+    return eval_jets_batch([f], points, order)[0]
 
 
 def partials(f: ScalarField, p, upto: int) -> dict[tuple[int, ...], float]:

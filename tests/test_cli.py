@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,12 +112,12 @@ def test_residuals_vacuum_all_zero(tmp_path, capsys):
         assert all(rec[k] == 0.0 for k in ("e27", "e28", "e29", "e44"))
 
 
-def test_summary_matches_records(tmp_path):
-    cfg = cf.parse_config(FLAT_X)
-    report = cli.residual_report(cfg)
-    summary = report.summary()
+def test_summary_matches_records():
+    batch = cli._grid_map(cf.parse_config(FLAT_X))
+    records = batch.residual_records()
+    summary = cli._summary(batch, 1e-9)
     for key in cli.RESIDUAL_KEYS:
-        assert summary[f"max_{key}"] == max(getattr(r, key) for r in report.records)
+        assert summary[f"max_{key}"] == max(getattr(r, key) for r in records)
     assert summary["passed"] is False
 
 
@@ -323,6 +324,36 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bogus", "--config", "{path}"],
+        ["residuals"],
+        ["residuals", "--config", "{path}", "--format", "xml"],
+        ["validate", "--config", "{path}", "--seed", "1.5"],
+    ],
+    ids=["unknown-command", "missing-config", "bad-format", "non-integer-seed"],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, args):
+    path = write(tmp_path, FLAT_X)
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(path=path) for a in args])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: gradedgeo")
+    assert "Traceback" not in out.err
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for command in ("report", "residuals", "validate", "cosmo", "action"):
+        assert f"\n  {command} " in out
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     text = FLAT_X.replace("expr = x", "expr = ln(x)")
     path = write(tmp_path, text)
@@ -362,10 +393,11 @@ def test_nonfinite_residuals_exit_3(tmp_path, capsys):
 
 
 def test_summary_fails_on_nan():
-    good = gd.FieldEquationReport((0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    bad = gd.FieldEquationReport((1.0,), 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)
-    summary = cli.RunReport("h", "v", 1e-9, (good, bad)).summary()
+    # max(0.0, nan) is 0.0; the column maximum must stay NaN and fail
+    columns = SimpleNamespace(e27=np.zeros(2), e28=np.array([0.0, math.nan]), e29=np.zeros(2), e44=np.zeros(2))
+    summary = cli._summary(columns, 1e-9)
     assert math.isnan(summary["max_e28"])
+    assert summary["max_e27"] == 0.0
     assert summary["passed"] is False
 
 

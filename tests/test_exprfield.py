@@ -180,16 +180,13 @@ def test_elementary_domain_errors(chart):
     assert ef.parse_field("x^0", chart)(p) == 1.0
 
 
-def test_jet_order_cap(chart, monkeypatch):
+def test_jet_order_cap(chart):
     f = ef.parse_field("sin(x)", chart)
+    assert ef.eval_jet(f, (0.0, 0.0, 1.0), 3).space.order == ef.MAX_JET_ORDER == 3
     with pytest.raises(JetOrderError):
         ef.eval_jet(f, (0.0, 0.0, 1.0), 4)
-    assert ef.eval_jet(f, (0.0, 0.0, 1.0), 4, max_order=5).space.order == 4
-    monkeypatch.setenv(ef.MAX_ORDER_ENV, "5")
-    assert ef.eval_jet(f, (0.0, 0.0, 1.0), 5).space.order == 5
-    monkeypatch.setenv(ef.MAX_ORDER_ENV, "junk")
-    with pytest.raises(ValueError):
-        ef.eval_jet(f, (0.0, 0.0, 1.0), 1)
+    with pytest.raises(JetOrderError):
+        ef.eval_jet_batch(f, [(0.0, 0.0, 1.0), (0.5, 0.0, 1.0)], 4)
 
 
 def test_pretty_roundtrip_handwritten(chart):
@@ -352,6 +349,7 @@ def _assert_jets_match_dense(fields, points, order):
             assert g[:, finite].tobytes() == w[:, finite].tobytes(), where
 
 
+@pytest.mark.bitwise
 def test_value_path_matches_jet_rule_on_samples():
     chart = sample_chart()
     rng = np.random.default_rng(29)
@@ -362,6 +360,7 @@ def test_value_path_matches_jet_rule_on_samples():
     _assert_value_path_bitwise([powers], _VALUE_POINTS)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "src",
     ["-(x)*0", "x*y", "0*(-(y))", "-(x)*y + 0*x", "(-(x))^3*0", "-(x)/(y + 1)", "exp(x*y)*(-(0))", "-(x)*0 - 0"],
@@ -371,6 +370,7 @@ def test_value_path_signed_zero_products(src):
     _assert_value_path_bitwise([ef.parse_field(src, sample_chart())], _VALUE_POINTS)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "src, points, message",
     [
@@ -393,6 +393,7 @@ def test_value_path_domain_errors_match_jet_rule(src, points, message):
     assert str(err.value) == message
 
 
+@pytest.mark.bitwise
 def test_value_path_tan_pole_matches_jet_rule(monkeypatch):
     # no double is a pole of cos, so make cos vanish everywhere
     monkeypatch.setattr(ef, "_cos_coeffs", lambda u0, order: [0.0 * u0] * (order + 1))
@@ -402,6 +403,7 @@ def test_value_path_tan_pole_matches_jet_rule(monkeypatch):
         f((0.1, 0.2))
 
 
+@pytest.mark.bitwise
 @settings(deadline=None)
 @given(src=_FIELD_TEXT)
 def test_value_path_matches_jet_rule_property(src):
@@ -412,6 +414,7 @@ def test_value_path_matches_jet_rule_property(src):
     _assert_value_path_bitwise([f], _VALUE_POINTS)
 
 
+@pytest.mark.bitwise
 @settings(deadline=None)
 @given(src=_FIELD_TEXT, order=st.sampled_from([1, 2]))
 def test_constant_aware_jets_match_dense_rule_property(src, order):
@@ -422,6 +425,7 @@ def test_constant_aware_jets_match_dense_rule_property(src, order):
     _assert_jets_match_dense([f], _VALUE_POINTS, order)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("order", [1, 2])
 def test_constant_aware_jets_match_dense_rule_on_samples(order):
     chart = sample_chart()
@@ -441,6 +445,7 @@ def test_constant_aware_jets_match_dense_rule_on_samples(order):
         _assert_jets_match_dense([ef.parse_field(src, chart)], _VALUE_POINTS, order)
 
 
+@pytest.mark.bitwise
 def test_constant_divisor_keeps_its_value():
     # 1/c**2 overflows at c = 1e-200; the quotient's value must not turn NaN
     f = ef.parse_field("x/1e-200", sample_chart())
@@ -449,6 +454,7 @@ def test_constant_divisor_keeps_its_value():
     assert len({c[0].tobytes() for c in jets}) == 1
 
 
+@pytest.mark.bitwise
 def test_point_jet_is_its_batch_column():
     # one point shape: a point's jet has the same bits alone and in a batch
     chart = sample_chart()
@@ -558,6 +564,7 @@ def _random_coeffs(rng, shape):
     return c
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("points", [(), (1,), (7,)])
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -573,6 +580,7 @@ def test_jet_product_matches_leibniz_loop_bitwise(dim, order, points):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.bitwise
 def test_jet_product_keeps_points_apart():
     # an infinite coefficient at one point spoils only that point's product
     space = ef.jet_space(3, 2)

@@ -20,6 +20,8 @@ from gradedgeo import cli
 from gradedgeo import config as cf
 from gradedgeo import cosmo as co
 
+pytestmark = pytest.mark.bitwise
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SECTIONS = GOLDEN / "sections"
 # directory -> the commands run on each of its configs

@@ -266,6 +266,7 @@ def test_koszul_route_takes_no_symbolic_derivative(monkeypatch):
         assert all(math.isfinite(v) for v in values), (dim, values)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_koszul_batch_matches_trials(dim):
     gm = random_graded_metric(np.random.default_rng(139 + dim), default_chart(dim))
@@ -311,6 +312,7 @@ def test_koszul_check_fails_closed_on_weight_overflow():
         assert not res.passed
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     # one geometry batch per closed-form check and one metric read per frame,
@@ -345,6 +347,7 @@ def _sample(gm, seed):
     return [random_interior_point(rng, gm.chart) for _ in range(4)]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_trace_identities_batch_matches_points(dim):
     gm = random_graded_metric(np.random.default_rng(80 + dim), default_chart(dim))
@@ -366,6 +369,7 @@ def test_trace_identities_batch_matches_points(dim):
     assert got == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_conservation_identity_batch_matches_points(dim):
     gm = random_graded_metric(np.random.default_rng(97 + dim), default_chart(dim))
@@ -397,6 +401,7 @@ def _frame_ricci_reference(gm, pairs, p):
     return sums, signs
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("sig", [(1, 1), (-1, 1), (1, 1, 1), (-1, 1, 1)])
 def test_frame_sums_match_direct_curvature(sig):
     # curvature is tensorial, so the basis pairings summed over the frame
