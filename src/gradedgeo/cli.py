@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=helps, metavar="command", help="one of the commands below")
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--grid", help="override grid counts, e.g. 5,5")
+    parser.add_argument("--grid", help="override grid counts, e.g. 5,5 (report and residuals only)")
     parser.add_argument("--tol", type=float, help="override residual tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
@@ -250,6 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.grid is not None and args.command not in ("report", "residuals"):  # the commands with a grid
+            raise ConfigError(f"--grid applies to report and residuals only, not to {args.command}")
         cfg = _apply_overrides(cf.load_config(args.config), args)
         if args.command == "report":
             return cmd_report(cfg)

@@ -32,13 +32,13 @@ Grammar (sections in any order, keys as shown):
 
     [cosmo]                  ; scale-factor integration parameters
     n = 3
-    c = eds                  ; number, or "eds" for sqrt((n-1)/(2n))
+    c = eds                  ; number >= 0, or "eds" for sqrt((n-1)/(2n))
     t0 = 1.0
     a0 = 0.0
     a_dot0 = 0.333...
     theta0 = 0.0
-    t_end = 4.0
-    step = 1e-3
+    t_end = 4.0              ; t0 to t_end spans at least five integrator states
+    step = 1e-3              ; > 0
     einstein_lambda = ricci-flat
     theta_sign = 1
 
@@ -63,6 +63,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import cosmo as co
 from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
@@ -326,6 +327,12 @@ def parse_config(text: str) -> RunConfig:
             einstein_lambda=lam,
             theta_sign=sign,
         )
+        if c < 0.0:
+            raise _cfg_error("cosmo", "c", f"must be nonnegative, got {c!r}")
+        if cosmo.step <= 0.0:
+            raise _cfg_error("cosmo", "step", f"must be positive, got {cosmo.step!r}")
+        if (states := co.state_count(cosmo.t0, cosmo.t_end, cosmo.step)) < co.MIN_STATES:
+            raise _cfg_error("cosmo", "t_end", f"{states} integrator states from t0, fewer than {co.MIN_STATES}")
 
     variation = None
     if parser.has_section("variation"):

@@ -33,6 +33,7 @@ __all__ = [
     "eds_warped",
     "integrate_scale_factor",
     "product_chart",
+    "state_count",
     "time_chart",
     "trajectory_residuals",
     "unit_sphere_base",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 RICCI_FLAT = "ricci-flat"
+MIN_STATES = 5  # the residual stencils of trajectory_residuals need this many
 
 SPATIAL_NAMES = ("x", "y", "z", "w", "v")
 
@@ -320,6 +322,12 @@ def _rhs(y: np.ndarray, n: int, c: float, theta_sign: int, t: float) -> np.ndarr
     return np.array([v, accel, theta_sign * c * shrink])
 
 
+def state_count(t0: float, t_end: float, step: float) -> int:
+    """States of a run from t0 to t_end in the fewest equal steps of at most ``step`` (> 0)."""
+    span = t_end - t0
+    return 1 if span == 0.0 else max(1, math.ceil(abs(span) / step - 1e-12)) + 1
+
+
 def integrate_scale_factor(
     w0: OdeState,
     c: float,
@@ -349,11 +357,10 @@ def integrate_scale_factor(
         raise DomainError("trajectory would cross t=0")
     lam = 0.0 if einstein_lambda == RICCI_FLAT else float(einstein_lambda)
 
-    span = t_end - w0.t
-    if span == 0.0:
+    nsteps = state_count(w0.t, t_end, step) - 1
+    if nsteps == 0:
         return Trajectory((w0,), n, c, lam, theta_sign, 0.0)
-    nsteps = max(1, math.ceil(abs(span) / step - 1e-12))
-    h = span / nsteps
+    h = (t_end - w0.t) / nsteps
 
     states = [w0]
     y = np.array([w0.a, w0.a_dot, w0.theta])
@@ -372,7 +379,7 @@ def integrate_scale_factor(
 def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """4th-order first derivative on a uniform grid, one-sided at the ends."""
     m = len(values)
-    if m < 5:
+    if m < MIN_STATES:
         raise ValueError("need at least five samples for the residual stencils")
     out = np.empty(m)
     out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprfield as ef
 from . import riemann as rm
-from .algebroid import GradedVectorField, bracket, vector_apply
+from .algebroid import GradedVectorField, vector_apply
 from .exprfield import ChartSpec, ScalarField
 from .quadrature import QuadSpec, tensor_rule
 from .riemann import MetricSpec, TensorValue
@@ -30,20 +30,17 @@ __all__ = [
     "GradedConnectionTriple",
     "GradedMetric",
     "GradedTensorValue",
-    "GradedVectorValue",
     "VariationSpec",
     "action_first_variation",
     "bump_variation",
     "conservation_residual_at",
     "field_residuals_at",
     "geometry_batch",
-    "graded_apply",
     "graded_apply_field",
     "graded_curvature_at",
     "graded_hessian_at",
     "graded_ricci_at",
     "graded_scalar_at",
-    "graded_torsion",
     "graded_trace",
     "hilbert_action",
     "levicivita_triple",
@@ -114,19 +111,6 @@ class GradedConnectionTriple:
     @property
     def chart(self) -> ChartSpec:
         return self.metric.chart
-
-
-@dataclass(frozen=True, eq=False)
-class GradedVectorValue:
-    """Even components plus odd coefficient at a point."""
-
-    even: np.ndarray
-    odd: float
-    base_point: tuple
-
-    def max_norm(self) -> float:
-        """Largest absolute component; NaN if any component is NaN."""
-        return float(np.max(np.abs(np.append(self.even, self.odd))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,28 +206,6 @@ def graded_apply_field(
         if not (h.is_zero or conn.alpha[i].is_zero or Y[i].is_zero):
             odd = odd + h * conn.alpha[i] * Y[i]
     return GradedVectorField(tuple(even), odd)
-
-
-def _field_value(v: GradedVectorField, p) -> GradedVectorValue:
-    *even, odd = (float(j.coeffs[0, 0]) for j in ef.eval_jets_batch([*v.even, v.odd], [p], 0))
-    return GradedVectorValue(np.array(even), odd, tuple(float(x) for x in p))
-
-
-def graded_apply(
-    conn: GradedConnectionTriple, xh: GradedVectorField, yh: GradedVectorField, p
-) -> GradedVectorValue:
-    return _field_value(graded_apply_field(conn, xh, yh), p)
-
-
-def graded_torsion(
-    conn: GradedConnectionTriple, xh: GradedVectorField, yh: GradedVectorField, p
-) -> GradedVectorValue:
-    t = (
-        graded_apply_field(conn, xh, yh)
-        - graded_apply_field(conn, yh, xh)
-        - bracket(xh, yh)
-    )
-    return _field_value(t, p)
 
 
 def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:

@@ -4,14 +4,15 @@ Each check recomputes a quantity a second way (generic Koszul pairing,
 frame-summed curvature, direct divergence identities) and reports the
 worst deviation over a sample.  A check's closed-form side is one
 ``graded.geometry_batch`` over its sample, shared by the checks of a suite.
-The Koszul check evaluates its symbolic connection side for all trials in
-one pass, each field at its own point, and the Koszul formula on order-1
-jets of the fields and the metric in a second pass; that route takes no
+The Koszul, compatibility and torsion checks read the connection off the
+fields C_ab = nabla_{E_a} E_b on the graded coordinate basis, built once
+per metric, and take their random fields, C and the metric from one
+order-1 jet pass; the Koszul formula runs its own pass and takes no
 symbolic derivative.  The frame route never touches the batch either: it
-nests covariant derivatives of the graded coordinate basis into the
-pairings <R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all of a
-check's points in one pass, and sums them over a pseudo-orthonormal frame
-at each point numerically; a suite's two frame checks share that sum.
+nests covariant derivatives of the basis into the pairings
+<R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all of a check's
+points in one pass, and sums them over a pseudo-orthonormal frame at each
+point numerically; a suite's two frame checks share that sum.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import numpy as np
 from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import (
-    GradedVectorField,
-    anchor,
-    bracket,
-    koszul_values,
-    pairing_field,
-    vector_apply,
-)
+from .algebroid import GradedVectorField, bracket, koszul_values, pairing_field
 from .errors import DegenerateMetricError
 from .exprfield import ScalarField
 from .graded import GradedConnectionTriple, GradedMetric
@@ -115,30 +109,23 @@ def curvature_field(
     return a - b - c
 
 
-def _coordinate_field(gm: GradedMetric, axis: int) -> GradedVectorField:
-    zero = ef.constant(gm.chart, 0.0)
-    one = ef.constant(gm.chart, 1.0)
-    even = tuple(one if a == axis else zero for a in range(gm.chart.dim))
-    return GradedVectorField(even, zero)
-
-
-def _odd_basis(gm: GradedMetric) -> GradedVectorField:
-    zero = ef.constant(gm.chart, 0.0)
-    return GradedVectorField((zero,) * gm.chart.dim, ef.constant(gm.chart, 1.0))
+def _basis(gm: GradedMetric) -> list[GradedVectorField]:
+    """The graded coordinate basis E: the n coordinate fields, then the odd basis."""
+    n = gm.chart.dim
+    return [GradedVectorField.of(gm.chart, row[:n], row[n]) for row in np.eye(n + 1).tolist()]
 
 
 def _basis_pairings(gm: GradedMetric) -> list[ScalarField]:
     """Pairings <R(E_a, E_b)E_c, E_d> on the graded coordinate basis, built once per metric.
 
-    E is the n coordinate fields, then the odd basis.  Only a < b is built,
-    since R(E_b, E_a) = -R(E_a, E_b); the list runs over (a, b) in
-    ``np.triu_indices(n + 1, 1)`` order, then c, then d.
+    Only a < b is built, since R(E_b, E_a) = -R(E_a, E_b); the list runs
+    over (a, b) in ``np.triu_indices(n + 1, 1)`` order, then c, then d.
     """
     got = gm._cache.get("basis_pairings")
     if got is not None:
         return got
     conn = gd.levicivita_triple(gm)
-    basis = [*(_coordinate_field(gm, a) for a in range(gm.chart.dim)), _odd_basis(gm)]
+    basis = _basis(gm)
     got = []
     for a, b in zip(*np.triu_indices(len(basis), 1)):
         for c in basis:
@@ -146,6 +133,72 @@ def _basis_pairings(gm: GradedMetric) -> list[ScalarField]:
             got.extend(pairing_field(gm, r, d) for d in basis)
     gm._cache["basis_pairings"] = got
     return got
+
+
+def _connection_basis(gm: GradedMetric) -> list[GradedVectorField]:
+    """C_ab = nabla_{E_a} E_b for a, then b, built once per metric."""
+    got = gm._cache.get("connection_basis")
+    if got is None:
+        conn, basis = gd.levicivita_triple(gm), _basis(gm)
+        got = [gd.graded_apply_field(conn, a, b) for a in basis for b in basis]
+        gm._cache["connection_basis"] = got
+    return got
+
+
+def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int) -> list:
+    """``groups`` times: ``count`` random fields, then ``points`` points that read them."""
+    draw = []
+    for _ in range(groups):
+        fields = tuple(random_graded_field(rng, gm.chart) for _ in range(count))
+        draw += [(fields, random_interior_point(rng, gm.chart)) for _ in range(points)]
+    return draw
+
+
+def _instance_jets(gm: GradedMetric, draw):
+    """Order-1 jets of a draw's fields at their own points, with C and the extended metric.
+
+    One pass takes the components of the distinct fields and of C, the g_ij
+    and exp(2*theta) at all the draw's points.  Returns v[slot, e, t] and
+    dv[slot, e, m, t] for instance t's fields, then c[a, b, e, t], g[a, b, t]
+    and dg[a, b, m, t], each odd component last.  A non-finite g_ij or weight
+    raises DomainError.
+    """
+    n = gm.chart.dim
+    unique = list({id(v): v for fields, _ in draw for v in fields}.values())
+    index = {id(v): k for k, v in enumerate(unique)}
+    slots = np.array([[index[id(v)] for v in fields] for fields, _ in draw])
+    comps = [c for v in [*unique, *_connection_basis(gm)] for c in (*v.even, v.odd)]
+    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+    zero, weight = ef.constant(gm.chart, 0.0), gm.weight()
+    metric = [gm.metric.component(i, j) if max(i, j) < n else weight if i == j else zero for i, j in pairs]
+    pts = gm.chart.require_points([p for _, p in draw])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        jets = ef.eval_jets_batch([*comps, *metric], pts, 1)
+    # the cross entries are constant zeros: only g_ij and the weight can fail
+    names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i, j in pairs]
+    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[len(comps):])], pts)
+    val, grad = np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+    k, m, t = len(unique) * (n + 1), len(comps), len(pts)
+    # each instance's fields at its own point, [t, slot, e(, m)], then the instance axis last
+    at = np.arange(t)[:, None]
+    v = np.moveaxis(val[:k].reshape(-1, n + 1, t)[slots, :, at], 0, -1)
+    dv = np.moveaxis(grad[:k].reshape(-1, n + 1, n, t)[slots, :, :, at], 0, -1)
+    g, dg = val[m:].reshape(n + 1, n + 1, t), grad[m:].reshape(n + 1, n + 1, n, t)
+    return v, dv, val[k:m].reshape(n + 1, n + 1, n + 1, t), g, dg
+
+
+def _along(u: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """u^m d_m w^e over the even axes m, from w's derivatives dw[e, m, t]."""
+    return np.einsum("mt,emt->et", u[: dw.shape[1]], dw)
+
+
+def _nabla(c: np.ndarray, u: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """nabla_u w = u^m d_m w^e + u^a w^b C_ab^e; the odd basis differentiates no ordinary function."""
+    return _along(u, dw) + np.einsum("at,bt,abet->et", u, w, c)
+
+
+def _pair(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("abt,at,bt->t", g, u, w)
 
 
 def _frame_sums(gm: GradedMetric, points, fields=()):
@@ -195,44 +248,28 @@ def frame_graded_scalar(gm: GradedMetric, p) -> float:
 
 
 def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
-    conn = gd.levicivita_triple(gm)
-    triples, pts = [], []
-    for _ in range(trials):
-        triples.append(tuple(random_graded_field(rng, gm.chart) for _ in range(3)))
-        pts.append(random_interior_point(rng, gm.chart))
-    # the connection side stays symbolic, one order-0 pass with each field read at its own point
-    lhs_fields = [pairing_field(gm, gd.graded_apply_field(conn, x, y), z) for x, y, z in triples]
-    lhs = np.diagonal(np.array([jet.value for jet in ef.eval_jets_batch(lhs_fields, pts, 0)]))
-    rhs = koszul_values(gm, triples, pts)
+    draw = _draw(gm, rng, trials, 3, 1)
+    (x, y, z), (_, dy, _), c, g, _ = _instance_jets(gm, draw)
+    lhs = _pair(g, _nabla(c, x, y, dy), z)
+    rhs = koszul_values(gm, [fields for fields, _ in draw], [p for _, p in draw])
     return CheckResult("koszul_vs_triple", _worst(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))), 1e-9)
 
 
 def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> CheckResult:
-    conn = gd.levicivita_triple(gm)
     triples = max(1, points // 10)
-    errors = []
-    for _ in range(triples):
-        x = random_graded_field(rng, gm.chart)
-        y = random_graded_field(rng, gm.chart)
-        z = random_graded_field(rng, gm.chart)
-        lhs = vector_apply(anchor(x), pairing_field(gm, y, z))
-        rhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)
-        rhs2 = pairing_field(gm, y, gd.graded_apply_field(conn, x, z))
-        pts = [random_interior_point(rng, gm.chart) for _ in range(points // triples)]
-        a, b, c = (jet.value for jet in ef.eval_jets_batch([lhs, rhs, rhs2], pts, 0))
-        errors.append(np.abs(a - b - c) / (1.0 + np.abs(a)))
-    return CheckResult("metric_compatibility", _worst(*errors), 1e-9)
+    (x, y, z), (_, dy, dz), c, g, dg = _instance_jets(gm, _draw(gm, rng, triples, 3, points // triples))
+    # x<y, z> = x^m d_m <y, z>, against <nabla_x y, z> + <y, nabla_x z>
+    act = np.einsum("mt,abmt,at,bt->t", x[: gm.chart.dim], dg, y, z)
+    act = act + _pair(g, _along(x, dy), z) + _pair(g, y, _along(x, dz))
+    err = act - _pair(g, _nabla(c, x, y, dy), z) - _pair(g, y, _nabla(c, x, z, dz))
+    return CheckResult("metric_compatibility", _worst(np.abs(err) / (1.0 + np.abs(act))), 1e-9)
 
 
 def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
-    conn = gd.levicivita_triple(gm)
-    errors = []
-    for _ in range(trials):
-        x = random_graded_field(rng, gm.chart)
-        y = random_graded_field(rng, gm.chart)
-        p = random_interior_point(rng, gm.chart)
-        errors.append(gd.graded_torsion(conn, x, y, p).max_norm())
-    return CheckResult("torsion_free", _worst(errors), 1e-10)
+    (x, y), (dx, dy), c, _, _ = _instance_jets(gm, _draw(gm, rng, trials, 2, 1))
+    # nabla_x y - nabla_y x - [x, y], the super bracket read off the gradients
+    t = _nabla(c, x, y, dy) - _nabla(c, y, x, dx) - (_along(x, dy) - _along(y, dx))
+    return CheckResult("torsion_free", _worst(np.max(np.abs(t), axis=0)), 1e-10)
 
 
 def check_ricci_blocks_frame(gm: GradedMetric, sample) -> CheckResult:

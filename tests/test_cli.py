@@ -297,6 +297,18 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "action", "cosmo"])
+def test_grid_rejected_where_no_grid_is_read(tmp_path, capsys, command):
+    # validate checks the configured points, action and cosmo read no grid
+    path = str(Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini")
+    code = run([command, "--config", path, "--grid", "2,2,2,2", "--out", str(tmp_path / "out.csv")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "--grid" in out.err
+    assert "Traceback" not in out.err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
 def test_tol_override_must_be_positive_and_finite(tmp_path, capsys, tol):
     # exit 2 like the same value under [tolerances] residual_tol, never a pass
@@ -493,3 +505,27 @@ support_y = -0.3, 0.3
     err = capsys.readouterr().err
     assert code == 2
     assert "[variation] support_x" in err
+
+
+@pytest.mark.parametrize(
+    "edits,key",
+    [
+        ({"step": "0"}, "step"),
+        ({"c": "-0.5"}, "c"),
+        ({"t_end": "1.2"}, "t_end"),  # from t0 = 1 at step 0.1: three states
+        ({"t_end": "1.0"}, "t_end"),  # t_end = t0: a single state
+    ],
+    ids=["zero-step", "negative-c", "three-states", "single-state"],
+)
+def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
+    text = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text()
+    lines = text.splitlines()
+    for name, value in edits.items():
+        (k,) = [i for i, line in enumerate(lines) if line.startswith(f"{name} = ")]
+        lines[k] = f"{name} = {value}"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    code = run(["cosmo", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"[cosmo] {key}:" in err
+    assert "Traceback" not in err

@@ -9,14 +9,7 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError, DomainError
-from gradedgeo.algebroid import (
-    GradedVectorField,
-    anchor,
-    koszul_eval,
-    koszul_values,
-    pairing_field,
-    vector_apply,
-)
+from gradedgeo.algebroid import GradedVectorField, koszul_eval, koszul_values, pairing_field
 from gradedgeo.randgen import (
     default_chart,
     random_graded_field,
@@ -30,7 +23,7 @@ from test_graded import eds_graded, flat_graded
 
 
 def coord_field(gm, axis):
-    return vd._coordinate_field(gm, axis)
+    return vd._basis(gm)[axis]
 
 
 def test_frame_flat_is_identity():
@@ -80,7 +73,7 @@ def test_frame_ricci_flat_frozen():
     p = (0.3, -0.2)
     x = coord_field(gm, 0)
     y = coord_field(gm, 1)
-    odd = vd._odd_basis(gm)
+    odd = vd._basis(gm)[-1]
     assert vd.frame_graded_ricci(gm, x, x, p) == pytest.approx(-1.0, abs=1e-12)
     assert vd.frame_graded_ricci(gm, x, y, p) == pytest.approx(0.0, abs=1e-12)
     assert vd.frame_graded_ricci(gm, y, y, p) == pytest.approx(0.0, abs=1e-12)
@@ -186,34 +179,28 @@ def test_nan_closed_form_block_fails(monkeypatch):
     assert not res.passed
 
 
-def test_metric_compatibility_one_batch_per_triple(jet_calls):
+def test_metric_compatibility_runs_one_pass(jet_calls):
     gm = random_graded_metric(np.random.default_rng(53), default_chart(2), signature=(-1, 1))
     res = vd.check_metric_compatibility(gm, np.random.default_rng(59), points=50)
     assert res.passed
-    # eval_jet records a single field, eval_jets_batch a list of them
+    # eval_jet records a single field, eval_jets_batch a list of them; one
+    # pass holds x, y, z (3 components each) of the 5 triples, the 9 fields
+    # nabla_{E_a} E_b and the 3 x 3 extended metric
     assert all(isinstance(fields, list) for fields in jet_calls)
-    assert [len(fields) for fields in jet_calls] == [3] * 5
+    assert [len(fields) for fields in jet_calls] == [5 * 3 * 3 + 9 * 3 + 9]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_metric_compatibility_batch_matches_points(dim):
     gm = random_graded_metric(np.random.default_rng(61 + dim), default_chart(dim))
-    got = vd.check_metric_compatibility(gm, np.random.default_rng(67)).max_error
-    # the same check one point at a time, from the same random stream
     rng = np.random.default_rng(67)
-    conn = gd.levicivita_triple(gm)
-    want = 0.0
-    for _ in range(5):
-        x, y, z = (random_graded_field(rng, gm.chart) for _ in range(3))
-        lhs = vector_apply(anchor(x), pairing_field(gm, y, z))
-        rhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)
-        rhs2 = pairing_field(gm, y, gd.graded_apply_field(conn, x, z))
-        for _ in range(10):
-            p = random_interior_point(rng, gm.chart)
-            a = lhs(p)
-            want = max(want, abs(a - rhs(p) - rhs2(p)) / (1.0 + abs(a)))
+    got = vd.check_metric_compatibility(gm, rng).max_error
+    # the same check one triple at a time, from the same random stream
+    ref = np.random.default_rng(67)
+    want = max(vd.check_metric_compatibility(gm, ref, points=10).max_error for _ in range(5))
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-14)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
@@ -274,14 +261,7 @@ def test_koszul_batch_matches_trials(dim):
     got = vd.check_koszul_vs_triple(gm, rng).max_error
     # the same check one trial at a time, from the same random stream
     ref = np.random.default_rng(149)
-    conn = gd.levicivita_triple(gm)
-    want = 0.0
-    for _ in range(10):
-        x, y, z = (random_graded_field(ref, gm.chart) for _ in range(3))
-        p = random_interior_point(ref, gm.chart)
-        lhs = pairing_field(gm, gd.graded_apply_field(conn, x, y), z)(p)
-        rhs = koszul_eval(gm, x, y, z, p)
-        want = max(want, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    want = max(vd.check_koszul_vs_triple(gm, ref, trials=1).max_error for _ in range(10))
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-14)
     # the suite's later checks draw from where the trials left the stream
@@ -292,10 +272,11 @@ def test_koszul_check_runs_one_pass_per_side(jet_calls):
     gm = random_graded_metric(np.random.default_rng(151), default_chart(2), signature=(-1, 1))
     res = vd.check_koszul_vs_triple(gm, np.random.default_rng(157), trials=10)
     assert res.passed
-    # the connection side's 10 fields, then x, y, z (3 components each) of
-    # the 10 trials, the 4 metric components and the weight on jets
+    # x, y, z (3 components each) of the 10 trials and the metric on jets:
+    # once with the 9 fields nabla_{E_a} E_b and the 3 x 3 extended metric for
+    # the connection side, once with the 4 g_ij and the weight for the formula
     assert all(isinstance(fields, list) for fields in jet_calls)
-    assert [len(fields) for fields in jet_calls] == [10, 10 * 3 * 3 + 4 + 1]
+    assert [len(fields) for fields in jet_calls] == [10 * 3 * 3 + 9 * 3 + 9, 10 * 3 * 3 + 4 + 1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -433,3 +414,74 @@ def test_basis_pairings_built_once_per_metric(monkeypatch):
         assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
     # (3 choose 2) pairs of basis fields times 3 operands, all in the first suite
     assert len(calls) == 3 * 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_basis_nabla_matches_graded_apply_field(dim):
+    # nabla_x y from the table nabla_{E_a} E_b and the jets of x and y is the
+    # symbolic covariant derivative read at the point
+    rng = np.random.default_rng(167 + dim)
+    gm = random_graded_metric(rng, default_chart(dim))
+    conn = gd.levicivita_triple(gm)
+    instances = []
+    for _ in range(4):
+        x, y = random_graded_field(rng, gm.chart), random_graded_field(rng, gm.chart)
+        instances.append(((x, y, x), random_interior_point(rng, gm.chart)))
+    (vx, vy, _), (_, dy, _), c, _, _ = vd._instance_jets(gm, instances)
+    got = vd._nabla(c, vx, vy, dy)
+    for t, ((x, y, _), p) in enumerate(instances):
+        field = gd.graded_apply_field(conn, x, y)
+        want = np.array([c(p) for c in (*field.even, field.odd)])
+        assert np.max(np.abs(got[:, t] - want)) <= 1e-13 * np.max(np.abs(want)), (t, got[:, t], want)
+
+
+def _patch_triple(monkeypatch, gm, **changes):
+    # the triple of gm with some pieces replaced, seen by every builder
+    base = gd.levicivita_triple(gm)
+    pieces = {"alpha": base.alpha, "x0": base.x0, "alpha_prime": base.alpha_prime, **changes}
+    triple = gd.GradedConnectionTriple(gm, **pieces)
+    monkeypatch.setattr(gd, "levicivita_triple", lambda _: triple)
+
+
+def _fresh_metric(seed):
+    # a new metric each call, so no table is cached from an earlier triple
+    return random_graded_metric(np.random.default_rng(seed), default_chart(2))
+
+
+def test_torsion_check_detects_mismatched_forms(monkeypatch):
+    assert vd.check_torsion_free(_fresh_metric(173), np.random.default_rng(179)).passed
+    gm = _fresh_metric(173)
+    one = ef.constant(gm.chart, 1.0)
+    _patch_triple(monkeypatch, gm, alpha_prime=tuple(a + one for a in gd.levicivita_triple(gm).alpha))
+    assert not vd.check_torsion_free(gm, np.random.default_rng(179)).passed
+
+
+def test_compatibility_check_detects_perturbed_x0(monkeypatch):
+    assert vd.check_metric_compatibility(_fresh_metric(181), np.random.default_rng(191)).passed
+    gm = _fresh_metric(181)
+    _patch_triple(monkeypatch, gm, x0=tuple(c + 0.1 for c in gd.levicivita_triple(gm).x0))
+    assert not vd.check_metric_compatibility(gm, np.random.default_rng(191)).passed
+
+
+def test_suite_runs_one_pass_per_connection_check(monkeypatch):
+    # the Koszul, compatibility and torsion checks of a suite make one
+    # order-1 pass each; the Koszul formula makes its own
+    calls = []
+    real = ef.eval_jets_batch
+
+    def counted(fields, points, order):
+        calls.append((len(fields), order))
+        return real(fields, points, order)
+
+    monkeypatch.setattr(ef, "eval_jets_batch", counted)
+    gm = random_graded_metric(np.random.default_rng(193), default_chart(2))
+    results = vd.run_geometry_checks(gm, seed=7)
+    assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
+    # each pass holds its check's fields (3 components each), the 9 fields
+    # nabla_{E_a} E_b and the 3 x 3 extended metric: 10 Koszul triples, then
+    # the Koszul formula's pass, 5 compatibility triples, 5 torsion pairs;
+    # last the conservation check's pass over the 4 stress components
+    table = 9 * 3 + 9
+    koszul_formula = 10 * 3 * 3 + 4 + 1
+    want = [10 * 3 * 3 + table, koszul_formula, 5 * 3 * 3 + table, 5 * 2 * 3 + table, 4]
+    assert [size for size, order in calls if order == 1] == want
