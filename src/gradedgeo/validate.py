@@ -6,13 +6,13 @@ worst deviation over a sample.  A check's closed-form side is one
 ``graded.geometry_batch`` over its sample, shared by the checks of a suite.
 The Koszul, compatibility and torsion checks read the connection off the
 fields C_ab = nabla_{E_a} E_b on the graded coordinate basis, built once
-per metric, and take their random fields, C and the metric from one
-order-1 jet pass; the Koszul formula runs its own pass and takes no
-symbolic derivative.  The frame route never touches the batch either: it
-nests covariant derivatives of the basis into the pairings
-<R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all of a check's
-points in one pass, and sums them over a pseudo-orthonormal frame at each
-point numerically; a suite's two frame checks share that sum.
+per metric; each takes its random fields, C and the metric from one
+order-1 jet pass, nabla_x y = x^m d_m y + x^a y^b C_ab.  The Koszul formula
+runs its own pass and takes no symbolic derivative.  The frame route never
+touches the batch either: it nests covariant derivatives of the basis into
+the pairings <R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all
+of a check's points in one pass, and sums them over a pseudo-orthonormal
+frame at each point numerically; a suite's two frame checks share that sum.
 """
 
 from __future__ import annotations
