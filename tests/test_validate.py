@@ -426,12 +426,12 @@ def test_basis_nabla_matches_graded_apply_field(dim):
     instances = []
     for _ in range(4):
         x, y = random_graded_field(rng, gm.chart), random_graded_field(rng, gm.chart)
-        instances.append(((x, y, x), random_interior_point(rng, gm.chart)))
-    (vx, vy, _), (_, dy, _), c, _, _ = vd._instance_jets(gm, instances)
-    got = vd._nabla(c, vx, vy, dy)
-    for t, ((x, y, _), p) in enumerate(instances):
+        instances.append(((x, y), random_interior_point(rng, gm.chart)))
+    (vx, vy), (_, dy), table, _, _ = vd._instance_jets(gm, instances)
+    got = vd._nabla(table, vx, vy, dy)
+    for t, ((x, y), p) in enumerate(instances):
         field = gd.graded_apply_field(conn, x, y)
-        want = np.array([c(p) for c in (*field.even, field.odd)])
+        want = np.array([f(p) for f in (*field.even, field.odd)])
         assert np.max(np.abs(got[:, t] - want)) <= 1e-13 * np.max(np.abs(want)), (t, got[:, t], want)
 
 
