@@ -252,6 +252,8 @@ def main(argv=None) -> int:
     try:
         if args.grid is not None and args.command not in ("report", "residuals"):  # the commands with a grid
             raise ConfigError(f"--grid applies to report and residuals only, not to {args.command}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = _apply_overrides(cf.load_config(args.config), args)
         if args.command == "report":
             return cmd_report(cfg)

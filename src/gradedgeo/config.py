@@ -33,7 +33,7 @@ Grammar (sections in any order, keys as shown):
     [cosmo]                  ; scale-factor integration parameters
     n = 3
     c = eds                  ; number >= 0, or "eds" for sqrt((n-1)/(2n))
-    t0 = 1.0
+    t0 = 1.0                 ; > 0
     a0 = 0.0
     a_dot0 = 0.333...
     theta0 = 0.0
@@ -46,7 +46,7 @@ Grammar (sections in any order, keys as shown):
     kind = bump              ; bump | zero
     support_x = -0.3, 0.3    ; one interval per coordinate, inside the box
     support_y = -0.3, 0.3
-    seed = 7
+    seed = 7                 ; >= 0
     scale = 1.0
 
 Every float is printed back with 17 significant digits, so serialize and
@@ -329,6 +329,8 @@ def parse_config(text: str) -> RunConfig:
         )
         if c < 0.0:
             raise _cfg_error("cosmo", "c", f"must be nonnegative, got {c!r}")
+        if cosmo.t0 <= 0.0:
+            raise _cfg_error("cosmo", "t0", f"must be positive, got {cosmo.t0!r}")
         if cosmo.step <= 0.0:
             raise _cfg_error("cosmo", "step", f"must be positive, got {cosmo.step!r}")
         if (states := co.state_count(cosmo.t0, cosmo.t_end, cosmo.step)) < co.MIN_STATES:
@@ -358,6 +360,8 @@ def parse_config(text: str) -> RunConfig:
             seed=_int("variation", "seed", sec.get("seed", "0")),
             scale=_float("variation", "scale", sec.get("scale", "1.0")),
         )
+        if variation.seed < 0:
+            raise _cfg_error("variation", "seed", f"must be nonnegative, got {variation.seed}")
 
     return RunConfig(
         chart=chart,

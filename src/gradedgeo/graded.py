@@ -60,17 +60,13 @@ class GradedMetric:
 
     metric: MetricSpec
     theta: ScalarField
-    odd_norm_sign: int = 1
     # symbolic pieces built on first use (triple, stress, validate's basis
-    # pairings), kept with the metric
+    # connection), kept with the metric
     _cache: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.theta.chart != self.metric.chart:
             raise ValueError("theta lives on a different chart than the metric")
-        if self.odd_norm_sign != 1:
-            # the compatible-connection construction needs exp(2*theta) > 0
-            raise ValueError("odd direction must have positive squared norm")
 
     @property
     def chart(self) -> ChartSpec:

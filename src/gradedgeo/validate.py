@@ -9,10 +9,10 @@ fields C_ab = nabla_{E_a} E_b on the graded coordinate basis, built once
 per metric; each takes its random fields, C and the metric from one
 order-1 jet pass, nabla_x y = x^m d_m y + x^a y^b C_ab.  The Koszul formula
 runs its own pass and takes no symbolic derivative.  The frame route never
-touches the batch either: it nests covariant derivatives of the basis into
-the pairings <R(E_a, E_b)E_c, E_d> once per metric, evaluates them at all
-of a check's points in one pass, and sums them over a pseudo-orthonormal
-frame at each point numerically; a suite's two frame checks share that sum.
+touches the batch either: it reads the pairings <R(E_a, E_b)E_c, E_d> off
+the values and gradients of C and the metric, from one order-1 pass at all
+of a check's points, and sums them over a pseudo-orthonormal frame at each
+point numerically; a suite's two frame checks share that sum.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import GradedVectorField, bracket, koszul_values, pairing_field
+from .algebroid import GradedVectorField, bracket, koszul_values
 from .errors import DegenerateMetricError
-from .exprfield import ScalarField
 from .graded import GradedConnectionTriple, GradedMetric
 from .randgen import random_graded_field, random_interior_point, random_polynomial
 
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 FRAME_NORM_FLOOR = 1e-8
+FRAME_POINTS = 2  # the leading sample points the frame checks sum over
 
 
 @dataclass(frozen=True)
@@ -115,26 +115,6 @@ def _basis(gm: GradedMetric) -> list[GradedVectorField]:
     return [GradedVectorField.of(gm.chart, row[:n], row[n]) for row in np.eye(n + 1).tolist()]
 
 
-def _basis_pairings(gm: GradedMetric) -> list[ScalarField]:
-    """Pairings <R(E_a, E_b)E_c, E_d> on the graded coordinate basis, built once per metric.
-
-    Only a < b is built, since R(E_b, E_a) = -R(E_a, E_b); the list runs
-    over (a, b) in ``np.triu_indices(n + 1, 1)`` order, then c, then d.
-    """
-    got = gm._cache.get("basis_pairings")
-    if got is not None:
-        return got
-    conn = gd.levicivita_triple(gm)
-    basis = _basis(gm)
-    got = []
-    for a, b in zip(*np.triu_indices(len(basis), 1)):
-        for c in basis:
-            r = curvature_field(conn, basis[a], basis[b], c)
-            got.extend(pairing_field(gm, r, d) for d in basis)
-    gm._cache["basis_pairings"] = got
-    return got
-
-
 def _connection_basis(gm: GradedMetric) -> list[GradedVectorField]:
     """C_ab = nabla_{E_a} E_b for a, then b, built once per metric."""
     got = gm._cache.get("connection_basis")
@@ -154,30 +134,40 @@ def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int) -> list:
     return draw
 
 
+def _metric_jets(gm: GradedMetric, fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One order-1 pass over ``fields``, then the extended metric, at pts.
+
+    The extended metric is the g_ij, zero cross entries and exp(2*theta),
+    [a, b] with the odd index last.  Returns values [field, t] and gradients
+    [field, m, t]; a non-finite g_ij or weight raises DomainError.
+    """
+    n = gm.chart.dim
+    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+    zero, weight = ef.constant(gm.chart, 0.0), gm.weight()
+    metric = [gm.metric.component(i, j) if max(i, j) < n else weight if i == j else zero for i, j in pairs]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        jets = ef.eval_jets_batch([*fields, *metric], pts, 1)
+    # the cross entries are constant zeros: only g_ij and the weight can fail
+    names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i, j in pairs]
+    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[len(fields):])], pts)
+    return np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+
+
 def _instance_jets(gm: GradedMetric, draw):
     """Order-1 jets of a draw's fields at their own points, with C and the extended metric.
 
-    One pass takes the components of the distinct fields and of C, the g_ij
-    and exp(2*theta) at all the draw's points.  Returns v[slot, e, t] and
-    dv[slot, e, m, t] for instance t's fields, then c[a, b, e, t], g[a, b, t]
-    and dg[a, b, m, t], each odd component last.  A non-finite g_ij or weight
-    raises DomainError.
+    One ``_metric_jets`` pass takes the components of the distinct fields and
+    of C at all the draw's points.  Returns v[slot, e, t] and dv[slot, e, m, t]
+    for instance t's fields, then c[a, b, e, t], g[a, b, t] and dg[a, b, m, t],
+    each odd component last.
     """
     n = gm.chart.dim
     unique = list({id(v): v for fields, _ in draw for v in fields}.values())
     index = {id(v): k for k, v in enumerate(unique)}
     slots = np.array([[index[id(v)] for v in fields] for fields, _ in draw])
     comps = [c for v in [*unique, *_connection_basis(gm)] for c in (*v.even, v.odd)]
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1)]
-    zero, weight = ef.constant(gm.chart, 0.0), gm.weight()
-    metric = [gm.metric.component(i, j) if max(i, j) < n else weight if i == j else zero for i, j in pairs]
     pts = gm.chart.require_points([p for _, p in draw])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        jets = ef.eval_jets_batch([*comps, *metric], pts, 1)
-    # the cross entries are constant zeros: only g_ij and the weight can fail
-    names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i, j in pairs]
-    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[len(comps):])], pts)
-    val, grad = np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+    val, grad = _metric_jets(gm, comps, pts)
     k, m, t = len(unique) * (n + 1), len(comps), len(pts)
     # each instance's fields at its own point, [t, slot, e(, m)], then the instance axis last
     at = np.arange(t)[:, None]
@@ -201,33 +191,46 @@ def _pair(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("abt,at,bt->t", g, u, w)
 
 
+def _basis_curvature(gm: GradedMetric, pts: np.ndarray, extra=()) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings <R(E_a, E_b)E_c, E_d> on the graded coordinate basis, k[a, b, c, d, t].
+
+    The basis brackets vanish, so R(E_a, E_b)E_c = nabla_{E_a} C_bc -
+    nabla_{E_b} C_ac, where nabla_{E_a} C_bc = d_a C_bc^e E_e + C_bc^f C_af.
+    C, the extended metric and ``extra`` go through one order-1 pass; the
+    values of ``extra`` [field, t] come back second.
+    """
+    n, t = gm.chart.dim, len(pts)
+    comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
+    val, grad = _metric_jets(gm, [*comps, *extra], pts)
+    k, m = len(comps), len(comps) + len(extra)
+    c, g = val[:k].reshape(n + 1, n + 1, n + 1, t), val[m:].reshape(n + 1, n + 1, t)
+    q = np.einsum("bcft,afet->abcet", c, c)
+    # d_a C_bc^e for even a; the odd basis differentiates no ordinary function
+    q[:n] += np.moveaxis(grad[:k].reshape(n + 1, n + 1, n + 1, n, t), 3, 0)
+    return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g), val[k:m]
+
+
 def _frame_sums(gm: GradedMetric, points, fields=()):
     """Frame-summed Ricci on the graded coordinate basis at each point.
 
     Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
     Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>.  The basis
-    pairings, theta and ``fields`` go through one order-0 pass and the frame
-    sum is numeric.  The frame is ``orthonormal_frame``'s rows, then the odd
-    unit exp(-theta) times the odd basis.  Returns ric[p, b, c], the frames
-    F[p, e, a], their signs s[p, e], and the values of ``fields`` [field, p].
+    pairings come from ``_basis_curvature``'s pass, which also takes theta and
+    ``fields``, and the frame sum is numeric.  The frame is
+    ``orthonormal_frame``'s rows, then the odd unit exp(-theta) times the odd
+    basis.  Returns ric[p, b, c], the frames F[p, e, a], their signs s[p, e],
+    and the values of ``fields`` [field, p].
     """
     pts = gm.chart.require_points(points)
     n = gm.chart.dim
-    pairings = _basis_pairings(gm)
-    jets = ef.eval_jets_batch([*pairings, gm.theta, *fields], pts, 0)
-    values = np.array([jet.coeffs[0] for jet in jets])
-    upper = np.triu_indices(n + 1, 1)
-    k = values[: len(pairings)].reshape(len(upper[0]), n + 1, n + 1, len(pts))
-    kab = np.zeros((n + 1, n + 1, n + 1, n + 1, len(pts)))
-    kab[upper] = k
-    kab[upper[::-1]] = -k
+    kab, values = _basis_curvature(gm, pts, [gm.theta, *fields])
     frames = np.zeros((len(pts), n + 1, n + 1))
     signs = np.ones((len(pts), n + 1))
     for i, p in enumerate(pts):
         frames[i, :n, :n], signs[i, :n] = orthonormal_frame(gm.metric, p)
-    frames[:, n, n] = np.exp(-values[len(pairings)])
+    frames[:, n, n] = np.exp(-values[0])
     ric = np.einsum("pe,pea,ped,abcdp->pbc", signs, frames, frames, kab)
-    return ric, frames, signs, values[len(pairings) + 1 :]
+    return ric, frames, signs, values[1:]
 
 
 def _frame_scalar(ric: np.ndarray, frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -342,9 +345,8 @@ def run_geometry_checks(
     sample=None,
     seed: int = 0,
     residual_tol: float = 1e-9,
-    frame_points: int = 2,
 ) -> list[CheckResult]:
-    """All invariant checks on one geometry; frame checks use a sub-sample.
+    """All invariant checks on one geometry; frame checks use the first FRAME_POINTS points.
 
     The closed-form sides share one geometry batch over the sample; the
     two frame checks share one frame sum over the sub-sample and read the
@@ -354,14 +356,13 @@ def run_geometry_checks(
     if sample is None:
         sample = [random_interior_point(rng, gm.chart) for _ in range(5)]
     sample = [gm.chart.require_point(p) for p in sample]
-    frame_sample = sample[: max(1, frame_points)]
     results = [
         check_koszul_vs_triple(gm, rng),
         check_metric_compatibility(gm, rng),
         check_torsion_free(gm, rng),
     ]
     b = gd.geometry_batch(gm, sample)
-    sums = _frame_sums(gm, frame_sample)[:3]
+    sums = _frame_sums(gm, sample[:FRAME_POINTS])[:3]
     results += [
         _ricci_blocks_frame(sums[0], b),
         _scalar_frame(sums, b),

@@ -514,8 +514,10 @@ support_y = -0.3, 0.3
         ({"c": "-0.5"}, "c"),
         ({"t_end": "1.2"}, "t_end"),  # from t0 = 1 at step 0.1: three states
         ({"t_end": "1.0"}, "t_end"),  # t_end = t0: a single state
+        ({"t0": "-1.0"}, "t0"),
+        ({"t0": "0.0"}, "t0"),
     ],
-    ids=["zero-step", "negative-c", "three-states", "single-state"],
+    ids=["zero-step", "negative-c", "three-states", "single-state", "negative-t0", "zero-t0"],
 )
 def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
     text = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text()
@@ -528,4 +530,22 @@ def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
     err = capsys.readouterr().err
     assert code == 2
     assert f"[cosmo] {key}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args,edit,name",
+    [
+        (["action"], ("seed = 11", "seed = -1"), "[variation] seed"),
+        (["validate", "--seed", "-1"], None, "--seed"),
+    ],
+    ids=["variation-seed", "cli-seed"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, args, edit, name):
+    text = (Path(__file__).resolve().parent / "golden" / "sections" / "flat_x.ini").read_text()
+    path = write(tmp_path, text.replace(*edit) if edit else text)
+    code = run([args[0], "--config", path, *args[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name in err
     assert "Traceback" not in err

@@ -58,8 +58,6 @@ def test_graded_metric_guards():
     chart = default_chart(2)
     m = rm.MetricSpec.diagonal(chart, [1.0, 1.0])
     theta = ef.coordinate(chart, "x")
-    with pytest.raises(ValueError):
-        gd.GradedMetric(m, theta, odd_norm_sign=-1)
     other = default_chart(3)
     with pytest.raises(ValueError):
         gd.GradedMetric(m, ef.coordinate(other, "x"))

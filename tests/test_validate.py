@@ -124,7 +124,7 @@ def test_run_geometry_checks_random_2d():
 def test_run_geometry_checks_eds_full():
     gm = eds_graded(3)
     sample = [(0.1, 0.2, -0.3, 1.5), (0.0, 0.0, 0.0, 1.0), (0.5, -0.5, 0.25, 2.0)]
-    results = vd.run_geometry_checks(gm, sample=sample, seed=11, frame_points=1)
+    results = vd.run_geometry_checks(gm, sample=sample, seed=11)
     names = [r.name for r in results]
     assert "equivalence_joint" in names
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
@@ -293,6 +293,15 @@ def test_koszul_check_fails_closed_on_weight_overflow():
         assert not res.passed
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frame_scalar_fails_closed_on_weight_overflow():
+    # exp(2 * theta) overflows where x > 354.9, inside the box
+    chart = ef.ChartSpec(("x", "y"), ((-1.0, 400.0), (-1.0, 1.0)))
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.coordinate(chart, "x"))
+    with pytest.raises(DomainError, match=r"exp\(2\*theta\)"):
+        vd.frame_graded_scalar(gm, (380.0, 0.0))
+
+
 @pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suite_reads_one_batch_per_check(monkeypatch, dim):
@@ -399,21 +408,54 @@ def test_frame_sums_match_direct_curvature(sig):
     assert abs(got_scalar - want_scalar) <= 1e-12 * max(1.0, abs(want_scalar)), (got_scalar, want_scalar)
 
 
-def test_basis_pairings_built_once_per_metric(monkeypatch):
-    calls = []
-    real = vd.curvature_field
+def test_basis_connection_built_once_per_metric(monkeypatch):
+    # the frame route reads curvature off the cached table nabla_{E_a} E_b,
+    # so a suite builds no curvature field and the table once per metric
+    calls = {"curvature_field": [], "graded_apply_field": []}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(vd, "curvature_field", counted)
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(vd, "curvature_field")
+    counted(gd, "graded_apply_field")
     gm = random_graded_metric(np.random.default_rng(109), default_chart(2))
+    sizes = []
     for seed in (5, 6):
         results = vd.run_geometry_checks(gm, seed=seed)
         assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    # (3 choose 2) pairs of basis fields times 3 operands, all in the first suite
-    assert len(calls) == 3 * 3
+        sizes.append(len(calls["graded_apply_field"]))
+    assert calls["curvature_field"] == []
+    # (n + 1)^2 basis pairs, all in the first suite
+    assert sizes == [3 * 3, 3 * 3]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_basis_curvature_matches_curvature_field(dim):
+    # <R(E_a, E_b)E_c, E_d> read off the table's jets is the pairing of the
+    # symbolic curvature, for every basis slot, the odd basis included
+    rng = np.random.default_rng(197 + dim)
+    gm = random_graded_metric(rng, default_chart(dim))
+    conn, basis = gd.levicivita_triple(gm), vd._basis(gm)
+    pts = gm.chart.require_points([random_interior_point(rng, gm.chart) for _ in range(3)])
+    got, _ = vd._basis_curvature(gm, pts)
+    pairings = [
+        pairing_field(gm, vd.curvature_field(conn, a, b, c), d)
+        for a in basis
+        for b in basis
+        for c in basis
+        for d in basis
+    ]
+    want = np.array([jet.value for jet in ef.eval_jets_batch(pairings, pts, 0)]).reshape(got.shape)
+    for t in range(len(pts)):
+        scale = np.max(np.abs(want[..., t]))
+        assert scale > 0.0
+        assert np.max(np.abs(got[..., t] - want[..., t])) <= 1e-13 * scale, t
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -480,8 +522,9 @@ def test_suite_runs_one_pass_per_connection_check(monkeypatch):
     # each pass holds its check's fields (3 components each), the 9 fields
     # nabla_{E_a} E_b and the 3 x 3 extended metric: 10 Koszul triples, then
     # the Koszul formula's pass, 5 compatibility triples, 5 torsion pairs;
+    # then the frame sums' pass over the table, the metric and theta, and
     # last the conservation check's pass over the 4 stress components
     table = 9 * 3 + 9
     koszul_formula = 10 * 3 * 3 + 4 + 1
-    want = [10 * 3 * 3 + table, koszul_formula, 5 * 3 * 3 + table, 5 * 2 * 3 + table, 4]
+    want = [10 * 3 * 3 + table, koszul_formula, 5 * 3 * 3 + table, 5 * 2 * 3 + table, table + 1, 4]
     assert [size for size, order in calls if order == 1] == want
