@@ -134,47 +134,48 @@ def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int) -> list:
     return draw
 
 
-def _metric_jets(gm: GradedMetric, fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One order-1 pass over ``fields``, then the extended metric, at pts.
+def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
+    """Order-1 jets of ``fields``, C and the extended metric at pts, from one pass.
 
-    The extended metric is the g_ij, zero cross entries and exp(2*theta),
-    [a, b] with the odd index last.  Returns values [field, t] and gradients
-    [field, m, t]; a non-finite g_ij or weight raises DomainError.
+    The extended metric is the g_ij, zero cross entries and exp(2*theta); a
+    non-finite g_ij or weight raises DomainError.  Returns the values
+    [field, t] and gradients [field, m, t] of ``fields``, then c[a, b, e, t],
+    dc[a, b, e, m, t], g[a, b, t] and dg[a, b, m, t], each odd index last.
     """
-    n = gm.chart.dim
+    n, t = gm.chart.dim, len(pts)
+    comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
     pairs = [(i, j) for i in range(n + 1) for j in range(n + 1)]
     zero, weight = ef.constant(gm.chart, 0.0), gm.weight()
     metric = [gm.metric.component(i, j) if max(i, j) < n else weight if i == j else zero for i, j in pairs]
+    k, m = len(fields), len(fields) + len(comps)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        jets = ef.eval_jets_batch([*fields, *metric], pts, 1)
+        jets = ef.eval_jets_batch([*fields, *comps, *metric], pts, 1)
     # the cross entries are constant zeros: only g_ij and the weight can fail
     names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i, j in pairs]
-    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[len(fields):])], pts)
-    return np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[m:])], pts)
+    val, grad = np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+    c, dc = val[k:m].reshape(n + 1, n + 1, n + 1, t), grad[k:m].reshape(n + 1, n + 1, n + 1, n, t)
+    return val[:k], grad[:k], c, dc, val[m:].reshape(n + 1, n + 1, t), grad[m:].reshape(n + 1, n + 1, n, t)
 
 
 def _instance_jets(gm: GradedMetric, draw):
     """Order-1 jets of a draw's fields at their own points, with C and the extended metric.
 
-    One ``_metric_jets`` pass takes the components of the distinct fields and
-    of C at all the draw's points.  Returns v[slot, e, t] and dv[slot, e, m, t]
-    for instance t's fields, then c[a, b, e, t], g[a, b, t] and dg[a, b, m, t],
-    each odd component last.
+    One ``_table_jets`` pass takes the components of the distinct fields at
+    all the draw's points.  Returns v[slot, e, t] and dv[slot, e, m, t] for
+    instance t's fields, then c[a, b, e, t], g[a, b, t] and dg[a, b, m, t].
     """
     n = gm.chart.dim
     unique = list({id(v): v for fields, _ in draw for v in fields}.values())
     index = {id(v): k for k, v in enumerate(unique)}
     slots = np.array([[index[id(v)] for v in fields] for fields, _ in draw])
-    comps = [c for v in [*unique, *_connection_basis(gm)] for c in (*v.even, v.odd)]
     pts = gm.chart.require_points([p for _, p in draw])
-    val, grad = _metric_jets(gm, comps, pts)
-    k, m, t = len(unique) * (n + 1), len(comps), len(pts)
+    val, grad, c, _, g, dg = _table_jets(gm, [c for v in unique for c in (*v.even, v.odd)], pts)
     # each instance's fields at its own point, [t, slot, e(, m)], then the instance axis last
-    at = np.arange(t)[:, None]
-    v = np.moveaxis(val[:k].reshape(-1, n + 1, t)[slots, :, at], 0, -1)
-    dv = np.moveaxis(grad[:k].reshape(-1, n + 1, n, t)[slots, :, :, at], 0, -1)
-    g, dg = val[m:].reshape(n + 1, n + 1, t), grad[m:].reshape(n + 1, n + 1, n, t)
-    return v, dv, val[k:m].reshape(n + 1, n + 1, n + 1, t), g, dg
+    at = np.arange(len(pts))[:, None]
+    v = np.moveaxis(val.reshape(-1, n + 1, len(pts))[slots, :, at], 0, -1)
+    dv = np.moveaxis(grad.reshape(-1, n + 1, n, len(pts))[slots, :, :, at], 0, -1)
+    return v, dv, c, g, dg
 
 
 def _along(u: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -196,30 +197,24 @@ def _basis_curvature(gm: GradedMetric, pts: np.ndarray, extra=()) -> tuple[np.nd
 
     The basis brackets vanish, so R(E_a, E_b)E_c = nabla_{E_a} C_bc -
     nabla_{E_b} C_ac, where nabla_{E_a} C_bc = d_a C_bc^e E_e + C_bc^f C_af.
-    C, the extended metric and ``extra`` go through one order-1 pass; the
-    values of ``extra`` [field, t] come back second.
+    C, the extended metric and ``extra`` come from one ``_table_jets`` pass;
+    the values of ``extra`` [field, t] come back second.
     """
-    n, t = gm.chart.dim, len(pts)
-    comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
-    val, grad = _metric_jets(gm, [*comps, *extra], pts)
-    k, m = len(comps), len(comps) + len(extra)
-    c, g = val[:k].reshape(n + 1, n + 1, n + 1, t), val[m:].reshape(n + 1, n + 1, t)
+    values, _, c, dc, g, _ = _table_jets(gm, extra, pts)
     q = np.einsum("bcft,afet->abcet", c, c)
     # d_a C_bc^e for even a; the odd basis differentiates no ordinary function
-    q[:n] += np.moveaxis(grad[:k].reshape(n + 1, n + 1, n + 1, n, t), 3, 0)
-    return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g), val[k:m]
+    q[: gm.chart.dim] += np.moveaxis(dc, 3, 0)
+    return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g), values
 
 
 def _frame_sums(gm: GradedMetric, points, fields=()):
     """Frame-summed Ricci on the graded coordinate basis at each point.
 
     Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
-    Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>.  The basis
-    pairings come from ``_basis_curvature``'s pass, which also takes theta and
-    ``fields``, and the frame sum is numeric.  The frame is
-    ``orthonormal_frame``'s rows, then the odd unit exp(-theta) times the odd
-    basis.  Returns ric[p, b, c], the frames F[p, e, a], their signs s[p, e],
-    and the values of ``fields`` [field, p].
+    Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>, summed
+    numerically.  The frame is ``orthonormal_frame``'s rows, then the odd unit
+    exp(-theta) times the odd basis.  Returns ric[p, b, c], the frames
+    F[p, e, a], their signs s[p, e], and the values of ``fields`` [field, p].
     """
     pts = gm.chart.require_points(points)
     n = gm.chart.dim
