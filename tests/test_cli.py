@@ -536,15 +536,15 @@ def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
 @pytest.mark.parametrize(
     "args,edit,name",
     [
-        (["action"], ("seed = 11", "seed = -1"), "[variation] seed"),
-        (["validate", "--seed", "-1"], None, "--seed"),
+        (["action", "--config", "{path}"], ("seed = 11", "seed = -1"), "[variation] seed"),
+        (["validate", "--config", "{path}", "--seed", "-1"], None, "--seed"),
     ],
     ids=["variation-seed", "cli-seed"],
 )
 def test_negative_seed_exits_2(tmp_path, capsys, args, edit, name):
     text = (Path(__file__).resolve().parent / "golden" / "sections" / "flat_x.ini").read_text()
     path = write(tmp_path, text.replace(*edit) if edit else text)
-    code = run([args[0], "--config", path, *args[1:]])
+    code = run([a.format(path=path) for a in args])
     err = capsys.readouterr().err
     assert code == 2
     assert name in err

@@ -411,26 +411,17 @@ def test_frame_sums_match_direct_curvature(sig):
 def test_basis_connection_built_once_per_metric(monkeypatch):
     # the frame route reads curvature off the cached table nabla_{E_a} E_b,
     # so a suite builds no curvature field and the table once per metric
-    calls = {"curvature_field": [], "graded_apply_field": []}
-
-    def counted(module, name):
+    calls = []
+    for module, name in ((vd, "curvature_field"), (gd, "graded_apply_field")):
         real = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name].append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(vd, "curvature_field")
-    counted(gd, "graded_apply_field")
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     gm = random_graded_metric(np.random.default_rng(109), default_chart(2))
     sizes = []
     for seed in (5, 6):
         results = vd.run_geometry_checks(gm, seed=seed)
         assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-        sizes.append(len(calls["graded_apply_field"]))
-    assert calls["curvature_field"] == []
+        sizes.append(calls.count("graded_apply_field"))
+    assert "curvature_field" not in calls
     # (n + 1)^2 basis pairs, all in the first suite
     assert sizes == [3 * 3, 3 * 3]
 
