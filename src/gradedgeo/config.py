@@ -47,7 +47,7 @@ Grammar (sections in any order, keys as shown):
     support_x = -0.3, 0.3    ; one interval per coordinate, inside the box
     support_y = -0.3, 0.3
     seed = 7                 ; >= 0
-    scale = 1.0
+    scale = 1.0              ; >= 0, with 2*scale finite
 
 Every float is printed back with 17 significant digits, so serialize and
 parse round-trip exactly.
@@ -61,6 +61,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from . import cosmo as co
@@ -306,8 +307,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in sec:
                 raise _cfg_error("cosmo", key, "missing")
         n = _int("cosmo", "n", sec["n"])
-        if n < 2:
-            raise _cfg_error("cosmo", "n", "need n >= 2")
+        if not 2 <= n <= sys.float_info.max:  # the integrator takes n as a float
+            raise _cfg_error("cosmo", "n", f"need 2 <= n <= {sys.float_info.max!r}")
         raw_c = sec.get("c", "eds")
         c = math.sqrt((n - 1) / (2.0 * n)) if raw_c == "eds" else _float("cosmo", "c", raw_c)
         raw_lam = sec.get("einstein_lambda", "ricci-flat")
@@ -333,6 +334,8 @@ def parse_config(text: str) -> RunConfig:
             raise _cfg_error("cosmo", "t0", f"must be positive, got {cosmo.t0!r}")
         if cosmo.step <= 0.0:
             raise _cfg_error("cosmo", "step", f"must be positive, got {cosmo.step!r}")
+        if not math.isfinite((cosmo.t_end - cosmo.t0) / cosmo.step):
+            raise _cfg_error("cosmo", "step", "(t_end - t0) / step overflows a float")
         if (states := co.state_count(cosmo.t0, cosmo.t_end, cosmo.step)) < co.MIN_STATES:
             raise _cfg_error("cosmo", "t_end", f"{states} integrator states from t0, fewer than {co.MIN_STATES}")
 
@@ -362,6 +365,9 @@ def parse_config(text: str) -> RunConfig:
         )
         if variation.seed < 0:
             raise _cfg_error("variation", "seed", f"must be nonnegative, got {variation.seed}")
+        # the amplitudes are drawn from [-scale, scale), whose width must be a finite float
+        if not (variation.scale >= 0.0 and math.isfinite(2.0 * variation.scale)):
+            raise _cfg_error("variation", "scale", f"must be nonnegative with 2*scale finite, got {variation.scale!r}")
 
     return RunConfig(
         chart=chart,

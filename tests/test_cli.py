@@ -533,6 +533,18 @@ def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale", ["-0.5", "1e308"], ids=["negative", "width-overflows"])
+def test_bad_variation_scale_exits_2(tmp_path, capsys, scale):
+    # the amplitudes come from rng.uniform(-scale, scale), which raised on both
+    text = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text()
+    path = write(tmp_path, text.replace("scale = 0.5", f"scale = {scale}"))
+    code = run(["action", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "[variation] scale:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args,edit,name",
     [

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradedgeo import config as cf
 from gradedgeo import riemann as rm
@@ -192,3 +194,96 @@ def test_cosmo_section_errors():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         cf.load_config(str(tmp_path / "nope.ini"))
+
+
+# The fuzz writes a plausible value for every key of [grid], [quadrature],
+# [cosmo] and [variation], then makes up to two of them extreme (a negative,
+# a zero, a huge or tiny float, an integer past the float range, a
+# non-finite or non-numeric token) and may drop a key or a section, so that
+# each check is reached with the rest of the config valid.
+_EXTREME = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-(10**400), max_value=10**400).map(str),
+    st.sampled_from(["0", "-1", "-0.0", "1e308", "-1e308", "5e-324", "1e400", "inf", "-inf", "nan", "x", ""]),
+)
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _interval():
+    # an interval inside the box [-1, 1], or one with an extreme end
+    lo, hi = _floats(-1.0, -0.1), _floats(0.1, 1.0)
+    bad = st.one_of(st.tuples(_EXTREME, hi), st.tuples(lo, _EXTREME), st.tuples(hi, lo))
+    return st.tuples(lo, hi).map(", ".join), bad.map(", ".join)
+
+
+_KEYS = {
+    ("grid", "counts"): st.tuples(*[st.integers(1, 4).map(str)] * 2).map(", ".join),
+    ("grid", "points"): st.lists(st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0)).map(" ".join), min_size=1, max_size=3).map("; ".join),
+    ("quadrature", "nodes"): st.integers(1, 40).map(str),
+    ("cosmo", "n"): st.integers(2, 5).map(str),
+    ("cosmo", "c"): st.one_of(st.just("eds"), _floats(0.0, 2.0)),
+    ("cosmo", "t0"): _floats(0.5, 2.0),
+    **{("cosmo", key): _floats(-1.0, 1.0) for key in ("a0", "a_dot0", "theta0")},
+    ("cosmo", "t_end"): _floats(2.0, 5.0),
+    ("cosmo", "step"): _floats(0.01, 0.5),
+    ("cosmo", "einstein_lambda"): st.one_of(st.just("ricci-flat"), _floats(-1.0, 1.0)),
+    ("cosmo", "theta_sign"): st.sampled_from(["1", "-1"]),
+    ("variation", "kind"): st.sampled_from(["bump", "zero"]),
+    ("variation", "seed"): st.integers(0, 100).map(str),
+    ("variation", "scale"): _floats(0.0, 2.0),
+}
+_INTERVALS = {("variation", "support_x"): _interval(), ("variation", "support_y"): _interval()}
+
+
+@st.composite
+def _config_text(draw):
+    keys = [*_KEYS, *_INTERVALS]
+    values = {key: draw(_KEYS[key] if key in _KEYS else _INTERVALS[key][0]) for key in keys}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        values[key] = draw(_INTERVALS[key][1] if key in _INTERVALS else _EXTREME)
+    # counts or points, unless both are kept to test that refusal
+    values.pop(draw(st.sampled_from([("grid", "counts"), ("grid", "points")] * 2 + [None])), None)
+    values.pop(draw(st.sampled_from([None] * 3 + keys)), None)
+    dropped = draw(st.sampled_from([None] * 3 + ["grid", "quadrature", "cosmo", "variation"]))
+    sections = {}
+    for (section, key), value in values.items():
+        if section != dropped:
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return FLAT + "".join(f"\n[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+_VALID = FLAT + """
+[cosmo]
+n = 3
+t0 = 1.0
+a0 = 0.0
+a_dot0 = 0.3
+theta0 = 0.0
+t_end = 4.0
+step = 0.1
+
+[variation]
+support_x = -0.3, 0.3
+support_y = -0.3, 0.3
+scale = 0.5
+"""
+
+
+@settings(deadline=None, max_examples=100)
+@given(text=_config_text())
+# each of these escaped as a ValueError or OverflowError
+@example(text=_VALID.replace("scale = 0.5", "scale = -0.5"))
+@example(text=_VALID.replace("scale = 0.5", "scale = 1e308"))
+@example(text=_VALID.replace("n = 3", "n = 1" + "0" * 400))
+@example(text=_VALID.replace("step = 0.1", "step = 5e-324"))
+@example(text=_VALID.replace("t0 = 1.0", "t0 = 1e308").replace("t_end = 4.0", "t_end = -1e308"))
+def test_parse_config_fuzz(text):
+    # a config parses or is refused by name: nothing else escapes
+    try:
+        cfg = cf.parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, cf.RunConfig)
