@@ -222,38 +222,55 @@ def pairing_field(gm: "GradedMetric", v: GradedVectorField, w: GradedVectorField
 def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
     """Koszul pairing <nabla_x y, z> of each triple (x, y, z) at its own point.
 
-    The components of every x, y and z, the g_ij and the weight exp(2*theta)
-    go through one order-1 jet pass over all the points.  Pairings and their
-    gradients are products of values and gradients; the anchor actions
-    x<y, z> and the super brackets are read off the gradients, and the
-    six-term sum is halved.  No symbolic derivative is taken, so the route
-    shares no derivative with the connection it checks.  A non-finite g_ij
-    or weight raises DomainError naming it and the first bad point.
+    The components of every x, y and z go through one order-1 jet pass over
+    all the points, and each triple reads its own point's values and
+    gradients; the formula itself is :func:`_koszul_from_jets`.  No symbolic
+    derivative is taken, so the route shares no derivative with the
+    connection it checks.
     """
     pts = gm.metric.chart.require_points(points)
     if len(triples) != len(pts):
         raise ValueError(f"{len(triples)} triples for {len(pts)} points")
     n, t = gm.metric.chart.dim, len(pts)
     fields = [c for triple in triples for v in triple for c in (*v.even, v.odd)]
+    # a non-finite field value gives a non-finite pairing, which fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = ef.eval_jets_batch(fields, pts, 1)
+    val = np.array([jet.value for jet in jets]).reshape(t, 3, n + 1, t)
+    grad = np.array([jet.gradient() for jet in jets]).reshape(t, 3, n + 1, n, t)
+    # each triple's components at its own point: [x/y/z, component, (axis,) point]
+    return _koszul_from_jets(gm, np.diagonal(val, axis1=0, axis2=3), np.diagonal(grad, axis1=0, axis2=4), pts)
+
+
+def _koszul_from_jets(gm: "GradedMetric", v: np.ndarray, dv: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The Koszul formula from field values v[x/y/z, e, t] and gradients dv[x/y/z, e, m, t].
+
+    Column t holds triple t at its own point pts[t].  The g_ij and the weight
+    exp(2*theta) go through one order-1 jet pass of their own.  Pairings and
+    their gradients are products of values and gradients; the anchor actions
+    x<y, z> and the super brackets are read off the gradients, and the
+    six-term sum is halved.  A non-finite g_ij or weight raises DomainError
+    naming it and the first bad point.
+    """
+    n, t = gm.metric.chart.dim, len(pts)
     metric = [gm.metric.component(i, j) for i in range(n) for j in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        jets = ef.eval_jets_batch([*fields, *metric, ef.exp(gm.theta + gm.theta)], pts, 1)
+        jets = ef.eval_jets_batch([*metric, ef.exp(gm.theta + gm.theta)], pts, 1)
     rm.check_finite(
-        [*((f"g_{k // n}_{k % n}", jet.coeffs) for k, jet in enumerate(jets[len(fields):-1])),
+        [*((f"g_{k // n}_{k % n}", jet.coeffs) for k, jet in enumerate(jets[:-1])),
          ("exp(2*theta)", jets[-1].coeffs)],
         pts,
     )
     val = np.array([jet.value for jet in jets])
     grad = np.array([jet.gradient() for jet in jets])
-    # each triple's components at its own point: [x/y/z, component, (axis,) point]
-    vx, vy, vz = np.diagonal(val[: len(fields)].reshape(t, 3, n + 1, t), axis1=0, axis2=3)
-    dx, dy, dz = np.diagonal(grad[: len(fields)].reshape(t, 3, n + 1, n, t), axis1=0, axis2=4)
     # the extended metric: g on the even block, the weight on the odd one
     g = np.zeros((n + 1, n + 1, t))
     dg = np.zeros((n + 1, n + 1, n, t))
-    g[:n, :n] = val[len(fields):-1].reshape(n, n, t)
-    dg[:n, :n] = grad[len(fields):-1].reshape(n, n, n, t)
+    g[:n, :n] = val[:-1].reshape(n, n, t)
+    dg[:n, :n] = grad[:-1].reshape(n, n, n, t)
     g[n, n], dg[n, n] = val[-1], grad[-1]
+    # einsum's summation order follows its operands' strides: read the fields point-major
+    (vx, vy, vz), (dx, dy, dz) = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1) for a in (v, dv))
 
     def pair(u, w):
         return np.einsum("abt,at,bt->t", g, u, w)

@@ -1,7 +1,11 @@
 """Seeded random geometry generators for validation runs and property tests.
 
 Metrics are polynomial perturbations of a constant-signature diagonal, scaled
-so nondegeneracy and signature are stable across the chart box.
+so nondegeneracy and signature are stable across the chart box.  Graded
+vector fields come as symbolic fields (``random_graded_field``) or, for the
+degree-1 fields validate reads only at points, as affine coefficient arrays
+(``random_affine_fields``) drawn from the same random calls, whose values and
+gradients ``affine_jets`` computes as the order-1 jets of the symbolic fields.
 """
 
 from __future__ import annotations
@@ -78,6 +82,47 @@ def random_graded_field(rng: np.random.Generator, chart: ChartSpec, degree: int 
     )
     odd = random_polynomial(rng, chart, degree=degree, scale=scale)
     return GradedVectorField(even, odd)
+
+
+def random_affine_fields(rng: np.random.Generator, chart: ChartSpec, count: int):
+    """``count`` degree-1 graded fields as coefficient arrays (bias, coef, axis).
+
+    Component e of field f (the odd one last) is bias[f, e] + sum_k
+    coef[f, e, k] * x[axis[f, e, k]], from the same random calls, in the same
+    order, as ``count`` calls of ``random_graded_field(rng, chart)``.
+    """
+    n = chart.dim
+    bias = np.empty((count, n + 1))
+    coef = np.empty((count, n + 1, n))
+    axis = np.empty((count, n + 1, n), dtype=np.intp)
+    uniform, integers = rng.uniform, rng.integers
+    for f in range(count):
+        for e in range(n + 1):
+            bias[f, e] = 0.0 + float(uniform(-1.0, 1.0))
+            for k in range(n):
+                coef[f, e, k] = float(uniform(-1.0, 1.0))
+                integers(1, 2)  # random_polynomial's degree draw, always 1 here
+                axis[f, e, k] = int(integers(0, n))
+    return bias, coef, axis
+
+
+def affine_jets(bias: np.ndarray, coef: np.ndarray, axis: np.ndarray, pts: np.ndarray):
+    """Values [f, e, t] and gradients [f, e, m, t] of affine fields at pts[t].
+
+    The steps are the order-1 jet rule's on the symbolic field: the bias,
+    then ``+ (x * coef + 0.0)`` for each term in turn, and on the gradient
+    the bias constant's signed zero plus ``(seed * coef + 0.0)`` per term.
+    So the results are the bits of ``eval_jets_batch`` at order 1.
+    """
+    npts, n = pts.shape
+    val = np.broadcast_to(bias[..., None], (*bias.shape, npts))
+    grad = np.broadcast_to(np.where(bias < 0.0, -0.0, 0.0)[..., None, None], (*bias.shape, n, npts))
+    seeds = np.eye(n)
+    for k in range(coef.shape[-1]):
+        c = coef[..., k, None]
+        val = val + (pts.T[axis[..., k]] * c + 0.0)
+        grad = grad + (seeds[axis[..., k]] * c + 0.0)[..., None]
+    return val, grad
 
 
 def random_dual_function(rng: np.random.Generator, chart: ChartSpec, degree: int = 2, scale: float = 1.0):

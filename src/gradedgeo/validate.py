@@ -6,13 +6,17 @@ worst deviation over a sample.  A check's closed-form side is one
 ``graded.geometry_batch`` over its sample, shared by the checks of a suite.
 The Koszul, compatibility and torsion checks read the connection off the
 fields C_ab = nabla_{E_a} E_b on the graded coordinate basis, built once
-per metric; each takes its random fields, C and the metric from one
-order-1 jet pass, nabla_x y = x^m d_m y + x^a y^b C_ab.  The Koszul formula
-runs its own pass and takes no symbolic derivative.  The frame route never
-touches the batch either: it reads the pairings <R(E_a, E_b)E_c, E_d> off
-the values and gradients of C and the metric, from one order-1 pass at all
-of a check's points, and sums them over a pseudo-orthonormal frame at each
-point numerically; a suite's two frame checks share that sum.
+per metric, as nabla_x y = x^m d_m y + x^a y^b C_ab.  Their random fields
+are degree-1 polynomials drawn as affine coefficient arrays, whose values
+and gradients numpy computes exactly; C and the extended metric come from
+one order-1 jet pass per suite, at the union of the checks' points and the
+frame points, and each check reads its own columns.  The Koszul formula
+runs its own pass over the metric and takes no symbolic derivative.  The
+frame route never touches the batch either: it reads the pairings
+<R(E_a, E_b)E_c, E_d> off the values and gradients of C and the metric and
+sums them over a pseudo-orthonormal frame at each point numerically, the
+frame built from the same pass's g; a suite's two frame checks share that
+sum.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ import numpy as np
 from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import GradedVectorField, bracket, koszul_values
+from .algebroid import GradedVectorField, _koszul_from_jets, bracket
 from .errors import DegenerateMetricError
 from .graded import GradedConnectionTriple, GradedMetric
-from .randgen import random_graded_field, random_interior_point, random_polynomial
+from .randgen import affine_jets, random_affine_fields, random_interior_point, random_polynomial
 
 __all__ = [
     "CheckResult",
@@ -77,8 +81,12 @@ def orthonormal_frame(m: rm.MetricSpec, p) -> tuple[np.ndarray, tuple[int, ...]]
     signs[i] = +-1 its squared norm.  Fails on near-null intermediate
     vectors, which cannot be normalized.
     """
-    g = rm.metric_at(m, p)[0].components
-    n = m.chart.dim
+    return _gram_schmidt(rm.metric_at(m, p)[0].components)
+
+
+def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``orthonormal_frame`` of the metric values g[i, j] at one point."""
+    n = len(g)
     rows = np.empty((n, n))
     signs: list[int] = []
     for k in range(n):
@@ -125,13 +133,18 @@ def _connection_basis(gm: GradedMetric) -> list[GradedVectorField]:
     return got
 
 
-def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int) -> list:
-    """``groups`` times: ``count`` random fields, then ``points`` points that read them."""
-    draw = []
-    for _ in range(groups):
-        fields = tuple(random_graded_field(rng, gm.chart) for _ in range(count))
-        draw += [(fields, random_interior_point(rng, gm.chart)) for _ in range(points)]
-    return draw
+def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int):
+    """``groups`` times: ``count`` random fields, then ``points`` points that read them.
+
+    Returns the fields as affine arrays (bias, coef, axis), each instance's
+    fields slots[t, s] and its point pts[t].
+    """
+    drawn, slots, pts = [], [], []
+    for k in range(groups):
+        drawn.append(random_affine_fields(rng, gm.chart, count))
+        slots += [list(range(k * count, (k + 1) * count))] * points
+        pts += [random_interior_point(rng, gm.chart) for _ in range(points)]
+    return tuple(np.concatenate(a) for a in zip(*drawn)), np.array(slots), gm.chart.require_points(pts)
 
 
 def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
@@ -158,24 +171,18 @@ def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     return val[:k], grad[:k], c, dc, val[m:].reshape(n + 1, n + 1, t), grad[m:].reshape(n + 1, n + 1, n, t)
 
 
-def _instance_jets(gm: GradedMetric, draw):
-    """Order-1 jets of a draw's fields at their own points, with C and the extended metric.
+def _columns(jets, edges) -> list:
+    """Each run of ``edges`` columns of a pass, laid out as a pass at those points alone."""
+    return [[np.ascontiguousarray(a[..., lo:hi]) for a in jets] for lo, hi in zip(edges, edges[1:])]
 
-    One ``_table_jets`` pass takes the components of the distinct fields at
-    all the draw's points.  Returns v[slot, e, t] and dv[slot, e, m, t] for
-    instance t's fields, then c[a, b, e, t], g[a, b, t] and dg[a, b, m, t].
-    """
-    n = gm.chart.dim
-    unique = list({id(v): v for fields, _ in draw for v in fields}.values())
-    index = {id(v): k for k, v in enumerate(unique)}
-    slots = np.array([[index[id(v)] for v in fields] for fields, _ in draw])
-    pts = gm.chart.require_points([p for _, p in draw])
-    val, grad, c, _, g, dg = _table_jets(gm, [c for v in unique for c in (*v.even, v.odd)], pts)
-    # each instance's fields at its own point, [t, slot, e(, m)], then the instance axis last
+
+def _instance_jets(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Values v[slot, e, t] and gradients dv[slot, e, m, t] of instance t's fields at its own point."""
+    fields, slots, pts = draw
+    val, grad = affine_jets(*fields, pts)
+    # [t, slot, e(, m)], then the instance axis last
     at = np.arange(len(pts))[:, None]
-    v = np.moveaxis(val.reshape(-1, n + 1, len(pts))[slots, :, at], 0, -1)
-    dv = np.moveaxis(grad.reshape(-1, n + 1, n, len(pts))[slots, :, :, at], 0, -1)
-    return v, dv, c, g, dg
+    return np.moveaxis(val[slots, :, at], 0, -1), np.moveaxis(grad[slots, :, :, at], 0, -1)
 
 
 def _along(u: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -192,40 +199,46 @@ def _pair(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("abt,at,bt->t", g, u, w)
 
 
-def _basis_curvature(gm: GradedMetric, pts: np.ndarray, extra=()) -> tuple[np.ndarray, np.ndarray]:
+def _basis_curvature(c: np.ndarray, dc: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pairings <R(E_a, E_b)E_c, E_d> on the graded coordinate basis, k[a, b, c, d, t].
 
     The basis brackets vanish, so R(E_a, E_b)E_c = nabla_{E_a} C_bc -
-    nabla_{E_b} C_ac, where nabla_{E_a} C_bc = d_a C_bc^e E_e + C_bc^f C_af.
-    C, the extended metric and ``extra`` come from one ``_table_jets`` pass;
-    the values of ``extra`` [field, t] come back second.
+    nabla_{E_b} C_ac, where nabla_{E_a} C_bc = d_a C_bc^e E_e + C_bc^f C_af,
+    from the values and gradients of C and the extended metric of one pass.
     """
-    values, _, c, dc, g, _ = _table_jets(gm, extra, pts)
     q = np.einsum("bcft,afet->abcet", c, c)
     # d_a C_bc^e for even a; the odd basis differentiates no ordinary function
-    q[: gm.chart.dim] += np.moveaxis(dc, 3, 0)
-    return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g), values
+    q[: dc.shape[3]] += np.moveaxis(dc, 3, 0)
+    return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g)
 
 
-def _frame_sums(gm: GradedMetric, points, fields=()):
-    """Frame-summed Ricci on the graded coordinate basis at each point.
+def _frame_ricci(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame-summed Ricci on the graded coordinate basis at each point of a pass.
 
     Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
     Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>, summed
-    numerically.  The frame is ``orthonormal_frame``'s rows, then the odd unit
-    exp(-theta) times the odd basis.  Returns ric[p, b, c], the frames
-    F[p, e, a], their signs s[p, e], and the values of ``fields`` [field, p].
+    numerically.  The frame is ``orthonormal_frame``'s rows of the pass's
+    g_ij, then the odd unit exp(-theta) times the odd basis; theta is the
+    pass's first field.  Returns ric[p, b, c], the frames F[p, e, a] and
+    their signs s[p, e].
     """
-    pts = gm.chart.require_points(points)
-    n = gm.chart.dim
-    kab, values = _basis_curvature(gm, pts, [gm.theta, *fields])
-    frames = np.zeros((len(pts), n + 1, n + 1))
-    signs = np.ones((len(pts), n + 1))
-    for i, p in enumerate(pts):
-        frames[i, :n, :n], signs[i, :n] = orthonormal_frame(gm.metric, p)
+    values, _, c, dc, g, _ = jets
+    n, npts = dc.shape[3], dc.shape[-1]
+    kab = _basis_curvature(c, dc, g)
+    frames = np.zeros((npts, n + 1, n + 1))
+    signs = np.ones((npts, n + 1))
+    # each point's g_ij laid out as metric_at lays it out
+    for i, gp in enumerate(np.moveaxis(g[:n, :n], -1, 0).copy()):
+        frames[i, :n, :n], signs[i, :n] = _gram_schmidt(gp)
     frames[:, n, n] = np.exp(-values[0])
     ric = np.einsum("pe,pea,ped,abcdp->pbc", signs, frames, frames, kab)
-    return ric, frames, signs, values[1:]
+    return ric, frames, signs
+
+
+def _frame_sums(gm: GradedMetric, points, fields=()):
+    """``_frame_ricci`` from a pass of its own at points, with the values of ``fields`` [field, p]."""
+    jets = _table_jets(gm, [gm.theta, *fields], gm.chart.require_points(points))
+    return (*_frame_ricci(jets), jets[0][1:])
 
 
 def _frame_scalar(ric: np.ndarray, frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -245,17 +258,36 @@ def frame_graded_scalar(gm: GradedMetric, p) -> float:
     return float(_frame_scalar(*_frame_sums(gm, [p])[:3])[0])
 
 
+def _alone(check, gm: GradedMetric, draw) -> CheckResult:
+    """A connection check on a table pass of its own at the draw's points."""
+    return check(gm, draw, _table_jets(gm, (), draw[2]))
+
+
 def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
-    draw = _draw(gm, rng, trials, 3, 1)
-    (x, y, z), (_, dy, _), c, g, _ = _instance_jets(gm, draw)
+    return _alone(_koszul, gm, _draw(gm, rng, trials, 3, 1))
+
+
+def _koszul(gm: GradedMetric, draw, jets) -> CheckResult:
+    _, _, c, _, g, _ = jets
+    v, dv = _instance_jets(draw)
+    (x, y, z), (_, dy, _) = v, dv
     lhs = _pair(g, _nabla(c, x, y, dy), z)
-    rhs = koszul_values(gm, [fields for fields, _ in draw], [p for _, p in draw])
+    rhs = _koszul_from_jets(gm, v, dv, draw[2])
     return CheckResult("koszul_vs_triple", _worst(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))), 1e-9)
 
 
 def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> CheckResult:
+    return _alone(_compatibility, gm, _compatibility_draw(gm, rng, points))
+
+
+def _compatibility_draw(gm: GradedMetric, rng, points: int):
     triples = max(1, points // 10)
-    (x, y, z), (_, dy, dz), c, g, dg = _instance_jets(gm, _draw(gm, rng, triples, 3, points // triples))
+    return _draw(gm, rng, triples, 3, points // triples)
+
+
+def _compatibility(gm: GradedMetric, draw, jets) -> CheckResult:
+    _, _, c, _, g, dg = jets
+    (x, y, z), (_, dy, dz) = _instance_jets(draw)
     # x<y, z> = x^m d_m <y, z>, against <nabla_x y, z> + <y, nabla_x z>
     act = np.einsum("mt,abmt,at,bt->t", x[: gm.chart.dim], dg, y, z)
     act = act + _pair(g, _along(x, dy), z) + _pair(g, y, _along(x, dz))
@@ -264,7 +296,12 @@ def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> Check
 
 
 def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
-    (x, y), (dx, dy), c, _, _ = _instance_jets(gm, _draw(gm, rng, trials, 2, 1))
+    return _alone(_torsion, gm, _draw(gm, rng, trials, 2, 1))
+
+
+def _torsion(gm: GradedMetric, draw, jets) -> CheckResult:
+    c = jets[2]
+    (x, y), (dx, dy) = _instance_jets(draw)
     # nabla_x y - nabla_y x - [x, y], the super bracket read off the gradients
     t = _nabla(c, x, y, dy) - _nabla(c, y, x, dx) - (_along(x, dy) - _along(y, dx))
     return CheckResult("torsion_free", _worst(np.max(np.abs(t), axis=0)), 1e-10)
@@ -343,21 +380,27 @@ def run_geometry_checks(
 ) -> list[CheckResult]:
     """All invariant checks on one geometry; frame checks use the first FRAME_POINTS points.
 
-    The closed-form sides share one geometry batch over the sample; the
-    two frame checks share one frame sum over the sub-sample and read the
-    batch's first rows.
+    The connection checks draw their fields and points in the order of the
+    public checks called one after another, with their default sizes; one
+    table pass at all their points and the frame points serves them and
+    the frame sum, each reading its own columns.  The closed-form sides
+    share one geometry batch over the sample; the two frame checks share
+    one frame sum over the sub-sample and read the batch's first rows.
     """
     rng = np.random.default_rng(seed)
     if sample is None:
         sample = [random_interior_point(rng, gm.chart) for _ in range(5)]
     sample = [gm.chart.require_point(p) for p in sample]
-    results = [
-        check_koszul_vs_triple(gm, rng),
-        check_metric_compatibility(gm, rng),
-        check_torsion_free(gm, rng),
-    ]
+    checks = (_koszul, _compatibility, _torsion)
+    # the draws of check_koszul_vs_triple, check_metric_compatibility and check_torsion_free
+    draws = [_draw(gm, rng, 10, 3, 1), _compatibility_draw(gm, rng, 50), _draw(gm, rng, 5, 2, 1)]
+    frame = gm.chart.require_points(sample[:FRAME_POINTS])
+    parts = [*(draw[2] for draw in draws), frame]
+    edges = np.cumsum([0, *map(len, parts)])
+    *cols, frame_jets = _columns(_table_jets(gm, [gm.theta], np.concatenate(parts)), edges)
+    results = [check(gm, draw, jets) for check, draw, jets in zip(checks, draws, cols)]
     b = gd.geometry_batch(gm, sample)
-    sums = _frame_sums(gm, sample[:FRAME_POINTS])[:3]
+    sums = _frame_ricci(frame_jets)
     results += [
         _ricci_blocks_frame(sums[0], b),
         _scalar_frame(sums, b),

@@ -9,9 +9,11 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError, DomainError
-from gradedgeo.algebroid import GradedVectorField, koszul_eval, koszul_values, pairing_field
+from gradedgeo.algebroid import GradedVectorField, _koszul_from_jets, koszul_eval, koszul_values, pairing_field
 from gradedgeo.randgen import (
+    affine_jets,
     default_chart,
+    random_affine_fields,
     random_graded_field,
     random_graded_metric,
     random_interior_point,
@@ -183,11 +185,11 @@ def test_metric_compatibility_runs_one_pass(jet_calls):
     gm = random_graded_metric(np.random.default_rng(53), default_chart(2), signature=(-1, 1))
     res = vd.check_metric_compatibility(gm, np.random.default_rng(59), points=50)
     assert res.passed
-    # eval_jet records a single field, eval_jets_batch a list of them; one
-    # pass holds x, y, z (3 components each) of the 5 triples, the 9 fields
-    # nabla_{E_a} E_b and the 3 x 3 extended metric
+    # eval_jet records a single field, eval_jets_batch a list of them; the
+    # random fields are affine arrays, so one pass holds only the 9 fields
+    # nabla_{E_a} E_b (3 components each) and the 3 x 3 extended metric
     assert all(isinstance(fields, list) for fields in jet_calls)
-    assert [len(fields) for fields in jet_calls] == [5 * 3 * 3 + 9 * 3 + 9]
+    assert [len(fields) for fields in jet_calls] == [9 * 3 + 9]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -205,8 +207,7 @@ def test_metric_compatibility_batch_matches_points(dim):
 
 def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
     # the frame sums and the Koszul formula check the batched curvature
-    # engine, so they must run with it switched off; the metric itself is
-    # still read through metric_at at order 0, which builds no connection
+    # engine, so they must run with it switched off
     def engine(*args, **kwargs):
         raise AssertionError("an oracle route reached the curvature engine")
 
@@ -249,7 +250,12 @@ def test_koszul_route_takes_no_symbolic_derivative(monkeypatch):
         gm = random_graded_metric(rng, default_chart(dim))
         triples = [tuple(random_graded_field(rng, gm.chart) for _ in range(3)) for _ in range(3)]
         points = [random_interior_point(rng, gm.chart) for _ in triples]
-        values = [koszul_eval(gm, *triples[0], points[0]), *koszul_values(gm, triples, points)]
+        draw = vd._draw(gm, rng, 3, 3, 1)
+        values = [
+            koszul_eval(gm, *triples[0], points[0]),
+            *koszul_values(gm, triples, points),
+            *_koszul_from_jets(gm, *vd._instance_jets(draw), draw[2]),
+        ]
         assert all(math.isfinite(v) for v in values), (dim, values)
 
 
@@ -272,11 +278,12 @@ def test_koszul_check_runs_one_pass_per_side(jet_calls):
     gm = random_graded_metric(np.random.default_rng(151), default_chart(2), signature=(-1, 1))
     res = vd.check_koszul_vs_triple(gm, np.random.default_rng(157), trials=10)
     assert res.passed
-    # x, y, z (3 components each) of the 10 trials and the metric on jets:
-    # once with the 9 fields nabla_{E_a} E_b and the 3 x 3 extended metric for
-    # the connection side, once with the 4 g_ij and the weight for the formula
+    # the random fields are affine arrays, so only the table and the metric
+    # go on jets: once the 9 fields nabla_{E_a} E_b (3 components each) and
+    # the 3 x 3 extended metric for the connection side, once the 4 g_ij and
+    # the weight for the formula
     assert all(isinstance(fields, list) for fields in jet_calls)
-    assert [len(fields) for fields in jet_calls] == [10 * 3 * 3 + 9 * 3 + 9, 10 * 3 * 3 + 4 + 1]
+    assert [len(fields) for fields in jet_calls] == [9 * 3 + 9, 4 + 1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -305,8 +312,8 @@ def test_frame_scalar_fails_closed_on_weight_overflow():
 @pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suite_reads_one_batch_per_check(monkeypatch, dim):
-    # one geometry batch per closed-form check and one metric read per frame,
-    # not one metric sweep per point and quantity
+    # one geometry batch per closed-form check, not one metric sweep per
+    # point and quantity
     calls = []
     real = rm._metric_arrays
 
@@ -318,9 +325,9 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
     results = vd.run_geometry_checks(gm, seed=5)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    # one batch over the whole sample, then one frame per point at the
-    # default two frame points, shared by the two frame checks
-    assert len(calls) == 1 + 2
+    # one batch over the whole sample; the frames at the default two frame
+    # points, shared by the two frame checks, read g off the suite's pass
+    assert len(calls) == 1
     # the checks read the shared batch's rows as if each had built its own
     sample = [tuple(p) for p in calls[0][1]]  # the batch's points
     alone = [
@@ -434,7 +441,7 @@ def test_basis_curvature_matches_curvature_field(dim):
     gm = random_graded_metric(rng, default_chart(dim))
     conn, basis = gd.levicivita_triple(gm), vd._basis(gm)
     pts = gm.chart.require_points([random_interior_point(rng, gm.chart) for _ in range(3)])
-    got, _ = vd._basis_curvature(gm, pts)
+    got = vd._basis_curvature(*vd._table_jets(gm, (), pts)[2:5])
     pairings = [
         pairing_field(gm, vd.curvature_field(conn, a, b, c), d)
         for a in basis
@@ -451,18 +458,20 @@ def test_basis_curvature_matches_curvature_field(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_basis_nabla_matches_graded_apply_field(dim):
-    # nabla_x y from the table nabla_{E_a} E_b and the jets of x and y is the
-    # symbolic covariant derivative read at the point
-    rng = np.random.default_rng(167 + dim)
-    gm = random_graded_metric(rng, default_chart(dim))
+    # nabla_x y from the table nabla_{E_a} E_b and the affine arrays of x and
+    # y is the symbolic covariant derivative of the same draws read at the point
+    gm = random_graded_metric(np.random.default_rng(167 + dim), default_chart(dim))
     conn = gd.levicivita_triple(gm)
+    draw = vd._draw(gm, np.random.default_rng(211), 4, 2, 1)
+    rng = np.random.default_rng(211)
     instances = []
     for _ in range(4):
         x, y = random_graded_field(rng, gm.chart), random_graded_field(rng, gm.chart)
         instances.append(((x, y), random_interior_point(rng, gm.chart)))
-    (vx, vy), (_, dy), table, _, _ = vd._instance_jets(gm, instances)
-    got = vd._nabla(table, vx, vy, dy)
+    (vx, vy), (_, dy) = vd._instance_jets(draw)
+    got = vd._nabla(vd._table_jets(gm, (), draw[2])[2], vx, vy, dy)
     for t, ((x, y), p) in enumerate(instances):
+        assert p == tuple(draw[2][t])
         field = gd.graded_apply_field(conn, x, y)
         want = np.array([f(p) for f in (*field.even, field.odd)])
         assert np.max(np.abs(got[:, t] - want)) <= 1e-13 * np.max(np.abs(want)), (t, got[:, t], want)
@@ -497,8 +506,8 @@ def test_compatibility_check_detects_perturbed_x0(monkeypatch):
 
 
 def test_suite_runs_one_pass_per_connection_check(monkeypatch):
-    # the Koszul, compatibility and torsion checks of a suite make one
-    # order-1 pass each; the Koszul formula makes its own
+    # the Koszul, compatibility and torsion checks and the frame sums of a
+    # suite share one order-1 pass; the Koszul formula makes its own
     calls = []
     real = ef.eval_jets_batch
 
@@ -510,12 +519,62 @@ def test_suite_runs_one_pass_per_connection_check(monkeypatch):
     gm = random_graded_metric(np.random.default_rng(193), default_chart(2))
     results = vd.run_geometry_checks(gm, seed=7)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    # each pass holds its check's fields (3 components each), the 9 fields
-    # nabla_{E_a} E_b and the 3 x 3 extended metric: 10 Koszul triples, then
-    # the Koszul formula's pass, 5 compatibility triples, 5 torsion pairs;
-    # then the frame sums' pass over the table, the metric and theta, and
-    # last the conservation check's pass over the 4 stress components
-    table = 9 * 3 + 9
-    koszul_formula = 10 * 3 * 3 + 4 + 1
-    want = [10 * 3 * 3 + table, koszul_formula, 5 * 3 * 3 + table, 5 * 2 * 3 + table, table + 1, 4]
+    # the random fields are affine arrays, so the suite's pass holds theta,
+    # the 9 fields nabla_{E_a} E_b (3 components each) and the 3 x 3 extended
+    # metric; then the Koszul formula's pass over the 4 g_ij and the weight,
+    # and last the conservation check's pass over the 4 stress components
+    want = [1 + 9 * 3 + 9, 4 + 1, 4]
     assert [size for size, order in calls if order == 1] == want
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_affine_fields_match_symbolic_jets(dim):
+    # the arrays are the symbolic fields' draws, and their values and
+    # gradients the bits of the fields' order-1 jets, signed zeros included
+    chart = default_chart(dim)
+    rng, ref = np.random.default_rng(223 + dim), np.random.default_rng(223 + dim)
+    bias, coef, axis = random_affine_fields(rng, chart, 6)
+    fields = [random_graded_field(ref, chart) for _ in range(6)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert (bias < 0.0).any() and (bias > 0.0).any()  # both signs of the gradient's first zero
+    pts = chart.require_points([random_interior_point(rng, chart) for _ in range(5)])
+    val, grad = affine_jets(bias, coef, axis, pts)
+    jets = ef.eval_jets_batch([c for v in fields for c in (*v.even, v.odd)], pts, 1)
+    want_val = np.array([jet.value for jet in jets]).reshape(val.shape)
+    want_grad = np.array([jet.gradient() for jet in jets]).reshape(grad.shape)
+    assert val.tobytes() == want_val.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [2, 3])
+def test_suite_connection_checks_match_alone(monkeypatch, dim):
+    # the suite's shared pass gives each connection check the bits of its
+    # own pass, and leaves the stream where the checks called alone leave it
+    states = []
+    real = vd._trace_identities
+    monkeypatch.setattr(vd, "_trace_identities", lambda gm, rng, b: states.append(rng.bit_generator.state) or real(gm, rng, b))
+    gm = random_graded_metric(np.random.default_rng(227 + dim), default_chart(dim))
+    shared = {r.name: r.max_error for r in vd.run_geometry_checks(gm, seed=13)}
+    rng = np.random.default_rng(13)
+    [random_interior_point(rng, gm.chart) for _ in range(5)]  # the suite's sample
+    alone = [vd.check_koszul_vs_triple(gm, rng), vd.check_metric_compatibility(gm, rng), vd.check_torsion_free(gm, rng)]
+    assert [r.max_error for r in alone] == [shared[r.name] for r in alone]
+    assert states == [rng.bit_generator.state]
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_koszul_arrays_match_symbolic_triples(dim):
+    # the formula on the affine arrays is the formula on the symbolic fields
+    # of the same draws, bit for bit
+    gm = random_graded_metric(np.random.default_rng(233 + dim), default_chart(dim))
+    rng, ref = np.random.default_rng(239), np.random.default_rng(239)
+    draw = vd._draw(gm, rng, 6, 3, 1)
+    triples, points = [], []
+    for _ in range(6):
+        triples.append(tuple(random_graded_field(ref, gm.chart) for _ in range(3)))
+        points.append(random_interior_point(ref, gm.chart))
+    got = _koszul_from_jets(gm, *vd._instance_jets(draw), draw[2])
+    assert got.tobytes() == koszul_values(gm, triples, points).tobytes()
