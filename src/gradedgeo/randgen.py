@@ -116,6 +116,7 @@ def affine_jets(bias: np.ndarray, coef: np.ndarray, axis: np.ndarray, pts: np.nd
     """
     npts, n = pts.shape
     val = np.broadcast_to(bias[..., None], (*bias.shape, npts))
+    # the tree holds a negative bias as a negated constant, whose gradient is -0.0
     grad = np.broadcast_to(np.where(bias < 0.0, -0.0, 0.0)[..., None, None], (*bias.shape, n, npts))
     seeds = np.eye(n)
     for k in range(coef.shape[-1]):
