@@ -38,7 +38,7 @@ Grammar (sections in any order, keys as shown):
     a_dot0 = 0.333...
     theta0 = 0.0
     t_end = 4.0              ; t0 to t_end spans at least five integrator states
-    step = 1e-3              ; > 0
+    step = 1e-3              ; > 0, giving at most 100000 states from t0 to t_end
     einstein_lambda = ricci-flat
     theta_sign = 1
 
@@ -338,6 +338,8 @@ def parse_config(text: str) -> RunConfig:
             raise _cfg_error("cosmo", "step", "(t_end - t0) / step overflows a float")
         if (states := co.state_count(cosmo.t0, cosmo.t_end, cosmo.step)) < co.MIN_STATES:
             raise _cfg_error("cosmo", "t_end", f"{states} integrator states from t0, fewer than {co.MIN_STATES}")
+        if states > co.MAX_STATES:
+            raise _cfg_error("cosmo", "step", f"more than {co.MAX_STATES} integrator states from t0 to t_end")
 
     variation = None
     if parser.has_section("variation"):

@@ -43,6 +43,7 @@ __all__ = [
 
 RICCI_FLAT = "ricci-flat"
 MIN_STATES = 5  # the residual stencils of trajectory_residuals need this many
+MAX_STATES = 10**5  # the most a config may ask for; the trajectory is held in memory
 
 SPATIAL_NAMES = ("x", "y", "z", "w", "v")
 

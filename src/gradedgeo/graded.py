@@ -369,7 +369,12 @@ class GeometryBatch:
 def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     """All of GeometryBatch from one jet sweep of the metric components and theta over points."""
     pts = gm.chart.require_points(points)
-    g, ginv, gamma, ric, det, (jet,) = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
+    *arrays, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
+    return _geometry(pts, *arrays, det, jets[-1])
+
+
+def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
+    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
         hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
@@ -507,51 +512,41 @@ def bump_variation(
     return VariationSpec(tuple(tuple(r) for r in rows), h, support)
 
 
-def _perturbed(gm: GradedMetric, var: VariationSpec, t: float) -> GradedMetric:
-    n = gm.chart.dim
-    base = gm.metric.component_fields()
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = base[i][j]
-            if not var.s[i][j].is_zero:
-                entry = entry + t * var.s[i][j]
-            rows[i][j] = entry
-            rows[j][i] = entry
-    metric = MetricSpec(gm.chart, rows)
-    theta = gm.theta if var.h.is_zero else gm.theta + t * var.h
-    return GradedMetric(metric, theta)
-
-
 def action_first_variation(
-    gm: GradedMetric,
-    var: VariationSpec,
-    quad: QuadSpec | None = None,
-    step: float = VARIATION_STEP,
+    gm: GradedMetric, var: VariationSpec, quad: QuadSpec | None = None
 ) -> tuple[float, float]:
     """Derivative of the action along a variation, two independent ways.
 
     Returns (closed_form, finite_difference).  Both integrate over the
     variation's support box only; outside it the integrand does not move.
+    One order-2 sweep of g, theta, s and h feeds both: Taylor arithmetic is
+    linear, so g +- step*s and theta +- step*h are formed from their jets.
     """
     quad = quad or QuadSpec()
-    inner_quad = QuadSpec(quad.nodes_per_axis, var.support)
-    points, weights = tensor_rule(gm.chart, inner_quad)
+    pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     n = gm.chart.dim
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    s = [var.s[i][j] for i, j in upper]
+    *arrays, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta, *s, var.h])
+    g_jets, (theta, *s_jets, h) = jets[: len(upper)], jets[len(upper):]
 
-    d = geometry_batch(gm, points)
-    flat = [var.s[i][j] for i in range(n) for j in range(n)]
-    jets = ef.eval_jets_batch(flat + [var.h], points, 0)
-    s_vals = np.stack([j.coeffs[0] for j in jets[:-1]], axis=-1).reshape(len(points), n, n)
-    h_vals = jets[-1].coeffs[0]
+    d = _geometry(pts, *arrays, det, theta)
+    s_vals = np.empty((len(pts), n, n))
+    for (i, j), jet in zip(upper, s_jets):
+        s_vals[:, i, j] = s_vals[:, j, i] = jet.coeffs[0]
     target = (
         -d.ric
         + (0.5 * d.scalar - d.gradsq)[:, None, None] * d.g
         + 2.0 * np.einsum("pi,pj->pij", d.dth, d.dth)
     )
     pairing = np.einsum("pia,pjb,pij,pab->p", d.ginv, d.ginv, s_vals, target)
-    closed = float(((pairing + 4.0 * h_vals * d.lap) * d.density) @ weights)
+    closed = float(((pairing + 4.0 * h.coeffs[0] * d.lap) * d.density) @ weights)
 
-    plus = hilbert_action(_perturbed(gm, var, step), inner_quad)
-    minus = hilbert_action(_perturbed(gm, var, -step), inner_quad)
-    return closed, (plus - minus) / (2.0 * step)
+    def action(t: float) -> float:
+        # the bits the jet engine gives the fields entry + t*s and theta + t*h
+        moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
+        arrays_t, det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
+        e = _geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t)
+        return float((e.graded_scalar * e.density) @ weights)
+
+    return closed, (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)

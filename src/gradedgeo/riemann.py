@@ -287,48 +287,45 @@ def check_finite(named_values, pts: np.ndarray) -> None:
         raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_arrays(
-    m: MetricSpec, points, order: int, extra=(), ricci: bool = False
-) -> tuple[list[np.ndarray], np.ndarray, list]:
-    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points;
-    then det g and the jets of the extra fields.
+def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
+    """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
 
-    The one place where metric jets become tensors; one jet sweep of the
-    given order, and every array it returns has a leading point axis.  The
-    derivatives are held point-last, as the jets hold them, and Gamma and
-    Riemann are assembled over CHUNK_DOUBLES // n**4 points at a time, which
-    keeps the cores' n**5-per-point temporaries to a few MB at any point count.
-    With ``ricci``, the Ricci-only core builds R^l_ljk in Riemann's place.
-    The extra fields join the metric components' sweep, so a subtree they
-    share is evaluated once; their errors still come after the metric's.
+    A subtree they share is evaluated once; the extra fields' errors still
+    come after the metric's, its assembly's included.
     """
-    pts = m.chart.require_points(points)
-    npts = len(pts)
-    n = m.chart.dim
-    keys = list(m._upper)
     try:
-        swept = ef.eval_jets_batch([m._upper[k] for k in keys] + list(extra), pts, order)
+        return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order)
     except DomainError:
         if extra:
             # raise what the metric raises alone, as when the extra fields had a sweep of their own
-            _metric_arrays(m, pts, order)
+            _metric_tensors(pts, _metric_jets(m, pts, order), order)
         raise
-    jets = [[None] * n for _ in range(n)]
-    for (i, j), jet in zip(keys, swept):
-        jets[i][j] = jets[j][i] = jet
+
+
+def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> tuple[list, np.ndarray]:
+    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points; then det g.
+
+    The one place where metric jets become tensors: ``jets`` are the jets of
+    the upper triangle over ``pts``, as _metric_jets orders them, and every
+    array returned has a leading point axis.  The derivatives are held
+    point-last, as the jets hold them, and Gamma and Riemann are assembled
+    over CHUNK_DOUBLES // n**4 points at a time, which keeps the cores'
+    n**5-per-point temporaries to a few MB at any point count.  With
+    ``ricci``, the Ricci-only core builds R^l_ljk in Riemann's place.
+    """
+    npts, n = pts.shape
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
     g = np.empty((npts, n, n))
     dg = np.empty((n, n, n, npts)) if order >= 1 else None  # dg[i,j,k,p] = d_k g_ij
     ddg = np.empty((n,) * 4 + (npts,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
     with np.errstate(over="ignore"):  # hessian() doubles the diagonal; checked below
-        for i in range(n):
-            for j in range(n):
-                g[:, i, j] = jets[i][j].coeffs[0]
-                if order >= 1:
-                    dg[i, j] = jets[i][j].gradient()
-                if order >= 2:
-                    ddg[i, j] = jets[i][j].hessian()
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    named = [(f"g_{i}_{j}", jets[i][j].coeffs) for i, j in upper]
+        for (i, j), jet in zip(upper, jets):
+            g[:, i, j] = g[:, j, i] = jet.coeffs[0]
+            if order >= 1:
+                dg[i, j] = dg[j, i] = jet.gradient()
+            if order >= 2:
+                ddg[i, j] = ddg[j, i] = jet.hessian()
+    named = [(f"g_{i}_{j}", jet.coeffs) for (i, j), jet in zip(upper, jets)]
     if order >= 2:
         named += [(f"g_{i}_{j}", ddg[i, j]) for i, j in upper]
     check_finite(named, pts)
@@ -351,21 +348,21 @@ def _metric_arrays(
         out[2][sl] = np.moveaxis(gamma, -1, 0)
         if order >= 2:
             out[3][sl] = np.moveaxis(core(gi[..., sl], dg[..., sl], s, gamma, ddg[..., sl]), -1, 0)
-    return out, det, swept[len(keys):]
+    return out, det
 
 
 def curvature_data_batch(m: MetricSpec, points, extra=None) -> tuple:
     """Batched (g, ginv, Gamma, Riemann), each with a leading point axis.
 
     Given a list of extra fields of the chart, it returns what geometry_batch
-    reads instead: (g, ginv, Gamma, Ricci, det g, the extra fields' order-2
-    jets), from one jet sweep of the metric components and the extra fields,
-    with Ricci from the Ricci-only core.
+    reads instead: (g, ginv, Gamma, Ricci, det g, the sweep's jets), from one
+    order-2 jet sweep of the metric's upper triangle and then the extra
+    fields, with Ricci from the Ricci-only core.
     """
-    if extra is None:
-        return tuple(_metric_arrays(m, points, 2)[0])
-    arrays, det, jets = _metric_arrays(m, points, 2, extra, ricci=True)
-    return (*arrays, det, jets)
+    pts = m.chart.require_points(points)
+    jets = _metric_jets(m, pts, 2, extra or ())
+    arrays, det = _metric_tensors(pts, jets[: len(m._upper)], 2, ricci=extra is not None)
+    return tuple(arrays) if extra is None else (*arrays, det, jets)
 
 
 def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
@@ -375,8 +372,9 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 
 def _at(m: MetricSpec, p, order: int, ricci: bool = False) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """The point as floats and the metric arrays of the batch of one it makes."""
-    pt = m.chart.require_point(p)
-    return pt, [a[0] for a in _metric_arrays(m, [pt], order, ricci=ricci)[0]]
+    pts = m.chart.require_points([p])
+    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, ricci)
+    return tuple(pts[0].tolist()), [a[0] for a in arrays]
 
 
 def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:

@@ -435,6 +435,19 @@ def test_theta_weight_overflow_exit_3(tmp_path, capsys):
     assert "(0.0, 0.0)" in err
 
 
+def test_action_weight_overflow_exit_3(tmp_path, capsys):
+    # exp(2*theta) overflows at every point of the support, x > 354.9
+    text = FLAT_X.replace("box_x = -1.0, 1.0", "box_x = 0.0, 400.0")
+    variation = "[quadrature]\nnodes = 4\n\n[variation]\nkind = bump\nsupport_x = 370, 390\nsupport_y = -0.5, 0.5\n"
+    path = write(tmp_path, text + "\n" + variation)
+    with np.errstate(all="ignore"):
+        code = run(["action", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite value of exp(2*theta) at point (371.38863688405945, -0.4305681557970263)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["residuals", "report"])
 @pytest.mark.parametrize(
     "field, metric, theta",
@@ -516,8 +529,9 @@ support_y = -0.3, 0.3
         ({"t_end": "1.0"}, "t_end"),  # t_end = t0: a single state
         ({"t0": "-1.0"}, "t0"),
         ({"t0": "0.0"}, "t0"),
+        ({"t0": "1.0", "t_end": "4.0", "step": "1e-300"}, "step"),  # about 3e300 states
     ],
-    ids=["zero-step", "negative-c", "three-states", "single-state", "negative-t0", "zero-t0"],
+    ids=["zero-step", "negative-c", "three-states", "single-state", "negative-t0", "zero-t0", "too-many-states"],
 )
 def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
     text = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text()
@@ -525,7 +539,11 @@ def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
     for name, value in edits.items():
         (k,) = [i for i, line in enumerate(lines) if line.startswith(f"{name} = ")]
         lines[k] = f"{name} = {value}"
-    path = write(tmp_path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    # refused at parse time, before any integration could start
+    with pytest.raises(cf.ConfigError, match=rf"^\[cosmo\] {key}:"):
+        cf.parse_config(text)
+    path = write(tmp_path, text)
     code = run(["cosmo", "--config", path])
     err = capsys.readouterr().err
     assert code == 2

@@ -568,6 +568,68 @@ def test_variation_routes_agree():
     assert done == 10
 
 
+def _rebuilt_difference(gm, var, quad):
+    """Central difference of the actions of g +- step*s, theta +- step*h, rebuilt as symbolic fields."""
+    n = gm.chart.dim
+    support = QuadSpec(quad.nodes_per_axis, var.support)
+
+    def action(t):
+        rows = [
+            [gm.metric.component(i, j) if var.s[i][j].is_zero else gm.metric.component(i, j) + t * var.s[i][j]
+             for j in range(n)]
+            for i in range(n)
+        ]
+        theta = gm.theta if var.h.is_zero else gm.theta + t * var.h
+        return gd.hilbert_action(gd.GradedMetric(rm.MetricSpec(gm.chart, rows), theta), support)
+
+    return (action(gd.VARIATION_STEP) - action(-gd.VARIATION_STEP)) / (2.0 * gd.VARIATION_STEP)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["s", "h", "both", "zero"])
+def test_action_difference_matches_symbolic_rebuild(dim, kind):
+    # the jets of g + t*s and theta + t*h formed from one sweep give the
+    # bits of sweeping the rebuilt fields; g_0_1 = 0 and, in dim 3, theta = 0
+    # meet add_expr's fold of a zero entry
+    rng = np.random.default_rng(300 + dim)
+    chart = default_chart(dim)
+    rows = random_metric(rng, chart).component_fields()
+    rows[0][1] = rows[1][0] = ef.constant(chart, 0.0)
+    theta = ef.constant(chart, 0.0) if dim == 3 else random_polynomial(rng, chart, scale=0.5)
+    gm = gd.GradedMetric(rm.MetricSpec(chart, rows), theta)
+    coeffs = rng.uniform(-1.0, 1.0, (dim, dim))
+    coeffs = 0.5 * (coeffs + coeffs.T) if kind in ("s", "both") else np.zeros((dim, dim))
+    h = 0.7 if kind in ("h", "both") else 0.0
+    var = gd.bump_variation(chart, ((-0.3, 0.25),) * dim, coeffs, h)
+    quad = QuadSpec({2: 6, 3: 4, 4: 3}[dim])
+    closed, fd = gd.action_first_variation(gm, var, quad)
+    assert fd.hex() == _rebuilt_difference(gm, var, quad).hex()
+    assert math.isfinite(closed)
+    assert (fd == 0.0) == (kind == "zero")
+
+
+def test_action_variation_is_one_jet_sweep(jet_calls):
+    gm = eds_graded(2)
+    var = gd.bump_variation(gm.chart, ((-0.5, 0.5), (-0.5, 0.5), (1.0, 2.0)), np.eye(3), 0.5)
+    jet_calls.clear()  # the boundary probe of the variation's construction
+    gd.action_first_variation(gm, var, QuadSpec(4))
+    upper = [(i, j) for i in range(3) for j in range(i, 3)]
+    metric_fields = [gm.metric.component(i, j) for i, j in upper]
+    assert jet_calls == [metric_fields + [gm.theta] + [var.s[i][j] for i, j in upper] + [var.h]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_action_variation_fails_closed_on_weight_overflow():
+    # exp(2 * theta) overflows where x > 354.9, so at every point of the support
+    chart = ef.ChartSpec(("x", "y"), ((0.0, 400.0), (-1.0, 1.0)))
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.coordinate(chart, "x"))
+    var = gd.bump_variation(chart, ((370.0, 390.0), (-0.5, 0.5)), np.eye(2), 0.5)
+    point = r"\(371\.38863688405945, -0\.4305681557970263\)"
+    with pytest.raises(DomainError, match=rf"^non-finite value of exp\(2\*theta\) at point {point}$"):
+        gd.action_first_variation(gm, var, QuadSpec(4))
+
+
 def test_field_residuals_one_metric_and_one_theta_sweep(jet_calls):
     gm = eds_graded(3)
     gd.field_residuals_at(gm, (0.1, 0.2, -0.3, 2.0))

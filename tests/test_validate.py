@@ -315,13 +315,13 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     # one geometry batch per closed-form check, not one metric sweep per
     # point and quantity
     calls = []
-    real = rm._metric_arrays
+    real = rm._metric_jets
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rm, "_metric_arrays", counted)
+    monkeypatch.setattr(rm, "_metric_jets", counted)
     gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
     results = vd.run_geometry_checks(gm, seed=5)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
