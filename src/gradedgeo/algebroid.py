@@ -68,16 +68,6 @@ class DualFunction:
     def of(cls, chart: ChartSpec, even, odd=0.0) -> "DualFunction":
         return cls(_coerce_field(chart, even), _coerce_field(chart, odd))
 
-    @classmethod
-    def from_eigen(cls, a: ScalarField, b: ScalarField) -> "DualFunction":
-        """Build from values on the two projectors (1±tau)/2."""
-        half = ef.constant(a.chart, 0.5)
-        return cls(half * (a + b), half * (a - b))
-
-    def eigen_parts(self) -> tuple[ScalarField, ScalarField]:
-        """Values on the two projectors; product is componentwise there."""
-        return self.even + self.odd, self.even - self.odd
-
     def __call__(self, point) -> tuple[float, float]:
         return self.even(point), self.odd(point)
 

@@ -108,11 +108,6 @@ class WarpedSpec:
     def time_name(self) -> str:
         return self.a.chart.coord_names[0]
 
-    def lambda_value(self) -> float:
-        if self.einstein_lambda == RICCI_FLAT:
-            return 0.0
-        return float(self.einstein_lambda)
-
 
 def _base_sample(chart: ChartSpec):
     mid = chart.midpoint()

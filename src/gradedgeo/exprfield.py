@@ -818,9 +818,6 @@ class JetSpace:
         self._gather_b = np.asarray(ib + [0], dtype=np.intp)
         self._mul_a = self._gather_a[:spare]
         self._scatter = np.asarray(list(_zip_longest(*landing, fillvalue=spare)), dtype=np.intp)
-        self.factorials = np.array(
-            [math.prod(math.factorial(k) for k in m) for m in indices], dtype=float
-        )
         if order >= 1:
             unit = [tuple(1 if k == a else 0 for k in range(dim)) for a in range(dim)]
             self._grad_pos = np.asarray([self.pos[m] for m in unit], dtype=np.intp)
@@ -1280,13 +1277,3 @@ def eval_jets_batch(fields, points, order: int) -> list[Jet]:
 def eval_jet_batch(f: ScalarField, points, order: int) -> Jet:
     """Jet of one field over an array of points (trailing point axis)."""
     return eval_jets_batch([f], points, order)[0]
-
-
-def partials(f: ScalarField, p, upto: int) -> dict[tuple[int, ...], float]:
-    """All partial derivatives of f at p with total order <= upto, keyed by multi-index."""
-    jet = eval_jet(f, p, upto)
-    space = jet.space
-    return {
-        m: float(jet.coeffs[i] * space.factorials[i])
-        for i, m in enumerate(space.indices)
-    }

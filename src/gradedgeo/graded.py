@@ -3,11 +3,11 @@
 An extended metric is a base metric together with a log-weight function:
 the odd direction has squared norm ``exp(2*theta)`` and is orthogonal to
 every ordinary vector.  The module carries the compatible torsion-free
-connection (a triple: base connection, a 1-form, a vector field), the
-curvature blocks that survive the grading, extended Ricci/scalar and
-Hessian with their traces, field-equation residuals, the matter-sector
-stress tensor and its conservation residual, and the curvature action
-with its first variation (closed form and finite difference).
+connection (a triple: base connection, a 1-form, a vector field), extended
+Ricci/scalar and Hessian with their traces, field-equation residuals, the
+matter-sector stress tensor and its conservation residual, and the
+curvature action with its first variation (closed form and finite
+difference).
 """
 
 from __future__ import annotations
@@ -37,21 +37,17 @@ __all__ = [
     "field_residuals_at",
     "geometry_batch",
     "graded_apply_field",
-    "graded_curvature_at",
     "graded_hessian_at",
     "graded_ricci_at",
     "graded_scalar_at",
-    "graded_trace",
     "hilbert_action",
     "levicivita_triple",
     "stress_fields",
-    "stress_tensor_at",
     "tilde_T_at",
     "tr_tilde_T_at",
 ]
 
 VARIATION_STEP = 1e-4
-CURVATURE_BLOCKS = ("even_even", "even_odd", "odd_even", "odd_odd")
 
 
 @dataclass(frozen=True)
@@ -204,39 +200,6 @@ def graded_apply_field(
     return GradedVectorField(tuple(even), odd)
 
 
-def graded_curvature_at(gm: GradedMetric, block: str, p) -> np.ndarray:
-    """One curvature block, keyed by parity of (second argument, operand).
-
-    even_even: full base curvature array [output, arg1, arg2, operand].
-    even_odd:  odd coefficient of the curvature on an odd operand,
-               antisymmetric [arg1, arg2]; vanishes for compatible triples.
-    odd_even:  odd coefficient for odd second argument, [arg1, operand].
-    odd_odd:   even components for odd second argument and operand,
-               [arg1, output].
-    """
-    if block not in CURVATURE_BLOCKS:
-        raise ValueError(f"unknown curvature block {block!r}; use one of {CURVATURE_BLOCKS}")
-    if block == "even_even":
-        return rm.riemann_at(gm.metric, p).components
-    conn = levicivita_triple(gm)
-    n = gm.chart.dim
-    # values and gradients of alpha (and of x0) from one batch-of-one pass
-    fields = conn.alpha + conn.x0 if block == "odd_odd" else conn.alpha
-    jets = ef.eval_jets_batch(fields, [p], 1)
-    vals = np.array([j.coeffs[0, 0] for j in jets])
-    grads = np.array([j.gradient()[:, 0] for j in jets])
-    aval, da = vals[:n], grads[:n]
-    if block == "even_odd":
-        # da[j, i] = d_i alpha_j; output is d_i alpha_j - d_j alpha_i
-        return da.T - da
-    gamma = rm.christoffel_at(gm.metric, p).components
-    if block == "odd_even":
-        return da.T - np.einsum("mik,m->ik", gamma, aval) + np.outer(aval, aval)
-    x0val, dx0 = vals[n:], grads[n:]
-    nabla = dx0.T + np.einsum("kim,m->ik", gamma, x0val)
-    return nabla - np.outer(aval, x0val)
-
-
 def _one(gm: GradedMetric, p) -> tuple[tuple[float, ...], "GeometryBatch"]:
     b = geometry_batch(gm, [p])
     return tuple(b.points[0].tolist()), b
@@ -275,14 +238,6 @@ def graded_hessian_at(gm: GradedMetric, f: ScalarField, p) -> GradedTensorValue:
     return GradedTensorValue(TensorValue(("d", "d"), hes, pt), np.zeros(gm.chart.dim), odd, pt)
 
 
-def graded_trace(gm: GradedMetric, value: GradedTensorValue) -> float:
-    """Trace against the extended metric (odd block weighted by 1/weight)."""
-    p = value.base_point
-    ginv = rm.metric_at(gm.metric, p)[1].components
-    even = float(np.einsum("ij,ij->", ginv, value.even.components))
-    return even + value.odd / float(np.exp(2.0 * gm.theta(p)))
-
-
 def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
     """Matter-sector stress tensor 2 dtheta x dtheta - |grad theta|^2 g."""
     got = gm._cache.get("stress")
@@ -310,13 +265,6 @@ def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
         rows.append(tuple(row))
     got = gm._cache["stress"] = tuple(rows)
     return got
-
-
-def stress_tensor_at(gm: GradedMetric, p) -> TensorValue:
-    n = gm.chart.dim
-    jets = ef.eval_jets_batch([f for row in stress_fields(gm) for f in row], [p], 0)
-    comps = np.array([j.coeffs[0, 0] for j in jets]).reshape(n, n)
-    return TensorValue(("d", "d"), comps, tuple(float(x) for x in p))
 
 
 def conservation_residual_at(gm: GradedMetric, p) -> TensorValue:
@@ -522,6 +470,12 @@ def action_first_variation(
     One order-2 sweep of g, theta, s and h feeds both: Taylor arithmetic is
     linear, so g +- step*s and theta +- step*h are formed from their jets.
     """
+    return _action_variation(gm, var, quad)[:2]
+
+
+def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec | None) -> tuple[float, float, float]:
+    """action_first_variation's (closed_form, finite_difference), then the
+    action over the variation's support, all read off the one sweep."""
     quad = quad or QuadSpec()
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     n = gm.chart.dim
@@ -549,4 +503,5 @@ def action_first_variation(
         e = _geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t)
         return float((e.graded_scalar * e.density) @ weights)
 
-    return closed, (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
+    fd = (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
+    return closed, fd, float((d.graded_scalar * d.density) @ weights)

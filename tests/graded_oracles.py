@@ -1,0 +1,41 @@
+"""Graded quantities rebuilt from the connection triple's fields and the
+classical tensors at one point, independent of the geometry batch they check.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gradedgeo import exprfield as ef
+from gradedgeo import graded as gd
+from gradedgeo import riemann as rm
+
+
+def _alpha_at(gm, p) -> tuple[np.ndarray, np.ndarray]:
+    """The triple's 1-form alpha at p and its gradients, da[j, i] = d_i alpha_j."""
+    jets = ef.eval_jets_batch(gd.levicivita_triple(gm).alpha, [p], 1)
+    return np.array([j.coeffs[0, 0] for j in jets]), np.array([j.gradient()[:, 0] for j in jets])
+
+
+def even_odd_block(gm, p) -> np.ndarray:
+    """Odd coefficient of the curvature on an odd operand, antisymmetric
+    [arg1, arg2]: d_i alpha_j - d_j alpha_i, zero when alpha is closed."""
+    _, da = _alpha_at(gm, p)
+    return da.T - da
+
+
+def odd_even_block(gm, p) -> np.ndarray:
+    """Odd coefficient of the curvature for an odd second argument,
+    [arg1, operand]: d_i alpha_k - Gamma^m_ik alpha_m + alpha_i alpha_k."""
+    a, da = _alpha_at(gm, p)
+    gamma = rm.christoffel_at(gm.metric, p).components
+    return da.T - np.einsum("mik,m->ik", gamma, a) + np.outer(a, a)
+
+
+def graded_trace(gm, value) -> float:
+    """Trace of a GradedTensorValue against the extended metric (odd block
+    weighted by 1/exp(2*theta))."""
+    p = value.base_point
+    ginv = rm.metric_at(gm.metric, p)[1].components
+    even = float(np.einsum("ij,ij->", ginv, value.even.components))
+    return even + value.odd / float(np.exp(2.0 * gm.theta(p)))

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import math
+import os
+from datetime import timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedgeo import cli
 from gradedgeo import config as cf
+from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
+from gradedgeo import riemann as rm
 
 FLAT_X = """\
 [chart]
@@ -579,3 +587,130 @@ def test_negative_seed_exits_2(tmp_path, capsys, args, edit, name):
     assert code == 2
     assert name in err
     assert "Traceback" not in err
+
+
+def test_variation_support_few_ulps_wide_exit_2(tmp_path, capsys):
+    # at t = 1 this support is a few hundred float spacings wide: rounding
+    # puts the upper boundary probe at |u| > 1, where the bump profile is inf
+    text = """\
+[chart]
+coords = t
+box_t = 1.0, 1.0000001192092896
+
+[metric]
+g_0_0 = 1
+
+[theta]
+expr = 0
+
+[quadrature]
+nodes = 1
+
+[variation]
+kind = bump
+support_t = 1.0, 1.0000000538801974
+"""
+    with np.errstate(all="ignore"):
+        code = run(["action", "--config", write(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "[variation]: variation does not vanish on the support boundary" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["eds3", "random3_lorentz"])
+def test_action_is_one_metric_sweep(monkeypatch, capsys, name):
+    # the action over the support is read off the variation's own sweep
+    sweeps = []
+
+    def counted(m, pts, *args, _original=rm._metric_jets):
+        sweeps.append(len(pts))
+        return _original(m, pts, *args)
+
+    monkeypatch.setattr(rm, "_metric_jets", counted)
+    path = str(Path(__file__).resolve().parent / "golden" / "sections" / f"{name}.ini")
+    cfg = cf.load_config(path)
+    run(["action", "--config", path])
+    capsys.readouterr()
+    assert sweeps == [cfg.quad_nodes ** cfg.chart.dim]
+
+
+_COORDS = ("x", "y", "t")
+_BAD_EXPR = st.sampled_from(["x +", "(x", "foo", "1e999", "x^x", ""])
+_SMALL = st.floats(-2.0, 2.0).map(repr)
+
+
+def _expr(names):
+    leaves = st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-200", "1e300", "400", "pi", *names])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("({0[0]}) {0[1]} ({0[2]})".format),
+            st.tuples(inner, st.sampled_from(["2", "3", "(1/2)", "(-1)", "(2/3)"])).map("({0[0]})^{0[1]}".format),
+            st.tuples(st.sampled_from(ef.FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _run_args(draw):
+    """A small config (dim <= 3, at most 4 grid counts and quadrature nodes,
+    at most 2000 [cosmo] states) with the occasional bad value, and a command."""
+    dim = draw(st.integers(1, 3))
+    names = _COORDS[:dim]
+    expr = _expr(names)
+    box = [(lo, lo + draw(st.floats(0.0, 3.0))) for lo in draw(st.lists(st.floats(-2.0, 1.0), min_size=dim, max_size=dim))]
+    lines = ["[chart]", f"coords = {', '.join(names)}", *(f"box_{a} = {lo!r}, {hi!r}" for a, (lo, hi) in zip(names, box))]
+    lines.append("[metric]")
+    for i in range(dim):
+        lines.append(f"g_{i}_{i} = {draw(st.one_of(st.sampled_from(['1', '-1', '2']), expr.map('1 + 0.1*({})'.format), expr))}")
+        lines += [f"g_{i}_{j} = {draw(expr)}" for j in range(i + 1, dim) if draw(st.booleans())]
+    lines += ["[theta]", f"expr = {draw(_BAD_EXPR if draw(st.integers(0, 9)) == 9 else expr)}"]
+    grid = draw(st.sampled_from(["counts", "points", None]))
+    if grid == "counts":
+        lines += ["[grid]", "counts = " + ", ".join(str(draw(st.integers(1, 4))) for _ in names)]
+    elif grid == "points":
+        rows = st.tuples(*(st.floats(lo, hi) for lo, hi in box)).map(lambda p: " ".join(map(repr, p)))
+        lines += ["[grid]", "points = " + "; ".join(draw(st.lists(rows, min_size=1, max_size=3)))]
+    if draw(st.booleans()):
+        tol = st.sampled_from(["1e-9", "1e-3", "1"] * 3 + ["0", "nan"])
+        lines += ["[tolerances]", f"residual_tol = {draw(tol)}", f"fd_tol = {draw(tol)}"]
+    lines += ["[quadrature]", f"nodes = {draw(st.sampled_from('1234' * 3 + '0'))}"]
+    if draw(st.integers(0, 3)):
+        t0 = draw(st.floats(0.1, 2.0))
+        span = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([1, 1, -1]))
+        lines += [
+            "[cosmo]",
+            f"n = {draw(st.integers(2, 5))}",
+            f"c = {draw(st.one_of(st.just('eds'), st.floats(0.0, 2.0).map(repr)))}",
+            f"t0 = {t0!r}",
+            *(f"{key} = {draw(_SMALL)}" for key in ("a0", "a_dot0", "theta0")),
+            f"t_end = {t0 + span!r}",
+            f"step = {abs(span) / draw(st.integers(3, 2000))!r}",
+            f"einstein_lambda = {draw(st.one_of(st.just('ricci-flat'), _SMALL))}",
+            f"theta_sign = {draw(st.sampled_from(['1', '-1']))}",
+        ]
+    if draw(st.integers(0, 3)):
+        lines += ["[variation]", f"kind = {draw(st.sampled_from(['bump', 'zero']))}"]
+        for a, (lo, hi) in zip(names, box):
+            u, v = draw(st.floats(0.0, 0.45)), draw(st.floats(0.55, 1.0))
+            lines.append(f"support_{a} = {lo + u * (hi - lo)!r}, {lo + v * (hi - lo)!r}")
+        lines += [f"seed = {draw(st.integers(0, 100))}", f"scale = {draw(st.floats(0.0, 2.0))!r}"]
+    command = draw(st.sampled_from(["report", "residuals", "validate", "cosmo", "action"]))
+    args = [command, "--format", draw(st.sampled_from(["csv", "json"])), "--seed", str(draw(st.integers(0, 3)))]
+    return "\n".join(lines) + "\n", args
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(run_args=_run_args())
+def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
+    # every command on every config ends in an exit code of the contract
+    text, args = run_args
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = cli.main([*args, "--config", str(path), "--out", os.devnull])
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

@@ -54,13 +54,6 @@ def test_warped_spec_guards():
         co.WarpedSpec(base, a, a, "flat")
 
 
-def test_lambda_value():
-    tch = co.time_chart()
-    a = ef.coordinate(tch, "t")
-    assert co.WarpedSpec(flat_base(2), a, a).lambda_value() == 0.0
-    assert co.WarpedSpec(flat_base(2), a, a, 1.5).lambda_value() == 1.5
-
-
 def test_build_minkowski():
     tch = co.time_chart()
     zero = ef.constant(tch, 0.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gradedgeo import exprfield as ef
 from gradedgeo import riemann as rm
-from gradedgeo.errors import DomainError, JetOrderError, ParseError
+from gradedgeo.errors import DomainError, GradedGeoError, JetOrderError, ParseError
 
 from dense_jets import dense_jet_rule
 from expr_samples import FUNCTION_CLASSES, sample_chart, sample_expression, sample_points
@@ -117,12 +117,19 @@ def test_nan_coordinate_outside_box_for_point_and_batch(chart):
             evaluate((float("nan"), 0.0, 1.0))
 
 
+def partials(f, p, upto):
+    """All partial derivatives of f at p with total order <= upto, keyed by
+    multi-index: the jet's Taylor coefficients times the index factorials."""
+    jet = ef.eval_jet(f, p, upto)
+    return {m: float(c) * math.prod(map(math.factorial, m)) for m, c in zip(jet.space.indices, jet.coeffs)}
+
+
 # frozen expected values: ln at t=2 has derivatives (1/2, -1/4, 1/4),
 # confirmed against the central-difference oracle below
 def test_ln_jet_frozen_values(chart):
     f = ef.parse_field("ln(t)", chart)
     p = (0.0, 0.0, 2.0)
-    table = ef.partials(f, p, 3)
+    table = partials(f, p, 3)
     assert table[(0, 0, 0)] == pytest.approx(math.log(2.0), abs=1e-15)
     assert table[(0, 0, 1)] == pytest.approx(0.5, abs=1e-15)
     assert table[(0, 0, 2)] == pytest.approx(-0.25, abs=1e-15)
@@ -145,7 +152,7 @@ def test_rational_power_derivative_frozen(chart):
 
 def test_sin_partials_table():
     chart = ef.ChartSpec(("x",), ((-1.0, 1.0),))
-    table = ef.partials(ef.parse_field("sin(x)", chart), (0.0,), 3)
+    table = partials(ef.parse_field("sin(x)", chart), (0.0,), 3)
     assert table[(0,)] == 0.0
     assert table[(1,)] == 1.0
     assert table[(2,)] == 0.0
@@ -259,6 +266,31 @@ def test_parse_print_round_trip_property(src):
         f = ef.parse_field(src, chart)
     except ParseError:
         return
+    printed = ef.pretty_print(f)
+    assert ef.parse_field(printed, chart).expr == f.expr, printed
+
+
+# coordinates, names, numerals (malformed and out of range too), operators,
+# parentheses and stray characters, glued together or spaced apart; 30
+# tokens nest far too shallowly for the recursive parser to overflow
+_TOKEN = st.sampled_from([
+    "x", "y", "t", "pi", *ef.FUNCTIONS,
+    "0", "1", "2", "0.5", ".5", "3.", "1e3", "1e-400", "1e999", "2e", "1e+", "007",
+    "+", "-", "*", "/", "^", "**", "(", ")", "@", ",", ".", "_", "=", "é", "\t",
+])
+_TOKEN_TEXT = st.lists(st.tuples(_TOKEN, st.sampled_from(["", " "])), max_size=30).map(
+    lambda pairs: "".join(tok + sep for tok, sep in pairs)
+)
+
+
+@given(src=_TOKEN_TEXT)
+def test_parse_token_sequences_fuzz(src):
+    chart = sample_chart()
+    try:
+        f = ef.parse_field(src, chart)
+    except GradedGeoError:
+        return
+    assert isinstance(f, ef.ScalarField)
     printed = ef.pretty_print(f)
     assert ef.parse_field(printed, chart).expr == f.expr, printed
 
@@ -624,15 +656,6 @@ def test_jets_match_finite_differences_all_classes():
                 for b in range(a, chart.dim):
                     fd2 = fd_second(f, p, a, b)
                     assert abs(hess[a, b] - fd2) <= 1e-6 * (1 + abs(fd2)), (cls, p, a, b)
-
-
-def test_partials_includes_factorial_rescaling():
-    chart = ef.ChartSpec(("u", "v"), ((-1, 1), (-1, 1)))
-    f = ef.parse_field("u^2*v", chart)
-    table = ef.partials(f, (0.5, 0.25), 3)
-    assert table[(2, 1)] == pytest.approx(2.0, abs=1e-14)  # d^3 f / du^2 dv
-    assert table[(2, 0)] == pytest.approx(0.5, abs=1e-14)
-    assert table[(0, 0)] == pytest.approx(0.0625, abs=1e-14)
 
 
 def test_remap_coordinates():

@@ -21,6 +21,8 @@ from gradedgeo.randgen import (
     random_polynomial,
 )
 
+from graded_oracles import even_odd_block, graded_trace, odd_even_block
+
 
 def flat_graded(theta_src="x", lo=-1.0, hi=1.0):
     chart = ef.ChartSpec(("x", "y"), ((lo, hi), (lo, hi)))
@@ -96,8 +98,7 @@ def test_triple_invariants_random():
         for _ in range(10):
             p = random_interior_point(rng, chart)
             # the 1-form is closed
-            da = gd.graded_curvature_at(gm, "even_odd", p)
-            assert np.max(np.abs(da)) <= 1e-10
+            assert np.max(np.abs(even_odd_block(gm, p))) <= 1e-10
             # x0 lowered is minus the weighted slope form
             g = rm.metric_at(gm.metric, p)[0].components
             x0 = np.array([c(p) for c in tri.x0])
@@ -272,8 +273,9 @@ def test_curvature_blocks_flat_constant():
     m = rm.MetricSpec.diagonal(chart, [1.0, 1.0])
     gm = gd.GradedMetric(m, ef.constant(chart, 0.0))
     p = (0.1, -0.1)
-    for block in gd.CURVATURE_BLOCKS:
-        assert np.max(np.abs(gd.graded_curvature_at(gm, block, p))) == 0.0
+    assert np.max(np.abs(rm.riemann_at(m, p).components)) == 0.0
+    for block in (even_odd_block, odd_even_block):
+        assert np.max(np.abs(block(gm, p))) == 0.0
 
 
 def test_curvature_even_odd_always_vanishes():
@@ -282,12 +284,12 @@ def test_curvature_even_odd_always_vanishes():
     gm = random_graded_metric(rng, chart)
     for _ in range(5):
         p = random_interior_point(rng, chart)
-        assert np.max(np.abs(gd.graded_curvature_at(gm, "even_odd", p))) <= 1e-12
+        assert np.max(np.abs(even_odd_block(gm, p))) <= 1e-12
 
 
 def test_curvature_odd_even_flat_example():
     gm = flat_graded("x")
-    blk = gd.graded_curvature_at(gm, "odd_even", (0.0, 0.0))
+    blk = odd_even_block(gm, (0.0, 0.0))
     assert blk[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(blk - [[1.0, 0.0], [0.0, 0.0]])) <= 1e-14
     # matches the tilde tensor there
@@ -300,15 +302,9 @@ def test_curvature_odd_even_matches_tilde_random():
     gm = random_graded_metric(rng, chart)
     for _ in range(5):
         p = random_interior_point(rng, chart)
-        blk = gd.graded_curvature_at(gm, "odd_even", p)
+        blk = odd_even_block(gm, p)
         tt = gd.tilde_T_at(gm, p).components
         assert np.max(np.abs(blk - tt)) <= 1e-10 * (1 + np.max(np.abs(tt)))
-
-
-def test_curvature_block_selector_rejected():
-    gm = flat_graded("x")
-    with pytest.raises(ValueError):
-        gd.graded_curvature_at(gm, "odd", (0.0, 0.0))
 
 
 def test_graded_ricci_constant_theta():
@@ -351,13 +347,13 @@ def test_graded_hessian_blocks():
     p = random_interior_point(rng, chart)
     out = gd.graded_hessian_at(gm0, f, p)
     assert out.odd == 0.0
-    assert gd.graded_trace(gm0, out) == pytest.approx(rm.laplacian_at(m, f, p), rel=1e-12, abs=1e-12)
+    assert graded_trace(gm0, out) == pytest.approx(rm.laplacian_at(m, f, p), rel=1e-12, abs=1e-12)
 
     gm = flat_graded("x")
     y = ef.coordinate(gm.chart, "y")
     out = gd.graded_hessian_at(gm, y, (0.3, 0.2))
     assert out.odd == 0.0  # gradients of x and y are orthogonal
-    assert gd.graded_trace(gm, out) == pytest.approx(0.0, abs=1e-14)
+    assert graded_trace(gm, out) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_graded_hessian_of_theta_traces_to_tilde():
@@ -366,7 +362,7 @@ def test_graded_hessian_of_theta_traces_to_tilde():
     gm = random_graded_metric(rng, chart)
     for _ in range(5):
         p = random_interior_point(rng, chart)
-        tr = gd.graded_trace(gm, gd.graded_hessian_at(gm, gm.theta, p))
+        tr = graded_trace(gm, gd.graded_hessian_at(gm, gm.theta, p))
         assert tr == pytest.approx(gd.tr_tilde_T_at(gm, p), rel=1e-12, abs=1e-12)
 
 
@@ -375,7 +371,7 @@ def test_stress_and_conservation_constant_theta():
     m = rm.MetricSpec.diagonal(chart, [1.0, 1.0])
     gm = gd.GradedMetric(m, ef.constant(chart, 0.4))
     p = (0.1, 0.2)
-    assert np.max(np.abs(gd.stress_tensor_at(gm, p).components)) == 0.0
+    assert [f(p) for row in gd.stress_fields(gm) for f in row] == [0.0] * 4
     assert np.max(np.abs(gd.conservation_residual_at(gm, p).components)) == 0.0
 
 
