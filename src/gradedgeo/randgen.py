@@ -88,22 +88,14 @@ def random_affine_fields(rng: np.random.Generator, chart: ChartSpec, count: int)
     """``count`` degree-1 graded fields as coefficient arrays (bias, coef, axis).
 
     Component e of field f (the odd one last) is bias[f, e] + sum_k
-    coef[f, e, k] * x[axis[f, e, k]], from the same random calls, in the same
-    order, as ``count`` calls of ``random_graded_field(rng, chart)``.
+    coef[f, e, k] * x[axis[f, e, k]].  Two draws make them, in this order:
+    w = uniform(-1, 1) of shape (count, n+1, n+1), whose first column is the
+    bias and the rest coef, then axis = integers(0, n) of shape (count, n+1, n).
     """
     n = chart.dim
-    bias = np.empty((count, n + 1))
-    coef = np.empty((count, n + 1, n))
-    axis = np.empty((count, n + 1, n), dtype=np.intp)
-    uniform, integers = rng.uniform, rng.integers
-    for f in range(count):
-        for e in range(n + 1):
-            bias[f, e] = 0.0 + float(uniform(-1.0, 1.0))
-            for k in range(n):
-                coef[f, e, k] = float(uniform(-1.0, 1.0))
-                integers(1, 2)  # random_polynomial's degree draw, always 1 here
-                axis[f, e, k] = int(integers(0, n))
-    return bias, coef, axis
+    w = rng.uniform(-1.0, 1.0, (count, n + 1, n + 1))
+    axis = rng.integers(0, n, (count, n + 1, n))
+    return w[..., 0], w[..., 1:], axis
 
 
 def affine_jets(bias: np.ndarray, coef: np.ndarray, axis: np.ndarray, pts: np.ndarray):

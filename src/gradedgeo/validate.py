@@ -7,10 +7,11 @@ worst deviation over a sample.  A check's closed-form side is one
 The Koszul, compatibility and torsion checks read the connection off the
 fields C_ab = nabla_{E_a} E_b on the graded coordinate basis, built once
 per metric, as nabla_x y = x^m d_m y + x^a y^b C_ab.  Their random fields
-are degree-1 polynomials drawn as affine coefficient arrays, whose values
-and gradients numpy computes exactly; C and the extended metric come from
-one order-1 jet pass per suite, at the union of the checks' points and the
-frame points, and each check reads its own columns.  The Koszul formula
+are degree-1 polynomials drawn as affine coefficient arrays, a group's
+coefficients in one uniform draw and then its axes in one integer draw,
+and numpy computes their values and gradients exactly; C and the extended
+metric come from one order-1 jet pass per suite, at the union of the
+checks' points and the frame points, and each check reads its own columns.  The Koszul formula
 runs its own pass over the metric and takes no symbolic derivative.  The
 frame route never touches the batch either: it reads the pairings
 <R(E_a, E_b)E_c, E_d> off the values and gradients of C and the metric and

@@ -1,5 +1,6 @@
 """Graded quantities rebuilt from the connection triple's fields and the
-classical tensors at one point, independent of the geometry batch they check.
+classical tensors at one point, independent of the geometry batch they check,
+and validate's affine random fields rebuilt as symbolic fields.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import numpy as np
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
+from gradedgeo.algebroid import GradedVectorField
 
 
 def _alpha_at(gm, p) -> tuple[np.ndarray, np.ndarray]:
@@ -39,3 +41,22 @@ def graded_trace(gm, value) -> float:
     ginv = rm.metric_at(gm.metric, p)[1].components
     even = float(np.einsum("ij,ij->", ginv, value.even.components))
     return even + value.odd / float(np.exp(2.0 * gm.theta(p)))
+
+
+def affine_fields(chart, bias, coef, axis) -> list[GradedVectorField]:
+    """The symbolic fields of ``random_affine_fields`` arrays, in
+    ``random_polynomial``'s tree shape: the bias constant, then
+    ``+ constant(coef_k) * coordinate(axis_k)`` for each term k."""
+    coords = [ef.coordinate(chart, name) for name in chart.coord_names]
+
+    def component(b, c, a):
+        f = ef.constant(chart, float(b))
+        for ck, ak in zip(c, a):
+            f = f + ef.constant(chart, float(ck)) * coords[int(ak)]
+        return f
+
+    fields = []
+    for b, c, a in zip(bias, coef, axis):
+        comps = [component(*e) for e in zip(b, c, a)]
+        fields.append(GradedVectorField(tuple(comps[:-1]), comps[-1]))
+    return fields

@@ -21,7 +21,7 @@ from gradedgeo.randgen import (
     random_polynomial,
 )
 
-from graded_oracles import graded_trace
+from graded_oracles import affine_fields, graded_trace
 from test_graded import eds_graded, flat_graded
 
 
@@ -464,17 +464,12 @@ def test_basis_nabla_matches_graded_apply_field(dim):
     gm = random_graded_metric(np.random.default_rng(167 + dim), default_chart(dim))
     conn = gd.levicivita_triple(gm)
     draw = vd._draw(gm, np.random.default_rng(211), 4, 2, 1)
-    rng = np.random.default_rng(211)
-    instances = []
-    for _ in range(4):
-        x, y = random_graded_field(rng, gm.chart), random_graded_field(rng, gm.chart)
-        instances.append(((x, y), random_interior_point(rng, gm.chart)))
+    fields = affine_fields(gm.chart, *draw[0])
     (vx, vy), (_, dy) = vd._instance_jets(draw)
     got = vd._nabla(vd._table_jets(gm, (), draw[2])[2], vx, vy, dy)
-    for t, ((x, y), p) in enumerate(instances):
-        assert p == tuple(draw[2][t])
-        field = gd.graded_apply_field(conn, x, y)
-        want = np.array([f(p) for f in (*field.even, field.odd)])
+    for t, (slots, p) in enumerate(zip(*draw[1:])):
+        field = gd.graded_apply_field(conn, *(fields[s] for s in slots))
+        want = np.array([f(tuple(p)) for f in (*field.even, field.odd)])
         assert np.max(np.abs(got[:, t] - want)) <= 1e-13 * np.max(np.abs(want)), (t, got[:, t], want)
 
 
@@ -531,13 +526,12 @@ def test_suite_runs_one_pass_per_connection_check(monkeypatch):
 @pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_affine_fields_match_symbolic_jets(dim):
-    # the arrays are the symbolic fields' draws, and their values and
-    # gradients the bits of the fields' order-1 jets, signed zeros included
+    # the arrays' values and gradients are the bits of the order-1 jets of
+    # the symbolic fields built from them, signed zeros included
     chart = default_chart(dim)
-    rng, ref = np.random.default_rng(223 + dim), np.random.default_rng(223 + dim)
+    rng = np.random.default_rng(223 + dim)
     bias, coef, axis = random_affine_fields(rng, chart, 6)
-    fields = [random_graded_field(ref, chart) for _ in range(6)]
-    assert rng.bit_generator.state == ref.bit_generator.state
+    fields = affine_fields(chart, bias, coef, axis)
     assert (bias < 0.0).any() and (bias > 0.0).any()  # both signs of the gradient's first zero
     pts = chart.require_points([random_interior_point(rng, chart) for _ in range(5)])
     val, grad = affine_jets(bias, coef, axis, pts)
@@ -569,13 +563,10 @@ def test_suite_connection_checks_match_alone(monkeypatch, dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_koszul_arrays_match_symbolic_triples(dim):
     # the formula on the affine arrays is the formula on the symbolic fields
-    # of the same draws, bit for bit
+    # built from them, bit for bit
     gm = random_graded_metric(np.random.default_rng(233 + dim), default_chart(dim))
-    rng, ref = np.random.default_rng(239), np.random.default_rng(239)
-    draw = vd._draw(gm, rng, 6, 3, 1)
-    triples, points = [], []
-    for _ in range(6):
-        triples.append(tuple(random_graded_field(ref, gm.chart) for _ in range(3)))
-        points.append(random_interior_point(ref, gm.chart))
+    draw = vd._draw(gm, np.random.default_rng(239), 6, 3, 1)
+    fields = affine_fields(gm.chart, *draw[0])
+    triples = [tuple(fields[s] for s in slots) for slots in draw[1]]
     got = _koszul_from_jets(gm, *vd._instance_jets(draw), draw[2])
-    assert got.tobytes() == koszul_values(gm, triples, points).tobytes()
+    assert got.tobytes() == koszul_values(gm, triples, list(map(tuple, draw[2]))).tobytes()
