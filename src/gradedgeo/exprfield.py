@@ -1065,42 +1065,36 @@ def _jpow(u: Jet, r: Fraction) -> Jet:
     return _reciprocal(out) if k < 0 else out
 
 
+def _node_value(e: Expr, u0, order: int, one):
+    """Order-0 value of a Pow or Call node at its operand's value u0, as the
+    jet arithmetic computes it; ``one`` is the value one.  The domain helpers
+    run at ``order``, so they raise a jet of that order's DomainErrors.  Each
+    product's sum of terms starts from +0.0, as a jet product's does."""
+    if type(e) is Pow:
+        r = e.exponent
+        if r.denominator != 1:
+            return _pow_frac_coeffs(u0, r, order)[0]
+        k = r.numerator
+        if k == 0:
+            return one
+        out = _int_power(u0, u0, k, lambda a, b: 0.0 + a * b)
+        return _reciprocal_coeffs(out, 0)[0] if k < 0 else out
+    if e.fn == "tan":
+        sin_cs, cos_cs = _tan_coeffs(u0, order)
+        return 0.0 + sin_cs[0] * _reciprocal_coeffs(cos_cs[0], 0)[0]
+    return _TAYLOR[e.fn](u0, order)[0]
+
+
 def _constant_call(e: Expr, u: Jet) -> Jet:
     """Jet of a Pow (exponent other than 1) or Call node of the constant jet u.
 
     The full jet arithmetic gives such a node the value 0.0 plus its order-0
     value, then +0.0s, wherever the Taylor coefficients are finite; here the
-    value alone is computed.  The domain helper still runs at the jet's
-    order, so it raises the same DomainErrors.
+    value alone is computed, at the jet's order (:func:`_node_value`).
     """
-    order, u0 = u.space.order, u.value
-    if type(e) is Pow:
-        r = e.exponent
-        v = _pow_frac_coeffs(u0, r, order)[0] if r.denominator != 1 else _vpow(u0, r, float)
-    elif e.fn == "tan":
-        sin_cs, cos_cs = _tan_coeffs(u0, order)
-        v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
-    else:
-        v = _TAYLOR[e.fn](u0, order)[0]
     c = np.zeros_like(u.coeffs)
-    c[0] = 0.0 + v
+    c[0] = 0.0 + _node_value(e, u.value, u.space.order, 1.0)
     return Jet(u.space, c, True)
-
-
-def _product(a, b):
-    """A jet product of order 0: its sum of terms starts from +0.0, so -0.0 comes out +0.0."""
-    return 0.0 + a * b
-
-
-def _vpow(u0, r: Fraction, const):
-    """Value of u0**r, as _jpow computes it at order 0; const(1.0) is the value one."""
-    if r.denominator != 1:
-        return _pow_frac_coeffs(u0, r, 0)[0]
-    k = r.numerator
-    if k == 0:
-        return const(1.0)
-    out = _int_power(u0, u0, k, _product)
-    return _reciprocal_coeffs(out, 0)[0] if k < 0 else out
 
 
 def _check_order(dim: int, order: int) -> JetSpace:
@@ -1196,11 +1190,12 @@ def _value_rule(seeds: list[Jet]):
     single = npoints == 1
     values = [float(s.coeffs[0, 0]) if single else s.coeffs[0] for s in seeds]
     const = float if single else partial(np.full, npoints, dtype=float)
+    one = const(1.0)
 
     def value(e: Expr, args: list):
         t = type(e)
         if t is Mul:
-            return 0.0 + args[0] * args[1]  # _product, inline on the commonest node
+            return 0.0 + args[0] * args[1]  # a jet product's sum of terms starts from +0.0
         if t is Add:
             return args[0] + args[1]
         if t is Sub:
@@ -1211,18 +1206,12 @@ def _value_rule(seeds: list[Jet]):
             return values[e.index]
         if t is Div:
             _check_divisor(args[1])
-            return _product(args[0], _reciprocal_coeffs(args[1], 0)[0])
+            return 0.0 + args[0] * _reciprocal_coeffs(args[1], 0)[0]
         if t is Neg:
             return -args[0]
-        if t is Pow:
-            v = _vpow(args[0], e.exponent, const)
-        elif t is Call and e.fn == "tan":
-            sin_cs, cos_cs = _tan_coeffs(args[0], 0)
-            v = _product(sin_cs[0], _reciprocal_coeffs(cos_cs[0], 0)[0])
-        elif t is Call:
-            v = _TAYLOR[e.fn](args[0], 0)[0]
-        else:
+        if t is not Pow and t is not Call:
             raise TypeError(f"not an expression node: {type(e).__name__}")
+        v = _node_value(e, args[0], 0, one)
         # np.power, np.exp and the like hand back numpy scalars
         return float(v) if single else v
 
