@@ -24,7 +24,6 @@ from .riemann import MetricSpec
 
 __all__ = [
     "OdeState",
-    "RICCI_FLAT",
     "Trajectory",
     "WarpedClosedForms",
     "WarpedSpec",
@@ -41,7 +40,6 @@ __all__ = [
     "warped_graded_metric",
 ]
 
-RICCI_FLAT = "ricci-flat"
 MIN_STATES = 5  # the residual stencils of trajectory_residuals need this many
 MAX_STATES = 10**5  # the most a config may ask for; the trajectory is held in memory
 
@@ -67,15 +65,11 @@ class WarpedSpec:
 
     The scale factor and the log-weight function live on a one-coordinate
     time chart, which keeps any spatial dependence out by construction.
-    einstein_lambda records the Einstein constant of the base (Ric = lam*g),
-    with "ricci-flat" as an alias for zero; it feeds the consistency
-    monitor only.
     """
 
     base: MetricSpec
     a: ScalarField
     theta: ScalarField
-    einstein_lambda: float | str = RICCI_FLAT
 
     def __post_init__(self):
         if self.base.chart.dim < 2:
@@ -90,12 +84,6 @@ class WarpedSpec:
             raise ValueError(f"time coordinate {tname!r} collides with a base coordinate")
         if tchart.box[0][0] <= 0.0:
             raise ValueError("time interval must stay positive")
-        lam = self.einstein_lambda
-        if isinstance(lam, str):
-            if lam != RICCI_FLAT:
-                raise ValueError(f"einstein_lambda must be a number or {RICCI_FLAT!r}")
-        else:
-            object.__setattr__(self, "einstein_lambda", float(lam))
         for p in _base_sample(self.base.chart):
             if any(s != 1 for s in rm.signature_at(self.base, p)):
                 raise ValueError(f"base metric is not positive definite at {p}")
@@ -250,7 +238,7 @@ def eds_warped(n: int, t_span=(1e-4, 16.0), half_width: float = 2.0) -> WarpedSp
     a, theta, _ = eds_solution(n, t_span)
     base_chart = ChartSpec(_spatial_names(n), ((-half_width, half_width),) * n)
     base = MetricSpec.diagonal(base_chart, [1.0] * n)
-    return WarpedSpec(base, a, theta, RICCI_FLAT)
+    return WarpedSpec(base, a, theta)
 
 
 def unit_sphere_base(polar=(0.35, 2.8), azimuth=(-3.0, 3.0)) -> MetricSpec:
@@ -284,7 +272,6 @@ class Trajectory:
     n: int
     c: float
     einstein_lambda: float
-    theta_sign: int
     step: float
 
     def __len__(self) -> int:
@@ -351,11 +338,11 @@ def integrate_scale_factor(
         raise ValueError("theta_sign must be +1 or -1")
     if t_end <= 0.0:
         raise DomainError("trajectory would cross t=0")
-    lam = 0.0 if einstein_lambda == RICCI_FLAT else float(einstein_lambda)
+    lam = float(einstein_lambda)
 
     nsteps = state_count(w0.t, t_end, step) - 1
     if nsteps == 0:
-        return Trajectory((w0,), n, c, lam, theta_sign, 0.0)
+        return Trajectory((w0,), n, c, lam, 0.0)
     h = (t_end - w0.t) / nsteps
 
     states = [w0]
@@ -369,7 +356,7 @@ def integrate_scale_factor(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = w0.t + (k + 1) * h
         states.append(OdeState(t, float(y[0]), float(y[1]), float(y[2])))
-    return Trajectory(tuple(states), n, c, lam, theta_sign, abs(h))
+    return Trajectory(tuple(states), n, c, lam, abs(h))
 
 
 def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -47,14 +47,6 @@ class TensorValue:
     def dim(self) -> int:
         return 0 if self.rank == 0 else int(self.components.shape[0])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "valence": list(self.valence),
-            "shape": list(self.components.shape),
-            "components": [float(x) for x in self.components.ravel()],
-            "point": list(self.base_point),
-        }
-
 
 def _as_field(entry, chart: ChartSpec) -> ScalarField:
     if isinstance(entry, ScalarField):

@@ -10,13 +10,13 @@ from gradedgeo import riemann as rm
 from gradedgeo.errors import DomainError
 
 
-def random_warped(rng, base, t_span=(0.2, 6.0), lam=0.0):
+def random_warped(rng, base, t_span=(0.2, 6.0)):
     tch = co.time_chart(t_span)
     tc = ef.coordinate(tch, "t")
     coeffs = rng.uniform(-0.3, 0.3, 3)
     a = coeffs[0] * tc + coeffs[1] * ef.sin(tc) + coeffs[2] * ef.ln(tc)
     theta = float(rng.uniform(-0.5, 0.5)) * tc
-    return co.WarpedSpec(base, a, theta, lam)
+    return co.WarpedSpec(base, a, theta)
 
 
 def flat_base(n):
@@ -50,8 +50,6 @@ def test_warped_spec_guards():
     lorentz = rm.MetricSpec.diagonal(flat_base(2).chart, [-1.0, 1.0])
     with pytest.raises(ValueError):
         co.WarpedSpec(lorentz, a, a)
-    with pytest.raises(ValueError):
-        co.WarpedSpec(base, a, a, "flat")
 
 
 def test_build_minkowski():
@@ -77,7 +75,7 @@ def test_build_eds_components():
 def test_build_sphere_scale():
     tch = co.time_chart()
     a = ef.ln(ef.coordinate(tch, "t"))
-    w = co.WarpedSpec(co.unit_sphere_base(), a, 0.5 * ef.coordinate(tch, "t"), 1.0)
+    w = co.WarpedSpec(co.unit_sphere_base(), a, 0.5 * ef.coordinate(tch, "t"))
     m = co.build_warped_metric(w)
     u, t = 1.1, 2.0
     g = rm.metric_at(m, (u, 0.4, t))[0].components
@@ -99,7 +97,7 @@ def test_closed_forms_match_engine_flat_base():
 
 def test_closed_forms_match_engine_sphere_base():
     rng = np.random.default_rng(59)
-    w = random_warped(rng, co.unit_sphere_base(), lam=1.0)
+    w = random_warped(rng, co.unit_sphere_base())
     m = co.build_warped_metric(w)
     gm_theta = ef.remap_coordinates(w.theta, m.chart)
     for p in [(1.1, 0.4, 1.7), (0.8, -1.2, 3.5)]:
@@ -128,7 +126,7 @@ def test_closed_forms_frozen_values():
     assert cf.ricci[3, 3] == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert np.max(np.abs(cf.ricci[:3, 3])) == 0.0
     rng = np.random.default_rng(61)
-    ws = random_warped(rng, co.unit_sphere_base(), lam=1.0)
+    ws = random_warped(rng, co.unit_sphere_base())
     cfs = co.warped_closed_forms(ws, (1.2, 0.7, 2.4))
     assert np.max(np.abs(cfs.ricci[:2, 2])) == 0.0
 
