@@ -173,6 +173,7 @@ def cmd_cosmo(cfg: cf.RunConfig) -> int:
 def cmd_action(cfg: cf.RunConfig) -> int:
     if cfg.variation is None:
         raise ConfigError("action subcommand needs a [variation] section")
+    cf.check_point_count("[quadrature] nodes", (cfg.quad_nodes,) * cfg.chart.dim)
     gm = cf.build_graded_metric(cfg)
     vp = cfg.variation
     n = cfg.chart.dim
@@ -212,6 +213,7 @@ def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
             raise ConfigError(f"--grid: expected comma-separated counts, got {args.grid!r}") from None
         if len(counts) != cfg.chart.dim or any(c < 1 for c in counts):
             raise ConfigError(f"--grid: need {cfg.chart.dim} positive counts")
+        cf.check_point_count("--grid", counts)
         changes["grid_counts"] = counts
         changes["grid_points"] = None
     if args.tol is not None:

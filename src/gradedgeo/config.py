@@ -16,7 +16,7 @@ Grammar (sections in any order, keys as shown):
     expr = x
 
     [grid]                   ; at most one of the two keys
-    counts = 5, 5            ; per-axis counts over the box
+    counts = 5, 5            ; per-axis counts over the box, at most 100000 points
     points = 0.1 0.2; -0.3 0.4
 
     [tolerances]
@@ -24,7 +24,7 @@ Grammar (sections in any order, keys as shown):
     fd_tol = 1e-5
 
     [quadrature]
-    nodes = 32
+    nodes = 32               ; per axis; action needs nodes^dim <= 100000 points
 
     [output]
     path = out.csv
@@ -76,6 +76,7 @@ __all__ = [
     "RunConfig",
     "VariationParams",
     "build_graded_metric",
+    "check_point_count",
     "config_hash",
     "format_float",
     "grid_points",
@@ -85,6 +86,7 @@ __all__ = [
 ]
 
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
+MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each holds its jets in memory
 
 _KNOWN_KEYS = {
     "chart": {"coords"},
@@ -178,6 +180,12 @@ def _int(section: str, key: str, raw: str) -> int:
         raise _cfg_error(section, key, f"expected an integer, got {raw!r}") from None
 
 
+def check_point_count(key: str, counts) -> None:
+    """Raise ConfigError naming ``key`` when a grid of ``counts`` per axis exceeds MAX_POINTS."""
+    if math.prod(counts) > MAX_POINTS:
+        raise ConfigError(f"{key}: {' x '.join(map(str, counts))} points, more than {MAX_POINTS}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the INI dialect; every complaint carries its section and key."""
     parser = configparser.ConfigParser(interpolation=None, strict=True)
@@ -258,6 +266,7 @@ def parse_config(text: str) -> RunConfig:
             counts = tuple(_int("grid", "counts", v) for v in vals)
             if len(counts) != chart.dim or any(c < 1 for c in counts):
                 raise _cfg_error("grid", "counts", f"need {chart.dim} positive counts")
+            check_point_count("[grid] counts", counts)
         if "points" in grid:
             rows = [row for row in grid["points"].split(";") if row.strip()]
             parsed = []

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedgeo import cli
@@ -315,6 +315,39 @@ def test_grid_rejected_where_no_grid_is_read(tmp_path, capsys, command):
     assert "--grid" in out.err
     assert "Traceback" not in out.err
     assert not (tmp_path / "out.csv").exists()
+
+
+OVERSIZE_GRID = FLAT_X.replace("counts = 3, 3", "counts = 100000, 100000")
+OVERSIZE_NODES = EDS3 + """
+[variation]
+kind = bump
+support_x = -0.5, 0.5
+support_y = -0.5, 0.5
+support_z = -0.5, 0.5
+support_t = 1.0, 2.0
+"""  # no [quadrature] section: the default 32 nodes, 32^4 points in dim 4
+
+
+@pytest.mark.parametrize(
+    "text, args, key",
+    [
+        (OVERSIZE_GRID, ["residuals"], "[grid] counts: 100000 x 100000 points"),
+        (FLAT_X, ["report", "--grid", "1000,1000"], "--grid: 1000 x 1000 points"),
+        (OVERSIZE_NODES, ["action"], "[quadrature] nodes: 32 x 32 x 32 x 32 points"),
+    ],
+    ids=["grid-counts", "grid-override", "quadrature-nodes"],
+)
+def test_oversize_point_count_exit_2(tmp_path, capsys, monkeypatch, text, args, key):
+    # refused before a point is built: the grid and the quadrature rule are never made
+    def refuse(*_):
+        raise AssertionError("built the points of an oversize run")
+
+    monkeypatch.setattr(cf, "grid_points", refuse)
+    monkeypatch.setattr(gd, "tensor_rule", refuse)
+    code = run([*args, "--config", write(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {key}, more than {cf.MAX_POINTS}" in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
@@ -704,6 +737,9 @@ def _run_args(draw):
 
 @settings(max_examples=100, deadline=timedelta(seconds=2))
 @given(run_args=_run_args())
+@example(run_args=(OVERSIZE_GRID, ["residuals"]))
+@example(run_args=(FLAT_X, ["report", "--grid", "1000,1000"]))
+@example(run_args=(OVERSIZE_NODES, ["action"]))
 def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
     # every command on every config ends in an exit code of the contract
     text, args = run_args
