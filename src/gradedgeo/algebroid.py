@@ -8,7 +8,8 @@ The module also carries the super bracket, the projection back onto
 ordinary vector fields, and a generic Koszul-formula evaluator for
 extended metric pairings.  Everything is symbolic down to evaluation,
 except the Koszul evaluator: it reads the derivatives its formula needs off
-order-1 jets, so it takes no symbolic derivative of what it checks.
+one order-1 jet pass of the fields and the extended metric's entries, so it
+takes no symbolic derivative of what it checks.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ __all__ = [
 ]
 
 
-def _coerce_field(chart: ChartSpec, value) -> ScalarField:
-    if isinstance(value, ScalarField):
-        if value.chart != chart:
-            raise ValueError("field lives on a different chart")
-        return value
-    if isinstance(value, str):
-        return ef.parse_field(value, chart)
-    return ef.constant(chart, float(value))
-
-
 @dataclass(frozen=True)
 class DualFunction:
     """Element ``even + odd*tau`` of the extended function algebra."""
@@ -66,7 +57,7 @@ class DualFunction:
 
     @classmethod
     def of(cls, chart: ChartSpec, even, odd=0.0) -> "DualFunction":
-        return cls(_coerce_field(chart, even), _coerce_field(chart, odd))
+        return cls(ScalarField.of(chart, even), ScalarField.of(chart, odd))
 
     def __call__(self, point) -> tuple[float, float]:
         return self.even(point), self.odd(point)
@@ -83,7 +74,7 @@ class DualFunction:
     def __mul__(self, other):
         if isinstance(other, DualFunction):
             return dual_mul(self, other)
-        f = _coerce_field(self.chart, other)
+        f = ScalarField.of(self.chart, other)
         return DualFunction(self.even * f, self.odd * f)
 
     def __rmul__(self, other):
@@ -128,7 +119,7 @@ class GradedVectorField:
 
     @classmethod
     def of(cls, chart: ChartSpec, even: Sequence, odd=0.0) -> "GradedVectorField":
-        return cls(tuple(_coerce_field(chart, c) for c in even), _coerce_field(chart, odd))
+        return cls(tuple(ScalarField.of(chart, c) for c in even), ScalarField.of(chart, odd))
 
     def __add__(self, other: "GradedVectorField") -> "GradedVectorField":
         return GradedVectorField(
@@ -144,10 +135,6 @@ class GradedVectorField:
 
     def __neg__(self) -> "GradedVectorField":
         return GradedVectorField(tuple(-c for c in self.even), -self.odd)
-
-    def scaled(self, factor) -> "GradedVectorField":
-        f = _coerce_field(self.chart, factor)
-        return GradedVectorField(tuple(f * c for c in self.even), f * self.odd)
 
 
 def vector_apply(components: Sequence[ScalarField], f: ScalarField) -> ScalarField:
@@ -205,60 +192,60 @@ def pairing_field(gm: "GradedMetric", v: GradedVectorField, w: GradedVectorField
                 continue
             out = out + gij * v.even[i] * w.even[j]
     if not (v.odd.is_zero or w.odd.is_zero):
-        out = out + v.odd * w.odd * ef.exp(gm.theta + gm.theta)
+        out = out + v.odd * w.odd * gm.weight()
     return out
 
 
 def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
     """Koszul pairing <nabla_x y, z> of each triple (x, y, z) at its own point.
 
-    The components of every x, y and z go through one order-1 jet pass over
-    all the points, and each triple reads its own point's values and
-    gradients; the formula itself is :func:`_koszul_from_jets`.  No symbolic
-    derivative is taken, so the route shares no derivative with the
-    connection it checks.
+    The components of every x, y and z and the entries of the extended
+    metric go through one order-1 jet pass over all the points, and each
+    triple reads its own point's values and gradients; the formula itself is
+    :func:`_koszul_from_jets`.  No symbolic derivative is taken, so the
+    route shares no derivative with the connection it checks.
     """
-    pts = gm.metric.chart.require_points(points)
+    pts = gm.chart.require_points(points)
     if len(triples) != len(pts):
         raise ValueError(f"{len(triples)} triples for {len(pts)} points")
-    n, t = gm.metric.chart.dim, len(pts)
+    n, t = gm.chart.dim, len(pts)
     fields = [c for triple in triples for v in triple for c in (*v.even, v.odd)]
-    # a non-finite field value gives a non-finite pairing, which fails its check
+    # a non-finite field value gives a non-finite pairing, which fails its
+    # check; a non-finite metric entry raises in _metric_arrays
     with np.errstate(over="ignore", invalid="ignore"):
-        jets = ef.eval_jets_batch(fields, pts, 1)
-    val = np.array([jet.value for jet in jets]).reshape(t, 3, n + 1, t)
-    grad = np.array([jet.gradient() for jet in jets]).reshape(t, 3, n + 1, n, t)
+        jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1)
+    k = len(fields)
+    val = np.array([jet.value for jet in jets[:k]]).reshape(t, 3, n + 1, t)
+    grad = np.array([jet.gradient() for jet in jets[:k]]).reshape(t, 3, n + 1, n, t)
     # each triple's components at its own point: [x/y/z, component, (axis,) point]
-    return _koszul_from_jets(gm, np.diagonal(val, axis1=0, axis2=3), np.diagonal(grad, axis1=0, axis2=4), pts)
+    v, dv = np.diagonal(val, axis1=0, axis2=3), np.diagonal(grad, axis1=0, axis2=4)
+    return _koszul_from_jets(*_metric_arrays(jets[k:], pts), v, dv)
 
 
-def _koszul_from_jets(gm: "GradedMetric", v: np.ndarray, dv: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The Koszul formula from field values v[x/y/z, e, t] and gradients dv[x/y/z, e, m, t].
+def _metric_arrays(jets, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g[a, b, t] and dg[a, b, m, t] from order-1 jets of ``GradedMetric.extended_metric()`` at pts.
 
-    Column t holds triple t at its own point pts[t].  The g_ij and the weight
-    exp(2*theta) go through one order-1 jet pass of their own.  Pairings and
-    their gradients are products of values and gradients; the anchor actions
-    x<y, z> and the super brackets are read off the gradients, and the
-    six-term sum is halved.  A non-finite g_ij or weight raises DomainError
-    naming it and the first bad point.
+    A non-finite g_ij or weight raises DomainError naming it and the first
+    bad point; the cross entries are constant zeros.
     """
-    n, t = gm.metric.chart.dim, len(pts)
-    metric = [gm.metric.component(i, j) for i in range(n) for j in range(n)]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        jets = ef.eval_jets_batch([*metric, ef.exp(gm.theta + gm.theta)], pts, 1)
-    rm.check_finite(
-        [*((f"g_{k // n}_{k % n}", jet.coeffs) for k, jet in enumerate(jets[:-1])),
-         ("exp(2*theta)", jets[-1].coeffs)],
-        pts,
-    )
-    val = np.array([jet.value for jet in jets])
-    grad = np.array([jet.gradient() for jet in jets])
-    # the extended metric: g on the even block, the weight on the odd one
-    g = np.zeros((n + 1, n + 1, t))
-    dg = np.zeros((n + 1, n + 1, n, t))
-    g[:n, :n] = val[:-1].reshape(n, n, t)
-    dg[:n, :n] = grad[:-1].reshape(n, n, n, t)
-    g[n, n], dg[n, n] = val[-1], grad[-1]
+    t, n = pts.shape
+    names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i in range(n + 1) for j in range(n + 1)]
+    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets)], pts)
+    g = np.array([jet.value for jet in jets]).reshape(n + 1, n + 1, t)
+    return g, np.array([jet.gradient() for jet in jets]).reshape(n + 1, n + 1, n, t)
+
+
+def _koszul_from_jets(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The Koszul formula from the extended metric and the fields' order-1 jets.
+
+    Column t of every array is triple t at its own point: the metric values
+    g[a, b, t] and gradients dg[a, b, m, t] (``_metric_arrays``), the field
+    values v[x/y/z, e, t] and gradients dv[x/y/z, e, m, t].  Pairings and
+    their gradients are products of values and gradients; the anchor
+    actions x<y, z> and the super brackets are read off the gradients, and
+    the six-term sum is halved.
+    """
+    n = dg.shape[2]
     # einsum's summation order follows its operands' strides: read the fields point-major
     (vx, vy, vz), (dx, dy, dz) = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1) for a in (v, dv))
 

@@ -15,7 +15,7 @@ Grammar (sections in any order, keys as shown):
     [theta]
     expr = x
 
-    [grid]                   ; at most one of the two keys
+    [grid]                   ; at most one of the two keys; neither means 3 per axis
     counts = 5, 5            ; per-axis counts over the box, at most 100000 points
     points = 0.1 0.2; -0.3 0.4
 
@@ -24,7 +24,9 @@ Grammar (sections in any order, keys as shown):
     fd_tol = 1e-5
 
     [quadrature]
-    nodes = 32               ; per axis; action needs nodes^dim <= 100000 points
+    nodes = 32               ; per axis; action needs nodes^dim <= 100000 points,
+                             ; so a dim-4 or higher action config must set nodes:
+                             ; at most 17 in dim 4, 10 in dim 5
 
     [output]
     path = out.csv
@@ -87,6 +89,7 @@ __all__ = [
 
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
 MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each holds its jets in memory
+_DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
 
 _KNOWN_KEYS = {
     "chart": {"coords"},
@@ -282,6 +285,8 @@ def parse_config(text: str) -> RunConfig:
             except GradedGeoError as exc:
                 raise _cfg_error("grid", "points", str(exc)) from None
             points = tuple(parsed)
+    if counts is None and points is None:
+        check_point_count("[grid] default counts", (_DEFAULT_GRID_COUNT,) * chart.dim)
 
     residual_tol = 1e-9
     fd_tol = 1e-5
@@ -472,7 +477,7 @@ def grid_points(cfg: RunConfig) -> list[tuple[float, ...]]:
     """Evaluation points in grid order (first axis slowest)."""
     if cfg.grid_points is not None:
         return list(cfg.grid_points)
-    counts = cfg.grid_counts or (3,) * cfg.chart.dim
+    counts = cfg.grid_counts or (_DEFAULT_GRID_COUNT,) * cfg.chart.dim
     axes = []
     for count, (lo, hi) in zip(counts, cfg.chart.box):
         if count == 1:

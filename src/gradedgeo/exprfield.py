@@ -684,8 +684,16 @@ class ScalarField:
             axis = self.chart.axis(axis)
         return ScalarField(self.chart, diff_expr(self.expr, axis))
 
-    def pretty(self) -> str:
-        return pretty_print(self.expr)
+    @classmethod
+    def of(cls, chart: ChartSpec, value) -> "ScalarField":
+        """A field on ``chart`` from a field on it, expression text or a number."""
+        if isinstance(value, ScalarField):
+            if value.chart != chart:
+                raise ValueError("field lives on a different chart")
+            return value
+        if isinstance(value, str):
+            return parse_field(value, chart)
+        return constant(chart, float(value))
 
     def _combine(self, other, build, reflected: bool = False):
         """build(self, other), or build(other, self) when reflected."""

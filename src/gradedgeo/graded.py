@@ -13,7 +13,7 @@ difference).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 VARIATION_STEP = 1e-4
+_BOUNDARY_INSET = 1e-9  # how far inside each support face the boundary probe samples, relative to its width
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,16 @@ class GradedMetric:
     def weight(self) -> ScalarField:
         """Squared norm of the odd direction, exp(2*theta)."""
         return ef.exp(self.theta + self.theta)
+
+    def extended_metric(self) -> list[ScalarField]:
+        """The (n+1)^2 entries of the extended metric, row by row: g_ij on the
+        even block, zero cross entries and the weight on the odd direction."""
+        n, zero, weight = self.chart.dim, ef.constant(self.chart, 0.0), self.weight()
+        return [
+            self.metric.component(i, j) if max(i, j) < n else weight if i == j else zero
+            for i in range(n + 1)
+            for j in range(n + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -133,15 +144,7 @@ class FieldEquationReport:
         return self.e28
 
     def to_json_dict(self) -> dict:
-        return {
-            "point": [float(x) for x in self.point],
-            "e27": self.e27,
-            "e28": self.e28,
-            "e29": self.e29,
-            "e44": self.e44,
-            "scalar_curvature": self.scalar_curvature,
-            "graded_scalar": self.graded_scalar,
-        }
+        return {**asdict(self), "point": [float(x) for x in self.point]}
 
 
 def levicivita_triple(gm: GradedMetric) -> GradedConnectionTriple:
@@ -355,18 +358,20 @@ def field_residuals_at(gm: GradedMetric, p) -> FieldEquationReport:
     return _one(gm, p)[1].residual_records()[0]
 
 
-def hilbert_action(gm: GradedMetric, quad: QuadSpec | None = None) -> float:
-    """Integral of the extended scalar curvature against the metric volume."""
-    quad = quad or QuadSpec()
-    points, weights = tensor_rule(gm.chart, quad)
-    d = geometry_batch(gm, points)
+def _action(d: GeometryBatch, weights: np.ndarray) -> float:
+    """The quadrature sum of the extended scalar curvature against the metric volume."""
     return float((d.graded_scalar * d.density) @ weights)
 
 
-def action_magnitude(gm: GradedMetric, quad: QuadSpec | None = None) -> float:
+def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
+    """Integral of the extended scalar curvature against the metric volume."""
+    points, weights = tensor_rule(gm.chart, quad)
+    return _action(geometry_batch(gm, points), weights)
+
+
+def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     """Size scale for action values: the same integrand with both terms in
     absolute value, so it stays positive where the signed terms cancel."""
-    quad = quad or QuadSpec()
     points, weights = tensor_rule(gm.chart, quad)
     d = geometry_batch(gm, points)
     values = (np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density
@@ -407,14 +412,14 @@ class VariationSpec:
         if not worst <= 1e-12:
             raise ValueError(f"variation does not vanish on the support boundary ({worst:.3e})")
 
-    def _boundary_max(self, inset: float = 1e-9) -> float:
+    def _boundary_max(self) -> float:
         chart = self.h.chart
         n = chart.dim
         fields = [self.h] + [self.s[i][j] for i in range(n) for j in range(i, n)]
         probes = []
         for axis in range(n):
             lo, hi = self.support[axis]
-            pad = inset * (hi - lo)
+            pad = _BOUNDARY_INSET * (hi - lo)
             for edge in (lo + pad, hi - pad):
                 base = []
                 for a in range(n):
@@ -460,9 +465,7 @@ def bump_variation(
     return VariationSpec(tuple(tuple(r) for r in rows), h, support)
 
 
-def action_first_variation(
-    gm: GradedMetric, var: VariationSpec, quad: QuadSpec | None = None
-) -> tuple[float, float]:
+def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> tuple[float, float]:
     """Derivative of the action along a variation, two independent ways.
 
     Returns (closed_form, finite_difference).  Both integrate over the
@@ -473,10 +476,9 @@ def action_first_variation(
     return _action_variation(gm, var, quad)[:2]
 
 
-def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec | None) -> tuple[float, float, float]:
+def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> tuple[float, float, float]:
     """action_first_variation's (closed_form, finite_difference), then the
     action over the variation's support, all read off the one sweep."""
-    quad = quad or QuadSpec()
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     n = gm.chart.dim
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -500,8 +502,7 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec | Non
         # the bits the jet engine gives the fields entry + t*s and theta + t*h
         moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
         arrays_t, det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
-        e = _geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t)
-        return float((e.graded_scalar * e.density) @ weights)
+        return _action(_geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t), weights)
 
     fd = (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
-    return closed, fd, float((d.graded_scalar * d.density) @ weights)
+    return closed, fd, _action(d, weights)

@@ -17,7 +17,7 @@ __all__ = ["QuadSpec", "tensor_rule"]
 class QuadSpec:
     """Nodes per axis and an optional sub-box of the chart."""
 
-    nodes_per_axis: int = 16
+    nodes_per_axis: int
     box: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):

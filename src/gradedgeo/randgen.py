@@ -16,6 +16,8 @@ from . import exprfield as ef
 from .exprfield import ChartSpec, ScalarField
 from .riemann import MetricSpec
 
+_INTERIOR_MARGIN = 0.15  # random_interior_point keeps this share of each axis clear at both ends
+
 
 def default_chart(dim: int, half_width: float = 0.4) -> ChartSpec:
     names = ("x", "y", "z", "w", "v")[:dim]
@@ -27,10 +29,9 @@ def random_polynomial(
     chart: ChartSpec,
     degree: int = 2,
     scale: float = 0.1,
-    bias: float = 0.0,
 ) -> ScalarField:
     coords = [ef.coordinate(chart, name) for name in chart.coord_names]
-    f = ef.constant(chart, bias + float(rng.uniform(-scale, scale)))
+    f = ef.constant(chart, float(rng.uniform(-scale, scale)))
     for _ in range(degree * chart.dim):
         mono = ef.constant(chart, float(rng.uniform(-scale, scale)))
         for _ in range(int(rng.integers(1, degree + 1))):
@@ -127,8 +128,8 @@ def random_dual_function(rng: np.random.Generator, chart: ChartSpec, degree: int
     )
 
 
-def random_interior_point(rng: np.random.Generator, chart: ChartSpec, margin: float = 0.15):
+def random_interior_point(rng: np.random.Generator, chart: ChartSpec):
     return tuple(
-        float(rng.uniform(lo + margin * (hi - lo), hi - margin * (hi - lo)))
+        float(rng.uniform(lo + _INTERIOR_MARGIN * (hi - lo), hi - _INTERIOR_MARGIN * (hi - lo)))
         for lo, hi in chart.box
     )

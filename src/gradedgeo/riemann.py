@@ -48,18 +48,6 @@ class TensorValue:
         return 0 if self.rank == 0 else int(self.components.shape[0])
 
 
-def _as_field(entry, chart: ChartSpec) -> ScalarField:
-    if isinstance(entry, ScalarField):
-        if entry.chart != chart:
-            raise ValueError("metric component bound to a different chart")
-        return entry
-    if isinstance(entry, str):
-        return ef.parse_field(entry, chart)
-    if isinstance(entry, (int, float)):
-        return ef.constant(chart, float(entry))
-    raise TypeError(f"cannot use {entry!r} as a scalar field")
-
-
 class MetricSpec:
     """Symmetric metric field on a chart; only the upper triangle is stored.
 
@@ -77,11 +65,11 @@ class MetricSpec:
         for i in range(n):
             row = list(rows[i])
             for j in range(i, n):
-                upper[(i, j)] = _as_field(row[j], chart)
+                upper[(i, j)] = ScalarField.of(chart, row[j])
         for i in range(n):
             row = list(rows[i])
             for j in range(i):
-                low = _as_field(row[j], chart)
+                low = ScalarField.of(chart, row[j])
                 if low.expr != upper[(j, i)].expr:
                     raise ValueError(f"metric components ({i},{j}) and ({j},{i}) differ")
         self._upper = upper

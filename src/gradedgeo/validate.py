@@ -11,9 +11,11 @@ are degree-1 polynomials drawn as affine coefficient arrays, a group's
 coefficients in one uniform draw and then its axes in one integer draw,
 and numpy computes their values and gradients exactly; C and the extended
 metric come from one order-1 jet pass per suite, at the union of the
-checks' points and the frame points, and each check reads its own columns.  The Koszul formula
-runs its own pass over the metric and takes no symbolic derivative.  The
-frame route never touches the batch either: it reads the pairings
+checks' points and the frame points, and each check reads its own columns.
+The Koszul formula reads only the extended metric's values and gradients
+from that pass, never C, and takes no symbolic derivative: its input is
+the metric, not the connection it checks.  The frame route never touches
+the batch either: it reads the pairings
 <R(E_a, E_b)E_c, E_d> off the values and gradients of C and the metric and
 sums them over a pseudo-orthonormal frame at each point numerically, the
 frame built from the same pass's g; a suite's two frame checks share that
@@ -23,24 +25,22 @@ sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import GradedVectorField, _koszul_from_jets, bracket
+from .algebroid import GradedVectorField, _koszul_from_jets, _metric_arrays
 from .errors import DegenerateMetricError
-from .graded import GradedConnectionTriple, GradedMetric
+from .graded import GradedMetric
 from .randgen import affine_jets, random_affine_fields, random_interior_point, random_polynomial
 
 __all__ = [
     "CheckResult",
-    "curvature_field",
     "frame_graded_ricci",
     "frame_graded_scalar",
-    "orthonormal_frame",
     "run_geometry_checks",
 ]
 
@@ -61,12 +61,7 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _worst(*errors) -> float:
@@ -75,18 +70,14 @@ def _worst(*errors) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
-def orthonormal_frame(m: rm.MetricSpec, p) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Pseudo-orthonormal frame at p by Gram-Schmidt over coordinate vectors.
-
-    Returns (rows, signs): rows[i] holds the frame vector components,
-    signs[i] = +-1 its squared norm.  Fails on near-null intermediate
-    vectors, which cannot be normalized.
-    """
-    return _gram_schmidt(rm.metric_at(m, p)[0].components)
-
-
 def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``orthonormal_frame`` of the metric values g[i, j] at one point."""
+    """Pseudo-orthonormal frame of the metric values g[i, j] at one point.
+
+    Gram-Schmidt over the coordinate vectors.  Returns (rows, signs):
+    rows[i] holds the frame vector components, signs[i] = +-1 its squared
+    norm.  Fails on near-null intermediate vectors, which cannot be
+    normalized.
+    """
     n = len(g)
     rows = np.empty((n, n))
     signs: list[int] = []
@@ -103,19 +94,6 @@ def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         signs.append(1 if norm2 > 0 else -1)
         rows[k] = v / np.sqrt(abs(norm2))
     return rows, tuple(signs)
-
-
-def curvature_field(
-    conn: GradedConnectionTriple,
-    x: GradedVectorField,
-    y: GradedVectorField,
-    z: GradedVectorField,
-) -> GradedVectorField:
-    """Curvature operator value R(x, y)z from nested covariant derivatives."""
-    a = gd.graded_apply_field(conn, x, gd.graded_apply_field(conn, y, z))
-    b = gd.graded_apply_field(conn, y, gd.graded_apply_field(conn, x, z))
-    c = gd.graded_apply_field(conn, bracket(x, y), z)
-    return a - b - c
 
 
 def _basis(gm: GradedMetric) -> list[GradedVectorField]:
@@ -151,25 +129,20 @@ def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int):
 def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     """Order-1 jets of ``fields``, C and the extended metric at pts, from one pass.
 
-    The extended metric is the g_ij, zero cross entries and exp(2*theta); a
-    non-finite g_ij or weight raises DomainError.  Returns the values
-    [field, t] and gradients [field, m, t] of ``fields``, then c[a, b, e, t],
-    dc[a, b, e, m, t], g[a, b, t] and dg[a, b, m, t], each odd index last.
+    Returns the values [field, t] and gradients [field, m, t] of ``fields``,
+    then c[a, b, e, t], dc[a, b, e, m, t], and g[a, b, t] and dg[a, b, m, t]
+    from ``_metric_arrays``, which raises DomainError on a non-finite g_ij
+    or weight; each odd index last.
     """
     n, t = gm.chart.dim, len(pts)
     comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1)]
-    zero, weight = ef.constant(gm.chart, 0.0), gm.weight()
-    metric = [gm.metric.component(i, j) if max(i, j) < n else weight if i == j else zero for i, j in pairs]
     k, m = len(fields), len(fields) + len(comps)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        jets = ef.eval_jets_batch([*fields, *comps, *metric], pts, 1)
-    # the cross entries are constant zeros: only g_ij and the weight can fail
-    names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i, j in pairs]
-    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[m:])], pts)
-    val, grad = np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
-    c, dc = val[k:m].reshape(n + 1, n + 1, n + 1, t), grad[k:m].reshape(n + 1, n + 1, n + 1, n, t)
-    return val[:k], grad[:k], c, dc, val[m:].reshape(n + 1, n + 1, t), grad[m:].reshape(n + 1, n + 1, n, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the metric is checked by _metric_arrays
+        jets = ef.eval_jets_batch([*fields, *comps, *gm.extended_metric()], pts, 1)
+    g, dg = _metric_arrays(jets[m:], pts)
+    val, grad = np.array([jet.value for jet in jets[:m]]), np.array([jet.gradient() for jet in jets[:m]])
+    c, dc = val[k:].reshape(n + 1, n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n + 1, n, t)
+    return val[:k], grad[:k], c, dc, g, dg
 
 
 def _columns(jets, edges) -> list:
@@ -218,7 +191,7 @@ def _frame_ricci(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
     Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>, summed
-    numerically.  The frame is ``orthonormal_frame``'s rows of the pass's
+    numerically.  The frame is ``_gram_schmidt``'s rows of the pass's
     g_ij, then the odd unit exp(-theta) times the odd basis; theta is the
     pass's first field.  Returns ric[p, b, c], the frames F[p, e, a] and
     their signs s[p, e].
@@ -269,11 +242,11 @@ def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResu
 
 
 def _koszul(gm: GradedMetric, draw, jets) -> CheckResult:
-    _, _, c, _, g, _ = jets
+    _, _, c, _, g, dg = jets
     v, dv = _instance_jets(draw)
     (x, y, z), (_, dy, _) = v, dv
     lhs = _pair(g, _nabla(c, x, y, dy), z)
-    rhs = _koszul_from_jets(gm, v, dv, draw[2])
+    rhs = _koszul_from_jets(g, dg, v, dv)
     return CheckResult("koszul_vs_triple", _worst(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))), 1e-9)
 
 

@@ -1,6 +1,7 @@
 """Graded quantities rebuilt from the connection triple's fields and the
 classical tensors at one point, independent of the geometry batch they check,
-and validate's affine random fields rebuilt as symbolic fields.
+the symbolic curvature operator, and validate's affine random fields rebuilt
+as symbolic fields.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
-from gradedgeo.algebroid import GradedVectorField
+from gradedgeo.algebroid import GradedVectorField, bracket
 
 
 def _alpha_at(gm, p) -> tuple[np.ndarray, np.ndarray]:
@@ -41,6 +42,14 @@ def graded_trace(gm, value) -> float:
     ginv = rm.metric_at(gm.metric, p)[1].components
     even = float(np.einsum("ij,ij->", ginv, value.even.components))
     return even + value.odd / float(np.exp(2.0 * gm.theta(p)))
+
+
+def curvature_field(conn, x, y, z) -> GradedVectorField:
+    """Curvature operator value R(x, y)z from nested covariant derivatives."""
+    a = gd.graded_apply_field(conn, x, gd.graded_apply_field(conn, y, z))
+    b = gd.graded_apply_field(conn, y, gd.graded_apply_field(conn, x, z))
+    c = gd.graded_apply_field(conn, bracket(x, y), z)
+    return a - b - c
 
 
 def affine_fields(chart, bias, coef, axis) -> list[GradedVectorField]:

@@ -1,10 +1,9 @@
-import types
-
 import numpy as np
 import pytest
 
 from gradedgeo import algebroid as ag
 from gradedgeo import exprfield as ef
+from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo.randgen import (
     default_chart,
@@ -283,8 +282,7 @@ def test_chart_mismatch_rejected():
 def flat_theta_x():
     chart = ef.ChartSpec(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
     metric = rm.MetricSpec.diagonal(chart, [1.0, 1.0])
-    theta = ef.coordinate(chart, "x")
-    return chart, types.SimpleNamespace(metric=metric, theta=theta)
+    return chart, gd.GradedMetric(metric, ef.coordinate(chart, "x"))
 
 
 def test_koszul_pure_odd_examples():

@@ -326,6 +326,15 @@ support_y = -0.5, 0.5
 support_z = -0.5, 0.5
 support_t = 1.0, 2.0
 """  # no [quadrature] section: the default 32 nodes, 32^4 points in dim 4
+DIM11_NO_GRID = "\n".join([
+    "[chart]",
+    "coords = " + ", ".join(f"x{k}" for k in range(11)),
+    *(f"box_x{k} = -1, 1" for k in range(11)),
+    "[metric]",
+    *(f"g_{k}_{k} = 1" for k in range(11)),
+    "[theta]",
+    "expr = 0",
+]) + "\n"  # no [grid] section: the default 3 points per axis, 3^11 points
 
 
 @pytest.mark.parametrize(
@@ -334,8 +343,9 @@ support_t = 1.0, 2.0
         (OVERSIZE_GRID, ["residuals"], "[grid] counts: 100000 x 100000 points"),
         (FLAT_X, ["report", "--grid", "1000,1000"], "--grid: 1000 x 1000 points"),
         (OVERSIZE_NODES, ["action"], "[quadrature] nodes: 32 x 32 x 32 x 32 points"),
+        (DIM11_NO_GRID, ["residuals"], "[grid] default counts: " + " x ".join(["3"] * 11) + " points"),
     ],
-    ids=["grid-counts", "grid-override", "quadrature-nodes"],
+    ids=["grid-counts", "grid-override", "quadrature-nodes", "grid-default"],
 )
 def test_oversize_point_count_exit_2(tmp_path, capsys, monkeypatch, text, args, key):
     # refused before a point is built: the grid and the quadrature rule are never made
@@ -740,6 +750,7 @@ def _run_args(draw):
 @example(run_args=(OVERSIZE_GRID, ["residuals"]))
 @example(run_args=(FLAT_X, ["report", "--grid", "1000,1000"]))
 @example(run_args=(OVERSIZE_NODES, ["action"]))
+@example(run_args=(DIM11_NO_GRID, ["residuals"]))
 def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
     # every command on every config ends in an exit code of the contract
     text, args = run_args

@@ -51,7 +51,7 @@ def test_derivative_memo_outside_node_identity(chart):
     assert a.expr == b.expr
     assert hash(a.expr) == hash(b.expr)
     assert repr(a.expr) == repr(b.expr)
-    assert a.pretty() == b.pretty()
+    assert ef.pretty_print(a) == ef.pretty_print(b)
 
 
 def test_parse_precedence_and_unary(chart):

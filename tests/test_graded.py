@@ -159,12 +159,12 @@ def test_apply_tensorial_first_slot_leibniz_second():
     y = random_graded_field(rng, chart)
     f = random_polynomial(rng, chart, degree=2)
     p = random_interior_point(rng, chart)
-    fx = x.scaled(f)
+    fx = ag.GradedVectorField(tuple(f * c for c in x.even), f * x.odd)
     lhs_even, lhs_odd = _apply_at(tri, fx, y, p)
     base_even, base_odd = _apply_at(tri, x, y, p)
     assert np.max(np.abs(lhs_even - f(p) * base_even)) <= 1e-11
     assert abs(lhs_odd - f(p) * base_odd) <= 1e-11
-    fy = y.scaled(f)
+    fy = ag.GradedVectorField(tuple(f * c for c in y.even), f * y.odd)
     lhs2_even, lhs2_odd = _apply_at(tri, x, fy, p)
     xf = ag.vector_apply(x.even, f)(p)
     assert np.max(np.abs(lhs2_even - (xf * np.array([c(p) for c in y.even]) + f(p) * base_even))) <= 1e-11

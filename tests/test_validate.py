@@ -9,7 +9,7 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError, DomainError
-from gradedgeo.algebroid import GradedVectorField, _koszul_from_jets, koszul_eval, koszul_values, pairing_field
+from gradedgeo.algebroid import GradedVectorField, _koszul_from_jets, _metric_arrays, koszul_eval, koszul_values, pairing_field
 from gradedgeo.randgen import (
     affine_jets,
     default_chart,
@@ -21,7 +21,7 @@ from gradedgeo.randgen import (
     random_polynomial,
 )
 
-from graded_oracles import affine_fields, graded_trace
+from graded_oracles import affine_fields, curvature_field, graded_trace
 from test_graded import eds_graded, flat_graded
 
 
@@ -29,9 +29,14 @@ def coord_field(gm, axis):
     return vd._basis(gm)[axis]
 
 
+def frame_at(m, p):
+    # the Gram-Schmidt frame of the metric's values at p
+    return vd._gram_schmidt(rm.metric_at(m, p)[0].components)
+
+
 def test_frame_flat_is_identity():
     gm = flat_graded("x")
-    rows, signs = vd.orthonormal_frame(gm.metric, (0.3, -0.2))
+    rows, signs = frame_at(gm.metric, (0.3, -0.2))
     assert np.array_equal(rows, np.eye(2))
     assert signs == (1, 1)
 
@@ -43,7 +48,7 @@ def test_frame_gram_property():
         m = random_metric(rng, chart, signature=sig)
         for _ in range(3):
             p = tuple(rng.uniform(-0.3, 0.3, len(sig)))
-            rows, signs = vd.orthonormal_frame(m, p)
+            rows, signs = frame_at(m, p)
             g = rm.metric_at(m, p)[0].components
             gram = rows @ g @ rows.T
             assert np.max(np.abs(gram - np.diag(signs))) < 1e-12
@@ -56,7 +61,7 @@ def test_frame_null_direction_raises():
     zero = ef.constant(chart, 0.0)
     m = rm.MetricSpec(chart, [[zero, one], [one, zero]])
     with pytest.raises(DegenerateMetricError):
-        vd.orthonormal_frame(m, (0.0, 0.0))
+        frame_at(m, (0.0, 0.0))
 
 
 def test_curvature_field_flat_vanishes():
@@ -65,7 +70,7 @@ def test_curvature_field_flat_vanishes():
     conn = gd.levicivita_triple(gm)
     x = coord_field(gm, 0)
     y = coord_field(gm, 1)
-    r = vd.curvature_field(conn, x, y, x)
+    r = curvature_field(conn, x, y, x)
     p = (0.1, -0.2)
     assert max(abs(c(p)) for c in r.even) == 0.0
     assert r.odd(p) == 0.0
@@ -252,10 +257,11 @@ def test_koszul_route_takes_no_symbolic_derivative(monkeypatch):
         triples = [tuple(random_graded_field(rng, gm.chart) for _ in range(3)) for _ in range(3)]
         points = [random_interior_point(rng, gm.chart) for _ in triples]
         draw = vd._draw(gm, rng, 3, 3, 1)
+        metric = _metric_arrays(ef.eval_jets_batch(gm.extended_metric(), draw[2], 1), draw[2])
         values = [
             koszul_eval(gm, *triples[0], points[0]),
             *koszul_values(gm, triples, points),
-            *_koszul_from_jets(gm, *vd._instance_jets(draw), draw[2]),
+            *_koszul_from_jets(*metric, *vd._instance_jets(draw)),
         ]
         assert all(math.isfinite(v) for v in values), (dim, values)
 
@@ -280,11 +286,11 @@ def test_koszul_check_runs_one_pass_per_side(jet_calls):
     res = vd.check_koszul_vs_triple(gm, np.random.default_rng(157), trials=10)
     assert res.passed
     # the random fields are affine arrays, so only the table and the metric
-    # go on jets: once the 9 fields nabla_{E_a} E_b (3 components each) and
-    # the 3 x 3 extended metric for the connection side, once the 4 g_ij and
-    # the weight for the formula
+    # go on jets, in one pass: the 9 fields nabla_{E_a} E_b (3 components
+    # each) for the connection side and the 3 x 3 extended metric that both
+    # sides read
     assert all(isinstance(fields, list) for fields in jet_calls)
-    assert [len(fields) for fields in jet_calls] == [9 * 3 + 9, 4 + 1]
+    assert [len(fields) for fields in jet_calls] == [9 * 3 + 9]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -388,12 +394,12 @@ def _frame_ricci_reference(gm, pairs, p):
     # the frame sum built the direct way: one curvature field per frame
     # vector and pair, each paired with that vector and evaluated at p
     conn = gd.levicivita_triple(gm)
-    rows, signs = vd.orthonormal_frame(gm.metric, p)
+    rows, signs = frame_at(gm.metric, p)
     frame = [GradedVectorField.of(gm.chart, list(row), 0.0) for row in rows]
     frame.append(GradedVectorField((ef.constant(gm.chart, 0.0),) * gm.chart.dim, ef.exp(-gm.theta)))
     signs += (1,)
     sums = [
-        sum(s * pairing_field(gm, vd.curvature_field(conn, e, x, y), e)(p) for s, e in zip(signs, frame))
+        sum(s * pairing_field(gm, curvature_field(conn, e, x, y), e)(p) for s, e in zip(signs, frame))
         for x, y in pairs(frame)
     ]
     return sums, signs
@@ -418,18 +424,16 @@ def test_frame_sums_match_direct_curvature(sig):
 
 def test_basis_connection_built_once_per_metric(monkeypatch):
     # the frame route reads curvature off the cached table nabla_{E_a} E_b,
-    # so a suite builds no curvature field and the table once per metric
+    # so a suite builds the table once per metric
     calls = []
-    for module, name in ((vd, "curvature_field"), (gd, "graded_apply_field")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real = gd.graded_apply_field
+    monkeypatch.setattr(gd, "graded_apply_field", lambda *args: calls.append("graded_apply_field") or real(*args))
     gm = random_graded_metric(np.random.default_rng(109), default_chart(2))
     sizes = []
     for seed in (5, 6):
         results = vd.run_geometry_checks(gm, seed=seed)
         assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
         sizes.append(calls.count("graded_apply_field"))
-    assert "curvature_field" not in calls
     # (n + 1)^2 basis pairs, all in the first suite
     assert sizes == [3 * 3, 3 * 3]
 
@@ -444,7 +448,7 @@ def test_basis_curvature_matches_curvature_field(dim):
     pts = gm.chart.require_points([random_interior_point(rng, gm.chart) for _ in range(3)])
     got = vd._basis_curvature(*vd._table_jets(gm, (), pts)[2:5])
     pairings = [
-        pairing_field(gm, vd.curvature_field(conn, a, b, c), d)
+        pairing_field(gm, curvature_field(conn, a, b, c), d)
         for a in basis
         for b in basis
         for c in basis
@@ -503,7 +507,7 @@ def test_compatibility_check_detects_perturbed_x0(monkeypatch):
 
 def test_suite_runs_one_pass_per_connection_check(monkeypatch):
     # the Koszul, compatibility and torsion checks and the frame sums of a
-    # suite share one order-1 pass; the Koszul formula makes its own
+    # suite share one order-1 pass, the Koszul formula included
     calls = []
     real = ef.eval_jets_batch
 
@@ -517,9 +521,8 @@ def test_suite_runs_one_pass_per_connection_check(monkeypatch):
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
     # the random fields are affine arrays, so the suite's pass holds theta,
     # the 9 fields nabla_{E_a} E_b (3 components each) and the 3 x 3 extended
-    # metric; then the Koszul formula's pass over the 4 g_ij and the weight,
-    # and last the conservation check's pass over the 4 stress components
-    want = [1 + 9 * 3 + 9, 4 + 1, 4]
+    # metric; then the conservation check's pass over the 4 stress components
+    want = [1 + 9 * 3 + 9, 4]
     assert [size for size, order in calls if order == 1] == want
 
 
@@ -568,5 +571,23 @@ def test_koszul_arrays_match_symbolic_triples(dim):
     draw = vd._draw(gm, np.random.default_rng(239), 6, 3, 1)
     fields = affine_fields(gm.chart, *draw[0])
     triples = [tuple(fields[s] for s in slots) for slots in draw[1]]
-    got = _koszul_from_jets(gm, *vd._instance_jets(draw), draw[2])
+    got = _koszul_from_jets(*vd._table_jets(gm, (), draw[2])[4:], *vd._instance_jets(draw))
     assert got.tobytes() == koszul_values(gm, triples, list(map(tuple, draw[2]))).tobytes()
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_suite_koszul_column_matches_koszul_values(monkeypatch, dim):
+    # the formula the suite evaluates on its shared pass gives the bits of
+    # koszul_values on the same fields, as symbolic triples, at the same points
+    draws, columns = [], []
+    real_check, real_formula = vd._koszul, vd._koszul_from_jets
+    monkeypatch.setattr(vd, "_koszul", lambda gm, draw, jets: draws.append(draw) or real_check(gm, draw, jets))
+    monkeypatch.setattr(vd, "_koszul_from_jets", lambda *arrays: columns.append(real_formula(*arrays)) or columns[-1])
+    gm = random_graded_metric(np.random.default_rng(241 + dim), default_chart(dim))
+    vd.run_geometry_checks(gm, seed=17)
+    (fields, slots, pts), = draws
+    symbolic = affine_fields(gm.chart, *fields)
+    triples = [tuple(symbolic[s] for s in row) for row in slots]
+    (got,) = columns
+    assert got.tobytes() == koszul_values(gm, triples, list(map(tuple, pts))).tobytes()
