@@ -184,16 +184,9 @@ def pairing_field(gm: "GradedMetric", v: GradedVectorField, w: GradedVectorField
     out = ef.constant(chart, 0.0)
     n = chart.dim
     for i in range(n):
-        if v.even[i].is_zero:
-            continue
         for j in range(n):
-            gij = gm.metric.component(i, j)
-            if gij.is_zero or w.even[j].is_zero:
-                continue
-            out = out + gij * v.even[i] * w.even[j]
-    if not (v.odd.is_zero or w.odd.is_zero):
-        out = out + v.odd * w.odd * gm.weight()
-    return out
+            out = out + gm.metric.component(i, j) * v.even[i] * w.even[j]
+    return out + v.odd * w.odd * gm.weight()
 
 
 def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:

@@ -37,6 +37,9 @@ RESIDUAL_KEYS = ("e27", "e28", "e29", "e44")
 
 def _grid_map(cfg: cf.RunConfig) -> gd.GeometryBatch:
     """Geometry over every grid point, in grid order, as one batch."""
+    # the default grid is checked where it is read, so runs that read no grid go ahead in any dim
+    if cfg.grid_counts is None and cfg.grid_points is None:
+        cf.check_point_count("[grid] default counts", (cf._DEFAULT_GRID_COUNT,) * cfg.chart.dim)
     return gd.geometry_batch(cf.build_graded_metric(cfg), cf.grid_points(cfg))
 
 
@@ -207,14 +210,7 @@ def cmd_action(cfg: cf.RunConfig) -> int:
 def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
     changes = {}
     if args.grid is not None:
-        try:
-            counts = tuple(int(tok) for tok in args.grid.split(","))
-        except ValueError:
-            raise ConfigError(f"--grid: expected comma-separated counts, got {args.grid!r}") from None
-        if len(counts) != cfg.chart.dim or any(c < 1 for c in counts):
-            raise ConfigError(f"--grid: need {cfg.chart.dim} positive counts")
-        cf.check_point_count("--grid", counts)
-        changes["grid_counts"] = counts
+        changes["grid_counts"] = cf._grid_counts("--grid", args.grid, cfg.chart.dim)
         changes["grid_points"] = None
     if args.tol is not None:
         if not (math.isfinite(args.tol) and args.tol > 0):
@@ -248,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", help="override grid counts, e.g. 5,5 (report and residuals only)")
     parser.add_argument("--tol", type=float, help="override residual tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--format", choices=cf._OUTPUT_FORMATS, help="output format")
     return parser
 
 

@@ -15,7 +15,8 @@ Grammar (sections in any order, keys as shown):
     [theta]
     expr = x
 
-    [grid]                   ; at most one of the two keys; neither means 3 per axis
+    [grid]                   ; at most one of the two keys; neither means 3 per axis,
+                             ; checked when report or residuals reads the grid
     counts = 5, 5            ; per-axis counts over the box, at most 100000 points
     points = 0.1 0.2; -0.3 0.4
 
@@ -90,6 +91,8 @@ __all__ = [
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
 MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each holds its jets in memory
 _DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
+_DEFAULT_QUAD_NODES = 32  # Gauss-Legendre nodes per axis when [quadrature] gives none
+_OUTPUT_FORMATS = ("csv", "json")
 
 _KNOWN_KEYS = {
     "chart": {"coords"},
@@ -122,16 +125,16 @@ class CosmoParams:
     theta0: float
     t_end: float
     step: float
-    einstein_lambda: float = 0.0
-    theta_sign: int = 1
+    einstein_lambda: float
+    theta_sign: int
 
 
 @dataclass(frozen=True)
 class VariationParams:
     kind: str
     support: tuple[tuple[float, float], ...]
-    seed: int = 0
-    scale: float = 1.0
+    seed: int
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -141,15 +144,15 @@ class RunConfig:
     chart: ChartSpec
     metric_exprs: tuple[tuple[tuple[int, int], str], ...]
     theta_expr: str
-    grid_counts: tuple[int, ...] | None = None
-    grid_points: tuple[tuple[float, ...], ...] | None = None
-    residual_tol: float = 1e-9
-    fd_tol: float = 1e-5
-    quad_nodes: int = 32
-    out_path: str | None = None
-    out_format: str = "csv"
-    cosmo: CosmoParams | None = None
-    variation: VariationParams | None = None
+    grid_counts: tuple[int, ...] | None
+    grid_points: tuple[tuple[float, ...], ...] | None
+    residual_tol: float
+    fd_tol: float
+    quad_nodes: int
+    out_path: str | None
+    out_format: str
+    cosmo: CosmoParams | None
+    variation: VariationParams | None
 
 
 def _cfg_error(section: str, key: str, message: str) -> ConfigError:
@@ -176,11 +179,20 @@ def _float(section: str, key: str, raw: str) -> float:
     return v
 
 
-def _int(section: str, key: str, raw: str) -> int:
+def _int(label: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _cfg_error(section, key, f"expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{label}: expected an integer, got {raw!r}") from None
+
+
+def _grid_counts(label: str, raw: str, dim: int) -> tuple[int, ...]:
+    """Per-axis counts from comma-separated text, ``[grid] counts`` or ``--grid`` as ``label``."""
+    counts = tuple(_int(label, tok) for tok in raw.split(","))
+    if len(counts) != dim or any(c < 1 for c in counts):
+        raise ConfigError(f"{label}: need {dim} positive counts")
+    check_point_count(label, counts)
+    return counts
 
 
 def check_point_count(key: str, counts) -> None:
@@ -265,11 +277,7 @@ def parse_config(text: str) -> RunConfig:
         if "counts" in grid and "points" in grid:
             raise ConfigError("[grid]: give counts or points, not both")
         if "counts" in grid:
-            vals = grid["counts"].split(",")
-            counts = tuple(_int("grid", "counts", v) for v in vals)
-            if len(counts) != chart.dim or any(c < 1 for c in counts):
-                raise _cfg_error("grid", "counts", f"need {chart.dim} positive counts")
-            check_point_count("[grid] counts", counts)
+            counts = _grid_counts("[grid] counts", grid["counts"], chart.dim)
         if "points" in grid:
             rows = [row for row in grid["points"].split(";") if row.strip()]
             parsed = []
@@ -285,8 +293,6 @@ def parse_config(text: str) -> RunConfig:
             except GradedGeoError as exc:
                 raise _cfg_error("grid", "points", str(exc)) from None
             points = tuple(parsed)
-    if counts is None and points is None:
-        check_point_count("[grid] default counts", (_DEFAULT_GRID_COUNT,) * chart.dim)
 
     residual_tol = 1e-9
     fd_tol = 1e-5
@@ -299,9 +305,9 @@ def parse_config(text: str) -> RunConfig:
         if residual_tol <= 0 or fd_tol <= 0:
             raise ConfigError("[tolerances]: tolerances must be positive")
 
-    quad_nodes = 32
+    quad_nodes = _DEFAULT_QUAD_NODES
     if parser.has_section("quadrature") and "nodes" in parser["quadrature"]:
-        quad_nodes = _int("quadrature", "nodes", parser["quadrature"]["nodes"])
+        quad_nodes = _int("[quadrature] nodes", parser["quadrature"]["nodes"])
         if quad_nodes < 1:
             raise _cfg_error("quadrature", "nodes", "need at least one node")
 
@@ -311,7 +317,7 @@ def parse_config(text: str) -> RunConfig:
         out = parser["output"]
         out_path = out.get("path") or None
         out_format = out.get("format", "csv")
-        if out_format not in ("csv", "json"):
+        if out_format not in _OUTPUT_FORMATS:
             raise _cfg_error("output", "format", f"must be csv or json, got {out_format!r}")
 
     cosmo = None
@@ -320,14 +326,14 @@ def parse_config(text: str) -> RunConfig:
         for key in ("n", "t0", "a0", "a_dot0", "theta0", "t_end", "step"):
             if key not in sec:
                 raise _cfg_error("cosmo", key, "missing")
-        n = _int("cosmo", "n", sec["n"])
+        n = _int("[cosmo] n", sec["n"])
         if not 2 <= n <= sys.float_info.max:  # the integrator takes n as a float
             raise _cfg_error("cosmo", "n", f"need 2 <= n <= {sys.float_info.max!r}")
         raw_c = sec.get("c", "eds")
         c = math.sqrt((n - 1) / (2.0 * n)) if raw_c == "eds" else _float("cosmo", "c", raw_c)
         raw_lam = sec.get("einstein_lambda", "ricci-flat")
         lam = 0.0 if raw_lam == "ricci-flat" else _float("cosmo", "einstein_lambda", raw_lam)
-        sign = _int("cosmo", "theta_sign", sec.get("theta_sign", "1"))
+        sign = _int("[cosmo] theta_sign", sec.get("theta_sign", "1"))
         if sign not in (1, -1):
             raise _cfg_error("cosmo", "theta_sign", "must be 1 or -1")
         cosmo = CosmoParams(
@@ -376,7 +382,7 @@ def parse_config(text: str) -> RunConfig:
         variation = VariationParams(
             kind=kind,
             support=tuple(support),
-            seed=_int("variation", "seed", sec.get("seed", "0")),
+            seed=_int("[variation] seed", sec.get("seed", "0")),
             scale=_float("variation", "scale", sec.get("scale", "1.0")),
         )
         if variation.seed < 0:

@@ -518,7 +518,18 @@ def _tokenize(src: str) -> list[_Token]:
     return out
 
 
+# what each binary operator builds in a field, and computes in an exponent
+_BINARY_NODES = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
+    """Recursive descent over the module's grammar.  With ``exact`` a rule
+    evaluates its text to a bounded exact rational instead of building
+    nodes, as it does for a power's exponent.  Decimal literals convert
+    exactly (0.1 -> 1/10), so printing and reparsing is stable.
+    """
+
     def __init__(self, src: str, chart: ChartSpec):
         self.src = src
         self.chart = chart
@@ -533,6 +544,10 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at(self, ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.text in ops
+
     def expect_op(self, text: str) -> None:
         tok = self.next()
         if tok.kind != "op" or tok.text != text:
@@ -546,40 +561,52 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r} after expression", self.src, tok.pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+    def expr(self, exact: bool = False) -> Expr | Fraction:
+        value = self.term(exact)
+        while self.at("+-"):
+            op = self.next()
+            value = self.binary(op, value, self.term(exact), exact)
+        return value
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
+    def term(self, exact: bool = False) -> Expr | Fraction:
+        value = self.factor(exact)
+        while self.at("*/"):
+            op = self.next()
+            value = self.binary(op, value, self.factor(exact), exact)
+        return value
 
-    def factor(self) -> Expr:
-        negate = False
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def factor(self, exact: bool = False) -> Expr | Fraction:
+        negate = self.at("-")
+        if negate:
             self.next()
-            negate = True
-        e = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            exponent = self.fraction_atom()
-            e = Pow(e, exponent)
-        return Neg(e) if negate else e
+        tok = self.peek()
+        value = self.atom(exact)
+        if self.at("^"):
+            op = self.next()
+            exponent = self.atom(True)
+            value = self.power(value, exponent, tok, op) if exact else Pow(value, exponent)
+        if negate:
+            return -value if exact else Neg(value)
+        return value
 
-    def atom(self) -> Expr:
+    def atom(self, exact: bool = False) -> Expr | Fraction:
         tok = self.next()
+        if tok.kind == "op" and tok.text == "(":
+            value = self.expr(exact)
+            self.expect_op(")")
+            return value
+        if exact:
+            if tok.kind != "num":
+                raise ParseError("power exponent must be a rational constant", self.src, tok.pos)
+            d = Decimal(tok.text)
+            # 10**k has more than k bits: decline before building it
+            if d and abs(d.adjusted()) > MAX_EXPONENT_BITS:
+                raise ParseError("exponent out of range", self.src, tok.pos)
+            return self.bounded(Fraction(d), tok.pos)
         if tok.kind == "num":
             return Const(float(tok.text))
         if tok.kind == "ident":
-            if self.peek().kind == "op" and self.peek().text == "(":
+            if self.at("("):
                 if tok.text not in FUNCTIONS:
                     raise ParseError(f"unknown function {tok.text!r}", self.src, tok.pos)
                 self.next()
@@ -591,77 +618,32 @@ class _Parser:
             if tok.text in CONSTANTS:
                 return Const(CONSTANTS[tok.text])
             raise ParseError(f"unknown identifier {tok.text!r}", self.src, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
         got = repr(tok.text) if tok.text else "end of input"
         raise ParseError(f"unexpected {got}", self.src, tok.pos)
 
-    # Exponents are evaluated to exact rationals at parse time.  Decimal literals
-    # convert exactly (0.1 -> 1/10), so printing and reparsing is stable.
+    def binary(self, op: _Token, a, b, exact: bool) -> Expr | Fraction:
+        if not exact:
+            return _BINARY_NODES[op.text](a, b)
+        if op.text == "/" and b == 0:
+            raise ParseError("division by zero in exponent", self.src, op.pos)
+        return self.bounded(_BINARY_OPS[op.text](a, b), op.pos)
 
-    def fraction_atom(self) -> Fraction:
-        tok = self.next()
-        if tok.kind == "num":
-            d = Decimal(tok.text)
-            # 10**k has more than k bits: decline before building it
-            if d and abs(d.adjusted()) > MAX_EXPONENT_BITS:
-                raise ParseError("exponent out of range", self.src, tok.pos)
-            return self.bounded(Fraction(d), tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            value = self.fraction_expr()
-            self.expect_op(")")
-            return value
-        raise ParseError("power exponent must be a rational constant", self.src, tok.pos)
+    def power(self, base: Fraction, exponent: Fraction, tok: _Token, op: _Token) -> Fraction:
+        """base^exponent for an exponent nested in an exponent; tok starts the base."""
+        if exponent.denominator != 1:
+            raise ParseError("nested exponent must be an integer", self.src, tok.pos)
+        k = exponent.numerator
+        if base == 0 and k < 0:
+            raise ParseError("division by zero in exponent", self.src, op.pos)
+        # a base other than 0 and +-1 gains at least one bit per power
+        if abs(k) > MAX_EXPONENT_BITS and abs(base) != 1 and base != 0:
+            raise ParseError("exponent out of range", self.src, op.pos)
+        return self.bounded(base**k, op.pos)
 
     def bounded(self, value: Fraction, pos: int) -> Fraction:
         if max(abs(value.numerator), value.denominator).bit_length() > MAX_EXPONENT_BITS:
             raise ParseError("exponent out of range", self.src, pos)
         return value
-
-    def fraction_expr(self) -> Fraction:
-        value = self.fraction_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next()
-            rhs = self.fraction_term()
-            value = self.bounded(value + rhs if op.text == "+" else value - rhs, op.pos)
-        return value
-
-    def fraction_term(self) -> Fraction:
-        value = self.fraction_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next()
-            rhs = self.fraction_factor()
-            if op.text == "/":
-                if rhs == 0:
-                    raise ParseError("division by zero in exponent", self.src, op.pos)
-                value = value / rhs
-            else:
-                value = value * rhs
-            value = self.bounded(value, op.pos)
-        return value
-
-    def fraction_factor(self) -> Fraction:
-        negate = False
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            negate = True
-        tok = self.peek()
-        value = self.fraction_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            op = self.next()
-            exponent = self.fraction_atom()
-            if exponent.denominator != 1:
-                raise ParseError("nested exponent must be an integer", self.src, tok.pos)
-            k = exponent.numerator
-            if value == 0 and k < 0:
-                raise ParseError("division by zero in exponent", self.src, op.pos)
-            # a base other than 0 and +-1 gains at least one bit per power
-            if abs(k) > MAX_EXPONENT_BITS and abs(value) != 1 and value != 0:
-                raise ParseError("exponent out of range", self.src, op.pos)
-            value = self.bounded(value**k, op.pos)
-        return -value if negate else value
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +746,16 @@ def _elementary(fn: str):
 exp, ln, sin, cos, tan, sqrt = map(_elementary, FUNCTIONS)
 
 
-def remap_coordinates(f: ScalarField, chart: ChartSpec, name_map: dict[str, str] | None = None) -> ScalarField:
-    """Rebind a field to another chart, matching coordinates by (mapped) name.
+def remap_coordinates(f: ScalarField, chart: ChartSpec) -> ScalarField:
+    """Rebind a field to another chart, each coordinate to the one of the same name.
 
-    Subtrees shared in f are shared in the result.
+    KeyError when ``chart`` lacks one.  Subtrees shared in f are shared in the result.
     """
 
     def rebuild(e: Expr, args: list) -> Expr:
         match e:
             case Coord(name=name):
-                target = name_map.get(name, name) if name_map else name
-                return Coord(chart.axis(target), target)
+                return Coord(chart.axis(name), name)
             case Const():
                 return e
             case Pow(exponent=r):

@@ -162,9 +162,8 @@ def levicivita_triple(gm: GradedMetric) -> GradedConnectionTriple:
     for i in range(n):
         acc = zero
         for j in range(n):
-            if ginv[i][j].is_zero or alpha[j].is_zero:
-                continue
             acc = acc + ginv[i][j] * alpha[j]
+        # negating a zero constant would give Const(-0.0)
         x0.append(-(weight * acc) if not acc.is_zero else zero)
     got = gm._cache["triple"] = GradedConnectionTriple(gm, alpha, tuple(x0))
     return got
@@ -185,21 +184,12 @@ def graded_apply_field(
     for c in range(n):
         acc = vector_apply(X, Y[c])
         for i in range(n):
-            if X[i].is_zero:
-                continue
             for j in range(n):
-                if gamma[c][i][j].is_zero or Y[j].is_zero:
-                    continue
                 acc = acc + gamma[c][i][j] * X[i] * Y[j]
-        if not (h.is_zero or k.is_zero or conn.x0[c].is_zero):
-            acc = acc + h * k * conn.x0[c]
-        even.append(acc)
+        even.append(acc + h * k * conn.x0[c])
     odd = vector_apply(X, k)
     for i in range(n):
-        if not (k.is_zero or conn.alpha_prime[i].is_zero or X[i].is_zero):
-            odd = odd + k * conn.alpha_prime[i] * X[i]
-        if not (h.is_zero or conn.alpha[i].is_zero or Y[i].is_zero):
-            odd = odd + h * conn.alpha[i] * Y[i]
+        odd = odd + k * conn.alpha_prime[i] * X[i] + h * conn.alpha[i] * Y[i]
     return GradedVectorField(tuple(even), odd)
 
 
@@ -253,11 +243,7 @@ def stress_fields(gm: GradedMetric) -> tuple[tuple[ScalarField, ...], ...]:
     zero = ef.constant(gm.chart, 0.0)
     gradsq = zero
     for a in range(n):
-        if dth[a].is_zero:
-            continue
         for b in range(n):
-            if ginv[a][b].is_zero or dth[b].is_zero:
-                continue
             gradsq = gradsq + ginv[a][b] * dth[a] * dth[b]
     rows = []
     for i in range(n):
@@ -457,11 +443,8 @@ def bump_variation(
             raise ValueError("amplitude matrix must be symmetric and match the chart")
         for i in range(n):
             for j in range(i, n):
-                if arr[i, j] != 0.0:
-                    entry = float(arr[i, j]) * profile
-                    rows[i][j] = entry
-                    rows[j][i] = entry
-    h = h_coeff * profile if h_coeff != 0.0 else zero
+                rows[i][j] = rows[j][i] = float(arr[i, j]) * profile
+    h = h_coeff * profile
     return VariationSpec(tuple(tuple(r) for r in rows), h, support)
 
 
@@ -499,7 +482,8 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     closed = float(((pairing + 4.0 * h.coeffs[0] * d.lap) * d.density) @ weights)
 
     def action(t: float) -> float:
-        # the bits the jet engine gives the fields entry + t*s and theta + t*h
+        # the bits the jet engine gives the fields entry + t*s and theta + t*h;
+        # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
         moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
         arrays_t, det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
         return _action(_geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t), weights)

@@ -97,7 +97,7 @@ class MetricSpec:
     def det_field(self) -> ScalarField:
         got = self._cache.get("det")
         if got is None:
-            got = _det_field(self.component_fields())
+            got = _det_field_matrix(self.component_fields(), self.chart)
             self._cache["det"] = got
         return got
 
@@ -120,6 +120,7 @@ class MetricSpec:
                     cof = _det_field_matrix(minor, self.chart)
                     if (i + j) % 2:
                         cof = -cof
+                    # div_expr never folds a zero numerator over a field divisor
                     entry = zero if cof.is_zero else cof / det
                     inv[i][j] = entry
                     inv[j][i] = entry
@@ -144,9 +145,7 @@ class MetricSpec:
                     for j in range(n):
                         acc = zero
                         for l in range(n):
-                            term = dg[i][l][j] + dg[j][l][i] - dg[i][j][l]
-                            if not (ginv[k][l].is_zero or term.is_zero):
-                                acc = acc + ginv[k][l] * term
+                            acc = acc + ginv[k][l] * (dg[i][l][j] + dg[j][l][i] - dg[i][j][l])
                         row.append(0.5 * acc)
                     plane.append(row)
                 gamma.append(plane)
@@ -163,16 +162,12 @@ def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> Scalar
         return rows[0][0]
     acc = ef.constant(chart, 0.0)
     for j in range(n):
-        if rows[0][j].is_zero:
+        if rows[0][j].is_zero:  # skips the whole expansion of its minor
             continue
         minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
         term = rows[0][j] * _det_field_matrix(minor, chart)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
-
-
-def _det_field(rows: list[list[ScalarField]]) -> ScalarField:
-    return _det_field_matrix(rows, rows[0][0].chart)
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:

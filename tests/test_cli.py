@@ -335,6 +335,8 @@ DIM11_NO_GRID = "\n".join([
     "[theta]",
     "expr = 0",
 ]) + "\n"  # no [grid] section: the default 3 points per axis, 3^11 points
+DIM11_COSMO = DIM11_NO_GRID + "[cosmo]\nn = 3\nt0 = 1\na0 = 0\na_dot0 = 0.3\ntheta0 = 0\nt_end = 1.01\nstep = 0.001\n"
+ONE_POINT_GRID = ["--grid", ",".join(["1"] * 11)]
 
 
 @pytest.mark.parametrize(
@@ -358,6 +360,13 @@ def test_oversize_point_count_exit_2(tmp_path, capsys, monkeypatch, text, args, 
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: {key}, more than {cf.MAX_POINTS}" in err
+
+
+@pytest.mark.parametrize("args", [["cosmo"], ["residuals", *ONE_POINT_GRID]], ids=["cosmo", "residuals-grid"])
+def test_default_grid_checked_only_where_read(tmp_path, capsys, args):
+    # the dim-11 default grid is over the bound, but neither run builds it
+    code = run([*args, "--config", write(tmp_path, DIM11_COSMO), "--out", str(tmp_path / "out.csv")])
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
@@ -751,6 +760,8 @@ def _run_args(draw):
 @example(run_args=(FLAT_X, ["report", "--grid", "1000,1000"]))
 @example(run_args=(OVERSIZE_NODES, ["action"]))
 @example(run_args=(DIM11_NO_GRID, ["residuals"]))
+@example(run_args=(DIM11_COSMO, ["cosmo"]))
+@example(run_args=(DIM11_COSMO, ["residuals", *ONE_POINT_GRID]))
 def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
     # every command on every config ends in an exit code of the contract
     text, args = run_args

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedgeo import exprfield as ef
@@ -293,6 +294,81 @@ def test_parse_token_sequences_fuzz(src):
     assert isinstance(f, ef.ScalarField)
     printed = ef.pretty_print(f)
     assert ef.parse_field(printed, chart).expr == f.expr, printed
+
+
+# exponent arithmetic as a tree: small literals under + - * /, unary minus, ^
+# and redundant parentheses; _render writes it with the fewest parentheses
+# the grammar needs, so precedence and associativity are exercised too
+_RATIONAL_TREE = st.recursive(
+    st.sampled_from(["0", "1", "2", "3", "5", "12", "0.5", "2.25", "0.1", "4."]).map(lambda t: ("lit", t)),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), inner, inner),
+        st.tuples(st.sampled_from(["neg", "par"]), inner),
+    ),
+    max_leaves=8,
+)
+_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1, "neg": 2, "^": 3}
+_MAX_BITS_DRAWN = ef.MAX_EXPONENT_BITS // 2  # the bound itself has its own tests
+
+
+def _render(tree) -> tuple[str, int]:
+    """Text of tree and its level (0 sum, 1 product, 2 negation, 3 power, 4 atom)."""
+
+    def at_least(sub, need):
+        text, level = _render(sub)
+        return text if level >= need else f"({text})"
+
+    kind = tree[0]
+    if kind == "lit":
+        return tree[1], 4
+    if kind == "par":
+        return f"({_render(tree[1])[0]})", 4
+    if kind == "neg":
+        return "-" + at_least(tree[1], 3), 2
+    level = _LEVELS[kind]
+    # a power's operands are atoms; the right operand of + - * / binds tighter
+    lhs = at_least(tree[1], 4 if kind == "^" else level)
+    rhs = at_least(tree[2], 4 if kind == "^" else level + 1)
+    return f"{lhs} {kind} {rhs}", level
+
+
+def _exact(tree) -> Fraction:
+    """Value of tree, or the ParseError message parse_field must raise first."""
+    kind = tree[0]
+    if kind == "lit":
+        return Fraction(Decimal(tree[1]))
+    if kind in ("par", "neg"):
+        value = _exact(tree[1])
+        return -value if kind == "neg" else value
+    a, b = _exact(tree[1]), _exact(tree[2])
+    if kind == "^":
+        if b.denominator != 1:
+            raise ValueError("nested exponent must be an integer")
+        if a == 0 and b < 0:
+            raise ValueError("division by zero in exponent")
+        assume(abs(b) <= 64 or abs(a) in (0, 1))
+        value = a ** int(b)
+    elif kind == "/":
+        if b == 0:
+            raise ValueError("division by zero in exponent")
+        value = a / b
+    else:
+        value = a + b if kind == "+" else a - b if kind == "-" else a * b
+    assume(max(abs(value.numerator), value.denominator).bit_length() <= _MAX_BITS_DRAWN)
+    return value
+
+
+@given(tree=_RATIONAL_TREE)
+def test_exponent_arithmetic_property(tree):
+    chart = sample_chart()
+    src = f"x^({_render(tree)[0]})"
+    try:
+        expected = _exact(tree)
+    except ValueError as exc:
+        with pytest.raises(ParseError, match=str(exc)):
+            ef.parse_field(src, chart)
+        return
+    assert ef.parse_field(src, chart).expr == ef.Pow(ef.Coord(0, "x"), expected), src
 
 
 def test_parse_rejects_literal_beyond_double_range(chart):

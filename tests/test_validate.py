@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -420,6 +421,25 @@ def test_frame_sums_match_direct_curvature(sig):
     got, got_scalar = vd.frame_graded_ricci(gm, x, y, p), vd.frame_graded_scalar(gm, p)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
     assert abs(got_scalar - want_scalar) <= 1e-12 * max(1.0, abs(want_scalar)), (got_scalar, want_scalar)
+
+
+def test_zero_pattern_folded_by_constructors():
+    # the builders multiply and add zeros freely; mul_expr and add_expr must fold them
+    chart = default_chart(3)
+    m = rm.MetricSpec.diagonal(chart, [ef.parse_field(s, chart) for s in ("1 + x^2", "2 + y*z", "3 - x*z")])
+    gamma = m.christoffel_fields()
+    for k, i, j in itertools.permutations(range(3)):
+        assert gamma[k][i][j].is_zero, (k, i, j)
+    n = chart.dim
+    varying = gd.GradedMetric(m, ef.parse_field("x*y", chart))
+    steady = gd.GradedMetric(m, ef.constant(chart, 0.5))
+    for gm in (varying, steady):
+        conn = vd._connection_basis(gm)
+        assert all(conn[a * (n + 1) + b].odd.is_zero for a in range(n) for b in range(n))
+    # constant theta: alpha and X0 vanish, so the odd-odd entry has no even part
+    assert all(c.is_zero for c in vd._connection_basis(steady)[-1].even)
+    even_only = GradedVectorField.of(chart, ["x", "1", "y*z"])
+    assert "exp(" not in ef.pretty_print(pairing_field(varying, even_only, even_only))
 
 
 def test_basis_connection_built_once_per_metric(monkeypatch):
