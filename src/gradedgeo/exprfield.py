@@ -1110,15 +1110,19 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
     """Rule of _walk evaluating each node as a jet over the seeds' points, at order >= 1.
 
     A Const, and a node whose operands are all constant, gives a constant
-    jet (``Jet.constant``).  A product with a constant scales the other
-    operand by the constant's value, and a quotient by one scales by
-    ``0.0 + 1/c``; a power or function of a constant computes its value
-    alone (:func:`_constant_call`).  Wherever the full jet arithmetic gives
-    finite coefficients these are its bits.  Where a constant's higher
+    jet (``Jet.constant``), one column wide: numpy broadcasts it over the
+    points in every rule with the bits of a full-width one, and
+    :func:`_run_jets` widens a constant root.  A product with a constant
+    scales the other operand by the constant's value, and a quotient by one
+    scales by ``0.0 + 1/c``; a power or function of a constant computes its
+    value alone (:func:`_constant_call`).  Wherever the full jet arithmetic
+    gives finite coefficients these are its bits.  Where a constant's higher
     Taylor coefficient overflows (``x/1e-200`` at order 1) the full
     arithmetic turns the value NaN; here it stays finite.
     """
-    shape = seeds[0].coeffs.shape
+    count, npoints = seeds[0].coeffs.shape
+    # zero columns over an empty batch, so a constant's domain check sees no value, as a seed's does
+    shape = (count, min(npoints, 1))
 
     def jet(e: Expr, args: list) -> Jet:
         # type tests in order of frequency: a match statement's isinstance
@@ -1210,12 +1214,22 @@ def _value_rule(seeds: list[Jet]):
 def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
     """Evaluate expression DAGs over shared seeds, each shared node once.
 
-    Every jet has shape (count, npoints).  Order 0 asks for no derivative,
-    so the walk computes plain values and wraps each root's value as a
-    one-coefficient jet, bitwise equal to what full jet arithmetic gives.
+    Every jet returned has shape (count, npoints): a constant root, one
+    column in the walk, is widened once, so roots on one node still share
+    one jet.  Order 0 asks for no derivative, so the walk computes plain
+    values and wraps each root's value as a one-coefficient jet, bitwise
+    equal to what full jet arithmetic gives.
     """
     if space.order:
-        return _walk(exprs, _jet_rule(space, seeds))
+        npoints = seeds[0].coeffs.shape[1]
+        wide: dict[int, Jet] = {}
+        out = _walk(exprs, _jet_rule(space, seeds))
+        for k, jet in enumerate(out):
+            if jet.coeffs.shape[1] != npoints:
+                if id(jet) not in wide:
+                    wide[id(jet)] = Jet(space, np.repeat(jet.coeffs, npoints, axis=1), True)
+                out[k] = wide[id(jet)]
+        return out
     return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds))]
 
 

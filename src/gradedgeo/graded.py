@@ -480,6 +480,8 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     )
     pairing = np.einsum("pia,pjb,pij,pab->p", d.ginv, d.ginv, s_vals, target)
     closed = float(((pairing + 4.0 * h.coeffs[0] * d.lap) * d.density) @ weights)
+    base = _action(d, weights)
+    del arrays, d, target, pairing, s_vals  # not held through the two perturbed assemblies
 
     def action(t: float) -> float:
         # the bits the jet engine gives the fields entry + t*s and theta + t*h;
@@ -489,4 +491,4 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
         return _action(_geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t), weights)
 
     fd = (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
-    return closed, fd, _action(d, weights)
+    return closed, fd, base

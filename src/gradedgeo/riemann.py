@@ -282,27 +282,24 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
 
     The one place where metric jets become tensors: ``jets`` are the jets of
     the upper triangle over ``pts``, as _metric_jets orders them, and every
-    array returned has a leading point axis.  The derivatives are held
-    point-last, as the jets hold them, and Gamma and Riemann are assembled
-    over CHUNK_DOUBLES // n**4 points at a time, which keeps the cores'
-    n**5-per-point temporaries to a few MB at any point count.  With
-    ``ricci``, the Ricci-only core builds R^l_ljk in Riemann's place.
+    array returned has a leading point axis.  Gamma and Riemann are assembled
+    over CHUNK_DOUBLES // n**4 points at a time.  The derivatives dg and ddg
+    are filled per chunk, point-last, from the jets' coefficients, into one
+    chunk-sized buffer each, so they and the cores' n**5-per-point
+    temporaries stay a few MB at any point count.  With ``ricci``, the
+    Ricci-only core builds R^l_ljk in Riemann's place.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
+    space = jets[0].space
     g = np.empty((npts, n, n))
-    dg = np.empty((n, n, n, npts)) if order >= 1 else None  # dg[i,j,k,p] = d_k g_ij
-    ddg = np.empty((n,) * 4 + (npts,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
-    with np.errstate(over="ignore"):  # hessian() doubles the diagonal; checked below
-        for (i, j), jet in zip(upper, jets):
-            g[:, i, j] = g[:, j, i] = jet.coeffs[0]
-            if order >= 1:
-                dg[i, j] = dg[j, i] = jet.gradient()
-            if order >= 2:
-                ddg[i, j] = ddg[j, i] = jet.hessian()
+    for (i, j), jet in zip(upper, jets):
+        g[:, i, j] = g[:, j, i] = jet.coeffs[0]
     named = [(f"g_{i}_{j}", jet.coeffs) for (i, j), jet in zip(upper, jets)]
     if order >= 2:
-        named += [(f"g_{i}_{j}", ddg[i, j]) for i, j in upper]
+        diag = space._hess_pos.diagonal()
+        with np.errstate(over="ignore"):  # the d_k d_k g_ij that Jet.hessian() doubles
+            named += [(f"g_{i}_{j}", 2.0 * jet.coeffs[diag]) for (i, j), jet in zip(upper, jets)]
     check_finite(named, pts)
     det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
@@ -314,15 +311,29 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     if np.max(np.abs(np.einsum("pij,pjk->pik", g, ginv) - np.eye(n))) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
     out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
+    if order == 0:
+        return out, det
     core = _ricci_core if ricci else _riemann_core
     gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
     step = max(1, CHUNK_DOUBLES // n**4)
-    for c in range(0, npts if order >= 1 else 0, step):
+    size = min(step, npts)
+    dg_buf = np.empty((n, n, n, size))  # dg[i,j,k,p] = d_k g_ij
+    ddg_buf = np.empty((n,) * 4 + (size,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
+    k = np.arange(n)
+    for c in range(0, npts, step):
         sl = slice(c, c + step)
-        s, gamma = _christoffel_core(gi[..., sl], dg[..., sl])
+        m = min(step, npts - c)
+        dg = dg_buf[..., :m]
+        for (i, j), jet in zip(upper, jets):
+            dg[i, j] = dg[j, i] = jet.coeffs[space._grad_pos, sl]
+        s, gamma = _christoffel_core(gi[..., sl], dg)
         out[2][sl] = np.moveaxis(gamma, -1, 0)
         if order >= 2:
-            out[3][sl] = np.moveaxis(core(gi[..., sl], dg[..., sl], s, gamma, ddg[..., sl]), -1, 0)
+            ddg = ddg_buf[..., :m]
+            for (i, j), jet in zip(upper, jets):
+                ddg[i, j] = ddg[j, i] = jet.coeffs[space._hess_pos, sl]
+            ddg[:, :, k, k] *= 2.0
+            out[3][sl] = np.moveaxis(core(gi[..., sl], dg, s, gamma, ddg), -1, 0)
     return out, det
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
+from gradedgeo.quadrature import QuadSpec
 
 FLAT_X = """\
 [chart]
@@ -685,6 +687,27 @@ def test_action_is_one_metric_sweep(monkeypatch, capsys, name):
     run(["action", "--config", path])
     capsys.readouterr()
     assert sweeps == [cfg.quad_nodes ** cfg.chart.dim]
+
+
+def test_action_memory_per_point(monkeypatch, capsys):
+    # the traced peak of the action run of golden/sections/eds3.ini, with its bump,
+    # grows by at most 6.5 KB per quadrature point from 6^4 to 9^4 nodes
+    original, runs = gd._action_variation, []
+    monkeypatch.setattr(gd, "_action_variation", lambda gm, var, quad: runs.append((gm, var)) or (0.0, 0.0, 0.0))
+    run(["action", "--config", str(Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini")])
+    capsys.readouterr()
+    ((gm, var),) = runs
+    original(gm, var, QuadSpec(2))  # symbolic caches built outside the trace
+    peaks = []
+    for nodes in (6, 9):
+        tracemalloc.start()
+        try:
+            original(gm, var, QuadSpec(nodes))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_point = (peaks[1] - peaks[0]) / (9**4 - 6**4)
+    assert per_point <= 6.5e3, per_point
 
 
 _COORDS = ("x", "y", "t")

@@ -562,6 +562,24 @@ def test_constant_divisor_keeps_its_value():
     assert len({c[0].tobytes() for c in jets}) == 1
 
 
+def test_constant_roots_are_full_width_and_shared():
+    # a constant is one column inside the sweep; its root comes back as wide as the batch
+    chart = sample_chart()
+    zero, c = ef.constant(chart, 0.0), ef.parse_field("-(2*ln(3))", chart)
+    x = ef.coordinate(chart, "x")
+    for npts in (1, 5):
+        pts = np.asarray(sample_points(np.random.default_rng(npts), chart, npts))
+        for order in (1, 2):
+            space = ef.jet_space(2, order)
+            inner = ef._walk([c.expr], ef._jet_rule(space, ef._jet_seeds(space, pts)))[0]
+            assert inner.coeffs.shape == (space.count, 1)
+            jets = ef.eval_jets_batch([zero, x, c, zero, c], pts, order)
+            assert all(j.coeffs.shape == (space.count, npts) for j in jets)
+            assert jets[0].coeffs is jets[3].coeffs and jets[2].coeffs is jets[4].coeffs
+            assert jets[0].constant and jets[2].constant
+            assert (jets[2].coeffs[0] == -2.0 * math.log(3.0)).all() and not jets[2].coeffs[1:].any()
+
+
 @pytest.mark.bitwise
 def test_point_jet_is_its_batch_column():
     # one point shape: a point's jet has the same bits alone and in a batch
