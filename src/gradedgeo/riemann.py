@@ -287,7 +287,9 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     are filled per chunk, point-last, from the jets' coefficients, into one
     chunk-sized buffer each, so they and the cores' n**5-per-point
     temporaries stay a few MB at any point count.  With ``ricci``, the
-    Ricci-only core builds R^l_ljk in Riemann's place.
+    Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite metric
+    coefficient, or a Gamma or curvature entry that overflows in the cores,
+    raises DomainError naming it and the first bad point.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -313,27 +315,32 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
     if order == 0:
         return out, det
-    core = _ricci_core if ricci else _riemann_core
+    core, curvature = (_ricci_core, "Ricci") if ricci else (_riemann_core, "Riemann")
     gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
     step = max(1, CHUNK_DOUBLES // n**4)
     size = min(step, npts)
     dg_buf = np.empty((n, n, n, size))  # dg[i,j,k,p] = d_k g_ij
     ddg_buf = np.empty((n,) * 4 + (size,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
     k = np.arange(n)
-    for c in range(0, npts, step):
-        sl = slice(c, c + step)
-        m = min(step, npts - c)
-        dg = dg_buf[..., :m]
-        for (i, j), jet in zip(upper, jets):
-            dg[i, j] = dg[j, i] = jet.coeffs[space._grad_pos, sl]
-        s, gamma = _christoffel_core(gi[..., sl], dg)
-        out[2][sl] = np.moveaxis(gamma, -1, 0)
-        if order >= 2:
-            ddg = ddg_buf[..., :m]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per chunk
+        for c in range(0, npts, step):
+            sl = slice(c, c + step)
+            m = min(step, npts - c)
+            dg = dg_buf[..., :m]
             for (i, j), jet in zip(upper, jets):
-                ddg[i, j] = ddg[j, i] = jet.coeffs[space._hess_pos, sl]
-            ddg[:, :, k, k] *= 2.0
-            out[3][sl] = np.moveaxis(core(gi[..., sl], dg, s, gamma, ddg), -1, 0)
+                dg[i, j] = dg[j, i] = jet.coeffs[space._grad_pos, sl]
+            s, gamma = _christoffel_core(gi[..., sl], dg)
+            named = [("Gamma", gamma)]
+            out[2][sl] = np.moveaxis(gamma, -1, 0)
+            if order >= 2:
+                ddg = ddg_buf[..., :m]
+                for (i, j), jet in zip(upper, jets):
+                    ddg[i, j] = ddg[j, i] = jet.coeffs[space._hess_pos, sl]
+                ddg[:, :, k, k] *= 2.0
+                curv = core(gi[..., sl], dg, s, gamma, ddg)
+                named.append((curvature, curv))
+                out[3][sl] = np.moveaxis(curv, -1, 0)
+            check_finite(named, pts[sl])
     return out, det
 
 

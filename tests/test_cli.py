@@ -510,6 +510,22 @@ def test_action_weight_overflow_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+CURVATURE_OVERFLOW = (
+    FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1 + 9e307*x*y\n")
+    .replace("expr = x", "expr = 0")
+    .replace("counts = 3, 3", "points = 0.01 0.01")
+)
+
+
+@pytest.mark.parametrize("command", ["report", "residuals", "validate"])
+def test_curvature_overflow_exit_3(tmp_path, capsys, command):
+    # the metric's jets are finite, but d_x d_y g_0_0 = 9e307 overflows in the curvature sums
+    code = run([command, "--config", write(tmp_path, CURVATURE_OVERFLOW)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite value of Ricci at point (0.01, 0.01)" in err
+
+
 @pytest.mark.parametrize("command", ["residuals", "report"])
 @pytest.mark.parametrize(
     "field, metric, theta",
@@ -782,6 +798,7 @@ def _run_args(draw):
 @example(run_args=(OVERSIZE_GRID, ["residuals"]))
 @example(run_args=(FLAT_X, ["report", "--grid", "1000,1000"]))
 @example(run_args=(OVERSIZE_NODES, ["action"]))
+@example(run_args=(CURVATURE_OVERFLOW, ["report"]))
 @example(run_args=(DIM11_NO_GRID, ["residuals"]))
 @example(run_args=(DIM11_COSMO, ["cosmo"]))
 @example(run_args=(DIM11_COSMO, ["residuals", *ONE_POINT_GRID]))

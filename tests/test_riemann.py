@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,26 @@ def test_first_order_views_fail_closed_on_overflow(flat2):
     for view in (rm.hessian_at, rm.laplacian_at, gd.graded_hessian_at):
         with pytest.raises(DomainError, match=r"Hessian of f at point \(0\.9, 0\.9\)"):
             view(gm if view is gd.graded_hessian_at else flat2, f, p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curvature_assembly_fails_closed_on_overflow():
+    # finite metric jets whose Christoffel or curvature sums overflow: d_x d_y g_0_0 = 2.7e308*y^2
+    # is finite at y = 0.7, twice it is not, and the first such point is a chunk past the start
+    chart = ef.ChartSpec(("x", "y"), ((-1, 1), (-1, 1)))
+    m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 9e307*x*y^3", chart), 1.0])
+    c = _chunk(2)
+    pts = np.column_stack([0.01 + 1e-6 * np.arange(2 * c + 5), np.full(2 * c + 5, 0.1)])
+    pts[c + 3 :, 1] = 0.7
+    first = re.escape(f" at point {tuple(pts[c + 3].tolist())}") + "$"
+    with pytest.raises(DomainError, match="^non-finite value of Riemann" + first):
+        rm.curvature_data_batch(m, pts)
+    with pytest.raises(DomainError, match="^non-finite value of Ricci" + first):
+        rm.curvature_data_batch(m, pts, extra=[ef.constant(chart, 0.0)])
+    # 1e308 + 1e308 in S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
+    m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 1e308*x", chart), 1.0])
+    with pytest.raises(DomainError, match=r"^non-finite value of Gamma at point \(0\.001, 0\.0\)$"):
+        rm.christoffel_at(m, (0.001, 0.0))
 
 
 def test_sphere_laplacian_frozen(sphere):
