@@ -26,8 +26,8 @@ Grammar (sections in any order, keys as shown):
 
     [quadrature]
     nodes = 32               ; per axis; action needs nodes^dim <= 100000 points,
-                             ; so a dim-4 or higher action config must set nodes:
-                             ; at most 17 in dim 4, 10 in dim 5
+                             ; and the default is the most up to 32 that fits:
+                             ; 32 in dims 1-3, 17 in dim 4, 10 in dim 5, 6 in dim 6
 
     [output]
     path = out.csv
@@ -91,7 +91,6 @@ __all__ = [
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
 MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each holds its jets in memory
 _DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
-_DEFAULT_QUAD_NODES = 32  # Gauss-Legendre nodes per axis when [quadrature] gives none
 _OUTPUT_FORMATS = ("csv", "json")
 
 _KNOWN_KEYS = {
@@ -193,6 +192,15 @@ def _grid_counts(label: str, raw: str, dim: int) -> tuple[int, ...]:
         raise ConfigError(f"{label}: need {dim} positive counts")
     check_point_count(label, counts)
     return counts
+
+
+def _default_quad_nodes(dim: int) -> int:
+    """Gauss-Legendre nodes per axis when [quadrature] gives none: the largest
+    k <= 32 with k**dim <= MAX_POINTS, in integers."""
+    k = 32
+    while k**dim > MAX_POINTS:
+        k -= 1
+    return k
 
 
 def check_point_count(key: str, counts) -> None:
@@ -305,7 +313,7 @@ def parse_config(text: str) -> RunConfig:
         if residual_tol <= 0 or fd_tol <= 0:
             raise ConfigError("[tolerances]: tolerances must be positive")
 
-    quad_nodes = _DEFAULT_QUAD_NODES
+    quad_nodes = _default_quad_nodes(chart.dim)
     if parser.has_section("quadrature") and "nodes" in parser["quadrature"]:
         quad_nodes = _int("[quadrature] nodes", parser["quadrature"]["nodes"])
         if quad_nodes < 1:

@@ -320,14 +320,15 @@ def test_grid_rejected_where_no_grid_is_read(tmp_path, capsys, command):
 
 
 OVERSIZE_GRID = FLAT_X.replace("counts = 3, 3", "counts = 100000, 100000")
-OVERSIZE_NODES = EDS3 + """
+DIM4_ACTION = EDS3 + """
 [variation]
 kind = bump
 support_x = -0.5, 0.5
 support_y = -0.5, 0.5
 support_z = -0.5, 0.5
 support_t = 1.0, 2.0
-"""  # no [quadrature] section: the default 32 nodes, 32^4 points in dim 4
+"""  # no [quadrature] section: the default nodes, the most whose grid fits the bound
+OVERSIZE_NODES = DIM4_ACTION + "\n[quadrature]\nnodes = 32\n"  # 32^4 points in dim 4
 DIM11_NO_GRID = "\n".join([
     "[chart]",
     "coords = " + ", ".join(f"x{k}" for k in range(11)),
@@ -362,6 +363,20 @@ def test_oversize_point_count_exit_2(tmp_path, capsys, monkeypatch, text, args, 
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: {key}, more than {cf.MAX_POINTS}" in err
+
+
+def test_default_quadrature_nodes_fit_the_bound(tmp_path, capsys, monkeypatch):
+    # a dim-4 action config without [quadrature] runs 17^4 = 83521 points, not 32^4; not swept here
+    nodes = []
+
+    def record(gm, var, quad):
+        nodes.append(quad.nodes_per_axis)
+        return 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(gd, "_action_variation", record)
+    code = run(["action", "--config", write(tmp_path, DIM4_ACTION)])
+    capsys.readouterr()
+    assert (code, nodes) == (0, [17])
 
 
 @pytest.mark.parametrize("args", [["cosmo"], ["residuals", *ONE_POINT_GRID]], ids=["cosmo", "residuals-grid"])

@@ -104,6 +104,23 @@ def test_parse_full():
     assert vs.seed == 7 and vs.scale == 0.5
 
 
+@pytest.mark.parametrize("dim, nodes", [(1, 32), (2, 32), (3, 32), (4, 17), (5, 10), (6, 6), (7, 5), (16, 2), (17, 1)])
+def test_default_quadrature_nodes_fit_the_point_bound(dim, nodes):
+    # the largest k <= 32 with k**dim <= MAX_POINTS
+    names = [f"x{k}" for k in range(dim)]
+    text = "\n".join([
+        "[chart]",
+        "coords = " + ", ".join(names),
+        *(f"box_{a} = -1, 1" for a in names),
+        "[metric]",
+        *(f"g_{k}_{k} = 1" for k in range(dim)),
+        "[theta]",
+        "expr = 0",
+    ]) + "\n"
+    assert cf.parse_config(text).quad_nodes == nodes
+    assert nodes**dim <= cf.MAX_POINTS < (nodes + 1) ** dim or nodes == 32
+
+
 def test_round_trip_identity():
     for text in (FLAT, FULL):
         cfg = cf.parse_config(text)
