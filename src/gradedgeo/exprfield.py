@@ -1225,7 +1225,7 @@ def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
         wide: dict[int, Jet] = {}
         out = _walk(exprs, _jet_rule(space, seeds))
         for k, jet in enumerate(out):
-            if jet.coeffs.shape[1] != npoints:
+            if jet.constant and jet.coeffs.shape[1] != npoints:
                 if id(jet) not in wide:
                     wide[id(jet)] = Jet(space, np.repeat(jet.coeffs, npoints, axis=1), True)
                 out[k] = wide[id(jet)]

@@ -254,12 +254,13 @@ def check_finite(named_values, pts: np.ndarray) -> None:
     ``named_values`` pairs a field name with an array over ``pts`` whose last
     axis is the point axis, such as a batched jet's coefficients.
     """
+    if all(np.isfinite(a).all() for _, a in named_values):
+        return
     npts = len(pts)
     bad = np.stack([~np.isfinite(a).reshape(-1, npts).all(axis=0) for _, a in named_values])
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        name = named_values[int(np.argmax(bad[:, k]))][0]
-        raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
+    k = int(np.argmax(bad.any(axis=0)))
+    name = named_values[int(np.argmax(bad[:, k]))][0]
+    raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
 def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
@@ -328,14 +329,14 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
             m = min(step, npts - c)
             dg = dg_buf[..., :m]
             for (i, j), jet in zip(upper, jets):
-                dg[i, j] = dg[j, i] = jet.coeffs[space._grad_pos, sl]
+                dg[i, j] = dg[j, i] = jet.coeffs[:, sl].take(space._grad_pos, 0)
             s, gamma = _christoffel_core(gi[..., sl], dg)
             named = [("Gamma", gamma)]
             out[2][sl] = np.moveaxis(gamma, -1, 0)
             if order >= 2:
                 ddg = ddg_buf[..., :m]
                 for (i, j), jet in zip(upper, jets):
-                    ddg[i, j] = ddg[j, i] = jet.coeffs[space._hess_pos, sl]
+                    ddg[i, j] = ddg[j, i] = jet.coeffs[:, sl].take(space._hess_pos, 0)
                 ddg[:, :, k, k] *= 2.0
                 curv = core(gi[..., sl], dg, s, gamma, ddg)
                 named.append((curvature, curv))
