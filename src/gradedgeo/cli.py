@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -56,7 +57,8 @@ def _write(cfg: cf.RunConfig, body, columns, rows) -> None:
 
     JSON puts ``config_hash`` and ``engine_version`` ahead of the keys of
     ``body()``; CSV puts them on a ``#`` line above the ``columns`` header
-    and one line per row, floats in 17 significant digits.  Only the chosen
+    and one line per row, floats in 17 significant digits.  ``rows`` is a
+    2-D float array, or rows of names, booleans and floats.  Only the chosen
     format is built.
     """
     chash = cf.config_hash(cfg)
@@ -64,7 +66,11 @@ def _write(cfg: cf.RunConfig, body, columns, rows) -> None:
         text = json.dumps({"config_hash": chash, "engine_version": __version__, **body()}, indent=2) + "\n"
     else:
         lines = [f"# config_hash={chash} engine_version={__version__}", ",".join(columns)]
-        lines += [",".join(map(_cell, row)) for row in rows]
+        if isinstance(rows, np.ndarray):  # a float table, a whole row at a time
+            template = ",".join(["%.17g"] * rows.shape[1])  # the bytes of format_float for every double
+            lines += [template % tuple(row) for row in rows.tolist()]
+        else:
+            lines += [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     if cfg.out_path is None:
         sys.stdout.write(text)
@@ -169,7 +175,7 @@ def cmd_cosmo(cfg: cf.RunConfig) -> int:
     eq41, eq42 = co.trajectory_residuals(traj)
     columns = ["t", "a", "a_dot", "theta", "eq41_residual", "eq42_residual"]
     rows = [(s.t, s.a, s.a_dot, s.theta, float(r41), float(r42)) for s, r41, r42 in zip(traj.states, eq41, eq42)]
-    _write(cfg, lambda: {"states": [dict(zip(columns, row)) for row in rows]}, columns, rows)
+    _write(cfg, lambda: {"states": [dict(zip(columns, row)) for row in rows]}, columns, np.array(rows))
     return 0
 
 
@@ -223,6 +229,7 @@ def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
+@functools.cache  # parse_args keeps no state, so every main call in a process shares one
 def _build_parser() -> argparse.ArgumentParser:
     helps = {
         "report": "tensor tables (metric, connection, curvature blocks) at grid points",

@@ -54,6 +54,9 @@ Grammar (sections in any order, keys as shown):
 
 Every float is printed back with 17 significant digits, so serialize and
 parse round-trip exactly.
+
+Each distinct field text is parsed once per config: equal ``g_i_j`` and
+``theta`` texts share one tree, which a jet sweep then evaluates once.
 """
 
 from __future__ import annotations
@@ -152,6 +155,8 @@ class RunConfig:
     out_format: str
     cosmo: CosmoParams | None
     variation: VariationParams | None
+    # parse_config's tree of each distinct field text, for build_graded_metric; not part of the content
+    _trees: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 def _cfg_error(section: str, key: str, message: str) -> ConfigError:
@@ -251,6 +256,14 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[chart]: {exc}") from None
 
+    trees: dict[str, ef.ScalarField] = {}
+
+    def parse(section: str, key: str, text: str) -> None:
+        try:
+            trees[text] = trees.get(text) or ef.parse_field(text, chart)
+        except GradedGeoError as exc:
+            raise _cfg_error(section, key, str(exc)) from None
+
     if not parser.has_section("metric"):
         raise ConfigError("missing [metric] section")
     entries: dict[tuple[int, int], str] = {}
@@ -261,10 +274,7 @@ def parse_config(text: str) -> RunConfig:
         i, j = int(m.group(1)), int(m.group(2))
         if not (0 <= i <= j < chart.dim):
             raise _cfg_error("metric", key, f"indices must satisfy 0 <= i <= j < {chart.dim}")
-        try:
-            ef.parse_field(raw, chart)
-        except GradedGeoError as exc:
-            raise _cfg_error("metric", key, str(exc)) from None
+        parse("metric", key, raw)
         entries[(i, j)] = raw
     for i in range(chart.dim):
         if (i, i) not in entries:
@@ -273,10 +283,7 @@ def parse_config(text: str) -> RunConfig:
     if not parser.has_section("theta") or "expr" not in parser["theta"]:
         raise ConfigError("missing [theta] expr")
     theta_expr = parser["theta"]["expr"]
-    try:
-        ef.parse_field(theta_expr, chart)
-    except GradedGeoError as exc:
-        raise _cfg_error("theta", "expr", str(exc)) from None
+    parse("theta", "expr", theta_expr)
 
     counts = None
     points = None
@@ -412,6 +419,7 @@ def parse_config(text: str) -> RunConfig:
         out_format=out_format,
         cosmo=cosmo,
         variation=variation,
+        _trees=trees,
     )
 
 
@@ -476,15 +484,19 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_graded_metric(cfg: RunConfig) -> gd.GradedMetric:
+    """The graded metric of cfg's fields, on the trees parse_config kept where it has them."""
+
+    def field(text: str) -> ef.ScalarField:
+        f = cfg._trees.get(text)
+        return f if f is not None and f.chart is cfg.chart else ef.parse_field(text, cfg.chart)
+
     n = cfg.chart.dim
     zero = ef.constant(cfg.chart, 0.0)
     rows = [[zero] * n for _ in range(n)]
     for (i, j), expr in cfg.metric_exprs:
-        f = ef.parse_field(expr, cfg.chart)
-        rows[i][j] = f
-        rows[j][i] = f
+        rows[i][j] = rows[j][i] = field(expr)
     metric = rm.MetricSpec(cfg.chart, rows)
-    return gd.GradedMetric(metric, ef.parse_field(cfg.theta_expr, cfg.chart))
+    return gd.GradedMetric(metric, field(cfg.theta_expr))
 
 
 def grid_points(cfg: RunConfig) -> list[tuple[float, ...]]:

@@ -288,11 +288,17 @@ class GeometryBatch:
     gric_even: np.ndarray
     gric_odd: np.ndarray
     graded_scalar: np.ndarray
-    density: np.ndarray  # sqrt|det g|
+    det: np.ndarray  # det g, read through density
     e27: np.ndarray
     e28: np.ndarray
     e29: np.ndarray
     e44: np.ndarray
+
+    @property
+    def density(self) -> np.ndarray:
+        """sqrt|det g|, the metric volume; DomainError naming det g where it overflowed."""
+        rm.check_finite([("det g", self.det)], self.points)
+        return np.sqrt(np.abs(self.det))
 
     def residual_records(self) -> list[FieldEquationReport]:
         """One report per point, in point order."""
@@ -331,7 +337,7 @@ def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
         points=pts, g=g, ginv=ginv, gamma=gamma, ric=ric, scalar=scalar,
         dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
         gric_even=gric_even, gric_odd=gric_odd, graded_scalar=scalar - 2.0 * (lap + gradsq),
-        density=np.sqrt(np.abs(det)),
+        det=det,
         e27=np.max(np.abs(full), axis=(1, 2)),
         e28=np.abs(lap),
         e29=np.max(np.abs(ric - 2.0 * dd), axis=(1, 2)),

@@ -304,7 +304,8 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
         with np.errstate(over="ignore"):  # the d_k d_k g_ij that Jet.hessian() doubles
             named += [(f"g_{i}_{j}", 2.0 * jet.coeffs[diag]) for (i, j), jet in zip(upper, jets)]
     check_finite(named, pts)
-    det = np.linalg.det(g)
+    with np.errstate(over="ignore"):  # an inf passes the degeneracy test; GeometryBatch.density raises on it
+        det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
     if worst < DEGENERACY_THRESHOLD:
         raise DegenerateMetricError(

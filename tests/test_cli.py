@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -541,6 +542,27 @@ def test_curvature_overflow_exit_3(tmp_path, capsys, command):
     assert "non-finite value of Ricci at point (0.01, 0.01)" in err
 
 
+DET_OVERFLOW = (
+    FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1e200\n").replace("g_1_1 = 1\n", "g_1_1 = 1e200\n")
+    .replace("expr = x", "expr = 0.1*x")
+    + "\n[quadrature]\nnodes = 6\n\n[variation]\nkind = bump\nsupport_x = -0.5, 0.5\nsupport_y = -0.5, 0.5\n"
+)
+
+
+@pytest.mark.parametrize("command, want", [("action", 3), ("report", 0), ("residuals", 1), ("validate", 0)])
+def test_det_overflow_fails_closed_in_the_action_only(tmp_path, capsys, command, want):
+    # every g_ij is finite, but det g = 1e400 overflows, and only the action reads it
+    code = run([command, "--config", write(tmp_path, DET_OVERFLOW)])
+    out, err = capsys.readouterr()
+    assert code == want
+    assert "Traceback" not in err
+    if command == "action":
+        assert out == ""
+        assert "non-finite value of det g at point (-0.46623475710157597, -0.46623475710157597)" in err
+    else:
+        assert "nan" not in out and "inf" not in out
+
+
 @pytest.mark.parametrize("command", ["residuals", "report"])
 @pytest.mark.parametrize(
     "field, metric, theta",
@@ -814,6 +836,7 @@ def _run_args(draw):
 @example(run_args=(FLAT_X, ["report", "--grid", "1000,1000"]))
 @example(run_args=(OVERSIZE_NODES, ["action"]))
 @example(run_args=(CURVATURE_OVERFLOW, ["report"]))
+@example(run_args=(DET_OVERFLOW, ["action"]))
 @example(run_args=(DIM11_NO_GRID, ["residuals"]))
 @example(run_args=(DIM11_COSMO, ["cosmo"]))
 @example(run_args=(DIM11_COSMO, ["residuals", *ONE_POINT_GRID]))
@@ -827,3 +850,58 @@ def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
         code = cli.main([*args, "--config", str(path), "--out", os.devnull])
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.bitwise
+def test_float_rows_print_format_float_bytes(tmp_path):
+    # a float table is formatted a whole row at a time; every cell keeps the bytes of format(x, ".17g")
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, float(2**53 + 1), 1e16, 0.1, -1e308]
+    table = np.array([values, values[::-1]])
+    out = tmp_path / "rows.csv"
+    cfg = dataclasses.replace(cf.parse_config(FLAT_X), out_path=str(out))
+    cli._write(cfg, dict, [f"c{k}" for k in range(len(values))], table)
+    lines = out.read_text().splitlines()
+    assert lines[2:] == [",".join(format(x, ".17g") for x in row) for row in table.tolist()]
+    assert lines[2].split(",")[:5] == ["nan", "inf", "-inf", "0", "-0"]
+
+
+@pytest.mark.bitwise
+def test_validate_and_action_rows_print_names_and_booleans(tmp_path, capsys):
+    path = str(Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini")
+    run(["validate", "--config", path])
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows and all(r.split(",")[0].isidentifier() and r.split(",")[-1] in ("true", "false") for r in rows)
+    run(["action", "--config", write(tmp_path, DET_OVERFLOW.replace("1e200", "1"))])
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[-1] in ("true", "false")
+    assert row[-2] == format(gd.VARIATION_STEP, ".17g")
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    # main builds its argparse parser once per process; each call must print
+    # what the same call prints with a parser of its own
+    path = str(Path(__file__).resolve().parent / "golden" / "eds3.ini")
+    calls = [
+        ["report", "--format", "json"],
+        ["report"],
+        ["residuals", "--grid", "2,2,2,2"],
+        ["residuals"],
+        ["residuals", "--tol", "1e-30"],
+        ["report", "--bogus"],
+        ["report"],
+    ]
+
+    def call(args):
+        try:
+            code = run([*args, "--config", path])
+        except SystemExit as exc:  # argparse refuses the unknown option
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    alone = []
+    for args in calls:
+        cli._build_parser.cache_clear()
+        alone.append(call(args))
+    shared = [call(args) for args in calls]
+    assert [c for c, *_ in shared] == [0, 0, 0, 0, 1, 2, 0]
+    assert shared == alone

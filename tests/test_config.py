@@ -1,10 +1,15 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradedgeo import cli
 from gradedgeo import config as cf
+from gradedgeo import exprfield as ef
+from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo.errors import ConfigError
 
@@ -304,3 +309,53 @@ def test_parse_config_fuzz(text):
     except ConfigError:
         return
     assert isinstance(cfg, cf.RunConfig)
+
+
+EDS3_GOLDEN = Path(__file__).resolve().parent / "golden" / "eds3.ini"
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The text of every ef.parse_field call, in order."""
+    calls = []
+
+    def counted(src, chart, _original=ef.parse_field):
+        calls.append(src)
+        return _original(src, chart)
+
+    monkeypatch.setattr(ef, "parse_field", counted)
+    return calls
+
+
+def test_report_parses_each_distinct_field_text_once(parse_calls, capsys):
+    assert cli.main(["report", "--config", str(EDS3_GOLDEN)]) == 0
+    capsys.readouterr()
+    # three t^(2/3) entries, -1 and theta
+    assert sorted(parse_calls) == sorted(["t^(2/3)", "-1", "0.5773502691896257*ln(t)"])
+
+
+def test_build_graded_metric_reads_the_parsed_trees(parse_calls, monkeypatch):
+    cfg = cf.load_config(str(EDS3_GOLDEN))
+    assert len(parse_calls) == 3
+    pow_calls = []
+    monkeypatch.setattr(ef, "_pow_frac_coeffs", lambda *a, _f=ef._pow_frac_coeffs: pow_calls.append(a) or _f(*a))
+    gm = cf.build_graded_metric(cfg)
+    assert len(parse_calls) == 3
+    # equal texts share one tree, so one batch evaluates the one t^(2/3) once
+    assert gm.metric.component(0, 0).expr is gm.metric.component(1, 1).expr is gm.metric.component(2, 2).expr
+    gd.geometry_batch(gm, cf.grid_points(cfg))
+    assert len(pow_calls) == 1
+
+
+def test_parsed_trees_leave_the_config_content_alone():
+    cfg = cf.load_config(str(EDS3_GOLDEN))
+    assert cf.config_hash(cfg) == "579df93e8320"  # the hash the eds3 goldens print
+    assert cf.parse_config(cf.serialize_config(cfg)) == cfg
+    bare = cf.RunConfig(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "_trees"})
+    assert bare == cfg and hash(bare) == hash(cfg) and repr(bare) == repr(cfg)
+    assert cf.config_hash(bare) == cf.config_hash(cfg)
+    # without trees, or on another chart, build_graded_metric parses the texts itself
+    for other in (bare, dataclasses.replace(cfg, chart=ef.ChartSpec(cfg.chart.coord_names, cfg.chart.box))):
+        gm = cf.build_graded_metric(other)
+        assert gm.metric.component(0, 0).chart is other.chart
+        assert gm.theta.expr == cf.build_graded_metric(cfg).theta.expr
