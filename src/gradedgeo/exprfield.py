@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -116,95 +118,110 @@ class ChartSpec:
 
 
 class Expr:
-    """Node of an expression DAG.
+    """Node of an expression DAG, interned: one live node per structure.
 
-    A node is its type, its operand nodes (``operands()``, in evaluation
-    order) and its labels (``_label()``: the other fields).  Each class lists
-    its operand fields in ``operands()`` and nowhere else.  Equality and
-    hashing are structural and walk the DAG through :func:`_walk`, so neither
-    depth nor sharing bounds them.
+    A node is its type and its fields (``__match_args__``, in constructor
+    order): operand nodes (``operands()``, in evaluation order) and labels.
+    Building a node, also by copy or unpickling, gives the live node of its
+    structure if there is one, so equality and hashing are identity.  Nodes
+    are immutable; ``_diff`` holds the memo of :func:`diff_expr`.
     """
+
+    __slots__ = ("_diff", "__weakref__")
 
     def operands(self) -> tuple:
         return ()
 
-    def _label(self) -> tuple:
-        return tuple(v for v in map(self.__getattribute__, self.__match_args__) if not isinstance(v, Expr))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"expression nodes are immutable; cannot set {name!r}")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        # number the distinct structures of both DAGs; equal trees get one number
-        numbers: dict[tuple, int] = {}
-        a, b = _walk([self, other], lambda e, ks: numbers.setdefault((type(e), e._label(), *ks), len(numbers)))
-        return a == b
-
-    def __hash__(self):
-        return _walk([self], lambda e, hs: hash((type(e), e._label(), *hs)))[0]
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
     def __repr__(self):
         return f"<{type(self).__name__} {pretty_print(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+_nodes: dict = {}
+_sweep_at = 1024
+_lock = threading.RLock()
+_set = object.__setattr__
+
+
+def _node(cls, key: tuple, *fields) -> Expr:
+    """The live node under key, else a new node of cls with fields, entered under key.
+
+    The table maps a node's type, operand ids and labels (a float by its
+    float.hex: -0.0 is not 0.0) to a weak reference; a live node holds its
+    operands, so its key's ids stay current.  Dead entries go as it doubles.
+    """
+    global _nodes, _sweep_at
+    with _lock:
+        if (ref := _nodes.get(key)) is not None and (e := ref()) is not None:
+            return e
+        e = object.__new__(cls)
+        _set(e, "_diff", None)
+        for name, v in zip(cls.__match_args__, fields):
+            _set(e, name, v)
+        if len(_nodes) >= _sweep_at:
+            _nodes = {k: r for k, r in _nodes.items() if r() is not None}
+            _sweep_at = max(2 * len(_nodes), 1024)
+        _nodes[key] = weakref.ref(e)
+    return e
+
+
 class Const(Expr):
-    value: float
+    __slots__ = __match_args__ = ("value",)
+
+    def __new__(cls, value):
+        return _node(cls, (cls, float(value).hex()), float(value))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Coord(Expr):
-    index: int
-    name: str
+    __slots__ = __match_args__ = ("index", "name")
+
+    def __new__(cls, index, name):
+        return _node(cls, (cls, index, name), index, name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs, rhs):
+        return _node(cls, (cls, id(lhs), id(rhs)), lhs, rhs)
 
     def operands(self) -> tuple:
         return (self.lhs, self.rhs)
 
 
-class Add(_Binary):
-    """lhs + rhs"""
+Add, Sub, Mul, Div = (type(name, (_Binary,), {"__slots__": ()}) for name in ("Add", "Sub", "Mul", "Div"))
 
 
-class Sub(_Binary):
-    """lhs - rhs"""
-
-
-class Mul(_Binary):
-    """lhs * rhs"""
-
-
-class Div(_Binary):
-    """lhs / rhs"""
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = __match_args__ = ("arg",)
+
+    def __new__(cls, arg):
+        return _node(cls, (cls, id(arg)), arg)
 
     def operands(self) -> tuple:
         return (self.arg,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: Fraction
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __new__(cls, base, exponent):
+        return _node(cls, (cls, id(base), exponent), base, exponent)
 
     def operands(self) -> tuple:
         return (self.base,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __new__(cls, fn, arg):
+        return _node(cls, (cls, fn, id(arg)), fn, arg)
 
     def operands(self) -> tuple:
         return (self.arg,)
@@ -349,16 +366,13 @@ def pow_expr(base: Expr, exponent) -> Expr:
 def diff_expr(e: Expr, axis: int) -> Expr:
     """Partial derivative of e along axis, built once per (node, axis).
 
-    The result is memoized in the node's instance dict, outside the dataclass
-    fields: it is freed with the node and takes no part in equality, hashing
-    or repr.  Repeated derivatives of a long-lived subtree are therefore one
-    object, which the id-keyed memo of jet evaluation shares; the walk stops
-    at any node whose derivative is already built.
+    The result is memoized on the node (``_diff``): equal subtrees, wherever
+    built, are one node with one memo, and the walk stops at any node whose
+    derivative is already built.
     """
 
     def known(n: Expr) -> Expr | None:
-        memo = vars(n).get("_diff")
-        return None if memo is None else memo.get(axis)
+        return n._diff and n._diff.get(axis)
 
     def rule(n: Expr, ds) -> Expr:
         t = type(n)
@@ -385,7 +399,7 @@ def diff_expr(e: Expr, axis: int) -> Expr:
             d = neg_expr(*ds)
         else:
             d = _chain_rule(n, *ds)
-        vars(n).setdefault("_diff", {})[axis] = d
+        _set(n, "_diff", {**(n._diff or {}), axis: d})
         return d
 
     # most calls are on a leaf or on a node already differentiated
@@ -418,7 +432,8 @@ def _chain_rule(e: Call, da: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# pretty printer; parse_field(pretty_print(f)) reproduces the tree exactly
+# pretty printer; parse_field(pretty_print(f)) reproduces the tree exactly, but
+# a Const(-0.0), which only arithmetic builds, prints as 0 and reparses as +0.0
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 0, 1, 2, 3, 4
 

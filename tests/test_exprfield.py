@@ -1,8 +1,12 @@
 import ast
+import copy
+import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -53,6 +57,90 @@ def test_derivative_memo_outside_node_identity(chart):
     assert hash(a.expr) == hash(b.expr)
     assert repr(a.expr) == repr(b.expr)
     assert ef.pretty_print(a) == ef.pretty_print(b)
+
+
+def test_equal_structures_are_one_node(chart):
+    src = "2*x*y - t^(2/3)/exp(-x)"
+    a, b = ef.parse_field(src, chart), ef.parse_field(src, chart)
+    assert a.expr is b.expr and a == b
+    x, y, t = (ef.coordinate(chart, name) for name in ("x", "y", "t"))
+    built = ef.constant(chart, 2.0) * x * y - t ** Fraction(2, 3) / ef.exp(-x)
+    assert built.expr is a.expr
+    # copies and unpickled trees are the same nodes, which cannot be changed
+    assert copy.copy(a.expr) is a.expr and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)).expr is a.expr
+    with pytest.raises(AttributeError):
+        a.expr.lhs = a.expr.rhs
+    # a subtree built inside another field is the same node, and so is its derivative
+    whole = ef.parse_field("ln(t) + x*exp(y*t)", chart)
+    part = ef.parse_field("x*exp(y*t)", chart)
+    assert whole.expr.rhs is part.expr
+    assert part.d("t").expr is whole.d("t").expr.rhs
+    assert whole.d("x").expr is part.d("x").expr  # d ln(t)/dx folds away
+    again = ef.parse_field("x * exp(y * t)", chart).d("y").d("t")
+    assert again.expr is part.d("y").d("t").expr
+
+
+@pytest.mark.bitwise
+def test_signed_zero_constants_stay_apart(chart):
+    pos, neg = ef.constant(chart, 0.0), -ef.constant(chart, 0.0)
+    assert isinstance(neg.expr, ef.Const) and math.copysign(1.0, neg.expr.value) == -1.0
+    assert neg.expr is ef.Const(-0.0) and neg.expr is not pos.expr and neg != pos
+    p = (0.1, 0.2, 1.0)
+    for order in (0, 1, 2):
+        jp, jn = ef.eval_jet(pos, p, order), ef.eval_jet(neg, p, order)
+        assert not np.signbit(jp.value) and np.signbit(jn.value)
+        assert jp.coeffs.tobytes() != jn.coeffs.tobytes()
+    # such a literal prints as 0 and reparses as +0.0
+    assert ef.pretty_print(neg) == "0"
+    assert ef.parse_field(ef.pretty_print(neg), chart).expr is pos.expr
+
+
+def _live_nodes() -> int:
+    gc.collect()
+    return sum(ref() is not None for ref in ef._nodes.values())
+
+
+def test_intern_table_stays_bounded(monkeypatch):
+    # coordinate names of its own, so that no tree another test keeps alive shares these nodes
+    chart = ef.ChartSpec(("u", "v"), ((-1.0, 1.0), (0.5, 2.0)))
+    base = _live_nodes()
+    f = ef.parse_field(" + ".join(f"{k}*u*exp(v)" for k in range(10_000)), chart)
+    df = f.d("u")
+    assert _live_nodes() >= base + 30_000
+    del f, df
+    assert _live_nodes() == base
+    # sweep at the next entry, then parse and drop fields of fresh constants:
+    # dead entries go each time the table doubles, so it never holds more
+    # than twice the live nodes
+    monkeypatch.setattr(ef, "_sweep_at", 0)
+    for k in range(1000):
+        ef.parse_field(" + ".join(f"{k}.{j}*exp(u)" for j in range(10)), chart)
+        assert len(ef._nodes) <= max(2 * (base + 40), 1024)
+    assert _live_nodes() == base
+
+
+def test_threads_building_one_structure_get_one_node(chart):
+    texts = [f"{k}*x*exp(y*t) + ln(t)^{k % 3 + 2} - sin(x)/{k + 1}" for k in range(1000)]
+    results: list[list] = [[] for _ in range(4)]
+
+    def build(out):
+        out.extend(ef.parse_field(src, chart).expr for src in texts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == len(texts) for out in results)
+    for first, *rest in zip(*results):
+        assert all(e is first for e in rest)
 
 
 def test_parse_precedence_and_unary(chart):

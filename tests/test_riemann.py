@@ -79,6 +79,17 @@ def test_asymmetric_metric_rejected():
         rm.MetricSpec(chart, [["1", "x"], ["y", "1"]])
 
 
+def test_symmetric_metric_from_entries_built_apart():
+    chart = ef.ChartSpec(("x", "y"), ((-1, 1), (-1, 1)))
+    x, y = ef.coordinate(chart, "x"), ef.coordinate(chart, "y")
+    # each entry below the diagonal is a tree of its own, equal to the one above
+    m = rm.MetricSpec(chart, [["2 + x^2", "x*exp(y)"], [x * ef.exp(y), "2 + y^2"]])
+    assert (x * ef.exp(y)).expr is m.component(0, 1).expr
+    rm.MetricSpec(chart, [["1", "sin(x*y)/3"], ["sin(x*y)/3", "1"]])
+    with pytest.raises(ValueError):
+        rm.MetricSpec(chart, [["1", "x*exp(y)"], [ef.exp(y) * x, "1"]])
+
+
 def test_sphere_christoffel_frozen(sphere):
     p = (math.pi / 4, 1.0)
     gamma = rm.christoffel_at(sphere, p).components
