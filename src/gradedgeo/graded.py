@@ -297,8 +297,7 @@ class GeometryBatch:
     @property
     def density(self) -> np.ndarray:
         """sqrt|det g|, the metric volume; DomainError naming det g where it overflowed."""
-        rm.check_finite([("det g", self.det)], self.points)
-        return np.sqrt(np.abs(self.det))
+        return _density(self.det, self.points)
 
     def residual_records(self) -> list[FieldEquationReport]:
         """One report per point, in point order."""
@@ -311,13 +310,14 @@ class GeometryBatch:
 
 def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     """All of GeometryBatch from one jet sweep of the metric components and theta over points."""
-    pts = gm.chart.require_points(points)
+    pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweep
     *arrays, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
     return _geometry(pts, *arrays, det, jets[-1])
 
 
-def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
-    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there."""
+def _theta_part(pts, ginv, gamma, ric, jet) -> tuple:
+    """(dth, hes, weight, scalar, lap, gradsq, graded_scalar) from the metric tensors over pts
+    and theta's order-2 jets there; DomainError naming theta or exp(2*theta) where not finite."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
         hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
@@ -326,6 +326,12 @@ def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
     dth = np.ascontiguousarray(jet.gradient().T)
     lap = np.einsum("pij,pij->p", ginv, hes)
     gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
+    return dth, hes, weight, scalar, lap, gradsq, scalar - 2.0 * (lap + gradsq)
+
+
+def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
+    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there."""
+    dth, hes, weight, scalar, lap, gradsq, graded_scalar = _theta_part(pts, ginv, gamma, ric, jet)
     dd = np.einsum("pi,pj->pij", dth, dth)
     tilde = hes + dd
     gric_even = ric - tilde
@@ -336,7 +342,7 @@ def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
     return GeometryBatch(
         points=pts, g=g, ginv=ginv, gamma=gamma, ric=ric, scalar=scalar,
         dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
-        gric_even=gric_even, gric_odd=gric_odd, graded_scalar=scalar - 2.0 * (lap + gradsq),
+        gric_even=gric_even, gric_odd=gric_odd, graded_scalar=graded_scalar,
         det=det,
         e27=np.max(np.abs(full), axis=(1, 2)),
         e28=np.abs(lap),
@@ -350,24 +356,31 @@ def field_residuals_at(gm: GradedMetric, p) -> FieldEquationReport:
     return _one(gm, p)[1].residual_records()[0]
 
 
-def _action(d: GeometryBatch, weights: np.ndarray) -> float:
+def _density(det: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sqrt|det g|, the metric volume; DomainError naming det g where it overflowed."""
+    rm.check_finite([("det g", det)], pts)
+    return np.sqrt(np.abs(det))
+
+
+def _action(graded_scalar: np.ndarray, density: np.ndarray, weights: np.ndarray) -> float:
     """The quadrature sum of the extended scalar curvature against the metric volume."""
-    return float((d.graded_scalar * d.density) @ weights)
+    return float((graded_scalar * density) @ weights)
 
 
 def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
     points, weights = tensor_rule(gm.chart, quad)
-    return _action(geometry_batch(gm, points), weights)
+    d = geometry_batch(gm, points)
+    return _action(d.graded_scalar, d.density, weights)
 
 
 def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     """Size scale for action values: the same integrand with both terms in
     absolute value, so it stays positive where the signed terms cancel."""
-    points, weights = tensor_rule(gm.chart, quad)
-    d = geometry_batch(gm, points)
-    values = (np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density
-    return float(values @ weights)
+    pts, weights = tensor_rule(gm.chart, quad)
+    _, ginv, gamma, ric, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
+    *_, scalar, lap, gradsq, _ = _theta_part(pts, ginv, gamma, ric, jets[-1])
+    return float(((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, pts)) @ weights)
 
 
 @dataclass(frozen=True)
@@ -486,15 +499,16 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     )
     pairing = np.einsum("pia,pjb,pij,pab->p", d.ginv, d.ginv, s_vals, target)
     closed = float(((pairing + 4.0 * h.coeffs[0] * d.lap) * d.density) @ weights)
-    base = _action(d, weights)
+    base = _action(d.graded_scalar, d.density, weights)
     del arrays, d, target, pairing, s_vals  # not held through the two perturbed assemblies
 
     def action(t: float) -> float:
         # the bits the jet engine gives the fields entry + t*s and theta + t*h;
         # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
         moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
-        arrays_t, det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
-        return _action(_geometry(pts, *arrays_t, det_t, theta if var.h.is_zero else theta + h * t), weights)
+        (_, ginv, gamma, ric), det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
+        *_, graded_scalar = _theta_part(pts, ginv, gamma, ric, theta if var.h.is_zero else theta + h * t)
+        return _action(graded_scalar, _density(det_t, pts), weights)
 
     fd = (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
     return closed, fd, base

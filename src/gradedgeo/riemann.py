@@ -170,54 +170,40 @@ def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> Scalar
     return acc
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a*b over the leading axis, added in index order from +0.0 as einsum adds."""
-    return np.add.reduce(a * b, axis=0, initial=0.0)
-
-
+# Each contraction below is one einsum over point-last operands: einsum adds the summed
+# indices in order from +0.0, point axis innermost, as its operands' strides direct.
 def _christoffel_core(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel assembly over point-last arrays: ginv[k,l,p], dg[i,j,k,p] = d_k g_ij."""
     # S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
     s = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg.transpose(2, 0, 1, 3)
-    gamma = 0.5 * _contract(ginv.transpose(1, 0, 2)[:, :, None, None], s[:, None])
-    return s, gamma
+    return s, 0.5 * np.einsum("klp,lijp->kijp", ginv, s)
 
 
-def _derivative_pieces(
-    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """glk[l,k] = g^kl, ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last.
-
-    ddg[i,j,k,m,p] = d_k d_m g_ij.  Both curvature cores differentiate the
-    Christoffel symbols from these.
-    """
-    n = ginv.shape[0]
-    glk = ginv.transpose(1, 0, 2)
-    ds = ddg.transpose(1, 0, 2, 3, 4) + ddg.transpose(1, 2, 0, 3, 4) - ddg.transpose(2, 0, 1, 3, 4)
-    # dginv[i,j,m] = -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
-    terms = (glk[:, None, :, None, None] * dg[:, :, None, None]) * ginv[None, :, None, :, None]
-    dginv = -np.add.reduce(terms.reshape((n * n,) + terms.shape[2:]), axis=0, initial=0.0)
-    return glk, ds, dginv
+def _derivative_pieces(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last, from
+    ddg[i,j,k,m,p] = d_k d_m g_ij: both cores differentiate Gamma from these."""
+    ds = ddg.transpose(1, 0, 2, 3, 4) + ddg.transpose(1, 2, 0, 3, 4)
+    ds -= ddg.transpose(2, 0, 1, 3, 4)
+    # -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
+    dginv = np.einsum("iap,abmp,bjp->ijmp", ginv, dg, ginv)
+    return ds, np.negative(dginv, out=dginv)
 
 
 def _riemann_core(
     ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
 ) -> np.ndarray:
     """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
-    glk, ds, dginv = _derivative_pieces(ginv, dg, ddg)
+    ds, dginv = _derivative_pieces(ginv, dg, ddg)
     # dgamma[m,k,i,j] = d_m Gamma^k_ij
-    dgamma = 0.5 * (
-        _contract(dginv.transpose(1, 2, 0, 3)[:, :, :, None, None], s[:, None, None])
-        + _contract(glk[:, None, :, None, None], ds.transpose(0, 3, 1, 2, 4)[:, :, None])
-    )
+    dgamma = np.einsum("klmp,lijp->mkijp", dginv, s)
+    dgamma += np.einsum("klp,lijmp->mkijp", ginv, ds)
+    dgamma *= 0.5
     # gg[l,i,j,k] = Gamma^l_im Gamma^m_jk; the second product is its (i, j) transpose
-    gg = _contract(gamma.transpose(2, 0, 1, 3)[:, :, :, None, None], gamma[:, None, None])
-    return (
-        dgamma.transpose(1, 0, 2, 3, 4)
-        - dgamma.transpose(1, 2, 0, 3, 4)
-        + gg
-        - gg.transpose(0, 2, 1, 3, 4)
-    )
+    gg = np.einsum("limp,mjkp->lijkp", gamma, gamma)
+    riem = dgamma.transpose(1, 0, 2, 3, 4) - dgamma.transpose(1, 2, 0, 3, 4)
+    riem += gg
+    riem -= gg.transpose(0, 2, 1, 3, 4)
+    return riem
 
 
 def _ricci_core(
@@ -230,22 +216,18 @@ def _ricci_core(
     on that trace are built; the sum over l then runs from +0.0, as
     ``einsum("lljk->jk")`` adds.
     """
-    glk, ds, dginv = _derivative_pieces(ginv, dg, ddg)
-    d = np.arange(ginv.shape[0])
-    gl = glk[:, :, None, None]
-    # [l,j,k] = d_l Gamma^l_jk, then d_j Gamma^l_lk
-    dgamma_l = 0.5 * (
-        _contract(dginv[d, :, d].transpose(1, 0, 2)[:, :, None, None], s[:, None])
-        + _contract(gl, ds.transpose(0, 3, 1, 2, 4))
-    )
-    dgamma_j = 0.5 * (
-        _contract(dginv.transpose(1, 0, 2, 3)[:, :, :, None], s[:, :, None])
-        + _contract(gl, ds.transpose(0, 1, 3, 2, 4))
-    )
-    # [l,j,k] = Gamma^l_lm Gamma^m_jk, then Gamma^l_jm Gamma^m_lk
-    gg_l = _contract(gamma[d, d].transpose(1, 0, 2)[:, :, None, None], gamma[:, None])
-    gg_j = _contract(gamma.transpose(2, 0, 1, 3)[:, :, :, None], gamma[:, :, None])
-    return np.add.reduce(dgamma_l - dgamma_j + gg_l - gg_j, axis=0, initial=0.0)
+    ds, dginv = _derivative_pieces(ginv, dg, ddg)
+    # [l,j,k] = d_l Gamma^l_jk - d_j Gamma^l_lk + Gamma^l_lm Gamma^m_jk - Gamma^l_jm Gamma^m_lk, in place
+    ric = np.einsum("lalp,aijp->lijp", dginv, s)
+    ric += np.einsum("klp,lijkp->kijp", ginv, ds)
+    ric *= 0.5
+    dgamma_j = np.einsum("lajp,alkp->ljkp", dginv, s)
+    dgamma_j += np.einsum("lap,alkjp->ljkp", ginv, ds)
+    dgamma_j *= 0.5
+    ric -= dgamma_j
+    ric += np.einsum("llap,aijp->lijp", gamma, gamma)
+    ric -= np.einsum("ljap,alkp->ljkp", gamma, gamma)
+    return np.add.reduce(ric, axis=0, initial=0.0)
 
 
 def check_finite(named_values, pts: np.ndarray) -> None:
@@ -267,7 +249,8 @@ def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
     """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
 
     A subtree they share is evaluated once; the extra fields' errors still
-    come after the metric's, its assembly's included.
+    come after the metric's, its assembly's included.  The sweep validates
+    the points against the chart's box, so its callers do not.
     """
     try:
         return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order)
@@ -286,8 +269,8 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     array returned has a leading point axis.  Gamma and Riemann are assembled
     over CHUNK_DOUBLES // n**4 points at a time.  The derivatives dg and ddg
     are filled per chunk, point-last, from the jets' coefficients, into one
-    chunk-sized buffer each, so they and the cores' n**5-per-point
-    temporaries stay a few MB at any point count.  With ``ricci``, the
+    chunk-sized buffer each, so they and the cores' einsum results (at most
+    n**4 per point) stay a few MB at any point count.  With ``ricci``, the
     Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite metric
     coefficient, or a Gamma or curvature entry that overflows in the cores,
     raises DomainError naming it and the first bad point.
@@ -298,12 +281,14 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     g = np.empty((npts, n, n))
     for (i, j), jet in zip(upper, jets):
         g[:, i, j] = g[:, j, i] = jet.coeffs[0]
-    named = [(f"g_{i}_{j}", jet.coeffs) for (i, j), jet in zip(upper, jets)]
-    if order >= 2:
-        diag = space._hess_pos.diagonal()
-        with np.errstate(over="ignore"):  # the d_k d_k g_ij that Jet.hessian() doubles
+    # the d_k d_k g_ij that Jet.hessian() doubles: 2c is finite exactly where |c| <= DBL_MAX/2
+    diag, half_max = space._hess_pos.diagonal() if order >= 2 else [], np.finfo(float).max / 2
+    distinct = {id(jet): jet.coeffs for jet in jets}.values()
+    if not all(np.isfinite(c).all() and (np.abs(c[diag]) <= half_max).all() for c in distinct):
+        named = [(f"g_{i}_{j}", jet.coeffs) for (i, j), jet in zip(upper, jets)]  # to word the error
+        with np.errstate(over="ignore"):
             named += [(f"g_{i}_{j}", 2.0 * jet.coeffs[diag]) for (i, j), jet in zip(upper, jets)]
-    check_finite(named, pts)
+        check_finite(named, pts)
     with np.errstate(over="ignore"):  # an inf passes the degeneracy test; GeometryBatch.density raises on it
         det = np.linalg.det(g)
     worst = float(np.min(np.abs(det)))
@@ -354,7 +339,7 @@ def curvature_data_batch(m: MetricSpec, points, extra=None) -> tuple:
     order-2 jet sweep of the metric's upper triangle and then the extra
     fields, with Ricci from the Ricci-only core.
     """
-    pts = m.chart.require_points(points)
+    pts = np.asarray(points, dtype=float)
     jets = _metric_jets(m, pts, 2, extra or ())
     arrays, det = _metric_tensors(pts, jets[: len(m._upper)], 2, ricci=extra is not None)
     return tuple(arrays) if extra is None else (*arrays, det, jets)
@@ -367,7 +352,7 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 
 def _at(m: MetricSpec, p, order: int, ricci: bool = False) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """The point as floats and the metric arrays of the batch of one it makes."""
-    pts = m.chart.require_points([p])
+    pts = np.asarray([p], dtype=float)
     arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, ricci)
     return tuple(pts[0].tolist()), [a[0] for a in arrays]
 

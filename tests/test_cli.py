@@ -583,6 +583,39 @@ def test_hessian_overflow_exit_3(tmp_path, capsys, command, field, metric, theta
     assert "(0.0, 0.0)" in err
 
 
+HALF_MAX = float(np.finfo(float).max) / 2
+
+
+@pytest.mark.parametrize("command", ["residuals", "report"])
+@pytest.mark.parametrize(
+    "coeff, field",
+    [(float(np.nextafter(HALF_MAX, np.inf)), "g_0_0"), (HALF_MAX, "Ricci")],
+    ids=["above-half-max", "at-half-max"],
+)
+def test_hessian_diagonal_bound_is_exact(tmp_path, capsys, command, coeff, field):
+    # the x*x coefficient's double is finite exactly when it is at most DBL_MAX/2: just
+    # above, the metric's own check names g_0_0; at the bound it passes, and the
+    # curvature sums overflow after it
+    text = FLAT_X.replace("g_0_0 = 1\n", f"g_0_0 = 1 + {coeff!r}*x*x\n").replace("expr = x", "expr = 0")
+    path = write(tmp_path, text.replace("counts = 3, 3", "points = 0 0"))
+    code = run([command, "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"non-finite value of {field} at point (0.0, 0.0)" in err
+
+
+def test_grid_points_validated_once_per_run(tmp_path, capsys, monkeypatch):
+    # geometry_batch and curvature_data_batch leave the box test to the metric's jet sweep
+    calls = []
+    original = ef.ChartSpec.require_points
+    monkeypatch.setattr(ef.ChartSpec, "require_points", lambda self, pts: calls.append(1) or original(self, pts))
+    for command in ("residuals", "report"):
+        calls.clear()
+        assert run([command, "--config", write(tmp_path, MINKOWSKI)]) == 0
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
 def test_constant_divisor_in_metric_exit_0(tmp_path, capsys):
     # 1/c**2 overflows at c = 1e-200, which once turned the finite g_0_0 NaN
     path = write(tmp_path, MINKOWSKI.replace("g_0_0 = 1", "g_0_0 = 1 + 1e-200*x/1e-200 + 1"))

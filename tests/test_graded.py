@@ -626,6 +626,53 @@ def test_action_variation_fails_closed_on_weight_overflow():
         gd.action_first_variation(gm, var, QuadSpec(4))
 
 
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_action_sums_match_geometry_batch_bitwise(dim):
+    # action_magnitude and the perturbed passes sum theta's part of the geometry
+    # without a GeometryBatch; each gives the bits of the same sum over one
+    rng = np.random.default_rng(900 + dim)
+    chart = default_chart(dim)
+    gm = random_graded_metric(rng, chart)
+    quad = QuadSpec({2: 7, 3: 5, 4: 4}[dim])
+    pts, w = qd.tensor_rule(chart, quad)
+    d = gd.geometry_batch(gm, pts)
+    magnitude = float(((np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density) @ w)
+    assert gd.action_magnitude(gm, quad).hex() == magnitude.hex()
+    # the base action of _action_variation, and its central difference over the rebuilt fields
+    coeffs = rng.uniform(-1.0, 1.0, (dim, dim))
+    var = gd.bump_variation(chart, ((-0.3, 0.25),) * dim, 0.5 * (coeffs + coeffs.T), 0.7)
+    _, fd, base = gd._action_variation(gm, var, quad)
+    pts, w = qd.tensor_rule(chart, QuadSpec(quad.nodes_per_axis, var.support))
+    d = gd.geometry_batch(gm, pts)
+    assert base.hex() == float((d.graded_scalar * d.density) @ w).hex()
+
+    def action(t):
+        rows = [[gm.metric.component(i, j) + t * var.s[i][j] for j in range(dim)] for i in range(dim)]
+        d = gd.geometry_batch(gd.GradedMetric(rm.MetricSpec(chart, rows), gm.theta + t * var.h), pts)
+        return float((d.graded_scalar * d.density) @ w)
+
+    step = gd.VARIATION_STEP
+    assert fd.hex() == ((action(step) - action(-step)) / (2.0 * step)).hex()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_action_variation_fails_closed_in_a_perturbed_pass():
+    # the base geometry is finite; theta + step*h, or g + step*s, is not
+    chart = ef.ChartSpec(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    support = ((-0.5, 0.5), (-0.5, 0.5))
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.parse_field("0.1*x", chart))
+    var = gd.bump_variation(chart, support, None, 1e8)  # step*h reaches 1.35e3 at the centre
+    point = r"\(-0\.16999052179242813, -0\.16999052179242813\)"
+    with pytest.raises(DomainError, match=rf"^non-finite value of exp\(2\*theta\) at point {point}$"):
+        gd.action_first_variation(gm, var, QuadSpec(4))
+    # det g = 1.69e308 is finite; (1.3e154 + step*s)^2 is not where step*s passes 4.1e152
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.3e154, 1.3e154]), gm.theta)
+    var = gd.bump_variation(chart, support, 1e158 * np.eye(2), 0.0)
+    with pytest.raises(DomainError, match=rf"^non-finite value of det g at point {point}$"):
+        gd.action_first_variation(gm, var, QuadSpec(4))
+
+
 def test_field_residuals_one_metric_and_one_theta_sweep(jet_calls):
     gm = eds_graded(3)
     gd.field_residuals_at(gm, (0.1, 0.2, -0.3, 2.0))

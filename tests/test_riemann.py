@@ -303,6 +303,27 @@ def test_curvature_batch_memory_bound(eds3):
     assert peak <= 24e6, peak
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ricci_paths_memory_bound(eds3):
+    # the same 4096-point rule through the Ricci-only core, which every graded
+    # caller takes: the cores' einsums build no broadcast product, so these
+    # peaks, 10.4 and 10.6 MB with the products, stay below 9.3 MB
+    quad = QuadSpec(8, ((-0.5, 0.5),) * 3 + ((0.9, 1.9),))
+    pts, _ = tensor_rule(eds3.chart, quad)
+    gm = gd.GradedMetric(eds3, ef.parse_field(f"{math.sqrt(1.0 / 3.0)!r}*ln(t)", eds3.chart))
+    gd.action_magnitude(gm, QuadSpec(2, quad.box))  # symbolic caches built outside the trace
+    assert _traced_peak(lambda: rm.curvature_data_batch(eds3, pts, extra=[gm.theta])) <= 9.3e6
+    assert _traced_peak(lambda: gd.action_magnitude(gm, quad)) <= 9.3e6
+
+
 def test_sphere_ricci_and_scalar(sphere):
     p = (math.pi / 3, 2.0)
     g = rm.metric_at(sphere, p)[0].components
