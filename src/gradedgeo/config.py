@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
-MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each holds its jets in memory
+MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each grid point holds its jets in memory
 _DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
 _OUTPUT_FORMATS = ("csv", "json")
 

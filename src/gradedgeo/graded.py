@@ -362,25 +362,61 @@ def _density(det: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(det))
 
 
-def _action(graded_scalar: np.ndarray, density: np.ndarray, weights: np.ndarray) -> float:
-    """The quadrature sum of the extended scalar curvature against the metric volume."""
-    return float((graded_scalar * density) @ weights)
+def _blocks(npts: int, n: int) -> list[slice]:
+    """range(npts) split evenly into the fewest slices of at most cap points.
+
+    The action integrals are evaluated one point block at a time, so their
+    jets and tensors take a few MB at any quadrature size.  A block holds at
+    most rm.CHUNK_DOUBLES doubles of n**2 order-2 jets, and is never longer
+    than one assembly chunk of rm._metric_tensors (CHUNK_DOUBLES // n**4 points).
+    """
+    cap = max(1, rm.CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count))
+    count = -(-npts // cap)
+    return [slice(k * npts // count, (k + 1) * npts // count) for k in range(count)]
+
+
+def _integrals(pts: np.ndarray, weights: np.ndarray, count: int, integrands) -> list[float]:
+    """Quadrature sums of the count rows that ``integrands(block_points, work)`` gives over each point block.
+
+    Each row is filled block by block and summed once over every point, so the
+    sums do not depend on the blocks.  A block's errors are raised before the
+    next block is evaluated.  Every block's assemblies share one ``work`` dict
+    of chunk buffers (rm._scratch).
+    """
+    rows, work = [np.empty(len(pts)) for _ in range(count)], {}
+    for sl in _blocks(len(pts), pts.shape[1]):
+        for row, vals in zip(rows, integrands(pts[sl], work), strict=True):
+            row[sl] = vals
+    return [float(row @ weights) for row in rows]
+
+
+def _scalar_parts(gm: GradedMetric, pts: np.ndarray, work: dict, extra=()) -> tuple:
+    """(_theta_part's tuple, sqrt|det g|, metric arrays, sweep jets) from one sweep of g, theta and extra over pts."""
+    jets = rm._metric_jets(gm.metric, pts, 2, [gm.theta, *extra])
+    arrays, det = rm._metric_tensors(pts, jets[: len(gm.metric._upper)], 2, ricci=True, work=work)
+    parts = _theta_part(pts, *arrays[1:], jets[len(gm.metric._upper)])
+    return parts, _density(det, pts), arrays, jets
 
 
 def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
-    points, weights = tensor_rule(gm.chart, quad)
-    d = geometry_batch(gm, points)
-    return _action(d.graded_scalar, d.density, weights)
+
+    def integrand(pts, work):
+        (*_, graded_scalar), density, _, _ = _scalar_parts(gm, pts, work)
+        return (graded_scalar * density,)
+
+    return _integrals(*tensor_rule(gm.chart, quad), 1, integrand)[0]
 
 
 def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     """Size scale for action values: the same integrand with both terms in
     absolute value, so it stays positive where the signed terms cancel."""
-    pts, weights = tensor_rule(gm.chart, quad)
-    _, ginv, gamma, ric, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
-    *_, scalar, lap, gradsq, _ = _theta_part(pts, ginv, gamma, ric, jets[-1])
-    return float(((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, pts)) @ weights)
+
+    def integrand(pts, work):
+        (*_, scalar, lap, gradsq, _), density, _, _ = _scalar_parts(gm, pts, work)
+        return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * density,)
+
+    return _integrals(*tensor_rule(gm.chart, quad), 1, integrand)[0]
 
 
 @dataclass(frozen=True)
@@ -472,43 +508,43 @@ def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec)
 
     Returns (closed_form, finite_difference).  Both integrate over the
     variation's support box only; outside it the integrand does not move.
-    One order-2 sweep of g, theta, s and h feeds both: Taylor arithmetic is
-    linear, so g +- step*s and theta +- step*h are formed from their jets.
+    One order-2 sweep of g, theta, s and h per point block feeds both: Taylor
+    arithmetic is linear, so g +- step*s and theta +- step*h are formed from
+    their jets.
     """
     return _action_variation(gm, var, quad)[:2]
 
 
 def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> tuple[float, float, float]:
     """action_first_variation's (closed_form, finite_difference), then the
-    action over the variation's support, all read off the one sweep."""
+    action over the variation's support, all read off the one sweep per point block."""
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     n = gm.chart.dim
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     s = [var.s[i][j] for i, j in upper]
-    *arrays, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta, *s, var.h])
-    g_jets, (theta, *s_jets, h) = jets[: len(upper)], jets[len(upper):]
 
-    d = _geometry(pts, *arrays, det, theta)
-    s_vals = np.empty((len(pts), n, n))
-    for (i, j), jet in zip(upper, s_jets):
-        s_vals[:, i, j] = s_vals[:, j, i] = jet.coeffs[0]
-    target = (
-        -d.ric
-        + (0.5 * d.scalar - d.gradsq)[:, None, None] * d.g
-        + 2.0 * np.einsum("pi,pj->pij", d.dth, d.dth)
-    )
-    pairing = np.einsum("pia,pjb,pij,pab->p", d.ginv, d.ginv, s_vals, target)
-    closed = float(((pairing + 4.0 * h.coeffs[0] * d.lap) * d.density) @ weights)
-    base = _action(d.graded_scalar, d.density, weights)
-    del arrays, d, target, pairing, s_vals  # not held through the two perturbed assemblies
+    def integrands(p, work):
+        (dth, _, _, scalar, lap, gradsq, graded_scalar), density, (g, ginv, _, ric), jets = _scalar_parts(
+            gm, p, work, [*s, var.h]
+        )
+        g_jets, (theta, *s_jets, h) = jets[: len(upper)], jets[len(upper):]
+        s_vals = np.empty((n, n, len(p)))
+        for (i, j), jet in zip(upper, s_jets):
+            s_vals[i, j] = s_vals[j, i] = jet.coeffs[0]
+        target = -ric + (0.5 * scalar - gradsq)[:, None, None] * g + 2.0 * np.einsum("pi,pj->pij", dth, dth)
+        gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
+        pairing = np.einsum("iap,jbp,ijp,abp->p", gi, gi, s_vals, np.ascontiguousarray(target.transpose(1, 2, 0)))
 
-    def action(t: float) -> float:
-        # the bits the jet engine gives the fields entry + t*s and theta + t*h;
-        # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
-        moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
-        (_, ginv, gamma, ric), det_t = rm._metric_tensors(pts, moved, 2, ricci=True)
-        *_, graded_scalar = _theta_part(pts, ginv, gamma, ric, theta if var.h.is_zero else theta + h * t)
-        return _action(graded_scalar, _density(det_t, pts), weights)
+        def action(t: float) -> np.ndarray:
+            # the bits the jet engine gives the fields entry + t*s and theta + t*h;
+            # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
+            moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
+            (_, ginv, gamma, ric), det_t = rm._metric_tensors(p, moved, 2, ricci=True, work=work)
+            *_, graded_scalar = _theta_part(p, ginv, gamma, ric, theta if var.h.is_zero else theta + h * t)
+            return graded_scalar * _density(det_t, p)
 
-    fd = (action(VARIATION_STEP) - action(-VARIATION_STEP)) / (2.0 * VARIATION_STEP)
-    return closed, fd, base
+        closed = (pairing + 4.0 * h.coeffs[0] * lap) * density
+        return closed, graded_scalar * density, action(VARIATION_STEP), action(-VARIATION_STEP)
+
+    closed, base, plus, minus = _integrals(pts, weights, 4, integrands)
+    return closed, (plus - minus) / (2.0 * VARIATION_STEP), base

@@ -10,6 +10,7 @@ which keeps their partials on the same exact path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,30 +171,53 @@ def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> Scalar
     return acc
 
 
+def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``shape``: a fresh one, or, given a
+    ``work`` dict, a view of the buffer it keeps under ``name``, grown when too small.
+
+    A caller that assembles many small blocks of points keeps one ``work`` for
+    all of them, so their chunk temporaries reuse the same memory instead of
+    being allocated, faulted in and returned to the system block by block.
+    """
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 # Each contraction below is one einsum over point-last operands: einsum adds the summed
 # indices in order from +0.0, point axis innermost, as its operands' strides direct.
-def _christoffel_core(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Their results go to _scratch arrays of the shape einsum would allocate.
+def _christoffel_core(ginv: np.ndarray, dg: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel assembly over point-last arrays: ginv[k,l,p], dg[i,j,k,p] = d_k g_ij."""
     # S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
-    s = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg.transpose(2, 0, 1, 3)
-    return s, 0.5 * np.einsum("klp,lijp->kijp", ginv, s)
+    s = np.add(dg.transpose(1, 0, 2, 3), dg.transpose(1, 2, 0, 3), out=_scratch(work, "s", dg.shape))
+    s -= dg.transpose(2, 0, 1, 3)
+    gamma = np.einsum("klp,lijp->kijp", ginv, s, out=_scratch(work, "gamma", dg.shape))
+    gamma *= 0.5
+    return s, gamma
 
 
-def _derivative_pieces(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_pieces(
+    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, work: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last, from
     ddg[i,j,k,m,p] = d_k d_m g_ij: both cores differentiate Gamma from these."""
-    ds = ddg.transpose(1, 0, 2, 3, 4) + ddg.transpose(1, 2, 0, 3, 4)
+    ds = np.add(ddg.transpose(1, 0, 2, 3, 4), ddg.transpose(1, 2, 0, 3, 4), out=_scratch(work, "ds", ddg.shape))
     ds -= ddg.transpose(2, 0, 1, 3, 4)
     # -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
-    dginv = np.einsum("iap,abmp,bjp->ijmp", ginv, dg, ginv)
+    dginv = np.einsum("iap,abmp,bjp->ijmp", ginv, dg, ginv, out=_scratch(work, "dginv", dg.shape))
     return ds, np.negative(dginv, out=dginv)
 
 
 def _riemann_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict | None = None
 ) -> np.ndarray:
     """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
-    ds, dginv = _derivative_pieces(ginv, dg, ddg)
+    ds, dginv = _derivative_pieces(ginv, dg, ddg, work)
     # dgamma[m,k,i,j] = d_m Gamma^k_ij
     dgamma = np.einsum("klmp,lijp->mkijp", dginv, s)
     dgamma += np.einsum("klp,lijmp->mkijp", ginv, ds)
@@ -207,7 +231,7 @@ def _riemann_core(
 
 
 def _ricci_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict | None = None
 ) -> np.ndarray:
     """Point-last Ricci R^l_ljk, taking _riemann_core's arguments and no n**4 curvature.
 
@@ -216,17 +240,19 @@ def _ricci_core(
     on that trace are built; the sum over l then runs from +0.0, as
     ``einsum("lljk->jk")`` adds.
     """
-    ds, dginv = _derivative_pieces(ginv, dg, ddg)
+    ds, dginv = _derivative_pieces(ginv, dg, ddg, work)
+    shape = ds.shape[1:]
+    term = _scratch(work, "term", shape)
     # [l,j,k] = d_l Gamma^l_jk - d_j Gamma^l_lk + Gamma^l_lm Gamma^m_jk - Gamma^l_jm Gamma^m_lk, in place
-    ric = np.einsum("lalp,aijp->lijp", dginv, s)
-    ric += np.einsum("klp,lijkp->kijp", ginv, ds)
+    ric = np.einsum("lalp,aijp->lijp", dginv, s, out=_scratch(work, "ric", shape))
+    ric += np.einsum("klp,lijkp->kijp", ginv, ds, out=term)
     ric *= 0.5
-    dgamma_j = np.einsum("lajp,alkp->ljkp", dginv, s)
-    dgamma_j += np.einsum("lap,alkjp->ljkp", ginv, ds)
+    dgamma_j = np.einsum("lajp,alkp->ljkp", dginv, s, out=_scratch(work, "dgamma_j", shape))
+    dgamma_j += np.einsum("lap,alkjp->ljkp", ginv, ds, out=term)
     dgamma_j *= 0.5
     ric -= dgamma_j
-    ric += np.einsum("llap,aijp->lijp", gamma, gamma)
-    ric -= np.einsum("ljap,alkp->ljkp", gamma, gamma)
+    ric += np.einsum("llap,aijp->lijp", gamma, gamma, out=term)
+    ric -= np.einsum("ljap,alkp->ljkp", gamma, gamma, out=term)
     return np.add.reduce(ric, axis=0, initial=0.0)
 
 
@@ -261,7 +287,9 @@ def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
         raise
 
 
-def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> tuple[list, np.ndarray]:
+def _metric_tensors(
+    pts: np.ndarray, jets, order: int, ricci: bool = False, work: dict | None = None
+) -> tuple[list, np.ndarray]:
     """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
@@ -269,8 +297,10 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
     array returned has a leading point axis.  Gamma and Riemann are assembled
     over CHUNK_DOUBLES // n**4 points at a time.  The derivatives dg and ddg
     are filled per chunk, point-last, from the jets' coefficients, into one
-    chunk-sized buffer each, so they and the cores' einsum results (at most
-    n**4 per point) stay a few MB at any point count.  With ``ricci``, the
+    chunk-sized buffer each, and the cores' einsum results (at most n**4 per
+    point) go to chunk-sized buffers too, so they stay a few MB at any point
+    count.  The buffers live in ``work``, a fresh dict unless the caller
+    passes one to reuse over many calls (see _scratch).  With ``ricci``, the
     Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite metric
     coefficient, or a Gamma or curvature entry that overflows in the cores,
     raises DomainError naming it and the first bad point.
@@ -297,17 +327,19 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
             f"|det g| = {worst:.3e} below threshold {DEGENERACY_THRESHOLD:.0e}"
         )
     ginv = np.linalg.inv(g)
-    if np.max(np.abs(np.einsum("pij,pjk->pik", g, ginv) - np.eye(n))) > 1e-10:
+    gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
+    identity = np.einsum("ijp,jkp->ikp", np.ascontiguousarray(g.transpose(1, 2, 0)), gi)
+    if np.max(np.abs(identity - np.eye(n)[:, :, None])) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
     out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
     if order == 0:
         return out, det
     core, curvature = (_ricci_core, "Ricci") if ricci else (_riemann_core, "Riemann")
-    gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
     step = max(1, CHUNK_DOUBLES // n**4)
     size = min(step, npts)
-    dg_buf = np.empty((n, n, n, size))  # dg[i,j,k,p] = d_k g_ij
-    ddg_buf = np.empty((n,) * 4 + (size,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
+    work = {} if work is None else work
+    dg_buf = _scratch(work, "dg", (n, n, n, size))  # dg[i,j,k,p] = d_k g_ij
+    ddg_buf = _scratch(work, "ddg", (n,) * 4 + (size,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
     k = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):  # checked per chunk
         for c in range(0, npts, step):
@@ -316,7 +348,7 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
             dg = dg_buf[..., :m]
             for (i, j), jet in zip(upper, jets):
                 dg[i, j] = dg[j, i] = jet.coeffs[:, sl].take(space._grad_pos, 0)
-            s, gamma = _christoffel_core(gi[..., sl], dg)
+            s, gamma = _christoffel_core(gi[..., sl], dg, work)
             named = [("Gamma", gamma)]
             out[2][sl] = np.moveaxis(gamma, -1, 0)
             if order >= 2:
@@ -324,7 +356,7 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, ricci: bool = False) -> t
                 for (i, j), jet in zip(upper, jets):
                     ddg[i, j] = ddg[j, i] = jet.coeffs[:, sl].take(space._hess_pos, 0)
                 ddg[:, :, k, k] *= 2.0
-                curv = core(gi[..., sl], dg, s, gamma, ddg)
+                curv = core(gi[..., sl], dg, s, gamma, ddg, work)
                 named.append((curvature, curv))
                 out[3][sl] = np.moveaxis(curv, -1, 0)
             check_finite(named, pts[sl])

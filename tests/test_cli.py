@@ -19,7 +19,7 @@ from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
-from gradedgeo.quadrature import QuadSpec
+from gradedgeo.quadrature import QuadSpec, tensor_rule
 
 FLAT_X = """\
 [chart]
@@ -758,13 +758,21 @@ support_t = 1.0, 1.0000000538801974
     assert "Traceback" not in err
 
 
+def _action_block_cap(n):
+    # the most points an action block holds: CHUNK_DOUBLES over n**2 order-2 jets
+    # or over one n**4 assembly chunk, whichever is larger
+    return rm.CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count)
+
+
 @pytest.mark.parametrize("name", ["eds3", "random3_lorentz"])
 def test_action_is_one_metric_sweep(monkeypatch, capsys, name):
-    # the action over the support is read off the variation's own sweep
-    sweeps = []
+    # the action over the support is read off the variation's own sweep, one
+    # point block at a time: the blocks, joined in order, are the quadrature
+    # points, each swept once, and none is longer than the cap
+    blocks = []
 
     def counted(m, pts, *args, _original=rm._metric_jets):
-        sweeps.append(len(pts))
+        blocks.append(pts.copy())
         return _original(m, pts, *args)
 
     monkeypatch.setattr(rm, "_metric_jets", counted)
@@ -772,28 +780,90 @@ def test_action_is_one_metric_sweep(monkeypatch, capsys, name):
     cfg = cf.load_config(path)
     run(["action", "--config", path])
     capsys.readouterr()
-    assert sweeps == [cfg.quad_nodes ** cfg.chart.dim]
+    pts, _ = tensor_rule(cfg.chart, QuadSpec(cfg.quad_nodes, cfg.variation.support))
+    assert np.concatenate(blocks).tobytes() == pts.tobytes()
+    assert all(1 <= len(b) <= _action_block_cap(cfg.chart.dim) for b in blocks)
+    assert len(blocks) == -(-len(pts) // _action_block_cap(cfg.chart.dim))
 
 
 def test_action_memory_per_point(monkeypatch, capsys):
     # the traced peak of the action run of golden/sections/eds3.ini, with its bump,
-    # grows by at most 6.5 KB per quadrature point from 6^4 to 9^4 nodes
+    # grows by at most 250 bytes per quadrature point from 6^4 to 9^4 and from 9^4
+    # to 12^4 nodes. Model: per point, the node and its weight (40 bytes) and four
+    # integrand doubles (32 bytes), 72 bytes; tensor_rule's grids also peak near
+    # 72 bytes. One block's jets, tensors and chunk buffers, about 15 KB per block
+    # point, do not grow with the rule, but the even split makes the blocks 216,
+    # 252.3 and 256 points long at these sizes: about 0.1 KB per point more on
+    # the first step
     original, runs = gd._action_variation, []
     monkeypatch.setattr(gd, "_action_variation", lambda gm, var, quad: runs.append((gm, var)) or (0.0, 0.0, 0.0))
     run(["action", "--config", str(Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini")])
     capsys.readouterr()
     ((gm, var),) = runs
     original(gm, var, QuadSpec(2))  # symbolic caches built outside the trace
-    peaks = []
-    for nodes in (6, 9):
+    nodes, peaks = (6, 9, 12), []
+    for k in nodes:
         tracemalloc.start()
         try:
-            original(gm, var, QuadSpec(nodes))
+            original(gm, var, QuadSpec(k))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_point = (peaks[1] - peaks[0]) / (9**4 - 6**4)
-    assert per_point <= 6.5e3, per_point
+    for (lo, hi), (p_lo, p_hi) in zip(zip(nodes, nodes[1:]), zip(peaks, peaks[1:])):
+        per_point = (p_hi - p_lo) / (hi**4 - lo**4)
+        assert per_point <= 250.0, (lo, hi, per_point, peaks)
+
+
+def _late_block_config(metric, theta):
+    # a dim-2 action over 56^2 = 3136 nodes: two blocks of 1568 points, the
+    # second holding the nodes with x > 0
+    return f"""\
+[chart]
+coords = x, y
+box_x = -1.0, 1.0
+box_y = -1.0, 1.0
+
+[metric]
+{metric}
+
+[theta]
+expr = {theta}
+
+[quadrature]
+nodes = 56
+
+[variation]
+kind = bump
+support_x = -0.5, 0.5
+support_y = -0.5, 0.5
+seed = 11
+scale = 0.8
+"""
+
+
+@pytest.mark.parametrize(
+    "metric, theta, field, bad",
+    [
+        # exp(2*theta) overflows where x > 0.3549
+        ("g_0_0 = 1\ng_1_1 = 1", "1000*x", "exp(2*theta)", lambda x: 2000.0 * x > 709.78),
+        # det g = exp(800*x + 550) overflows where x > 0.1997
+        ("g_0_0 = exp(800*x)\ng_1_1 = exp(550)", "0", "det g", lambda x: 800.0 * x + 550.0 > 709.78),
+    ],
+    ids=["theta", "det-g"],
+)
+def test_action_fails_closed_in_a_late_block(tmp_path, capsys, metric, theta, field, bad):
+    # the first block, both perturbed passes included, is finite; the base pass of
+    # the second fails, and the run names the field and the first bad point in point order
+    path = write(tmp_path, _late_block_config(metric, theta))
+    with np.errstate(all="ignore"):
+        code = run(["action", "--config", path])
+    err = capsys.readouterr().err
+    pts, _ = tensor_rule(ef.ChartSpec(("x", "y"), ((-1.0, 1.0),) * 2), QuadSpec(56, ((-0.5, 0.5),) * 2))
+    first = int(np.argmax(bad(pts[:, 0])))
+    assert _action_block_cap(2) < len(pts) and first >= len(pts) // 2  # in the second of two blocks
+    assert code == 3
+    assert f"non-finite value of {field} at point {tuple(pts[first].tolist())}" in err
+    assert "Traceback" not in err
 
 
 _COORDS = ("x", "y", "t")

@@ -656,6 +656,32 @@ def test_action_sums_match_geometry_batch_bitwise(dim):
     assert fd.hex() == ((action(step) - action(-step)) / (2.0 * step)).hex()
 
 
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_action_sums_do_not_depend_on_point_blocks(monkeypatch, dim):
+    # each integrand is filled block by block and summed once over the rule,
+    # so one block, blocks of two or three points and blocks of one point give
+    # the same bits
+    rng = np.random.default_rng(950 + dim)
+    chart = default_chart(dim)
+    gm = random_graded_metric(rng, chart)
+    coeffs = rng.uniform(-1.0, 1.0, (dim, dim))
+    var = gd.bump_variation(chart, ((-0.3, 0.25),) * dim, 0.5 * (coeffs + coeffs.T), 0.7)
+    quad = QuadSpec({2: 7, 3: 4, 4: 3}[dim])
+    npts = quad.nodes_per_axis**dim
+    jets = dim * dim * ef.jet_space(dim, 2).count
+
+    def sums(chunk_doubles, blocks):
+        monkeypatch.setattr(rm, "CHUNK_DOUBLES", chunk_doubles)
+        assert len(gd._blocks(npts, dim)) == blocks
+        values = [gd.action_magnitude(gm, quad), gd.hilbert_action(gm, quad), *gd._action_variation(gm, var, quad)]
+        return [v.hex() for v in values]
+
+    single = sums(rm.CHUNK_DOUBLES, 1)
+    assert sums(3 * max(dim**4, jets), -(-npts // 3)) == single
+    assert sums(1, npts) == single
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_action_variation_fails_closed_in_a_perturbed_pass():
     # the base geometry is finite; theta + step*h, or g + step*s, is not
