@@ -1,11 +1,11 @@
 """Batch front end: run reports, residual grids, validation suites,
 cosmology integrations and action-variation checks from a config file.
 
-``report`` and ``residuals`` evaluate the whole grid as one single-threaded
-batch (one jet sweep of the metric components and theta together); a
-single point is a batch of one.  Every report carries its provenance
-(``config_hash`` and the engine version) and prints floats with 17
-significant digits, so reruns are byte-identical.
+``report`` and ``residuals`` evaluate the grid as one single-threaded
+batch, one jet sweep of the metric components and theta together per
+block of points; a single point is a batch of one.  Every report carries
+its provenance (``config_hash`` and the engine version) and prints floats
+with 17 significant digits, so reruns are byte-identical.
 
 Exit codes: 0 pass, 1 residual or check failure, 2 config error,
 3 numeric domain error, 4 internal limit (memory, or parentheses nested too
@@ -37,7 +37,7 @@ __all__ = ["main"]
 RESIDUAL_KEYS = ("e27", "e28", "e29", "e44")
 
 def _grid_map(cfg: cf.RunConfig) -> gd.GeometryBatch:
-    """Geometry over every grid point, in grid order, as one batch."""
+    """Geometry over every grid point, in grid order, as one batch filled block by block."""
     # the default grid is checked where it is read, so runs that read no grid go ahead in any dim
     if cfg.grid_counts is None and cfg.grid_points is None:
         cf.check_point_count("[grid] default counts", (cf._DEFAULT_GRID_COUNT,) * cfg.chart.dim)

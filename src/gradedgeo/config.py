@@ -1,13 +1,16 @@
 """Run configuration: a small INI dialect mapped onto the geometry types.
 
-Grammar (sections in any order, keys as shown):
+Grammar (sections in any order, keys as shown; a line starting with ``;``
+is a comment, and a comment never follows a value on its line):
 
     [chart]
-    coords = x, y            ; comma-separated identifiers
-    box_x = -1.0, 1.0        ; one interval per coordinate
+    ; comma-separated identifiers, then one interval per coordinate
+    coords = x, y
+    box_x = -1.0, 1.0
     box_y = -1.0, 1.0
 
-    [metric]                 ; upper triangle; omitted entries are zero
+    [metric]
+    ; upper triangle; omitted entries are zero
     g_0_0 = 1
     g_0_1 = 0.2*x
     g_1_1 = 1 + y^2
@@ -15,42 +18,51 @@ Grammar (sections in any order, keys as shown):
     [theta]
     expr = x
 
-    [grid]                   ; at most one of the two keys; neither means 3 per axis,
-                             ; checked when report or residuals reads the grid
-    counts = 5, 5            ; per-axis counts over the box, at most 100000 points
-    points = 0.1 0.2; -0.3 0.4
+    [grid]
+    ; at most one of counts and points; neither means 3 per axis, checked
+    ; when report or residuals reads the grid. counts is per axis over the
+    ; box, at most 100000 points; points are rows separated by semicolons:
+    ; points = 0.1 0.2; -0.3 0.4
+    counts = 5, 5
 
     [tolerances]
     residual_tol = 1e-9
     fd_tol = 1e-5
 
     [quadrature]
-    nodes = 32               ; per axis; action needs nodes^dim <= 100000 points,
-                             ; and the default is the most up to 32 that fits:
-                             ; 32 in dims 1-3, 17 in dim 4, 10 in dim 5, 6 in dim 6
+    ; per axis; action needs nodes^dim <= 100000 points, and the default is
+    ; the most up to 32 that fits: 32 in dims 1-3, 17 in dim 4, 10 in dim 5,
+    ; 6 in dim 6
+    nodes = 32
 
     [output]
     path = out.csv
-    format = csv             ; csv | json
+    ; csv | json
+    format = csv
 
-    [cosmo]                  ; scale-factor integration parameters
+    [cosmo]
+    ; scale-factor integration parameters; c is a number >= 0, or "eds" for
+    ; sqrt((n-1)/(2n)); t0 > 0; t0 to t_end spans at least five integrator
+    ; states, and step > 0 gives at most 100000 of them
     n = 3
-    c = eds                  ; number >= 0, or "eds" for sqrt((n-1)/(2n))
-    t0 = 1.0                 ; > 0
+    c = eds
+    t0 = 1.0
     a0 = 0.0
-    a_dot0 = 0.333...
+    a_dot0 = 0.33333333333333331
     theta0 = 0.0
-    t_end = 4.0              ; t0 to t_end spans at least five integrator states
-    step = 1e-3              ; > 0, giving at most 100000 states from t0 to t_end
+    t_end = 4.0
+    step = 1e-3
     einstein_lambda = ricci-flat
     theta_sign = 1
 
-    [variation]              ; action-variation parameters
-    kind = bump              ; bump | zero
-    support_x = -0.3, 0.3    ; one interval per coordinate, inside the box
+    [variation]
+    ; action-variation parameters: kind is bump | zero; one support interval
+    ; per coordinate, inside the box; seed >= 0; scale >= 0, with 2*scale finite
+    kind = bump
+    support_x = -0.3, 0.3
     support_y = -0.3, 0.3
-    seed = 7                 ; >= 0
-    scale = 1.0              ; >= 0, with 2*scale finite
+    seed = 7
+    scale = 1.0
 
 Every float is printed back with 17 significant digits, so serialize and
 parse round-trip exactly.
@@ -92,7 +104,7 @@ __all__ = [
 ]
 
 _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
-MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; each grid point holds its jets in memory
+MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; a grid run keeps every point's results
 _DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
 _OUTPUT_FORMATS = ("csv", "json")
 

@@ -13,7 +13,7 @@ difference).
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -309,10 +309,14 @@ class GeometryBatch:
 
 
 def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
-    """All of GeometryBatch from one jet sweep of the metric components and theta over points."""
-    pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweep
-    *arrays, det, jets = rm.curvature_data_batch(gm.metric, pts, extra=[gm.theta])
-    return _geometry(pts, *arrays, det, jets[-1])
+    """All of GeometryBatch from one jet sweep of the metric components and theta per point block."""
+    pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweeps
+
+    def block(p, arrays, det, jets, work):
+        b = _geometry(p, *arrays, det, jets[-1])
+        return [getattr(b, f.name) for f in fields(b)]
+
+    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], True, block))
 
 
 def _theta_part(pts, ginv, gamma, ric, jet) -> tuple:
@@ -362,61 +366,35 @@ def _density(det: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(det))
 
 
-def _blocks(npts: int, n: int) -> list[slice]:
-    """range(npts) split evenly into the fewest slices of at most cap points.
-
-    The action integrals are evaluated one point block at a time, so their
-    jets and tensors take a few MB at any quadrature size.  A block holds at
-    most rm.CHUNK_DOUBLES doubles of n**2 order-2 jets, and is never longer
-    than one assembly chunk of rm._metric_tensors (CHUNK_DOUBLES // n**4 points).
-    """
-    cap = max(1, rm.CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count))
-    count = -(-npts // cap)
-    return [slice(k * npts // count, (k + 1) * npts // count) for k in range(count)]
-
-
-def _integrals(pts: np.ndarray, weights: np.ndarray, count: int, integrands) -> list[float]:
-    """Quadrature sums of the count rows that ``integrands(block_points, work)`` gives over each point block.
+def _integrals(gm: GradedMetric, pts: np.ndarray, weights: np.ndarray, integrands, extra=()) -> list[float]:
+    """Quadrature sums of the rows ``integrands(points, arrays, det, jets, work)`` gives over each
+    point block of one sweep of g, theta and ``extra`` (rm._over_blocks).
 
     Each row is filled block by block and summed once over every point, so the
-    sums do not depend on the blocks.  A block's errors are raised before the
-    next block is evaluated.  Every block's assemblies share one ``work`` dict
-    of chunk buffers (rm._scratch).
+    sums do not depend on the blocks.
     """
-    rows, work = [np.empty(len(pts)) for _ in range(count)], {}
-    for sl in _blocks(len(pts), pts.shape[1]):
-        for row, vals in zip(rows, integrands(pts[sl], work), strict=True):
-            row[sl] = vals
-    return [float(row @ weights) for row in rows]
-
-
-def _scalar_parts(gm: GradedMetric, pts: np.ndarray, work: dict, extra=()) -> tuple:
-    """(_theta_part's tuple, sqrt|det g|, metric arrays, sweep jets) from one sweep of g, theta and extra over pts."""
-    jets = rm._metric_jets(gm.metric, pts, 2, [gm.theta, *extra])
-    arrays, det = rm._metric_tensors(pts, jets[: len(gm.metric._upper)], 2, ricci=True, work=work)
-    parts = _theta_part(pts, *arrays[1:], jets[len(gm.metric._upper)])
-    return parts, _density(det, pts), arrays, jets
+    return [float(row @ weights) for row in rm._over_blocks(gm.metric, pts, [gm.theta, *extra], True, integrands)]
 
 
 def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
 
-    def integrand(pts, work):
-        (*_, graded_scalar), density, _, _ = _scalar_parts(gm, pts, work)
-        return (graded_scalar * density,)
+    def integrand(p, arrays, det, jets, work):
+        *_, graded_scalar = _theta_part(p, *arrays[1:], jets[-1])
+        return (graded_scalar * _density(det, p),)
 
-    return _integrals(*tensor_rule(gm.chart, quad), 1, integrand)[0]
+    return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
 
 
 def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     """Size scale for action values: the same integrand with both terms in
     absolute value, so it stays positive where the signed terms cancel."""
 
-    def integrand(pts, work):
-        (*_, scalar, lap, gradsq, _), density, _, _ = _scalar_parts(gm, pts, work)
-        return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * density,)
+    def integrand(p, arrays, det, jets, work):
+        *_, scalar, lap, gradsq, _ = _theta_part(p, *arrays[1:], jets[-1])
+        return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, p),)
 
-    return _integrals(*tensor_rule(gm.chart, quad), 1, integrand)[0]
+    return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
 
 
 @dataclass(frozen=True)
@@ -523,11 +501,11 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     s = [var.s[i][j] for i, j in upper]
 
-    def integrands(p, work):
-        (dth, _, _, scalar, lap, gradsq, graded_scalar), density, (g, ginv, _, ric), jets = _scalar_parts(
-            gm, p, work, [*s, var.h]
-        )
+    def integrands(p, arrays, det, jets, work):
+        g, ginv, gamma, ric = arrays
         g_jets, (theta, *s_jets, h) = jets[: len(upper)], jets[len(upper):]
+        dth, _, _, scalar, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, ric, theta)
+        density = _density(det, p)
         s_vals = np.empty((n, n, len(p)))
         for (i, j), jet in zip(upper, s_jets):
             s_vals[i, j] = s_vals[j, i] = jet.coeffs[0]
@@ -539,12 +517,12 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
             # the bits the jet engine gives the fields entry + t*s and theta + t*h;
             # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
             moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
-            (_, ginv, gamma, ric), det_t = rm._metric_tensors(p, moved, 2, ricci=True, work=work)
+            (_, ginv, gamma, ric), det_t = rm._metric_tensors(p, moved, 2, work, ricci=True)
             *_, graded_scalar = _theta_part(p, ginv, gamma, ric, theta if var.h.is_zero else theta + h * t)
             return graded_scalar * _density(det_t, p)
 
         closed = (pairing + 4.0 * h.coeffs[0] * lap) * density
         return closed, graded_scalar * density, action(VARIATION_STEP), action(-VARIATION_STEP)
 
-    closed, base, plus, minus = _integrals(pts, weights, 4, integrands)
+    closed, base, plus, minus = _integrals(gm, pts, weights, integrands, [*s, var.h])
     return closed, (plus - minus) / (2.0 * VARIATION_STEP), base

@@ -20,7 +20,7 @@ from .errors import DegenerateMetricError, DomainError
 from .exprfield import ChartSpec, ScalarField
 
 DEGENERACY_THRESHOLD = 1e-10
-CHUNK_DOUBLES = 2**16  # per n**4 point-last array in one assembly chunk
+CHUNK_DOUBLES = 2**16  # per point block: the doubles of its n**2 order-2 jets, or of one point-last n**4 array
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +171,14 @@ def _det_field_matrix(rows: list[list[ScalarField]], chart: ChartSpec) -> Scalar
     return acc
 
 
-def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """An uninitialised C-contiguous array of ``shape``: a fresh one, or, given a
-    ``work`` dict, a view of the buffer it keeps under ``name``, grown when too small.
+def _scratch(work: dict, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``shape``: a view of the buffer
+    ``work`` keeps under ``name``, grown when too small.
 
-    A caller that assembles many small blocks of points keeps one ``work`` for
-    all of them, so their chunk temporaries reuse the same memory instead of
-    being allocated, faulted in and returned to the system block by block.
+    The blocks of one batched assembly (_over_blocks) share one ``work``, so
+    their temporaries reuse the same memory instead of being allocated,
+    faulted in and returned to the system block by block.
     """
-    if work is None:
-        return np.empty(shape)
     size = math.prod(shape)
     buf = work.get(name)
     if buf is None or buf.size < size:
@@ -191,7 +189,7 @@ def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray:
 # Each contraction below is one einsum over point-last operands: einsum adds the summed
 # indices in order from +0.0, point axis innermost, as its operands' strides direct.
 # Their results go to _scratch arrays of the shape einsum would allocate.
-def _christoffel_core(ginv: np.ndarray, dg: np.ndarray, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _christoffel_core(ginv: np.ndarray, dg: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel assembly over point-last arrays: ginv[k,l,p], dg[i,j,k,p] = d_k g_ij."""
     # S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
     s = np.add(dg.transpose(1, 0, 2, 3), dg.transpose(1, 2, 0, 3), out=_scratch(work, "s", dg.shape))
@@ -202,7 +200,7 @@ def _christoffel_core(ginv: np.ndarray, dg: np.ndarray, work: dict | None = None
 
 
 def _derivative_pieces(
-    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, work: dict | None = None
+    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, work: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last, from
     ddg[i,j,k,m,p] = d_k d_m g_ij: both cores differentiate Gamma from these."""
@@ -214,7 +212,7 @@ def _derivative_pieces(
 
 
 def _riemann_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict | None = None
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict
 ) -> np.ndarray:
     """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
     ds, dginv = _derivative_pieces(ginv, dg, ddg, work)
@@ -231,7 +229,7 @@ def _riemann_core(
 
 
 def _ricci_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict | None = None
+    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict
 ) -> np.ndarray:
     """Point-last Ricci R^l_ljk, taking _riemann_core's arguments and no n**4 curvature.
 
@@ -283,27 +281,24 @@ def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
     except DomainError:
         if extra:
             # raise what the metric raises alone, as when the extra fields had a sweep of their own
-            _metric_tensors(pts, _metric_jets(m, pts, order), order)
+            _metric_tensors(pts, _metric_jets(m, pts, order), order, {})
         raise
 
 
-def _metric_tensors(
-    pts: np.ndarray, jets, order: int, ricci: bool = False, work: dict | None = None
-) -> tuple[list, np.ndarray]:
+def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, ricci: bool = False) -> tuple[list, np.ndarray]:
     """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
     the upper triangle over ``pts``, as _metric_jets orders them, and every
-    array returned has a leading point axis.  Gamma and Riemann are assembled
-    over CHUNK_DOUBLES // n**4 points at a time.  The derivatives dg and ddg
-    are filled per chunk, point-last, from the jets' coefficients, into one
-    chunk-sized buffer each, and the cores' einsum results (at most n**4 per
-    point) go to chunk-sized buffers too, so they stay a few MB at any point
-    count.  The buffers live in ``work``, a fresh dict unless the caller
-    passes one to reuse over many calls (see _scratch).  With ``ricci``, the
-    Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite metric
-    coefficient, or a Gamma or curvature entry that overflows in the cores,
-    raises DomainError naming it and the first bad point.
+    array returned has a leading point axis.  It assembles all the points it
+    is given at once; the batched callers hand it one block at a time
+    (_over_blocks), so its arrays stay a few MB at any point count.  The
+    derivatives dg and ddg are filled point-last from the jets'
+    coefficients, and they and the cores' einsum results (at most n**4 per
+    point) go to the buffers ``work`` keeps (see _scratch).  With ``ricci``,
+    the Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite
+    metric coefficient, or a Gamma or curvature entry that overflows in the
+    cores, raises DomainError naming it and the first bad point.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -334,47 +329,76 @@ def _metric_tensors(
     out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
     if order == 0:
         return out, det
-    core, curvature = (_ricci_core, "Ricci") if ricci else (_riemann_core, "Riemann")
-    step = max(1, CHUNK_DOUBLES // n**4)
-    size = min(step, npts)
-    work = {} if work is None else work
-    dg_buf = _scratch(work, "dg", (n, n, n, size))  # dg[i,j,k,p] = d_k g_ij
-    ddg_buf = _scratch(work, "ddg", (n,) * 4 + (size,)) if order >= 2 else None  # ddg[i,j,k,m,p] = d_k d_m g_ij
-    k = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked per chunk
-        for c in range(0, npts, step):
-            sl = slice(c, c + step)
-            m = min(step, npts - c)
-            dg = dg_buf[..., :m]
+    dg = _scratch(work, "dg", (n, n, n, npts))  # dg[i,j,k,p] = d_k g_ij
+    for (i, j), jet in zip(upper, jets):
+        dg[i, j] = dg[j, i] = jet.coeffs.take(space._grad_pos, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        s, gamma = _christoffel_core(gi, dg, work)
+        named = [("Gamma", gamma)]
+        if order >= 2:
+            ddg = _scratch(work, "ddg", (n,) * 4 + (npts,))  # ddg[i,j,k,m,p] = d_k d_m g_ij
             for (i, j), jet in zip(upper, jets):
-                dg[i, j] = dg[j, i] = jet.coeffs[:, sl].take(space._grad_pos, 0)
-            s, gamma = _christoffel_core(gi[..., sl], dg, work)
-            named = [("Gamma", gamma)]
-            out[2][sl] = np.moveaxis(gamma, -1, 0)
-            if order >= 2:
-                ddg = ddg_buf[..., :m]
-                for (i, j), jet in zip(upper, jets):
-                    ddg[i, j] = ddg[j, i] = jet.coeffs[:, sl].take(space._hess_pos, 0)
-                ddg[:, :, k, k] *= 2.0
-                curv = core(gi[..., sl], dg, s, gamma, ddg, work)
-                named.append((curvature, curv))
-                out[3][sl] = np.moveaxis(curv, -1, 0)
-            check_finite(named, pts[sl])
+                ddg[i, j] = ddg[j, i] = jet.coeffs.take(space._hess_pos, 0)
+            k = np.arange(n)
+            ddg[:, :, k, k] *= 2.0
+            core, curvature = (_ricci_core, "Ricci") if ricci else (_riemann_core, "Riemann")
+            named.append((curvature, core(gi, dg, s, gamma, ddg, work)))
+        check_finite(named, pts)
+    for full, (_, a) in zip(out[2:], named):  # gamma is a work buffer, which the next assembly overwrites
+        full[...] = np.moveaxis(a, -1, 0)
     return out, det
 
 
-def curvature_data_batch(m: MetricSpec, points, extra=None) -> tuple:
-    """Batched (g, ginv, Gamma, Riemann), each with a leading point axis.
+def _blocks(npts: int, n: int) -> list[slice]:
+    """range(npts) split evenly into the fewest slices of at most cap points (one slice if empty).
 
-    Given a list of extra fields of the chart, it returns what geometry_batch
-    reads instead: (g, ginv, Gamma, Ricci, det g, the sweep's jets), from one
-    order-2 jet sweep of the metric's upper triangle and then the extra
-    fields, with Ricci from the Ricci-only core.
+    A block holds at most CHUNK_DOUBLES doubles of n**2 order-2 jets, or of
+    one point-last n**4 array, so one block's jets, tensors and work buffers
+    take a few MB at any point count.
     """
+    cap = max(1, CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count))
+    count = max(1, -(-npts // cap))
+    return [slice(k * npts // count, (k + 1) * npts // count) for k in range(count)]
+
+
+def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, ricci: bool, block) -> list[np.ndarray]:
+    """The arrays ``block(points, arrays, det, jets, work)`` gives over each point block, joined.
+
+    The one place that splits points for a batched assembly (see _blocks).
+    For each block in point order it sweeps the order-2 jets of the metric's
+    upper triangle and then of the ``extra`` fields (_metric_jets), builds
+    [g, ginv, Gamma, Riemann] and det g from them (_metric_tensors, with
+    Ricci in Riemann's place when ``ricci``) and hands all of it to
+    ``block``; every block's assemblies share one ``work`` dict.  Each array
+    ``block`` returns has a leading point axis: they are written into arrays
+    over every point as the blocks come, or returned as they are when one
+    block holds every point.  Errors come in block order, one block's
+    before the next block is swept, and within a block the metric's before
+    the extra fields'; so the degeneracy message's |det g| is the minimum
+    over the failing block, not over every point.
+    """
+    npts, work, out = len(pts), {}, None
+
+    def sweep(p):  # a block's jets and tensors are freed before the next block is swept
+        jets = _metric_jets(m, p, 2, extra)
+        arrays, det = _metric_tensors(p, jets[: len(m._upper)], 2, work, ricci)
+        return block(p, arrays, det, jets, work)
+
+    for sl in _blocks(npts, m.chart.dim):
+        got = sweep(pts[sl])
+        if sl.stop - sl.start == npts:
+            return list(got)
+        if out is None:
+            out = [np.empty((npts, *a.shape[1:]), a.dtype) for a in got]
+        for full, a in zip(out, got):
+            full[sl] = a
+    return out
+
+
+def curvature_data_batch(m: MetricSpec, points) -> tuple:
+    """Batched (g, ginv, Gamma, Riemann), each with a leading point axis, filled block by block."""
     pts = np.asarray(points, dtype=float)
-    jets = _metric_jets(m, pts, 2, extra or ())
-    arrays, det = _metric_tensors(pts, jets[: len(m._upper)], 2, ricci=extra is not None)
-    return tuple(arrays) if extra is None else (*arrays, det, jets)
+    return tuple(_over_blocks(m, pts, (), False, lambda p, arrays, det, jets, work: arrays))
 
 
 def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
@@ -385,7 +409,7 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 def _at(m: MetricSpec, p, order: int, ricci: bool = False) -> tuple[tuple[float, ...], list[np.ndarray]]:
     """The point as floats and the metric arrays of the batch of one it makes."""
     pts = np.asarray([p], dtype=float)
-    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, ricci)
+    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, ricci)
     return tuple(pts[0].tolist()), [a[0] for a in arrays]
 
 

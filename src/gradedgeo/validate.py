@@ -39,8 +39,6 @@ from .randgen import affine_jets, random_affine_fields, random_interior_point, r
 
 __all__ = [
     "CheckResult",
-    "frame_graded_ricci",
-    "frame_graded_scalar",
     "run_geometry_checks",
 ]
 
@@ -209,27 +207,14 @@ def _frame_ricci(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ric, frames, signs
 
 
-def _frame_sums(gm: GradedMetric, points, fields=()):
-    """``_frame_ricci`` from a pass of its own at points, with the values of ``fields`` [field, p]."""
-    jets = _table_jets(gm, [gm.theta, *fields], gm.chart.require_points(points))
-    return (*_frame_ricci(jets), jets[0][1:])
+def _frame_sums(gm: GradedMetric, points):
+    """``_frame_ricci`` from a pass of its own at points."""
+    return _frame_ricci(_table_jets(gm, [gm.theta], gm.chart.require_points(points)))
 
 
 def _frame_scalar(ric: np.ndarray, frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Frame trace sum_e s_e Ric(e, e) at each point."""
     return np.einsum("pe,peb,pbc,pec->p", signs, frames, ric, frames)
-
-
-def frame_graded_ricci(gm: GradedMetric, x: GradedVectorField, y: GradedVectorField, p) -> float:
-    """Ricci pairing at p by summing the generic curvature over a frame."""
-    ric, _, _, values = _frame_sums(gm, [p], [*x.even, x.odd, *y.even, y.odd])
-    xv, yv = values[:, 0].reshape(2, -1)
-    return float(xv @ ric[0] @ yv)
-
-
-def frame_graded_scalar(gm: GradedMetric, p) -> float:
-    """Scalar curvature at p as the frame trace of the frame-summed Ricci."""
-    return float(_frame_scalar(*_frame_sums(gm, [p])[:3])[0])
 
 
 def _alone(check, gm: GradedMetric, draw) -> CheckResult:
@@ -295,7 +280,7 @@ def _ricci_blocks_frame(ric: np.ndarray, b: gd.GeometryBatch) -> CheckResult:
 
 
 def check_scalar_frame(gm: GradedMetric, sample) -> CheckResult:
-    return _scalar_frame(_frame_sums(gm, sample)[:3], gd.geometry_batch(gm, sample))
+    return _scalar_frame(_frame_sums(gm, sample), gd.geometry_batch(gm, sample))
 
 
 def _scalar_frame(sums, b: gd.GeometryBatch) -> CheckResult:

@@ -1,7 +1,7 @@
 """Graded quantities rebuilt from the connection triple's fields and the
 classical tensors at one point, independent of the geometry batch they check,
-the symbolic curvature operator, and validate's affine random fields rebuilt
-as symbolic fields.
+the symbolic curvature operator, validate's affine random fields rebuilt
+as symbolic fields, and one-point readings of validate's frame-summed Ricci.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import numpy as np
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
+from gradedgeo import validate as vd
 from gradedgeo.algebroid import GradedVectorField, bracket
 
 
@@ -69,3 +70,16 @@ def affine_fields(chart, bias, coef, axis) -> list[GradedVectorField]:
         comps = [component(*e) for e in zip(b, c, a)]
         fields.append(GradedVectorField(tuple(comps[:-1]), comps[-1]))
     return fields
+
+
+def frame_ricci(gm, x, y, p) -> float:
+    """Ricci pairing of the graded fields x and y at p, from validate's
+    frame-summed Ricci on the graded coordinate basis."""
+    ric = vd._frame_sums(gm, [p])[0][0]
+    xv, yv = (np.array([f(p) for f in (*v.even, v.odd)]) for v in (x, y))
+    return float(xv @ ric @ yv)
+
+
+def frame_scalar(gm, p) -> float:
+    """Scalar curvature at p as the frame trace of validate's frame-summed Ricci."""
+    return float(vd._frame_scalar(*vd._frame_sums(gm, [p]))[0])

@@ -760,7 +760,7 @@ support_t = 1.0, 1.0000000538801974
 
 def _action_block_cap(n):
     # the most points an action block holds: CHUNK_DOUBLES over n**2 order-2 jets
-    # or over one n**4 assembly chunk, whichever is larger
+    # or over one point-last n**4 array, whichever is larger
     return rm.CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count)
 
 
@@ -791,7 +791,7 @@ def test_action_memory_per_point(monkeypatch, capsys):
     # grows by at most 250 bytes per quadrature point from 6^4 to 9^4 and from 9^4
     # to 12^4 nodes. Model: per point, the node and its weight (40 bytes) and four
     # integrand doubles (32 bytes), 72 bytes; tensor_rule's grids also peak near
-    # 72 bytes. One block's jets, tensors and chunk buffers, about 15 KB per block
+    # 72 bytes. One block's jets, tensors and work buffers, about 15 KB per block
     # point, do not grow with the rule, but the even split makes the blocks 216,
     # 252.3 and 256 points long at these sizes: about 0.1 KB per point more on
     # the first step
@@ -863,6 +863,34 @@ def test_action_fails_closed_in_a_late_block(tmp_path, capsys, metric, theta, fi
     assert _action_block_cap(2) < len(pts) and first >= len(pts) // 2  # in the second of two blocks
     assert code == 3
     assert f"non-finite value of {field} at point {tuple(pts[first].tolist())}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        # exp(2*theta) overflows where x*y < -0.3549, first at x = -1 in the first block
+        ("-1000*x*y", "non-finite value of exp(2*theta) at point {first}"),
+        # no theta error: the degenerate metric of the second block is reported
+        ("0", r"|det g| = 0.000e+00 below threshold"),
+    ],
+    ids=["theta-in-block-1", "degenerate-in-block-2"],
+)
+def test_grid_errors_come_in_block_order(tmp_path, capsys, theta, message):
+    # a 60^2 grid is two blocks of 1800 points, the second holding x > 0; g_0_0 = 1 - x
+    # vanishes at x = 1, in the second. The first block's theta error is raised
+    # before the second block is swept
+    text = FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1 - x\n").replace("expr = x", f"expr = {theta}")
+    path = write(tmp_path, text.replace("counts = 3, 3", "counts = 60, 60"))
+    pts = np.array(cf.grid_points(cf.load_config(path)))
+    blocks = rm._blocks(len(pts), 2)
+    assert [sl.stop for sl in blocks] == [1800, 3600] and (pts[:1800, 0] < 0.0).all() and pts[-1, 0] == 1.0
+    first = int(np.argmax(-2000.0 * pts[:, 0] * pts[:, 1] > 709.78))
+    with np.errstate(all="ignore"):
+        code = run(["residuals", "--config", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message.format(first=tuple(pts[first].tolist())) in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,18 @@ support_y = -0.4, 0.4
 seed = 7
 scale = 0.5
 """
+
+
+def test_documented_grammar_parses():
+    # the module docstring carries the full grammar; its example block is a config that loads
+    doc = cf.__doc__
+    block = doc[doc.index("\n\n", doc.index("Grammar")) + 2 : doc.index("\n\nEvery float")]
+    cfg = cf.parse_config(textwrap.dedent(block))
+    assert cfg.chart.coord_names == ("x", "y")
+    assert dict(cfg.metric_exprs) == {(0, 0): "1", (0, 1): "0.2*x", (1, 1): "1 + y^2"}
+    assert len(cf.grid_points(cfg)) == 25
+    assert cfg.cosmo.a_dot0 == 1.0 / 3.0 and cfg.cosmo.c == math.sqrt(1.0 / 3.0)
+    assert cfg.variation.support == ((-0.3, 0.3), (-0.3, 0.3)) and cfg.out_format == "csv"
 
 
 def test_parse_minimal():

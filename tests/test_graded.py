@@ -673,7 +673,7 @@ def test_action_sums_do_not_depend_on_point_blocks(monkeypatch, dim):
 
     def sums(chunk_doubles, blocks):
         monkeypatch.setattr(rm, "CHUNK_DOUBLES", chunk_doubles)
-        assert len(gd._blocks(npts, dim)) == blocks
+        assert len(rm._blocks(npts, dim)) == blocks
         values = [gd.action_magnitude(gm, quad), gd.hilbert_action(gm, quad), *gd._action_variation(gm, var, quad)]
         return [v.hex() for v in values]
 

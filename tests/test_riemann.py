@@ -1,16 +1,25 @@
+import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo.errors import DegenerateMetricError, DomainError, JetOrderError
 from gradedgeo.quadrature import QuadSpec, tensor_rule
-from gradedgeo.randgen import default_chart, random_interior_point, random_metric, random_polynomial
+from gradedgeo.randgen import (
+    default_chart,
+    random_graded_metric,
+    random_interior_point,
+    random_metric,
+    random_polynomial,
+)
 
 from fd_oracles import christoffel_fd, fd_gradient, metric_values, ricci_fd, riemann_fd
 
@@ -185,8 +194,9 @@ def _einsum_riemann(ginv, dg, s, gamma, ddg):
     )
 
 
-def _chunk(n):
-    return rm.CHUNK_DOUBLES // n**4
+def _block_cap(n):
+    # the most points one block of a batched assembly holds (riemann._blocks)
+    return rm.CHUNK_DOUBLES // max(n**4, n * n * ef.jet_space(n, 2).count)
 
 
 def _box_points(rng, chart, npts):
@@ -198,7 +208,7 @@ def _box_points(rng, chart, npts):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cores_match_einsum_reference_bitwise(n):
     rng = np.random.default_rng(40 + n)
-    c = _chunk(n)
+    c = _block_cap(n)
     for npts in (1, 2, 7, c - 1, c, c + 1, 3 * c + 5):
         ginv, dg, ddg = (
             rng.standard_normal((npts,) + (n,) * k) * 10.0 ** rng.integers(-3, 4, (npts,) + (n,) * k)
@@ -210,8 +220,8 @@ def test_cores_match_einsum_reference_bitwise(n):
         s, gamma = _einsum_christoffel(ginv, dg)
         want = _einsum_riemann(ginv, dg, s, gamma, ddg)
         gi, d1, d2 = (np.moveaxis(a, 0, -1) for a in (ginv, dg, ddg))
-        s_new, gamma_new = rm._christoffel_core(gi, d1)
-        got = rm._riemann_core(gi, d1, s_new, gamma_new, d2)
+        s_new, gamma_new = rm._christoffel_core(gi, d1, {})
+        got = rm._riemann_core(gi, d1, s_new, gamma_new, d2, {})
         assert np.moveaxis(gamma_new, -1, 0).tobytes() == gamma.tobytes(), (n, npts)
         assert np.moveaxis(got, -1, 0).tobytes() == want.tobytes(), (n, npts)
 
@@ -228,9 +238,9 @@ def test_ricci_core_matches_riemann_trace_bitwise(n):
         for a in (ginv, dg, ddg):  # signed zeros in every operand
             zero = rng.random(a.shape) < 0.2
             a[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
-        s, gamma = rm._christoffel_core(ginv, dg)
-        riem = np.moveaxis(rm._riemann_core(ginv, dg, s, gamma, ddg), -1, 0).copy()
-        got = np.moveaxis(rm._ricci_core(ginv, dg, s, gamma, ddg), -1, 0)
+        s, gamma = rm._christoffel_core(ginv, dg, {})
+        riem = np.moveaxis(rm._riemann_core(ginv, dg, s, gamma, ddg, {}), -1, 0).copy()
+        got = np.moveaxis(rm._ricci_core(ginv, dg, s, gamma, ddg, {}), -1, 0)
         assert got.tobytes() == np.einsum("plljk->pjk", riem).tobytes(), (n, npts)
 
 
@@ -254,7 +264,7 @@ def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     rng = np.random.default_rng(50 + n)
     chart = default_chart(n)
     m = random_metric(rng, chart)
-    c = _chunk(n)
+    c = _block_cap(n)
     pts = _box_points(rng, chart, 3 * c + 5)
     _, ginv, gamma, riem = rm.curvature_data_batch(m, pts)
     # C-contiguous, as the einsum path held them: einsum's summation order follows the strides
@@ -270,10 +280,9 @@ def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     assert gamma.tobytes() == want_gamma.tobytes()
     assert riem.tobytes() == want_riem.tobytes()
     # the Ricci-only core, as geometry_batch sweeps it with theta
-    theta = ef.coordinate(chart, chart.coord_names[0])
-    _, _, gamma_r, ric, *_ = rm.curvature_data_batch(m, pts, extra=[theta])
-    assert gamma_r.tobytes() == want_gamma.tobytes()
-    assert ric.tobytes() == np.einsum("plljk->pjk", want_riem).tobytes()
+    b = gd.geometry_batch(gd.GradedMetric(m, ef.coordinate(chart, chart.coord_names[0])), pts)
+    assert b.gamma.tobytes() == want_gamma.tobytes()
+    assert b.ric.tobytes() == np.einsum("plljk->pjk", want_riem).tobytes()
 
 
 @pytest.mark.bitwise
@@ -281,12 +290,34 @@ def test_riemann_at_matches_its_batch_row_bitwise():
     rng = np.random.default_rng(61)
     chart = default_chart(4)
     m = random_metric(rng, chart, signature=(-1, 1, 1, 1))
-    c = _chunk(4)
+    c = _block_cap(4)
     pts = _box_points(rng, chart, 3 * c + 5)
     *_, gamma, riem = rm.curvature_data_batch(m, pts)
     for k in (0, c - 1, c, c + 1, 2 * c + 7, 3 * c + 4):
         assert rm.riemann_at(m, pts[k]).components.tobytes() == riem[k].tobytes(), k
         assert rm.christoffel_at(m, pts[k]).components.tobytes() == gamma[k].tobytes(), k
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batches_do_not_depend_on_point_blocks(monkeypatch, n):
+    # each point's arrays come from the assembly of the block that holds it, so
+    # one block, blocks of two or three points and blocks of one point give the
+    # same bytes
+    rng = np.random.default_rng(990 + n)
+    gm = random_graded_metric(rng, default_chart(n))
+    pts = _box_points(rng, gm.chart, 7)
+
+    def batches(chunk_doubles, blocks):
+        monkeypatch.setattr(rm, "CHUNK_DOUBLES", chunk_doubles)
+        assert len(rm._blocks(len(pts), n)) == blocks
+        b = gd.geometry_batch(gm, pts)
+        arrays = [*rm.curvature_data_batch(gm.metric, pts), *(getattr(b, f.name) for f in dataclasses.fields(b))]
+        return [a.tobytes() for a in arrays]
+
+    single = batches(rm.CHUNK_DOUBLES, 1)
+    assert batches(3 * max(n**4, n * n * ef.jet_space(n, 2).count), 3) == single
+    assert batches(1, len(pts)) == single
 
 
 def test_curvature_batch_memory_bound(eds3):
@@ -314,8 +345,8 @@ def _traced_peak(run):
 
 def test_ricci_paths_memory_bound(eds3):
     # the same 4096-point rule through the Ricci-only core, which every graded
-    # caller takes: the cores' einsums build no broadcast product, so the batch
-    # peak, 10.4 MB with the products, stays below 9.3 MB. action_magnitude
+    # caller takes: the cores' einsums build no broadcast product, so the
+    # geometry batch's peak stays below 9.3 MB. action_magnitude
     # streams the rule in 16 blocks of 256 points; its peak is one block's
     # assembly (the Ricci core's buffers and the block's jets and tensors, at
     # most about 3.5 MB) plus the node, weight and integrand of each rule point,
@@ -324,8 +355,29 @@ def test_ricci_paths_memory_bound(eds3):
     pts, _ = tensor_rule(eds3.chart, quad)
     gm = gd.GradedMetric(eds3, ef.parse_field(f"{math.sqrt(1.0 / 3.0)!r}*ln(t)", eds3.chart))
     gd.action_magnitude(gm, QuadSpec(2, quad.box))  # symbolic caches built outside the trace
-    assert _traced_peak(lambda: rm.curvature_data_batch(eds3, pts, extra=[gm.theta])) <= 9.3e6
+    assert _traced_peak(lambda: gd.geometry_batch(gm, pts)) <= 9.3e6
     assert _traced_peak(lambda: gd.action_magnitude(gm, quad)) <= 4.0e6
+
+
+def test_geometry_batch_memory_is_its_output_and_one_block():
+    # golden/random3_lorentz.ini over a 16^3-point rule: 6 blocks of 682-683
+    # points. Model: the batch's arrays over every point, plus one block: its
+    # jet sweep, its assembly (with the work buffers that stay for the next
+    # block) and its share of the results, each traced alone over the largest
+    # block
+    gm = cf.build_graded_metric(cf.load_config(str(Path(__file__).resolve().parent / "golden" / "random3_lorentz.ini")))
+    pts, _ = tensor_rule(gm.chart, QuadSpec(16))
+    blocks = rm._blocks(len(pts), gm.chart.dim)
+    assert (len(pts), len(blocks)) == (4096, 6)
+    p = pts[max(blocks, key=lambda sl: sl.stop - sl.start)]
+    gd.geometry_batch(gm, p[:4])  # symbolic caches built outside the trace
+    sweep = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, [gm.theta]))
+    jets = rm._metric_jets(gm.metric, p, 2, [gm.theta])
+    assembly = _traced_peak(lambda: rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, ricci=True))
+    b = gd.geometry_batch(gm, pts)
+    output = sum(getattr(b, f.name).nbytes for f in dataclasses.fields(b))
+    peak = _traced_peak(lambda: gd.geometry_batch(gm, pts))
+    assert peak <= output * (1 + len(p) / len(pts)) + sweep + assembly, (peak, output, sweep, assembly)
 
 
 def test_sphere_ricci_and_scalar(sphere):
@@ -416,17 +468,17 @@ def test_first_order_views_fail_closed_on_overflow(flat2):
 @pytest.mark.filterwarnings("error")
 def test_curvature_assembly_fails_closed_on_overflow():
     # finite metric jets whose Christoffel or curvature sums overflow: d_x d_y g_0_0 = 2.7e308*y^2
-    # is finite at y = 0.7, twice it is not, and the first such point is a chunk past the start
+    # is finite at y = 0.7, twice it is not, and the first such point is a block past the start
     chart = ef.ChartSpec(("x", "y"), ((-1, 1), (-1, 1)))
     m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 9e307*x*y^3", chart), 1.0])
-    c = _chunk(2)
+    c = _block_cap(2)
     pts = np.column_stack([0.01 + 1e-6 * np.arange(2 * c + 5), np.full(2 * c + 5, 0.1)])
     pts[c + 3 :, 1] = 0.7
     first = re.escape(f" at point {tuple(pts[c + 3].tolist())}") + "$"
     with pytest.raises(DomainError, match="^non-finite value of Riemann" + first):
         rm.curvature_data_batch(m, pts)
     with pytest.raises(DomainError, match="^non-finite value of Ricci" + first):
-        rm.curvature_data_batch(m, pts, extra=[ef.constant(chart, 0.0)])
+        gd.geometry_batch(gd.GradedMetric(m, ef.constant(chart, 0.0)), pts)
     # 1e308 + 1e308 in S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
     m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 1e308*x", chart), 1.0])
     with pytest.raises(DomainError, match=r"^non-finite value of Gamma at point \(0\.001, 0\.0\)$"):
