@@ -174,8 +174,8 @@ def cmd_cosmo(cfg: cf.RunConfig) -> int:
     )
     eq41, eq42 = co.trajectory_residuals(traj)
     columns = ["t", "a", "a_dot", "theta", "eq41_residual", "eq42_residual"]
-    rows = [(s.t, s.a, s.a_dot, s.theta, float(r41), float(r42)) for s, r41, r42 in zip(traj.states, eq41, eq42)]
-    _write(cfg, lambda: {"states": [dict(zip(columns, row)) for row in rows]}, columns, np.array(rows))
+    table = np.column_stack([traj.t, traj.a, traj.a_dot, traj.theta, eq41, eq42])
+    _write(cfg, lambda: {"states": [dict(zip(columns, row)) for row in table.tolist()]}, columns, table)
     return 0
 
 

@@ -264,45 +264,32 @@ class OdeState:
             raise ValueError(f"time must stay positive, got t={self.t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-step trajectory plus the parameters that produced it."""
+    """Uniform-step trajectory as four read-only float64 columns, plus the parameters that produced it."""
 
-    states: tuple[OdeState, ...]
+    t: np.ndarray
+    a: np.ndarray
+    a_dot: np.ndarray
+    theta: np.ndarray
     n: int
     c: float
     einstein_lambda: float
     step: float
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, i) -> OdeState:
-        return self.states[i]
+        return len(self.t)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        cols = {"t": [], "a": [], "a_dot": [], "theta": []}
-        for s in self.states:
-            cols["t"].append(s.t)
-            cols["a"].append(s.a)
-            cols["a_dot"].append(s.a_dot)
-            cols["theta"].append(s.theta)
-        return {k: np.asarray(v) for k, v in cols.items()}
+        return {"t": self.t, "a": self.a, "a_dot": self.a_dot, "theta": self.theta}
 
 
-def _rhs(y: np.ndarray, n: int, c: float, theta_sign: int, t: float) -> np.ndarray:
-    a, v = y[0], y[1]
+def _rhs(a: float, v: float, n: int, c: float, theta_sign: int, t: float) -> tuple[float, float, float]:
     try:
         shrink = math.exp(-n * a)
     except OverflowError:
         raise DomainError(f"scale-factor acceleration overflowed at t={t:.6g}") from None
-    accel = -v * v - (2.0 * c * c / n) * shrink * shrink
-    if not math.isfinite(accel):
-        raise DomainError(f"scale-factor acceleration overflowed at t={t:.6g}")
-    return np.array([v, accel, theta_sign * c * shrink])
+    return v, -v * v - (2.0 * c * c / n) * shrink * shrink, theta_sign * c * shrink
 
 
 def state_count(t0: float, t_end: float, step: float) -> int:
@@ -326,7 +313,8 @@ def integrate_scale_factor(
     Integrates the Ricci-flat branch a'' = -a'^2 - (2c^2/n) e^{-2na} with
     theta' = theta_sign * c * e^{-na}.  A nonzero Einstein constant never
     alters the dynamics; it only shifts the consistency residual that
-    trajectory_residuals reports.
+    trajectory_residuals reports.  A state that is not finite, or a time
+    that is not positive, raises DomainError naming its t.
     """
     if n < 2:
         raise ValueError("need base dimension n >= 2")
@@ -340,23 +328,26 @@ def integrate_scale_factor(
         raise DomainError("trajectory would cross t=0")
     lam = float(einstein_lambda)
 
-    nsteps = state_count(w0.t, t_end, step) - 1
-    if nsteps == 0:
-        return Trajectory((w0,), n, c, lam, 0.0)
-    h = (t_end - w0.t) / nsteps
-
-    states = [w0]
-    y = np.array([w0.a, w0.a_dot, w0.theta])
-    t = w0.t
-    for k in range(nsteps):
-        k1 = _rhs(y, n, c, theta_sign, t)
-        k2 = _rhs(y + 0.5 * h * k1, n, c, theta_sign, t + 0.5 * h)
-        k3 = _rhs(y + 0.5 * h * k2, n, c, theta_sign, t + 0.5 * h)
-        k4 = _rhs(y + h * k3, n, c, theta_sign, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = w0.t + (k + 1) * h
-        states.append(OdeState(t, float(y[0]), float(y[1]), float(y[2])))
-    return Trajectory(tuple(states), n, c, lam, abs(h))
+    m = state_count(w0.t, t_end, step)
+    h = (t_end - w0.t) / max(m - 1, 1)
+    t, y = w0.t, [w0.a, w0.a_dot, w0.theta]
+    cols = np.empty((4, m))
+    cols[:, 0] = t, *y
+    for k in range(1, m):
+        a, v, _ = y
+        k1 = _rhs(a, v, n, c, theta_sign, t)
+        k2 = _rhs(a + 0.5 * h * k1[0], v + 0.5 * h * k1[1], n, c, theta_sign, t + 0.5 * h)
+        k3 = _rhs(a + 0.5 * h * k2[0], v + 0.5 * h * k2[1], n, c, theta_sign, t + 0.5 * h)
+        k4 = _rhs(a + h * k3[0], v + h * k3[1], n, c, theta_sign, t + h)
+        y = [x + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for x, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        t = w0.t + k * h
+        if not t > 0.0:
+            raise DomainError(f"trajectory reaches t={t:.6g}; time must stay positive")
+        if not all(map(math.isfinite, y)):
+            raise DomainError(f"non-finite state (a, a_dot, theta) = {tuple(y)} at t={t:.6g}")
+        cols[:, k] = t, *y
+    cols.flags.writeable = False
+    return Trajectory(*cols, n, c, lam, abs(h))
 
 
 def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -380,15 +371,18 @@ def trajectory_residuals(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     The first array monitors the base Einstein constant against
     -(a'' + n a'^2) e^{2a}; the second checks -n(a'' + a'^2) against the
     matter density 2 c^2 e^{-2na}.  Both vanish on exact solutions up to
-    stencil error.
+    stencil error.  A residual that overflows raises DomainError naming its
+    column and the first t where it is not finite.
     """
-    arr = traj.arrays()
     if traj.step == 0.0:
         raise ValueError("single-state trajectory has no residuals")
-    a = arr["a"]
-    v = arr["a_dot"]
-    a_ddot = _fd_derivative(v, traj.step * math.copysign(1.0, arr["t"][1] - arr["t"][0]))
-    n, c = traj.n, traj.c
-    eq41 = traj.einstein_lambda + (a_ddot + n * v**2) * np.exp(2.0 * a)
-    eq42 = -n * (a_ddot + v**2) - 2.0 * c * c * np.exp(-2.0 * n * a)
+    a, v, n, c = traj.a, traj.a_dot, traj.n, traj.c
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, column by column
+        a_ddot = _fd_derivative(v, math.copysign(traj.step, traj.t[1] - traj.t[0]))
+        eq41 = traj.einstein_lambda + (a_ddot + n * v**2) * np.exp(2.0 * a)
+        eq42 = -n * (a_ddot + v**2) - 2.0 * c * c * np.exp(-2.0 * n * a)
+    for name, col in (("eq41_residual", eq41), ("eq42_residual", eq42)):
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise DomainError(f"non-finite {name} at t={traj.t[bad.argmax()]:.6g}")
     return eq41, eq42

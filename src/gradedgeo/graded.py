@@ -488,7 +488,8 @@ def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec)
     variation's support box only; outside it the integrand does not move.
     One order-2 sweep of g, theta, s and h per point block feeds both: Taylor
     arithmetic is linear, so g +- step*s and theta +- step*h are formed from
-    their jets.
+    their jets.  Only ``quad.nodes_per_axis`` is read; a ``quad.box`` other
+    than None or the support raises ValueError.
     """
     return _action_variation(gm, var, quad)[:2]
 
@@ -496,6 +497,8 @@ def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec)
 def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> tuple[float, float, float]:
     """action_first_variation's (closed_form, finite_difference), then the
     action over the variation's support, all read off the one sweep per point block."""
+    if quad.box not in (None, var.support):
+        raise ValueError(f"the action variation integrates over its support {var.support}, not the box {quad.box}")
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     n = gm.chart.dim
     upper = [(i, j) for i in range(n) for j in range(i, n)]

@@ -668,6 +668,40 @@ support_y = -0.3, 0.3
     assert "[variation] support_x" in err
 
 
+def _eds3_with(**edits):
+    """tests/golden/sections/eds3.ini with each ``key = value`` line of ``edits`` replaced."""
+    lines = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text().splitlines()
+    for name, value in edits.items():
+        (k,) = [i for i, line in enumerate(lines) if line.startswith(f"{name} = ")]
+        lines[k] = f"{name} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+# valid [cosmo] sections whose runs leave the numeric domain
+COSMO_DOMAIN = {
+    # 2*k2 + 2*k3 of the acceleration overflows, so a_dot becomes -inf after one step
+    "state-overflow": _eds3_with(t0="1e-300", a_dot0="1.3e154", t_end="5e-300", step="1e-300"),
+    # e^(2a) overflows in the eq41 monitor, and 0 * inf is nan
+    "warp-overflow": _eds3_with(c="0", a0="400", a_dot0="0", step="0.25"),
+    # the backward run's last time, 1 + 4 * (-0.25), rounds to 0
+    "time-rounds-to-zero": _eds3_with(t_end="1e-300", step="0.25"),
+    # n * a_dot^2 * e^(2a) overflows in the eq41 monitor
+    "huge-n": _eds3_with(n=str(10**300), a0="1e10", c="0.5"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", COSMO_DOMAIN.values(), ids=list(COSMO_DOMAIN))
+def test_cosmo_domain_errors_exit_3(tmp_path, capsys, text):
+    out = tmp_path / "trajectory.csv"
+    code = run(["cosmo", "--config", write(tmp_path, text), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("numeric domain error:") and " t=" in line
+
+
 @pytest.mark.parametrize(
     "edits,key",
     [
@@ -682,12 +716,7 @@ support_y = -0.3, 0.3
     ids=["zero-step", "negative-c", "three-states", "single-state", "negative-t0", "zero-t0", "too-many-states"],
 )
 def test_bad_cosmo_values_exit_2(tmp_path, capsys, edits, key):
-    text = (Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini").read_text()
-    lines = text.splitlines()
-    for name, value in edits.items():
-        (k,) = [i for i, line in enumerate(lines) if line.startswith(f"{name} = ")]
-        lines[k] = f"{name} = {value}"
-    text = "\n".join(lines) + "\n"
+    text = _eds3_with(**edits)
     # refused at parse time, before any integration could start
     with pytest.raises(cf.ConfigError, match=rf"^\[cosmo\] {key}:"):
         cf.parse_config(text)
@@ -897,6 +926,7 @@ def test_grid_errors_come_in_block_order(tmp_path, capsys, theta, message):
 _COORDS = ("x", "y", "t")
 _BAD_EXPR = st.sampled_from(["x +", "(x", "foo", "1e999", "x^x", ""])
 _SMALL = st.floats(-2.0, 2.0).map(repr)
+_WIDE = st.one_of(_SMALL, st.floats(allow_nan=False, allow_infinity=False).map(repr))
 
 
 def _expr(names):
@@ -937,17 +967,19 @@ def _run_args(draw):
         lines += ["[tolerances]", f"residual_tol = {draw(tol)}", f"fd_tol = {draw(tol)}"]
     lines += ["[quadrature]", f"nodes = {draw(st.sampled_from('1234' * 3 + '0'))}"]
     if draw(st.integers(0, 3)):
-        t0 = draw(st.floats(0.1, 2.0))
-        span = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([1, 1, -1]))
+        t0 = draw(st.one_of(st.floats(0.1, 2.0), st.floats(5e-324, 1e-3)))
+        # a span in units of t0 gives a tiny step after a tiny t0; a t_end near 0 ends a backward run there
+        span = draw(st.one_of(st.floats(0.05, 3.0), st.floats(0.05, 8.0).map(lambda u: u * t0)))
+        t_end = draw(st.one_of(st.sampled_from([t0 + span, t0 + span, t0 - span]), st.floats(0.0, 1e-3 * t0)))
         lines += [
             "[cosmo]",
-            f"n = {draw(st.integers(2, 5))}",
-            f"c = {draw(st.one_of(st.just('eds'), st.floats(0.0, 2.0).map(repr)))}",
+            f"n = {draw(st.one_of(st.integers(2, 5), st.integers(2, 10**308)))}",
+            f"c = {draw(st.one_of(st.just('eds'), st.floats(0.0, 2.0).map(repr), st.floats(0.0, 1e308).map(repr)))}",
             f"t0 = {t0!r}",
-            *(f"{key} = {draw(_SMALL)}" for key in ("a0", "a_dot0", "theta0")),
-            f"t_end = {t0 + span!r}",
-            f"step = {abs(span) / draw(st.integers(3, 2000))!r}",
-            f"einstein_lambda = {draw(st.one_of(st.just('ricci-flat'), _SMALL))}",
+            *(f"{key} = {draw(_WIDE)}" for key in ("a0", "a_dot0", "theta0")),
+            f"t_end = {t_end!r}",
+            f"step = {abs(t_end - t0) / draw(st.integers(3, 2000))!r}",
+            f"einstein_lambda = {draw(st.one_of(st.just('ricci-flat'), _WIDE))}",
             f"theta_sign = {draw(st.sampled_from(['1', '-1']))}",
         ]
     if draw(st.integers(0, 3)):
@@ -971,6 +1003,10 @@ def _run_args(draw):
 @example(run_args=(DIM11_NO_GRID, ["residuals"]))
 @example(run_args=(DIM11_COSMO, ["cosmo"]))
 @example(run_args=(DIM11_COSMO, ["residuals", *ONE_POINT_GRID]))
+@example(run_args=(COSMO_DOMAIN["state-overflow"], ["cosmo"]))
+@example(run_args=(COSMO_DOMAIN["warp-overflow"], ["cosmo"]))
+@example(run_args=(COSMO_DOMAIN["time-rounds-to-zero"], ["cosmo"]))
+@example(run_args=(COSMO_DOMAIN["huge-n"], ["cosmo"]))
 def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
     # every command on every config ends in an exit code of the contract
     text, args = run_args

@@ -275,6 +275,6 @@ def test_big_bang_limits():
 def test_single_state_trajectory():
     s = co.OdeState(2.0, 0.1, 0.2, 0.3)
     traj = co.integrate_scale_factor(s, 0.5, 0.0, 2.0, 0.1, n=3)
-    assert len(traj) == 1 and traj[0] == s
+    assert len(traj) == 1 and [col[0] for col in traj.arrays().values()] == [s.t, s.a, s.a_dot, s.theta]
     with pytest.raises(ValueError):
         co.trajectory_residuals(traj)

@@ -64,8 +64,8 @@ def test_trajectory_csv_format(tmp_path):
     assert lines[1] == "t,a,a_dot,theta,eq41_residual,eq42_residual"
     assert len(lines) == len(traj) + 2
     cells = lines[2].split(",")
-    assert float(cells[0]) == traj[0].t
-    assert float(cells[2]) == traj[0].a_dot
+    assert float(cells[0]) == traj.t[0]
+    assert float(cells[2]) == traj.a_dot[0]
     # byte-identical on repeat
     reruns = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for out in reruns:

@@ -615,6 +615,18 @@ def test_action_variation_is_one_jet_sweep(jet_calls):
     assert jet_calls == [metric_fields + [gm.theta] + [var.s[i][j] for i, j in upper] + [var.h]]
 
 
+def test_action_variation_refuses_a_box_other_than_its_support():
+    # only the node count is read, so a box that would be dropped is refused instead
+    rng = np.random.default_rng(41)
+    chart = default_chart(2)
+    gm = random_graded_metric(rng, chart)
+    support = ((-0.3, 0.25), (-0.3, 0.25))
+    var = gd.bump_variation(chart, support, np.eye(2), 0.5)
+    assert gd.action_first_variation(gm, var, QuadSpec(8, support)) == gd.action_first_variation(gm, var, QuadSpec(8))
+    with pytest.raises(ValueError, match="integrates over its support"):
+        gd.action_first_variation(gm, var, QuadSpec(8, ((-0.4, 0.0), (0.0, 0.4))))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_action_variation_fails_closed_on_weight_overflow():
     # exp(2 * theta) overflows where x > 354.9, so at every point of the support
