@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -74,9 +73,12 @@ def _write(cfg: cf.RunConfig, body, columns, rows) -> None:
         text = "\n".join(lines) + "\n"
     if cfg.out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {cfg.out_path}: {exc}") from None
 
 
 def _summary(batch, tol: float) -> dict:
@@ -219,9 +221,8 @@ def _apply_overrides(cfg: cf.RunConfig, args) -> cf.RunConfig:
         changes["grid_counts"] = cf._grid_counts("--grid", args.grid, cfg.chart.dim)
         changes["grid_points"] = None
     if args.tol is not None:
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-        changes["residual_tol"] = args.tol
+        read_tol, _ = cf._SECTIONS["tolerances"]["residual_tol"]
+        changes["residual_tol"] = read_tol("--tol", args.tol)
     if args.out is not None:
         changes["out_path"] = args.out
     if args.format is not None:
@@ -249,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--grid", help="override grid counts, e.g. 5,5 (report and residuals only)")
-    parser.add_argument("--tol", type=float, help="override residual tolerance")
+    parser.add_argument("--tol", help="override residual tolerance")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--format", choices=cf._OUTPUT_FORMATS, help="output format")
     return parser

@@ -76,7 +76,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
 import math
 import re
 import sys
@@ -107,21 +106,6 @@ _METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
 MAX_POINTS = 10**5  # the most grid or quadrature points a run may ask for; a grid run keeps every point's results
 _DEFAULT_GRID_COUNT = 3  # points per axis when [grid] gives neither counts nor points
 _OUTPUT_FORMATS = ("csv", "json")
-
-_KNOWN_KEYS = {
-    "chart": {"coords"},
-    "metric": None,
-    "theta": {"expr"},
-    "grid": {"counts", "points"},
-    "tolerances": {"residual_tol", "fd_tol"},
-    "quadrature": {"nodes"},
-    "output": {"path", "format"},
-    "cosmo": {
-        "n", "c", "t0", "a0", "a_dot0", "theta0",
-        "t_end", "step", "einstein_lambda", "theta_sign",
-    },
-    "variation": {"kind", "seed", "scale"},
-}
 
 
 def format_float(x: float) -> str:
@@ -171,41 +155,146 @@ class RunConfig:
     _trees: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
-def _cfg_error(section: str, key: str, message: str) -> ConfigError:
-    return ConfigError(f"[{section}] {key}: {message}")
-
-
-def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise _cfg_error(section, key, f"expected comma-separated numbers, got {raw!r}") from None
-    if count is not None and len(vals) != count:
-        raise _cfg_error(section, key, f"expected {count} numbers, got {len(vals)}")
-    return vals
-
-
-def _float(section: str, key: str, raw: str) -> float:
+def _number(label: str, raw: str) -> float:
+    """A finite float."""
     try:
         v = float(raw)
     except ValueError:
-        raise _cfg_error(section, key, f"expected a number, got {raw!r}") from None
+        raise ConfigError(f"{label}: expected a number, got {raw!r}") from None
     if not math.isfinite(v):
-        raise _cfg_error(section, key, f"expected a finite number, got {raw!r}")
+        raise ConfigError(f"{label}: expected a finite number, got {raw!r}")
     return v
 
 
-def _int(label: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{label}: expected an integer, got {raw!r}") from None
+def _positive(label: str, raw: str) -> float:
+    if (v := _number(label, raw)) <= 0.0:
+        raise ConfigError(f"{label}: must be positive, got {v!r}")
+    return v
+
+
+def _nonnegative(label: str, raw: str) -> float:
+    if (v := _number(label, raw)) < 0.0:
+        raise ConfigError(f"{label}: must be nonnegative, got {v!r}")
+    return v
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """Reader of an integer from lo to hi."""
+
+    def read(label: str, raw: str) -> int:
+        try:
+            v = int(raw)
+        except ValueError:
+            raise ConfigError(f"{label}: expected an integer, got {raw!r}") from None
+        if not lo <= v <= hi:
+            raise ConfigError(f"{label}: need an integer from {lo} to {hi!r}, got {raw}")
+        return v
+
+    return read
+
+
+def _one_of(*allowed):
+    """Reader of one of ``allowed``, read as their type."""
+
+    def read(label: str, raw: str):
+        try:
+            v = type(allowed[0])(raw)
+        except ValueError:
+            v = None
+        if v not in allowed:
+            raise ConfigError(f"{label}: must be {' or '.join(map(str, allowed))}, got {raw!r}")
+        return v
+
+    return read
+
+
+def _interval(label: str, raw: str) -> tuple[float, float]:
+    if len(ends := raw.split(",")) != 2:
+        raise ConfigError(f"{label}: expected 2 comma-separated numbers, got {raw!r}")
+    return _number(label, ends[0]), _number(label, ends[1])
+
+
+def _rows(label: str, raw: str) -> tuple[tuple[float, ...], ...]:
+    """Points: rows of numbers separated by semicolons."""
+    rows = tuple(tuple(_number(label, tok) for tok in row.split()) for row in raw.split(";") if row.strip())
+    if not rows:
+        raise ConfigError(f"{label}: empty point list")
+    return rows
+
+
+def _text(label: str, raw: str) -> str:
+    return raw
+
+
+_REQUIRED = object()  # the default of a key the section must give
+_COORD = "_<coord>"  # a key ending so stands for one key per chart coordinate
+
+# Each section's keys in print order: key -> (reader, default).  A reader turns
+# the text of ``[section] key`` into its value, or raises ConfigError naming it
+# by its first argument.  A key ``name_<coord>`` is read once per coordinate,
+# as ``name_x``, ``name_y``, ..., into the tuple ``name``.
+_SECTIONS = {
+    "chart": {
+        "coords": (lambda label, raw: tuple(tok.strip() for tok in raw.split(",")), _REQUIRED),
+        "box_<coord>": (_interval, _REQUIRED),
+    },
+    "theta": {"expr": (_text, _REQUIRED)},
+    "grid": {"counts": (_text, None), "points": (_rows, None)},  # counts are read against the chart
+    "tolerances": {"residual_tol": (_positive, 1e-9), "fd_tol": (_positive, 1e-5)},
+    "quadrature": {"nodes": (_integer(1), None)},  # None: the default for the chart's dim
+    "output": {"path": (lambda label, raw: raw or None, None), "format": (_one_of(*_OUTPUT_FORMATS), "csv")},
+    "cosmo": {
+        "n": (_integer(2, sys.float_info.max), _REQUIRED),  # the integrator takes n as a float
+        "c": (lambda label, raw: None if raw == "eds" else _nonnegative(label, raw), None),  # None: eds
+        "t0": (_positive, _REQUIRED),
+        **{key: (_number, _REQUIRED) for key in ("a0", "a_dot0", "theta0", "t_end")},
+        "step": (_positive, _REQUIRED),
+        "einstein_lambda": (lambda label, raw: 0.0 if raw == "ricci-flat" else _number(label, raw), 0.0),
+        "theta_sign": (_one_of(1, -1), 1),
+    },
+    "variation": {
+        "kind": (_one_of("bump", "zero"), "bump"),
+        "support_<coord>": (_interval, _REQUIRED),
+        "seed": (_integer(0), 0),
+        "scale": (_nonnegative, 1.0),
+    },
+}
+# the RunConfig field of a key of these sections is the section's prefix + the key
+_FIELDS = {"theta": "theta_", "grid": "grid_", "tolerances": "", "quadrature": "quad_", "output": "out_"}
+
+
+def _read(parser: configparser.ConfigParser, section: str, names=None) -> dict:
+    """``section``'s values through its table, by field name, defaults filled in.
+
+    A ``name_<coord>`` key is read for each of ``names``, or of the section's
+    own coords.  ConfigError on a missing required key and on any key the
+    table does not give.
+    """
+    given = dict(parser.items(section, raw=True)) if parser.has_section(section) else {}
+    values, known = {}, set()
+    for key, (reader, default) in _SECTIONS[section].items():
+        field = key.removesuffix(_COORD)
+        keys = [key] if field == key else [f"{field}_{name}" for name in values.get("coords", names)]
+        read = []
+        for k in keys:
+            if k in given:
+                read.append(reader(f"[{section}] {k}", given[k]))
+            elif default is _REQUIRED:
+                raise ConfigError(f"[{section}] {k}: missing")
+            else:
+                read.append(default)
+        values[field] = read[0] if field == key else tuple(read)
+        known.update(keys)
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+    return values
 
 
 def _grid_counts(label: str, raw: str, dim: int) -> tuple[int, ...]:
     """Per-axis counts from comma-separated text, ``[grid] counts`` or ``--grid`` as ``label``."""
-    counts = tuple(_int(label, tok) for tok in raw.split(","))
-    if len(counts) != dim or any(c < 1 for c in counts):
+    counts = tuple(_integer(1)(label, tok) for tok in raw.split(","))
+    if len(counts) != dim:
         raise ConfigError(f"{label}: need {dim} positive counts")
     check_point_count(label, counts)
     return counts
@@ -234,47 +323,23 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
-
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section != "metric" and section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _KNOWN_KEYS[section]
-        if allowed is None:
-            continue
-        extra = None
-        if section == "chart":
-            extra = {k for k in parser[section] if k.startswith("box_")}
-        elif section == "variation":
-            extra = {k for k in parser[section] if k.startswith("support_")}
-        for key in parser[section]:
-            if key not in allowed and (extra is None or key not in extra):
-                raise _cfg_error(section, key, "unknown key")
 
-    if not parser.has_section("chart"):
-        raise ConfigError("missing [chart] section")
-    chart_sec = parser["chart"]
-    if "coords" not in chart_sec:
-        raise _cfg_error("chart", "coords", "missing")
-    names = tuple(tok.strip() for tok in chart_sec["coords"].split(","))
-    box = []
-    for name in names:
-        key = f"box_{name}"
-        if key not in chart_sec:
-            raise _cfg_error("chart", key, "missing interval for coordinate")
-        lo, hi = _floats("chart", key, chart_sec[key], 2)
-        box.append((lo, hi))
+    chart_keys = _read(parser, "chart")
     try:
-        chart = ChartSpec(names, tuple(box))
+        chart = ChartSpec(chart_keys["coords"], chart_keys["box"])
     except ValueError as exc:
         raise ConfigError(f"[chart]: {exc}") from None
 
     trees: dict[str, ef.ScalarField] = {}
 
-    def parse(section: str, key: str, text: str) -> None:
+    def parse(label: str, text: str) -> None:
         try:
             trees[text] = trees.get(text) or ef.parse_field(text, chart)
         except GradedGeoError as exc:
-            raise _cfg_error(section, key, str(exc)) from None
+            raise ConfigError(f"{label}: {exc}") from None
 
     if not parser.has_section("metric"):
         raise ConfigError("missing [metric] section")
@@ -282,211 +347,103 @@ def parse_config(text: str) -> RunConfig:
     for key, raw in parser["metric"].items():
         m = _METRIC_KEY.match(key)
         if m is None:
-            raise _cfg_error("metric", key, "keys must look like g_i_j")
+            raise ConfigError(f"[metric] {key}: keys must look like g_i_j")
         i, j = int(m.group(1)), int(m.group(2))
         if not (0 <= i <= j < chart.dim):
-            raise _cfg_error("metric", key, f"indices must satisfy 0 <= i <= j < {chart.dim}")
-        parse("metric", key, raw)
+            raise ConfigError(f"[metric] {key}: indices must satisfy 0 <= i <= j < {chart.dim}")
+        parse(f"[metric] {key}", raw)
         entries[(i, j)] = raw
     for i in range(chart.dim):
         if (i, i) not in entries:
-            raise _cfg_error("metric", f"g_{i}_{i}", "missing diagonal entry")
+            raise ConfigError(f"[metric] g_{i}_{i}: missing diagonal entry")
 
-    if not parser.has_section("theta") or "expr" not in parser["theta"]:
-        raise ConfigError("missing [theta] expr")
-    theta_expr = parser["theta"]["expr"]
-    parse("theta", "expr", theta_expr)
-
-    counts = None
-    points = None
-    if parser.has_section("grid"):
-        grid = parser["grid"]
-        if "counts" in grid and "points" in grid:
-            raise ConfigError("[grid]: give counts or points, not both")
-        if "counts" in grid:
-            counts = _grid_counts("[grid] counts", grid["counts"], chart.dim)
-        if "points" in grid:
-            rows = [row for row in grid["points"].split(";") if row.strip()]
-            parsed = []
-            for row in rows:
-                vals = tuple(_float("grid", "points", tok) for tok in row.split())
-                if len(vals) != chart.dim:
-                    raise _cfg_error("grid", "points", f"point {row.strip()!r} has wrong arity")
-                parsed.append(vals)
-            if not parsed:
-                raise _cfg_error("grid", "points", "empty point list")
-            try:
-                chart.require_points(parsed)
-            except GradedGeoError as exc:
-                raise _cfg_error("grid", "points", str(exc)) from None
-            points = tuple(parsed)
-
-    residual_tol = 1e-9
-    fd_tol = 1e-5
-    if parser.has_section("tolerances"):
-        tol = parser["tolerances"]
-        if "residual_tol" in tol:
-            residual_tol = _float("tolerances", "residual_tol", tol["residual_tol"])
-        if "fd_tol" in tol:
-            fd_tol = _float("tolerances", "fd_tol", tol["fd_tol"])
-        if residual_tol <= 0 or fd_tol <= 0:
-            raise ConfigError("[tolerances]: tolerances must be positive")
-
-    quad_nodes = _default_quad_nodes(chart.dim)
-    if parser.has_section("quadrature") and "nodes" in parser["quadrature"]:
-        quad_nodes = _int("[quadrature] nodes", parser["quadrature"]["nodes"])
-        if quad_nodes < 1:
-            raise _cfg_error("quadrature", "nodes", "need at least one node")
-
-    out_path = None
-    out_format = "csv"
-    if parser.has_section("output"):
-        out = parser["output"]
-        out_path = out.get("path") or None
-        out_format = out.get("format", "csv")
-        if out_format not in _OUTPUT_FORMATS:
-            raise _cfg_error("output", "format", f"must be csv or json, got {out_format!r}")
+    fields = {prefix + key: v for section, prefix in _FIELDS.items() for key, v in _read(parser, section).items()}
+    parse("[theta] expr", fields["theta_expr"])
+    counts, points = fields["grid_counts"], fields["grid_points"]
+    if counts is not None and points is not None:
+        raise ConfigError("[grid]: give counts or points, not both")
+    if counts is not None:
+        fields["grid_counts"] = _grid_counts("[grid] counts", counts, chart.dim)
+    if points is not None:
+        if any(len(p) != chart.dim for p in points):
+            raise ConfigError(f"[grid] points: need {chart.dim} coordinates a point")
+        try:
+            chart.require_points(points)
+        except GradedGeoError as exc:
+            raise ConfigError(f"[grid] points: {exc}") from None
+    if fields["quad_nodes"] is None:
+        fields["quad_nodes"] = _default_quad_nodes(chart.dim)
 
     cosmo = None
     if parser.has_section("cosmo"):
-        sec = parser["cosmo"]
-        for key in ("n", "t0", "a0", "a_dot0", "theta0", "t_end", "step"):
-            if key not in sec:
-                raise _cfg_error("cosmo", key, "missing")
-        n = _int("[cosmo] n", sec["n"])
-        if not 2 <= n <= sys.float_info.max:  # the integrator takes n as a float
-            raise _cfg_error("cosmo", "n", f"need 2 <= n <= {sys.float_info.max!r}")
-        raw_c = sec.get("c", "eds")
-        c = math.sqrt((n - 1) / (2.0 * n)) if raw_c == "eds" else _float("cosmo", "c", raw_c)
-        raw_lam = sec.get("einstein_lambda", "ricci-flat")
-        lam = 0.0 if raw_lam == "ricci-flat" else _float("cosmo", "einstein_lambda", raw_lam)
-        sign = _int("[cosmo] theta_sign", sec.get("theta_sign", "1"))
-        if sign not in (1, -1):
-            raise _cfg_error("cosmo", "theta_sign", "must be 1 or -1")
-        cosmo = CosmoParams(
-            n=n,
-            c=c,
-            t0=_float("cosmo", "t0", sec["t0"]),
-            a0=_float("cosmo", "a0", sec["a0"]),
-            a_dot0=_float("cosmo", "a_dot0", sec["a_dot0"]),
-            theta0=_float("cosmo", "theta0", sec["theta0"]),
-            t_end=_float("cosmo", "t_end", sec["t_end"]),
-            step=_float("cosmo", "step", sec["step"]),
-            einstein_lambda=lam,
-            theta_sign=sign,
-        )
-        if c < 0.0:
-            raise _cfg_error("cosmo", "c", f"must be nonnegative, got {c!r}")
-        if cosmo.t0 <= 0.0:
-            raise _cfg_error("cosmo", "t0", f"must be positive, got {cosmo.t0!r}")
-        if cosmo.step <= 0.0:
-            raise _cfg_error("cosmo", "step", f"must be positive, got {cosmo.step!r}")
+        cs = _read(parser, "cosmo")
+        if cs["c"] is None:
+            cs["c"] = co.eds_constant(cs["n"])
+        cosmo = CosmoParams(**cs)
         if not math.isfinite((cosmo.t_end - cosmo.t0) / cosmo.step):
-            raise _cfg_error("cosmo", "step", "(t_end - t0) / step overflows a float")
+            raise ConfigError("[cosmo] step: (t_end - t0) / step overflows a float")
         if (states := co.state_count(cosmo.t0, cosmo.t_end, cosmo.step)) < co.MIN_STATES:
-            raise _cfg_error("cosmo", "t_end", f"{states} integrator states from t0, fewer than {co.MIN_STATES}")
+            raise ConfigError(f"[cosmo] t_end: {states} integrator states from t0, fewer than {co.MIN_STATES}")
         if states > co.MAX_STATES:
-            raise _cfg_error("cosmo", "step", f"more than {co.MAX_STATES} integrator states from t0 to t_end")
+            raise ConfigError(f"[cosmo] step: more than {co.MAX_STATES} integrator states from t0 to t_end")
 
     variation = None
     if parser.has_section("variation"):
-        sec = parser["variation"]
-        kind = sec.get("kind", "bump")
-        if kind not in ("bump", "zero"):
-            raise _cfg_error("variation", "kind", f"must be bump or zero, got {kind!r}")
-        support = []
-        for name in chart.coord_names:
-            key = f"support_{name}"
-            if key not in sec:
-                raise _cfg_error("variation", key, "missing interval for coordinate")
-            lo, hi = _floats("variation", key, sec[key], 2)
-            if not lo < hi:
-                raise _cfg_error("variation", key, "empty interval")
-            box_lo, box_hi = chart.box[chart.axis(name)]
+        variation = VariationParams(**_read(parser, "variation", chart.coord_names))
+        for name, (lo, hi), (box_lo, box_hi) in zip(chart.coord_names, variation.support, chart.box):
             if not box_lo <= lo < hi <= box_hi:
-                raise _cfg_error("variation", key, f"interval must sit inside the chart box [{box_lo}, {box_hi}]")
-            support.append((lo, hi))
-        variation = VariationParams(
-            kind=kind,
-            support=tuple(support),
-            seed=_int("[variation] seed", sec.get("seed", "0")),
-            scale=_float("variation", "scale", sec.get("scale", "1.0")),
-        )
-        if variation.seed < 0:
-            raise _cfg_error("variation", "seed", f"must be nonnegative, got {variation.seed}")
+                raise ConfigError(f"[variation] support_{name}: need {box_lo} <= lo < hi <= {box_hi}, got {lo}, {hi}")
         # the amplitudes are drawn from [-scale, scale), whose width must be a finite float
-        if not (variation.scale >= 0.0 and math.isfinite(2.0 * variation.scale)):
-            raise _cfg_error("variation", "scale", f"must be nonnegative with 2*scale finite, got {variation.scale!r}")
+        if not math.isfinite(2.0 * variation.scale):
+            raise ConfigError(f"[variation] scale: 2*scale overflows, got {variation.scale!r}")
 
-    return RunConfig(
-        chart=chart,
-        metric_exprs=tuple(sorted(entries.items())),
-        theta_expr=theta_expr,
-        grid_counts=counts,
-        grid_points=points,
-        residual_tol=residual_tol,
-        fd_tol=fd_tol,
-        quad_nodes=quad_nodes,
-        out_path=out_path,
-        out_format=out_format,
-        cosmo=cosmo,
-        variation=variation,
-        _trees=trees,
-    )
+    metric_exprs = tuple(sorted(entries.items()))
+    return RunConfig(chart=chart, metric_exprs=metric_exprs, cosmo=cosmo, variation=variation, _trees=trees, **fields)
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read()  # one decode of the whole file, so an error's offset is the file's
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 at byte {exc.start}") from None
     return parse_config(text)
+
+
+def _format(v) -> str:
+    """Text that a reader reads back as v: floats in 17 significant digits,
+    commas between the items of a tuple and semicolons between point rows."""
+    if isinstance(v, float):
+        return format_float(v)
+    if not isinstance(v, tuple):
+        return str(v)
+    if isinstance(v[0], tuple):
+        return "; ".join([" ".join(map(format_float, p)) for p in v])
+    return ", ".join(map(_format, v))
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(cfg)) == cfg."""
-    out = io.StringIO()
-    w = out.write
-    w("[chart]\n")
-    w(f"coords = {', '.join(cfg.chart.coord_names)}\n")
-    for name, (lo, hi) in zip(cfg.chart.coord_names, cfg.chart.box):
-        w(f"box_{name} = {format_float(lo)}, {format_float(hi)}\n")
-    w("\n[metric]\n")
-    for (i, j), expr in cfg.metric_exprs:
-        w(f"g_{i}_{j} = {expr}\n")
-    w("\n[theta]\n")
-    w(f"expr = {cfg.theta_expr}\n")
-    if cfg.grid_counts is not None or cfg.grid_points is not None:
-        w("\n[grid]\n")
-        if cfg.grid_counts is not None:
-            w(f"counts = {', '.join(str(c) for c in cfg.grid_counts)}\n")
-        if cfg.grid_points is not None:
-            rows = "; ".join(" ".join(format_float(x) for x in p) for p in cfg.grid_points)
-            w(f"points = {rows}\n")
-    w("\n[tolerances]\n")
-    w(f"residual_tol = {format_float(cfg.residual_tol)}\n")
-    w(f"fd_tol = {format_float(cfg.fd_tol)}\n")
-    w("\n[quadrature]\n")
-    w(f"nodes = {cfg.quad_nodes}\n")
-    w("\n[output]\n")
-    if cfg.out_path is not None:
-        w(f"path = {cfg.out_path}\n")
-    w(f"format = {cfg.out_format}\n")
-    if cfg.cosmo is not None:
-        w("\n[cosmo]\n")
-        for f in dataclasses.fields(CosmoParams):
-            v = getattr(cfg.cosmo, f.name)
-            w(f"{f.name} = {v if isinstance(v, int) else format_float(v)}\n")
-    if cfg.variation is not None:
-        vs = cfg.variation
-        w("\n[variation]\n")
-        w(f"kind = {vs.kind}\n")
-        for name, (lo, hi) in zip(cfg.chart.coord_names, vs.support):
-            w(f"support_{name} = {format_float(lo)}, {format_float(hi)}\n")
-        w(f"seed = {vs.seed}\n")
-        w(f"scale = {format_float(vs.scale)}\n")
-    return out.getvalue()
+    sections = {
+        "chart": {"coords": cfg.chart.coord_names, "box": cfg.chart.box},
+        "metric": {f"g_{i}_{j}": expr for (i, j), expr in cfg.metric_exprs},
+        **{sec: {key: getattr(cfg, prefix + key) for key in _SECTIONS[sec]} for sec, prefix in _FIELDS.items()},
+        "cosmo": vars(cfg.cosmo) if cfg.cosmo else {},
+        "variation": vars(cfg.variation) if cfg.variation else {},
+    }
+    blocks = []
+    for section, values in sections.items():
+        lines, table = [f"[{section}]"], _SECTIONS.get(section, ())
+        for field, v in values.items():
+            if field + _COORD in table:
+                lines += [f"{field}_{name} = {_format(x)}" for name, x in zip(cfg.chart.coord_names, v)]
+            elif v is not None:
+                lines.append(f"{field} = {_format(v)}")
+        if len(lines) > 1:  # a section with no values, such as [grid] without counts or points, is left out
+            blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -28,6 +28,7 @@ __all__ = [
     "WarpedClosedForms",
     "WarpedSpec",
     "build_warped_metric",
+    "eds_constant",
     "eds_solution",
     "eds_warped",
     "integrate_scale_factor",
@@ -218,18 +219,22 @@ def warped_closed_forms(w: WarpedSpec, p) -> WarpedClosedForms:
     )
 
 
+def eds_constant(n) -> float:
+    """c = sqrt((n-1)/(2n)), the coupling that makes theta' = c/t track c*e^{-na}."""
+    return math.sqrt((n - 1) / (2.0 * n))
+
+
 def eds_solution(n: int, t_span=(1e-4, 16.0), name: str = "t"):
     """Power-law homogeneous solution: a = ln(t)/n, theta = c ln(t).
 
-    Returns (a, theta, c) with c = sqrt((n-1)/(2n)), the constant that
-    makes theta' = c/t track c*e^{-na}.
+    Returns (a, theta, c) with c = eds_constant(n).
     """
     if n < 2:
         raise ValueError("need base dimension n >= 2")
     chart = time_chart(t_span, name)
     tc = ef.coordinate(chart, name)
     a = ef.ln(tc) / n
-    c = math.sqrt((n - 1) / (2.0 * n))
+    c = eds_constant(n)
     return a, c * ef.ln(tc), c
 
 

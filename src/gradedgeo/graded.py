@@ -321,37 +321,47 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
 
 def _theta_part(pts, ginv, gamma, ric, jet) -> tuple:
     """(dth, hes, weight, scalar, lap, gradsq, graded_scalar) from the metric tensors over pts
-    and theta's order-2 jets there; DomainError naming theta or exp(2*theta) where not finite."""
+    and theta's order-2 jets there; DomainError naming theta, exp(2*theta), |grad theta|^2 or
+    the graded scalar where not finite."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
         hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
     rm.check_finite([("theta", jet.coeffs), ("theta", np.moveaxis(hes, 0, -1)), ("exp(2*theta)", weight)], pts)
     scalar = np.einsum("pjk,pjk->p", ginv, ric)
     dth = np.ascontiguousarray(jet.gradient().T)
-    lap = np.einsum("pij,pij->p", ginv, hes)
-    gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
-    return dth, hes, weight, scalar, lap, gradsq, scalar - 2.0 * (lap + gradsq)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        lap = np.einsum("pij,pij->p", ginv, hes)
+        gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
+        graded_scalar = scalar - 2.0 * (lap + gradsq)
+    rm.check_finite([("|grad theta|^2", gradsq), ("graded scalar", graded_scalar)], pts)
+    return dth, hes, weight, scalar, lap, gradsq, graded_scalar
 
 
 def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
-    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there."""
+    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there;
+    DomainError naming tilde_T, a graded Ricci block or a residual where not finite."""
     dth, hes, weight, scalar, lap, gradsq, graded_scalar = _theta_part(pts, ginv, gamma, ric, jet)
-    dd = np.einsum("pi,pj->pij", dth, dth)
-    tilde = hes + dd
-    gric_even = ric - tilde
-    gric_odd = -weight * (lap + gradsq)
-    full = ric - 0.5 * scalar[:, None, None] * g - 2.0 * dd + gradsq[:, None, None] * g
-    even_blk = gric_even - (dd - hes)
-    odd_blk = gric_odd + weight * gradsq
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        dd = np.einsum("pi,pj->pij", dth, dth)
+        tilde = hes + dd
+        gric_even = ric - tilde
+        gric_odd = -weight * (lap + gradsq)
+        full = ric - 0.5 * scalar[:, None, None] * g - 2.0 * dd + gradsq[:, None, None] * g
+        even_blk = gric_even - (dd - hes)
+        odd_blk = gric_odd + weight * gradsq
+        e27 = np.max(np.abs(full), axis=(1, 2))
+        e29 = np.max(np.abs(ric - 2.0 * dd), axis=(1, 2))
+        e44 = np.maximum(np.max(np.abs(even_blk), axis=(1, 2)), np.abs(odd_blk))
+    # tilde_T = hes + dd is finite only where dd is, hes being checked
+    rm.check_finite([
+        ("tilde_T", np.moveaxis(tilde, 0, -1)), ("graded Ricci", np.moveaxis(gric_even, 0, -1)),
+        ("graded Ricci", gric_odd), ("e27", e27), ("e29", e29), ("e44", e44),
+    ], pts)
     return GeometryBatch(
         points=pts, g=g, ginv=ginv, gamma=gamma, ric=ric, scalar=scalar,
         dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
         gric_even=gric_even, gric_odd=gric_odd, graded_scalar=graded_scalar,
-        det=det,
-        e27=np.max(np.abs(full), axis=(1, 2)),
-        e28=np.abs(lap),
-        e29=np.max(np.abs(ric - 2.0 * dd), axis=(1, 2)),
-        e44=np.maximum(np.max(np.abs(even_blk), axis=(1, 2)), np.abs(odd_blk)),
+        det=det, e27=e27, e28=np.abs(lap), e29=e29, e44=e44,
     )
 
 

@@ -414,6 +414,41 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in err
 
 
+# bytes that are not UTF-8, and the offset of the first such byte; the last
+# one lies past the first 8 KiB, which a chunked decode would miscount
+NOT_UTF8 = {
+    "leading-bytes": (b"\xff\xfe[chart]\n", 0),
+    "latin-1-name": (b"[chart]\ncoords = \xe9t\n", 17),
+    "past-8-KiB": (b";" + b"a" * 9000 + b"\n\xff", 9002),
+}
+
+
+@pytest.mark.parametrize("data, offset", NOT_UTF8.values(), ids=list(NOT_UTF8))
+def test_config_not_utf8_exit_2(tmp_path, capsys, data, offset):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(data)
+    code = run(["residuals", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"config error: cannot read config {path}: not UTF-8 at byte {offset}\n"
+
+
+@pytest.mark.parametrize("command", ["residuals", "validate"])
+@pytest.mark.parametrize("where", ["--out", "[output] path"])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command, where, target):
+    # exit 1 would read as a residual or check failure
+    out = tmp_path / "no" / "such" / "out.csv" if target == "missing-directory" else tmp_path
+    text = FLAT_X if where == "--out" else FLAT_X + f"\n[output]\npath = {out}\n"
+    args = [command, "--config", write(tmp_path, text)]
+    code = run(args + ["--out", str(out)] if where == "--out" else args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"config error: cannot write output {out}: ")
+    assert not (tmp_path / "no").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -524,6 +559,42 @@ def test_action_weight_overflow_exit_3(tmp_path, capsys):
     assert code == 3
     assert "non-finite value of exp(2*theta) at point (371.38863688405945, -0.4305681557970263)" in err
     assert "Traceback" not in err
+
+
+# theta = 1e155*x has d_x theta = 1e155, whose square overflows, on a box thin
+# enough in x to keep theta itself small
+SLOPE_OVERFLOW = """\
+[chart]
+coords = x, y
+box_x = -1e-160, 1e-160
+box_y = 0, 1
+
+[metric]
+g_0_0 = 1
+g_1_1 = 1
+
+[theta]
+expr = 1e155*x
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["report", "residuals", "validate"])
+@pytest.mark.parametrize(
+    "g00, field",
+    # with g^00 = 1e-10, |grad theta|^2 = 1e300 stays finite but dtheta x dtheta does not
+    [("1", "|grad theta|^2"), ("1e10", "tilde_T")],
+    ids=["gradient-square", "gradient-product"],
+)
+def test_theta_slope_overflow_exit_3(tmp_path, capsys, command, g00, field):
+    out = tmp_path / "out.csv"
+    path = write(tmp_path, SLOPE_OVERFLOW.replace("g_0_0 = 1\n", f"g_0_0 = {g00}\n"))
+    code = run([command, "--config", path, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"numeric domain error: non-finite value of {field} at point (")
 
 
 CURVATURE_OVERFLOW = (
@@ -1007,11 +1078,14 @@ def _run_args(draw):
 @example(run_args=(COSMO_DOMAIN["warp-overflow"], ["cosmo"]))
 @example(run_args=(COSMO_DOMAIN["time-rounds-to-zero"], ["cosmo"]))
 @example(run_args=(COSMO_DOMAIN["huge-n"], ["cosmo"]))
+@example(run_args=(NOT_UTF8["leading-bytes"][0], ["residuals"]))
+@example(run_args=(SLOPE_OVERFLOW, ["report"]))
+@example(run_args=(SLOPE_OVERFLOW.replace("g_0_0 = 1\n", "g_0_0 = 1e10\n"), ["residuals"]))
 def test_cli_exit_code_fuzz(tmp_path_factory, run_args):
     # every command on every config ends in an exit code of the contract
-    text, args = run_args
+    text, args = run_args  # the config's text, or the bytes of a file that is not UTF-8
     path = tmp_path_factory.getbasetemp() / "fuzz.ini"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     err = io.StringIO()
     with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
         code = cli.main([*args, "--config", str(path), "--out", os.devnull])

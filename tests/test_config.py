@@ -77,6 +77,10 @@ scale = 0.5
 """
 
 
+COSMO = "\n[cosmo]\nn = 3\nt0 = 1.0\na0 = 0.0\na_dot0 = 0.3\ntheta0 = 0.0\nt_end = 4.0\nstep = 0.1\n"
+VARIATION = "\n[variation]\nsupport_x = -0.3, 0.3\nsupport_y = -0.3, 0.3\n"
+
+
 def test_documented_grammar_parses():
     # the module docstring carries the full grammar; its example block is a config that loads
     doc = cf.__doc__
@@ -206,6 +210,19 @@ def test_grid_points_explicit():
         (lambda t: t.replace("expr = x", "expr = x\nanswer = 42"), "answer"),
         (lambda t: t + "\n[variation]\nkind = spike\n", "kind"),
         (lambda t: t + "\n[variation]\nkind = bump\nsupport_x = -0.3, 0.3\n", "support_y"),
+        # every section refuses a key its table does not give, a per-coordinate one included
+        (lambda t: t.replace("coords = x, y", "coords = x, y\nbox_z = 0, 1"), "[chart] box_z: unknown key"),
+        *[
+            (lambda t, s=section: t + f"\n[{s}]\nbogus = 1\n", f"[{section}] bogus: unknown key")
+            for section in ("grid", "tolerances", "quadrature", "output")
+        ],
+        (lambda t: t + COSMO + "bogus = 1\n", "[cosmo] bogus: unknown key"),
+        (lambda t: t + VARIATION + "support_z = 0, 1\n", "[variation] support_z: unknown key"),
+        # and each required [cosmo] key is named when it is missing
+        *[
+            (lambda t, k=key: t + COSMO.replace(f"\n{k} = ", f"\n; {k} = "), f"[cosmo] {key}: missing")
+            for key in ("n", "t0", "a0", "a_dot0", "theta0", "t_end", "step")
+        ],
     ],
 )
 def test_parse_errors(mangle, fragment):
@@ -290,21 +307,7 @@ def _config_text(draw):
     return FLAT + "".join(f"\n[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
-_VALID = FLAT + """
-[cosmo]
-n = 3
-t0 = 1.0
-a0 = 0.0
-a_dot0 = 0.3
-theta0 = 0.0
-t_end = 4.0
-step = 0.1
-
-[variation]
-support_x = -0.3, 0.3
-support_y = -0.3, 0.3
-scale = 0.5
-"""
+_VALID = FLAT + COSMO + VARIATION + "scale = 0.5\n"
 
 
 @settings(deadline=None, max_examples=100)
@@ -322,6 +325,9 @@ def test_parse_config_fuzz(text):
     except ConfigError:
         return
     assert isinstance(cfg, cf.RunConfig)
+    # and what parses is printed back to the same config, with the same hash
+    again = cf.parse_config(cf.serialize_config(cfg))
+    assert again == cfg and cf.config_hash(again) == cf.config_hash(cfg)
 
 
 EDS3_GOLDEN = Path(__file__).resolve().parent / "golden" / "eds3.ini"
