@@ -71,14 +71,20 @@ def _write(cfg: cf.RunConfig, body, columns, rows) -> None:
         else:
             lines += [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
-    if cfg.out_path is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if cfg.out_path is not None:
+            with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        elif sys.stdout is None:  # Python's stdout when the process started with it closed
+            raise OSError("it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a buffered write fails only here
     except OSError as exc:
-        raise ConfigError(f"cannot write output {cfg.out_path}: {exc}") from None
+        where = cfg.out_path
+        if where is None:  # stdout's unwritten buffer would fail again at exit, and exit 120
+            where, sys.stdout = "standard output", None
+        raise ConfigError(f"cannot write output {where}: {exc}") from None
 
 
 def _summary(batch, tol: float) -> dict:

@@ -224,15 +224,14 @@ def eds_constant(n) -> float:
     return math.sqrt((n - 1) / (2.0 * n))
 
 
-def eds_solution(n: int, t_span=(1e-4, 16.0), name: str = "t"):
+def eds_solution(n: int, t_span=(1e-4, 16.0)):
     """Power-law homogeneous solution: a = ln(t)/n, theta = c ln(t).
 
     Returns (a, theta, c) with c = eds_constant(n).
     """
     if n < 2:
         raise ValueError("need base dimension n >= 2")
-    chart = time_chart(t_span, name)
-    tc = ef.coordinate(chart, name)
+    tc = ef.coordinate(time_chart(t_span), "t")
     a = ef.ln(tc) / n
     c = eds_constant(n)
     return a, c * ef.ln(tc), c
@@ -246,9 +245,9 @@ def eds_warped(n: int, t_span=(1e-4, 16.0), half_width: float = 2.0) -> WarpedSp
     return WarpedSpec(base, a, theta)
 
 
-def unit_sphere_base(polar=(0.35, 2.8), azimuth=(-3.0, 3.0)) -> MetricSpec:
+def unit_sphere_base() -> MetricSpec:
     """Round two-sphere patch away from the poles; Einstein constant 1."""
-    chart = ChartSpec(("u", "v"), (polar, azimuth))
+    chart = ChartSpec(("u", "v"), ((0.35, 2.8), (-3.0, 3.0)))
     return MetricSpec.diagonal(chart, ["1", "sin(u)^2"])
 
 

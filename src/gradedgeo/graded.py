@@ -407,29 +407,30 @@ def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationSpec:
-    """Symmetric perturbation of the base metric plus a log-weight bump.
+    """Symmetric perturbation ``s = A*p`` of the base metric plus a log-weight bump ``h = a*p``.
 
-    Both pieces must vanish on the boundary of the support box; this is
-    sampled at construction just inside each face.
+    ``profile`` is p, ``amplitudes`` the symmetric matrix A (kept as a
+    read-only array) and ``h_amplitude`` a.  Both pieces must vanish on the
+    boundary of the support box; this is sampled at construction just
+    inside each face.
     """
 
-    s: tuple[tuple[ScalarField, ...], ...]
-    h: ScalarField
+    profile: ScalarField
+    amplitudes: np.ndarray
+    h_amplitude: float
     support: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        chart = self.h.chart
+        chart = self.profile.chart
         n = chart.dim
-        rows = [list(r) for r in self.s]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"perturbation must be {n}x{n}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j].expr != rows[j][i].expr:
-                    raise ValueError(f"perturbation is not symmetric at ({i}, {j})")
-        object.__setattr__(self, "s", tuple(tuple(r) for r in rows))
+        amplitudes = np.array(self.amplitudes, dtype=float)
+        if amplitudes.shape != (n, n) or not np.array_equal(amplitudes, amplitudes.T):
+            raise ValueError("amplitude matrix must be symmetric and match the chart")
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "h_amplitude", float(self.h_amplitude))
         support = tuple((float(lo), float(hi)) for lo, hi in self.support)
         object.__setattr__(self, "support", support)
         if len(support) != n:
@@ -442,9 +443,7 @@ class VariationSpec:
             raise ValueError(f"variation does not vanish on the support boundary ({worst:.3e})")
 
     def _boundary_max(self) -> float:
-        chart = self.h.chart
-        n = chart.dim
-        fields = [self.h] + [self.s[i][j] for i in range(n) for j in range(i, n)]
+        n = self.profile.chart.dim
         probes = []
         for axis in range(n):
             lo, hi = self.support[axis]
@@ -457,8 +456,9 @@ class VariationSpec:
                     base.append((alo + apad, 0.5 * (alo + ahi), ahi - apad))
                 base[axis] = (edge,)
                 probes.extend(itertools.product(*base))
-        jets = ef.eval_jets_batch(fields, probes, 0)
-        return float(np.max(np.abs([jet.coeffs[0] for jet in jets])))
+        values = ef.eval_jet_batch(self.profile, probes, 0).coeffs[0]
+        # rounding is monotone, so this is the largest |A_ij*p| or |a*p| at the probes
+        return float(np.max(np.abs(np.append(self.amplitudes, self.h_amplitude))) * np.max(np.abs(values)))
 
 
 def bump_variation(
@@ -469,26 +469,16 @@ def bump_variation(
 ) -> VariationSpec:
     """Variation with the standard smooth compactly-supported profile.
 
-    ``s_coeffs`` is a symmetric matrix of amplitudes (None for a pure
-    log-weight variation); every entry is that amplitude times the bump.
+    ``s_coeffs`` is the symmetric amplitude matrix (None for a pure
+    log-weight variation) and ``h_coeff`` the log-weight amplitude.
     """
-    n = chart.dim
     profile = ef.constant(chart, 1.0)
     for axis, (lo, hi) in enumerate(support):
         x = ef.coordinate(chart, chart.coord_names[axis])
         u = (2.0 * x - (lo + hi)) / (hi - lo)
         profile = profile * ef.exp(-(1.0 / (1.0 - u * u)))
-    zero = ef.constant(chart, 0.0)
-    rows = [[zero] * n for _ in range(n)]
-    if s_coeffs is not None:
-        arr = np.asarray(s_coeffs, dtype=float)
-        if arr.shape != (n, n) or not np.array_equal(arr, arr.T):
-            raise ValueError("amplitude matrix must be symmetric and match the chart")
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = float(arr[i, j]) * profile
-    h = h_coeff * profile
-    return VariationSpec(tuple(tuple(r) for r in rows), h, support)
+    amplitudes = np.zeros((chart.dim, chart.dim)) if s_coeffs is None else s_coeffs
+    return VariationSpec(profile, amplitudes, h_coeff, support)
 
 
 def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> tuple[float, float]:
@@ -496,10 +486,11 @@ def action_first_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec)
 
     Returns (closed_form, finite_difference).  Both integrate over the
     variation's support box only; outside it the integrand does not move.
-    One order-2 sweep of g, theta, s and h per point block feeds both: Taylor
-    arithmetic is linear, so g +- step*s and theta +- step*h are formed from
-    their jets.  Only ``quad.nodes_per_axis`` is read; a ``quad.box`` other
-    than None or the support raises ValueError.
+    One order-2 sweep of g, theta and the profile p per point block feeds
+    both: Taylor arithmetic is linear, so s = A*p and h = a*p are formed
+    from p's jets, and g +- step*s and theta +- step*h from those.  Only
+    ``quad.nodes_per_axis`` is read; a ``quad.box`` other than None or the
+    support raises ValueError.
     """
     return _action_variation(gm, var, quad)[:2]
 
@@ -510,32 +501,30 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     if quad.box not in (None, var.support):
         raise ValueError(f"the action variation integrates over its support {var.support}, not the box {quad.box}")
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
-    n = gm.chart.dim
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    s = [var.s[i][j] for i, j in upper]
+    amplitudes = var.amplitudes[np.triu_indices(gm.chart.dim)]  # in the order of the metric's jets
 
     def integrands(p, arrays, det, jets, work):
         g, ginv, gamma, ric = arrays
-        g_jets, (theta, *s_jets, h) = jets[: len(upper)], jets[len(upper):]
+        g_jets, (theta, profile) = jets[:-2], jets[-2:]
         dth, _, _, scalar, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, ric, theta)
         density = _density(det, p)
-        s_vals = np.empty((n, n, len(p)))
-        for (i, j), jet in zip(upper, s_jets):
-            s_vals[i, j] = s_vals[j, i] = jet.coeffs[0]
+        # profile * c is coeffs * c + 0.0, the bits of the jet of the field c*p;
+        # a zero amplitude is skipped, since -0.0 + 0.0 would lose the sign
+        s_jets = [profile * a if a else None for a in amplitudes]
+        h = profile * var.h_amplitude
+        s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0
         target = -ric + (0.5 * scalar - gradsq)[:, None, None] * g + 2.0 * np.einsum("pi,pj->pij", dth, dth)
         gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
         pairing = np.einsum("iap,jbp,ijp,abp->p", gi, gi, s_vals, np.ascontiguousarray(target.transpose(1, 2, 0)))
 
         def action(t: float) -> np.ndarray:
-            # the bits the jet engine gives the fields entry + t*s and theta + t*h;
-            # a zero s or h is skipped, since -0.0 + 0.0 would lose the sign
-            moved = [b if f.is_zero else b + ds * t for f, b, ds in zip(s, g_jets, s_jets)]
+            moved = [b if ds is None else b + ds * t for b, ds in zip(g_jets, s_jets)]
             (_, ginv, gamma, ric), det_t = rm._metric_tensors(p, moved, 2, work, ricci=True)
-            *_, graded_scalar = _theta_part(p, ginv, gamma, ric, theta if var.h.is_zero else theta + h * t)
+            *_, graded_scalar = _theta_part(p, ginv, gamma, ric, theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)
 
         closed = (pairing + 4.0 * h.coeffs[0] * lap) * density
         return closed, graded_scalar * density, action(VARIATION_STEP), action(-VARIATION_STEP)
 
-    closed, base, plus, minus = _integrals(gm, pts, weights, integrands, [*s, var.h])
+    closed, base, plus, minus = _integrals(gm, pts, weights, integrands, [var.profile])
     return closed, (plus - minus) / (2.0 * VARIATION_STEP), base

@@ -19,9 +19,8 @@ from .riemann import MetricSpec
 _INTERIOR_MARGIN = 0.15  # random_interior_point keeps this share of each axis clear at both ends
 
 
-def default_chart(dim: int, half_width: float = 0.4) -> ChartSpec:
-    names = ("x", "y", "z", "w", "v")[:dim]
-    return ChartSpec(names, tuple((-half_width, half_width) for _ in range(dim)))
+def default_chart(dim: int) -> ChartSpec:
+    return ChartSpec(("x", "y", "z", "w", "v")[:dim], ((-0.4, 0.4),) * dim)
 
 
 def random_polynomial(
@@ -66,22 +65,19 @@ def random_graded_metric(
     rng: np.random.Generator,
     chart: ChartSpec,
     signature: tuple[int, ...] | None = None,
-    scale: float = 0.1,
 ):
     from .graded import GradedMetric
 
-    g = random_metric(rng, chart, signature, scale)
+    g = random_metric(rng, chart, signature)
     theta = random_polynomial(rng, chart, degree=2, scale=0.5)
     return GradedMetric(g, theta)
 
 
-def random_graded_field(rng: np.random.Generator, chart: ChartSpec, degree: int = 1, scale: float = 1.0):
+def random_graded_field(rng: np.random.Generator, chart: ChartSpec, degree: int = 1):
     from .algebroid import GradedVectorField
 
-    even = tuple(
-        random_polynomial(rng, chart, degree=degree, scale=scale) for _ in chart.coord_names
-    )
-    odd = random_polynomial(rng, chart, degree=degree, scale=scale)
+    even = tuple(random_polynomial(rng, chart, degree=degree, scale=1.0) for _ in chart.coord_names)
+    odd = random_polynomial(rng, chart, degree=degree, scale=1.0)
     return GradedVectorField(even, odd)
 
 
@@ -119,13 +115,10 @@ def affine_jets(bias: np.ndarray, coef: np.ndarray, axis: np.ndarray, pts: np.nd
     return val, grad
 
 
-def random_dual_function(rng: np.random.Generator, chart: ChartSpec, degree: int = 2, scale: float = 1.0):
+def random_dual_function(rng: np.random.Generator, chart: ChartSpec):
     from .algebroid import DualFunction
 
-    return DualFunction(
-        random_polynomial(rng, chart, degree=degree, scale=scale),
-        random_polynomial(rng, chart, degree=degree, scale=scale),
-    )
+    return DualFunction(random_polynomial(rng, chart, scale=1.0), random_polynomial(rng, chart, scale=1.0))
 
 
 def random_interior_point(rng: np.random.Generator, chart: ChartSpec):

@@ -44,6 +44,11 @@ __all__ = [
 
 FRAME_NORM_FLOOR = 1e-8
 FRAME_POINTS = 2  # the leading sample points the frame checks sum over
+# the draw sizes of the connection checks, alone and in run_geometry_checks
+KOSZUL_TRIALS = 10
+COMPATIBILITY_POINTS = 50
+TORSION_TRIALS = 5
+RESIDUAL_TOL = 1e-9  # the equivalence check's default residual tolerance
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def _alone(check, gm: GradedMetric, draw) -> CheckResult:
     return check(gm, draw, _table_jets(gm, (), draw[2]))
 
 
-def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = 10) -> CheckResult:
+def check_koszul_vs_triple(gm: GradedMetric, rng, trials: int = KOSZUL_TRIALS) -> CheckResult:
     return _alone(_koszul, gm, _draw(gm, rng, trials, 3, 1))
 
 
@@ -235,7 +240,7 @@ def _koszul(gm: GradedMetric, draw, jets) -> CheckResult:
     return CheckResult("koszul_vs_triple", _worst(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))), 1e-9)
 
 
-def check_metric_compatibility(gm: GradedMetric, rng, points: int = 50) -> CheckResult:
+def check_metric_compatibility(gm: GradedMetric, rng, points: int = COMPATIBILITY_POINTS) -> CheckResult:
     return _alone(_compatibility, gm, _compatibility_draw(gm, rng, points))
 
 
@@ -254,8 +259,8 @@ def _compatibility(gm: GradedMetric, draw, jets) -> CheckResult:
     return CheckResult("metric_compatibility", _worst(np.abs(err) / (1.0 + np.abs(act))), 1e-9)
 
 
-def check_torsion_free(gm: GradedMetric, rng, trials: int = 5) -> CheckResult:
-    return _alone(_torsion, gm, _draw(gm, rng, trials, 2, 1))
+def check_torsion_free(gm: GradedMetric, rng) -> CheckResult:
+    return _alone(_torsion, gm, _draw(gm, rng, TORSION_TRIALS, 2, 1))
 
 
 def _torsion(gm: GradedMetric, draw, jets) -> CheckResult:
@@ -319,9 +324,9 @@ def _conservation_identity(gm: GradedMetric, b: gd.GeometryBatch) -> CheckResult
     return CheckResult("conservation_identity", _worst(np.max(np.abs(res - expect), axis=1) / scale), 1e-9)
 
 
-def check_equivalence_joint(gm: GradedMetric, sample, residual_tol: float = 1e-9) -> CheckResult:
+def check_equivalence_joint(gm: GradedMetric, sample) -> CheckResult:
     """The reduced, Ricci-form and blockwise residuals pass or fail together."""
-    return _equivalence_joint(gd.geometry_batch(gm, sample), residual_tol)
+    return _equivalence_joint(gd.geometry_batch(gm, sample), RESIDUAL_TOL)
 
 
 def _equivalence_joint(b: gd.GeometryBatch, residual_tol: float) -> CheckResult:
@@ -335,7 +340,7 @@ def run_geometry_checks(
     gm: GradedMetric,
     sample=None,
     seed: int = 0,
-    residual_tol: float = 1e-9,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> list[CheckResult]:
     """All invariant checks on one geometry; frame checks use the first FRAME_POINTS points.
 
@@ -352,7 +357,11 @@ def run_geometry_checks(
     sample = [gm.chart.require_point(p) for p in sample]
     checks = (_koszul, _compatibility, _torsion)
     # the draws of check_koszul_vs_triple, check_metric_compatibility and check_torsion_free
-    draws = [_draw(gm, rng, 10, 3, 1), _compatibility_draw(gm, rng, 50), _draw(gm, rng, 5, 2, 1)]
+    draws = [
+        _draw(gm, rng, KOSZUL_TRIALS, 3, 1),
+        _compatibility_draw(gm, rng, COMPATIBILITY_POINTS),
+        _draw(gm, rng, TORSION_TRIALS, 2, 1),
+    ]
     frame = gm.chart.require_points(sample[:FRAME_POINTS])
     parts = [*(draw[2] for draw in draws), frame]
     edges = np.cumsum([0, *map(len, parts)])

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from datetime import timedelta
 from pathlib import Path
@@ -434,10 +436,29 @@ def test_config_not_utf8_exit_2(tmp_path, capsys, data, offset):
 
 
 @pytest.mark.parametrize("command", ["residuals", "validate"])
-@pytest.mark.parametrize("where", ["--out", "[output] path"])
-@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize(
+    "target, where",
+    [
+        *(pytest.param(target, where, id=f"{target}-{where}")
+          for where in ("--out", "[output] path") for target in ("missing-directory", "a-directory")),
+        pytest.param("> /dev/full", "stdout", id="full-stdout"),
+        pytest.param(">&-", "stdout", id="closed-stdout"),
+    ],
+)
 def test_unwritable_output_exit_2(tmp_path, capsys, command, where, target):
     # exit 1 would read as a residual or check failure
+    if where == "stdout":
+        # the shell redirects the standard output of a fresh interpreter, buffered
+        # as it is by default, so a failed write would also show at its exit
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        cmd = [sys.executable, "-m", "gradedgeo.cli", command, "--config", write(tmp_path, FLAT_X)]
+        done = subprocess.run(["sh", "-c", f'"$@" {target}', "sh", *cmd], env=env, capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error: cannot write output standard output: ")
+        return
     out = tmp_path / "no" / "such" / "out.csv" if target == "missing-directory" else tmp_path
     text = FLAT_X if where == "--out" else FLAT_X + f"\n[output]\npath = {out}\n"
     args = [command, "--config", write(tmp_path, text)]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -492,37 +493,39 @@ def test_hilbert_action_node_refinement():
 
 def test_variation_spec_guards():
     chart = default_chart(2)
-    zero = ef.constant(chart, 0.0)
     one = ef.constant(chart, 1.0)
     support = ((-0.2, 0.2), (-0.2, 0.2))
-    with pytest.raises(ValueError):
-        gd.VariationSpec(((zero, one), (zero, zero)), zero, support)  # not symmetric
-    with pytest.raises(ValueError):
-        gd.VariationSpec(((zero, zero), (zero, zero)), zero, ((-2.0, 0.2), (-0.2, 0.2)))
-    with pytest.raises(ValueError):
-        gd.VariationSpec(((zero, zero), (zero, zero)), one, support)  # no boundary decay
-    with pytest.raises(ValueError):
+    profile = gd.bump_variation(chart, support).profile
+    with pytest.raises(ValueError, match="must be symmetric"):
+        gd.VariationSpec(profile, [[0.0, 1.0], [0.0, 0.0]], 0.0, support)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        gd.VariationSpec(profile, np.eye(3), 0.0, support)  # does not match the chart
+    with pytest.raises(ValueError, match="inside the chart box"):
+        gd.VariationSpec(profile, np.zeros((2, 2)), 0.0, ((-2.0, 0.2), (-0.2, 0.2)))
+    with pytest.raises(ValueError, match=r"^variation does not vanish on the support boundary \(1\.000e\+00\)$"):
+        gd.VariationSpec(one, np.zeros((2, 2)), -1.0, support)  # no boundary decay
+    with pytest.raises(ValueError, match="must be symmetric"):
         gd.bump_variation(chart, support, [[1.0, 0.5], [0.4, 1.0]], 0.0)
 
 
 def test_bump_variation_profile():
     chart = default_chart(2)
     support = ((-0.3, 0.3), (-0.3, 0.3))
-    var = gd.bump_variation(chart, support, [[2.0, 0.0], [0.0, 1.0]], -1.0)
-    center = (0.0, 0.0)
-    base = math.exp(-1.0) ** 2
-    assert var.h(center) == pytest.approx(-base, rel=1e-12)
-    assert var.s[0][0](center) == pytest.approx(2 * base, rel=1e-12)
-    assert var.s[1][1](center) == pytest.approx(base, rel=1e-12)
-    assert var.s[0][1].is_zero
+    coeffs = np.array([[2.0, 0.0], [0.0, 1.0]])
+    var = gd.bump_variation(chart, support, coeffs, -1.0)
+    assert var.profile((0.0, 0.0)) == pytest.approx(math.exp(-1.0) ** 2, rel=1e-12)
+    assert np.array_equal(var.amplitudes, coeffs) and var.h_amplitude == -1.0
+    coeffs[0, 0] = 3.0  # the spec keeps its own read-only copy
+    assert var.amplitudes[0, 0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        var.amplitudes[0, 0] = 3.0
+    assert np.array_equal(gd.bump_variation(chart, support).amplitudes, np.zeros((2, 2)))
 
 
 def test_zero_variation_gives_zero():
     gm = flat_graded("x")
-    chart = gm.chart
-    zero = ef.constant(chart, 0.0)
-    support = ((-0.4, 0.4), (-0.4, 0.4))
-    var = gd.VariationSpec(((zero, zero), (zero, zero)), zero, support)
+    # with every amplitude zero the profile need not vanish anywhere
+    var = gd.VariationSpec(ef.constant(gm.chart, 1.0), np.zeros((2, 2)), 0.0, ((-0.4, 0.4), (-0.4, 0.4)))
     closed, fd = gd.action_first_variation(gm, var, QuadSpec(6))
     assert closed == 0.0 and fd == 0.0
 
@@ -566,16 +569,18 @@ def test_variation_routes_agree():
 
 def _rebuilt_difference(gm, var, quad):
     """Central difference of the actions of g +- step*s, theta +- step*h, rebuilt as symbolic fields."""
-    n = gm.chart.dim
+    n, A = gm.chart.dim, var.amplitudes
     support = QuadSpec(quad.nodes_per_axis, var.support)
+    s = [[A[i, j] * var.profile for j in range(n)] for i in range(n)]
+    h = var.h_amplitude * var.profile
 
     def action(t):
         rows = [
-            [gm.metric.component(i, j) if var.s[i][j].is_zero else gm.metric.component(i, j) + t * var.s[i][j]
+            [gm.metric.component(i, j) if s[i][j].is_zero else gm.metric.component(i, j) + t * s[i][j]
              for j in range(n)]
             for i in range(n)
         ]
-        theta = gm.theta if var.h.is_zero else gm.theta + t * var.h
+        theta = gm.theta if h.is_zero else gm.theta + t * h
         return gd.hilbert_action(gd.GradedMetric(rm.MetricSpec(gm.chart, rows), theta), support)
 
     return (action(gd.VARIATION_STEP) - action(-gd.VARIATION_STEP)) / (2.0 * gd.VARIATION_STEP)
@@ -583,11 +588,13 @@ def _rebuilt_difference(gm, var, quad):
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("kind", ["s", "h", "both", "zero"])
+@pytest.mark.parametrize("kind", ["s", "h", "both", "zero", "units"])
 def test_action_difference_matches_symbolic_rebuild(dim, kind):
-    # the jets of g + t*s and theta + t*h formed from one sweep give the
-    # bits of sweeping the rebuilt fields; g_0_1 = 0 and, in dim 3, theta = 0
-    # meet add_expr's fold of a zero entry
+    # the jets of g + t*s and theta + t*h formed from one sweep of the profile
+    # give the bits of sweeping the rebuilt fields; g_0_1 = 0 and, in dim 3,
+    # theta = 0 meet add_expr's fold of a zero entry, and the amplitudes 1.0,
+    # -1.0 and -0.0 of "units" meet mul_expr's folds of c*p to p, to p times
+    # a negated constant and to zero
     rng = np.random.default_rng(300 + dim)
     chart = default_chart(dim)
     rows = random_metric(rng, chart).component_fields()
@@ -597,6 +604,11 @@ def test_action_difference_matches_symbolic_rebuild(dim, kind):
     coeffs = rng.uniform(-1.0, 1.0, (dim, dim))
     coeffs = 0.5 * (coeffs + coeffs.T) if kind in ("s", "both") else np.zeros((dim, dim))
     h = 0.7 if kind in ("h", "both") else 0.0
+    if kind == "units":
+        units, h = itertools.cycle((1.0, -1.0, -0.0)), 1.0
+        for i in range(dim):
+            for j in range(i, dim):
+                coeffs[i, j] = coeffs[j, i] = next(units)
     var = gd.bump_variation(chart, ((-0.3, 0.25),) * dim, coeffs, h)
     quad = QuadSpec({2: 6, 3: 4, 4: 3}[dim])
     closed, fd = gd.action_first_variation(gm, var, quad)
@@ -610,9 +622,8 @@ def test_action_variation_is_one_jet_sweep(jet_calls):
     var = gd.bump_variation(gm.chart, ((-0.5, 0.5), (-0.5, 0.5), (1.0, 2.0)), np.eye(3), 0.5)
     jet_calls.clear()  # the boundary probe of the variation's construction
     gd.action_first_variation(gm, var, QuadSpec(4))
-    upper = [(i, j) for i in range(3) for j in range(i, 3)]
-    metric_fields = [gm.metric.component(i, j) for i, j in upper]
-    assert jet_calls == [metric_fields + [gm.theta] + [var.s[i][j] for i, j in upper] + [var.h]]
+    metric_fields = [gm.metric.component(i, j) for i in range(3) for j in range(i, 3)]
+    assert jet_calls == [metric_fields + [gm.theta, var.profile]]
 
 
 def test_action_variation_refuses_a_box_other_than_its_support():
@@ -660,8 +671,10 @@ def test_action_sums_match_geometry_batch_bitwise(dim):
     assert base.hex() == float((d.graded_scalar * d.density) @ w).hex()
 
     def action(t):
-        rows = [[gm.metric.component(i, j) + t * var.s[i][j] for j in range(dim)] for i in range(dim)]
-        d = gd.geometry_batch(gd.GradedMetric(rm.MetricSpec(chart, rows), gm.theta + t * var.h), pts)
+        s = [[var.amplitudes[i, j] * var.profile for j in range(dim)] for i in range(dim)]
+        rows = [[gm.metric.component(i, j) + t * s[i][j] for j in range(dim)] for i in range(dim)]
+        theta = gm.theta + t * (var.h_amplitude * var.profile)
+        d = gd.geometry_batch(gd.GradedMetric(rm.MetricSpec(chart, rows), theta), pts)
         return float((d.graded_scalar * d.density) @ w)
 
     step = gd.VARIATION_STEP
