@@ -313,34 +313,36 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweeps
 
     def block(p, arrays, det, jets, work):
-        b = _geometry(p, *arrays, det, jets[-1])
+        g, ginv, gamma, ric, traces = arrays
+        b = _geometry(p, g, ginv, gamma, ric, traces()[0], det, jets[-1])
         return [getattr(b, f.name) for f in fields(b)]
 
-    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], True, block))
+    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], ("ricci", "traces"), block))
 
 
-def _theta_part(pts, ginv, gamma, ric, jet) -> tuple:
-    """(dth, hes, weight, scalar, lap, gradsq, graded_scalar) from the metric tensors over pts
-    and theta's order-2 jets there; DomainError naming theta, exp(2*theta), |grad theta|^2 or
-    the graded scalar where not finite."""
+def _theta_part(pts, ginv, gamma, scalar, jet) -> tuple:
+    """(dth, hes, weight, lap, gradsq, graded_scalar) from the metric tensors and the scalar
+    curvature over pts and theta's order-2 jets there; DomainError naming theta,
+    exp(2*theta), |grad theta|^2 or the graded scalar where not finite."""
     with np.errstate(over="ignore"):  # an overflow is caught just below
         weight = np.exp(2.0 * jet.coeffs[0])
         hes = rm.hessian_batch(gamma, jet)  # jet.hessian() doubles the diagonal
     rm.check_finite([("theta", jet.coeffs), ("theta", np.moveaxis(hes, 0, -1)), ("exp(2*theta)", weight)], pts)
-    scalar = np.einsum("pjk,pjk->p", ginv, ric)
     dth = np.ascontiguousarray(jet.gradient().T)
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
         lap = np.einsum("pij,pij->p", ginv, hes)
-        gradsq = (dth[:, None, :] @ ginv @ dth[:, :, None])[:, 0, 0]
+        # point-first, so that each sum runs in einsum's inner loop whatever the point count
+        gradsq = np.einsum("pi,pi->p", dth, np.einsum("pij,pj->pi", ginv, dth))
         graded_scalar = scalar - 2.0 * (lap + gradsq)
     rm.check_finite([("|grad theta|^2", gradsq), ("graded scalar", graded_scalar)], pts)
-    return dth, hes, weight, scalar, lap, gradsq, graded_scalar
+    return dth, hes, weight, lap, gradsq, graded_scalar
 
 
-def _geometry(pts, g, ginv, gamma, ric, det, jet) -> GeometryBatch:
-    """GeometryBatch from the metric tensors over pts and theta's order-2 jets there;
-    DomainError naming tilde_T, a graded Ricci block or a residual where not finite."""
-    dth, hes, weight, scalar, lap, gradsq, graded_scalar = _theta_part(pts, ginv, gamma, ric, jet)
+def _geometry(pts, g, ginv, gamma, ric, scalar, det, jet) -> GeometryBatch:
+    """GeometryBatch from the metric tensors and the scalar curvature over pts and theta's
+    order-2 jets there; DomainError naming tilde_T, a graded Ricci block or a residual
+    where not finite."""
+    dth, hes, weight, lap, gradsq, graded_scalar = _theta_part(pts, ginv, gamma, scalar, jet)
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
         dd = np.einsum("pi,pj->pij", dth, dth)
         tilde = hes + dd
@@ -383,14 +385,16 @@ def _integrals(gm: GradedMetric, pts: np.ndarray, weights: np.ndarray, integrand
     Each row is filled block by block and summed once over every point, so the
     sums do not depend on the blocks.
     """
-    return [float(row @ weights) for row in rm._over_blocks(gm.metric, pts, [gm.theta, *extra], True, integrands)]
+    rows = rm._over_blocks(gm.metric, pts, [gm.theta, *extra], ("traces",), integrands)
+    return [float(np.einsum("p,p->", row, weights)) for row in rows]
 
 
 def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
 
     def integrand(p, arrays, det, jets, work):
-        *_, graded_scalar = _theta_part(p, *arrays[1:], jets[-1])
+        _, ginv, gamma, traces = arrays
+        *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[0], jets[-1])
         return (graded_scalar * _density(det, p),)
 
     return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
@@ -401,7 +405,9 @@ def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     absolute value, so it stays positive where the signed terms cancel."""
 
     def integrand(p, arrays, det, jets, work):
-        *_, scalar, lap, gradsq, _ = _theta_part(p, *arrays[1:], jets[-1])
+        _, ginv, gamma, traces = arrays
+        scalar = traces()[0]
+        *_, lap, gradsq, _ = _theta_part(p, ginv, gamma, scalar, jets[-1])
         return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, p),)
 
     return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
@@ -504,23 +510,27 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     amplitudes = var.amplitudes[np.triu_indices(gm.chart.dim)]  # in the order of the metric's jets
 
     def integrands(p, arrays, det, jets, work):
-        g, ginv, gamma, ric = arrays
+        _, ginv, gamma, traces = arrays
         g_jets, (theta, profile) = jets[:-2], jets[-2:]
-        dth, _, _, scalar, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, ric, theta)
+        s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0  # [i,j,p] = s_ij
+        scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
+        gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
+        dth, _, _, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta)
         density = _density(det, p)
         # profile * c is coeffs * c + 0.0, the bits of the jet of the field c*p;
         # a zero amplitude is skipped, since -0.0 + 0.0 would lose the sign
         s_jets = [profile * a if a else None for a in amplitudes]
         h = profile * var.h_amplitude
-        s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0
-        target = -ric + (0.5 * scalar - gradsq)[:, None, None] * g + 2.0 * np.einsum("pi,pj->pij", dth, dth)
-        gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
-        pairing = np.einsum("iap,jbp,ijp,abp->p", gi, gi, s_vals, np.ascontiguousarray(target.transpose(1, 2, 0)))
+        grad = np.einsum("ijp,pj->ip", gi, dth)  # grad theta
+        tr_s = np.einsum("ijp,ijp->p", gi, s_vals)
+        s_grad = np.einsum("ip,ijp,jp->p", grad, s_vals, grad)
+        # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1
+        pairing = -s_ric + (0.5 * scalar - gradsq) * tr_s + 2.0 * s_grad
 
         def action(t: float) -> np.ndarray:
             moved = [b if ds is None else b + ds * t for b, ds in zip(g_jets, s_jets)]
-            (_, ginv, gamma, ric), det_t = rm._metric_tensors(p, moved, 2, work, ricci=True)
-            *_, graded_scalar = _theta_part(p, ginv, gamma, ric, theta + h * t if var.h_amplitude else theta)
+            (_, ginv, gamma, traces), det_t = rm._metric_tensors(p, moved, 2, work, ("traces",))
+            *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[0], theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)
 
         closed = (pairing + 4.0 * h.coeffs[0] * lap) * density

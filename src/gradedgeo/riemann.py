@@ -10,6 +10,7 @@ which keeps their partials on the same exact path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -254,6 +255,113 @@ def _ricci_core(
     return np.add.reduce(ric, axis=0, initial=0.0)
 
 
+def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict) -> np.ndarray:
+    """Point-last z[j,k,p] whose symmetric part is Ricci, so that W^jk z_jk = W^jk R_jk for
+    every symmetric W; from _riemann_core's arguments, with no d Gamma, no d(g^-1) and
+    O(n**4) work per point.
+
+    With M_j = g^-1 d_j g and v_m = g^lc d_l g_cm, the trace of M_l's row l,
+        z_jk = g^la (d_l d_k g_ja - d_l d_a g_jk / 2 - d_j d_k g_la / 2) + tr(M_j M_k) / 2
+               + (Gamma^l_lm - v_m) Gamma^m_jk - Gamma^l_jm Gamma^m_lk:
+    d_l Gamma^l_jk - d_j Gamma^l_lk by the product rule, since d_l g^la = -g^ad v_d and
+    Gamma^l_lk = g^la d_k g_la / 2.  Where g depends on one coordinate alone, every
+    group cancels exactly and z is 0.
+    """
+    shape = ginv.shape[:1] * 2 + ginv.shape[-1:]  # [j,k,p]
+    term = _scratch(work, "trace_term", shape)
+    z = np.einsum("lap,jalkp->jkp", ginv, ddg, out=_scratch(work, "z", shape))
+    half = np.einsum("lap,jklap->jkp", ginv, ddg, out=_scratch(work, "trace_half", shape))
+    half += np.einsum("lap,lajkp->jkp", ginv, ddg, out=term)
+    half *= 0.5
+    z -= half
+    gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "gdg", dg.shape))  # [j,l,b] = (M_j)^l_b
+    half = np.einsum("jlbp,kblp->jkp", gdg, gdg, out=half)
+    half *= 0.5
+    z += half
+    weight = np.einsum("llmp->mp", gamma) - np.einsum("llmp->mp", gdg)
+    z += np.einsum("mp,mjkp->jkp", weight, gamma, out=term)
+    z -= np.einsum("ljmp,mlkp->jkp", gamma, gamma, out=term)
+    return z
+
+
+_INVERSE_MAX_DIM = 4  # above it LAPACK inverts the metric
+
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_plan(n: int) -> tuple:
+    """Index tables for the cofactors C_ij, i <= j, of an n x n matrix, 2 <= n <= 4, with
+    the matrix's entries and each level's minors stacked on a leading axis.
+
+    Each minor is expanded along its first row into minors one smaller, so
+    the plan holds one level per minor size: ``first`` picks the 1 x 1 minors
+    from the entries, and each step gives, for every minor of the next size,
+    its first row's entries and the positions of the smaller minors they
+    multiply in the level below.  The last level's minors are those of the
+    upper-triangle cofactors, row by row, which ``signs`` turns into cofactors.
+    """
+    targets = [
+        (tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j))
+        for i in range(n) for j in range(i, n)
+    ]
+    levels = [targets]
+    while len(levels[-1][0][0]) > 1:
+        below = {}
+        for rows, cols in levels[-1]:
+            for m in range(len(cols)):
+                below.setdefault((rows[1:], cols[:m] + cols[m + 1:]), len(below))
+        levels.append(list(below))
+    levels.reverse()
+    first = np.array([rows[0] * n + cols[0] for rows, cols in levels[0]])
+    steps = []
+    for size, level in enumerate(levels[1:], 2):
+        index = {key: k for k, key in enumerate(levels[size - 2])}
+        entries = np.array([[rows[0] * n + c for c in cols] for rows, cols in level])
+        below = np.array([[index[(rows[1:], cols[:m] + cols[m + 1:])] for m in range(size)] for rows, cols in level])
+        steps.append((entries, below))
+    signs = np.array([1.0 if (i + j) % 2 == 0 else -1.0 for i in range(n) for j in range(i, n)])[:, None]
+    return first, steps, signs
+
+
+def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, det) of symmetric point-last g[i,j,p], n <= 4, by cofactors along each
+    minor's first row, every step one array operation over all the minors of one size.
+
+    The rows and columns are first scaled exactly, h = D g D with D_i = 2**-(e_i // 2)
+    and 2**e_i the binade of row i's largest |entry|, so that h's entries are
+    O(1) and no product of them overflows or underflows.  det g is det h times
+    2**(2 sum_i (e_i // 2)), by ldexp, which overflows to inf or underflows to 0
+    only where that exact product does; an exactly singular g gives 0.  The
+    inverse is mirrored from the upper triangle, so it is exactly symmetric.
+    Scaling g by 2**k scales both results exactly, while no entry leaves the
+    normal range.
+    """
+    n, npts = g.shape[0], g.shape[-1]
+    half = np.frexp(np.max(np.abs(g), axis=1))[1] >> 1  # [i,p]
+    d = np.ldexp(1.0, -half)
+    h = g * d[:, None]
+    h *= d
+    if n == 1:
+        return np.ldexp(1.0 / h, -2 * half), np.ldexp(h[0, 0], 2 * half[0])
+    first, steps, signs = _cofactor_plan(n)
+    flat = h.reshape(n * n, npts)
+    minors = flat.take(first, axis=0)
+    for entries, below in steps:
+        terms = flat.take(entries, axis=0)
+        terms *= minors.take(below, axis=0)  # [minor, m, p]: the first row's m-th entry times its minor
+        minors = terms[:, 0] - terms[:, 1]
+        for m in range(2, entries.shape[1]):
+            minors = minors + terms[:, m] if m % 2 == 0 else minors - terms[:, m]
+    cof = minors * signs  # C_ij, i <= j, row by row: row 0's come first
+    terms = flat[:n] * cof[:n]
+    det_h = terms[0] + terms[1]
+    for j in range(2, n):
+        det_h += terms[j]
+    inv = (cof / det_h).take(_symmetric_entries(n), axis=0).reshape(n, n, npts)
+    inv *= d[:, None]
+    inv *= d
+    return inv, np.ldexp(det_h, 2 * np.sum(half, axis=0))
+
+
 def check_finite(named_values, pts: np.ndarray) -> None:
     """Fail closed on a non-finite value, naming its field and the first bad point.
 
@@ -269,24 +377,27 @@ def check_finite(named_values, pts: np.ndarray) -> None:
     raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=()) -> list:
+def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature=("riemann",)) -> list:
     """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
 
     A subtree they share is evaluated once; the extra fields' errors still
-    come after the metric's, its assembly's included.  The sweep validates
-    the points against the chart's box, so its callers do not.
+    come after the metric's, its assembly's (of ``curvature``, as
+    _metric_tensors takes it) included.  The sweep validates the points
+    against the chart's box, so its callers do not.
     """
     try:
         return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order)
     except DomainError:
         if extra:
             # raise what the metric raises alone, as when the extra fields had a sweep of their own
-            _metric_tensors(pts, _metric_jets(m, pts, order), order, {})
+            arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
+            if order == 2 and "traces" in curvature:
+                arrays[3 + curvature.index("traces")]()
         raise
 
 
-def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, ricci: bool = False) -> tuple[list, np.ndarray]:
-    """[g, ginv], then Gamma (order >= 1) and Riemann (order 2), over points; then det g.
+def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature=("riemann",)) -> tuple[list, np.ndarray]:
+    """[g, ginv], then Gamma (order >= 1) and the ``curvature`` pieces (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
     the upper triangle over ``pts``, as _metric_jets orders them, and every
@@ -295,10 +406,17 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, ricci: bool =
     (_over_blocks), so its arrays stay a few MB at any point count.  The
     derivatives dg and ddg are filled point-last from the jets'
     coefficients, and they and the cores' einsum results (at most n**4 per
-    point) go to the buffers ``work`` keeps (see _scratch).  With ``ricci``,
-    the Ricci-only core builds R^l_ljk in Riemann's place.  A non-finite
-    metric coefficient, or a Gamma or curvature entry that overflows in the
-    cores, raises DomainError naming it and the first bad point.
+    point) go to the buffers ``work`` keeps (see _scratch).
+
+    ``curvature`` names what is assembled from ddg, one entry each, in its
+    order: "riemann" R^l_ijk (_riemann_core), "ricci" R^l_ljk (_ricci_core),
+    and "traces" a function ``traces(*named)`` bound to this assembly (see
+    _traces), which the next assembly with the same ``work`` invalidates.
+
+    g is inverted in closed form for n <= 4 (_cofactor_inverse) and by LAPACK
+    above.  A non-finite metric coefficient, or a Gamma or curvature entry
+    that overflows in the cores, raises DomainError naming it and the first
+    bad point.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -314,19 +432,22 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, ricci: bool =
         with np.errstate(over="ignore"):
             named += [(f"g_{i}_{j}", 2.0 * jet.coeffs[diag]) for (i, j), jet in zip(upper, jets)]
         check_finite(named, pts)
-    with np.errstate(over="ignore"):  # an inf passes the degeneracy test; GeometryBatch.density raises on it
-        det = np.linalg.det(g)
+    gp = np.ascontiguousarray(g.transpose(1, 2, 0))
+    # an inf det passes the degeneracy test (GeometryBatch.density raises on it), and a
+    # degenerate g's inverse is never read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gi, det = _cofactor_inverse(gp) if n <= _INVERSE_MAX_DIM else (None, np.linalg.det(g))
     worst = float(np.min(np.abs(det)))
     if worst < DEGENERACY_THRESHOLD:
         raise DegenerateMetricError(
             f"|det g| = {worst:.3e} below threshold {DEGENERACY_THRESHOLD:.0e}"
         )
-    ginv = np.linalg.inv(g)
-    gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
-    identity = np.einsum("ijp,jkp->ikp", np.ascontiguousarray(g.transpose(1, 2, 0)), gi)
+    if gi is None:
+        gi = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))
+    identity = np.einsum("ijp,jkp->ikp", gp, gi)
     if np.max(np.abs(identity - np.eye(n)[:, :, None])) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
-    out = [g, ginv] + [np.empty((npts,) + (n,) * rank) for rank in (3, 2 if ricci else 4)[:order]]
+    out = [g, np.ascontiguousarray(gi.transpose(2, 0, 1))]
     if order == 0:
         return out, det
     dg = _scratch(work, "dg", (n, n, n, npts))  # dg[i,j,k,p] = d_k g_ij
@@ -341,12 +462,53 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, ricci: bool =
                 ddg[i, j] = ddg[j, i] = jet.coeffs.take(space._hess_pos, 0)
             k = np.arange(n)
             ddg[:, :, k, k] *= 2.0
-            core, curvature = (_ricci_core, "Ricci") if ricci else (_riemann_core, "Riemann")
-            named.append((curvature, core(gi, dg, s, gamma, ddg, work)))
+            cores = {"riemann": ("Riemann", _riemann_core), "ricci": ("Ricci", _ricci_core)}
+            named += [(cores[c][0], cores[c][1](gi, dg, s, gamma, ddg, work)) for c in curvature if c in cores]
         check_finite(named, pts)
-    for full, (_, a) in zip(out[2:], named):  # gamma is a work buffer, which the next assembly overwrites
-        full[...] = np.moveaxis(a, -1, 0)
+    # gamma and the curvature arrays are work buffers, which the next assembly overwrites
+    out += [np.moveaxis(a, -1, 0).copy() for _, a in named]
+    if order == 2 and "traces" in curvature:
+        out.insert(3 + curvature.index("traces"), _traces(pts, gi, dg, gamma, ddg, work))
     return out, det
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_entries(n: int) -> np.ndarray:
+    """For each (i, j) of an n x n symmetric matrix, row by row, its position in the upper triangle."""
+    upper = np.zeros((n, n), dtype=np.intp)
+    upper[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return np.maximum(upper, upper.T).ravel()
+
+
+def _traces(pts, gi, dg, gamma, ddg, work):
+    """``traces(*named)``: over pts, the scalar curvature R = g^jk R_jk, then
+    <s, Ric> = s_ab g^aj g^bk R_jk for each (name, s) pair given, s[a,b,p] symmetric
+    and point-last, as rows of one array; from _trace_core.
+
+    R's row does not depend on what follows it.  Ricci is raised before s is
+    paired with it, so a g^-1 too large to square does not overflow where the
+    raised Ricci is finite.  A lone point is assembled twice over, as a block
+    of two: with one point, einsum would run some sums over j, k, l or a in its
+    inner loop, which adds them in another order, and the rows would depend on
+    the blocks.  A row that is not finite raises DomainError naming it
+    ("scalar curvature" for R) and the first bad point.
+    """
+    npts = len(pts)
+    twice = (lambda a: np.concatenate([a, a], axis=-1)) if npts == 1 else (lambda a: a)
+    gi, dg, gamma, ddg = map(twice, (gi, dg, gamma, ddg))
+
+    def traces(*named):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            z = _trace_core(gi, dg, gamma, ddg, work)
+            rows = [np.einsum("jkp,jkp->p", gi, z)]
+            if named:
+                raised = np.einsum("akp,kbp->abp", np.einsum("ajp,jkp->akp", gi, z), gi)
+                rows += [np.einsum("abp,abp->p", twice(s), raised) for _, s in named]
+        rows = [row[:npts] for row in rows]
+        check_finite(list(zip(["scalar curvature", *(name for name, _ in named)], rows)), pts)
+        return rows
+
+    return traces
 
 
 def _blocks(npts: int, n: int) -> list[slice]:
@@ -361,14 +523,13 @@ def _blocks(npts: int, n: int) -> list[slice]:
     return [slice(k * npts // count, (k + 1) * npts // count) for k in range(count)]
 
 
-def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, ricci: bool, block) -> list[np.ndarray]:
+def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> list[np.ndarray]:
     """The arrays ``block(points, arrays, det, jets, work)`` gives over each point block, joined.
 
     The one place that splits points for a batched assembly (see _blocks).
     For each block in point order it sweeps the order-2 jets of the metric's
     upper triangle and then of the ``extra`` fields (_metric_jets), builds
-    [g, ginv, Gamma, Riemann] and det g from them (_metric_tensors, with
-    Ricci in Riemann's place when ``ricci``) and hands all of it to
+    [g, ginv, Gamma, *curvature] and det g from them (_metric_tensors) and hands all of it to
     ``block``; every block's assemblies share one ``work`` dict.  Each array
     ``block`` returns has a leading point axis: they are written into arrays
     over every point as the blocks come, or returned as they are when one
@@ -380,8 +541,8 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, ricci: bool, block) -> l
     npts, work, out = len(pts), {}, None
 
     def sweep(p):  # a block's jets and tensors are freed before the next block is swept
-        jets = _metric_jets(m, p, 2, extra)
-        arrays, det = _metric_tensors(p, jets[: len(m._upper)], 2, work, ricci)
+        jets = _metric_jets(m, p, 2, extra, curvature)
+        arrays, det = _metric_tensors(p, jets[: len(m._upper)], 2, work, curvature)
         return block(p, arrays, det, jets, work)
 
     for sl in _blocks(npts, m.chart.dim):
@@ -398,7 +559,7 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, ricci: bool, block) -> l
 def curvature_data_batch(m: MetricSpec, points) -> tuple:
     """Batched (g, ginv, Gamma, Riemann), each with a leading point axis, filled block by block."""
     pts = np.asarray(points, dtype=float)
-    return tuple(_over_blocks(m, pts, (), False, lambda p, arrays, det, jets, work: arrays))
+    return tuple(_over_blocks(m, pts, (), ("riemann",), lambda p, arrays, det, jets, work: arrays))
 
 
 def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
@@ -406,11 +567,11 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
     return np.moveaxis(jet.hessian(), -1, 0) - np.einsum("pkij,pk->pij", gamma, jet.gradient().T)
 
 
-def _at(m: MetricSpec, p, order: int, ricci: bool = False) -> tuple[tuple[float, ...], list[np.ndarray]]:
-    """The point as floats and the metric arrays of the batch of one it makes."""
+def _at(m: MetricSpec, p, order: int, curvature=("riemann",)) -> tuple[tuple[float, ...], list]:
+    """The point as floats and the metric arrays of the batch of one it makes (traces as bound)."""
     pts = np.asarray([p], dtype=float)
-    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, ricci)
-    return tuple(pts[0].tolist()), [a[0] for a in arrays]
+    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
+    return tuple(pts[0].tolist()), [a[0] if isinstance(a, np.ndarray) else a for a in arrays]
 
 
 def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:
@@ -438,13 +599,14 @@ def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def ricci_at(m: MetricSpec, p) -> TensorValue:
     """Ric_jk = R^l_ljk."""
-    pt, (*_, ric) = _at(m, p, 2, ricci=True)
+    pt, (*_, ric) = _at(m, p, 2, ("ricci",))
     return TensorValue(("d", "d"), ric, pt)
 
 
 def scalar_curvature_at(m: MetricSpec, p) -> float:
-    _, (_, ginv, _, ric) = _at(m, p, 2, ricci=True)
-    return float(np.einsum("jk,jk->", ginv, ric))
+    """R = g^jk R_jk, from the trace core (the row GeometryBatch.scalar has)."""
+    _, (*_, traces) = _at(m, p, 2, ("traces",))
+    return float(traces()[0][0])
 
 
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:

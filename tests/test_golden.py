@@ -12,10 +12,15 @@ is intended.
 import contextlib
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gradedgeo
 from gradedgeo import cli
 from gradedgeo import config as cf
 from gradedgeo import cosmo as co
@@ -50,6 +55,39 @@ def test_output_matches_golden(tmp_path, directory, config, command, fmt):
     code = _run(directory, config, command, fmt, out)
     assert code == json.loads((directory / "exit_codes.json").read_text())[name]
     assert out.read_bytes() == (directory / name).read_bytes()
+
+
+# runs each (args, out) pair of argv[1] through the CLI, as _run does
+_CHILD = """
+import contextlib, io, json, sys
+from gradedgeo import cli
+for args, out in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        cli.main(args + ["--format", out.rsplit(".", 1)[1], "--out", out])
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.machine() != "x86_64", reason="OpenBLAS core types are x86-64 names"
+)
+def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # every golden command, run in one child process on OpenBLAS's Prescott (SSE3)
+    # kernels, writes the bytes it writes in this process on whatever kernel it
+    # chose: no BLAS or LAPACK call reaches an output. Both runs use this
+    # process's numpy, so numpy's own SIMD dispatch is the same on both sides
+    here, child = tmp_path / "here", tmp_path / "prescott"
+    here.mkdir()
+    child.mkdir()
+    runs = []
+    for directory, config, command, fmt in RUNS:
+        name = f"{config}.{command}.{fmt}"
+        _run(directory, config, command, fmt, here / name)
+        runs.append(([command, "--config", str(directory / f"{config}.ini")], str(child / name)))
+    src = str(Path(gradedgeo.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", _CHILD, json.dumps(runs)], env=env, check=True)
+    differ = [p.name for p in sorted(here.iterdir()) if p.read_bytes() != (child / p.name).read_bytes()]
+    assert differ == []
 
 
 def test_trajectory_csv_format(tmp_path):

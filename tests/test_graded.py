@@ -653,14 +653,16 @@ def test_action_variation_fails_closed_on_weight_overflow():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_action_sums_match_geometry_batch_bitwise(dim):
     # action_magnitude and the perturbed passes sum theta's part of the geometry
-    # without a GeometryBatch; each gives the bits of the same sum over one
+    # without a GeometryBatch; each gives the bits of the same sum over one. The
+    # scalar curvature's row is the same whether the trace core pairs Ricci with
+    # the variation (the base pass) or not (geometry_batch, the perturbed passes)
     rng = np.random.default_rng(900 + dim)
     chart = default_chart(dim)
     gm = random_graded_metric(rng, chart)
     quad = QuadSpec({2: 7, 3: 5, 4: 4}[dim])
     pts, w = qd.tensor_rule(chart, quad)
     d = gd.geometry_batch(gm, pts)
-    magnitude = float(((np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density) @ w)
+    magnitude = float(np.einsum("p,p->", (np.abs(d.scalar) + 2.0 * np.abs(d.lap + d.gradsq)) * d.density, w))
     assert gd.action_magnitude(gm, quad).hex() == magnitude.hex()
     # the base action of _action_variation, and its central difference over the rebuilt fields
     coeffs = rng.uniform(-1.0, 1.0, (dim, dim))
@@ -668,14 +670,14 @@ def test_action_sums_match_geometry_batch_bitwise(dim):
     _, fd, base = gd._action_variation(gm, var, quad)
     pts, w = qd.tensor_rule(chart, QuadSpec(quad.nodes_per_axis, var.support))
     d = gd.geometry_batch(gm, pts)
-    assert base.hex() == float((d.graded_scalar * d.density) @ w).hex()
+    assert base.hex() == float(np.einsum("p,p->", d.graded_scalar * d.density, w)).hex()
 
     def action(t):
         s = [[var.amplitudes[i, j] * var.profile for j in range(dim)] for i in range(dim)]
         rows = [[gm.metric.component(i, j) + t * s[i][j] for j in range(dim)] for i in range(dim)]
         theta = gm.theta + t * (var.h_amplitude * var.profile)
         d = gd.geometry_batch(gd.GradedMetric(rm.MetricSpec(chart, rows), theta), pts)
-        return float((d.graded_scalar * d.density) @ w)
+        return float(np.einsum("p,p->", d.graded_scalar * d.density, w))
 
     step = gd.VARIATION_STEP
     assert fd.hex() == ((action(step) - action(-step)) / (2.0 * step)).hex()
@@ -705,6 +707,28 @@ def test_action_sums_do_not_depend_on_point_blocks(monkeypatch, dim):
     single = sums(rm.CHUNK_DOUBLES, 1)
     assert sums(3 * max(dim**4, jets), -(-npts // 3)) == single
     assert sums(1, npts) == single
+
+
+def test_action_and_scalar_curvature_build_no_curvature_tensor(monkeypatch):
+    # the action's three passes, action_magnitude, hilbert_action and
+    # scalar_curvature_at read the scalar curvature and <s, Ric> off the trace
+    # core; neither the Ricci nor the Riemann core runs
+    rng = np.random.default_rng(61)
+    chart = default_chart(3)
+    gm = random_graded_metric(rng, chart)
+    var = gd.bump_variation(chart, ((-0.3, 0.25),) * 3, np.eye(3), 0.5)
+
+    def refuse(*args):
+        raise AssertionError("a curvature tensor was assembled")
+
+    monkeypatch.setattr(rm, "_ricci_core", refuse)
+    monkeypatch.setattr(rm, "_riemann_core", refuse)
+    assert all(np.isfinite(gd._action_variation(gm, var, QuadSpec(3))))
+    assert np.isfinite(gd.action_magnitude(gm, QuadSpec(3)))
+    assert np.isfinite(gd.hilbert_action(gm, QuadSpec(3)))
+    assert np.isfinite(rm.scalar_curvature_at(gm.metric, random_interior_point(rng, chart)))
+    with pytest.raises(AssertionError, match="curvature tensor"):  # GeometryBatch's Ricci still does
+        gd.geometry_batch(gm, [random_interior_point(rng, chart)])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
@@ -244,9 +246,97 @@ def test_ricci_core_matches_riemann_trace_bitwise(n):
         assert got.tobytes() == np.einsum("plljk->pjk", riem).tobytes(), (n, npts)
 
 
+def _metric_derivatives(m, pts):
+    """Point-last dg[i,j,k,p] = d_k g_ij and ddg[i,j,k,m,p] = d_k d_m g_ij from the metric's jets."""
+    n = m.chart.dim
+    jets = iter(ef.eval_jets_batch([m.component(i, j) for i in range(n) for j in range(n)], pts, 2))
+    dg, ddg = np.empty((n, n, n, len(pts))), np.empty((n, n, n, n, len(pts)))
+    for i in range(n):
+        for j in range(n):
+            jet = next(jets)
+            dg[i, j], ddg[i, j] = jet.gradient(), jet.hessian()
+    return dg, ddg
+
+
+def _trace_bound(w, ginv, dg, ddg):
+    """Bound on |W^jk z_jk - W^jk Ric_jk| per weight and point, z from the trace core and Ric
+    from the Ricci core, over point-last w[w,j,k,p], ginv, dg and ddg with the symmetries
+    of a metric's (any symmetric ginv; dg symmetric in i, j; ddg in i, j and in k, m).
+
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1):
+    both routes are exact polynomials in these inputs, equal where the symmetries hold,
+    and each forms its value from sums of products. A value that passes through at
+    most K rounded operations is within gamma_K = K u / (1 - K u), u = 2**-53, of the
+    sum of the absolute values of every product it adds, each product's factors taken
+    in absolute value (S as |dg| + |dg| + |dg|, Gamma as |ginv| |S| / 2, and so on).
+    The longest chain in either route is one contraction over n**2 terms into an
+    entry and one over n**2 terms with W, plus at most 6n + 16 others (the sums over
+    one index, the combinations of terms, the factors of each product), so
+    K = 2n**2 + 6n + 16. The bound is gamma_K times the two routes' absolute sums.
+    """
+    n = ginv.shape[0]
+    e = np.einsum
+    a_g, a_dg, a_ddg = np.abs(ginv), np.abs(dg), np.abs(ddg)
+    a_s = a_dg.transpose(1, 0, 2, 3) + a_dg.transpose(1, 2, 0, 3) + a_dg.transpose(2, 0, 1, 3)
+    a_ds = a_ddg.transpose(1, 0, 2, 3, 4) + a_ddg.transpose(1, 2, 0, 3, 4) + a_ddg.transpose(2, 0, 1, 3, 4)
+    a_gamma = 0.5 * e("klp,lijp->kijp", a_g, a_s)
+    a_dginv = e("iap,abmp,bjp->ijmp", a_g, a_dg, a_g)
+    ricci_route = (
+        0.5 * (e("lalp,aijp->lijp", a_dginv, a_s) + e("klp,lijkp->kijp", a_g, a_ds))
+        + 0.5 * (e("lajp,alkp->ljkp", a_dginv, a_s) + e("lap,alkjp->ljkp", a_g, a_ds))
+        + e("llap,aijp->lijp", a_gamma, a_gamma)
+        + e("ljap,alkp->ljkp", a_gamma, a_gamma)
+    ).sum(axis=0)
+    a_m = e("lap,abjp->jlbp", a_g, a_dg)
+    trace_route = (
+        e("lap,jalkp->jkp", a_g, a_ddg)
+        + 0.5 * (e("lap,jklap->jkp", a_g, a_ddg) + e("lap,lajkp->jkp", a_g, a_ddg))
+        + 0.5 * e("jlbp,kblp->jkp", a_m, a_m)
+        + e("mp,mjkp->jkp", e("llmp->mp", a_gamma) + e("llmp->mp", a_m), a_gamma)
+        + e("ljmp,mlkp->jkp", a_gamma, a_gamma)
+    )
+    k = 2 * n * n + 6 * n + 16
+    u = 2.0**-53
+    return k * u / (1 - k * u) * e("wjkp,jkp->wp", np.abs(w), ricci_route + trace_route)
+
+
+def _symmetric_draw(rng, shape, pairs):
+    """Entries of 10**-3 to 10**3 with signed zeros, as the core tests draw them, made
+    exactly symmetric in each pair of axes by copying the upper triangle."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    zero = rng.random(shape) < 0.2
+    a[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    for i, j in pairs:
+        b = np.moveaxis(a, (i, j), (0, 1))
+        for r in range(shape[i]):
+            b[r + 1 :, r] = b[r, r + 1 :]
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_core_pairs_as_the_ricci_core(n):
+    # W^jk z_jk, z from the trace core, is W^jk Ric_jk for every symmetric W, within
+    # the rounding model of _trace_bound
+    rng = np.random.default_rng(110 + n)
+    for npts in (1, 2, 7, 37, 256):
+        ginv = _symmetric_draw(rng, (n, n, npts), [(0, 1)])
+        dg = _symmetric_draw(rng, (n, n, n, npts), [(0, 1)])
+        ddg = _symmetric_draw(rng, (n, n, n, n, npts), [(0, 1), (2, 3)])
+        w = _symmetric_draw(rng, (2, n, n, npts), [(1, 2)])
+        s, gamma = rm._christoffel_core(ginv, dg, {})
+        ric = rm._ricci_core(ginv, dg, s, gamma, ddg, {})
+        want = np.einsum("wjkp,jkp->wp", w, ric)
+        got = np.einsum("wjkp,jkp->wp", w, rm._trace_core(ginv, dg, gamma, ddg, {}))
+        bound = _trace_bound(w, ginv, dg, ddg)
+        assert (np.abs(got - want) <= bound).all(), (n, npts, np.max(np.abs(got - want) / bound))
+
+
 @pytest.mark.bitwise
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ricci_views_match_riemann_trace_bitwise(n):
+    # ricci_at is the trace of the full tensor, bit for bit. The scalar curvature has one
+    # owner, the trace core: scalar_curvature_at is GeometryBatch.scalar's row, and it
+    # agrees with the trace of Ricci within the rounding model of _trace_bound
     rng = np.random.default_rng(80 + n)
     chart = default_chart(n)
     for _ in range(3):
@@ -255,7 +345,50 @@ def test_ricci_views_match_riemann_trace_bitwise(n):
         ginv = rm.metric_at(m, p)[1].components
         ric = np.einsum("lljk->jk", rm.riemann_at(m, p).components)
         assert rm.ricci_at(m, p).components.tobytes() == ric.tobytes()
-        assert np.float64(rm.scalar_curvature_at(m, p)).tobytes() == np.einsum("jk,jk->", ginv, ric).tobytes()
+        scalar = rm.scalar_curvature_at(m, p)
+        batch = gd.geometry_batch(gd.GradedMetric(m, ef.constant(chart, 0.0)), [p])
+        assert np.float64(scalar).tobytes() == batch.scalar[0].tobytes()
+        gi = ginv[..., None]
+        bound = _trace_bound(gi[None], gi, *_metric_derivatives(m, [p]))[0, 0]
+        assert abs(scalar - np.einsum("jk,jk->", ginv, ric)) <= bound
+
+
+_DYADIC = st.integers(-512, 512).map(lambda k: k / 256.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    lorentzian=st.booleans(),
+    lower=st.lists(_DYADIC, min_size=6, max_size=6),
+    pivots=st.lists(st.integers(0, 1024).map(lambda k: 1.0 + k / 256.0), min_size=4, max_size=4),
+    k=st.integers(-500, 500),
+)
+def test_cofactor_inverse_scales_exactly(n, lorentzian, lower, pivots, k):
+    # g = L D L^T with unit lower-triangular L and diagonal D of dyadic entries, formed
+    # exactly, has the signature of D; g * 2**k is exact for every k drawn. Its inverse
+    # and determinant are those of g scaled by 2**-k and 2**(n k), bitwise: the
+    # determinant overflows to inf, or underflows to 0, exactly where that product does.
+    # Against LAPACK, the inverse agrees within c n eps cond(g), c = 16, in the max norm
+    # relative to the inverse's largest entry (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sec. 14.1: each route's forward error is a small
+    # multiple of n eps cond(g))
+    ell = np.eye(n)
+    ell[np.tril_indices(n, -1)] = lower[: n * (n - 1) // 2]
+    d = np.array(pivots[:n])
+    if lorentzian:
+        d[0] = -d[0]
+    g = (ell * d) @ ell.T
+    assert np.array_equal(g, g.T)
+    inv0, det0 = rm._cofactor_inverse(g[..., None])
+    with np.errstate(over="ignore"):  # the determinant's overflow is the point
+        inv, det = rm._cofactor_inverse(np.ldexp(g, k)[..., None])
+        assert inv.tobytes() == np.ldexp(inv0, -k).tobytes()
+        assert det.tobytes() == np.ldexp(det0, n * k).tobytes()
+    assert np.array_equal(inv0[..., 0], inv0[..., 0].T)
+    want = np.linalg.inv(g)
+    error = np.max(np.abs(inv0[..., 0] - want)) / np.max(np.abs(want))
+    assert error <= 16 * n * np.finfo(float).eps * np.linalg.cond(g)
 
 
 @pytest.mark.bitwise
@@ -373,7 +506,12 @@ def test_geometry_batch_memory_is_its_output_and_one_block():
     gd.geometry_batch(gm, p[:4])  # symbolic caches built outside the trace
     sweep = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, [gm.theta]))
     jets = rm._metric_jets(gm.metric, p, 2, [gm.theta])
-    assembly = _traced_peak(lambda: rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, ricci=True))
+
+    def assemble():  # as a block of geometry_batch: Ricci, then the scalar curvature
+        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, ("ricci", "traces"))
+        arrays[-1]()
+
+    assembly = _traced_peak(assemble)
     b = gd.geometry_batch(gm, pts)
     output = sum(getattr(b, f.name).nbytes for f in dataclasses.fields(b))
     peak = _traced_peak(lambda: gd.geometry_batch(gm, pts))
