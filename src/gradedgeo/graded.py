@@ -514,18 +514,18 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
         g_jets, (theta, profile) = jets[:-2], jets[-2:]
         s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0  # [i,j,p] = s_ij
         scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
-        gi = np.ascontiguousarray(ginv.transpose(1, 2, 0))
         dth, _, _, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta)
         density = _density(det, p)
         # profile * c is coeffs * c + 0.0, the bits of the jet of the field c*p;
         # a zero amplitude is skipped, since -0.0 + 0.0 would lose the sign
         s_jets = [profile * a if a else None for a in amplitudes]
         h = profile * var.h_amplitude
-        grad = np.einsum("ijp,pj->ip", gi, dth)  # grad theta
-        tr_s = np.einsum("ijp,ijp->p", gi, s_vals)
-        s_grad = np.einsum("ip,ijp,jp->p", grad, s_vals, grad)
-        # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1
-        pairing = -s_ric + (0.5 * scalar - gradsq) * tr_s + 2.0 * s_grad
+        # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1; point-first,
+        # as in _theta_part
+        s_first = np.ascontiguousarray(s_vals.transpose(2, 0, 1))
+        grad = np.einsum("pij,pj->pi", ginv, dth)  # grad theta
+        s_grad = np.einsum("pi,pi->p", grad, np.einsum("pij,pj->pi", s_first, grad))
+        pairing = -s_ric + (0.5 * scalar - gradsq) * np.einsum("pij,pij->p", ginv, s_first) + 2.0 * s_grad
 
         def action(t: float) -> np.ndarray:
             moved = [b if ds is None else b + ds * t for b, ds in zip(g_jets, s_jets)]

@@ -264,8 +264,9 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
         z_jk = g^la (d_l d_k g_ja - d_l d_a g_jk / 2 - d_j d_k g_la / 2) + tr(M_j M_k) / 2
                + (Gamma^l_lm - v_m) Gamma^m_jk - Gamma^l_jm Gamma^m_lk:
     d_l Gamma^l_jk - d_j Gamma^l_lk by the product rule, since d_l g^la = -g^ad v_d and
-    Gamma^l_lk = g^la d_k g_la / 2.  Where g depends on one coordinate alone, every
-    group cancels exactly and z is 0.
+    Gamma^l_lk = g^la d_k g_la / 2.  In dim 1, and wherever g is diagonal with one
+    entry varying along one coordinate, each group cancels exactly and z is 0, as
+    Ricci is.
     """
     shape = ginv.shape[:1] * 2 + ginv.shape[-1:]  # [j,k,p]
     term = _scratch(work, "trace_term", shape)
@@ -278,8 +279,8 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
     half = np.einsum("jlbp,kblp->jkp", gdg, gdg, out=half)
     half *= 0.5
     z += half
-    weight = np.einsum("llmp->mp", gamma) - np.einsum("llmp->mp", gdg)
-    z += np.einsum("mp,mjkp->jkp", weight, gamma, out=term)
+    gamma_minus_v = np.einsum("llmp->mp", gamma) - np.einsum("llmp->mp", gdg)
+    z += np.einsum("mp,mjkp->jkp", gamma_minus_v, gamma, out=term)
     z -= np.einsum("ljmp,mlkp->jkp", gamma, gamma, out=term)
     return z
 
@@ -319,6 +320,8 @@ def _cofactor_plan(n: int) -> tuple:
         below = np.array([[index[(rows[1:], cols[:m] + cols[m + 1:])] for m in range(size)] for rows, cols in level])
         steps.append((entries, below))
     signs = np.array([1.0 if (i + j) % 2 == 0 else -1.0 for i in range(n) for j in range(i, n)])[:, None]
+    for a in (first, signs, *(a for step in steps for a in step)):
+        a.flags.writeable = False  # shared by every caller
     return first, steps, signs
 
 
@@ -477,13 +480,15 @@ def _symmetric_entries(n: int) -> np.ndarray:
     """For each (i, j) of an n x n symmetric matrix, row by row, its position in the upper triangle."""
     upper = np.zeros((n, n), dtype=np.intp)
     upper[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
-    return np.maximum(upper, upper.T).ravel()
+    full = np.maximum(upper, upper.T).ravel()
+    full.flags.writeable = False  # shared by every caller
+    return full
 
 
 def _traces(pts, gi, dg, gamma, ddg, work):
     """``traces(*named)``: over pts, the scalar curvature R = g^jk R_jk, then
     <s, Ric> = s_ab g^aj g^bk R_jk for each (name, s) pair given, s[a,b,p] symmetric
-    and point-last, as rows of one array; from _trace_core.
+    and point-last, as a list of rows over pts; from _trace_core.
 
     R's row does not depend on what follows it.  Ricci is raised before s is
     paired with it, so a g^-1 too large to square does not overflow where the

@@ -295,7 +295,8 @@ def _scalar_frame(sums, b: gd.GeometryBatch) -> CheckResult:
 
 
 def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
-    """Same-engine: scalar equals the trace of Ricci, Hessian traces close."""
+    """Two cores: the graded scalar, whose R is the trace core's, equals the trace of the
+    graded Ricci blocks, built from the Ricci core; Hessian traces close."""
     return _trace_identities(gm, rng, gd.geometry_batch(gm, sample))
 
 
