@@ -275,7 +275,9 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
     half += np.einsum("lap,lajkp->jkp", ginv, ddg, out=term)
     half *= 0.5
     z -= half
-    gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "gdg", dg.shape))  # [j,l,b] = (M_j)^l_b
+    # [j,l,b] = (M_j)^l_b, in the buffer of _ricci_core's temporaries: both cores may run in one
+    # assembly, and the Ricci core has finished by the time the traces are read
+    gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "term", dg.shape))
     half = np.einsum("jlbp,kblp->jkp", gdg, gdg, out=half)
     half *= 0.5
     z += half

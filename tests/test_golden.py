@@ -73,7 +73,7 @@ for args, out in json.loads(sys.argv[1]):
 def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
     # every golden command, run in one child process on OpenBLAS's Prescott (SSE3)
     # kernels, writes the bytes it writes in this process on whatever kernel it
-    # chose: no BLAS or LAPACK call reaches an output. Both runs use this
+    # chose: the OpenBLAS kernel reaches no output byte. Both runs use this
     # process's numpy, so numpy's own SIMD dispatch is the same on both sides
     here, child = tmp_path / "here", tmp_path / "prescott"
     here.mkdir()
