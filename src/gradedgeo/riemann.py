@@ -300,7 +300,8 @@ def _cofactor_plan(n: int) -> tuple:
     from the entries, and each step gives, for every minor of the next size,
     its first row's entries and the positions of the smaller minors they
     multiply in the level below.  The last level's minors are those of the
-    upper-triangle cofactors, row by row, which ``signs`` turns into cofactors.
+    upper-triangle cofactors, row by row, which ``signs`` turns into cofactors
+    and ``mirror`` spreads over the n x n entries, row by row.
     """
     targets = [
         (tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j))
@@ -322,9 +323,12 @@ def _cofactor_plan(n: int) -> tuple:
         below = np.array([[index[(rows[1:], cols[:m] + cols[m + 1:])] for m in range(size)] for rows, cols in level])
         steps.append((entries, below))
     signs = np.array([1.0 if (i + j) % 2 == 0 else -1.0 for i in range(n) for j in range(i, n)])[:, None]
-    for a in (first, signs, *(a for step in steps for a in step)):
+    mirror = np.zeros((n, n), dtype=np.intp)
+    mirror[np.triu_indices(n)] = np.arange(len(targets))
+    mirror = np.maximum(mirror, mirror.T).ravel()
+    for a in (first, signs, mirror, *(a for step in steps for a in step)):
         a.flags.writeable = False  # shared by every caller
-    return first, steps, signs
+    return first, steps, signs, mirror
 
 
 def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +351,7 @@ def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h *= d
     if n == 1:
         return np.ldexp(1.0 / h, -2 * half), np.ldexp(h[0, 0], 2 * half[0])
-    first, steps, signs = _cofactor_plan(n)
+    first, steps, signs, mirror = _cofactor_plan(n)
     flat = h.reshape(n * n, npts)
     minors = flat.take(first, axis=0)
     for entries, below in steps:
@@ -361,7 +365,7 @@ def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det_h = terms[0] + terms[1]
     for j in range(2, n):
         det_h += terms[j]
-    inv = (cof / det_h).take(_symmetric_entries(n), axis=0).reshape(n, n, npts)
+    inv = (cof / det_h).take(mirror, axis=0).reshape(n, n, npts)
     inv *= d[:, None]
     inv *= d
     return inv, np.ldexp(det_h, 2 * np.sum(half, axis=0))
@@ -475,16 +479,6 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature=("r
     if order == 2 and "traces" in curvature:
         out.insert(3 + curvature.index("traces"), _traces(pts, gi, dg, gamma, ddg, work))
     return out, det
-
-
-@functools.lru_cache(maxsize=None)
-def _symmetric_entries(n: int) -> np.ndarray:
-    """For each (i, j) of an n x n symmetric matrix, row by row, its position in the upper triangle."""
-    upper = np.zeros((n, n), dtype=np.intp)
-    upper[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
-    full = np.maximum(upper, upper.T).ravel()
-    full.flags.writeable = False  # shared by every caller
-    return full
 
 
 def _traces(pts, gi, dg, gamma, ddg, work):
