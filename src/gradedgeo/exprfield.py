@@ -227,7 +227,7 @@ class Call(Expr):
         return (self.arg,)
 
 
-def _walk(roots, rule, known=None) -> list:
+def _walk(roots, rule, known=None, readers=None) -> list:
     """Results of rule over the DAG under roots, operands before their node.
 
     The one traversal of expressions: an explicit stack, so depth is bounded
@@ -236,9 +236,15 @@ def _walk(roots, rule, known=None) -> list:
     operands in order and must not return None.  known(e), if given, may
     return a result found earlier for a node with operands; the walk then
     takes it and does not descend below e.
+
+    readers, if given, is reader_counts(roots) (without known): the memo
+    then drops each result once its last reader has taken it, as a tape
+    frees an intermediate after its last use, so only the results still to
+    be read stay alive.
     """
     done: dict[int, object] = {}
     get = done.get
+    left = None if readers is None else dict(readers)
     todo: list = list(reversed(roots))
     pop, push = todo.pop, todo.append
     results: list = []
@@ -248,9 +254,14 @@ def _walk(roots, rule, known=None) -> list:
         if type(e) is tuple:
             # the results of this node's n operands are the last n results
             e, n = e
-            args = results[-n:]
+            r = done[id(e)] = rule(e, results[-n:])
             del results[-n:]
-            r = done[id(e)] = rule(e, args)
+            if left is not None:
+                for k in e.operands():
+                    i = id(k)
+                    left[i] -= 1
+                    if not left[i]:
+                        del done[i]
         else:
             r = get(id(e))
             if r is None:
@@ -264,6 +275,27 @@ def _walk(roots, rule, known=None) -> list:
                     continue
         keep(r)
     return results
+
+
+def reader_counts(roots) -> dict[int, int]:
+    """For _walk's readers: how often each node under roots is read, keyed by id.
+
+    A node is read once per operand slot of each distinct node above it
+    (twice by ``x*x``) and once per appearance among the roots, so a root's
+    count never runs out within the walk and its result is kept.  The
+    counts stay valid while the roots live; one count serves every walk of
+    the same roots.
+    """
+    counts: dict[int, int] = {}
+    todo = list(roots)
+    while todo:
+        e = todo.pop()
+        if id(e) in counts:
+            counts[id(e)] += 1
+        else:  # a node's operands are read once per distinct node
+            counts[id(e)] = 1
+            todo += e.operands()
+    return counts
 
 
 _ZERO = Const(0.0)
@@ -1226,26 +1258,27 @@ def _value_rule(seeds: list[Jet]):
     return value
 
 
-def _run_jets(exprs, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
+def _run_jets(exprs, space: JetSpace, seeds: list[Jet], readers=None) -> list[Jet]:
     """Evaluate expression DAGs over shared seeds, each shared node once.
 
     Every jet returned has shape (count, npoints): a constant root, one
     column in the walk, is widened once, so roots on one node still share
     one jet.  Order 0 asks for no derivative, so the walk computes plain
     values and wraps each root's value as a one-coefficient jet, bitwise
-    equal to what full jet arithmetic gives.
+    equal to what full jet arithmetic gives.  With ``readers``
+    (reader_counts of exprs) each intermediate is freed after its last reader.
     """
     if space.order:
         npoints = seeds[0].coeffs.shape[1]
         wide: dict[int, Jet] = {}
-        out = _walk(exprs, _jet_rule(space, seeds))
+        out = _walk(exprs, _jet_rule(space, seeds), readers=readers)
         for k, jet in enumerate(out):
             if jet.constant and jet.coeffs.shape[1] != npoints:
                 if id(jet) not in wide:
                     wide[id(jet)] = Jet(space, np.repeat(jet.coeffs, npoints, axis=1), True)
                 out[k] = wide[id(jet)]
         return out
-    return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds))]
+    return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds), readers=readers)]
 
 
 def eval_jet(f: ScalarField, p, order: int) -> Jet:
@@ -1257,11 +1290,13 @@ def eval_jet(f: ScalarField, p, order: int) -> Jet:
     return Jet(jet.space, jet.coeffs[:, 0])
 
 
-def eval_jets_batch(fields, points, order: int) -> list[Jet]:
+def eval_jets_batch(fields, points, order: int, readers=None) -> list[Jet]:
     """Jets of several fields over an array of points, one shared pass.
 
     Coefficient arrays gain a trailing point axis; subtrees shared within
-    or across the fields are evaluated once for the whole batch.  A
+    or across the fields are evaluated once for the whole batch.  Given
+    ``readers``, the reader_counts of the fields' expressions, the pass frees
+    each intermediate jet after its last reader, with the same bits.  A
     DomainError raised while evaluating a batch of one names its point.
     """
     fields = list(fields)
@@ -1274,7 +1309,7 @@ def eval_jets_batch(fields, points, order: int) -> list[Jet]:
     space = _check_order(chart.dim, order)
     pts = chart.require_points(points)
     try:
-        return _run_jets([f.expr for f in fields], space, _jet_seeds(space, pts))
+        return _run_jets([f.expr for f in fields], space, _jet_seeds(space, pts), readers)
     except DomainError as err:
         if len(pts) != 1:
             raise

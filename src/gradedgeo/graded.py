@@ -509,32 +509,42 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     pts, weights = tensor_rule(gm.chart, QuadSpec(quad.nodes_per_axis, var.support))
     amplitudes = var.amplitudes[np.triu_indices(gm.chart.dim)]  # in the order of the metric's jets
 
-    def integrands(p, arrays, det, jets, work):
+    def base_rows(p, arrays, det, theta, profile, h):
+        # the closed form's and the action's rows of one block; the base pass's tensors,
+        # which the block owns, are freed on return, before the perturbed passes assemble
         _, ginv, gamma, traces = arrays
-        g_jets, (theta, profile) = jets[:-2], jets[-2:]
+        arrays.clear()
         s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0  # [i,j,p] = s_ij
         scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
         dth, _, _, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta)
         density = _density(det, p)
-        # profile * c is coeffs * c + 0.0, the bits of the jet of the field c*p;
-        # a zero amplitude is skipped, since -0.0 + 0.0 would lose the sign
-        s_jets = [profile * a if a else None for a in amplitudes]
-        h = profile * var.h_amplitude
         # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1; point-first,
         # as in _theta_part
         s_first = np.ascontiguousarray(s_vals.transpose(2, 0, 1))
-        grad = np.einsum("pij,pj->pi", ginv, dth)  # grad theta
-        s_grad = np.einsum("pi,pi->p", grad, np.einsum("pij,pj->pi", s_first, grad))
-        pairing = -s_ric + (0.5 * scalar - gradsq) * np.einsum("pij,pij->p", ginv, s_first) + 2.0 * s_grad
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            grad = np.einsum("pij,pj->pi", ginv, dth)  # grad theta
+            s_grad = np.einsum("pi,pi->p", grad, np.einsum("pij,pj->pi", s_first, grad))
+            pairing = -s_ric + (0.5 * scalar - gradsq) * np.einsum("pij,pij->p", ginv, s_first) + 2.0 * s_grad
+            closed = (pairing + 4.0 * h.coeffs[0] * lap) * density
+        rm.check_finite([("closed-form pairing", pairing), ("closed-form integrand", closed)], p)
+        return closed, graded_scalar * density
+
+    def integrands(p, arrays, det, jets, work):
+        g_jets, (theta, profile) = jets[:-2], jets[-2:]
+        h = profile * var.h_amplitude
+        closed, base = base_rows(p, arrays, det, theta, profile, h)
 
         def action(t: float) -> np.ndarray:
-            moved = [b if ds is None else b + ds * t for b, ds in zip(g_jets, s_jets)]
-            (_, ginv, gamma, traces), det_t = rm._metric_tensors(p, moved, 2, work, ("traces",))
+            # profile * a is coeffs * a + 0.0, the bits of the jet of the field a*p; a zero
+            # amplitude is skipped, since -0.0 + 0.0 would lose the sign. The moved jets are
+            # freed once assembled
+            (_, ginv, gamma, traces), det_t = rm._metric_tensors(
+                p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], 2, work, ("traces",)
+            )
             *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[0], theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)
 
-        closed = (pairing + 4.0 * h.coeffs[0] * lap) * density
-        return closed, graded_scalar * density, action(VARIATION_STEP), action(-VARIATION_STEP)
+        return closed, base, action(VARIATION_STEP), action(-VARIATION_STEP)
 
     closed, base, plus, minus = _integrals(gm, pts, weights, integrands, [var.profile])
     return closed, (plus - minus) / (2.0 * VARIATION_STEP), base

@@ -386,16 +386,18 @@ def check_finite(named_values, pts: np.ndarray) -> None:
     raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature=("riemann",)) -> list:
+def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature=("riemann",), readers=None) -> list:
     """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
 
     A subtree they share is evaluated once; the extra fields' errors still
     come after the metric's, its assembly's (of ``curvature``, as
     _metric_tensors takes it) included.  The sweep validates the points
-    against the chart's box, so its callers do not.
+    against the chart's box, so its callers do not.  Given ``readers``, the
+    reader_counts of those fields' expressions, the sweep frees each
+    intermediate jet after its last reader.
     """
     try:
-        return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order)
+        return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order, readers)
     except DomainError:
         if extra:
             # raise what the metric raises alone, as when the extra fields had a sweep of their own
@@ -531,20 +533,23 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
     For each block in point order it sweeps the order-2 jets of the metric's
     upper triangle and then of the ``extra`` fields (_metric_jets), builds
     [g, ginv, Gamma, *curvature] and det g from them (_metric_tensors) and hands all of it to
-    ``block``; every block's assemblies share one ``work`` dict.  Each array
-    ``block`` returns has a leading point axis: they are written into arrays
-    over every point as the blocks come, or returned as they are when one
-    block holds every point.  Errors come in block order, one block's
-    before the next block is swept, and within a block the metric's before
-    the extra fields'; so the degeneracy message's |det g| is the minimum
-    over the failing block, not over every point.
+    ``block``; every block's assemblies share one ``work`` dict.  The fields'
+    reader counts are taken once per call, so each block's sweep frees its
+    intermediate jets after their last reader.  ``block`` owns the list
+    ``arrays``: nothing else holds its tensors, so emptying it frees them.
+    Each array ``block`` returns has a leading point axis: they are written
+    into arrays over every point as the blocks come, or returned as they are
+    when one block holds every point.  Errors come in block order, one
+    block's before the next block is swept, and within a block the metric's
+    before the extra fields'; so the degeneracy message's |det g| is the
+    minimum over the failing block, not over every point.
     """
     npts, work, out = len(pts), {}, None
+    readers = ef.reader_counts([f.expr for f in (*m._upper.values(), *extra)])
 
     def sweep(p):  # a block's jets and tensors are freed before the next block is swept
-        jets = _metric_jets(m, p, 2, extra, curvature)
-        arrays, det = _metric_tensors(p, jets[: len(m._upper)], 2, work, curvature)
-        return block(p, arrays, det, jets, work)
+        jets = _metric_jets(m, p, 2, extra, curvature, readers)
+        return block(p, *_metric_tensors(p, jets[: len(m._upper)], 2, work, curvature), jets, work)
 
     for sl in _blocks(npts, m.chart.dim):
         got = sweep(pts[sl])
@@ -552,8 +557,9 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
             return list(got)
         if out is None:
             out = [np.empty((npts, *a.shape[1:]), a.dtype) for a in got]
-        for full, a in zip(out, got):
-            full[sl] = a
+        for k, full in enumerate(out):
+            full[sl] = got[k]
+        del got  # a block's results are not held while the next block is swept
     return out
 
 

@@ -987,6 +987,21 @@ def test_action_fails_closed_in_a_late_block(tmp_path, capsys, metric, theta, fi
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_action_closed_form_overflow_exit_3(tmp_path, capsys):
+    # with g^00 near 1e200, tr_g s = g^ij s_ij overflows in the closed form's pairing,
+    # though g, det g, the traces and every theta row are finite: exit 3, not a nan
+    # closed form and exit 1
+    text = FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1e-200*(1 + 0.3*y^2)\n")
+    text = text.replace("g_1_1 = 1\n", "g_1_1 = 1e200*(1 + 0.2*y^2)\n")
+    variation = "[quadrature]\nnodes = 6\n\n[variation]\nkind = bump\nsupport_x = -0.3, 0.3\nsupport_y = -0.3, 0.3\n"
+    code = run(["action", "--config", write(tmp_path, text + "\n" + variation)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite value of closed-form pairing at point (-0.2797408542609456, -0.2797408542609456)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "theta, message",
     [

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
+from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo.errors import DomainError, GradedGeoError, JetOrderError, ParseError
+from gradedgeo.quadrature import QuadSpec, tensor_rule
 
 from dense_jets import dense_jet_rule
 from expr_samples import FUNCTION_CLASSES, sample_chart, sample_expression, sample_points
@@ -875,6 +879,8 @@ d = f.d("t").d("x")
 assert abs(d((0.3, 1.5)) - 0.5 / 1.5) < 1e-12
 jet = ef.eval_jet(f, (0.3, 1.5), 2)
 assert abs(jet.value - 0.15 * ef.math.log(1.5)) < 1e-12
+released = ef.eval_jets_batch([f], [(0.3, 1.5)], 2, ef.reader_counts([f.expr]))[0]
+assert released.coeffs[:, 0].tobytes() == jet.coeffs.tobytes()
 again = ef.parse_field(ef.pretty_print(f), chart)
 assert again.expr == f.expr and hash(again.expr) == hash(f.expr)
 assert ef.remap_coordinates(f, swapped)((1.5, 0.3)) == f((0.3, 1.5))
@@ -919,6 +925,109 @@ def test_shared_dag_walked_once_per_node():
     assert moved.lhs is moved.rhs
     assert a.expr == b.expr and hash(a.expr) == hash(b.expr)
     assert a.expr != _squares(chart, 19).expr
+
+
+def _released(fields, pts, order):
+    return ef.eval_jets_batch(fields, pts, order, ef.reader_counts([f.expr for f in fields]))
+
+
+def _golden_fields():
+    # each golden config's metric entries and theta, and for the section configs the
+    # bump profile, at 3 nodes a side over the bump's support or else the chart's box
+    golden = Path(__file__).resolve().parent / "golden"
+    for path in sorted([*golden.glob("*.ini"), *(golden / "sections").glob("*.ini")]):
+        cfg = cf.load_config(str(path))
+        gm = cf.build_graded_metric(cfg)
+        fields, box = [*gm.metric._upper.values(), gm.theta], None
+        if cfg.variation is not None:
+            fields.append(gd.bump_variation(cfg.chart, cfg.variation.support).profile)
+            box = cfg.variation.support
+        yield path.name, fields, tensor_rule(cfg.chart, QuadSpec(3, box))[0]
+
+
+@pytest.mark.bitwise
+def test_releasing_walk_gives_the_same_jets():
+    # freeing each intermediate after its last reader changes no bit, on the sample
+    # classes (with a product of two roots and a root given twice) and the golden fields
+    chart = sample_chart()
+    rng = np.random.default_rng(43)
+    cases = []
+    for cls in FUNCTION_CLASSES:
+        fields = [sample_expression(rng, chart, cls) for _ in range(3)]
+        cases.append((cls, [*fields, fields[0] * fields[1], fields[2]], sample_points(rng, chart, 7)))
+    cases += list(_golden_fields())
+    for name, fields, pts in cases:
+        for order in (0, 1, 2):
+            want = [j.coeffs.tobytes() for j in ef.eval_jets_batch(fields, pts, order)]
+            assert [j.coeffs.tobytes() for j in _released(fields, pts, order)] == want, (name, order)
+
+
+def test_releasing_walk_evaluates_each_node_once(monkeypatch):
+    # a shared node is evaluated once, whether its memo entry is freed or not
+    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
+    f = _squares(chart, 20)
+    fields = [f, f * ef.coordinate(chart, "t") + f, ef.ln(ef.coordinate(chart, "t")) * f]
+    calls = []
+    real = ef._jet_rule
+
+    def counted(space, seeds):
+        rule = real(space, seeds)
+        return lambda e, args: calls.append(e) or rule(e, args)
+
+    monkeypatch.setattr(ef, "_jet_rule", counted)
+    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2)
+    kept = calls[:]
+    calls.clear()
+    readers = ef.reader_counts([g.expr for g in fields])
+    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2, readers)
+    assert calls == kept
+    assert len(calls) == len({id(e) for e in calls}) == len(readers)
+
+
+def test_releasing_walk_keeps_repeated_reads_and_roots():
+    chart = sample_chart()
+    x, y = ef.coordinate(chart, "x"), ef.coordinate(chart, "y")
+    e = ef.exp(x)
+    square = e * e  # one parent reads exp(x) twice
+    inner = ef.sin(x * y)
+    outer = inner * inner + inner  # inner is a root as well as an operand
+    zero = ef.constant(chart, 0.0)
+    fields = [square, inner, outer, inner, zero, zero]  # roots given twice, as the eds metric's zero entries
+    readers = ef.reader_counts([f.expr for f in fields])
+    assert readers[id(e.expr)] == 2 and readers[id(inner.expr)] == 5 and readers[id(zero.expr)] == 2
+    pts = sample_points(np.random.default_rng(5), chart, 4)
+    got = _released(fields, pts, 2)
+    want = ef.eval_jets_batch(fields, pts, 2)
+    assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in want]
+    assert got[1] is got[3] and got[4].coeffs is got[5].coeffs
+    assert (got[4].coeffs == 0.0).all() and got[4].coeffs.shape == (6, 4)
+
+
+def test_releasing_walk_holds_only_what_is_still_read():
+    # 2,000 terms of one shared product: without counts the memo holds every
+    # partial sum to the end; with them at most the few results still to be read
+    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
+    f = ef.parse_field(" + ".join(["0.00005*ln(t)*x"] * 2_000), chart)
+
+    class Result:
+        __slots__ = ("__weakref__",)
+
+    def most_alive(readers):
+        live, most = [0], [0]
+
+        def rule(e, args):
+            r = Result()
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            weakref.finalize(r, lambda: live.__setitem__(0, live[0] - 1))
+            return r
+
+        root = ef._walk([f.expr], rule, readers=readers)
+        assert live[0] == len(root) == 1
+        return most[0]
+
+    assert most_alive(None) == len(ef.reader_counts([f.expr])) > 2_000
+    assert most_alive(ef.reader_counts([f.expr])) <= 8
 
 
 def test_only_the_parser_recurses():

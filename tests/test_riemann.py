@@ -63,9 +63,9 @@ def test_metric_at_values_and_inverse(eds3):
 def test_metric_at_is_one_order_zero_sweep(eds3, monkeypatch):
     orders = []
 
-    def recorded(fields, points, order, _original=ef.eval_jets_batch):
+    def recorded(fields, points, order, *rest, _original=ef.eval_jets_batch):
         orders.append(order)
-        return _original(fields, points, order)
+        return _original(fields, points, order, *rest)
 
     monkeypatch.setattr(ef, "eval_jets_batch", recorded)
     g, _ = rm.metric_at(eds3, (0.0, 0.0, 0.0, 8.0))
@@ -478,13 +478,13 @@ def _traced_peak(run):
 
 
 def test_ricci_paths_memory_bound(eds3):
-    # the same 4096-point rule through the Ricci-only core, which every graded
-    # caller takes: the cores' einsums build no broadcast product, so the
-    # geometry batch's peak stays below 9.3 MB. action_magnitude
-    # streams the rule in 16 blocks of 256 points; its peak is one block's
-    # assembly (the Ricci core's buffers and the block's jets and tensors, at
-    # most about 3.5 MB) plus the node, weight and integrand of each rule point,
-    # 48 bytes or 0.2 MB, so it stays below 4 MB
+    # the same 4096-point rule through the graded callers' cores, which form no
+    # Riemann tensor: geometry_batch runs the Ricci core and the trace core, whose
+    # einsums build no broadcast product, so its peak stays below 9.3 MB (8.6 MB
+    # traced). action_magnitude runs the trace core only and streams the rule in
+    # 16 blocks of 256 points; its peak is one block's jets, tensors and work
+    # buffers plus the node, weight and integrand of each rule point, 48 bytes or
+    # 0.2 MB: it traces about 1.86 MB, below 4 MB
     quad = QuadSpec(8, ((-0.5, 0.5),) * 3 + ((0.9, 1.9),))
     pts, _ = tensor_rule(eds3.chart, quad)
     gm = gd.GradedMetric(eds3, ef.parse_field(f"{math.sqrt(1.0 / 3.0)!r}*ln(t)", eds3.chart))
@@ -517,6 +517,122 @@ def test_geometry_batch_memory_is_its_output_and_one_block():
     output = sum(getattr(b, f.name).nbytes for f in dataclasses.fields(b))
     peak = _traced_peak(lambda: gd.geometry_batch(gm, pts))
     assert peak <= output * (1 + len(p) / len(pts)) + sweep + assembly, (peak, output, sweep, assembly)
+
+
+def _sweep_model(roots, space, npts) -> tuple[int, int]:
+    """(roots, rest): a bound on the bytes one released jet sweep of roots over npts
+    points traces, split into the distinct roots' jets and the rest.
+
+    Model: every jet is space.count doubles per point (a constant one column
+    wide, counted as 0, but a constant root is widened). The rest is the
+    coordinate seeds; the most non-root, non-constant intermediates alive at
+    once when each is dropped after its last reader, replayed in the walk's
+    order; one composition's temporaries: Horner's w, partial result and one
+    copy, then a product's two gathered term tables and their product, or
+    that product, its scattered terms and their sum; the points; and 1 KB
+    per node for the memo, counts and Jet objects.
+    """
+    jet = space.count * npts * 8
+    order, constant = [], {}  # distinct nodes, operands first
+
+    def visit(e, args):
+        order.append(e)
+        constant[id(e)] = type(e) is ef.Const or bool(args) and all(args)
+        return constant[id(e)]
+
+    ef._walk(roots, visit)
+    left = {}
+    for e in order:
+        for k in e.operands():
+            left[id(k)] = left.get(id(k), 0) + 1
+    kept = {id(r) for r in roots}
+
+    def held(e):
+        return not constant[id(e)] and type(e) is not ef.Coord and id(e) not in kept
+
+    live = most = 0
+    for e in order:
+        live += held(e)
+        most = max(most, live)
+        for k in e.operands():
+            left[id(k)] -= 1
+            live -= held(k) and not left[id(k)]
+    table, scattered = len(space._gather_a) * npts * 8, space._scatter.size * npts * 8
+    temporaries = 3 * jet + max(3 * table, table + scattered + jet)
+    rest = space.dim * jet + most * jet + temporaries + space.dim * npts * 8 + 1024 * len(order)
+    return len(kept) * jet, rest
+
+
+def _workload_actions(eds3):
+    # the two action_first_variation calls of one action_variation operation: a bump on the
+    # n = 3 power-law solution over 6^4 nodes (6 blocks of 216 points), and one on c06's
+    # dim-2 probe over 56^2 (2 blocks of 1568)
+    rng = np.random.default_rng(42)
+    solution = gd.GradedMetric(eds3, ef.parse_field(f"{math.sqrt(1.0 / 3.0)!r}*ln(t)", eds3.chart))
+    coeffs = rng.uniform(0.5, 1.0, (4, 4))
+    support = ((-0.5, 0.5),) * 3 + ((0.9, 1.9),)
+    yield solution, gd.bump_variation(eds3.chart, support, 0.5 * (coeffs + coeffs.T), 0.7), 6
+    chart = default_chart(2)
+    probe = gd.GradedMetric(
+        rm.MetricSpec.diagonal(chart, ["1 + 0.3*x^2", "1 + 0.2*y^2"]), ef.parse_field("0.4*y", chart)
+    )
+    coeffs = rng.uniform(0.5, 1.0, (2, 2)) * [[-1.0, 1.0], [1.0, 1.0]]
+    yield probe, gd.bump_variation(chart, ((-0.3, 0.3),) * 2, 0.5 * (coeffs + coeffs.T), 0.8), 56
+
+
+def test_block_sweep_memory_is_its_roots_and_live_jets(eds3):
+    # one 216-point block sweep of the eds metric, theta and the bump frees each
+    # intermediate jet after its last reader: its traced peak is bounded by
+    # _sweep_model, written for that release (the sweep kept every jet, 1.19 MB,
+    # before it; about 0.51 MB with it)
+    gm, var, nodes = next(_workload_actions(eds3))
+    pts, _ = tensor_rule(gm.chart, QuadSpec(nodes, var.support))
+    p = pts[rm._blocks(len(pts), 4)[0]]
+    fields = [gm.theta, var.profile]
+    roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
+    readers = ef.reader_counts(roots)
+    rm._metric_jets(gm.metric, p, 2, fields, ("traces",), readers)  # caches built outside the trace
+    peak = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, fields, ("traces",), readers))
+    kept, rest = _sweep_model(roots, ef.jet_space(4, 2), len(p))
+    assert len(p) == 216
+    assert peak <= kept + rest, (peak, kept, rest)
+
+
+def test_action_variation_memory_is_one_pass_at_a_time(eds3):
+    # each action_first_variation call of the action_variation workload. Model: the
+    # rule's points and weights (twice, as tensor_rule builds them) and the four
+    # integrand rows over every point; the work buffers one assembly leaves; one
+    # block's roots; then the larger of one released sweep (_sweep_model) and one
+    # pass: its assembly, a paired trace and the theta part traced alone on warm
+    # buffers, plus the moved metric jets, h, theta + t*h and the closed-form
+    # temporaries (n*n + 8 doubles a point). The base pass's tensors and the
+    # amplitude-scaled jets no longer outlive their pass
+    for gm, var, nodes in _workload_actions(eds3):
+        n = gm.chart.dim
+        pts, _ = tensor_rule(gm.chart, QuadSpec(nodes, var.support))
+        p = pts[max(rm._blocks(len(pts), n), key=lambda sl: sl.stop - sl.start)]
+        fields = [gm.theta, var.profile]
+        roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
+        jets = rm._metric_jets(gm.metric, p, 2, fields, ("traces",), ef.reader_counts(roots))
+        s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
+        work = {}
+
+        def one_pass():
+            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], 2, work, ("traces",))
+            gd._theta_part(p, ginv, gamma, traces(("s", s))[0], jets[-2])
+
+        one_pass()
+        buffers = sum(b.nbytes for b in work.values())
+        assembly = _traced_peak(one_pass)
+        space = ef.jet_space(n, 2)
+        kept, sweep = _sweep_model(roots, space, len(p))
+        jet = space.count * len(p) * 8
+        moved = (np.count_nonzero(var.amplitudes[np.triu_indices(n)]) + 2) * jet + (n * n + 8) * len(p) * 8
+        rule = 2 * pts.nbytes + 6 * len(pts) * 8
+        gd.action_first_variation(gm, var, QuadSpec(2))  # symbolic caches built outside the trace
+        peak = _traced_peak(lambda: gd.action_first_variation(gm, var, QuadSpec(nodes)))
+        model = rule + buffers + kept + max(sweep, assembly + moved)
+        assert peak <= model, (n, peak, model, rule, buffers, kept, sweep, assembly, moved)
 
 
 def test_sphere_ricci_and_scalar(sphere):

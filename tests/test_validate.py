@@ -531,9 +531,9 @@ def test_suite_runs_one_pass_per_connection_check(monkeypatch):
     calls = []
     real = ef.eval_jets_batch
 
-    def counted(fields, points, order):
+    def counted(fields, points, order, *rest):
         calls.append((len(fields), order))
-        return real(fields, points, order)
+        return real(fields, points, order, *rest)
 
     monkeypatch.setattr(ef, "eval_jets_batch", counted)
     gm = random_graded_metric(np.random.default_rng(193), default_chart(2))
