@@ -266,8 +266,10 @@ class GeometryBatch:
     """Order-2 geometry of an extended metric over an array of points.
 
     Every array has a leading point axis; a single point is a batch of one.
-    Index layouts follow the riemann module.  Curvature comes as Ricci only:
-    the full Riemann tensor has no reader here.  The graded Ricci form has an
+    Index layouts follow the riemann module.  Curvature comes from one trace
+    core call per point block (riemann._traces): ``ric`` is the symmetric part
+    of its z and ``scalar`` is g^jk z_jk, so R agrees with the trace of ``ric``
+    to rounding; the full Riemann tensor has no reader here.  The graded Ricci form has an
     even block ``gric_even`` and an odd block ``gric_odd``; its cross block
     vanishes for the compatible triple.  ``e27``..``e44`` are the max-norm
     residuals of the four field-equation forms.
@@ -313,11 +315,11 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweeps
 
     def block(p, arrays, det, jets, work):
-        g, ginv, gamma, ric, traces = arrays
-        b = _geometry(p, g, ginv, gamma, ric, traces()[0], det, jets[-1])
+        g, ginv, gamma, traces = arrays
+        b = _geometry(p, g, ginv, gamma, *traces(), det, jets[-1])
         return [getattr(b, f.name) for f in fields(b)]
 
-    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], ("ricci", "traces"), block))
+    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], "traces", block))
 
 
 def _theta_part(pts, ginv, gamma, scalar, jet) -> tuple:
@@ -385,7 +387,7 @@ def _integrals(gm: GradedMetric, pts: np.ndarray, weights: np.ndarray, integrand
     Each row is filled block by block and summed once over every point, so the
     sums do not depend on the blocks.
     """
-    rows = rm._over_blocks(gm.metric, pts, [gm.theta, *extra], ("traces",), integrands)
+    rows = rm._over_blocks(gm.metric, pts, [gm.theta, *extra], "traces", integrands)
     return [float(np.einsum("p,p->", row, weights)) for row in rows]
 
 
@@ -394,7 +396,7 @@ def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
 
     def integrand(p, arrays, det, jets, work):
         _, ginv, gamma, traces = arrays
-        *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[0], jets[-1])
+        *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[1], jets[-1])
         return (graded_scalar * _density(det, p),)
 
     return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
@@ -406,7 +408,7 @@ def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
 
     def integrand(p, arrays, det, jets, work):
         _, ginv, gamma, traces = arrays
-        scalar = traces()[0]
+        scalar = traces()[1]
         *_, lap, gradsq, _ = _theta_part(p, ginv, gamma, scalar, jets[-1])
         return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, p),)
 
@@ -515,7 +517,7 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
         _, ginv, gamma, traces = arrays
         arrays.clear()
         s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0  # [i,j,p] = s_ij
-        scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
+        _, scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
         dth, _, _, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta)
         density = _density(det, p)
         # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1; point-first,
@@ -539,9 +541,9 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
             # amplitude is skipped, since -0.0 + 0.0 would lose the sign. The moved jets are
             # freed once assembled
             (_, ginv, gamma, traces), det_t = rm._metric_tensors(
-                p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], 2, work, ("traces",)
+                p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], 2, work, "traces"
             )
-            *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[0], theta + h * t if var.h_amplitude else theta)
+            *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[1], theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)
 
         return closed, base, action(VARIATION_STEP), action(-VARIATION_STEP)

@@ -200,23 +200,16 @@ def _christoffel_core(ginv: np.ndarray, dg: np.ndarray, work: dict) -> tuple[np.
     return s, gamma
 
 
-def _derivative_pieces(
-    ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, work: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij, point-last, from
-    ddg[i,j,k,m,p] = d_k d_m g_ij: both cores differentiate Gamma from these."""
-    ds = np.add(ddg.transpose(1, 0, 2, 3, 4), ddg.transpose(1, 2, 0, 3, 4), out=_scratch(work, "ds", ddg.shape))
-    ds -= ddg.transpose(2, 0, 1, 3, 4)
-    # -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
-    dginv = np.einsum("iap,abmp,bjp->ijmp", ginv, dg, ginv, out=_scratch(work, "dginv", dg.shape))
-    return ds, np.negative(dginv, out=dginv)
-
-
 def _riemann_core(
     ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict
 ) -> np.ndarray:
     """Point-last curvature R^l_ijk from the Christoffel pieces and ddg[i,j,k,m,p] = d_k d_m g_ij."""
-    ds, dginv = _derivative_pieces(ginv, dg, ddg, work)
+    # ds[l,i,j,m] = d_m S[l,i,j] and dginv[i,j,m] = d_m g^ij
+    ds = np.add(ddg.transpose(1, 0, 2, 3, 4), ddg.transpose(1, 2, 0, 3, 4), out=_scratch(work, "ds", ddg.shape))
+    ds -= ddg.transpose(2, 0, 1, 3, 4)
+    # -(g^ia d_m g_ab) g^bj, summed over a (outer) then b (inner)
+    dginv = np.einsum("iap,abmp,bjp->ijmp", ginv, dg, ginv, out=_scratch(work, "dginv", dg.shape))
+    np.negative(dginv, out=dginv)
     # dgamma[m,k,i,j] = d_m Gamma^k_ij
     dgamma = np.einsum("klmp,lijp->mkijp", dginv, s)
     dgamma += np.einsum("klp,lijmp->mkijp", ginv, ds)
@@ -229,35 +222,10 @@ def _riemann_core(
     return riem
 
 
-def _ricci_core(
-    ginv: np.ndarray, dg: np.ndarray, s: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict
-) -> np.ndarray:
-    """Point-last Ricci R^l_ljk, taking _riemann_core's arguments and no n**4 curvature.
-
-    Each R^l_ljk is formed as _riemann_core forms it, from the same products
-    summed in the same order, but only the entries of d Gamma and Gamma Gamma
-    on that trace are built; the sum over l then runs from +0.0, as
-    ``einsum("lljk->jk")`` adds.
-    """
-    ds, dginv = _derivative_pieces(ginv, dg, ddg, work)
-    shape = ds.shape[1:]
-    term = _scratch(work, "term", shape)
-    # [l,j,k] = d_l Gamma^l_jk - d_j Gamma^l_lk + Gamma^l_lm Gamma^m_jk - Gamma^l_jm Gamma^m_lk, in place
-    ric = np.einsum("lalp,aijp->lijp", dginv, s, out=_scratch(work, "ric", shape))
-    ric += np.einsum("klp,lijkp->kijp", ginv, ds, out=term)
-    ric *= 0.5
-    dgamma_j = np.einsum("lajp,alkp->ljkp", dginv, s, out=_scratch(work, "dgamma_j", shape))
-    dgamma_j += np.einsum("lap,alkjp->ljkp", ginv, ds, out=term)
-    dgamma_j *= 0.5
-    ric -= dgamma_j
-    ric += np.einsum("llap,aijp->lijp", gamma, gamma, out=term)
-    ric -= np.einsum("ljap,alkp->ljkp", gamma, gamma, out=term)
-    return np.add.reduce(ric, axis=0, initial=0.0)
-
-
 def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.ndarray, work: dict) -> np.ndarray:
     """Point-last z[j,k,p] whose symmetric part is Ricci, so that W^jk z_jk = W^jk R_jk for
-    every symmetric W; from _riemann_core's arguments, with no d Gamma, no d(g^-1) and
+    every symmetric W: the one curvature core of every caller but the Riemann tensor's
+    (see _traces).  From _riemann_core's arguments, with no d Gamma, no d(g^-1) and
     O(n**4) work per point.
 
     With M_j = g^-1 d_j g and v_m = g^lc d_l g_cm, the trace of M_l's row l,
@@ -269,15 +237,14 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
     Ricci is.
     """
     shape = ginv.shape[:1] * 2 + ginv.shape[-1:]  # [j,k,p]
-    term = _scratch(work, "trace_term", shape)
+    term = _scratch(work, "term", shape)
     z = np.einsum("lap,jalkp->jkp", ginv, ddg, out=_scratch(work, "z", shape))
-    half = np.einsum("lap,jklap->jkp", ginv, ddg, out=_scratch(work, "trace_half", shape))
+    half = np.einsum("lap,jklap->jkp", ginv, ddg, out=_scratch(work, "half", shape))
     half += np.einsum("lap,lajkp->jkp", ginv, ddg, out=term)
     half *= 0.5
     z -= half
-    # [j,l,b] = (M_j)^l_b, in the buffer of _ricci_core's temporaries: both cores may run in one
-    # assembly, and the Ricci core has finished by the time the traces are read
-    gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "term", dg.shape))
+    # [j,l,b] = (M_j)^l_b
+    gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "gdg", dg.shape))
     half = np.einsum("jlbp,kblp->jkp", gdg, gdg, out=half)
     half *= 0.5
     z += half
@@ -386,7 +353,7 @@ def check_finite(named_values, pts: np.ndarray) -> None:
     raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature=("riemann",), readers=None) -> list:
+def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature="riemann", readers=None) -> list:
     """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
 
     A subtree they share is evaluated once; the extra fields' errors still
@@ -402,13 +369,13 @@ def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature
         if extra:
             # raise what the metric raises alone, as when the extra fields had a sweep of their own
             arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
-            if order == 2 and "traces" in curvature:
-                arrays[3 + curvature.index("traces")]()
+            if order == 2 and curvature == "traces":
+                arrays[3]()
         raise
 
 
-def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature=("riemann",)) -> tuple[list, np.ndarray]:
-    """[g, ginv], then Gamma (order >= 1) and the ``curvature`` pieces (order 2), over points; then det g.
+def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature="riemann") -> tuple[list, np.ndarray]:
+    """[g, ginv], then Gamma (order >= 1) and the ``curvature`` piece (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
     the upper triangle over ``pts``, as _metric_jets orders them, and every
@@ -419,10 +386,11 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature=("r
     coefficients, and they and the cores' einsum results (at most n**4 per
     point) go to the buffers ``work`` keeps (see _scratch).
 
-    ``curvature`` names what is assembled from ddg, one entry each, in its
-    order: "riemann" R^l_ijk (_riemann_core), "ricci" R^l_ljk (_ricci_core),
-    and "traces" a function ``traces(*named)`` bound to this assembly (see
-    _traces), which the next assembly with the same ``work`` invalidates.
+    ``curvature`` names what is assembled from ddg: "riemann" R^l_ijk
+    (_riemann_core), or "traces" a function ``traces(*named)`` bound to this
+    assembly, which gives Ricci, R and pairings with Ricci from one trace core
+    call (see _traces) and which the next assembly with the same ``work``
+    invalidates.
 
     g is inverted in closed form for n <= 4 (_cofactor_inverse) and by LAPACK
     above.  A non-finite metric coefficient, or a Gamma or curvature entry
@@ -473,28 +441,32 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature=("r
                 ddg[i, j] = ddg[j, i] = jet.coeffs.take(space._hess_pos, 0)
             k = np.arange(n)
             ddg[:, :, k, k] *= 2.0
-            cores = {"riemann": ("Riemann", _riemann_core), "ricci": ("Ricci", _ricci_core)}
-            named += [(cores[c][0], cores[c][1](gi, dg, s, gamma, ddg, work)) for c in curvature if c in cores]
+            if curvature == "riemann":
+                named.append(("Riemann", _riemann_core(gi, dg, s, gamma, ddg, work)))
         check_finite(named, pts)
     # gamma and the curvature arrays are work buffers, which the next assembly overwrites
     out += [np.moveaxis(a, -1, 0).copy() for _, a in named]
-    if order == 2 and "traces" in curvature:
-        out.insert(3 + curvature.index("traces"), _traces(pts, gi, dg, gamma, ddg, work))
+    if order == 2 and curvature == "traces":
+        out.append(_traces(pts, gi, dg, gamma, ddg, work))
     return out, det
 
 
 def _traces(pts, gi, dg, gamma, ddg, work):
-    """``traces(*named)``: over pts, the scalar curvature R = g^jk R_jk, then
-    <s, Ric> = s_ab g^aj g^bk R_jk for each (name, s) pair given, s[a,b,p] symmetric
-    and point-last, as a list of rows over pts; from _trace_core.
+    """``traces(*named)``: over pts, Ricci R_jk[p,j,k], the symmetric part of one
+    _trace_core call's z, then from that z the scalar curvature R = g^jk z_jk and
+    <s, Ric> = s_ab g^aj g^bk z_jk for each (name, s) pair given, s[a,b,p] symmetric
+    and point-last, as rows over pts.
 
-    R's row does not depend on what follows it.  Ricci is raised before s is
-    paired with it, so a g^-1 too large to square does not overflow where the
-    raised Ricci is finite.  A lone point is assembled twice over, as a block
-    of two: with one point, einsum would run some sums over j, k, l or a in its
-    inner loop, which adds them in another order, and the rows would depend on
-    the blocks.  A row that is not finite raises DomainError naming it
-    ("scalar curvature" for R) and the first bad point.
+    Ricci is (z + z^T) / 2 with z halved first, so that it overflows only where
+    an entry of it does.  R's row does not depend on what follows it.  z is
+    raised before s is paired with it, so a g^-1 too large to square does not
+    overflow where the raised Ricci is finite.  A lone point is assembled twice
+    over, as a block of two: with one point, einsum would run some sums over j,
+    k, l or a in its inner loop, which adds them in another order, and the
+    results would depend on the blocks.  A result that is not finite raises
+    DomainError naming it ("Ricci", then "scalar curvature" for R) and the first
+    bad point; where z overflows, R does too, so Ricci's check fails no
+    assembly that R's would pass.
     """
     npts = len(pts)
     twice = (lambda a: np.concatenate([a, a], axis=-1)) if npts == 1 else (lambda a: a)
@@ -503,13 +475,15 @@ def _traces(pts, gi, dg, gamma, ddg, work):
     def traces(*named):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             z = _trace_core(gi, dg, gamma, ddg, work)
+            half = 0.5 * z
+            ric = half + half.transpose(1, 0, 2)
             rows = [np.einsum("jkp,jkp->p", gi, z)]
             if named:
                 raised = np.einsum("akp,kbp->abp", np.einsum("ajp,jkp->akp", gi, z), gi)
                 rows += [np.einsum("abp,abp->p", twice(s), raised) for _, s in named]
-        rows = [row[:npts] for row in rows]
-        check_finite(list(zip(["scalar curvature", *(name for name, _ in named)], rows)), pts)
-        return rows
+        ric, rows = ric[..., :npts], [row[:npts] for row in rows]
+        check_finite([("Ricci", ric), *zip(["scalar curvature", *(name for name, _ in named)], rows)], pts)
+        return [np.moveaxis(ric, -1, 0).copy(), *rows]
 
     return traces
 
@@ -532,7 +506,7 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
     The one place that splits points for a batched assembly (see _blocks).
     For each block in point order it sweeps the order-2 jets of the metric's
     upper triangle and then of the ``extra`` fields (_metric_jets), builds
-    [g, ginv, Gamma, *curvature] and det g from them (_metric_tensors) and hands all of it to
+    [g, ginv, Gamma, curvature] and det g from them (_metric_tensors) and hands all of it to
     ``block``; every block's assemblies share one ``work`` dict.  The fields'
     reader counts are taken once per call, so each block's sweep frees its
     intermediate jets after their last reader.  ``block`` owns the list
@@ -566,7 +540,7 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
 def curvature_data_batch(m: MetricSpec, points) -> tuple:
     """Batched (g, ginv, Gamma, Riemann), each with a leading point axis, filled block by block."""
     pts = np.asarray(points, dtype=float)
-    return tuple(_over_blocks(m, pts, (), ("riemann",), lambda p, arrays, det, jets, work: arrays))
+    return tuple(_over_blocks(m, pts, (), "riemann", lambda p, arrays, det, jets, work: arrays))
 
 
 def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
@@ -574,7 +548,7 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
     return np.moveaxis(jet.hessian(), -1, 0) - np.einsum("pkij,pk->pij", gamma, jet.gradient().T)
 
 
-def _at(m: MetricSpec, p, order: int, curvature=("riemann",)) -> tuple[tuple[float, ...], list]:
+def _at(m: MetricSpec, p, order: int, curvature="riemann") -> tuple[tuple[float, ...], list]:
     """The point as floats and the metric arrays of the batch of one it makes (traces as bound)."""
     pts = np.asarray([p], dtype=float)
     arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
@@ -605,15 +579,15 @@ def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def ricci_at(m: MetricSpec, p) -> TensorValue:
-    """Ric_jk = R^l_ljk."""
-    pt, (*_, ric) = _at(m, p, 2, ("ricci",))
-    return TensorValue(("d", "d"), ric, pt)
+    """Ric_jk = R^l_ljk, from the trace core (the row GeometryBatch.ric has)."""
+    pt, (*_, traces) = _at(m, p, 2, "traces")
+    return TensorValue(("d", "d"), traces()[0][0], pt)
 
 
 def scalar_curvature_at(m: MetricSpec, p) -> float:
     """R = g^jk R_jk, from the trace core (the row GeometryBatch.scalar has)."""
-    _, (*_, traces) = _at(m, p, 2, ("traces",))
-    return float(traces()[0][0])
+    _, (*_, traces) = _at(m, p, 2, "traces")
+    return float(traces()[1][0])
 
 
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:

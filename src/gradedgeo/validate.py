@@ -135,7 +135,8 @@ def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     Returns the values [field, t] and gradients [field, m, t] of ``fields``,
     then c[a, b, e, t], dc[a, b, e, m, t], and g[a, b, t] and dg[a, b, m, t]
     from ``_metric_arrays``, which raises DomainError on a non-finite g_ij
-    or weight; each odd index last.
+    or weight; each odd index last.  A non-finite entry of c or dc raises
+    DomainError naming the connection table, after the metric's errors.
     """
     n, t = gm.chart.dim, len(pts)
     comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
@@ -145,6 +146,7 @@ def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     g, dg = _metric_arrays(jets[m:], pts)
     val, grad = np.array([jet.value for jet in jets[:m]]), np.array([jet.gradient() for jet in jets[:m]])
     c, dc = val[k:].reshape(n + 1, n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n + 1, n, t)
+    rm.check_finite([("connection table", c), ("connection table", dc)], pts)
     return val[:k], grad[:k], c, dc, g, dg
 
 
@@ -189,32 +191,37 @@ def _basis_curvature(c: np.ndarray, dc: np.ndarray, g: np.ndarray) -> np.ndarray
     return np.einsum("abcet,edt->abcdt", q - q.swapaxes(0, 1), g)
 
 
-def _frame_ricci(jets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame-summed Ricci on the graded coordinate basis at each point of a pass.
+def _frame_ricci(jets, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame-summed Ricci on the graded coordinate basis at each point of a pass at pts.
 
     Curvature is tensorial in every slot, so with the frame e = F[e, a] E_a,
     Ric(E_b, E_c) = sum_e s_e F[e, a] F[e, d] <R(E_a, E_b)E_c, E_d>, summed
     numerically.  The frame is ``_gram_schmidt``'s rows of the pass's
     g_ij, then the odd unit exp(-theta) times the odd basis; theta is the
     pass's first field.  Returns ric[p, b, c], the frames F[p, e, a] and
-    their signs s[p, e].
+    their signs s[p, e]; DomainError naming the basis curvature or the
+    frame-summed Ricci where not finite.
     """
     values, _, c, dc, g, _ = jets
     n, npts = dc.shape[3], dc.shape[-1]
-    kab = _basis_curvature(c, dc, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kab = _basis_curvature(c, dc, g)
     frames = np.zeros((npts, n + 1, n + 1))
     signs = np.ones((npts, n + 1))
     # each point's g_ij laid out as metric_at lays it out
     for i, gp in enumerate(np.moveaxis(g[:n, :n], -1, 0).copy()):
         frames[i, :n, :n], signs[i, :n] = _gram_schmidt(gp)
-    frames[:, n, n] = np.exp(-values[0])
-    ric = np.einsum("pe,pea,ped,abcdp->pbc", signs, frames, frames, kab)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        frames[:, n, n] = np.exp(-values[0])
+        ric = np.einsum("pe,pea,ped,abcdp->pbc", signs, frames, frames, kab)
+    rm.check_finite([("basis curvature", kab), ("frame-summed Ricci", np.moveaxis(ric, 0, -1))], pts)
     return ric, frames, signs
 
 
 def _frame_sums(gm: GradedMetric, points):
     """``_frame_ricci`` from a pass of its own at points."""
-    return _frame_ricci(_table_jets(gm, [gm.theta], gm.chart.require_points(points)))
+    pts = gm.chart.require_points(points)
+    return _frame_ricci(_table_jets(gm, [gm.theta], pts), pts)
 
 
 def _frame_scalar(ric: np.ndarray, frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -289,14 +296,18 @@ def check_scalar_frame(gm: GradedMetric, sample) -> CheckResult:
 
 
 def _scalar_frame(sums, b: gd.GeometryBatch) -> CheckResult:
-    got = _frame_scalar(*sums)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        got = _frame_scalar(*sums)
+    rm.check_finite([("frame-summed scalar", got)], b.points[: len(got)])
     want = b.graded_scalar[: len(got)]
     return CheckResult("scalar_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
 def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
-    """Two cores: the graded scalar, whose R is the trace core's, equals the trace of the
-    graded Ricci blocks, built from the Ricci core; Hessian traces close."""
+    """Same-engine: the graded scalar equals the trace of the graded Ricci blocks, and
+    Hessian traces close.  R and Ricci come from one trace core call (R = g^jk z_jk,
+    Ricci the symmetric part of z), so this checks the assembly around them; the
+    frame sums are the independent check of both."""
     return _trace_identities(gm, rng, gd.geometry_batch(gm, sample))
 
 
@@ -356,6 +367,7 @@ def run_geometry_checks(
     if sample is None:
         sample = [random_interior_point(rng, gm.chart) for _ in range(5)]
     sample = [gm.chart.require_point(p) for p in sample]
+    b = gd.geometry_batch(gm, sample)  # first, so that the engine's errors come before its oracles'
     checks = (_koszul, _compatibility, _torsion)
     # the draws of check_koszul_vs_triple, check_metric_compatibility and check_torsion_free
     draws = [
@@ -368,8 +380,7 @@ def run_geometry_checks(
     edges = np.cumsum([0, *map(len, parts)])
     *cols, frame_jets = _columns(_table_jets(gm, [gm.theta], np.concatenate(parts)), edges)
     results = [check(gm, draw, jets) for check, draw, jets in zip(checks, draws, cols)]
-    b = gd.geometry_batch(gm, sample)
-    sums = _frame_ricci(frame_jets)
+    sums = _frame_ricci(frame_jets, frame)
     results += [
         _ricci_blocks_frame(sums[0], b),
         _scalar_frame(sums, b),

@@ -618,20 +618,46 @@ def test_theta_slope_overflow_exit_3(tmp_path, capsys, command, g00, field):
     assert line.startswith(f"numeric domain error: non-finite value of {field} at point (")
 
 
+# the metric's jets are finite, but with A = g_0_0, Ric_11 = -A_yy / (2A) = -1e309 at y = 0:
+# Ricci itself leaves the double range, and R with it
 CURVATURE_OVERFLOW = (
-    FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1 + 9e307*x*y\n")
+    FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1e-9 + 1e300*y*y\n")
     .replace("expr = x", "expr = 0")
-    .replace("counts = 3, 3", "points = 0.01 0.01")
+    .replace("counts = 3, 3", "points = 0.01 0")
 )
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["report", "residuals", "validate"])
 def test_curvature_overflow_exit_3(tmp_path, capsys, command):
-    # the metric's jets are finite, but d_x d_y g_0_0 = 9e307 overflows in the curvature sums
     code = run([command, "--config", write(tmp_path, CURVATURE_OVERFLOW)])
     err = capsys.readouterr().err
     assert code == 3
-    assert "non-finite value of Ricci at point (0.01, 0.01)" in err
+    assert "non-finite value of Ricci at point (0.01, 0.0)" in err
+    assert "Traceback" not in err
+
+
+# A = g_0_0 at (0.01, 0.01): d_x d_y A = 9e307 is near the top of the double range, but
+# K = A_y^2 / (4 A^2) = 2500, so R = 5000, Ric_00 = K A = 2.25e307 and Ric_11 = 2500
+CURVATURE_NEAR_MAX = CURVATURE_OVERFLOW.replace("1e-9 + 1e300*y*y", "1 + 9e307*x*y").replace(
+    "points = 0.01 0", "points = 0.01 0.01"
+)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curvature_near_the_double_range(tmp_path, capsys):
+    path = write(tmp_path, CURVATURE_NEAR_MAX)
+    m, p = cf.build_graded_metric(cf.load_config(path)).metric, (0.01, 0.01)
+    assert abs(rm.scalar_curvature_at(m, p) - 5000.0) <= 4 * np.spacing(5000.0)
+    want = np.diag([2.25e307, 2500.0])
+    assert (np.abs(rm.ricci_at(m, p).components - want) <= 4 * np.spacing(want)).all()
+    codes = [run([command, "--config", path]) for command in ("report", "residuals", "validate")]
+    err = capsys.readouterr().err
+    # e29 = |Ric - 2 dtheta x dtheta| = 2.25e307 fails residuals; validate's oracle routes
+    # differentiate Gamma, whose d_m g^ij term overflows, and fail closed
+    assert codes == [0, 1, 3]
+    assert "non-finite value of connection table at point (" in err
+    assert "Traceback" not in err
 
 
 DET_OVERFLOW = (

@@ -710,9 +710,9 @@ def test_action_sums_do_not_depend_on_point_blocks(monkeypatch, dim):
 
 
 def test_action_and_scalar_curvature_build_no_curvature_tensor(monkeypatch):
-    # the action's three passes, action_magnitude, hilbert_action and
-    # scalar_curvature_at read the scalar curvature and <s, Ric> off the trace
-    # core; neither the Ricci nor the Riemann core runs
+    # the action's three passes, action_magnitude, hilbert_action, geometry_batch,
+    # ricci_at and scalar_curvature_at read Ricci, the scalar curvature and <s, Ric>
+    # off the trace core; the Riemann core never runs
     rng = np.random.default_rng(61)
     chart = default_chart(3)
     gm = random_graded_metric(rng, chart)
@@ -721,14 +721,15 @@ def test_action_and_scalar_curvature_build_no_curvature_tensor(monkeypatch):
     def refuse(*args):
         raise AssertionError("a curvature tensor was assembled")
 
-    monkeypatch.setattr(rm, "_ricci_core", refuse)
     monkeypatch.setattr(rm, "_riemann_core", refuse)
     assert all(np.isfinite(gd._action_variation(gm, var, QuadSpec(3))))
     assert np.isfinite(gd.action_magnitude(gm, QuadSpec(3)))
     assert np.isfinite(gd.hilbert_action(gm, QuadSpec(3)))
-    assert np.isfinite(rm.scalar_curvature_at(gm.metric, random_interior_point(rng, chart)))
-    with pytest.raises(AssertionError, match="curvature tensor"):  # GeometryBatch's Ricci still does
-        gd.geometry_batch(gm, [random_interior_point(rng, chart)])
+    p = random_interior_point(rng, chart)
+    assert np.isfinite(rm.scalar_curvature_at(gm.metric, p))
+    assert np.isfinite(rm.ricci_at(gm.metric, p).components).all()
+    b = gd.geometry_batch(gm, [p, random_interior_point(rng, chart)])
+    assert np.isfinite(b.ric).all() and np.isfinite(b.scalar).all()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -228,24 +228,6 @@ def test_cores_match_einsum_reference_bitwise(n):
         assert np.moveaxis(got, -1, 0).tobytes() == want.tobytes(), (n, npts)
 
 
-@pytest.mark.bitwise
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ricci_core_matches_riemann_trace_bitwise(n):
-    rng = np.random.default_rng(70 + n)
-    for npts in (1, 2, 7, 37, 256):
-        ginv, dg, ddg = (
-            rng.standard_normal((n,) * k + (npts,)) * 10.0 ** rng.integers(-3, 4, (n,) * k + (npts,))
-            for k in (2, 3, 4)
-        )
-        for a in (ginv, dg, ddg):  # signed zeros in every operand
-            zero = rng.random(a.shape) < 0.2
-            a[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
-        s, gamma = rm._christoffel_core(ginv, dg, {})
-        riem = np.moveaxis(rm._riemann_core(ginv, dg, s, gamma, ddg, {}), -1, 0).copy()
-        got = np.moveaxis(rm._ricci_core(ginv, dg, s, gamma, ddg, {}), -1, 0)
-        assert got.tobytes() == np.einsum("plljk->pjk", riem).tobytes(), (n, npts)
-
-
 def _metric_derivatives(m, pts):
     """Point-last dg[i,j,k,p] = d_k g_ij and ddg[i,j,k,m,p] = d_k d_m g_ij from the metric's jets."""
     n = m.chart.dim
@@ -258,10 +240,12 @@ def _metric_derivatives(m, pts):
     return dg, ddg
 
 
-def _trace_bound(w, ginv, dg, ddg):
-    """Bound on |W^jk z_jk - W^jk Ric_jk| per weight and point, z from the trace core and Ric
-    from the Ricci core, over point-last w[w,j,k,p], ginv, dg and ddg with the symmetries
-    of a metric's (any symmetric ginv; dg symmetric in i, j; ddg in i, j and in k, m).
+def _ricci_bound(ginv, dg, ddg):
+    """Bound on |Ric_jk - R^l_ljk| per entry and point, Ric the symmetric part of the trace
+    core's z and R^l_ljk the Riemann core's trace, over point-last ginv, dg and ddg with the
+    symmetries of a metric's (any symmetric ginv; dg symmetric in i, j; ddg in i, j and in
+    k, m). A pairing W^jk z_jk - W^jk R^l_ljk with symmetric W is bounded by the pairing
+    of |W| with it.
 
     Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1):
     both routes are exact polynomials in these inputs, equal where the symmetries hold,
@@ -269,10 +253,15 @@ def _trace_bound(w, ginv, dg, ddg):
     most K rounded operations is within gamma_K = K u / (1 - K u), u = 2**-53, of the
     sum of the absolute values of every product it adds, each product's factors taken
     in absolute value (S as |dg| + |dg| + |dg|, Gamma as |ginv| |S| / 2, and so on).
-    The longest chain in either route is one contraction over n**2 terms into an
-    entry and one over n**2 terms with W, plus at most 6n + 16 others (the sums over
-    one index, the combinations of terms, the factors of each product), so
-    K = 2n**2 + 6n + 16. The bound is gamma_K times the two routes' absolute sums.
+    A sum of m terms from +0.0 counts m operations, a product of f factors f - 1, and
+    a halving none. The Riemann route's longest chain is d Gamma's d(g^-1) term:
+    n**2 + 2 for d(g^-1), 2 for S, n + 1 for their contraction, 1 for the second d Gamma
+    term, 3 for the combinations into R^l_ijk and n for the trace, so n**2 + 2n + 9; its
+    Gamma Gamma chain is 4n + 9. The trace route's longest are Gamma^l_jm Gamma^m_lk,
+    2(n + 3) + 1 for the product, n**2 for its sum, 1 for its update of z and 1 for the
+    symmetric part, so n**2 + 2n + 9, and (Gamma^l_lm - v_m) Gamma^m_jk, 4n + 11. A
+    pairing with W adds n**2 + 1. So K = 2n**2 + 6n + 16 bounds every chain, and the
+    bound is gamma_K times the two routes' absolute sums.
     """
     n = ginv.shape[0]
     e = np.einsum
@@ -281,12 +270,11 @@ def _trace_bound(w, ginv, dg, ddg):
     a_ds = a_ddg.transpose(1, 0, 2, 3, 4) + a_ddg.transpose(1, 2, 0, 3, 4) + a_ddg.transpose(2, 0, 1, 3, 4)
     a_gamma = 0.5 * e("klp,lijp->kijp", a_g, a_s)
     a_dginv = e("iap,abmp,bjp->ijmp", a_g, a_dg, a_g)
-    ricci_route = (
-        0.5 * (e("lalp,aijp->lijp", a_dginv, a_s) + e("klp,lijkp->kijp", a_g, a_ds))
-        + 0.5 * (e("lajp,alkp->ljkp", a_dginv, a_s) + e("lap,alkjp->ljkp", a_g, a_ds))
-        + e("llap,aijp->lijp", a_gamma, a_gamma)
-        + e("ljap,alkp->ljkp", a_gamma, a_gamma)
-    ).sum(axis=0)
+    # as _riemann_core forms R^l_ijk = dgamma[i,l,j,k] - dgamma[j,l,i,k] + gg[l,i,j,k] - gg[l,j,i,k]
+    a_dgamma = 0.5 * (e("klmp,lijp->mkijp", a_dginv, a_s) + e("klp,lijmp->mkijp", a_g, a_ds))
+    a_gg = e("limp,mjkp->lijkp", a_gamma, a_gamma)
+    a_riem = a_dgamma.transpose(1, 0, 2, 3, 4) + a_dgamma.transpose(1, 2, 0, 3, 4) + a_gg + a_gg.transpose(0, 2, 1, 3, 4)
+    riemann_route = e("lljkp->jkp", a_riem)
     a_m = e("lap,abjp->jlbp", a_g, a_dg)
     trace_route = (
         e("lap,jalkp->jkp", a_g, a_ddg)
@@ -297,7 +285,7 @@ def _trace_bound(w, ginv, dg, ddg):
     )
     k = 2 * n * n + 6 * n + 16
     u = 2.0**-53
-    return k * u / (1 - k * u) * e("wjkp,jkp->wp", np.abs(w), ricci_route + trace_route)
+    return k * u / (1 - k * u) * (riemann_route + 0.5 * (trace_route + trace_route.transpose(1, 0, 2)))
 
 
 def _symmetric_draw(rng, shape, pairs):
@@ -313,45 +301,95 @@ def _symmetric_draw(rng, shape, pairs):
     return a
 
 
+def _metric_draw(rng, n, npts):
+    """Point-last ginv, dg and ddg with a metric's symmetries (see _symmetric_draw)."""
+    return (
+        _symmetric_draw(rng, (n, n, npts), [(0, 1)]),
+        _symmetric_draw(rng, (n, n, n, npts), [(0, 1)]),
+        _symmetric_draw(rng, (n, n, n, n, npts), [(0, 1), (2, 3)]),
+    )
+
+
+def _riemann_trace(ginv, dg, ddg):
+    """R^l_ljk[j,k,p] from the Riemann core, and the Gamma it was built from."""
+    s, gamma = rm._christoffel_core(ginv, dg, {})
+    return np.einsum("lljkp->jkp", rm._riemann_core(ginv, dg, s, gamma, ddg, {})), gamma
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ricci_core_matches_riemann_trace_bitwise(n):
+    # the engine's Ricci, the symmetric part of the trace core's z (a lone point assembled
+    # as a block of two), is exactly symmetric, bit for bit, and it is the Riemann core's
+    # trace R^l_ljk within the rounding model of _ricci_bound
+    rng = np.random.default_rng(70 + n)
+    for npts in (1, 2, 7, 37, 256):
+        ginv, dg, ddg = _metric_draw(rng, n, npts)
+        want, gamma = _riemann_trace(ginv, dg, ddg)
+        ric = np.moveaxis(rm._traces(np.zeros((npts, n)), ginv, dg, gamma, ddg, {})()[0], 0, -1)
+        assert ric.tobytes() == ric.transpose(1, 0, 2).tobytes(), (n, npts)
+        bound = _ricci_bound(ginv, dg, ddg)
+        assert (np.abs(ric - want) <= bound).all(), (n, npts, np.max(np.abs(ric - want) / bound))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trace_core_pairs_as_the_ricci_core(n):
-    # W^jk z_jk, z from the trace core, is W^jk Ric_jk for every symmetric W, within
-    # the rounding model of _trace_bound
+    # W^jk z_jk, z from the trace core, is W^jk R^l_ljk, the Riemann core's trace, for every
+    # symmetric W, within the rounding model of _ricci_bound
     rng = np.random.default_rng(110 + n)
     for npts in (1, 2, 7, 37, 256):
-        ginv = _symmetric_draw(rng, (n, n, npts), [(0, 1)])
-        dg = _symmetric_draw(rng, (n, n, n, npts), [(0, 1)])
-        ddg = _symmetric_draw(rng, (n, n, n, n, npts), [(0, 1), (2, 3)])
+        ginv, dg, ddg = _metric_draw(rng, n, npts)
         w = _symmetric_draw(rng, (2, n, n, npts), [(1, 2)])
-        s, gamma = rm._christoffel_core(ginv, dg, {})
-        ric = rm._ricci_core(ginv, dg, s, gamma, ddg, {})
+        ric, gamma = _riemann_trace(ginv, dg, ddg)
         want = np.einsum("wjkp,jkp->wp", w, ric)
         got = np.einsum("wjkp,jkp->wp", w, rm._trace_core(ginv, dg, gamma, ddg, {}))
-        bound = _trace_bound(w, ginv, dg, ddg)
+        bound = np.einsum("wjkp,jkp->wp", np.abs(w), _ricci_bound(ginv, dg, ddg))
         assert (np.abs(got - want) <= bound).all(), (n, npts, np.max(np.abs(got - want) / bound))
 
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ricci_views_match_riemann_trace_bitwise(n):
-    # ricci_at is the trace of the full tensor, bit for bit. The scalar curvature has one
-    # owner, the trace core: scalar_curvature_at is GeometryBatch.scalar's row, and it
-    # agrees with the trace of Ricci within the rounding model of _trace_bound. Dim 5
-    # takes LAPACK's inverse, the lower dims the cofactor inverse
+    # Ricci and the scalar curvature have one owner, the trace core: ricci_at and
+    # scalar_curvature_at are GeometryBatch's rows, bit for bit, and they agree with the
+    # Riemann core's trace within the rounding model of _ricci_bound. Dim 5 takes LAPACK's
+    # inverse, the lower dims the cofactor inverse
     rng = np.random.default_rng(80 + n)
     chart = default_chart(n)
     for _ in range(3):
         m = random_metric(rng, chart)
         p = random_interior_point(rng, chart)
         ginv = rm.metric_at(m, p)[1].components
-        ric = np.einsum("lljk->jk", rm.riemann_at(m, p).components)
-        assert rm.ricci_at(m, p).components.tobytes() == ric.tobytes()
-        scalar = rm.scalar_curvature_at(m, p)
+        ric, scalar = rm.ricci_at(m, p).components, rm.scalar_curvature_at(m, p)
         batch = gd.geometry_batch(gd.GradedMetric(m, ef.constant(chart, 0.0)), [p])
+        assert ric.tobytes() == batch.ric[0].tobytes()
         assert np.float64(scalar).tobytes() == batch.scalar[0].tobytes()
-        gi = ginv[..., None]
-        bound = _trace_bound(gi[None], gi, *_metric_derivatives(m, [p]))[0, 0]
-        assert abs(scalar - np.einsum("jk,jk->", ginv, ric)) <= bound
+        want = np.einsum("lljk->jk", rm.riemann_at(m, p).components)
+        bound = _ricci_bound(ginv[..., None], *_metric_derivatives(m, [p]))[..., 0]
+        assert (np.abs(ric - want) <= bound).all()
+        assert abs(scalar - np.einsum("jk,jk->", ginv, want)) <= np.einsum("jk,jk->", np.abs(ginv), bound)
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parent / "golden").glob("**/*.ini"))
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=[f"{p.parent.name}/{p.stem}" for p in _CONFIGS])
+def test_geometry_batch_curvature_matches_riemann_trace(path):
+    # on every golden and section config's grid, GeometryBatch's Ricci and scalar curvature
+    # are the trace and the double trace of curvature_data_batch's Riemann tensor, within
+    # the rounding model of _ricci_bound
+    cfg = cf.load_config(str(path))
+    gm = cf.build_graded_metric(cfg)
+    pts = np.asarray(cf.grid_points(cfg))
+    b = gd.geometry_batch(gm, pts)
+    _, ginv, _, riem = rm.curvature_data_batch(gm.metric, pts)
+    assert ginv.tobytes() == b.ginv.tobytes()
+    want = np.einsum("plljk->pjk", riem)
+    dg, ddg = _metric_derivatives(gm.metric, pts)
+    bound = np.moveaxis(_ricci_bound(np.ascontiguousarray(np.moveaxis(ginv, 0, -1)), dg, ddg), -1, 0)
+    assert (np.abs(b.ric - want) <= bound).all()
+    scalar_bound = np.einsum("pjk,pjk->p", np.abs(ginv), bound)
+    assert (np.abs(b.scalar - np.einsum("pjk,pjk->p", ginv, want)) <= scalar_bound).all()
 
 
 _DYADIC = st.integers(-512, 512).map(lambda k: k / 256.0)
@@ -413,10 +451,13 @@ def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     want_riem = _einsum_riemann(ginv, dg, s, want_gamma, ddg)
     assert gamma.tobytes() == want_gamma.tobytes()
     assert riem.tobytes() == want_riem.tobytes()
-    # the Ricci-only core, as geometry_batch sweeps it with theta
+    # geometry_batch sweeps the same Gamma with theta, and its Ricci and R are one trace
+    # core call's over every point at once
     b = gd.geometry_batch(gd.GradedMetric(m, ef.coordinate(chart, chart.coord_names[0])), pts)
     assert b.gamma.tobytes() == want_gamma.tobytes()
-    assert b.ric.tobytes() == np.einsum("plljk->pjk", want_riem).tobytes()
+    ric, scalar = rm._traces(pts, *(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (ginv, dg, want_gamma, ddg)), {})()
+    assert b.ric.tobytes() == ric.tobytes()
+    assert b.scalar.tobytes() == scalar.tobytes()
 
 
 @pytest.mark.bitwise
@@ -454,6 +495,30 @@ def test_batches_do_not_depend_on_point_blocks(monkeypatch, n):
     assert batches(1, len(pts)) == single
 
 
+def test_geometry_batch_runs_one_curvature_core_per_block(monkeypatch):
+    # Ricci and R of each point block come from one trace core call; the Riemann core
+    # never runs
+    rng = np.random.default_rng(997)
+    gm = random_graded_metric(rng, default_chart(3))
+    pts = _box_points(rng, gm.chart, 2 * _block_cap(3) + 5)
+    calls = []
+
+    def counted(*args, _original=rm._trace_core):
+        calls.append(args[0].shape[-1])
+        return _original(*args)
+
+    def refuse(*args):
+        raise AssertionError("the Riemann core ran")
+
+    monkeypatch.setattr(rm, "_trace_core", counted)
+    monkeypatch.setattr(rm, "_riemann_core", refuse)
+    b = gd.geometry_batch(gm, pts)
+    blocks = rm._blocks(len(pts), 3)
+    assert len(blocks) == 3
+    assert calls == [sl.stop - sl.start for sl in blocks]
+    assert np.isfinite(b.ric).all() and np.isfinite(b.scalar).all()
+
+
 def test_curvature_batch_memory_bound(eds3):
     # the action_magnitude rule of the n = 3 power-law solution: 4096 points at dim 4
     pts, _ = tensor_rule(eds3.chart, QuadSpec(8, ((-0.5, 0.5),) * 3 + ((0.9, 1.9),)))
@@ -478,10 +543,9 @@ def _traced_peak(run):
 
 
 def test_ricci_paths_memory_bound(eds3):
-    # the same 4096-point rule through the graded callers' cores, which form no
-    # Riemann tensor: geometry_batch runs the Ricci core and the trace core, whose
-    # einsums build no broadcast product, so its peak stays below 9.3 MB (8.6 MB
-    # traced). action_magnitude runs the trace core only and streams the rule in
+    # the same 4096-point rule through the graded callers' core, which forms no
+    # Riemann tensor: geometry_batch runs the trace core, whose einsums build no
+    # broadcast product, so its peak stays below 9.3 MB. action_magnitude runs the trace core only and streams the rule in
     # 16 blocks of 256 points; its peak is one block's jets, tensors and work
     # buffers plus the node, weight and integrand of each rule point, 48 bytes or
     # 0.2 MB: it traces about 1.86 MB, below 4 MB
@@ -508,8 +572,8 @@ def test_geometry_batch_memory_is_its_output_and_one_block():
     sweep = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, [gm.theta]))
     jets = rm._metric_jets(gm.metric, p, 2, [gm.theta])
 
-    def assemble():  # as a block of geometry_batch: Ricci, then the scalar curvature
-        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, ("ricci", "traces"))
+    def assemble():  # as a block of geometry_batch: Ricci and the scalar curvature
+        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, "traces")
         arrays[-1]()
 
     assembly = _traced_peak(assemble)
@@ -591,8 +655,8 @@ def test_block_sweep_memory_is_its_roots_and_live_jets(eds3):
     fields = [gm.theta, var.profile]
     roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
     readers = ef.reader_counts(roots)
-    rm._metric_jets(gm.metric, p, 2, fields, ("traces",), readers)  # caches built outside the trace
-    peak = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, fields, ("traces",), readers))
+    rm._metric_jets(gm.metric, p, 2, fields, "traces", readers)  # caches built outside the trace
+    peak = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, fields, "traces", readers))
     kept, rest = _sweep_model(roots, ef.jet_space(4, 2), len(p))
     assert len(p) == 216
     assert peak <= kept + rest, (peak, kept, rest)
@@ -613,13 +677,13 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
         p = pts[max(rm._blocks(len(pts), n), key=lambda sl: sl.stop - sl.start)]
         fields = [gm.theta, var.profile]
         roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
-        jets = rm._metric_jets(gm.metric, p, 2, fields, ("traces",), ef.reader_counts(roots))
+        jets = rm._metric_jets(gm.metric, p, 2, fields, "traces", ef.reader_counts(roots))
         s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
         work = {}
 
         def one_pass():
-            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], 2, work, ("traces",))
-            gd._theta_part(p, ginv, gamma, traces(("s", s))[0], jets[-2])
+            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], 2, work, "traces")
+            gd._theta_part(p, ginv, gamma, traces(("s", s))[1], jets[-2])
 
         one_pass()
         buffers = sum(b.nbytes for b in work.values())
@@ -722,8 +786,9 @@ def test_first_order_views_fail_closed_on_overflow(flat2):
 
 @pytest.mark.filterwarnings("error")
 def test_curvature_assembly_fails_closed_on_overflow():
-    # finite metric jets whose Christoffel or curvature sums overflow: d_x d_y g_0_0 = 2.7e308*y^2
-    # is finite at y = 0.7, twice it is not, and the first such point is a block past the start
+    # finite metric jets whose Christoffel or curvature sums overflow, the first such point a
+    # block past the start. d_x d_y g_0_0 = 2.7e308*y^2 is finite at y = 0.7, twice it is
+    # not, so the Riemann core's d_m S overflows where Ricci is finite (Ric_00 = -4.7e305)
     chart = ef.ChartSpec(("x", "y"), ((-1, 1), (-1, 1)))
     m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 9e307*x*y^3", chart), 1.0])
     c = _block_cap(2)
@@ -732,8 +797,17 @@ def test_curvature_assembly_fails_closed_on_overflow():
     first = re.escape(f" at point {tuple(pts[c + 3].tolist())}") + "$"
     with pytest.raises(DomainError, match="^non-finite value of Riemann" + first):
         rm.curvature_data_batch(m, pts)
+    b = gd.geometry_batch(gd.GradedMetric(m, ef.constant(chart, 0.0)), pts)
+    assert np.isfinite(b.ric).all() and b.ric[c + 3, 0, 0] < -1e305
+    # g_0_0 = 1e-9 + 1e300 y^2 has Ric_11 = -A_yy / (2A) = -1e309 at y = 0: Ricci itself
+    # leaves the double range, and R with it
+    m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1e-9 + 1e300*y^2", chart), 1.0])
+    pts[c + 3 :, 1] = 0.0
+    first = re.escape(f" at point {tuple(pts[c + 3].tolist())}") + "$"
     with pytest.raises(DomainError, match="^non-finite value of Ricci" + first):
         gd.geometry_batch(gd.GradedMetric(m, ef.constant(chart, 0.0)), pts)
+    with pytest.raises(DomainError, match=r"^non-finite value of Ricci at point \(0\.5, 0\.0\)$"):
+        rm.ricci_at(m, (0.5, 0.0))
     # 1e308 + 1e308 in S[l,i,j] = d_j g_il + d_i g_jl - d_l g_ij
     m = rm.MetricSpec.diagonal(chart, [ef.parse_field("1 + 1e308*x", chart), 1.0])
     with pytest.raises(DomainError, match=r"^non-finite value of Gamma at point \(0\.001, 0\.0\)$"):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_oracle_routes_stay_off_the_curvature_engine(monkeypatch):
         (rm, "curvature_data_batch"),
         (rm, "_christoffel_core"),
         (rm, "_riemann_core"),
-        (rm, "_ricci_core"),
+        (rm, "_trace_core"),
     ):
         monkeypatch.setattr(module, name, engine)
     rng = np.random.default_rng(71)
@@ -315,6 +316,25 @@ def test_frame_scalar_fails_closed_on_weight_overflow():
     gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.coordinate(chart, "x"))
     with pytest.raises(DomainError, match=r"exp\(2\*theta\)"):
         frame_scalar(gm, (380.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_frame_sums_fail_closed(monkeypatch):
+    # a connection table or a pairing that leaves the double range raises DomainError
+    # naming it and its first bad point, with no RuntimeWarning. With theta = 1e155*x on a
+    # box thin in x, theta and exp(2 theta) are finite, but the derivative of the odd
+    # connection coefficient -exp(2 theta) grad theta carries (d_x theta)^2 = 1e310
+    chart = ef.ChartSpec(("x", "y"), ((-1e-160, 1e-160), (0.0, 1.0)))
+    gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.parse_field("1e155*x", chart))
+    with pytest.raises(DomainError, match=r"^non-finite value of connection table at point \(0\.0, 0\.5\)$"):
+        vd._frame_sums(gm, [(0.0, 0.5)])
+    gm = random_graded_metric(np.random.default_rng(79), default_chart(2))
+    pts = [random_interior_point(np.random.default_rng(83 + k), gm.chart) for k in range(3)]
+    real = vd._basis_curvature
+    monkeypatch.setattr(vd, "_basis_curvature", lambda *args: real(*args) * np.array([1.0, np.inf, 1.0]))
+    at = re.escape(f" at point {tuple(pts[1])}") + "$"
+    with pytest.raises(DomainError, match="^non-finite value of basis curvature" + at):
+        vd._frame_sums(gm, pts)
 
 
 @pytest.mark.bitwise
