@@ -269,10 +269,10 @@ class GeometryBatch:
     Index layouts follow the riemann module.  Curvature comes from one trace
     core call per point block (riemann._traces): ``ric`` is the symmetric part
     of its z and ``scalar`` is g^jk z_jk, so R agrees with the trace of ``ric``
-    to rounding; the full Riemann tensor has no reader here.  The graded Ricci form has an
-    even block ``gric_even`` and an odd block ``gric_odd``; its cross block
-    vanishes for the compatible triple.  ``e27``..``e44`` are the max-norm
-    residuals of the four field-equation forms.
+    to rounding; the full Riemann tensor has no reader here.  The graded Ricci
+    form has an even block ``gric_even`` and an odd block ``gric_odd``; its
+    cross block vanishes for the compatible triple.  ``e27``..``e44`` are the
+    max-norm residuals of the four field-equation forms.
     """
 
     points: np.ndarray
