@@ -203,36 +203,36 @@ def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
         raise ValueError(f"{len(triples)} triples for {len(pts)} points")
     n, t = gm.chart.dim, len(pts)
     fields = [c for triple in triples for v in triple for c in (*v.even, v.odd)]
-    # a non-finite field value gives a non-finite pairing, which fails its
-    # check; a non-finite metric entry raises in _metric_arrays
+    val, grad, g, dg = _order_one_pass(gm, fields, pts)
+    val, grad = val.reshape(t, 3, n + 1, t), grad.reshape(t, 3, n + 1, n, t)
+    # each triple's components at its own point: [x/y/z, component, (axis,) point]
+    v, dv = np.diagonal(val, axis1=0, axis2=3), np.diagonal(grad, axis1=0, axis2=4)
+    return _koszul_from_jets(g, dg, v, dv)
+
+
+def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray):
+    """Order-1 jets of ``fields`` and ``GradedMetric.extended_metric()`` at pts, from one pass.
+
+    Returns the fields' values [field, t] and gradients [field, m, t], then
+    g[a, b, t] and dg[a, b, m, t], the odd index last.  A non-finite g_ij or
+    weight raises DomainError naming it and the first bad point; a
+    non-finite field value is left to the caller's check.
+    """
+    t, n = pts.shape
     with np.errstate(over="ignore", invalid="ignore"):
         jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1)
     k = len(fields)
-    val = np.array([jet.value for jet in jets[:k]]).reshape(t, 3, n + 1, t)
-    grad = np.array([jet.gradient() for jet in jets[:k]]).reshape(t, 3, n + 1, n, t)
-    # each triple's components at its own point: [x/y/z, component, (axis,) point]
-    v, dv = np.diagonal(val, axis1=0, axis2=3), np.diagonal(grad, axis1=0, axis2=4)
-    return _koszul_from_jets(*_metric_arrays(jets[k:], pts), v, dv)
-
-
-def _metric_arrays(jets, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g[a, b, t] and dg[a, b, m, t] from order-1 jets of ``GradedMetric.extended_metric()`` at pts.
-
-    A non-finite g_ij or weight raises DomainError naming it and the first
-    bad point; the cross entries are constant zeros.
-    """
-    t, n = pts.shape
     names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i in range(n + 1) for j in range(n + 1)]
-    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets)], pts)
-    g = np.array([jet.value for jet in jets]).reshape(n + 1, n + 1, t)
-    return g, np.array([jet.gradient() for jet in jets]).reshape(n + 1, n + 1, n, t)
+    rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[k:])], pts)
+    val, grad = np.array([jet.value for jet in jets]), np.array([jet.gradient() for jet in jets])
+    return val[:k], grad[:k], val[k:].reshape(n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n, t)
 
 
 def _koszul_from_jets(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """The Koszul formula from the extended metric and the fields' order-1 jets.
 
     Column t of every array is triple t at its own point: the metric values
-    g[a, b, t] and gradients dg[a, b, m, t] (``_metric_arrays``), the field
+    g[a, b, t] and gradients dg[a, b, m, t] (``_order_one_pass``), the field
     values v[x/y/z, e, t] and gradients dv[x/y/z, e, m, t].  Pairings and
     their gradients are products of values and gradients; the anchor
     actions x<y, z> and the super brackets are read off the gradients, and

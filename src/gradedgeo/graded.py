@@ -282,7 +282,6 @@ class GeometryBatch:
     ric: np.ndarray
     scalar: np.ndarray
     dth: np.ndarray  # d_i theta
-    hes: np.ndarray  # covariant Hessian of theta
     lap: np.ndarray
     gradsq: np.ndarray  # |grad theta|^2
     tilde_T: np.ndarray
@@ -363,7 +362,7 @@ def _geometry(pts, g, ginv, gamma, ric, scalar, det, jet) -> GeometryBatch:
     ], pts)
     return GeometryBatch(
         points=pts, g=g, ginv=ginv, gamma=gamma, ric=ric, scalar=scalar,
-        dth=dth, hes=hes, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
+        dth=dth, lap=lap, gradsq=gradsq, tilde_T=tilde, weight=weight,
         gric_even=gric_even, gric_odd=gric_odd, graded_scalar=graded_scalar,
         det=det, e27=e27, e28=np.abs(lap), e29=e29, e44=e44,
     )
@@ -541,7 +540,7 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
             # amplitude is skipped, since -0.0 + 0.0 would lose the sign. The moved jets are
             # freed once assembled
             (_, ginv, gamma, traces), det_t = rm._metric_tensors(
-                p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], 2, work, "traces"
+                p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], work, "traces"
             )
             *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[1], theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)

@@ -353,35 +353,14 @@ def check_finite(named_values, pts: np.ndarray) -> None:
     raise DomainError(f"non-finite value of {name} at point {tuple(pts[k].tolist())}")
 
 
-def _metric_jets(m: MetricSpec, pts: np.ndarray, order: int, extra=(), curvature="riemann", readers=None) -> list:
-    """Jets of the metric's upper triangle, row by row, then of the extra fields, in one sweep.
-
-    A subtree they share is evaluated once; the extra fields' errors still
-    come after the metric's, its assembly's (of ``curvature``, as
-    _metric_tensors takes it) included.  The sweep validates the points
-    against the chart's box, so its callers do not.  Given ``readers``, the
-    reader_counts of those fields' expressions, the sweep frees each
-    intermediate jet after its last reader.
-    """
-    try:
-        return ef.eval_jets_batch([*m._upper.values(), *extra], pts, order, readers)
-    except DomainError:
-        if extra:
-            # raise what the metric raises alone, as when the extra fields had a sweep of their own
-            arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
-            if order == 2 and curvature == "traces":
-                arrays[3]()
-        raise
-
-
-def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature="riemann") -> tuple[list, np.ndarray]:
+def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> tuple[list, np.ndarray]:
     """[g, ginv], then Gamma (order >= 1) and the ``curvature`` piece (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
-    the upper triangle over ``pts``, as _metric_jets orders them, and every
-    array returned has a leading point axis.  It assembles all the points it
-    is given at once; the batched callers hand it one block at a time
-    (_over_blocks), so its arrays stay a few MB at any point count.  The
+    the upper triangle over ``pts``, row by row, and their order is the order
+    assembled; every array returned has a leading point axis.  It assembles
+    all the points it is given at once; the batched callers hand it one block
+    at a time (_over_blocks), so its arrays stay a few MB at any point count.  The
     derivatives dg and ddg are filled point-last from the jets'
     coefficients, and they and the cores' einsum results (at most n**4 per
     point) go to the buffers ``work`` keeps (see _scratch).
@@ -400,6 +379,7 @@ def _metric_tensors(pts: np.ndarray, jets, order: int, work: dict, curvature="ri
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     space = jets[0].space
+    order = space.order
     g = np.empty((npts, n, n))
     for (i, j), jet in zip(upper, jets):
         g[:, i, j] = g[:, j, i] = jet.coeffs[0]
@@ -505,25 +485,36 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
 
     The one place that splits points for a batched assembly (see _blocks).
     For each block in point order it sweeps the order-2 jets of the metric's
-    upper triangle and then of the ``extra`` fields (_metric_jets), builds
-    [g, ginv, Gamma, curvature] and det g from them (_metric_tensors) and hands all of it to
-    ``block``; every block's assemblies share one ``work`` dict.  The fields'
-    reader counts are taken once per call, so each block's sweep frees its
-    intermediate jets after their last reader.  ``block`` owns the list
-    ``arrays``: nothing else holds its tensors, so emptying it frees them.
-    Each array ``block`` returns has a leading point axis: they are written
-    into arrays over every point as the blocks come, or returned as they are
-    when one block holds every point.  Errors come in block order, one
-    block's before the next block is swept, and within a block the metric's
-    before the extra fields'; so the degeneracy message's |det g| is the
-    minimum over the failing block, not over every point.
+    upper triangle, row by row, then of the ``extra`` fields in the same
+    pass, builds [g, ginv, Gamma, curvature] and det g from the metric's
+    (_metric_tensors) and hands all of it to ``block``; every block's
+    assemblies share one ``work`` dict.  The fields' reader counts are taken
+    once per call, so each block's sweep frees its intermediate jets after
+    their last reader.  ``block`` owns the list ``arrays``: nothing else
+    holds its tensors, so emptying it frees them.  Each array ``block``
+    returns has a leading point axis: they are written into arrays over
+    every point as the blocks come, or returned as they are when one block
+    holds every point.  Errors come in block order, one block's before the
+    next block is swept, and within a block the metric's, its assembly's
+    included, before the extra fields': a failed sweep is replayed on the
+    metric alone.  So the degeneracy message's |det g| is the minimum over
+    the failing block, not over every point.
     """
     npts, work, out = len(pts), {}, None
-    readers = ef.reader_counts([f.expr for f in (*m._upper.values(), *extra)])
+    upper = list(m._upper.values())
+    readers = ef.reader_counts([f.expr for f in (*upper, *extra)])
 
     def sweep(p):  # a block's jets and tensors are freed before the next block is swept
-        jets = _metric_jets(m, p, 2, extra, curvature, readers)
-        return block(p, *_metric_tensors(p, jets[: len(m._upper)], 2, work, curvature), jets, work)
+        try:
+            jets = ef.eval_jets_batch([*upper, *extra], p, 2, readers)
+        except DomainError:
+            if extra:
+                # raise what the metric raises alone, as when the extra fields had a sweep of their own
+                arrays, _ = _metric_tensors(p, ef.eval_jets_batch(upper, p, 2), {}, curvature)
+                if curvature == "traces":
+                    arrays[-1]()
+            raise
+        return block(p, *_metric_tensors(p, jets[: len(upper)], work, curvature), jets, work)
 
     for sl in _blocks(npts, m.chart.dim):
         got = sweep(pts[sl])
@@ -551,7 +542,7 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 def _at(m: MetricSpec, p, order: int, curvature="riemann") -> tuple[tuple[float, ...], list]:
     """The point as floats and the metric arrays of the batch of one it makes (traces as bound)."""
     pts = np.asarray([p], dtype=float)
-    arrays, _ = _metric_tensors(pts, _metric_jets(m, pts, order), order, {}, curvature)
+    arrays, _ = _metric_tensors(pts, ef.eval_jets_batch(m._upper.values(), pts, order), {}, curvature)
     return tuple(pts[0].tolist()), [a[0] if isinstance(a, np.ndarray) else a for a in arrays]
 
 

@@ -29,13 +29,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import exprfield as ef
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import GradedVectorField, _koszul_from_jets, _metric_arrays
+from .algebroid import GradedVectorField, _koszul_from_jets, _order_one_pass
 from .errors import DegenerateMetricError
 from .graded import GradedMetric
-from .randgen import affine_jets, random_affine_fields, random_interior_point, random_polynomial
+from .randgen import affine_jets, random_affine_fields, random_interior_point
 
 __all__ = [
     "CheckResult",
@@ -133,18 +132,14 @@ def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     """Order-1 jets of ``fields``, C and the extended metric at pts, from one pass.
 
     Returns the values [field, t] and gradients [field, m, t] of ``fields``,
-    then c[a, b, e, t], dc[a, b, e, m, t], and g[a, b, t] and dg[a, b, m, t]
-    from ``_metric_arrays``, which raises DomainError on a non-finite g_ij
-    or weight; each odd index last.  A non-finite entry of c or dc raises
-    DomainError naming the connection table, after the metric's errors.
+    then c[a, b, e, t], dc[a, b, e, m, t], g[a, b, t] and dg[a, b, m, t],
+    each odd index last.  DomainError names a non-finite g_ij or weight
+    (_order_one_pass), then a non-finite entry of c or dc as the connection table.
     """
     n, t = gm.chart.dim, len(pts)
     comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
-    k, m = len(fields), len(fields) + len(comps)
-    with np.errstate(over="ignore", invalid="ignore"):  # the metric is checked by _metric_arrays
-        jets = ef.eval_jets_batch([*fields, *comps, *gm.extended_metric()], pts, 1)
-    g, dg = _metric_arrays(jets[m:], pts)
-    val, grad = np.array([jet.value for jet in jets[:m]]), np.array([jet.gradient() for jet in jets[:m]])
+    k = len(fields)
+    val, grad, g, dg = _order_one_pass(gm, [*fields, *comps], pts)
     c, dc = val[k:].reshape(n + 1, n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n + 1, n, t)
     rm.check_finite([("connection table", c), ("connection table", dc)], pts)
     return val[:k], grad[:k], c, dc, g, dg
@@ -303,25 +298,18 @@ def _scalar_frame(sums, b: gd.GeometryBatch) -> CheckResult:
     return CheckResult("scalar_frame_sum", _worst(np.abs(got - want) / (1.0 + np.abs(want))), 1e-9)
 
 
-def check_trace_identities(gm: GradedMetric, rng, sample) -> CheckResult:
-    """Same-engine: the graded scalar equals the trace of the graded Ricci blocks, and
-    Hessian traces close.  R and Ricci come from one trace core call (R = g^jk z_jk,
-    Ricci the symmetric part of z), so this checks the assembly around them; the
-    frame sums are the independent check of both."""
-    return _trace_identities(gm, rng, gd.geometry_batch(gm, sample))
+def check_trace_identities(gm: GradedMetric, sample) -> CheckResult:
+    """Same-engine: the graded scalar equals the trace of the graded Ricci blocks.
+    R and Ricci come from one trace core call (R = g^jk z_jk, Ricci the
+    symmetric part of z), so this checks the assembly around them; the frame
+    sums are the independent check of both."""
+    return _trace_identities(gd.geometry_batch(gm, sample))
 
 
-def _trace_identities(gm: GradedMetric, rng, b: gd.GeometryBatch) -> CheckResult:
-    f = random_polynomial(rng, gm.chart, degree=3)
+def _trace_identities(b: gd.GeometryBatch) -> CheckResult:
     tr = np.einsum("pij,pij->p", b.ginv, b.gric_even) + b.gric_odd / b.weight
-    jet = ef.eval_jet_batch(f, b.points, 2)
-    lap = np.einsum("pij,pij->p", b.ginv, rm.hessian_batch(b.gamma, jet))
-    slope = (jet.gradient().T[:, None, :] @ b.ginv @ b.dth[:, :, None])[:, 0, 0]
-    # graded Hessian trace: odd block weight * slope, traced against 1/weight
-    lhs, direct = lap + b.weight * slope / b.weight, lap + slope
     scalar = b.graded_scalar
-    errors = np.abs(scalar - tr) / (1.0 + np.abs(scalar)), np.abs(lhs - direct) / (1.0 + np.abs(direct))
-    return CheckResult("trace_identities", _worst(*errors), 1e-12)
+    return CheckResult("trace_identities", _worst(np.abs(scalar - tr) / (1.0 + np.abs(scalar))), 1e-12)
 
 
 def check_conservation_identity(gm: GradedMetric, sample) -> CheckResult:
@@ -358,10 +346,11 @@ def run_geometry_checks(
 
     The connection checks draw their fields and points in the order of the
     public checks called one after another, with their default sizes; one
-    table pass at all their points and the frame points serves them and
-    the frame sum, each reading its own columns.  The closed-form sides
-    share one geometry batch over the sample; the two frame checks share
-    one frame sum over the sub-sample and read the batch's first rows.
+    table pass at the frame points, then at all their points, serves the
+    frame sum and them, each reading its own columns, so a table error
+    names a sample point where one is bad.  The closed-form sides share one
+    geometry batch over the sample; the two frame checks share one frame sum
+    over the sub-sample and read the batch's first rows.
     """
     rng = np.random.default_rng(seed)
     if sample is None:
@@ -376,15 +365,15 @@ def run_geometry_checks(
         _draw(gm, rng, TORSION_TRIALS, 2, 1),
     ]
     frame = gm.chart.require_points(sample[:FRAME_POINTS])
-    parts = [*(draw[2] for draw in draws), frame]
+    parts = [frame, *(draw[2] for draw in draws)]
     edges = np.cumsum([0, *map(len, parts)])
-    *cols, frame_jets = _columns(_table_jets(gm, [gm.theta], np.concatenate(parts)), edges)
+    frame_jets, *cols = _columns(_table_jets(gm, [gm.theta], np.concatenate(parts)), edges)
     results = [check(gm, draw, jets) for check, draw, jets in zip(checks, draws, cols)]
     sums = _frame_ricci(frame_jets, frame)
     results += [
         _ricci_blocks_frame(sums[0], b),
         _scalar_frame(sums, b),
-        _trace_identities(gm, rng, b),
+        _trace_identities(b),
         _conservation_identity(gm, b),
     ]
     if gm.chart.dim >= 3:

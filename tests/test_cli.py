@@ -654,9 +654,10 @@ def test_curvature_near_the_double_range(tmp_path, capsys):
     codes = [run([command, "--config", path]) for command in ("report", "residuals", "validate")]
     err = capsys.readouterr().err
     # e29 = |Ric - 2 dtheta x dtheta| = 2.25e307 fails residuals; validate's oracle routes
-    # differentiate Gamma, whose d_m g^ij term overflows, and fail closed
+    # differentiate Gamma, whose d_m g^ij term overflows, and fail closed at the
+    # configured point, which the table pass takes first
     assert codes == [0, 1, 3]
-    assert "non-finite value of connection table at point (" in err
+    assert "non-finite value of connection table at point (0.01, 0.01)" in err
     assert "Traceback" not in err
 
 
@@ -914,15 +915,16 @@ def _action_block_cap(n):
 @pytest.mark.parametrize("name", ["eds3", "random3_lorentz"])
 def test_action_is_one_metric_sweep(monkeypatch, capsys, name):
     # the action over the support is read off the variation's own sweep, one
-    # point block at a time: the blocks, joined in order, are the quadrature
-    # points, each swept once, and none is longer than the cap
+    # point block at a time: the order-2 sweeps' blocks, joined in order, are
+    # the quadrature points, each swept once, and none is longer than the cap
     blocks = []
 
-    def counted(m, pts, *args, _original=rm._metric_jets):
-        blocks.append(pts.copy())
-        return _original(m, pts, *args)
+    def counted(fields, pts, order, *args, _original=ef.eval_jets_batch):
+        if order == 2:
+            blocks.append(np.array(pts))
+        return _original(fields, pts, order, *args)
 
-    monkeypatch.setattr(rm, "_metric_jets", counted)
+    monkeypatch.setattr(ef, "eval_jets_batch", counted)
     path = str(Path(__file__).resolve().parent / "golden" / "sections" / f"{name}.ini")
     cfg = cf.load_config(path)
     run(["action", "--config", path])

@@ -569,11 +569,12 @@ def test_geometry_batch_memory_is_its_output_and_one_block():
     assert (len(pts), len(blocks)) == (4096, 6)
     p = pts[max(blocks, key=lambda sl: sl.stop - sl.start)]
     gd.geometry_batch(gm, p[:4])  # symbolic caches built outside the trace
-    sweep = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, [gm.theta]))
-    jets = rm._metric_jets(gm.metric, p, 2, [gm.theta])
+    fields = [*gm.metric._upper.values(), gm.theta]
+    sweep = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2))
+    jets = ef.eval_jets_batch(fields, p, 2)
 
     def assemble():  # as a block of geometry_batch: Ricci and the scalar curvature
-        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], 2, {}, "traces")
+        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], {}, "traces")
         arrays[-1]()
 
     assembly = _traced_peak(assemble)
@@ -652,11 +653,11 @@ def test_block_sweep_memory_is_its_roots_and_live_jets(eds3):
     gm, var, nodes = next(_workload_actions(eds3))
     pts, _ = tensor_rule(gm.chart, QuadSpec(nodes, var.support))
     p = pts[rm._blocks(len(pts), 4)[0]]
-    fields = [gm.theta, var.profile]
-    roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
+    fields = [*gm.metric._upper.values(), gm.theta, var.profile]
+    roots = [f.expr for f in fields]
     readers = ef.reader_counts(roots)
-    rm._metric_jets(gm.metric, p, 2, fields, "traces", readers)  # caches built outside the trace
-    peak = _traced_peak(lambda: rm._metric_jets(gm.metric, p, 2, fields, "traces", readers))
+    ef.eval_jets_batch(fields, p, 2, readers)  # caches built outside the trace
+    peak = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2, readers))
     kept, rest = _sweep_model(roots, ef.jet_space(4, 2), len(p))
     assert len(p) == 216
     assert peak <= kept + rest, (peak, kept, rest)
@@ -675,14 +676,14 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
         n = gm.chart.dim
         pts, _ = tensor_rule(gm.chart, QuadSpec(nodes, var.support))
         p = pts[max(rm._blocks(len(pts), n), key=lambda sl: sl.stop - sl.start)]
-        fields = [gm.theta, var.profile]
-        roots = [f.expr for f in (*gm.metric._upper.values(), *fields)]
-        jets = rm._metric_jets(gm.metric, p, 2, fields, "traces", ef.reader_counts(roots))
+        fields = [*gm.metric._upper.values(), gm.theta, var.profile]
+        roots = [f.expr for f in fields]
+        jets = ef.eval_jets_batch(fields, p, 2, ef.reader_counts(roots))
         s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
         work = {}
 
         def one_pass():
-            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], 2, work, "traces")
+            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], work, "traces")
             gd._theta_part(p, ginv, gamma, traces(("s", s))[1], jets[-2])
 
         one_pass()

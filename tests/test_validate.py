@@ -11,7 +11,7 @@ from gradedgeo import graded as gd
 from gradedgeo import riemann as rm
 from gradedgeo import validate as vd
 from gradedgeo.errors import DegenerateMetricError, DomainError
-from gradedgeo.algebroid import GradedVectorField, _koszul_from_jets, _metric_arrays, koszul_eval, koszul_values, pairing_field
+from gradedgeo.algebroid import GradedVectorField, _koszul_from_jets, _order_one_pass, koszul_eval, koszul_values, pairing_field
 from gradedgeo.randgen import (
     affine_jets,
     default_chart,
@@ -20,7 +20,6 @@ from gradedgeo.randgen import (
     random_graded_metric,
     random_interior_point,
     random_metric,
-    random_polynomial,
 )
 
 from graded_oracles import affine_fields, curvature_field, frame_ricci, frame_scalar, graded_trace
@@ -259,7 +258,7 @@ def test_koszul_route_takes_no_symbolic_derivative(monkeypatch):
         triples = [tuple(random_graded_field(rng, gm.chart) for _ in range(3)) for _ in range(3)]
         points = [random_interior_point(rng, gm.chart) for _ in triples]
         draw = vd._draw(gm, rng, 3, 3, 1)
-        metric = _metric_arrays(ef.eval_jets_batch(gm.extended_metric(), draw[2], 1), draw[2])
+        metric = _order_one_pass(gm, [], draw[2])[2:]
         values = [
             koszul_eval(gm, *triples[0], points[0]),
             *koszul_values(gm, triples, points),
@@ -343,21 +342,22 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     # one geometry batch per closed-form check, not one metric sweep per
     # point and quantity
     calls = []
-    real = rm._metric_jets
+    real = ef.eval_jets_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(fields, points, order, *args):
+        calls.append((points, order))
+        return real(fields, points, order, *args)
 
-    monkeypatch.setattr(rm, "_metric_jets", counted)
+    monkeypatch.setattr(ef, "eval_jets_batch", counted)
     gm = random_graded_metric(np.random.default_rng(73 + dim), default_chart(dim))
     results = vd.run_geometry_checks(gm, seed=5)
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
-    # one batch over the whole sample; the frames at the default two frame
-    # points, shared by the two frame checks, read g off the suite's pass
-    assert len(calls) == 1
+    # one order-2 sweep, the batch over the whole sample; the frames at the
+    # default two frame points, shared by the two frame checks, read g off the
+    # suite's order-1 table pass, and the stress divergence has one more
+    assert sorted(order for _, order in calls) == [1, 1, 2]
     # the checks read the shared batch's rows as if each had built its own
-    sample = [tuple(p) for p in calls[0][1]]  # the batch's points
+    sample = [tuple(p) for points, order in calls if order == 2 for p in points]  # the batch's points
     alone = [
         vd.check_ricci_blocks_frame(gm, sample[:2]),
         vd.check_scalar_frame(gm, sample[:2]),
@@ -377,19 +377,13 @@ def _sample(gm, seed):
 def test_trace_identities_batch_matches_points(dim):
     gm = random_graded_metric(np.random.default_rng(80 + dim), default_chart(dim))
     sample = _sample(gm, 83)
-    got = vd.check_trace_identities(gm, np.random.default_rng(89), sample).max_error
+    got = vd.check_trace_identities(gm, sample).max_error
     # the same check one point at a time through the batch-of-one views
-    f = random_polynomial(np.random.default_rng(89), gm.chart, degree=3)
     want = 0.0
     for p in sample:
         scalar = gd.graded_scalar_at(gm, p)
         tr = graded_trace(gm, gd.graded_ricci_at(gm, p))
         want = max(want, abs(scalar - tr) / (1.0 + abs(scalar)))
-        lhs = graded_trace(gm, gd.graded_hessian_at(gm, f, p))
-        df, dth = (j.gradient()[:, 0] for j in ef.eval_jets_batch([f, gm.theta], [p], 1))
-        ginv = rm.metric_at(gm.metric, p)[1].components
-        direct = rm.laplacian_at(gm.metric, f, p) + float(df @ ginv @ dth)
-        want = max(want, abs(lhs - direct) / (1.0 + abs(direct)))
     assert want > 0.0
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -589,17 +583,18 @@ def test_affine_fields_match_symbolic_jets(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suite_connection_checks_match_alone(monkeypatch, dim):
     # the suite's shared pass gives each connection check the bits of its
-    # own pass, and leaves the stream where the checks called alone leave it
-    states = []
-    real = vd._trace_identities
-    monkeypatch.setattr(vd, "_trace_identities", lambda gm, rng, b: states.append(rng.bit_generator.state) or real(gm, rng, b))
+    # own pass, and its draws leave the stream where the checks called alone leave it
+    streams = []
+    real = vd._draw
+    monkeypatch.setattr(vd, "_draw", lambda gm, rng, *args: streams.append(rng) or real(gm, rng, *args))
     gm = random_graded_metric(np.random.default_rng(227 + dim), default_chart(dim))
     shared = {r.name: r.max_error for r in vd.run_geometry_checks(gm, seed=13)}
+    suite = streams[-1]
     rng = np.random.default_rng(13)
     [random_interior_point(rng, gm.chart) for _ in range(5)]  # the suite's sample
     alone = [vd.check_koszul_vs_triple(gm, rng), vd.check_metric_compatibility(gm, rng), vd.check_torsion_free(gm, rng)]
     assert [r.max_error for r in alone] == [shared[r.name] for r in alone]
-    assert states == [rng.bit_generator.state]
+    assert suite.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.bitwise
