@@ -193,10 +193,10 @@ def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
     """Koszul pairing <nabla_x y, z> of each triple (x, y, z) at its own point.
 
     The components of every x, y and z and the entries of the extended
-    metric go through one order-1 jet pass over all the points, and each
-    triple reads its own point's values and gradients; the formula itself is
-    :func:`_koszul_from_jets`.  No symbolic derivative is taken, so the
-    route shares no derivative with the connection it checks.
+    metric go through one order-1 jet pass over all the points
+    (_order_one_pass), and each triple reads its own point's values and
+    gradients; the formula is :func:`_koszul_from_jets`.  No symbolic
+    derivative is taken, so it shares none with the connection it checks.
     """
     pts = gm.chart.require_points(points)
     if len(triples) != len(pts):

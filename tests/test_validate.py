@@ -354,7 +354,7 @@ def test_suite_reads_one_batch_per_check(monkeypatch, dim):
     assert all(r.passed for r in results), [(r.name, r.max_error) for r in results]
     # one order-2 sweep, the batch over the whole sample; the frames at the
     # default two frame points, shared by the two frame checks, read g off the
-    # suite's order-1 table pass, and the stress divergence has one more
+    # suite's order-1 table pass; the other order-1 sweep is the stress divergence's
     assert sorted(order for _, order in calls) == [1, 1, 2]
     # the checks read the shared batch's rows as if each had built its own
     sample = [tuple(p) for points, order in calls if order == 2 for p in points]  # the batch's points
