@@ -27,7 +27,7 @@ def _reads(tree) -> set[str]:
     got = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in ast.walk(tree):
         notes = [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign)) else []
-        notes += [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+        notes += [node.returns] if isinstance(node, ast.FunctionDef) else []
         for note in filter(None, notes):
             for text in ast.walk(note):
                 if isinstance(text, ast.Constant) and isinstance(text.value, str):
