@@ -210,9 +210,10 @@ def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
     return _koszul_from_jets(g, dg, v, dv)
 
 
-def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray):
+def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray, cache=None):
     """Order-1 jets of ``fields`` and ``GradedMetric.extended_metric()`` at pts, from one pass.
 
+    ``cache``, the dict of the fields' owner, keeps the pass's Program if given.
     Returns the fields' values [field, t] and gradients [field, m, t], then
     g[a, b, t] and dg[a, b, m, t], the odd index last.  A non-finite g_ij or
     weight raises DomainError naming it and the first bad point; a
@@ -220,7 +221,7 @@ def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray):
     """
     t, n = pts.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1)
+        jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1, cache)
     k = len(fields)
     names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i in range(n + 1) for j in range(n + 1)]
     rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[k:])], pts)

@@ -227,7 +227,7 @@ class Call(Expr):
         return (self.arg,)
 
 
-def _walk(roots, rule, known=None, readers=None) -> list:
+def _walk(roots, rule, known=None) -> list:
     """Results of rule over the DAG under roots, operands before their node.
 
     The one traversal of expressions: an explicit stack, so depth is bounded
@@ -236,15 +236,9 @@ def _walk(roots, rule, known=None, readers=None) -> list:
     operands in order and must not return None.  known(e), if given, may
     return a result found earlier for a node with operands; the walk then
     takes it and does not descend below e.
-
-    readers, if given, is reader_counts(roots) (without known): the memo
-    then drops each result once its last reader has taken it, as a tape
-    frees an intermediate after its last use, so only the results still to
-    be read stay alive.
     """
     done: dict[int, object] = {}
     get = done.get
-    left = None if readers is None else dict(readers)
     todo: list = list(reversed(roots))
     pop, push = todo.pop, todo.append
     results: list = []
@@ -256,12 +250,6 @@ def _walk(roots, rule, known=None, readers=None) -> list:
             e, n = e
             r = done[id(e)] = rule(e, results[-n:])
             del results[-n:]
-            if left is not None:
-                for k in e.operands():
-                    i = id(k)
-                    left[i] -= 1
-                    if not left[i]:
-                        del done[i]
         else:
             r = get(id(e))
             if r is None:
@@ -275,27 +263,6 @@ def _walk(roots, rule, known=None, readers=None) -> list:
                     continue
         keep(r)
     return results
-
-
-def reader_counts(roots) -> dict[int, int]:
-    """For _walk's readers: how often each node under roots is read, keyed by id.
-
-    A node is read once per operand slot of each distinct node above it
-    (twice by ``x*x``) and once per appearance among the roots, so a root's
-    count never runs out within the walk and its result is kept.  The
-    counts stay valid while the roots live; one count serves every walk of
-    the same roots.
-    """
-    counts: dict[int, int] = {}
-    todo = list(roots)
-    while todo:
-        e = todo.pop()
-        if id(e) in counts:
-            counts[id(e)] += 1
-        else:  # a node's operands are read once per distinct node
-            counts[id(e)] = 1
-            todo += e.operands()
-    return counts
 
 
 _ZERO = Const(0.0)
@@ -1258,27 +1225,96 @@ def _value_rule(seeds: list[Jet]):
     return value
 
 
-def _run_jets(exprs, space: JetSpace, seeds: list[Jet], readers=None) -> list[Jet]:
-    """Evaluate expression DAGs over shared seeds, each shared node once.
+class Program:
+    """Post-order tape of the DAG under some roots, kept by their owner, so it dies with them.
 
-    Every jet returned has shape (count, npoints): a constant root, one
-    column in the walk, is widened once, so roots on one node still share
-    one jet.  Order 0 asks for no derivative, so the walk computes plain
-    values and wraps each root's value as a one-coefficient jet, bitwise
-    equal to what full jet arithmetic gives.  With ``readers``
-    (reader_counts of exprs) each intermediate is freed after its last reader.
+    Step k (node, operand slots, the slots it reads last) puts the node's
+    result in slot k and frees those slots, never a root's or a constant
+    (no Coord below it) that a varying step reads.  The first run under a key
+    that raises nothing keeps those constants read-only; later runs under it
+    skip the constant steps.  Building costs about two walks, so the first
+    ``walks`` runs are _walk's.
     """
+
+    __slots__ = ("roots", "walks", "steps", "varying", "outs", "kept")
+
+    def __init__(self, roots, walks: int = 2):
+        self.roots, self.walks, self.steps, self.kept = list(roots), walks, None, {}
+
+    def _build(self) -> None:
+        steps, constant = [], []
+
+        def record(e, args):  # a leaf is a Const or a Coord
+            constant.append(type(e) is not Coord and all(map(constant.__getitem__, args)))
+            steps.append((len(steps), e, tuple(args)))
+            return len(steps) - 1
+
+        self.outs = _walk(self.roots, record)
+        seen = set(self.outs)  # and below, the constants a varying step reads, which are kept
+        seen.update(i for k, _, args in steps if not constant[k] for i in args if constant[i])
+        for k, e, args in reversed(steps):  # the first step from the end to read a slot reads it last
+            steps[k] = (k, e, args, tuple([i for i in args if i not in seen]))
+            seen.update(args)
+        self.varying, self.steps = [step for step in steps if not constant[step[0]]], steps
+
+    def run(self, rule, key) -> list:
+        """The results _walk(roots, rule) gives, with the constants kept under key."""
+        if self.steps is None:
+            if self.walks > 0:
+                self.walks -= 1
+                return _walk(self.roots, rule)
+            self._build()
+        kept = self.kept.get(key)
+        vals = [None] * len(self.steps) if kept is None else kept.copy()
+        for k, e, args, frees in self.steps if kept is None else self.varying:
+            vals[k] = rule(e, [vals[i] for i in args])
+            for i in frees:
+                vals[i] = None
+        out = [vals[i] for i in self.outs]
+        if kept is None:
+            for k, *_ in self.varying:
+                vals[k] = None
+            for a in (getattr(v, "coeffs", v) for v in vals):
+                if type(a) is np.ndarray:
+                    a.flags.writeable = False
+            if len(self.kept) >= 8:  # at order 0 each batch width is a key
+                self.kept.clear()
+            self.kept[key] = vals
+        return out
+
+
+def program_in(cache: dict | None, fields) -> Program:
+    """The Program of fields kept in ``cache``, their owner's dict, one per tuple of roots,
+    built at its first run: an owner evaluates its fields again and again.  Without an owner
+    a lone field keeps its own in its instance dict, built after two walks, and several
+    fields get one that walks."""
+    exprs = [f.expr for f in fields]
+    if cache is None and len(exprs) != 1:
+        return Program(exprs)
+    cache, walks = (vars(fields[0]), 2) if cache is None else (cache, 0)
+    return cache.get(key := ("program", *map(id, exprs))) or cache.setdefault(key, Program(exprs, walks))
+
+
+def _run_jets(program: Program, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
+    """Evaluate the program's roots over shared seeds, each shared node once.
+
+    Constants are kept per order, dim and empty batch or not (a constant jet
+    is one column wide, or zero), at order 0 per batch width.  Each root's jet
+    is the caller's, (count, npoints): a constant one column wide or kept is
+    widened to a copy once per node.  Order 0 wraps a copy of each root's plain
+    value as a one-coefficient jet, bitwise equal to full jet arithmetic.
+    """
+    npoints = seeds[0].coeffs.shape[1]
     if space.order:
-        npoints = seeds[0].coeffs.shape[1]
         wide: dict[int, Jet] = {}
-        out = _walk(exprs, _jet_rule(space, seeds), readers=readers)
+        out = program.run(_jet_rule(space, seeds), (space, min(npoints, 1)))
         for k, jet in enumerate(out):
-            if jet.constant and jet.coeffs.shape[1] != npoints:
+            if jet.constant and (jet.coeffs.shape[1] != npoints or not jet.coeffs.flags.writeable):
                 if id(jet) not in wide:
                     wide[id(jet)] = Jet(space, np.repeat(jet.coeffs, npoints, axis=1), True)
                 out[k] = wide[id(jet)]
         return out
-    return [Jet(space, np.reshape(v, (1, -1))) for v in _walk(exprs, _value_rule(seeds), readers=readers)]
+    return [Jet(space, np.array(v, ndmin=2)) for v in program.run(_value_rule(seeds), (space, npoints))]
 
 
 def eval_jet(f: ScalarField, p, order: int) -> Jet:
@@ -1290,14 +1326,14 @@ def eval_jet(f: ScalarField, p, order: int) -> Jet:
     return Jet(jet.space, jet.coeffs[:, 0])
 
 
-def eval_jets_batch(fields, points, order: int, readers=None) -> list[Jet]:
+def eval_jets_batch(fields, points, order: int, program: Program | dict | None = None) -> list[Jet]:
     """Jets of several fields over an array of points, one shared pass.
 
     Coefficient arrays gain a trailing point axis; subtrees shared within
-    or across the fields are evaluated once for the whole batch.  Given
-    ``readers``, the reader_counts of the fields' expressions, the pass frees
-    each intermediate jet after its last reader, with the same bits.  A
-    DomainError raised while evaluating a batch of one names its point.
+    or across the fields are evaluated once for the whole batch, by
+    ``program``, a Program of their expressions, else by the one
+    ``program_in`` gives for the dict of their owner or None.  A DomainError
+    raised while evaluating a batch of one names its point.
     """
     fields = list(fields)
     if not fields:
@@ -1309,7 +1345,8 @@ def eval_jets_batch(fields, points, order: int, readers=None) -> list[Jet]:
     space = _check_order(chart.dim, order)
     pts = chart.require_points(points)
     try:
-        return _run_jets([f.expr for f in fields], space, _jet_seeds(space, pts), readers)
+        program = program if isinstance(program, Program) else program_in(program, fields)
+        return _run_jets(program, space, _jet_seeds(space, pts))
     except DomainError as err:
         if len(pts) != 1:
             raise

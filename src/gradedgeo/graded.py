@@ -318,7 +318,7 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
         b = _geometry(p, g, ginv, gamma, *traces(), det, jets[-1])
         return [getattr(b, f.name) for f in fields(b)]
 
-    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], "traces", block))
+    return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], "traces", block, gm._cache))
 
 
 def _theta_part(pts, ginv, gamma, scalar, jet) -> tuple:

@@ -480,7 +480,7 @@ def _blocks(npts: int, n: int) -> list[slice]:
     return [slice(k * npts // count, (k + 1) * npts // count) for k in range(count)]
 
 
-def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> list[np.ndarray]:
+def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=None) -> list[np.ndarray]:
     """The arrays ``block(points, arrays, det, jets, work)`` gives over each point block, joined.
 
     The one place that splits points for a batched assembly (see _blocks).
@@ -488,9 +488,9 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
     upper triangle, row by row, then of the ``extra`` fields in the same
     pass, builds [g, ginv, Gamma, curvature] and det g from the metric's
     (_metric_tensors) and hands all of it to ``block``; every block's
-    assemblies share one ``work`` dict.  The fields' reader counts are taken
-    once per call, so each block's sweep frees its intermediate jets after
-    their last reader.  ``block`` owns the list ``arrays``: nothing else
+    assemblies share one ``work`` dict.  The fields' Program, kept in ``cache``
+    (their owner's dict) if given, else for the call, is built before the first
+    block, so each sweep frees its jets after their last reader.  ``block`` owns the list ``arrays``: nothing else
     holds its tensors, so emptying it frees them.  Each array ``block``
     returns has a leading point axis: they are written into arrays over
     every point as the blocks come, or returned as they are when one block
@@ -502,11 +502,11 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block) -> lis
     """
     npts, work, out = len(pts), {}, None
     upper = list(m._upper.values())
-    readers = ef.reader_counts([f.expr for f in (*upper, *extra)])
+    program = ef.program_in({} if cache is None else cache, [*upper, *extra])
 
     def sweep(p):  # a block's jets and tensors are freed before the next block is swept
         try:
-            jets = ef.eval_jets_batch([*upper, *extra], p, 2, readers)
+            jets = ef.eval_jets_batch([*upper, *extra], p, 2, program)
         except DomainError:
             if extra:
                 # raise what the metric raises alone, as when the extra fields had a sweep of their own
@@ -542,7 +542,7 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 def _at(m: MetricSpec, p, order: int, curvature="riemann") -> tuple[tuple[float, ...], list]:
     """The point as floats and the metric arrays of the batch of one it makes (traces as bound)."""
     pts = np.asarray([p], dtype=float)
-    arrays, _ = _metric_tensors(pts, ef.eval_jets_batch(m._upper.values(), pts, order), {}, curvature)
+    arrays, _ = _metric_tensors(pts, ef.eval_jets_batch(m._upper.values(), pts, order, m._cache), {}, curvature)
     return tuple(pts[0].tolist()), [a[0] if isinstance(a, np.ndarray) else a for a in arrays]
 
 
@@ -628,13 +628,14 @@ def divergence_vec_at(m: MetricSpec, v, p) -> float:
     return float(div)
 
 
-def divergence_sym2_batch(ginv: np.ndarray, gamma: np.ndarray, s_fields, points) -> np.ndarray:
-    """div(S)[p,k] = g^ij (nabla_i S)_jk over points for a symmetric covariant 2-tensor field."""
+def divergence_sym2_batch(ginv: np.ndarray, gamma: np.ndarray, s_fields, points, cache=None) -> np.ndarray:
+    """div(S)[p,k] = g^ij (nabla_i S)_jk over points for a symmetric covariant 2-tensor
+    field; ``cache``, the dict of the fields' owner, keeps their Program if given."""
     n = gamma.shape[-1]
     rows = [list(r) for r in s_fields]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"tensor field needs a {n}x{n} component matrix")
-    jets = ef.eval_jets_batch([f for r in rows for f in r], points, 1)
+    jets = ef.eval_jets_batch([f for r in rows for f in r], points, 1, cache)
     vals = np.stack([jet.coeffs[0] for jet in jets], axis=-1).reshape(-1, n, n)
     ds = np.stack([jet.gradient().T for jet in jets], axis=1).reshape(-1, n, n, n)  # ds[p,j,k,i] = d_i S_jk
     asym = np.max(np.abs(vals - vals.transpose(0, 2, 1)), axis=(1, 2))

@@ -135,11 +135,12 @@ def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
     then c[a, b, e, t], dc[a, b, e, m, t], g[a, b, t] and dg[a, b, m, t],
     each odd index last.  DomainError names a non-finite g_ij or weight
     (_order_one_pass), then a non-finite entry of c or dc as the connection table.
+    ``fields`` are gm's own, so gm keeps the pass's Program.
     """
     n, t = gm.chart.dim, len(pts)
     comps = [c for v in _connection_basis(gm) for c in (*v.even, v.odd)]
     k = len(fields)
-    val, grad, g, dg = _order_one_pass(gm, [*fields, *comps], pts)
+    val, grad, g, dg = _order_one_pass(gm, [*fields, *comps], pts, gm._cache)
     c, dc = val[k:].reshape(n + 1, n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n + 1, n, t)
     rm.check_finite([("connection table", c), ("connection table", dc)], pts)
     return val[:k], grad[:k], c, dc, g, dg
@@ -318,7 +319,7 @@ def check_conservation_identity(gm: GradedMetric, sample) -> CheckResult:
 
 
 def _conservation_identity(gm: GradedMetric, b: gd.GeometryBatch) -> CheckResult:
-    res = rm.divergence_sym2_batch(b.ginv, b.gamma, gd.stress_fields(gm), b.points)
+    res = rm.divergence_sym2_batch(b.ginv, b.gamma, gd.stress_fields(gm), b.points, gm._cache)
     expect = 2.0 * b.lap[:, None] * b.dth
     scale = 1.0 + np.max(np.abs(expect), axis=1)
     return CheckResult("conservation_identity", _worst(np.max(np.abs(res - expect), axis=1) / scale), 1e-9)

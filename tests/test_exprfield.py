@@ -515,9 +515,11 @@ def _assert_value_path_bitwise(fields, points):
     exprs = [f.expr for f in fields]
     for pts in _point_batches(points):
         seeds = ef._jet_seeds(space, pts)
-        got = _order0_outcome(lambda: ef._run_jets(exprs, space, seeds))
         want = _order0_outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
-        assert got == want, ([ef.pretty_print(f) for f in fields], pts)
+        program = ef.Program(exprs, walks=1)  # a walk, the tape's first run, a run from its kept constants
+        for _ in range(3):
+            got = _order0_outcome(lambda: ef._run_jets(program, space, seeds))
+            assert got == want, ([ef.pretty_print(f) for f in fields], pts)
 
 
 def _assert_jets_match_dense(fields, points, order):
@@ -533,20 +535,22 @@ def _assert_jets_match_dense(fields, points, order):
     exprs = [f.expr for f in fields]
     for pts in _point_batches(points):
         seeds = ef._jet_seeds(space, pts)
-        got = _outcome(lambda: ef._run_jets(exprs, space, seeds))
         want = _outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
         where = ([ef.pretty_print(f) for f in fields], order, pts)
-        if isinstance(want, tuple):
-            assert got == want, where
-            continue
-        if isinstance(got, tuple):
-            # a DomainError on a value the full arithmetic lost to an overflow
-            assert got[0] is DomainError and not all(np.isfinite(w).all() for w in want), where
-            continue
-        for w, g in zip(want, got):
-            finite = np.isfinite(w).all(axis=0)
-            assert (np.isfinite(g).all(axis=0) >= finite).all(), where
-            assert g[:, finite].tobytes() == w[:, finite].tobytes(), where
+        program = ef.Program(exprs, walks=1)  # a walk, the tape's first run, a run from its kept constants
+        for _ in range(3):
+            got = _outcome(lambda: ef._run_jets(program, space, seeds))
+            if isinstance(want, tuple):
+                assert got == want, where
+                continue
+            if isinstance(got, tuple):
+                # a DomainError on a value the full arithmetic lost to an overflow
+                assert got[0] is DomainError and not all(np.isfinite(w).all() for w in want), where
+                continue
+            for w, g in zip(want, got):
+                finite = np.isfinite(w).all(axis=0)
+                assert (np.isfinite(g).all(axis=0) >= finite).all(), where
+                assert g[:, finite].tobytes() == w[:, finite].tobytes(), where
 
 
 @pytest.mark.bitwise
@@ -589,7 +593,7 @@ def test_value_path_domain_errors_match_jet_rule(src, points, message):
     space = ef.jet_space(2, 0)
     seeds = ef._jet_seeds(space, np.asarray(points))
     with pytest.raises(DomainError) as err:
-        ef._run_jets([f.expr], space, seeds)
+        ef._run_jets(ef.Program([f.expr]), space, seeds)
     assert str(err.value) == message
 
 
@@ -879,8 +883,10 @@ d = f.d("t").d("x")
 assert abs(d((0.3, 1.5)) - 0.5 / 1.5) < 1e-12
 jet = ef.eval_jet(f, (0.3, 1.5), 2)
 assert abs(jet.value - 0.15 * ef.math.log(1.5)) < 1e-12
-released = ef.eval_jets_batch([f], [(0.3, 1.5)], 2, ef.reader_counts([f.expr]))[0]
-assert released.coeffs[:, 0].tobytes() == jet.coeffs.tobytes()
+program = ef.Program([f.expr], walks=0)
+for _ in range(2):  # the tape's first run, then a run from its kept constants
+    taped = ef.eval_jets_batch([f], [(0.3, 1.5)], 2, program)[0]
+    assert taped.coeffs[:, 0].tobytes() == jet.coeffs.tobytes()
 again = ef.parse_field(ef.pretty_print(f), chart)
 assert again.expr == f.expr and hash(again.expr) == hash(f.expr)
 assert ef.remap_coordinates(f, swapped)((1.5, 0.3)) == f((0.3, 1.5))
@@ -927,8 +933,10 @@ def test_shared_dag_walked_once_per_node():
     assert a.expr != _squares(chart, 19).expr
 
 
-def _released(fields, pts, order):
-    return ef.eval_jets_batch(fields, pts, order, ef.reader_counts([f.expr for f in fields]))
+def _taped(fields, pts, order):
+    """The jets of fields from a tape built for them: its first run, then a run from its kept constants."""
+    program = ef.Program([f.expr for f in fields], walks=0)
+    return [ef.eval_jets_batch(fields, pts, order, program) for _ in range(2)]
 
 
 def _golden_fields():
@@ -947,8 +955,9 @@ def _golden_fields():
 
 @pytest.mark.bitwise
 def test_releasing_walk_gives_the_same_jets():
-    # freeing each intermediate after its last reader changes no bit, on the sample
-    # classes (with a product of two roots and a root given twice) and the golden fields
+    # the tape, which frees each intermediate after its last reader and keeps the
+    # constants, gives the walk's bits, on the sample classes (with a product of two
+    # roots and a root given twice) and the golden fields
     chart = sample_chart()
     rng = np.random.default_rng(43)
     cases = []
@@ -959,14 +968,12 @@ def test_releasing_walk_gives_the_same_jets():
     for name, fields, pts in cases:
         for order in (0, 1, 2):
             want = [j.coeffs.tobytes() for j in ef.eval_jets_batch(fields, pts, order)]
-            assert [j.coeffs.tobytes() for j in _released(fields, pts, order)] == want, (name, order)
+            for jets in _taped(fields, pts, order):
+                assert [j.coeffs.tobytes() for j in jets] == want, (name, order)
 
 
-def test_releasing_walk_evaluates_each_node_once(monkeypatch):
-    # a shared node is evaluated once, whether its memo entry is freed or not
-    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
-    f = _squares(chart, 20)
-    fields = [f, f * ef.coordinate(chart, "t") + f, ef.ln(ef.coordinate(chart, "t")) * f]
+def _counting_rule(monkeypatch):
+    """The nodes the jet rule evaluates, in order, from here on."""
     calls = []
     real = ef._jet_rule
 
@@ -975,13 +982,22 @@ def test_releasing_walk_evaluates_each_node_once(monkeypatch):
         return lambda e, args: calls.append(e) or rule(e, args)
 
     monkeypatch.setattr(ef, "_jet_rule", counted)
+    return calls
+
+
+def test_releasing_walk_evaluates_each_node_once(monkeypatch):
+    # a shared node is evaluated once, in the walk's order, whether the tape frees its slot or not
+    chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
+    f = _squares(chart, 20)
+    fields = [f, f * ef.coordinate(chart, "t") + f, ef.ln(ef.coordinate(chart, "t")) * f]
+    calls = _counting_rule(monkeypatch)
     ef.eval_jets_batch(fields, [(0.0, 1.2)], 2)
-    kept = calls[:]
+    walked = calls[:]
     calls.clear()
-    readers = ef.reader_counts([g.expr for g in fields])
-    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2, readers)
-    assert calls == kept
-    assert len(calls) == len({id(e) for e in calls}) == len(readers)
+    program = ef.Program([g.expr for g in fields], walks=0)
+    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2, program)
+    assert calls == walked
+    assert len(calls) == len({id(e) for e in calls}) == len(program.steps)
 
 
 def test_releasing_walk_keeps_repeated_reads_and_roots():
@@ -993,26 +1009,32 @@ def test_releasing_walk_keeps_repeated_reads_and_roots():
     outer = inner * inner + inner  # inner is a root as well as an operand
     zero = ef.constant(chart, 0.0)
     fields = [square, inner, outer, inner, zero, zero]  # roots given twice, as the eds metric's zero entries
-    readers = ef.reader_counts([f.expr for f in fields])
-    assert readers[id(e.expr)] == 2 and readers[id(inner.expr)] == 5 and readers[id(zero.expr)] == 2
+    program = ef.Program([f.expr for f in fields], walks=0)
     pts = sample_points(np.random.default_rng(5), chart, 4)
-    got = _released(fields, pts, 2)
     want = ef.eval_jets_batch(fields, pts, 2)
-    assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in want]
-    assert got[1] is got[3] and got[4].coeffs is got[5].coeffs
-    assert (got[4].coeffs == 0.0).all() and got[4].coeffs.shape == (6, 4)
+    for _ in range(2):
+        got = ef.eval_jets_batch(fields, pts, 2, program)
+        assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in want]
+        assert got[1] is got[3] and got[4].coeffs is got[5].coeffs
+        assert (got[4].coeffs == 0.0).all() and got[4].coeffs.shape == (6, 4)
+    slot = {id(node): k for k, node, *_ in program.steps}
+    freed = {(i, k) for k, *_, frees in program.steps for i in frees}
+    # each slot is freed by its last reader (x by x*y, not exp(x)); a root's and a constant's never are
+    pairs = [(e, square), (x * y, inner), (x, x * y), (y, x * y), (inner * inner, outer)]
+    assert freed == {(slot[id(a.expr)], slot[id(b.expr)]) for a, b in pairs}
 
 
 def test_releasing_walk_holds_only_what_is_still_read():
-    # 2,000 terms of one shared product: without counts the memo holds every
-    # partial sum to the end; with them at most the few results still to be read
+    # 2,000 terms of one shared product: the walk's memo holds every partial sum to
+    # the end; the tape holds at most the few results still to be read, and after
+    # the run only the root and the kept constant 0.00005
     chart = ef.ChartSpec(("x", "t"), ((-1.0, 1.0), (0.5, 2.0)))
     f = ef.parse_field(" + ".join(["0.00005*ln(t)*x"] * 2_000), chart)
 
     class Result:
         __slots__ = ("__weakref__",)
 
-    def most_alive(readers):
+    def most_alive(run):
         live, most = [0], [0]
 
         def rule(e, args):
@@ -1022,12 +1044,97 @@ def test_releasing_walk_holds_only_what_is_still_read():
             weakref.finalize(r, lambda: live.__setitem__(0, live[0] - 1))
             return r
 
-        root = ef._walk([f.expr], rule, readers=readers)
-        assert live[0] == len(root) == 1
-        return most[0]
+        root = run(rule)
+        return most[0], live[0] - len(root)
 
-    assert most_alive(None) == len(ef.reader_counts([f.expr])) > 2_000
-    assert most_alive(ef.reader_counts([f.expr])) <= 8
+    program = ef.Program([f.expr], walks=0)
+    taped, kept = most_alive(lambda rule: program.run(rule, "key"))
+    assert taped <= 8 and kept == 1
+    assert most_alive(lambda rule: ef._walk([f.expr], rule)) == (len(program.steps), 0)
+    assert len(program.steps) > 2_000
+
+
+def test_program_evaluates_constants_once_per_jet_space(monkeypatch):
+    # the constant subtrees 2 - 3 and ln(5 - 1), leaves included, are evaluated by a
+    # program's first run in each jet space (order, dim, empty batch or not); later
+    # runs there read their kept, read-only jets and evaluate only the rest
+    chart = sample_chart()
+    f = ef.parse_field("x*(2 - 3) + ln(5 - 1)*y", chart)
+    constant = {"2", "3", "2 - 3", "5", "1", "5 - 1", "ln(5 - 1)"}
+    rng = np.random.default_rng(7)
+    program = ef.Program([f.expr], walks=0)
+    calls = _counting_rule(monkeypatch)
+    for order in (1, 2):
+        for k, npts in enumerate((1, 5, 0, 3, 0)):
+            pts = np.reshape(sample_points(rng, chart, npts), (npts, 2))
+            calls.clear()
+            got = ef.eval_jets_batch([f], pts, order, program)[0]
+            evaluated = {ef.pretty_print(e) for e in calls}
+            if k in (0, 2):  # the first run with points, then the first without
+                assert len(calls) == len(program.steps) and evaluated >= constant, (order, npts)
+            else:
+                assert len(calls) == len(program.varying) and not evaluated & constant, (order, npts)
+            fresh = ef.eval_jets_batch([f], pts, order, ef.Program([f.expr]))[0]
+            assert got.coeffs.tobytes() == fresh.coeffs.tobytes() and got.coeffs.shape == fresh.coeffs.shape
+    # four jet spaces, each keeping the constants a varying step reads, read-only
+    slot = {ef.pretty_print(e): k for k, e, *_ in program.steps}
+    assert len(program.kept) == 4
+    for vals in program.kept.values():
+        assert {k for k, v in enumerate(vals) if v is not None} == {slot["2 - 3"], slot["ln(5 - 1)"]}
+        kept = [v for v in vals if v is not None]
+        assert all(j.constant and not j.coeffs.flags.writeable and j.coeffs.shape[1] <= 1 for j in kept)
+
+
+def test_raising_constant_raises_on_every_evaluation():
+    # a constant that raises is never kept: every run raises it, and a batch of one names its point
+    chart = sample_chart()
+    f = ef.parse_field("x + ln(0 - 1)", chart)
+    program = ef.Program([f.expr], walks=0)
+    message = r"^ln of nonpositive value -1\.0 at point \(0\.1, 0\.2\)$"
+    for _ in range(4):  # the field's own program walks twice, then runs its tape
+        for order in (0, 2):
+            with pytest.raises(DomainError, match=message):
+                ef.eval_jets_batch([f], [(0.1, 0.2)], order, program)
+        with pytest.raises(DomainError, match=message):
+            f((0.1, 0.2))
+        with pytest.raises(DomainError, match=r"^ln of nonpositive value -1\.0$"):
+            ef.eval_jets_batch([f], [(0.1, 0.2), (0.3, 0.4)], 1, program)
+    assert program.kept == {} and ef.program_in(None, [f]).kept == {}
+
+
+@pytest.mark.bitwise
+def test_field_over_changing_batches_gives_fresh_bits():
+    # one field, its own program walking, then building its tape and keeping its
+    # constants, over 0, 1 and 5 points in changing order: each jet has the bits
+    # and shape of a fresh evaluation's
+    chart = sample_chart()
+    rng = np.random.default_rng(13)
+    f = sample_expression(rng, chart, "ln") * ef.parse_field("sin(2 - 3)*x + 2^(1/2) - exp(-(0.5))", chart)
+    batches = {n: np.reshape(sample_points(rng, chart, n), (n, 2)) for n in (0, 1, 5)}
+    for order in (0, 1, 2):
+        for n in (5, 1, 0, 1, 5, 0, 5, 1, 0):
+            got = ef.eval_jet_batch(f, batches[n], order)
+            fresh = ef.eval_jets_batch([f], batches[n], order, ef.Program([f.expr]))[0]
+            assert got.coeffs.shape == fresh.coeffs.shape and got.coeffs.tobytes() == fresh.coeffs.tobytes()
+            assert got.coeffs.flags.writeable
+    assert ef.program_in(None, [f]).steps is not None
+
+
+def test_program_dies_with_its_dag():
+    # a field's program lives in the field, a metric's in the metric's cache, so
+    # dropping them frees the DAG; coordinate names of its own, as in
+    # test_intern_table_stays_bounded
+    chart = ef.ChartSpec(("u", "v"), ((-1.0, 1.0), (0.5, 2.0)))
+    f = ef.parse_field("exp(u)*v + 3*u + 7", chart)
+    m = rm.MetricSpec.diagonal(chart, ["2 + sin(u)*v", "1 + v^2"])
+    for _ in range(4):
+        f((0.1, 1.0))
+        rm.scalar_curvature_at(m, (0.1, 1.0))
+    assert ef.program_in(None, [f]).steps is not None and ef.program_in(m._cache, m._upper.values()).steps is not None
+    refs = [weakref.ref(f.expr), weakref.ref(m.component(0, 0).expr)]
+    del f, m
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_only_the_parser_recurses():

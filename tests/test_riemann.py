@@ -595,7 +595,7 @@ def _sweep_model(roots, space, npts) -> tuple[int, int]:
     order; one composition's temporaries: Horner's w, partial result and one
     copy, then a product's two gathered term tables and their product, or
     that product, its scattered terms and their sum; the points; and 1 KB
-    per node for the memo, counts and Jet objects.
+    per node for the tape, its slots and Jet objects.
     """
     jet = space.count * npts * 8
     order, constant = [], {}  # distinct nodes, operands first
@@ -655,9 +655,9 @@ def test_block_sweep_memory_is_its_roots_and_live_jets(eds3):
     p = pts[rm._blocks(len(pts), 4)[0]]
     fields = [*gm.metric._upper.values(), gm.theta, var.profile]
     roots = [f.expr for f in fields]
-    readers = ef.reader_counts(roots)
-    ef.eval_jets_batch(fields, p, 2, readers)  # caches built outside the trace
-    peak = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2, readers))
+    program = ef.Program(roots, walks=0)
+    ef.eval_jets_batch(fields, p, 2, program)  # caches built outside the trace
+    peak = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2, program))
     kept, rest = _sweep_model(roots, ef.jet_space(4, 2), len(p))
     assert len(p) == 216
     assert peak <= kept + rest, (peak, kept, rest)
@@ -678,7 +678,7 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
         p = pts[max(rm._blocks(len(pts), n), key=lambda sl: sl.stop - sl.start)]
         fields = [*gm.metric._upper.values(), gm.theta, var.profile]
         roots = [f.expr for f in fields]
-        jets = ef.eval_jets_batch(fields, p, 2, ef.reader_counts(roots))
+        jets = ef.eval_jets_batch(fields, p, 2, ef.Program(roots, walks=0))
         s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
         work = {}
 
