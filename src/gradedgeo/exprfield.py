@@ -1250,7 +1250,7 @@ class Program:
             return len(steps) - 1
 
         self.outs = _walk(self.roots, record)
-        seen = set(self.outs)  # and below, the constants a varying step reads, which are kept
+        seen = set(self.outs)  # never freed: the roots, and the constants a varying step reads
         seen.update(i for k, _, args in steps if not constant[k] for i in args if constant[i])
         for k, e, args in reversed(steps):  # the first step from the end to read a slot reads it last
             steps[k] = (k, e, args, tuple([i for i in args if i not in seen]))
