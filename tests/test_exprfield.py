@@ -1120,6 +1120,43 @@ def test_field_over_changing_batches_gives_fresh_bits():
     assert ef.program_in(None, [f]).steps is not None
 
 
+def test_threads_sharing_programs_get_the_same_bits():
+    # four threads run one field's program and one owner's program through their walks,
+    # the build and the kept constants at once; a race there may build or keep twice,
+    # but every jet has the bits of a serial evaluation
+    chart = sample_chart()
+    f = ef.parse_field("exp(x*(2 - 3))*y + ln(5 - 1)*x^2", chart)
+    g = ef.parse_field("sin(x + 0.5)*(7 - 2) + y", chart)
+    pts = sample_points(np.random.default_rng(17), chart, 3)
+    want = [j.coeffs.tobytes() for j in ef.eval_jets_batch([f, g], pts, 2, ef.Program([f.expr, g.expr]))]
+    lone = ef.eval_jet_batch(ef.ScalarField(chart, f.expr), pts, 1).coeffs.tobytes()
+    # each round races on an owner and a field of its own, four times, so on every stage of them
+    owners, fields = [{} for _ in range(30)], [ef.ScalarField(chart, f.expr) for _ in range(30)]
+    results: list[list] = [[] for _ in range(4)]
+    start = threading.Barrier(4, timeout=60)
+
+    def run(out):
+        start.wait()
+        for owner, field in zip(owners, fields):
+            for _ in range(4):
+                out.append([j.coeffs.tobytes() for j in ef.eval_jets_batch([f, g], pts, 2, owner)])
+                out.append([ef.eval_jet_batch(field, pts, 1).coeffs.tobytes()])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(out,)) for out in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in results:
+        assert len(out) == 240 and out[::2] == [want] * 120 and out[1::2] == [[lone]] * 120
+
+
 def test_program_dies_with_its_dag():
     # a field's program lives in the field, a metric's in the metric's cache, so
     # dropping them frees the DAG; coordinate names of its own, as in
