@@ -483,22 +483,22 @@ def _blocks(npts: int, n: int) -> list[slice]:
 def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=None) -> list[np.ndarray]:
     """The arrays ``block(points, arrays, det, jets, work)`` gives over each point block, joined.
 
-    The one place that splits points for a batched assembly (see _blocks).
-    For each block in point order it sweeps the order-2 jets of the metric's
-    upper triangle, row by row, then of the ``extra`` fields in the same
-    pass, builds [g, ginv, Gamma, curvature] and det g from the metric's
-    (_metric_tensors) and hands all of it to ``block``; every block's
-    assemblies share one ``work`` dict.  The fields' Program, kept in ``cache``
-    (their owner's dict) if given, else for the call, is built before the first
-    block, so each sweep frees its jets after their last reader.  ``block`` owns the list ``arrays``: nothing else
-    holds its tensors, so emptying it frees them.  Each array ``block``
-    returns has a leading point axis: they are written into arrays over
-    every point as the blocks come, or returned as they are when one block
-    holds every point.  Errors come in block order, one block's before the
-    next block is swept, and within a block the metric's, its assembly's
-    included, before the extra fields': a failed sweep is replayed on the
-    metric alone.  So the degeneracy message's |det g| is the minimum over
-    the failing block, not over every point.
+    The one place that splits points for a batched assembly (see _blocks). For
+    each block in point order it sweeps the order-2 jets of the metric's upper
+    triangle, row by row, then of the ``extra`` fields in the same pass, builds
+    [g, ginv, Gamma, curvature] and det g from the metric's (_metric_tensors)
+    and hands all of it to ``block``; every block's assemblies share one
+    ``work`` dict.  The fields' Program, kept in ``cache`` (their owner's dict)
+    if given, else for the call, is built before the first block, so each sweep
+    frees its jets after their last reader.  ``block`` owns the list
+    ``arrays``: nothing else holds its tensors, so emptying it frees them.
+    Each array ``block`` returns has a leading point axis: they are written
+    into arrays over every point as the blocks come, or returned as they are
+    when one block holds every point.  Errors come in block order, one block's
+    before the next block is swept, and within a block the metric's, its
+    assembly's included, before the extra fields': a failed sweep is replayed
+    on the metric alone.  So the degeneracy message's |det g| is the minimum
+    over the failing block, not over every point.
     """
     npts, work, out = len(pts), {}, None
     upper = list(m._upper.values())
