@@ -78,6 +78,9 @@ class ChartSpec:
         for name, (lo, hi) in zip(names, box):
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise ValueError(f"empty or unbounded interval for {name!r}: ({lo}, {hi})")
+        lo, hi = np.array(box).T
+        slack = 1e-9 * (hi - lo) + 1e-12  # tiny slack for roundoff
+        object.__setattr__(self, "_bounds", (lo - slack, hi + slack))
 
     @property
     def dim(self) -> int:
@@ -98,10 +101,9 @@ class ChartSpec:
         arr = np.asarray(pts, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"expected rows of {self.dim} coordinates, got an array of shape {arr.shape}")
-        lo, hi = np.array(self.box).T
-        slack = 1e-9 * (hi - lo) + 1e-12
+        lo, hi = self._bounds
         # written so that a NaN is outside
-        inside = (arr >= lo - slack) & (arr <= hi + slack)
+        inside = (arr >= lo) & (arr <= hi)
         if not inside.all():
             a = int(np.argmin(inside.all(axis=0)))
             x = float(arr[int(np.argmin(inside[:, a])), a])
@@ -1121,7 +1123,7 @@ def _jet_seeds(space: JetSpace, pts: np.ndarray) -> list[Jet]:
 
 
 def _jet_rule(space: JetSpace, seeds: list[Jet]):
-    """Rule of _walk evaluating each node as a jet over the seeds' points, at order >= 1.
+    """Rule of Program.run evaluating each node as a jet over the seeds' points, at order >= 1.
 
     A Const, and a node whose operands are all constant, gives a constant
     jet (``Jet.constant``), one column wide: numpy broadcasts it over the
@@ -1187,16 +1189,17 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
 
 
 def _value_rule(seeds: list[Jet]):
-    """Rule of _walk evaluating each node's value alone, as the jet arithmetic does at order 0.
+    """Rule of Program.run evaluating each node's value alone, as the jet arithmetic does at order 0.
 
     Over a batch of one point a value is a float, over a larger batch an
-    (npoints,) array; each step is the one the order-0 jet applies to its
-    single coefficient, so a point's value does not depend on its batch.
+    (npoints,) array, and a constant a float (over no points an empty array, so
+    its domain check sees no value); each step is the one the order-0 jet applies
+    to its single coefficient, so a point's value does not depend on its batch.
     """
     npoints = seeds[0].coeffs.shape[1]
     single = npoints == 1
     values = [float(s.coeffs[0, 0]) if single else s.coeffs[0] for s in seeds]
-    const = float if single else partial(np.full, npoints, dtype=float)
+    const = float if npoints else partial(np.full, 0, dtype=float)
     one = const(1.0)
 
     def value(e: Expr, args: list):
@@ -1220,7 +1223,7 @@ def _value_rule(seeds: list[Jet]):
             raise TypeError(f"not an expression node: {type(e).__name__}")
         v = _node_value(e, args[0], 0, one)
         # np.power, np.exp and the like hand back numpy scalars
-        return float(v) if single else v
+        return v if type(v) is np.ndarray else float(v)
 
     return value
 
@@ -1228,18 +1231,17 @@ def _value_rule(seeds: list[Jet]):
 class Program:
     """Post-order tape of the DAG under some roots, kept by their owner, so it dies with them.
 
-    Step k (node, operand slots, the slots it reads last) puts the node's
-    result in slot k and frees those slots, never a root's or a constant
-    (no Coord below it) that a varying step reads.  The first run under a key
-    that raises nothing keeps those constants read-only; later runs under it
-    skip the constant steps.  Building costs about two walks, so the first
-    ``walks`` runs are _walk's.
+    Every evaluation runs one, built by a _walk at its first run.  Step k (node,
+    operand slots, the slots it reads last) puts the node's result in slot k and
+    frees those slots, never a root's or a constant (no Coord below it) that a
+    varying step reads.  The first run under a key that raises nothing keeps
+    those constants read-only; later runs under it skip the constant steps.
     """
 
-    __slots__ = ("roots", "walks", "steps", "varying", "outs", "kept")
+    __slots__ = ("roots", "steps", "varying", "outs", "kept")
 
-    def __init__(self, roots, walks: int = 2):
-        self.roots, self.walks, self.steps, self.kept = list(roots), walks, None, {}
+    def __init__(self, roots):
+        self.roots, self.steps, self.kept = list(roots), None, {}
 
     def _build(self) -> None:
         steps, constant = [], []
@@ -1260,9 +1262,6 @@ class Program:
     def run(self, rule, key) -> list:
         """The results _walk(roots, rule) gives, with the constants kept under key."""
         if self.steps is None:
-            if self.walks > 0:
-                self.walks -= 1
-                return _walk(self.roots, rule)
             self._build()
         kept = self.kept.get(key)
         vals = [None] * len(self.steps) if kept is None else kept.copy()
@@ -1277,44 +1276,44 @@ class Program:
             for a in (getattr(v, "coeffs", v) for v in vals):
                 if type(a) is np.ndarray:
                     a.flags.writeable = False
-            if len(self.kept) >= 8:  # at order 0 each batch width is a key
-                self.kept.clear()
             self.kept[key] = vals
         return out
 
 
 def program_in(cache: dict | None, fields) -> Program:
-    """The Program of fields kept in ``cache``, their owner's dict, one per tuple of roots,
-    built at its first run: an owner evaluates its fields again and again.  Without an owner
-    a lone field keeps its own in its instance dict, built after two walks, and several
-    fields get one that walks."""
+    """The Program of fields, built at its first run, kept in ``cache``, their owner's dict,
+    one per tuple of roots.  Without an owner a lone field keeps its own in its instance
+    dict, and several fields get a fresh one."""
     exprs = [f.expr for f in fields]
-    if cache is None and len(exprs) != 1:
-        return Program(exprs)
-    cache, walks = (vars(fields[0]), 2) if cache is None else (cache, 0)
-    return cache.get(key := ("program", *map(id, exprs))) or cache.setdefault(key, Program(exprs, walks))
+    if cache is None:
+        if len(exprs) != 1:
+            return Program(exprs)
+        cache = vars(fields[0])
+    return cache.get(key := ("program", *map(id, exprs))) or cache.setdefault(key, Program(exprs))
 
 
 def _run_jets(program: Program, space: JetSpace, seeds: list[Jet]) -> list[Jet]:
     """Evaluate the program's roots over shared seeds, each shared node once.
 
     Constants are kept per order, dim and empty batch or not (a constant jet
-    is one column wide, or zero), at order 0 per batch width.  Each root's jet
-    is the caller's, (count, npoints): a constant one column wide or kept is
-    widened to a copy once per node.  Order 0 wraps a copy of each root's plain
-    value as a one-coefficient jet, bitwise equal to full jet arithmetic.
+    is one column wide, or zero; a constant value is a float, or empty).  Each
+    root's jet is the caller's, (count, npoints): a constant one column wide or
+    kept is widened to a copy once per node.  Order 0 wraps a widened copy of each
+    root's plain value as a one-coefficient jet, bitwise equal to full jet arithmetic.
     """
     npoints = seeds[0].coeffs.shape[1]
+    key = (space, npoints > 0)
     if space.order:
         wide: dict[int, Jet] = {}
-        out = program.run(_jet_rule(space, seeds), (space, min(npoints, 1)))
+        out = program.run(_jet_rule(space, seeds), key)
         for k, jet in enumerate(out):
             if jet.constant and (jet.coeffs.shape[1] != npoints or not jet.coeffs.flags.writeable):
                 if id(jet) not in wide:
                     wide[id(jet)] = Jet(space, np.repeat(jet.coeffs, npoints, axis=1), True)
                 out[k] = wide[id(jet)]
         return out
-    return [Jet(space, np.array(v, ndmin=2)) for v in program.run(_value_rule(seeds), (space, npoints))]
+    widen = partial(np.array, ndmin=2) if npoints == 1 else partial(np.full, (1, npoints))
+    return [Jet(space, widen(v)) for v in program.run(_value_rule(seeds), key)]
 
 
 def eval_jet(f: ScalarField, p, order: int) -> Jet:
@@ -1326,14 +1325,14 @@ def eval_jet(f: ScalarField, p, order: int) -> Jet:
     return Jet(jet.space, jet.coeffs[:, 0])
 
 
-def eval_jets_batch(fields, points, order: int, program: Program | dict | None = None) -> list[Jet]:
+def eval_jets_batch(fields, points, order: int, cache: dict | None = None) -> list[Jet]:
     """Jets of several fields over an array of points, one shared pass.
 
     Coefficient arrays gain a trailing point axis; subtrees shared within
-    or across the fields are evaluated once for the whole batch, by
-    ``program``, a Program of their expressions, else by the one
-    ``program_in`` gives for the dict of their owner or None.  A DomainError
-    raised while evaluating a batch of one names its point.
+    or across the fields are evaluated once for the whole batch, by the
+    Program ``program_in`` gives for ``cache``, the dict of their owner, or
+    None.  A DomainError raised while evaluating a batch of one names its
+    point.
     """
     fields = list(fields)
     if not fields:
@@ -1345,8 +1344,7 @@ def eval_jets_batch(fields, points, order: int, program: Program | dict | None =
     space = _check_order(chart.dim, order)
     pts = chart.require_points(points)
     try:
-        program = program if isinstance(program, Program) else program_in(program, fields)
-        return _run_jets(program, space, _jet_seeds(space, pts))
+        return _run_jets(program_in(cache, fields), space, _jet_seeds(space, pts))
     except DomainError as err:
         if len(pts) != 1:
             raise

@@ -16,7 +16,7 @@ from . import exprfield as ef
 from .exprfield import ChartSpec, ScalarField
 from .riemann import MetricSpec
 
-_INTERIOR_MARGIN = 0.15  # random_interior_point keeps this share of each axis clear at both ends
+_INTERIOR_MARGIN = 0.15  # random_interior_points keeps this share of each axis clear at both ends
 
 
 def default_chart(dim: int) -> ChartSpec:
@@ -121,8 +121,14 @@ def random_dual_function(rng: np.random.Generator, chart: ChartSpec):
     return DualFunction(random_polynomial(rng, chart, scale=1.0), random_polynomial(rng, chart, scale=1.0))
 
 
+def random_interior_points(rng: np.random.Generator, chart: ChartSpec, count: int) -> np.ndarray:
+    """``count`` point rows from one uniform draw, coordinate by coordinate within each
+    row: the values and the generator's next draw of as many scalar draws."""
+    lo, hi = np.array(chart.box).T
+    margin = _INTERIOR_MARGIN * (hi - lo)
+    return rng.uniform(lo + margin, hi - margin, (count, chart.dim))
+
+
 def random_interior_point(rng: np.random.Generator, chart: ChartSpec):
-    return tuple(
-        float(rng.uniform(lo + _INTERIOR_MARGIN * (hi - lo), hi - _INTERIOR_MARGIN * (hi - lo)))
-        for lo, hi in chart.box
-    )
+    """The batch of one of random_interior_points, as a tuple of floats."""
+    return tuple(random_interior_points(rng, chart, 1)[0].tolist())

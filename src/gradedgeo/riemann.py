@@ -338,6 +338,22 @@ def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, np.ldexp(det_h, 2 * np.sum(half, axis=0))
 
 
+def _diagonal_half_binades(g: np.ndarray) -> np.ndarray:
+    """half[i,p] = e_i // 2 for point-last g[i,j,p], where 2**e_i is the binade of |g_ii|,
+    or of row i's largest |entry| where g_ii = 0 (and e_i = 0 for a zero row).
+
+    The degeneracy and inverse checks read g as h = D g D, D_i = 2**-half_i, whose
+    diagonal is in [1/4, 1).  Rescaling coordinate i by 2**k_i moves e_i by exactly
+    2 k_i, so the checks pass or fail alike in any power-of-two units.  A zero
+    diagonal entry, as in light-cone coordinates, falls back to its row's largest
+    entry, which moves with the other coordinates' scales too: there the checks
+    are not covariant.
+    """
+    diag = np.abs(np.diagonal(g).T)  # [i,p]
+    rows = np.where(diag == 0.0, np.max(np.abs(g), axis=1), diag)
+    return np.frexp(rows)[1] >> 1
+
+
 def check_finite(named_values, pts: np.ndarray) -> None:
     """Fail closed on a non-finite value, naming its field and the first bad point.
 
@@ -372,9 +388,13 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
     invalidates.
 
     g is inverted in closed form for n <= 4 (_cofactor_inverse) and by LAPACK
-    above.  A non-finite metric coefficient, or a Gamma or curvature entry
-    that overflows in the cores, raises DomainError naming it and the first
-    bad point.
+    above.  It is degenerate, DegenerateMetricError, where |det h| is below
+    DEGENERACY_THRESHOLD or h h^-1 misses the identity by more than 1e-10, for
+    h = D g D with unit-binade diagonal (_diagonal_half_binades): both are read
+    off det g and g g^-1 by exact power-of-two scaling, so they do not depend
+    on the coordinates' units.  A non-finite metric coefficient, or a Gamma or
+    curvature entry that overflows in the cores, raises DomainError naming it
+    and the first bad point.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -392,18 +412,22 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
             named += [(f"g_{i}_{j}", 2.0 * jet.coeffs[diag]) for (i, j), jet in zip(upper, jets)]
         check_finite(named, pts)
     gp = np.ascontiguousarray(g.transpose(1, 2, 0))
+    half = _diagonal_half_binades(gp)
     # an inf det passes the degeneracy test (GeometryBatch.density raises on it), and a
     # degenerate g's inverse is never read
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gi, det = _cofactor_inverse(gp) if n <= _INVERSE_MAX_DIM else (None, np.linalg.det(g))
-    worst = float(np.min(np.abs(det)))
+        worst = float(np.min(np.abs(np.ldexp(det, -2 * np.sum(half, axis=0)))))  # |det D g D|
     if worst < DEGENERACY_THRESHOLD:
         raise DegenerateMetricError(
-            f"|det g| = {worst:.3e} below threshold {DEGENERACY_THRESHOLD:.0e}"
+            f"|det g| = {worst:.3e} below threshold {DEGENERACY_THRESHOLD:.0e}, relative to its diagonal"
         )
     if gi is None:
         gi = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))
+    # (D g D)(D^-1 g^-1 D^-1) = D (g g^-1) D^-1, entry (i, k) scaled by 2**(half_k - half_i)
     identity = np.einsum("ijp,jkp->ikp", gp, gi)
+    with np.errstate(over="ignore"):  # an entry that overflows fails the check
+        identity = np.ldexp(identity, half[None] - half[:, None])
     if np.max(np.abs(identity - np.eye(n)[:, :, None])) > 1e-10:
         raise DegenerateMetricError("metric inverse failed the identity check")
     out = [g, np.ascontiguousarray(gi.transpose(2, 0, 1))]
@@ -489,8 +513,8 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=
     [g, ginv, Gamma, curvature] and det g from the metric's (_metric_tensors)
     and hands all of it to ``block``; every block's assemblies share one
     ``work`` dict.  The fields' Program, kept in ``cache`` (their owner's dict)
-    if given, else for the call, is built before the first block, so each sweep
-    frees its jets after their last reader.  ``block`` owns the list
+    if given, else in a dict of the call, is built at the first sweep, and
+    every sweep frees its jets after their last reader.  ``block`` owns the list
     ``arrays``: nothing else holds its tensors, so emptying it frees them.
     Each array ``block`` returns has a leading point axis: they are written
     into arrays over every point as the blocks come, or returned as they are
@@ -502,11 +526,11 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=
     """
     npts, work, out = len(pts), {}, None
     upper = list(m._upper.values())
-    program = ef.program_in({} if cache is None else cache, [*upper, *extra])
+    owner = {} if cache is None else cache
 
     def sweep(p):  # a block's jets and tensors are freed before the next block is swept
         try:
-            jets = ef.eval_jets_batch([*upper, *extra], p, 2, program)
+            jets = ef.eval_jets_batch([*upper, *extra], p, 2, owner)
         except DomainError:
             if extra:
                 # raise what the metric raises alone, as when the extra fields had a sweep of their own

@@ -34,7 +34,7 @@ from . import riemann as rm
 from .algebroid import GradedVectorField, _koszul_from_jets, _order_one_pass
 from .errors import DegenerateMetricError
 from .graded import GradedMetric
-from .randgen import affine_jets, random_affine_fields, random_interior_point
+from .randgen import affine_jets, random_affine_fields, random_interior_points
 
 __all__ = [
     "CheckResult",
@@ -124,8 +124,9 @@ def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int):
     for k in range(groups):
         drawn.append(random_affine_fields(rng, gm.chart, count))
         slots += [list(range(k * count, (k + 1) * count))] * points
-        pts += [random_interior_point(rng, gm.chart) for _ in range(points)]
-    return tuple(np.concatenate(a) for a in zip(*drawn)), np.array(slots), gm.chart.require_points(pts)
+        pts.append(random_interior_points(rng, gm.chart, points))
+    fields = tuple(np.concatenate(a) for a in zip(*drawn))
+    return fields, np.array(slots), gm.chart.require_points(np.concatenate(pts))
 
 
 def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
@@ -355,7 +356,7 @@ def run_geometry_checks(
     """
     rng = np.random.default_rng(seed)
     if sample is None:
-        sample = [random_interior_point(rng, gm.chart) for _ in range(5)]
+        sample = random_interior_points(rng, gm.chart, 5)
     sample = [gm.chart.require_point(p) for p in sample]
     b = gd.geometry_batch(gm, sample)  # first, so that the engine's errors come before its oracles'
     checks = (_koszul, _compatibility, _torsion)

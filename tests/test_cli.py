@@ -1058,6 +1058,25 @@ def test_grid_errors_come_in_block_order(tmp_path, capsys, theta, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["residuals", "report"])
+def test_flat_metric_in_small_units_is_regular(tmp_path, capsys, command):
+    # 1e-3*diag(1, 1, 1, -1) is flat space in other units, with |det g| = 1e-12: the
+    # degeneracy check reads g with its diagonal scaled to unit binades, so the run
+    # passes, every curvature column 0
+    text = EDS3.replace("t^(2/3)", "0.001").replace("g_3_3 = -1", "g_3_3 = -0.001")
+    text = text.replace("0.5773502691896257*ln(t)", "0")
+    code = run([command, "--config", write(tmp_path, text)])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "det g" not in out.err and "Traceback" not in out.err
+    lines = out.out.splitlines()
+    header = lines[1].split(",")
+    for line in lines[2:5]:
+        row = dict(zip(header, line.split(",")))
+        assert all(row[c] == "0" for c in header if c.startswith(("ric_", "scalar_curvature", "graded_scalar"))), row
+
+
 _COORDS = ("x", "y", "t")
 _BAD_EXPR = st.sampled_from(["x +", "(x", "foo", "1e999", "x^x", ""])
 _SMALL = st.floats(-2.0, 2.0).map(repr)

@@ -516,7 +516,7 @@ def _assert_value_path_bitwise(fields, points):
     for pts in _point_batches(points):
         seeds = ef._jet_seeds(space, pts)
         want = _order0_outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
-        program = ef.Program(exprs, walks=1)  # a walk, the tape's first run, a run from its kept constants
+        program = ef.Program(exprs)  # the tape's first run, then runs from its kept constants
         for _ in range(3):
             got = _order0_outcome(lambda: ef._run_jets(program, space, seeds))
             assert got == want, ([ef.pretty_print(f) for f in fields], pts)
@@ -537,7 +537,7 @@ def _assert_jets_match_dense(fields, points, order):
         seeds = ef._jet_seeds(space, pts)
         want = _outcome(lambda: ef._walk(exprs, dense_jet_rule(space, seeds)))
         where = ([ef.pretty_print(f) for f in fields], order, pts)
-        program = ef.Program(exprs, walks=1)  # a walk, the tape's first run, a run from its kept constants
+        program = ef.Program(exprs)  # the tape's first run, then runs from its kept constants
         for _ in range(3):
             got = _outcome(lambda: ef._run_jets(program, space, seeds))
             if isinstance(want, tuple):
@@ -881,12 +881,12 @@ f = ef.parse_field(src, chart)
 sys.setrecursionlimit(200)
 d = f.d("t").d("x")
 assert abs(d((0.3, 1.5)) - 0.5 / 1.5) < 1e-12
-jet = ef.eval_jet(f, (0.3, 1.5), 2)
+jet = ef.eval_jet(f, (0.3, 1.5), 2)  # the field's tape, at its first run
 assert abs(jet.value - 0.15 * ef.math.log(1.5)) < 1e-12
-program = ef.Program([f.expr], walks=0)
-for _ in range(2):  # the tape's first run, then a run from its kept constants
-    taped = ef.eval_jets_batch([f], [(0.3, 1.5)], 2, program)[0]
-    assert taped.coeffs[:, 0].tobytes() == jet.coeffs.tobytes()
+space = ef.jet_space(2, 2)
+walked = ef._walk([f.expr], ef._jet_rule(space, ef._jet_seeds(space, ef.np.array([(0.3, 1.5)]))))[0]
+assert walked.coeffs[:, 0].tobytes() == jet.coeffs.tobytes()
+assert ef.eval_jet(f, (0.3, 1.5), 2).coeffs.tobytes() == jet.coeffs.tobytes()  # a run from its kept constants
 again = ef.parse_field(ef.pretty_print(f), chart)
 assert again.expr == f.expr and hash(again.expr) == hash(f.expr)
 assert ef.remap_coordinates(f, swapped)((1.5, 0.3)) == f((0.3, 1.5))
@@ -934,9 +934,19 @@ def test_shared_dag_walked_once_per_node():
 
 
 def _taped(fields, pts, order):
-    """The jets of fields from a tape built for them: its first run, then a run from its kept constants."""
-    program = ef.Program([f.expr for f in fields], walks=0)
-    return [ef.eval_jets_batch(fields, pts, order, program) for _ in range(2)]
+    """The jets of fields from a tape an owner keeps: its first run, then a run from its kept constants."""
+    owner = {}
+    return [ef.eval_jets_batch(fields, pts, order, owner) for _ in range(2)]
+
+
+def _walked(fields, pts, order):
+    """The coefficient bytes of the fields' jets by _walk with the engine's rule, the reference
+    the tape is checked against; a constant is widened to the batch, as _run_jets widens it."""
+    space = ef.jet_space(fields[0].chart.dim, order)
+    seeds = ef._jet_seeds(space, np.asarray(pts, dtype=float))
+    rule = ef._jet_rule(space, seeds) if order else ef._value_rule(seeds)
+    out = ef._walk([f.expr for f in fields], rule)
+    return [np.broadcast_to(getattr(r, "coeffs", r), (space.count, len(pts))).tobytes() for r in out]
 
 
 def _golden_fields():
@@ -967,21 +977,21 @@ def test_releasing_walk_gives_the_same_jets():
     cases += list(_golden_fields())
     for name, fields, pts in cases:
         for order in (0, 1, 2):
-            want = [j.coeffs.tobytes() for j in ef.eval_jets_batch(fields, pts, order)]
+            want = _walked(fields, pts, order)
             for jets in _taped(fields, pts, order):
                 assert [j.coeffs.tobytes() for j in jets] == want, (name, order)
 
 
-def _counting_rule(monkeypatch):
-    """The nodes the jet rule evaluates, in order, from here on."""
+def _counting_rule(monkeypatch, name="_jet_rule"):
+    """The nodes that the rules ``ef.<name>`` makes (the jet rule by default) evaluate, in order, from here on."""
     calls = []
-    real = ef._jet_rule
+    real = getattr(ef, name)
 
-    def counted(space, seeds):
-        rule = real(space, seeds)
+    def counted(*args):
+        rule = real(*args)
         return lambda e, args: calls.append(e) or rule(e, args)
 
-    monkeypatch.setattr(ef, "_jet_rule", counted)
+    monkeypatch.setattr(ef, name, counted)
     return calls
 
 
@@ -991,11 +1001,12 @@ def test_releasing_walk_evaluates_each_node_once(monkeypatch):
     f = _squares(chart, 20)
     fields = [f, f * ef.coordinate(chart, "t") + f, ef.ln(ef.coordinate(chart, "t")) * f]
     calls = _counting_rule(monkeypatch)
-    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2)
+    _walked(fields, [(0.0, 1.2)], 2)
     walked = calls[:]
     calls.clear()
-    program = ef.Program([g.expr for g in fields], walks=0)
-    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2, program)
+    owner = {}
+    ef.eval_jets_batch(fields, [(0.0, 1.2)], 2, owner)
+    program = ef.program_in(owner, fields)
     assert calls == walked
     assert len(calls) == len({id(e) for e in calls}) == len(program.steps)
 
@@ -1009,14 +1020,14 @@ def test_releasing_walk_keeps_repeated_reads_and_roots():
     outer = inner * inner + inner  # inner is a root as well as an operand
     zero = ef.constant(chart, 0.0)
     fields = [square, inner, outer, inner, zero, zero]  # roots given twice, as the eds metric's zero entries
-    program = ef.Program([f.expr for f in fields], walks=0)
+    owner = {}
     pts = sample_points(np.random.default_rng(5), chart, 4)
-    want = ef.eval_jets_batch(fields, pts, 2)
     for _ in range(2):
-        got = ef.eval_jets_batch(fields, pts, 2, program)
-        assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in want]
+        got = ef.eval_jets_batch(fields, pts, 2, owner)
+        assert [j.coeffs.tobytes() for j in got] == _walked(fields, pts, 2)
         assert got[1] is got[3] and got[4].coeffs is got[5].coeffs
         assert (got[4].coeffs == 0.0).all() and got[4].coeffs.shape == (6, 4)
+    program = ef.program_in(owner, fields)
     slot = {id(node): k for k, node, *_ in program.steps}
     freed = {(i, k) for k, *_, frees in program.steps for i in frees}
     # each slot is freed by its last reader (x by x*y, not exp(x)); a root's and a constant's never are
@@ -1047,7 +1058,7 @@ def test_releasing_walk_holds_only_what_is_still_read():
         root = run(rule)
         return most[0], live[0] - len(root)
 
-    program = ef.Program([f.expr], walks=0)
+    program = ef.Program([f.expr])
     taped, kept = most_alive(lambda rule: program.run(rule, "key"))
     assert taped <= 8 and kept == 1
     assert most_alive(lambda rule: ef._walk([f.expr], rule)) == (len(program.steps), 0)
@@ -1062,20 +1073,21 @@ def test_program_evaluates_constants_once_per_jet_space(monkeypatch):
     f = ef.parse_field("x*(2 - 3) + ln(5 - 1)*y", chart)
     constant = {"2", "3", "2 - 3", "5", "1", "5 - 1", "ln(5 - 1)"}
     rng = np.random.default_rng(7)
-    program = ef.Program([f.expr], walks=0)
+    owner = {}
     calls = _counting_rule(monkeypatch)
     for order in (1, 2):
         for k, npts in enumerate((1, 5, 0, 3, 0)):
             pts = np.reshape(sample_points(rng, chart, npts), (npts, 2))
             calls.clear()
-            got = ef.eval_jets_batch([f], pts, order, program)[0]
+            got = ef.eval_jets_batch([f], pts, order, owner)[0]
+            program = ef.program_in(owner, [f])
             evaluated = {ef.pretty_print(e) for e in calls}
             if k in (0, 2):  # the first run with points, then the first without
                 assert len(calls) == len(program.steps) and evaluated >= constant, (order, npts)
             else:
                 assert len(calls) == len(program.varying) and not evaluated & constant, (order, npts)
-            fresh = ef.eval_jets_batch([f], pts, order, ef.Program([f.expr]))[0]
-            assert got.coeffs.tobytes() == fresh.coeffs.tobytes() and got.coeffs.shape == fresh.coeffs.shape
+            assert got.coeffs.shape == (ef.jet_space(2, order).count, npts)
+            assert [got.coeffs.tobytes()] == _walked([f], pts, order)
     # four jet spaces, each keeping the constants a varying step reads, read-only
     slot = {ef.pretty_print(e): k for k, e, *_ in program.steps}
     assert len(program.kept) == 4
@@ -1085,28 +1097,82 @@ def test_program_evaluates_constants_once_per_jet_space(monkeypatch):
         assert all(j.constant and not j.coeffs.flags.writeable and j.coeffs.shape[1] <= 1 for j in kept)
 
 
+def test_value_path_keeps_constants_once_per_jet_space(monkeypatch):
+    # at order 0 a constant is a float over any batch with points and an empty array
+    # over none, so after runs at widths 1, 5 and 0 the program keeps one entry per
+    # (jet space, empty batch or not), and only the first run of each evaluates them
+    chart = sample_chart()
+    f = ef.parse_field("x*(2 - 3) + ln(5 - 1)*y", chart)
+    constant = {"2", "3", "2 - 3", "5", "1", "5 - 1", "ln(5 - 1)"}
+    rng = np.random.default_rng(11)
+    owner = {}
+    calls = _counting_rule(monkeypatch, "_value_rule")
+    for k, npts in enumerate((1, 5, 0, 5, 1, 0)):
+        pts = np.reshape(sample_points(rng, chart, npts), (npts, 2))
+        calls.clear()
+        got = ef.eval_jets_batch([f], pts, 0, owner)[0]
+        evaluated = {ef.pretty_print(e) for e in calls}
+        if k in (0, 2):  # the first run with points, then the first without
+            assert evaluated >= constant, npts
+        else:
+            assert not evaluated & constant, npts
+        assert got.coeffs.shape == (1, npts) and [got.coeffs.tobytes()] == _walked([f], pts, 0)
+    space = ef.jet_space(2, 0)
+    kept = ef.program_in(owner, [f]).kept
+    assert set(kept) == {(space, True), (space, False)}
+    values = [[v for v in vals if v is not None] for vals in (kept[space, True], kept[space, False])]
+    assert all(type(v) is float for v in values[0]) and len(values[0]) == 2
+    assert all(v.shape == (0,) and not v.flags.writeable for v in values[1]) and len(values[1]) == 2
+
+
+def test_every_evaluation_runs_a_tape(monkeypatch):
+    # _walk only records tapes (Program._build's rule): a lone field, an owner-less
+    # pair and an owner's pair are evaluated by running a tape, at every order and run
+    rules = []
+    real = ef._walk
+
+    def counted(roots, rule, known=None):
+        rules.append(rule.__name__)
+        return real(roots, rule, known)
+
+    monkeypatch.setattr(ef, "_walk", counted)
+    chart = sample_chart()
+    f = ef.parse_field("exp(x*(2 - 3))*y + ln(5 - 1)*x^2", chart)
+    g = ef.parse_field("sin(x + 0.5)*(7 - 2) + y", chart)
+    pts = sample_points(np.random.default_rng(3), chart, 3)
+    owner = {}
+    for _ in range(3):
+        f((0.1, 0.2))
+        for order in (0, 1, 2):
+            ef.eval_jet(f, (0.1, 0.2), order)
+            ef.eval_jets_batch([f, g], pts, order)
+            ef.eval_jets_batch([f, g], pts, order, owner)
+    # the lone field's and the owner's tapes are built once, the owner-less pair's on each call
+    assert rules == ["record"] * (2 + 9)
+
+
 def test_raising_constant_raises_on_every_evaluation():
     # a constant that raises is never kept: every run raises it, and a batch of one names its point
     chart = sample_chart()
     f = ef.parse_field("x + ln(0 - 1)", chart)
-    program = ef.Program([f.expr], walks=0)
+    owner = {}
     message = r"^ln of nonpositive value -1\.0 at point \(0\.1, 0\.2\)$"
-    for _ in range(4):  # the field's own program walks twice, then runs its tape
+    for _ in range(4):  # an owner's tape and the field's own, each built at its first run
         for order in (0, 2):
             with pytest.raises(DomainError, match=message):
-                ef.eval_jets_batch([f], [(0.1, 0.2)], order, program)
+                ef.eval_jets_batch([f], [(0.1, 0.2)], order, owner)
         with pytest.raises(DomainError, match=message):
             f((0.1, 0.2))
         with pytest.raises(DomainError, match=r"^ln of nonpositive value -1\.0$"):
-            ef.eval_jets_batch([f], [(0.1, 0.2), (0.3, 0.4)], 1, program)
-    assert program.kept == {} and ef.program_in(None, [f]).kept == {}
+            ef.eval_jets_batch([f], [(0.1, 0.2), (0.3, 0.4)], 1, owner)
+    assert ef.program_in(owner, [f]).kept == {} and ef.program_in(None, [f]).kept == {}
 
 
 @pytest.mark.bitwise
 def test_field_over_changing_batches_gives_fresh_bits():
-    # one field, its own program walking, then building its tape and keeping its
-    # constants, over 0, 1 and 5 points in changing order: each jet has the bits
-    # and shape of a fresh evaluation's
+    # one field, its own tape built at the first run and keeping its constants,
+    # over 0, 1 and 5 points in changing order: each jet has the bits and shape
+    # of a walk's
     chart = sample_chart()
     rng = np.random.default_rng(13)
     f = sample_expression(rng, chart, "ln") * ef.parse_field("sin(2 - 3)*x + 2^(1/2) - exp(-(0.5))", chart)
@@ -1114,22 +1180,22 @@ def test_field_over_changing_batches_gives_fresh_bits():
     for order in (0, 1, 2):
         for n in (5, 1, 0, 1, 5, 0, 5, 1, 0):
             got = ef.eval_jet_batch(f, batches[n], order)
-            fresh = ef.eval_jets_batch([f], batches[n], order, ef.Program([f.expr]))[0]
-            assert got.coeffs.shape == fresh.coeffs.shape and got.coeffs.tobytes() == fresh.coeffs.tobytes()
+            assert got.coeffs.shape == (ef.jet_space(2, order).count, n)
+            assert [got.coeffs.tobytes()] == _walked([f], batches[n], order)
             assert got.coeffs.flags.writeable
     assert ef.program_in(None, [f]).steps is not None
 
 
 def test_threads_sharing_programs_get_the_same_bits():
-    # four threads run one field's program and one owner's program through their walks,
-    # the build and the kept constants at once; a race there may build or keep twice,
-    # but every jet has the bits of a serial evaluation
+    # four threads run one field's program and one owner's program through the build
+    # and the kept constants at once; a race there may build or keep twice, but every
+    # jet has the bits of a walk
     chart = sample_chart()
     f = ef.parse_field("exp(x*(2 - 3))*y + ln(5 - 1)*x^2", chart)
     g = ef.parse_field("sin(x + 0.5)*(7 - 2) + y", chart)
     pts = sample_points(np.random.default_rng(17), chart, 3)
-    want = [j.coeffs.tobytes() for j in ef.eval_jets_batch([f, g], pts, 2, ef.Program([f.expr, g.expr]))]
-    lone = ef.eval_jet_batch(ef.ScalarField(chart, f.expr), pts, 1).coeffs.tobytes()
+    want = _walked([f, g], pts, 2)
+    (lone,) = _walked([f], pts, 1)
     # each round races on an owner and a field of its own, four times, so on every stage of them
     owners, fields = [{} for _ in range(30)], [ef.ScalarField(chart, f.expr) for _ in range(30)]
     results: list[list] = [[] for _ in range(4)]

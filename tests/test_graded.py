@@ -1,12 +1,17 @@
+import functools
 import gc
 import itertools
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedgeo import algebroid as ag
+from gradedgeo import config as cf
 from gradedgeo import exprfield as ef
 from gradedgeo import graded as gd
 from gradedgeo import quadrature as qd
@@ -772,6 +777,89 @@ def test_metric_errors_come_before_theta_errors(g00, message):
     gm = gd.GradedMetric(metric, ef.parse_field("ln(x)", chart))
     with np.errstate(all="ignore"), pytest.raises((DomainError, DegenerateMetricError), match=message):
         gd.geometry_batch(gm, [(0.0, 0.1)])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 2.0**-200, 1e100])
+def test_degeneracy_is_relative_to_the_diagonal(scale):
+    # flat space in any units is regular; rows parallel to 1 part in 2**40 are
+    # degenerate in any units, though |det g| = 1.8e-12 * scale**2 is 1.8e188 at 1e100
+    chart = default_chart(2)
+    theta = ef.parse_field("x", chart)
+    gd.geometry_batch(gd.GradedMetric(rm.MetricSpec.diagonal(chart, [scale, -scale]), theta), [(0.1, 0.2)])
+    near = scale * (1.0 - 2.0**-40)
+    metric = rm.MetricSpec(chart, [[scale, near], [near, scale]])
+    message = r"^\|det g\| = \d\.\d{3}e-1[12] below threshold 1e-10, relative to its diagonal$"
+    with pytest.raises(DegenerateMetricError, match=message):
+        gd.geometry_batch(gd.GradedMetric(metric, theta), [(0.1, 0.2)])
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_batch(name):
+    """The golden config's chart, geometry, grid points and its GeometryBatch over them."""
+    cfg = cf.load_config(str(_GOLDEN / name))
+    gm, pts = cf.build_graded_metric(cfg), np.array(cf.grid_points(cfg))
+    return cfg.chart, gm, pts, gd.geometry_batch(gm, pts)
+
+
+def _in_units(e, ks):
+    """e with each coordinate x_i replaced by 2**k_i * x_i."""
+
+    def rebuild(n, args):
+        match n:
+            case ef.Coord(index=i):
+                return ef.Mul(ef.Const(2.0 ** ks[i]), n)
+            case ef.Const():
+                return n
+            case ef.Pow(exponent=r):
+                return ef.Pow(*args, r)
+            case ef.Call(fn=fn):
+                return ef.Call(fn, *args)
+        return type(n)(*args)
+
+    return ef._walk([e], rebuild)[0]
+
+
+@pytest.mark.bitwise
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(p.name for p in _GOLDEN.glob("*.ini"))),
+    ks=st.lists(st.integers(-60, 60), min_size=4, max_size=4),
+)
+def test_geometry_is_covariant_under_power_of_two_units(name, ks):
+    # x_i = 2**k_i y_i gives g'_ij(y) = 2**(k_i + k_j) g_ij(x) and theta'(y) = theta(x).
+    # With |k_i| <= 60 no entry leaves the normal range, so every tensor of the batch
+    # at y = x / 2**k is the golden one's times a power of two per index, bit for bit,
+    # and the degeneracy and inverse checks accept the metric in every such unit
+    chart, gm, pts, want = _golden_batch(name)
+    n = chart.dim
+    k = np.array(ks[:n])
+    box = [(lo * 2.0**-ki, hi * 2.0**-ki) for (lo, hi), ki in zip(chart.box, k)]
+    scaled = ef.ChartSpec(chart.coord_names, box)
+    entry = lambda i, j: ef.mul_expr(ef.Const(2.0 ** (k[i] + k[j])), _in_units(gm.metric.component(i, j).expr, k))
+    rows = [[ef.ScalarField(scaled, entry(i, j)) for j in range(n)] for i in range(n)]
+    theta = ef.ScalarField(scaled, _in_units(gm.theta.expr, k))
+    got = gd.geometry_batch(gd.GradedMetric(rm.MetricSpec(scaled, rows), theta), np.ldexp(pts, -k))
+    two = k[:, None] + k[None, :]
+    unscaled = {
+        "g": np.ldexp(got.g, -two),
+        "ginv": np.ldexp(got.ginv, two),
+        "gamma": np.ldexp(got.gamma, k[:, None, None] - two[None]),
+        "ric": np.ldexp(got.ric, -two),
+        "scalar": got.scalar,
+        "dth": np.ldexp(got.dth, -k),
+        "lap": got.lap,
+        "gradsq": got.gradsq,
+        "weight": got.weight,
+        "gric_even": np.ldexp(got.gric_even, -two),
+        "gric_odd": got.gric_odd,
+        "graded_scalar": got.graded_scalar,
+        "det": np.ldexp(got.det, -2 * k.sum()),
+    }
+    for field, a in unscaled.items():
+        assert a.tobytes() == getattr(want, field).tobytes(), (name, k, field)
 
 
 def test_geometry_batch_rows_are_batches_of_one():

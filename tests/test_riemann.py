@@ -655,9 +655,9 @@ def test_block_sweep_memory_is_its_roots_and_live_jets(eds3):
     p = pts[rm._blocks(len(pts), 4)[0]]
     fields = [*gm.metric._upper.values(), gm.theta, var.profile]
     roots = [f.expr for f in fields]
-    program = ef.Program(roots, walks=0)
-    ef.eval_jets_batch(fields, p, 2, program)  # caches built outside the trace
-    peak = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2, program))
+    owner = {}
+    ef.eval_jets_batch(fields, p, 2, owner)  # caches and the owner's tape built outside the trace
+    peak = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2, owner))
     kept, rest = _sweep_model(roots, ef.jet_space(4, 2), len(p))
     assert len(p) == 216
     assert peak <= kept + rest, (peak, kept, rest)
@@ -678,7 +678,7 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
         p = pts[max(rm._blocks(len(pts), n), key=lambda sl: sl.stop - sl.start)]
         fields = [*gm.metric._upper.values(), gm.theta, var.profile]
         roots = [f.expr for f in fields]
-        jets = ef.eval_jets_batch(fields, p, 2, ef.Program(roots, walks=0))
+        jets = ef.eval_jets_batch(fields, p, 2)
         s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
         work = {}
 

@@ -21,6 +21,7 @@ from gradedgeo.randgen import (
     random_graded_field,
     random_graded_metric,
     random_interior_point,
+    random_interior_points,
     random_metric,
 )
 
@@ -284,6 +285,25 @@ def test_koszul_batch_matches_trials(dim):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.bitwise
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_interior_points_draw_as_the_scalar_loop(dim):
+    # one (points, n) uniform draw gives the values of one scalar draw per coordinate,
+    # point by point, and leaves the generator where those draws leave it
+    chart = ef.ChartSpec(("x", "y", "z", "w")[:dim], ((-0.4, 0.4), (0.5, 2.0), (-3.0, 1.25), (1e-3, 7.0))[:dim])
+    batched, scalar = np.random.default_rng(dim), np.random.default_rng(dim)
+    margin = [0.15 * (hi - lo) for lo, hi in chart.box]
+    for points in (7, 1, 0, 20):
+        got = random_interior_points(batched, chart, points)
+        want = [
+            [float(scalar.uniform(lo + m, hi - m)) for (lo, hi), m in zip(chart.box, margin)] for _ in range(points)
+        ]
+        assert got.shape == (points, dim) and got.tobytes() == np.array(want, dtype=float).reshape(points, dim).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
+    want = tuple(float(scalar.uniform(lo + m, hi - m)) for (lo, hi), m in zip(chart.box, margin))
+    assert random_interior_point(batched, chart) == want and batched.random() == scalar.random()
+
+
 def test_koszul_check_runs_one_pass_per_side(jet_calls):
     gm = random_graded_metric(np.random.default_rng(151), default_chart(2), signature=(-1, 1))
     res = vd.check_koszul_vs_triple(gm, np.random.default_rng(157), trials=10)
@@ -543,8 +563,8 @@ def test_compatibility_check_detects_perturbed_x0(monkeypatch):
 
 def test_suite_memory_does_not_grow_over_many_runs():
     # 400 suites on one geometry. Model: four warm-up suites build the geometry's
-    # symbolic caches, its programs (a lone field's after two walks) and their kept
-    # constants, one entry per jet space, which every later suite reuses; a later
+    # symbolic caches, its programs and their kept constants, one entry per jet
+    # space and empty batch or not, which every later suite reuses; a later
     # suite frees all it allocates before it returns. So the traced memory after
     # 400 more suites exceeds that after the warm-up only by slack that does not
     # grow with their count: at most 64 KB, against 0.8 MB for a leak of 2 KB a
