@@ -1014,10 +1014,9 @@ def _pow_frac_coeffs(u0, r: Fraction, order: int) -> list:
     if np.any(u0 < 0.0) or (np.any(u0 == 0.0) and (r < 0 or order >= 1)):
         raise DomainError(f"base {np.min(u0)} outside the domain of exponent {r}")
     if np.any(u0 == 0.0):
-        if np.all(u0 == 0.0):
-            # only at order 0; every base is +-0.0, and abs gives +0.0
-            return [abs(u0)]
-        raise DomainError(f"mixed zero and nonzero bases for exponent {r}")
+        # only at order 0: a zero base, +0.0 or -0.0, gives +0.0 (abs where every
+        # base is zero) and any other base np.power's value, as it would alone
+        return [abs(u0) if np.all(u0 == 0.0) else np.where(u0 == 0.0, 0.0, np.power(u0, fr))]
     cs = [np.power(u0, fr)]
     for j in range(1, order + 1):
         cs.append(cs[-1] * (fr - (j - 1)) / (j * u0))

@@ -671,13 +671,16 @@ DET_OVERFLOW = (
 @pytest.mark.parametrize("command, want", [("action", 3), ("report", 0), ("residuals", 1), ("validate", 0)])
 def test_det_overflow_fails_closed_in_the_action_only(tmp_path, capsys, command, want):
     # every g_ij is finite, but det g = 1e400 overflows, and only the action reads it
-    code = run([command, "--config", write(tmp_path, DET_OVERFLOW)])
+    path = write(tmp_path, DET_OVERFLOW)
+    code = run([command, "--config", path])
     out, err = capsys.readouterr()
     assert code == want
     assert "Traceback" not in err
     if command == "action":
         assert out == ""
-        assert "non-finite value of det g at point (-0.46623475710157597, -0.46623475710157597)" in err
+        # det g overflows everywhere, so at the rule's first point
+        first = tensor_rule(cf.load_config(path).chart, QuadSpec(6, ((-0.5, 0.5), (-0.5, 0.5))))[0][0]
+        assert f"non-finite value of det g at point {tuple(first.tolist())}" in err
     else:
         assert "nan" not in out and "inf" not in out
 
@@ -772,6 +775,61 @@ def test_grid_point_not_a_number_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "[grid] points" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("residuals", FLAT_X.replace("g_1_1 = 1", "g_1_1 = 1\ng_1_1 = 2"), "config syntax: "),
+        ("residuals", FLAT_X.replace("[metric]\ng_0_0 = 1\ng_1_1 = 1\n", ""), "missing [metric] section"),
+        ("residuals", FLAT_X.replace("box_x = -1.0, 1.0", "box_x = 1"), "expected 2 comma-separated numbers"),
+        ("residuals", FLAT_X.replace("counts = 3, 3", "points = ;"), "[grid] points: empty point list"),
+        ("residuals", FLAT_X.replace("counts = 3, 3", "points = 0 0 0"), "[grid] points: need 2 coordinates"),
+        ("action", FLAT_X, "action subcommand needs a [variation] section"),
+    ],
+    ids=["duplicate-key", "no-metric", "box-one-number", "empty-points", "point-too-long", "action-no-variation"],
+)
+def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
+    code = run([command, "--config", write(tmp_path, text)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
+# a constant dim-3 metric with |det g| near 1.04e-9, above the degeneracy threshold,
+# whose inverse is too inexact to pass g g^-1 = I
+NEAR_SINGULAR_DIM3 = """\
+[chart]
+coords = x, y, z
+box_x = -1.0, 1.0
+box_y = -1.0, 1.0
+box_z = -1.0, 1.0
+
+[metric]
+g_0_0 = 1
+g_1_1 = 1
+g_2_2 = 1
+g_0_1 = 0.6
+g_0_2 = 0.8
+g_1_2 = 0.9599999989583
+
+[theta]
+expr = 0
+
+[grid]
+points = 0 0 0
+"""
+
+
+@pytest.mark.parametrize("command", ["report", "residuals"])
+def test_metric_inverse_identity_check_exit_3(tmp_path, capsys, command):
+    code = run([command, "--config", write(tmp_path, NEAR_SINGULAR_DIM3)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "numeric domain error: metric inverse failed the identity check" in err
 
 
 def test_variation_support_outside_box_exit_2(tmp_path, capsys):

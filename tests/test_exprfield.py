@@ -584,7 +584,6 @@ def test_value_path_signed_zero_products(src):
         ("sqrt(x)", [(0.5, 0.0), (-0.1, 0.0)], "base -0.1 outside the domain of exponent 1/2"),
         ("x^(-2)", [(0.2, 0.0), (0.0, 0.0)], "zero base with negative integer exponent"),
         ("x^(-2)", [(1e-200, 0.0)], "division by zero"),
-        ("x^(1/3)", [(0.0, 0.1), (0.5, 0.1)], "mixed zero and nonzero bases for exponent 1/3"),
     ],
 )
 def test_value_path_domain_errors_match_jet_rule(src, points, message):
@@ -595,6 +594,36 @@ def test_value_path_domain_errors_match_jet_rule(src, points, message):
     with pytest.raises(DomainError) as err:
         ef._run_jets(ef.Program([f.expr]), space, seeds)
     assert str(err.value) == message
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("src", ["sqrt(x)", "x^(3/2)", "x^(1/3)"])
+def test_mixed_zero_bases_evaluate_as_each_point_alone(src):
+    # at order 0 a batch mixing zero and nonzero bases of a fractional power gives
+    # each point the bits it has alone: +0.0 at a zero base, -0.0 included
+    f = ef.parse_field(src, sample_chart())
+    points = [(0.0, 0.1), (0.5, 0.1), (-0.0, 0.1), (0.25, -0.3)]
+    batch = ef.eval_jet_batch(f, points, 0).coeffs
+    alone = np.concatenate([ef.eval_jet_batch(f, [p], 0).coeffs for p in points], axis=1)
+    assert batch.tobytes() == alone.tobytes()
+    assert batch[0, 0] == 0.0 and not np.signbit(batch[0, 0]) and not np.signbit(batch[0, 2])
+    _assert_value_path_bitwise([f], points)
+    # a zero base has no derivative
+    with pytest.raises(DomainError, match="outside the domain of exponent"):
+        ef.eval_jet_batch(f, points, 1)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_exponent_zero_power_is_one(order):
+    # the parser folds x^0 to 1, so the Pow node is built directly
+    chart = sample_chart()
+    f = ef.ScalarField(chart, ef.Pow(ef.coordinate(chart, "x").expr, Fraction(0)))
+    points = np.asarray(_VALUE_POINTS)
+    got = ef.eval_jet_batch(f, points, order).coeffs
+    want = ef.eval_jet_batch(ef.constant(chart, 1.0), points, order).coeffs
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    _assert_value_path_bitwise([f], _VALUE_POINTS)
 
 
 @pytest.mark.bitwise

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -744,7 +745,9 @@ def test_action_variation_fails_closed_in_a_perturbed_pass():
     support = ((-0.5, 0.5), (-0.5, 0.5))
     gm = gd.GradedMetric(rm.MetricSpec.diagonal(chart, [1.0, 1.0]), ef.parse_field("0.1*x", chart))
     var = gd.bump_variation(chart, support, None, 1e8)  # step*h reaches 1.35e3 at the centre
-    point = r"\(-0\.16999052179242813, -0\.16999052179242813\)"
+    # both passes fail first at the first of the rule's four central points, (node 1, node 1)
+    first = qd.tensor_rule(chart, QuadSpec(4, support))[0][1 * 4 + 1]
+    point = re.escape(str(tuple(first.tolist())))
     with pytest.raises(DomainError, match=rf"^non-finite value of exp\(2\*theta\) at point {point}$"):
         gd.action_first_variation(gm, var, QuadSpec(4))
     # det g = 1.69e308 is finite; (1.3e154 + step*s)^2 is not where step*s passes 4.1e152
@@ -905,13 +908,11 @@ def test_derivative_memos_die_with_the_metric():
 
 
 def test_gauss_legendre_rule_cached_and_read_only():
-    # the cached rule is bitwise a fresh leggauss, shared between calls and not writable
+    # the rule is built once per n, shared between calls and not writable; its
+    # accuracy is tested in test_quadrature.py
     chart = ef.ChartSpec(("x", "y"), ((-1.0, 1.0), (0.0, 2.0)))
     for n in (1, 6, 56):
         nodes, weights = qd._leggauss(n)
-        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
-        assert nodes.tobytes() == fresh_nodes.tobytes()
-        assert weights.tobytes() == fresh_weights.tobytes()
         qd.tensor_rule(chart, QuadSpec(n))
         assert qd._leggauss(n)[0] is nodes
         for arr in (nodes, weights):
