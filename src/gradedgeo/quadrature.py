@@ -69,7 +69,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     exact, up to rounding; from the start that takes two or three steps. One more
     evaluation gives the weights 2 / ((1 - x^2) P_n'(x)^2) and a last correction.
     The negative half mirrors the positive one, so the rule is exactly symmetric.
-    Only + - * / run after the start, in O(n) memory and O(n^2) time.
+    After the start only + - * / (and sqrt, exactly rounded, in the stop test)
+    run, in O(n) memory and O(n^2) time.
     """
     m = n // 2  # roots in (0, 1)
     k = np.arange(1, m + 1)
