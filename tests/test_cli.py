@@ -798,7 +798,7 @@ def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     assert "Traceback" not in err
 
 
-# a constant dim-3 metric with |det g| near 1.04e-9, above the degeneracy threshold,
+# a constant dim-3 metric with |det g| about 1.0e-9, above the degeneracy threshold,
 # whose inverse is too inexact to pass g g^-1 = I
 NEAR_SINGULAR_DIM3 = """\
 [chart]
