@@ -314,8 +314,7 @@ def geometry_batch(gm: GradedMetric, points) -> GeometryBatch:
     pts = np.asarray(points, dtype=float)  # validated by the metric's jet sweeps
 
     def block(p, arrays, det, jets, work):
-        g, ginv, gamma, traces = arrays
-        b = _geometry(p, g, ginv, gamma, *traces(), det, jets[-1])
+        b = _geometry(p, *arrays, det, jets[-1])
         return [getattr(b, f.name) for f in fields(b)]
 
     return GeometryBatch(*rm._over_blocks(gm.metric, pts, [gm.theta], "traces", block, gm._cache))
@@ -394,8 +393,8 @@ def hilbert_action(gm: GradedMetric, quad: QuadSpec) -> float:
     """Integral of the extended scalar curvature against the metric volume."""
 
     def integrand(p, arrays, det, jets, work):
-        _, ginv, gamma, traces = arrays
-        *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[1], jets[-1])
+        _, ginv, gamma, _, scalar = arrays
+        *_, graded_scalar = _theta_part(p, ginv, gamma, scalar, jets[-1])
         return (graded_scalar * _density(det, p),)
 
     return _integrals(gm, *tensor_rule(gm.chart, quad), integrand)[0]
@@ -406,8 +405,7 @@ def action_magnitude(gm: GradedMetric, quad: QuadSpec) -> float:
     absolute value, so it stays positive where the signed terms cancel."""
 
     def integrand(p, arrays, det, jets, work):
-        _, ginv, gamma, traces = arrays
-        scalar = traces()[1]
+        _, ginv, gamma, _, scalar = arrays
         *_, lap, gradsq, _ = _theta_part(p, ginv, gamma, scalar, jets[-1])
         return ((np.abs(scalar) + 2.0 * np.abs(lap + gradsq)) * _density(det, p),)
 
@@ -513,15 +511,15 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
     def base_rows(p, arrays, det, theta, profile, h):
         # the closed form's and the action's rows of one block; the base pass's tensors,
         # which the block owns, are freed on return, before the perturbed passes assemble
-        _, ginv, gamma, traces = arrays
+        _, ginv, gamma, ric, scalar = arrays
         arrays.clear()
-        s_vals = var.amplitudes[:, :, None] * profile.coeffs[0] + 0.0  # [i,j,p] = s_ij
-        _, scalar, s_ric = traces(("<s, Ric>", s_vals))  # before the perturbed passes reuse work
+        s_first = var.amplitudes * profile.coeffs[0][:, None, None] + 0.0  # [p,i,j] = s_ij
+        s_ric = rm._ricci_pairing(ginv, ric, s_first)
+        rm.check_finite([("<s, Ric>", s_ric)], p)
         dth, _, _, lap, gradsq, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta)
         density = _density(det, p)
         # <s, -Ric + (R/2 - |dtheta|^2) g + 2 dtheta x dtheta>, raised by g^-1; point-first,
         # as in _theta_part
-        s_first = np.ascontiguousarray(s_vals.transpose(2, 0, 1))
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             grad = np.einsum("pij,pj->pi", ginv, dth)  # grad theta
             s_grad = np.einsum("pi,pi->p", grad, np.einsum("pij,pj->pi", s_first, grad))
@@ -539,10 +537,10 @@ def _action_variation(gm: GradedMetric, var: VariationSpec, quad: QuadSpec) -> t
             # profile * a is coeffs * a + 0.0, the bits of the jet of the field a*p; a zero
             # amplitude is skipped, since -0.0 + 0.0 would lose the sign. The moved jets are
             # freed once assembled
-            (_, ginv, gamma, traces), det_t = rm._metric_tensors(
+            (_, ginv, gamma, _, scalar), det_t = rm._metric_tensors(
                 p, [b + (profile * a) * t if a else b for b, a in zip(g_jets, amplitudes)], work, "traces"
             )
-            *_, graded_scalar = _theta_part(p, ginv, gamma, traces()[1], theta + h * t if var.h_amplitude else theta)
+            *_, graded_scalar = _theta_part(p, ginv, gamma, scalar, theta + h * t if var.h_amplitude else theta)
             return graded_scalar * _density(det_t, p)
 
         return closed, base, action(VARIATION_STEP), action(-VARIATION_STEP)

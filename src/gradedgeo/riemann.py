@@ -370,7 +370,7 @@ def check_finite(named_values, pts: np.ndarray) -> None:
 
 
 def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> tuple[list, np.ndarray]:
-    """[g, ginv], then Gamma (order >= 1) and the ``curvature`` piece (order 2), over points; then det g.
+    """[g, ginv], then Gamma (order >= 1) and the ``curvature`` arrays (order 2), over points; then det g.
 
     The one place where metric jets become tensors: ``jets`` are the jets of
     the upper triangle over ``pts``, row by row, and their order is the order
@@ -382,10 +382,8 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
     point) go to the buffers ``work`` keeps (see _scratch).
 
     ``curvature`` names what is assembled from ddg: "riemann" R^l_ijk
-    (_riemann_core), or "traces" a function ``traces(*named)`` bound to this
-    assembly, which gives Ricci, R and pairings with Ricci from one trace core
-    call (see _traces) and which the next assembly with the same ``work``
-    invalidates.
+    (_riemann_core), or "traces" Ricci and then R from one trace core call
+    (see _traces).
 
     g is inverted in closed form for n <= 4 (_cofactor_inverse) and by LAPACK
     above.  It is degenerate, DegenerateMetricError, where |det h| is below
@@ -451,45 +449,43 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
     # gamma and the curvature arrays are work buffers, which the next assembly overwrites
     out += [np.moveaxis(a, -1, 0).copy() for _, a in named]
     if order == 2 and curvature == "traces":
-        out.append(_traces(pts, gi, dg, gamma, ddg, work))
+        out += _traces(pts, gi, dg, gamma, ddg, work)
     return out, det
 
 
-def _traces(pts, gi, dg, gamma, ddg, work):
-    """``traces(*named)``: over pts, Ricci R_jk[p,j,k], the symmetric part of one
-    _trace_core call's z, then from that z the scalar curvature R = g^jk z_jk and
-    <s, Ric> = s_ab g^aj g^bk z_jk for each (name, s) pair given, s[a,b,p] symmetric
-    and point-last, as rows over pts.
+def _lone_point_twice(*arrays: np.ndarray) -> tuple:
+    """Point-last ``arrays``, a lone point's taken twice as a block of two: with one point,
+    einsum would run some sums in its inner loop, in another order, and results would
+    depend on the blocks."""
+    return tuple(np.concatenate([a, a], axis=-1) for a in arrays) if arrays[0].shape[-1] == 1 else arrays
 
-    Ricci is (z + z^T) / 2 with z halved first, so that it overflows only where
-    an entry of it does.  R's row does not depend on what follows it.  z is
-    raised before s is paired with it, so a g^-1 too large to square does not
-    overflow where the raised Ricci is finite.  A lone point is assembled twice
-    over, as a block of two: with one point, einsum would run some sums over j,
-    k, l or a in its inner loop, which adds them in another order, and the
-    results would depend on the blocks.  A result that is not finite raises
-    DomainError naming it ("Ricci", then "scalar curvature" for R) and the first
-    bad point; where z overflows, R does too, so Ricci's check fails no
-    assembly that R's would pass.
+
+def _traces(pts, gi, dg, gamma, ddg, work) -> list[np.ndarray]:
+    """[Ricci R_jk[p,j,k], R[p]] over pts from point-last arrays: the symmetric part of one
+    _trace_core call's z, halved first so that it overflows only where an entry of it
+    does, and R = g^jk z_jk.  A result that is not finite raises DomainError naming it
+    ("Ricci", then "scalar curvature") and the first bad point; where z overflows, R
+    does too, so Ricci's check fails no assembly that R's would pass.
     """
     npts = len(pts)
-    twice = (lambda a: np.concatenate([a, a], axis=-1)) if npts == 1 else (lambda a: a)
-    gi, dg, gamma, ddg = map(twice, (gi, dg, gamma, ddg))
+    gi, dg, gamma, ddg = _lone_point_twice(gi, dg, gamma, ddg)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        z = _trace_core(gi, dg, gamma, ddg, work)
+        half = 0.5 * z
+        ric = (half + half.transpose(1, 0, 2))[..., :npts]
+        scalar = np.einsum("jkp,jkp->p", gi, z)[:npts]
+    check_finite([("Ricci", ric), ("scalar curvature", scalar)], pts)
+    return [np.moveaxis(ric, -1, 0).copy(), scalar]
 
-    def traces(*named):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            z = _trace_core(gi, dg, gamma, ddg, work)
-            half = 0.5 * z
-            ric = half + half.transpose(1, 0, 2)
-            rows = [np.einsum("jkp,jkp->p", gi, z)]
-            if named:
-                raised = np.einsum("akp,kbp->abp", np.einsum("ajp,jkp->akp", gi, z), gi)
-                rows += [np.einsum("abp,abp->p", twice(s), raised) for _, s in named]
-        ric, rows = ric[..., :npts], [row[:npts] for row in rows]
-        check_finite([("Ricci", ric), *zip(["scalar curvature", *(name for name, _ in named)], rows)], pts)
-        return [np.moveaxis(ric, -1, 0).copy(), *rows]
 
-    return traces
+def _ricci_pairing(ginv: np.ndarray, ric: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """<s, Ric>[p] = s_ab g^aj g^bk R_jk, unchecked, from point-first ginv, ric and symmetric s,
+    summed point-last.  Ricci is raised first, so a g^-1 too large to square does not
+    overflow where the raised Ricci is finite."""
+    gi, ric, s = _lone_point_twice(*(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (ginv, ric, s)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
+        raised = np.einsum("akp,kbp->abp", np.einsum("ajp,jkp->akp", gi, ric), gi)
+        return np.einsum("abp,abp->p", s, raised)[: len(ginv)]
 
 
 def _blocks(npts: int, n: int) -> list[slice]:
@@ -510,7 +506,7 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=
     The one place that splits points for a batched assembly (see _blocks). For
     each block in point order it sweeps the order-2 jets of the metric's upper
     triangle, row by row, then of the ``extra`` fields in the same pass, builds
-    [g, ginv, Gamma, curvature] and det g from the metric's (_metric_tensors)
+    [g, ginv, Gamma, *curvature] and det g from the metric's (_metric_tensors)
     and hands all of it to ``block``; every block's assemblies share one
     ``work`` dict.  The fields' Program, kept in ``cache`` (their owner's dict)
     if given, else in a dict of the call, is built at the first sweep, and
@@ -534,9 +530,7 @@ def _over_blocks(m: MetricSpec, pts: np.ndarray, extra, curvature, block, cache=
         except DomainError:
             if extra:
                 # raise what the metric raises alone, as when the extra fields had a sweep of their own
-                arrays, _ = _metric_tensors(p, ef.eval_jets_batch(upper, p, 2), {}, curvature)
-                if curvature == "traces":
-                    arrays[-1]()
+                _metric_tensors(p, ef.eval_jets_batch(upper, p, 2), {}, curvature)
             raise
         return block(p, *_metric_tensors(p, jets[: len(upper)], work, curvature), jets, work)
 
@@ -564,10 +558,10 @@ def hessian_batch(gamma: np.ndarray, jet) -> np.ndarray:
 
 
 def _at(m: MetricSpec, p, order: int, curvature="riemann") -> tuple[tuple[float, ...], list]:
-    """The point as floats and the metric arrays of the batch of one it makes (traces as bound)."""
+    """The point as floats and the metric arrays of the batch of one it makes, as their rows."""
     pts = np.asarray([p], dtype=float)
     arrays, _ = _metric_tensors(pts, ef.eval_jets_batch(m._upper.values(), pts, order, m._cache), {}, curvature)
-    return tuple(pts[0].tolist()), [a[0] if isinstance(a, np.ndarray) else a for a in arrays]
+    return tuple(pts[0].tolist()), [a[0] for a in arrays]
 
 
 def metric_at(m: MetricSpec, p) -> tuple[TensorValue, TensorValue]:
@@ -595,14 +589,14 @@ def curvature_data_at(m: MetricSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def ricci_at(m: MetricSpec, p) -> TensorValue:
     """Ric_jk = R^l_ljk, from the trace core (the row GeometryBatch.ric has)."""
-    pt, (*_, traces) = _at(m, p, 2, "traces")
-    return TensorValue(("d", "d"), traces()[0][0], pt)
+    pt, (*_, ric, _) = _at(m, p, 2, "traces")
+    return TensorValue(("d", "d"), ric, pt)
 
 
 def scalar_curvature_at(m: MetricSpec, p) -> float:
     """R = g^jk R_jk, from the trace core (the row GeometryBatch.scalar has)."""
-    _, (*_, traces) = _at(m, p, 2, "traces")
-    return float(traces()[1][0])
+    _, (*_, scalar) = _at(m, p, 2, "traces")
+    return float(scalar)
 
 
 def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:

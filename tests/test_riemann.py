@@ -326,10 +326,23 @@ def test_ricci_core_matches_riemann_trace_bitwise(n):
     for npts in (1, 2, 7, 37, 256):
         ginv, dg, ddg = _metric_draw(rng, n, npts)
         want, gamma = _riemann_trace(ginv, dg, ddg)
-        ric = np.moveaxis(rm._traces(np.zeros((npts, n)), ginv, dg, gamma, ddg, {})()[0], 0, -1)
+        ric = np.moveaxis(rm._traces(np.zeros((npts, n)), ginv, dg, gamma, ddg, {})[0], 0, -1)
         assert ric.tobytes() == ric.transpose(1, 0, 2).tobytes(), (n, npts)
         bound = _ricci_bound(ginv, dg, ddg)
         assert (np.abs(ric - want) <= bound).all(), (n, npts, np.max(np.abs(ric - want) / bound))
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ricci_pairing_of_a_lone_point_is_its_batch_row_bitwise(n):
+    # <s, Ric> of each point alone, a block of one, has the bits of its row in a batch
+    rng = np.random.default_rng(130 + n)
+    npts = 37
+    ginv, ric, s = (np.moveaxis(a, -1, 0) for a in _symmetric_draw(rng, (3, n, n, npts), [(1, 2)]))
+    batch = rm._ricci_pairing(ginv, ric, s)
+    for k in range(npts):
+        alone = rm._ricci_pairing(ginv[k : k + 1], ric[k : k + 1], s[k : k + 1])
+        assert alone.shape == (1,) and alone.tobytes() == batch[k : k + 1].tobytes(), (n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -455,7 +468,7 @@ def test_chunked_assembly_matches_einsum_reference_bitwise(n):
     # core call's over every point at once
     b = gd.geometry_batch(gd.GradedMetric(m, ef.coordinate(chart, chart.coord_names[0])), pts)
     assert b.gamma.tobytes() == want_gamma.tobytes()
-    ric, scalar = rm._traces(pts, *(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (ginv, dg, want_gamma, ddg)), {})()
+    ric, scalar = rm._traces(pts, *(np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (ginv, dg, want_gamma, ddg)), {})
     assert b.ric.tobytes() == ric.tobytes()
     assert b.scalar.tobytes() == scalar.tobytes()
 
@@ -573,9 +586,8 @@ def test_geometry_batch_memory_is_its_output_and_one_block():
     sweep = _traced_peak(lambda: ef.eval_jets_batch(fields, p, 2))
     jets = ef.eval_jets_batch(fields, p, 2)
 
-    def assemble():  # as a block of geometry_batch: Ricci and the scalar curvature
-        arrays, _ = rm._metric_tensors(p, jets[: len(gm.metric._upper)], {}, "traces")
-        arrays[-1]()
+    def assemble():  # as a block of geometry_batch, Ricci and the scalar curvature included
+        rm._metric_tensors(p, jets[: len(gm.metric._upper)], {}, "traces")
 
     assembly = _traced_peak(assemble)
     b = gd.geometry_batch(gm, pts)
@@ -668,7 +680,7 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
     # rule's points and weights (twice, as tensor_rule builds them) and the four
     # integrand rows over every point; the work buffers one assembly leaves; one
     # block's roots; then the larger of one released sweep (_sweep_model) and one
-    # pass: its assembly, a paired trace and the theta part traced alone on warm
+    # pass: its assembly, the Ricci pairing and the theta part traced alone on warm
     # buffers, plus the moved metric jets, h, theta + t*h and the closed-form
     # temporaries (n*n + 8 doubles a point). The base pass's tensors and the
     # amplitude-scaled jets no longer outlive their pass
@@ -679,12 +691,13 @@ def test_action_variation_memory_is_one_pass_at_a_time(eds3):
         fields = [*gm.metric._upper.values(), gm.theta, var.profile]
         roots = [f.expr for f in fields]
         jets = ef.eval_jets_batch(fields, p, 2)
-        s = var.amplitudes[:, :, None] * jets[-1].coeffs[0]
+        s = var.amplitudes * jets[-1].coeffs[0][:, None, None]
         work = {}
 
         def one_pass():
-            (_, ginv, gamma, traces), _ = rm._metric_tensors(p, jets[:-2], work, "traces")
-            gd._theta_part(p, ginv, gamma, traces(("s", s))[1], jets[-2])
+            (_, ginv, gamma, ric, scalar), _ = rm._metric_tensors(p, jets[:-2], work, "traces")
+            rm._ricci_pairing(ginv, ric, s)
+            gd._theta_part(p, ginv, gamma, scalar, jets[-2])
 
         one_pass()
         buffers = sum(b.nbytes for b in work.values())
