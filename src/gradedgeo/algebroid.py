@@ -198,7 +198,7 @@ def koszul_values(gm: "GradedMetric", triples, points) -> np.ndarray:
     gradients; the formula is :func:`_koszul_from_jets`.  No symbolic
     derivative is taken, so it shares none with the connection it checks.
     """
-    pts = gm.chart.require_points(points)
+    pts = np.asarray(points, dtype=float)  # checked by the pass
     if len(triples) != len(pts):
         raise ValueError(f"{len(triples)} triples for {len(pts)} points")
     n, t = gm.chart.dim, len(pts)
@@ -219,9 +219,9 @@ def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray, cache=None):
     weight raises DomainError naming it and the first bad point; a
     non-finite field value is left to the caller's check.
     """
-    t, n = pts.shape
     with np.errstate(over="ignore", invalid="ignore"):
         jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1, cache)
+    t, n = pts.shape  # checked by the pass
     k = len(fields)
     names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i in range(n + 1) for j in range(n + 1)]
     rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[k:])], pts)

@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--grid", help="override grid counts, e.g. 5,5 (report and residuals only)")
-    parser.add_argument("--tol", help="override residual tolerance")
+    parser.add_argument("--tol", help="override residual tolerance (residuals and validate only)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--format", choices=cf._OUTPUT_FORMATS, help="output format")
     return parser
@@ -267,6 +267,8 @@ def main(argv=None) -> int:
     try:
         if args.grid is not None and args.command not in ("report", "residuals"):  # the commands with a grid
             raise ConfigError(f"--grid applies to report and residuals only, not to {args.command}")
+        if args.tol is not None and args.command not in ("residuals", "validate"):  # those reading residual_tol
+            raise ConfigError(f"--tol applies to residuals and validate only, not to {args.command}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = _apply_overrides(cf.load_config(args.config), args)

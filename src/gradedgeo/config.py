@@ -349,6 +349,8 @@ def parse_config(text: str) -> RunConfig:
         if m is None:
             raise ConfigError(f"[metric] {key}: keys must look like g_i_j")
         i, j = int(m.group(1)), int(m.group(2))
+        if key != f"g_{i}_{j}":  # one spelling a component, so that strict parsing refuses a repeat
+            raise ConfigError(f"[metric] {key}: write the key as g_{i}_{j}")
         if not (0 <= i <= j < chart.dim):
             raise ConfigError(f"[metric] {key}: indices must satisfy 0 <= i <= j < {chart.dim}")
         parse(f"[metric] {key}", raw)

@@ -4,8 +4,9 @@ Metrics are polynomial perturbations of a constant-signature diagonal, scaled
 so nondegeneracy and signature are stable across the chart box.  Graded
 vector fields come as symbolic fields (``random_graded_field``) or, for the
 degree-1 fields validate reads only at points, as affine coefficient arrays
-(``random_affine_fields``) drawn from the same random calls, whose values and
-gradients ``affine_jets`` computes as the order-1 jets of the symbolic fields.
+(``random_affine_fields``), the same family drawn in two vectorized calls rather
+than ``random_graded_field``'s scalar ones; ``affine_jets`` gives their values and
+gradients with the bits of the order-1 jets of the matching symbolic fields.
 """
 
 from __future__ import annotations

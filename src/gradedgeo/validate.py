@@ -126,7 +126,7 @@ def _draw(gm: GradedMetric, rng, groups: int, count: int, points: int):
         slots += [list(range(k * count, (k + 1) * count))] * points
         pts.append(random_interior_points(rng, gm.chart, points))
     fields = tuple(np.concatenate(a) for a in zip(*drawn))
-    return fields, np.array(slots), gm.chart.require_points(np.concatenate(pts))
+    return fields, np.array(slots), np.concatenate(pts)  # inside the box, as drawn
 
 
 def _table_jets(gm: GradedMetric, fields, pts: np.ndarray):
@@ -217,7 +217,7 @@ def _frame_ricci(jets, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _frame_sums(gm: GradedMetric, points):
     """``_frame_ricci`` from a pass of its own at points."""
-    pts = gm.chart.require_points(points)
+    pts = np.asarray(points, dtype=float)  # checked by the pass
     return _frame_ricci(_table_jets(gm, [gm.theta], pts), pts)
 
 
@@ -357,7 +357,7 @@ def run_geometry_checks(
     rng = np.random.default_rng(seed)
     if sample is None:
         sample = random_interior_points(rng, gm.chart, 5)
-    sample = [gm.chart.require_point(p) for p in sample]
+    sample = np.asarray(sample, dtype=float)  # checked by the batch's sweep
     b = gd.geometry_batch(gm, sample)  # first, so that the engine's errors come before its oracles'
     checks = (_koszul, _compatibility, _torsion)
     # the draws of check_koszul_vs_triple, check_metric_compatibility and check_torsion_free
@@ -366,7 +366,7 @@ def run_geometry_checks(
         _compatibility_draw(gm, rng, COMPATIBILITY_POINTS),
         _draw(gm, rng, TORSION_TRIALS, 2, 1),
     ]
-    frame = gm.chart.require_points(sample[:FRAME_POINTS])
+    frame = sample[:FRAME_POINTS]
     parts = [frame, *(draw[2] for draw in draws)]
     edges = np.cumsum([0, *map(len, parts)])
     frame_jets, *cols = _columns(_table_jets(gm, [gm.theta], np.concatenate(parts)), edges)

@@ -322,6 +322,18 @@ def test_grid_rejected_where_no_grid_is_read(tmp_path, capsys, command):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["report", "action", "cosmo"])
+def test_tol_rejected_where_no_residual_tolerance_is_read(tmp_path, capsys, command):
+    # report reads no tolerance, action reads fd_tol and cosmo neither
+    path = str(Path(__file__).resolve().parent / "golden" / "sections" / "eds3.ini")
+    code = run([command, "--config", path, "--tol", "1", "--out", str(tmp_path / "out.csv")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "--tol" in out.err
+    assert "Traceback" not in out.err
+    assert not (tmp_path / "out.csv").exists()
+
+
 OVERSIZE_GRID = FLAT_X.replace("counts = 3, 3", "counts = 100000, 100000")
 DIM4_ACTION = EDS3 + """
 [variation]
@@ -735,6 +747,14 @@ def test_grid_points_validated_once_per_run(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert run([command, "--config", write(tmp_path, MINKOWSKI)]) == 0
         assert len(calls) == 1, command
+    # validate checks each point set in the sweep that evaluates it: the geometry batch,
+    # the connection table pass and the stress divergence, after the config's check of
+    # [grid] points where it has them (flat_x draws its sample)
+    sections = Path(__file__).resolve().parent / "golden" / "sections"
+    for config, want in (("eds3", 4), ("random3_lorentz", 4), ("flat_x", 3)):
+        calls.clear()
+        assert run(["validate", "--config", str(sections / f"{config}.ini"), "--out", str(tmp_path / "v.csv")]) == 0
+        assert len(calls) == want, config
     capsys.readouterr()
 
 
@@ -786,8 +806,12 @@ def test_grid_point_not_a_number_exit_2(tmp_path, capsys):
         ("residuals", FLAT_X.replace("counts = 3, 3", "points = ;"), "[grid] points: empty point list"),
         ("residuals", FLAT_X.replace("counts = 3, 3", "points = 0 0 0"), "[grid] points: need 2 coordinates"),
         ("action", FLAT_X, "action subcommand needs a [variation] section"),
+        ("report", FLAT_X.replace("g_1_1 = 1", "g_0_1 = 0.1\ng_00_1 = 0.2\ng_1_1 = 1"), "[metric] g_00_1: "),
     ],
-    ids=["duplicate-key", "no-metric", "box-one-number", "empty-points", "point-too-long", "action-no-variation"],
+    ids=[
+        "duplicate-key", "no-metric", "box-one-number", "empty-points", "point-too-long", "action-no-variation",
+        "aliased-key",
+    ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, text, message):
     code = run([command, "--config", write(tmp_path, text)])

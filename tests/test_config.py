@@ -198,6 +198,9 @@ def test_grid_points_explicit():
         (lambda t: t.replace("g_0_0 = 1", "g_0_0 = ln(x"), "[metric] g_0_0"),
         (lambda t: t.replace("g_0_0 = 1", "g_2_2 = 1"), "g_2_2"),
         (lambda t: t.replace("g_0_0 = 1", "h_0_0 = 1"), "h_0_0"),
+        # a component has one spelling, alone or beside its canonical key
+        (lambda t: t.replace("g_0_0 = 1", "g_00_0 = 1"), "[metric] g_00_0: write the key as g_0_0"),
+        (lambda t: t.replace("g_1_1 = 1", "g_0_1 = 0.1\ng_0_01 = 0.2\ng_1_1 = 1"), "[metric] g_0_01: write"),
         (lambda t: t.replace("g_0_0 = 1\n", ""), "g_0_0"),
         (lambda t: t.replace("expr = x", "expr = q + 1"), "[theta] expr"),
         (lambda t: t + "\n[grid]\ncounts = 2\n", "counts"),

@@ -68,3 +68,60 @@ def test_private_functions_are_referenced():
         and everywhere[node.name] == _references(node)[node.name]
     ]
     assert dead == []
+
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pins() -> tuple[set[tuple[str, str]], set[str]]:
+    """What names a public function or class for its users: the (module, name) pairs of the
+    benchmark's span layers, and the names that tests/test_acceptance.py and the
+    benchmark's workloads read or that the package's __all__ lists."""
+    from test_bench_layers import _layers
+
+    layers = {(name.split(":")[0], name.split(":")[1].split(".")[0]) for names in _layers().values() for name in names}
+    users = [ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "workloads.py"]
+    read = sum((_references(ast.parse(path.read_text())) for path in users), Counter())
+    return layers, {*read, *gradedgeo.__all__}
+
+
+def _unpinned(trees) -> tuple[list[str], int]:
+    """module.name of each public top-level function or class of ``trees`` that nothing in
+    them reads outside its own body and no pin names; and how many had no reader."""
+    everywhere = sum(map(_references, trees.values()), Counter())
+    unread = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    layers, names = _pins()
+    unpinned = [f"{module}.{name}" for module, name in unread if (module, name) not in layers and name not in names]
+    return unpinned, len(unread)
+
+
+def test_public_names_without_a_reader_are_pinned():
+    # a public function or class that nothing in the package reads is dead unless a
+    # place its users read names it: the benchmark's span layers, the acceptance
+    # criteria, a benchmark workload or the package's __all__
+    unpinned, unread = _unpinned(TREES)
+    assert unread > 0
+    assert unpinned == []
+
+
+def test_public_name_guard_catches_a_planted_dead_function():
+    # a recursive function reads only itself, and an unread class counts as well
+    planted = """
+
+def planted_helper(x):
+    return planted_helper(x - 1) if x else 0
+
+
+class PlantedBox:
+    pass
+"""
+    source = (SRC / "graded.py").read_text() + planted
+    unpinned, _ = _unpinned({**TREES, "graded": ast.parse(source)})
+    assert unpinned == ["graded.planted_helper", "graded.PlantedBox"]
