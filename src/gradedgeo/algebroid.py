@@ -221,7 +221,7 @@ def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray, cache=None):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         jets = ef.eval_jets_batch([*fields, *gm.extended_metric()], pts, 1, cache)
-    t, n = pts.shape  # checked by the pass
+    t, n = pts.shape  # after the pass, whose point check words a bad shape
     k = len(fields)
     names = [f"g_{i}_{j}" if max(i, j) < n else "exp(2*theta)" for i in range(n + 1) for j in range(n + 1)]
     rm.check_finite([(name, jet.coeffs) for name, jet in zip(names, jets[k:])], pts)
