@@ -1112,6 +1112,21 @@ def test_action_closed_form_overflow_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_action_ricci_pairing_overflow_exit_3(tmp_path, capsys):
+    # g = 1e-155 (diag(1 + y^2, 1 + x^2)) has Ricci O(1) and R near 1e155, both finite,
+    # but raising Ricci by g^-1 twice overflows: <s, Ric> is named, before the rest of
+    # the closed form's pairing, which overflows as well
+    text = FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1e-155*(1 + y^2)\n")
+    text = text.replace("g_1_1 = 1\n", "g_1_1 = 1e-155*(1 + x^2)\n")
+    variation = "[quadrature]\nnodes = 6\n\n[variation]\nkind = bump\nsupport_x = -0.3, 0.3\nsupport_y = -0.3, 0.3\n"
+    code = run(["action", "--config", write(tmp_path, text + "\n" + variation)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite value of <s, Ric> at point (-0.2797408542609456, -0.2797408542609456)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "theta, message",
     [

@@ -70,7 +70,6 @@ def test_private_functions_are_referenced():
     assert dead == []
 
 
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
