@@ -86,7 +86,9 @@ class WarpedSpec:
         if tchart.box[0][0] <= 0.0:
             raise ValueError("time interval must stay positive")
         for p in _base_sample(self.base.chart):
-            if any(s != 1 for s in rm.signature_at(self.base, p)):
+            g = rm.metric_at(self.base, p)[0].components[..., None]
+            # Sylvester's criterion: every leading principal minor's det h (of its det's sign) is > 0
+            if any(rm._cofactor_inverse(g[:k, :k])[1][0] <= 0.0 for k in range(1, self.n + 1)):
                 raise ValueError(f"base metric is not positive definite at {p}")
 
     @property

@@ -226,7 +226,7 @@ def graded_hessian_at(gm: GradedMetric, f: ScalarField, p) -> GradedTensorValue:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         jet = ef.eval_jet_batch(f, [pt], 2)
         hes = rm.hessian_batch(b.gamma, jet)[0]
-        odd = float(b.weight[0]) * float(jet.gradient()[:, 0] @ b.ginv[0] @ b.dth[0])
+        odd = float(b.weight[0]) * float(np.einsum("i,ij,j->", jet.gradient()[:, 0], b.ginv[0], b.dth[0]))
     rm.check_finite([("the Hessian of f", np.append(hes, odd))], b.points)
     return GradedTensorValue(TensorValue(("d", "d"), hes, pt), np.zeros(gm.chart.dim), odd, pt)
 

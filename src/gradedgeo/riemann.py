@@ -254,12 +254,9 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
     return z
 
 
-_INVERSE_MAX_DIM = 4  # above it LAPACK inverts the metric
-
-
 @functools.lru_cache(maxsize=None)
 def _cofactor_plan(n: int) -> tuple:
-    """Index tables for the cofactors C_ij, i <= j, of an n x n matrix, 2 <= n <= 4, with
+    """Index tables for the cofactors C_ij, i <= j, of an n x n matrix, n >= 2, with
     the matrix's entries and each level's minors stacked on a leading axis.
 
     Each minor is expanded along its first row into minors one smaller, so
@@ -298,18 +295,18 @@ def _cofactor_plan(n: int) -> tuple:
     return first, steps, signs, mirror
 
 
-def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse, det) of symmetric point-last g[i,j,p], n <= 4, by cofactors along each
+def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inverse, det h, half) of symmetric point-last g[i,j,p] by cofactors along each
     minor's first row, every step one array operation over all the minors of one size.
 
-    The rows and columns are first scaled exactly, h = D g D with D_i = 2**-(e_i // 2)
-    and 2**e_i the binade of row i's largest |entry|, so that h's entries are
-    O(1) and no product of them overflows or underflows.  det g is det h times
-    2**(2 sum_i (e_i // 2)), by ldexp, which overflows to inf or underflows to 0
-    only where that exact product does; an exactly singular g gives 0.  The
+    The rows and columns are first scaled exactly, h = D g D with D_i = 2**-half_i,
+    half_i = e_i // 2 and 2**e_i the binade of row i's largest |entry|, so that h's
+    entries are O(1) and no product of them overflows or underflows.  det g is
+    ldexp(det h, 2 sum_i half_i), which overflows to inf or underflows to 0 only
+    where that exact product does; an exactly singular g gives det h = 0.  The
     inverse is mirrored from the upper triangle, so it is exactly symmetric.
-    Scaling g by 2**k scales both results exactly, while no entry leaves the
-    normal range.
+    Scaling g by 2**k scales the inverse and det g exactly, while no entry leaves
+    the normal range.
     """
     n, npts = g.shape[0], g.shape[-1]
     half = np.frexp(np.max(np.abs(g), axis=1))[1] >> 1  # [i,p]
@@ -317,7 +314,7 @@ def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = g * d[:, None]
     h *= d
     if n == 1:
-        return np.ldexp(1.0 / h, -2 * half), np.ldexp(h[0, 0], 2 * half[0])
+        return np.ldexp(1.0 / h, -2 * half), h[0, 0], half
     first, steps, signs, mirror = _cofactor_plan(n)
     flat = h.reshape(n * n, npts)
     minors = flat.take(first, axis=0)
@@ -335,7 +332,7 @@ def _cofactor_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = (cof / det_h).take(mirror, axis=0).reshape(n, n, npts)
     inv *= d[:, None]
     inv *= d
-    return inv, np.ldexp(det_h, 2 * np.sum(half, axis=0))
+    return inv, det_h, half
 
 
 def _diagonal_half_binades(g: np.ndarray) -> np.ndarray:
@@ -385,14 +382,14 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
     (_riemann_core), or "traces" Ricci and then R from one trace core call
     (see _traces).
 
-    g is inverted in closed form for n <= 4 (_cofactor_inverse) and by LAPACK
-    above.  It is degenerate, DegenerateMetricError, where |det h| is below
-    DEGENERACY_THRESHOLD or h h^-1 misses the identity by more than 1e-10, for
-    h = D g D with unit-binade diagonal (_diagonal_half_binades): both are read
-    off det g and g g^-1 by exact power-of-two scaling, so they do not depend
-    on the coordinates' units.  A non-finite metric coefficient, or a Gamma or
-    curvature entry that overflows in the cores, raises DomainError naming it
-    and the first bad point.
+    g is inverted in closed form (_cofactor_inverse).  It is degenerate,
+    DegenerateMetricError, where |det h| is below DEGENERACY_THRESHOLD or h h^-1
+    misses the identity by more than 1e-10, for h = D g D with unit-binade diagonal
+    (_diagonal_half_binades): both are read off the cofactor routine's scaled
+    determinant and g g^-1 by exact power-of-two scaling, so they do not depend on
+    the coordinates' units, and |det h| does not underflow where det g does.  A
+    non-finite metric coefficient, or a Gamma or curvature entry that overflows in
+    the cores, raises DomainError naming it and the first bad point.
     """
     npts, n = pts.shape
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -414,14 +411,14 @@ def _metric_tensors(pts: np.ndarray, jets, work: dict, curvature="riemann") -> t
     # an inf det passes the degeneracy test (GeometryBatch.density raises on it), and a
     # degenerate g's inverse is never read
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gi, det = _cofactor_inverse(gp) if n <= _INVERSE_MAX_DIM else (None, np.linalg.det(g))
-        worst = float(np.min(np.abs(np.ldexp(det, -2 * np.sum(half, axis=0)))))  # |det D g D|
+        gi, det_h, row_half = _cofactor_inverse(gp)
+        det = np.ldexp(det_h, 2 * np.sum(row_half, axis=0))
+        # |det D g D|: a row's largest entry is at least its diagonal's, so the exponent is >= 0
+        worst = float(np.min(np.abs(np.ldexp(det_h, 2 * np.sum(row_half - half, axis=0)))))
     if worst < DEGENERACY_THRESHOLD:
         raise DegenerateMetricError(
             f"|det g| = {worst:.3e} below threshold {DEGENERACY_THRESHOLD:.0e}, relative to its diagonal"
         )
-    if gi is None:
-        gi = np.ascontiguousarray(np.linalg.inv(g).transpose(1, 2, 0))
     # (D g D)(D^-1 g^-1 D^-1) = D (g g^-1) D^-1, entry (i, k) scaled by 2**(half_k - half_i)
     identity = np.einsum("ijp,jkp->ikp", gp, gi)
     with np.errstate(over="ignore"):  # an entry that overflows fails the check
@@ -604,7 +601,7 @@ def gradient_at(m: MetricSpec, f: ScalarField, p) -> TensorValue:
     pt, (_, ginv) = _at(m, p, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         jet = ef.eval_jet_batch(f, [pt], 1)
-        grad = ginv @ jet.gradient()[:, 0]
+        grad = np.einsum("ij,j->i", ginv, jet.gradient()[:, 0])
     check_finite([("f", jet.coeffs), ("the gradient of f", grad)], np.array([pt]))
     return TensorValue(("u",), grad, pt)
 

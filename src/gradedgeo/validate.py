@@ -87,8 +87,8 @@ def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         v = np.zeros(n)
         v[k] = 1.0
         for i in range(k):
-            v = v - signs[i] * float(rows[i] @ g @ v) * rows[i]
-        norm2 = float(v @ g @ v)
+            v = v - signs[i] * float(np.einsum("i,ij,j->", rows[i], g, v)) * rows[i]
+        norm2 = float(np.einsum("i,ij,j->", v, g, v))
         if abs(norm2) < FRAME_NORM_FLOOR:
             raise DegenerateMetricError(
                 f"frame vector {k} is numerically null (|v|^2 = {norm2:.3e})"

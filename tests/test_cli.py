@@ -1155,23 +1155,29 @@ def test_grid_errors_come_in_block_order(tmp_path, capsys, theta, message):
     assert "Traceback" not in err
 
 
+# flat space in other units: |det g| = 1e-12, and det g = 1e-400, which underflows to 0
+SMALL_UNITS = [
+    EDS3.replace("t^(2/3)", "0.001").replace("g_3_3 = -1", "g_3_3 = -0.001").replace("0.5773502691896257*ln(t)", "0"),
+    FLAT_X.replace("g_0_0 = 1\n", "g_0_0 = 1e-200\n").replace("g_1_1 = 1\n", "g_1_1 = 1e-200\n")
+    .replace("expr = x", "expr = 0"),
+]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["residuals", "report"])
 def test_flat_metric_in_small_units_is_regular(tmp_path, capsys, command):
-    # 1e-3*diag(1, 1, 1, -1) is flat space in other units, with |det g| = 1e-12: the
-    # degeneracy check reads g with its diagonal scaled to unit binades, so the run
-    # passes, every curvature column 0
-    text = EDS3.replace("t^(2/3)", "0.001").replace("g_3_3 = -1", "g_3_3 = -0.001")
-    text = text.replace("0.5773502691896257*ln(t)", "0")
-    code = run([command, "--config", write(tmp_path, text)])
-    out = capsys.readouterr()
-    assert code == 0, out.err
-    assert "det g" not in out.err and "Traceback" not in out.err
-    lines = out.out.splitlines()
-    header = lines[1].split(",")
-    for line in lines[2:5]:
-        row = dict(zip(header, line.split(",")))
-        assert all(row[c] == "0" for c in header if c.startswith(("ric_", "scalar_curvature", "graded_scalar"))), row
+    # the degeneracy check reads g with its diagonal scaled to unit binades, from the
+    # cofactor routine's scaled determinant, so each run passes, every curvature column 0
+    for text in SMALL_UNITS:
+        code = run([command, "--config", write(tmp_path, text)])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert "det g" not in out.err and "Traceback" not in out.err
+        lines = out.out.splitlines()
+        header = lines[1].split(",")
+        for line in lines[2:5]:
+            row = dict(zip(header, line.split(",")))
+            assert all(row[c] == "0" for c in header if c.startswith(("ric_", "scalar_curvature", "graded_scalar"))), row
 
 
 _COORDS = ("x", "y", "t")

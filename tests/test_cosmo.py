@@ -52,6 +52,30 @@ def test_warped_spec_guards():
         co.WarpedSpec(lorentz, a, a)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_warped_spec_tests_positive_definiteness_by_leading_minors(seed):
+    # g = L D L^T, with unit lower-triangular L and dyadic entries, formed exactly, has
+    # leading principal minors d_1, d_1 d_2, ..., so it is positive definite exactly
+    # where every pivot is. Odd seeds flip one pivot after the first; for seeds 3, 7, 11
+    # and 13 the diagonal stays positive, so its signs alone would not decide
+    rng = np.random.default_rng(seed)
+    n = 2 + seed // 2 % 4
+    ell = np.eye(n)
+    ell[np.tril_indices(n, -1)] = rng.integers(-512, 513, n * (n - 1) // 2) / 256
+    d = 1.0 + rng.integers(0, 256, n) / 256
+    if seed % 2:
+        d[rng.integers(1, n)] *= -1.0
+    g = (ell * d) @ ell.T
+    chart = ef.ChartSpec(("x", "y", "z", "w", "v")[:n], ((-1.0, 1.0),) * n)
+    base = rm.MetricSpec(chart, g.tolist())
+    a = ef.coordinate(co.time_chart(), "t")
+    if seed % 2:
+        with pytest.raises(ValueError, match="base metric is not positive definite"):
+            co.WarpedSpec(base, a, a)
+    else:
+        assert co.WarpedSpec(base, a, a).n == n
+
+
 def test_build_minkowski():
     tch = co.time_chart()
     zero = ef.constant(tch, 0.0)

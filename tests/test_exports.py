@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -124,3 +125,51 @@ class PlantedBox:
     source = (SRC / "graded.py").read_text() + planted
     unpinned, _ = _unpinned({**TREES, "graded": ast.parse(source)})
     assert unpinned == ["graded.planted_helper", "graded.PlantedBox"]
+
+
+# numpy names that dispatch to BLAS or LAPACK; einsum, with its default optimize=False, calls neither
+_BLAS = {"linalg", "dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def _blas_reach(trees) -> list[tuple[str, str, str]]:
+    """(module, top-level name, text) of each ``@`` and each import, name or outermost
+    attribute chain of ``trees`` that names one of _BLAS."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            inner = {id(node.value) for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "op", None), ast.MatMult):
+                    text = "@"
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    text = " ".join([getattr(node, "module", None) or "", *(alias.name for alias in node.names)])
+                elif isinstance(node, (ast.Attribute, ast.Name)) and id(node) not in inner:
+                    text = ast.unparse(node)
+                else:
+                    continue
+                if text == "@" or _BLAS & set(re.split(r"[. ]", text)):
+                    found.append((module, getattr(top, "name", "<module>"), text))
+    return found
+
+
+def test_no_blas_or_lapack_routine_reaches_an_output():
+    # one linear-algebra path: contractions are einsums and the metric is inverted by
+    # cofactors, so the output bytes do not depend on the BLAS kernel. Only
+    # signature_at's eigenvalues, which no module of the package reads, call LAPACK
+    assert _blas_reach(TREES) == [("riemann", "signature_at", "np.linalg.eigvalsh")]
+
+
+def test_blas_guard_catches_planted_calls():
+    planted = """
+from numpy.linalg import inv
+
+
+def planted_products(a, b):
+    a @= b
+    return a @ b + np.dot(a, b) + b.dot(a) + np.linalg.det(a) + inv(a)
+"""
+    found = _blas_reach({"graded": ast.parse((SRC / "graded.py").read_text() + planted)})
+    assert sorted(found) == [
+        ("graded", "<module>", "numpy.linalg inv"),
+        *(("graded", "planted_products", text) for text in ["@", "@", "b.dot", "np.dot", "np.linalg.det"]),
+    ]

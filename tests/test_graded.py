@@ -831,7 +831,7 @@ def _in_units(e, ks):
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(p.name for p in _GOLDEN.glob("*.ini"))),
-    ks=st.lists(st.integers(-60, 60), min_size=4, max_size=4),
+    ks=st.lists(st.integers(-60, 60), min_size=5, max_size=5),
 )
 def test_geometry_is_covariant_under_power_of_two_units(name, ks):
     # x_i = 2**k_i y_i gives g'_ij(y) = 2**(k_i + k_j) g_ij(x) and theta'(y) = theta(x).

@@ -408,19 +408,25 @@ def test_geometry_batch_curvature_matches_riemann_trace(path):
 _DYADIC = st.integers(-512, 512).map(lambda k: k / 256.0)
 
 
+def _inverse_and_det(g):
+    inv, det_h, half = rm._cofactor_inverse(g)
+    return inv, np.ldexp(det_h, 2 * np.sum(half, axis=0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 4),
+    n=st.integers(1, 8),
     lorentzian=st.booleans(),
-    lower=st.lists(_DYADIC, min_size=6, max_size=6),
-    pivots=st.lists(st.integers(0, 1024).map(lambda k: 1.0 + k / 256.0), min_size=4, max_size=4),
+    lower=st.lists(_DYADIC, min_size=28, max_size=28),
+    pivots=st.lists(st.integers(0, 1024).map(lambda k: 1.0 + k / 256.0), min_size=8, max_size=8),
     k=st.integers(-500, 500),
 )
 def test_cofactor_inverse_scales_exactly(n, lorentzian, lower, pivots, k):
     # g = L D L^T with unit lower-triangular L and diagonal D of dyadic entries, formed
     # exactly, has the signature of D; g * 2**k is exact for every k drawn. Its inverse
-    # and determinant are those of g scaled by 2**-k and 2**(n k), bitwise: the
-    # determinant overflows to inf, or underflows to 0, exactly where that product does.
+    # and determinant, ldexp(det h, 2 sum half), are those of g scaled by 2**-k and
+    # 2**(n k), bitwise: the determinant overflows to inf, or underflows to 0, exactly
+    # where that product does.
     # Against LAPACK, the inverse agrees within c n eps cond(g), c = 16, in the max norm
     # relative to the inverse's largest entry (Higham, Accuracy and Stability of
     # Numerical Algorithms, 2nd ed., sec. 14.1: each route's forward error is a small
@@ -432,9 +438,9 @@ def test_cofactor_inverse_scales_exactly(n, lorentzian, lower, pivots, k):
         d[0] = -d[0]
     g = (ell * d) @ ell.T
     assert np.array_equal(g, g.T)
-    inv0, det0 = rm._cofactor_inverse(g[..., None])
+    inv0, det0 = _inverse_and_det(g[..., None])
     with np.errstate(over="ignore"):  # the determinant's overflow is the point
-        inv, det = rm._cofactor_inverse(np.ldexp(g, k)[..., None])
+        inv, det = _inverse_and_det(np.ldexp(g, k)[..., None])
         assert inv.tobytes() == np.ldexp(inv0, -k).tobytes()
         assert det.tobytes() == np.ldexp(det0, n * k).tobytes()
     assert np.array_equal(inv0[..., 0], inv0[..., 0].T)
