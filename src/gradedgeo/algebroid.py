@@ -229,6 +229,16 @@ def _order_one_pass(gm: "GradedMetric", fields, pts: np.ndarray, cache=None):
     return val[:k], grad[:k], val[k:].reshape(n + 1, n + 1, t), grad[k:].reshape(n + 1, n + 1, n, t)
 
 
+def _along(u: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """u^m d_m w^e over the even axes m, from w's derivatives dw[e, m, t]."""
+    return np.einsum("mt,emt->et", u[: dw.shape[1]], dw)
+
+
+def _pair(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u, w> at each column t, from the extended metric g[a, b, t]."""
+    return np.einsum("abt,at,bt->t", g, u, w)
+
+
 def _koszul_from_jets(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """The Koszul formula from the extended metric and the fields' order-1 jets.
 
@@ -243,9 +253,6 @@ def _koszul_from_jets(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarr
     # einsum's summation order follows its operands' strides: read the fields point-major
     (vx, vy, vz), (dx, dy, dz) = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1) for a in (v, dv))
 
-    def pair(u, w):
-        return np.einsum("abt,at,bt->t", g, u, w)
-
     def act(v, u, du, w, dw):
         # anchor of v applied to <u, w>: v^m d_m <u, w>
         d = (
@@ -256,15 +263,15 @@ def _koszul_from_jets(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarr
         return np.einsum("mt,mt->t", v[:n], d)
 
     def bracket_of(u, du, w, dw):
-        return np.einsum("mt,amt->at", u[:n], dw) - np.einsum("mt,amt->at", w[:n], du)
+        return _along(u, dw) - _along(w, du)
 
     total = (
         act(vx, vy, dy, vz, dz)
         + act(vy, vz, dz, vx, dx)
         - act(vz, vx, dx, vy, dy)
-        + pair(bracket_of(vx, dx, vy, dy), vz)
-        - pair(bracket_of(vy, dy, vz, dz), vx)
-        + pair(bracket_of(vz, dz, vx, dx), vy)
+        + _pair(g, bracket_of(vx, dx, vy, dy), vz)
+        - _pair(g, bracket_of(vy, dy, vz, dz), vx)
+        + _pair(g, bracket_of(vz, dz, vx, dx), vy)
     )
     return 0.5 * total
 

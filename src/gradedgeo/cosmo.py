@@ -166,7 +166,7 @@ def warped_closed_forms(w: WarpedSpec, p) -> WarpedClosedForms:
     a', a'' and the warp factor.
     """
     chart = product_chart(w)
-    pt = chart.require_point(p)
+    pt = tuple(chart.require_points([p])[0].tolist())
     t = pt[-1]
     if t <= 0.0:
         raise DomainError(f"time coordinate must be positive, got t={t}")

@@ -92,10 +92,6 @@ class ChartSpec:
         except ValueError:
             raise KeyError(f"no coordinate {name!r} in chart {self.coord_names}") from None
 
-    def require_point(self, p) -> tuple[float, ...]:
-        """Validate p as a batch of one and return it as floats."""
-        return tuple(self.require_points([p])[0].tolist())
-
     def require_points(self, pts) -> np.ndarray:
         """Validate an array of point rows against the box (tiny slack for roundoff)."""
         arr = np.asarray(pts, dtype=float)
@@ -892,19 +888,8 @@ class Jet:
         c[0] += other
         return Jet(self.space, c, self.constant)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.space, self.coeffs - other.coeffs, self.constant and other.constant)
-        c = self.coeffs.copy()
-        c[0] -= other
-        return Jet(self.space, c, self.constant)
-
-    def __rsub__(self, other):
-        c = -self.coeffs
-        c[0] += other
-        return Jet(self.space, c, self.constant)
+        return Jet(self.space, self.coeffs - other.coeffs, self.constant and other.constant)
 
     def __neg__(self):
         return Jet(self.space, -self.coeffs, self.constant)
@@ -918,16 +903,6 @@ class Jet:
             # reducing the leading axis adds whole rows one after another, from +0.0
             return Jet(s, np.add.reduce(terms.take(s._scatter, 0), axis=0, initial=0.0))
         return Jet(self.space, self.coeffs * other + 0.0, self.constant)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * _reciprocal(other)
-        return Jet(self.space, self.coeffs / other, self.constant)
-
-    def __rtruediv__(self, other):
-        return _reciprocal(self) * other
 
 
 def _compose(u: Jet, coeffs_by_order: list) -> Jet:
@@ -1180,7 +1155,7 @@ def _jet_rule(space: JetSpace, seeds: list[Jet]):
                 return _constant_call(e, u)
             if e.fn == "tan":
                 sin_cs, cos_cs = _tan_coeffs(u.value, space.order)
-                return _compose(u, sin_cs) / _compose(u, cos_cs)
+                return _compose(u, sin_cs) * _reciprocal(_compose(u, cos_cs))
             return _compose(u, _TAYLOR[e.fn](u.value, space.order))
         raise TypeError(f"not an expression node: {type(e).__name__}")
 

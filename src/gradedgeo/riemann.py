@@ -41,14 +41,6 @@ class TensorValue:
         if self.components.ndim != len(self.valence):
             raise ValueError("components rank does not match valence")
 
-    @property
-    def rank(self) -> int:
-        return len(self.valence)
-
-    @property
-    def dim(self) -> int:
-        return 0 if self.rank == 0 else int(self.components.shape[0])
-
 
 class MetricSpec:
     """Symmetric metric field on a chart; only the upper triangle is stored.
@@ -239,9 +231,12 @@ def _trace_core(ginv: np.ndarray, dg: np.ndarray, gamma: np.ndarray, ddg: np.nda
     shape = ginv.shape[:1] * 2 + ginv.shape[-1:]  # [j,k,p]
     term = _scratch(work, "term", shape)
     z = np.einsum("lap,jalkp->jkp", ginv, ddg, out=_scratch(work, "z", shape))
+    # each term halved before the sum, so that the sum overflows only where a term does
     half = np.einsum("lap,jklap->jkp", ginv, ddg, out=_scratch(work, "half", shape))
-    half += np.einsum("lap,lajkp->jkp", ginv, ddg, out=term)
     half *= 0.5
+    np.einsum("lap,lajkp->jkp", ginv, ddg, out=term)
+    term *= 0.5
+    half += term
     z -= half
     # [j,l,b] = (M_j)^l_b
     gdg = np.einsum("lap,abjp->jlbp", ginv, dg, out=_scratch(work, "gdg", dg.shape))

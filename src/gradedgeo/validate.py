@@ -31,7 +31,7 @@ import numpy as np
 
 from . import graded as gd
 from . import riemann as rm
-from .algebroid import GradedVectorField, _koszul_from_jets, _order_one_pass
+from .algebroid import GradedVectorField, _along, _koszul_from_jets, _order_one_pass, _pair
 from .errors import DegenerateMetricError
 from .graded import GradedMetric
 from .randgen import affine_jets, random_affine_fields, random_interior_points
@@ -161,18 +161,9 @@ def _instance_jets(draw) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(val[slots, :, at], 0, -1), np.moveaxis(grad[slots, :, :, at], 0, -1)
 
 
-def _along(u: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """u^m d_m w^e over the even axes m, from w's derivatives dw[e, m, t]."""
-    return np.einsum("mt,emt->et", u[: dw.shape[1]], dw)
-
-
 def _nabla(c: np.ndarray, u: np.ndarray, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """nabla_u w = u^m d_m w^e + u^a w^b C_ab^e; the odd basis differentiates no ordinary function."""
     return _along(u, dw) + np.einsum("at,bt,abet->et", u, w, c)
-
-
-def _pair(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("abt,at,bt->t", g, u, w)
 
 
 def _basis_curvature(c: np.ndarray, dc: np.ndarray, g: np.ndarray) -> np.ndarray:

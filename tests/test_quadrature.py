@@ -1,10 +1,11 @@
 """The Gauss-Legendre rule: exact-arithmetic accuracy, symmetry, determinism,
-and an action path that calls no LAPACK routine."""
+an action path that calls no LAPACK routine, and QuadSpec's refusals."""
 
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import gradedgeo
+from gradedgeo import exprfield as ef
 from gradedgeo import quadrature as qd
+from gradedgeo.errors import ConfigError
 
 EPS = float(np.finfo(float).eps)
 SECTIONS = Path(__file__).resolve().parent / "golden" / "sections"
@@ -149,3 +152,32 @@ def test_action_calls_no_lapack_routine(tmp_path):
     )
     code = json.loads((SECTIONS / "exit_codes.json").read_text())["eds3.action.csv"]
     assert json.loads(done.stdout) == {"code": code, "calls": {}, "polynomial": False}
+
+
+# x spans 2 and y 4, so the chart box's relative slack is 2e-12 on x and 4e-12 on y
+SLACK_CHART = ef.ChartSpec(("x", "y"), ((-1.0, 1.0), (0.0, 4.0)))
+
+
+@pytest.mark.parametrize(
+    "nodes, box, refusal",
+    [
+        (0, None, "at least one node per axis"),
+        (4, ((-1.0, 1.0),), "quadrature box has 1 axes, chart has 2"),
+        (4, ((-1.0, 1.0), (0.0, 4.0), (0.0, 1.0)), "quadrature box has 3 axes, chart has 2"),
+        (4, ((0.5, 0.5), (0.0, 4.0)), "empty quadrature range for x: [0.5, 0.5]"),
+        (4, ((-1.0, 1.0), (3.0, 1.0)), "empty quadrature range for y"),
+        (4, ((-1.0, 1.0 + 2.5e-12), (0.0, 4.0)), "for x leaves the chart box"),
+        (4, ((-1.0, 1.0), (-5e-12, 4.0)), "for y leaves the chart box"),
+        (4, ((-1.0 - 1.5e-12, 1.0 + 1.5e-12), (-3.5e-12, 4.0 + 3.5e-12)), None),
+        (1, None, None),
+    ],
+    ids=["zero-nodes", "too-few-axes", "too-many-axes", "empty-range", "reversed-range",
+         "past-hi", "past-lo", "inside-slack", "chart-box"],
+)
+def test_quad_spec_refusals(nodes, box, refusal):
+    # a refused spec raises ConfigError (exit 2); an accepted one resolves to its own box
+    if refusal is None:
+        assert qd.QuadSpec(nodes, box).resolve_box(SLACK_CHART) == (SLACK_CHART.box if box is None else box)
+        return
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        qd.QuadSpec(nodes, box).resolve_box(SLACK_CHART)
